@@ -2,7 +2,8 @@
 emit deterministic reports.
 
 Exit codes: 0 all expectations hold, 1 expectation failure, 2 usage or parse
-error, 3 budget exhaustion.
+error or an exponent past the checked range, 3 budget exhaustion, 4 an internal
+invariant failed (an ArithmeticError other than ExponentOverflow).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .containment import (
     check_symbolic_into_Ie,
     run_example,
 )
-from .errors import BudgetExceeded, ParseError
+from .errors import BudgetExceeded, ExponentOverflow, ParseError
 from .frobenius import (
     default_e_max,
     fedder_is_fpure,
@@ -39,6 +40,7 @@ EXIT_OK = 0
 EXIT_EXPECTATION = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 def _budget_from_env():
@@ -300,9 +302,12 @@ def run_script(path, out=sys.stdout, as_json=False, include_timings=False, budge
         except BudgetExceeded as exc:
             _emit(out, f"budget exhausted at line {lineno}: {exc}")
             return EXIT_BUDGET
-        except (ParseError, ValueError) as exc:
+        except (ParseError, ValueError, ExponentOverflow) as exc:
             _emit(out, f"error at line {lineno}: {exc}")
             return EXIT_USAGE
+        except ArithmeticError as exc:
+            _emit(out, f"error at line {lineno}: {exc}")
+            return EXIT_INTERNAL
         for rep in session.reports[emitted:]:
             _emit(out, _report_lines([rep], as_json, include_timings)[0])
         emitted = len(session.reports)
@@ -585,9 +590,12 @@ def main(argv=None):
     except BudgetExceeded as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ParseError, ValueError) as exc:
+    except (ParseError, ValueError, ExponentOverflow) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except ArithmeticError as exc:  # after ExponentOverflow, which is one too
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     return code
 
 

@@ -4,11 +4,17 @@ Everything downstream (colon ideals, saturations, Frobenius criteria,
 containment reports) reduces to the three decision procedures here:
 ideal_member, ideal_subset, ideal_equal.
 
-Implementation notes: polynomials are handled as their canonical term tuples;
-reduction keeps the working polynomial in a dict with a lazy max-heap over the
-ring's monomial order. Pair selection is the normal strategy (minimal lcm
-degree first) with Buchberger's product and chain criteria. All tie-breaks are
-canonical, so runs are reproducible bit for bit.
+Implementation notes: the kernel works on packed monomials (see rings: one int
+per exponent vector, int order = monomial order). Polynomials are packed once
+on the way in -- normal_form's argument, Buchberger's generators, and each
+GroebnerBasis's reducers, which the basis keeps -- and unpacked once on the
+way out into canonical Polynomials. In between, multiplying monomials is an
+int add, divisibility a guard-bit test on a difference, and an exponent past
+EXPONENT_LIMIT raises ExponentOverflow instead of wrapping. Reduction keeps the
+working polynomial in a dict with a lazy max-heap of negated packed
+monomials. Pair selection is the normal strategy (minimal lcm degree first)
+with Buchberger's product and chain criteria. All tie-breaks are canonical,
+so runs are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import heapq
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, RingMismatch
-from .rings import Polynomial, mono_div, mono_divides, mono_lcm, mono_mul
+from .rings import Polynomial
 
 
 @dataclass(frozen=True)
@@ -35,13 +41,23 @@ DEFAULT_BUDGET = GroebnerBudget()
 
 
 class GroebnerBasis:
-    """Reduced Groebner basis: monic, auto-reduced, sorted by leading monomial."""
+    """Reduced Groebner basis: monic, auto-reduced, sorted by leading monomial.
 
-    __slots__ = ("ring", "elements")
+    Keeps its elements packed as reducer triples, built once, for every
+    normal form taken against it.
+    """
 
-    def __init__(self, ring, elements):
+    __slots__ = ("ring", "elements", "_reducers")
+
+    def __init__(self, ring, elements, reducers=None):
         self.ring = ring
         self.elements = tuple(elements)
+        self._reducers = reducers
+
+    def _packed_reducers(self):
+        if self._reducers is None:
+            self._reducers = _as_reducers(self.ring, self.elements)
+        return self._reducers
 
     def __iter__(self):
         return iter(self.elements)
@@ -93,7 +109,7 @@ class Ideal:
     def groebner_basis(self, budget=None) -> GroebnerBasis:
         if self._gb is None:
             self._gb = GroebnerBasis(
-                self.ring, _buchberger(self.ring, self.gens, budget or DEFAULT_BUDGET)
+                self.ring, *_buchberger(self.ring, self.gens, budget or DEFAULT_BUDGET)
             )
         return self._gb
 
@@ -112,51 +128,59 @@ class Ideal:
 
 
 def _nf_terms(ring, terms, basis, budget):
-    """Full normal form of a term stream against [(lm, lc_inv, tail), ...].
+    """Full normal form of a packed term stream against [(lm, lc_inv, tail), ...].
 
-    Returns canonical descending term tuple. basis entries need not be a
-    Groebner basis; the result is then just *a* remainder along a
-    deterministic reduction path.
+    Returns the packed canonical descending term tuple. basis entries need not
+    be a Groebner basis; the result is then just *a* remainder along a
+    deterministic reduction path. Raises ExponentOverflow when a term, given
+    or produced, has an exponent past EXPONENT_LIMIT.
     """
     p = ring.p
-    negkey = ring.negkey
+    packing = ring._packing
+    guards = packing.guards
     work = {}
-    heap = []
+    get = work.get
     for m, c in terms:
-        v = (work.get(m, 0) + c) % p
+        if m & guards:
+            packing.check(m)
+        v = (get(m, 0) + c) % p
         if v:
-            if m not in work:
-                heapq.heappush(heap, (negkey(m), m))
             work[m] = v
         else:
             work.pop(m, None)
+    heap = [-m for m in work]
+    heapq.heapify(heap)
+    push, pop = heapq.heappush, heapq.heappop
     out = []
     cap = budget.max_poly_terms
     while heap:
-        _, m = heapq.heappop(heap)
+        m = -pop(heap)
         c = work.pop(m, 0)
         if not c:
             continue
-        hit = None
         for lm, lc_inv, tail in basis:
-            q = mono_div(m, lm)
-            if q is not None:
-                hit = (q, lc_inv, tail)
+            q = m - lm
+            if not q & guards:
                 break
-        if hit is None:
+        else:
             out.append((m, c))
             continue
-        q, lc_inv, tail = hit
-        factor = (c * lc_inv) % p
+        minus = p - (c * lc_inv) % p
         for m2, c2 in tail:
-            mm = mono_mul(m2, q)
-            v = (work.get(mm, 0) - factor * c2) % p
-            if v:
-                if mm not in work:
-                    heapq.heappush(heap, (negkey(mm), mm))
-                work[mm] = v
+            mm = m2 + q
+            if mm & guards:
+                packing.check(mm)
+            v = get(mm)
+            if v is None:
+                # a fresh term: minus * c2 is a unit mod p, so never zero
+                work[mm] = minus * c2 % p
+                push(heap, -mm)
             else:
-                work.pop(mm, None)
+                v = (v + minus * c2) % p
+                if v:
+                    work[mm] = v
+                else:
+                    del work[mm]
         if len(work) > cap:
             raise BudgetExceeded(
                 f"normal form exceeded {cap} working terms; raise the budget to proceed"
@@ -164,26 +188,33 @@ def _nf_terms(ring, terms, basis, budget):
     return tuple(out)
 
 
+def _pack_terms(ring, terms):
+    pack = ring._packing.pack
+    return tuple((pack(m), c) for m, c in terms)
+
+
 def _as_reducers(ring, polys):
-    """Precompute (lm, lc_inv, tail) triples for monic-or-not polynomials."""
+    """Packed (lm, lc_inv, tail) triples for monic-or-not polynomials."""
     p = ring.p
     out = []
     for g in polys:
-        terms = g.terms if isinstance(g, Polynomial) else g
-        if not terms:
+        if not g:
             continue
-        lm, lc = terms[0]
-        out.append((lm, pow(lc, p - 2, p), terms[1:]))
+        (lm, lc), *tail = _pack_terms(ring, g.terms)
+        out.append((lm, pow(lc, p - 2, p), tuple(tail)))
     return out
 
 
 def normal_form(f: Polynomial, G, budget=None) -> Polynomial:
     """Unique remainder of f modulo a Groebner basis G (idempotent)."""
     ring = f.ring
-    basis = G.elements if isinstance(G, GroebnerBasis) else tuple(G)
-    reducers = _as_reducers(ring, basis)
-    terms = _nf_terms(ring, f.terms, reducers, budget or DEFAULT_BUDGET)
-    return Polynomial(ring, terms, canonical=True)
+    if isinstance(G, GroebnerBasis):
+        reducers = G._packed_reducers()
+    else:
+        reducers = _as_reducers(ring, G)
+    terms = _nf_terms(ring, _pack_terms(ring, f.terms), reducers, budget or DEFAULT_BUDGET)
+    unpack = ring._packing.unpack
+    return Polynomial(ring, tuple((unpack(m), c) for m, c in terms), canonical=True)
 
 
 # ---------------------------------------------------------------------------
@@ -192,14 +223,15 @@ def normal_form(f: Polynomial, G, budget=None) -> Polynomial:
 
 
 def _buchberger(ring, gens, budget):
-    key = ring.key
-    inputs = [g.monic().terms for g in gens if g]
-    if not inputs:
-        return ()
+    """Reduced basis of (gens) as (polynomials, packed reducer triples)."""
+    packing = ring._packing
+    if not any(gens):
+        return (), []
 
-    basis = []  # reducer triples (lm, lc_inv=1, tail); all monic
+    basis = []  # packed reducer triples (lm, lc_inv=1, tail); all monic
     lms = []
-    pairs = []  # heap of (lcm degree, lcm key, i, j)
+    exps = []  # leading exponent tuples, for the lcm of each new pair
+    pairs = []  # heap of (lcm degree, packed lcm, i, j)
     pending = set()
 
     def add(terms):
@@ -207,19 +239,23 @@ def _buchberger(ring, gens, budget):
         lm = terms[0][0]
         basis.append((lm, 1, terms[1:]))
         lms.append(lm)
+        exp = packing.unpack(lm)
+        exps.append(exp)
         for i in range(k):
-            lcm = mono_lcm(lms[i], lm)
-            heapq.heappush(pairs, (sum(lcm), key(lcm), i, k))
+            lcm = tuple(map(max, exps[i], exp))
+            heapq.heappush(pairs, (sum(lcm), packing.pack(lcm), i, k))
             pending.add((i, k))
 
-    for t in inputs:
-        h = _nf_terms(ring, t, basis, budget)
-        if h:
-            add(_monic(ring, h))
+    for g in gens:
+        if g:
+            h = _nf_terms(ring, _pack_terms(ring, g.monic().terms), basis, budget)
+            if h:
+                add(_monic(ring, h))
 
+    guards = packing.guards
     processed = 0
     while pairs:
-        _, _, i, j = heapq.heappop(pairs)
+        _, lcm, i, j = heapq.heappop(pairs)
         if (i, j) not in pending:
             continue
         pending.discard((i, j))
@@ -228,13 +264,11 @@ def _buchberger(ring, gens, budget):
             raise BudgetExceeded(
                 f"Buchberger exceeded {budget.max_pairs} S-pairs; raise the budget to proceed"
             )
-        lmi, lmj = lms[i], lms[j]
-        lcm = mono_lcm(lmi, lmj)
         # product criterion: coprime leading monomials
-        if lcm == mono_mul(lmi, lmj):
+        if lcm == lms[i] + lms[j]:
             continue
         # chain criterion: some lm_k divides the lcm and both side pairs are done
-        if _chain(lms, pending, i, j, lcm):
+        if _chain(lms, pending, i, j, lcm, guards):
             continue
         s = _spoly_terms(ring, basis[i], basis[j], lcm)
         h = _nf_terms(ring, s, basis, budget)
@@ -244,27 +278,26 @@ def _buchberger(ring, gens, budget):
     return _reduce_basis(ring, basis, budget)
 
 
-def _chain(lms, pending, i, j, lcm):
-    for k in range(len(lms)):
-        if k == i or k == j:
+def _chain(lms, pending, i, j, lcm, guards):
+    for k, lm in enumerate(lms):
+        if (lcm - lm) & guards or k == i or k == j:
             continue
-        if mono_divides(lms[k], lcm):
-            a = (i, k) if i < k else (k, i)
-            b = (j, k) if j < k else (k, j)
-            if a not in pending and b not in pending:
-                return True
+        a = (i, k) if i < k else (k, i)
+        b = (j, k) if j < k else (k, j)
+        if a not in pending and b not in pending:
+            return True
     return False
 
 
 def _spoly_terms(ring, fi, fj, lcm):
-    """Term stream of the S-polynomial of two monic reducer triples."""
+    """Packed term stream of the S-polynomial of two monic reducer triples."""
     lmi, _, taili = fi
     lmj, _, tailj = fj
-    ui = mono_div(lcm, lmi)
-    uj = mono_div(lcm, lmj)
+    ui = lcm - lmi
+    uj = lcm - lmj
     p = ring.p
-    out = [(mono_mul(m, ui), c) for m, c in taili]
-    out.extend((mono_mul(m, uj), p - c) for m, c in tailj)
+    out = [(m + ui, c) for m, c in taili]
+    out.extend((m + uj, p - c) for m, c in tailj)
     return out
 
 
@@ -278,6 +311,7 @@ def _monic(ring, terms):
 
 
 def _reduce_basis(ring, basis, budget):
+    divides = ring._packing.divides
     lms = [b[0] for b in basis]
     keep = []
     for i, lm in enumerate(lms):
@@ -285,7 +319,7 @@ def _reduce_basis(ring, basis, budget):
         for j, other in enumerate(lms):
             if i == j:
                 continue
-            if mono_divides(other, lm) and (other != lm or j < i):
+            if divides(other, lm) and (other != lm or j < i):
                 redundant = True
                 break
         if not redundant:
@@ -295,12 +329,20 @@ def _reduce_basis(ring, basis, budget):
     reduced = []
     for idx, (lm, _, tail) in enumerate(kept):
         others = [kept[k] for k in range(len(kept)) if k != idx]
-        tail_nf = _nf_terms(ring, tail, others, budget)
-        reduced.append(((lm, 1),) + tail_nf)
+        reduced.append((lm, 1, _nf_terms(ring, tail, others, budget)))
 
-    key = ring.key
-    reduced.sort(key=lambda t: key(t[0][0]))
-    return tuple(Polynomial(ring, t, canonical=True) for t in reduced)
+    reduced.sort()
+    # a monomial recurs across basis elements: unpack it once, share the tuple
+    unpack = ring._packing.unpack
+    exps = {}
+    polys = []
+    for lm, _, tail in reduced:
+        terms = ((lm, 1),) + tail
+        for m, _ in terms:
+            if m not in exps:
+                exps[m] = unpack(m)
+        polys.append(Polynomial(ring, tuple((exps[m], c) for m, c in terms), canonical=True))
+    return tuple(polys), reduced
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,32 @@
 """Exact multivariate polynomial arithmetic over a prime field F_p.
 
 Coefficients are plain int residues in [0, p); the modulus and the monomial
-order live on the RingDescriptor. Monomials are exponent tuples. Polynomials
-are immutable, canonically sorted term sequences, so equality and hashing are
-structural.
+order live on the RingDescriptor. Polynomials are immutable, canonically
+sorted term sequences, so equality and hashing are structural.
+
+Monomials are exponent tuples wherever they leave the kernel (Polynomial.terms,
+lead_monomial, the mono_* helpers). Inside the kernel -- Polynomial products
+and canonical sorting here, reduction and Buchberger in groebner -- they are
+packed into one int per monomial (Monagan & Pearce, "Polynomial division using
+dynamic arrays, heaps, and packed exponent vectors", CASC 2007), using the
+RingDescriptor's _Packing. Conversion happens only at that boundary: pack()
+on the way in, unpack() on the way out.
 """
 
 from __future__ import annotations
+
+import functools
+import struct
+from operator import mul
 
 from .errors import ExponentOverflow, RingMismatch
 
 # Exponents are checked against this instead of wrapping (bracket powers reach q = p^e).
 EXPONENT_LIMIT = 2**31 - 1
+# A packed exponent field: 31 bits hold EXPONENT_LIMIT, the top bit is the guard.
+# 32 bits keep the fields byte-aligned, so unpacking is one struct call.
+_FIELD_BITS = 32
+assert EXPONENT_LIMIT.bit_length() == _FIELD_BITS - 1
 
 ORDER_TAGS = ("lex", "grevlex", "block")
 
@@ -63,6 +78,77 @@ def _grevlex_key(m):
     return (sum(m), tuple(-e for e in reversed(m)))
 
 
+def _grevlex_forms(nvars, start, stop):
+    """Linear forms whose lexicographic comparison is grevlex on [start, stop):
+    the degree, then degree minus each exponent in reverse variable order
+    (the negated exponents, kept non-negative)."""
+    block = [1 if start <= i < stop else 0 for i in range(nvars)]
+    forms = [tuple(block)]
+    for k in range(stop - 1, start, -1):
+        forms.append(tuple(0 if i == k else w for i, w in enumerate(block)))
+    return forms
+
+
+class _Packing:
+    """Exponent vectors packed into ints, so that for monomials a, b:
+
+      pack(a) + pack(b) == pack(a*b)          (multiplication is an int add)
+      pack(a) < pack(b)  iff key(a) < key(b)   (the ring order is int order)
+      a | b  iff  not (pack(b) - pack(a)) & guards
+
+    The low nvars fields of _FIELD_BITS hold the exponents, first variable most
+    significant, each with a guard bit above EXPONENT_LIMIT. Above them sit the
+    order's linear forms (none for lex, whose exponent fields already compare
+    lexicographically), each field just wide enough for its largest value when
+    every exponent is at most EXPONENT_LIMIT. Sums of two packed monomials never
+    carry between exponent fields; an exponent past EXPONENT_LIMIT sets its
+    guard bit, which check() turns into ExponentOverflow.
+    """
+
+    __slots__ = ("units", "guards", "_mask", "_struct", "_nbytes")
+
+    def __init__(self, nvars, forms):
+        shift = _FIELD_BITS * nvars
+        units = [1 << (_FIELD_BITS * (nvars - 1 - i)) for i in range(nvars)]
+        for form in reversed(forms):
+            for i, w in enumerate(form):
+                units[i] += w << shift
+            shift += (sum(form) * EXPONENT_LIMIT).bit_length()
+        self.units = tuple(units)
+        self.guards = sum(1 << (_FIELD_BITS * (k + 1) - 1) for k in range(nvars))
+        self._nbytes = _FIELD_BITS // 8 * nvars
+        self._mask = (1 << (8 * self._nbytes)) - 1
+        self._struct = struct.Struct(f">{nvars}I")
+
+    def pack(self, m):
+        return sum(map(mul, m, self.units))
+
+    def unpack(self, packed):
+        return self._struct.unpack((packed & self._mask).to_bytes(self._nbytes, "big"))
+
+    def divides(self, a, b):
+        return not (b - a) & self.guards
+
+    def check(self, packed):
+        """Raise if an exponent of packed left the limit (its guard bit is set)."""
+        if packed & self.guards:
+            raise ExponentOverflow(f"exponent beyond {EXPONENT_LIMIT} in reduction")
+
+
+@functools.lru_cache(maxsize=64)
+def _packing_for(nvars, order, block_sizes):
+    if order == "lex":
+        forms = []
+    elif order == "grevlex":
+        forms = _grevlex_forms(nvars, 0, nvars)
+    else:
+        forms, start = [], 0
+        for size in block_sizes:
+            forms += _grevlex_forms(nvars, start, start + size)
+            start += size
+    return _Packing(nvars, forms)
+
+
 class RingDescriptor:
     """Ambient polynomial ring F_p[variables] with a fixed monomial order.
 
@@ -71,7 +157,7 @@ class RingDescriptor:
     which is what elimination uses.
     """
 
-    __slots__ = ("p", "variables", "order", "blocks", "_index", "_slices")
+    __slots__ = ("p", "variables", "order", "blocks", "_index", "_slices", "_packing")
 
     def __init__(self, p, variables, order="grevlex", blocks=None):
         if not is_prime(p):
@@ -107,6 +193,9 @@ class RingDescriptor:
             self._slices = tuple(slices)
         else:
             self._slices = None
+        self._packing = _packing_for(
+            len(variables), order, tuple(map(len, blocks)) if blocks else None
+        )
 
     @property
     def nvars(self):
@@ -125,14 +214,6 @@ class RingDescriptor:
         if self.order == "lex":
             return m
         return tuple(_grevlex_key(m[s]) for s in self._slices)
-
-    def negkey(self, m):
-        """Sort key that inverts the order; lets a min-heap pop the largest monomial."""
-        if self.order == "grevlex":
-            return (-sum(m), m[::-1])
-        if self.order == "lex":
-            return tuple(-e for e in m)
-        return tuple((-sum(m[s]), m[s][::-1]) for s in self._slices)
 
     def __eq__(self, other):
         return (
@@ -179,9 +260,9 @@ class Polynomial:
                     acc[m] = c
                 else:
                     acc.pop(m, None)
-            key = ring.key
+            pack = ring._packing.pack
             self.terms = tuple(
-                sorted(acc.items(), key=lambda t: key(t[0]), reverse=True)
+                sorted(acc.items(), key=lambda t: pack(t[0]), reverse=True)
             )
         self._h = None
 
@@ -299,25 +380,29 @@ class Polynomial:
             return Polynomial.zero(self.ring)
         if self.degree() + other.degree() > EXPONENT_LIMIT:
             raise ExponentOverflow("product degree beyond checked exponent range")
+        # within the degree bound no exponent can pass EXPONENT_LIMIT, so the
+        # packed sums need no guard check
         p = self.ring.p
-        acc = {}
+        packing = self.ring._packing
+        pack = packing.pack
         small, big = self.terms, other.terms
         if len(small) > len(big):
             small, big = big, small
+        big = [(pack(m), c) for m, c in big]
+        acc = {}
+        get = acc.get
         for m1, c1 in small:
+            m1 = pack(m1)
             for m2, c2 in big:
-                m = tuple(x + y for x, y in zip(m1, m2))
-                c = (acc.get(m, 0) + c1 * c2) % p
-                if c:
-                    acc[m] = c
-                else:
-                    del acc[m]
-        key = self.ring.key
-        return Polynomial(
-            self.ring,
-            tuple(sorted(acc.items(), key=lambda t: key(t[0]), reverse=True)),
-            canonical=True,
-        )
+                m = m1 + m2
+                acc[m] = get(m, 0) + c1 * c2
+        unpack = packing.unpack
+        terms = []
+        for m in sorted(acc, reverse=True):
+            c = acc[m] % p
+            if c:
+                terms.append((unpack(m), c))
+        return Polynomial(self.ring, tuple(terms), canonical=True)
 
     __rmul__ = __mul__
 

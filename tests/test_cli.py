@@ -2,14 +2,25 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import froblab
 from froblab.cli import main, run_script
 
 RUN = [sys.executable, "-m", "froblab.cli"]
+# the child interpreter finds the package where this one did, installed or not
+CHILD_ENV = dict(
+    os.environ,
+    PYTHONPATH=os.pathsep.join(
+        [str(Path(froblab.__file__).resolve().parent.parent)]
+        + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    ),
+)
 
 
 def invoke(argv):
@@ -170,12 +181,88 @@ check fpure I n=2
         assert code == 3 and "budget" in out.lower()
 
 
+class TestErrorExits:
+    """Overflow exits 2 and an internal invariant failure exits 4, each with a
+    one-line message and no traceback, from subcommands and from scripts."""
+
+    # (patched module, attribute, replacement, argv) reaching each invariant check
+    INVARIANTS = {
+        "bracket power escaped I_e": (
+            "froblab.frobenius", "q_subset", lambda *a, **k: (False, "x"),
+            ["fpure", "--ring", "F5[x,y,z]", "--hypersurface", "x*y - z^2",
+             "--ideal", "x, z"],
+        ),
+        "ordinary power escaped the symbolic power": (
+            "froblab.symbolic", "ideal_subset", lambda *a, **k: (False, "x"),
+            ["symbolic", "--ring", "F2[x,y,z]", "--ideal", "x*y, x*z, y*z",
+             "--n", "2", "--strategy", "monomial_combinatorial"],
+        ),
+        "inexact polynomial division": (
+            "froblab.idealops", "ideal_intersect", lambda I, J, budget=None: I,
+            ["fpure", "--ring", "F5[x,y,z]", "--hypersurface", "x*y - z^2",
+             "--ideal", "x, z"],
+        ),
+        "nu_e scan escaped its pigeonhole bound": (
+            "froblab.frobenius", "Ie_maximal", lambda R, e, budget=None: froblab.Ideal(R),
+            ["fpt", "--ring", "F5[x,y]", "--ideal", "x,y", "--emax", "1"],
+        ),
+    }
+
+    def test_overflow_exit_2(self):
+        proc = subprocess.run(
+            RUN + ["fpure", "--ring", "F5[x,y,z]", "--hypersurface", "x*y-z^2",
+                   "--ideal", "x,z", "--e", "14"],
+            capture_output=True, text=True, env=CHILD_ENV,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == "error: power degree beyond checked exponent range\n"
+
+    def test_overflow_in_script_names_line(self, tmp_path):
+        path = tmp_path / "script.flb"
+        path.write_text("ring F5[x,y,z]\nideal I = x, y\nideal J = x^2147483648\n")
+        out = io.StringIO()
+        assert run_script(str(path), out=out) == 2
+        assert out.getvalue() == (
+            "error at line 3: exponent 2147483648 beyond 2147483647\n"
+        )
+
+    @pytest.mark.parametrize("message", sorted(INVARIANTS))
+    def test_internal_invariant_exit_4(self, message, monkeypatch, capsys):
+        module, attr, fake, argv = self.INVARIANTS[message]
+        monkeypatch.setattr(f"{module}.{attr}", fake)
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err.startswith("error:") and message in err
+        assert err.count("\n") == 1
+
+    def test_internal_invariant_in_script_names_line(self, tmp_path, monkeypatch):
+        module, attr, fake, _ = self.INVARIANTS["bracket power escaped I_e"]
+        monkeypatch.setattr(f"{module}.{attr}", fake)
+        path = tmp_path / "script.flb"
+        path.write_text(SCRIPT_OK.replace("check jacobian-fpure Q n=2", "check symbolic-ie Q n=1 e=1"))
+        out = io.StringIO()
+        assert run_script(str(path), out=out) == 4
+        assert out.getvalue().startswith("error at line 9: internal error: bracket power")
+
+
 class TestConsoleEntry:
     def test_module_invocation(self):
         proc = subprocess.run(
             RUN + ["fedder", "--ring", "F7[x,y]", "--ideal", "x*y"],
             capture_output=True,
             text=True,
+            env=CHILD_ENV,
         )
         assert proc.returncode == 0
         assert "CONFIRMED" in proc.stdout
+
+    def test_package_invocation_selftest(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "froblab", "selftest"],
+            capture_output=True,
+            text=True,
+            env=CHILD_ENV,
+        )
+        assert proc.returncode == 0
+        assert "selftest: 0 failure(s)" in proc.stdout

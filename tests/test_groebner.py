@@ -8,6 +8,8 @@ import pytest
 
 from froblab import (
     BudgetExceeded,
+    ExponentOverflow,
+    GroebnerBasis,
     GroebnerBudget,
     Ideal,
     Polynomial,
@@ -22,7 +24,7 @@ from froblab import (
     parse_gens,
     parse_poly,
 )
-from froblab.rings import mono_div, mono_lcm, mono_mul
+from froblab.rings import EXPONENT_LIMIT, mono_div, mono_lcm
 from conftest import random_ideal, random_poly
 
 
@@ -110,6 +112,28 @@ class TestNormalForm:
             parse_poly(r, "x^3 - 1"), Ideal(r, parse_gens(r, "x - y^2, y^3 - 1")), 4
         )
 
+    def test_exponent_overflow_in_reduction_raises(self):
+        # y*x^N reduces by y -> x^N to x^(2N), past the limit: no silent wrap
+        r = make_ring(5, ["y", "x"], order="lex")
+        N = EXPONENT_LIMIT
+        G = Ideal(r, [parse_poly(r, f"y - x^{N}")]).groebner_basis()
+        with pytest.raises(ExponentOverflow):
+            normal_form(Polynomial.monomial(r, (1, N)), G)
+        # at the limit itself the reduction is exact
+        assert normal_form(Polynomial.monomial(r, (1, 0)), G) == parse_poly(r, f"x^{N}")
+
+    def test_basis_packs_its_reducers_once(self, F5xyz):
+        I = Ideal(F5xyz, parse_gens(F5xyz, "x^2 - y, x*y - z"))
+        reducers = I.groebner_basis()._packed_reducers()
+        assert ideal_member(parse_poly(F5xyz, "x^3 - x*y"), I)
+        assert not ideal_member(parse_poly(F5xyz, "x"), I)
+        assert I.groebner_basis()._packed_reducers() is reducers
+        # a basis built from bare elements packs them on first use, then keeps them
+        G = GroebnerBasis(F5xyz, I.groebner_basis().elements)
+        assert G._packed_reducers() == reducers and G._packed_reducers() is G._packed_reducers()
+        f = parse_poly(F5xyz, "x^2 + z^3")
+        assert normal_form(f, G) == normal_form(f, list(G)) == normal_form(f, I.groebner_basis())
+
     def test_idempotent(self, F5xyz):
         rng = random.Random(2)
         for _ in range(20):
@@ -194,3 +218,38 @@ class TestOracleAgreement:
                 assert not oracle  # no certificate can exist at any bound
             checked += 1
         assert checked == 60
+
+
+class TestSympyAgreement:
+    """Reduced bases against sympy's modular Groebner, an independent kernel."""
+
+    @staticmethod
+    def sympy_basis(I, order):
+        sympy = pytest.importorskip("sympy")
+        ring = I.ring
+        xs = sympy.symbols(ring.variables)
+        exprs = [
+            sum(c * sympy.prod(x**e for x, e in zip(xs, m)) for m, c in f.terms)
+            for f in I.gens
+        ]
+        G = sympy.groebner(exprs, *xs, modulus=ring.p, order=order)
+        # sympy prints symmetric residues; map them into [0, p) and make monic
+        polys = [
+            Polynomial(ring, [(m, int(c) % ring.p) for m, c in g.terms()]).monic()
+            for g in G.polys
+        ]
+        return tuple(sorted(polys, key=lambda g: ring.key(g.lead_monomial())))
+
+    @pytest.mark.parametrize("order", ["lex", "grevlex"])
+    def test_reduced_bases_match(self, order):
+        rng = random.Random(1911 if order == "lex" else 6307)
+        proper = 0
+        for trial in range(30):
+            p = [2, 3, 5, 7][trial % 4]
+            names = ["x", "y", "z", "w"][: 3 + trial % 2]
+            ring = make_ring(p, names, order=order)
+            I = random_ideal(ring, rng, max_gens=3, max_deg=3, max_terms=3)
+            G = I.groebner_basis()
+            assert G.elements == self.sympy_basis(I, order), (order, I)
+            proper += not G.is_unit()
+        assert proper >= 10  # the sample is not all unit ideals

@@ -17,6 +17,7 @@ from froblab import (
     partial_derivative,
     poly_arith,
 )
+from froblab.rings import EXPONENT_LIMIT, mono_divides, mono_mul
 from conftest import random_poly
 
 
@@ -183,3 +184,69 @@ class TestDerivative:
             b = random_poly(F5xyz, rng)
             da, db = a.derivative("y"), b.derivative("y")
             assert (a * b).derivative("y") == da * b + a * db
+
+
+# -- packed monomials ---------------------------------------------------------
+
+exponents = st.one_of(
+    st.integers(0, 6), st.integers(EXPONENT_LIMIT - 3, EXPONENT_LIMIT)
+)
+
+
+@st.composite
+def rings_and_monomials(draw, count):
+    nvars = draw(st.integers(1, 5))
+    names = [f"x{i}" for i in range(nvars)]
+    order = draw(st.sampled_from(["lex", "grevlex", "block"]))
+    blocks = None
+    if order == "block":
+        cuts = draw(st.sets(st.integers(1, nvars - 1))) if nvars > 1 else set()
+        bounds = [0, *sorted(cuts), nvars]
+        blocks = [names[a:b] for a, b in zip(bounds, bounds[1:])]
+    ring = make_ring(7, names, order=order, blocks=blocks)
+    monos = [tuple(draw(exponents) for _ in range(nvars)) for _ in range(count)]
+    return ring, monos
+
+
+class TestPacking:
+    @settings(max_examples=100, deadline=None)
+    @given(rings_and_monomials(1))
+    def test_unpack_inverts_pack(self, case):
+        ring, (m,) = case
+        assert ring._packing.unpack(ring._packing.pack(m)) == m
+
+    @settings(max_examples=100, deadline=None)
+    @given(rings_and_monomials(2))
+    def test_add_is_multiplication_and_guards_flag_overflow(self, case):
+        ring, (a, b) = case
+        pk = ring._packing
+        total = pk.pack(a) + pk.pack(b)
+        ab = mono_mul(a, b)
+        assert total == pk.pack(ab)
+        overflow = max(ab) > EXPONENT_LIMIT
+        assert bool(total & pk.guards) == overflow
+        if overflow:
+            with pytest.raises(ExponentOverflow):
+                pk.check(total)
+        else:
+            pk.check(total)
+            assert pk.unpack(total) == ab
+
+    @settings(max_examples=150, deadline=None)
+    @given(rings_and_monomials(2))
+    def test_int_order_is_ring_order(self, case):
+        ring, (a, b) = case
+        pa, pb = ring._packing.pack(a), ring._packing.pack(b)
+        assert (pa < pb) == (ring.key(a) < ring.key(b))
+        assert (pa == pb) == (a == b)
+
+    @settings(max_examples=150, deadline=None)
+    @given(rings_and_monomials(2))
+    def test_guard_bit_divisibility(self, case):
+        ring, (a, b) = case
+        pk = ring._packing
+        assert pk.divides(pk.pack(a), pk.pack(b)) == mono_divides(a, b)
+        # a always divides a*b when the product stays in range
+        ab = mono_mul(a, b)
+        if max(ab) <= EXPONENT_LIMIT:
+            assert pk.divides(pk.pack(a), pk.pack(ab))
