@@ -14,6 +14,7 @@ import os
 import sys
 
 from .containment import (
+    DEFAULT_Q_CAP,
     REGISTRY,
     ContainmentReport,
     check_fpt_containment,
@@ -272,7 +273,10 @@ def execute_statement(session: Session, line: str):
             rep = check_fpt_containment(Q, pd, n, fpt_floor=floor, e_max=e_max, **common)
         elif tag == "symbolic-ie":
             e = int(kv.get("e", 1))
-            rep = check_symbolic_into_Ie(Q, pd, n, e, budget=session.budget, expected=expected)
+            q_cap = DEFAULT_Q_CAP if cap is None else cap
+            rep = check_symbolic_into_Ie(
+                Q, pd, n, e, budget=session.budget, q_cap=q_cap, expected=expected
+            )
         else:
             raise ParseError(f"unknown check tag {tag!r}")
         session.reports.append(rep)

@@ -13,13 +13,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import RingMismatch
-from .groebner import Ideal, ideal_member, ideal_subset
+from .groebner import Ideal, ideal_member, ideal_subset, last_escaping_power
 from .idealops import (
     bracket_power,
     ideal_colon,
-    ideal_power,
-    ideal_product,
-    is_monomial_ideal,
     maximal_ideal,
     scale_ideal,
 )
@@ -30,7 +27,6 @@ from .quotient import (
     q_colon,
     q_ideal,
     q_member,
-    q_power,
     q_subset,
 )
 from .rings import Polynomial
@@ -61,7 +57,12 @@ class FptEstimate:
 
 
 def default_e_max(p: int) -> int:
-    """Bracket exponents q^2 explode Groebner cost; cap the search by p."""
+    """Largest e searched by default, chosen so that q = p^e stays small.
+
+    The cost grows with q: the nu_e scan runs up to n(q-1)+1 levels, and in a
+    hypersurface I_e(m) is a colon by f^(q-1). The values fix which nu_e enter
+    reported fpt floors, so they stay as they are.
+    """
     if p <= 5:
         return 3
     if p <= 13:
@@ -245,10 +246,16 @@ def sfr_witness_search(
 
 
 def nu_e(I, e: int, budget=None) -> int:
-    """Largest r with I^r not inside I_e(m); increasing scan with early exit.
+    """nu_e(I) = max{r : I^r not inside I_e(m)} (Mustata-Takagi-Watanabe),
+    by a frontier scan that builds no power of I.
 
-    Containment is monotone in r (I^(r+1) <= I^r), so the first r whose power
-    lands inside I_e(m) ends the scan with nu = r - 1.
+    Every multiple of an element of J = I_e(m) lies in J, and normal forms
+    modulo J satisfy NF(a*b) = NF(NF(a)*b). So only the generators of I^r
+    still outside J are carried to level r+1, each as its nonzero normal form
+    against J (for S/(f), against the preimage, which contains f), duplicates
+    dropped; nu_e is r - 1 at the first level whose frontier is empty. A
+    monomial I against m^[q] runs on packed monomials, where outside is a
+    guard-bit test. The pigeonhole bound m^(n(q-1)+1) <= m^[q] <= J caps r.
     """
     quotient = isinstance(I, QuotientIdeal)
     ambient = I.ring
@@ -269,59 +276,13 @@ def nu_e(I, e: int, budget=None) -> int:
     if not inside_m:
         raise ValueError("I must be contained in the ideal of all variables")
     Ie_m = Ie_maximal(ambient, e, budget)
-    p = ambient.ambient.p if quotient else ambient.p
-    nvars = ambient.ambient.nvars if quotient else ambient.nvars
-    # pigeonhole bound: m^(n(q-1)+1) <= m^[q] <= I_e(m) caps the scan
-    cap = nvars * (p**e - 1) + 2
-    if not quotient and is_monomial_ideal(I) and is_monomial_ideal(Ie_m):
-        return _nu_scan_monomial(I, Ie_m, cap)
-    current = I
-    r = 1
-    while r <= cap:
-        if quotient:
-            inside, _ = q_subset(current, Ie_m, budget)
-        else:
-            inside, _ = ideal_subset(current, Ie_m, budget)
-        if inside:
-            return r - 1
-        r += 1
-        current = (
-            QuotientIdeal(I.ring, _qprod_gens(current, I))
-            if quotient
-            else ideal_product(current, I)
-        )
-    raise ArithmeticError("nu_e scan escaped its pigeonhole bound (internal bug)")
-
-
-def _nu_scan_monomial(I, Ie_m, cap):
-    """Same increasing scan on exponent vectors; powers of a monomial ideal
-    stay monomial, membership is divisibility."""
-    gens = [g.lead_monomial() for g in I.gens]
-    targets = [g.lead_monomial() for g in Ie_m.gens]
-
-    def outside(m):
-        return not any(all(x >= y for x, y in zip(m, t)) for t in targets)
-
-    current = set(gens)
-    r = 1
-    while r <= cap:
-        if not any(outside(m) for m in current):
-            return r - 1
-        r += 1
-        current = {tuple(x + y for x, y in zip(m, g)) for m in current for g in gens}
-    raise ArithmeticError("nu_e scan escaped its pigeonhole bound (internal bug)")
-
-
-def _qprod_gens(A: QuotientIdeal, B: QuotientIdeal):
-    seen = set()
-    out = []
-    for a in A.named_gens:
-        for b in B.named_gens:
-            g = a * b
-            if g and g.terms not in seen:
-                seen.add(g.terms)
-                out.append(g)
-    return out
+    ring = ambient.ambient if quotient else ambient
+    cap = ring.nvars * (ring.p**e - 1) + 2
+    gens, J = (I.named_gens, Ie_m.preimage) if quotient else (I.gens, Ie_m)
+    nu = last_escaping_power(gens, J, cap, budget)
+    if nu is None:
+        raise ArithmeticError("nu_e scan escaped its pigeonhole bound (internal bug)")
+    return nu
 
 
 def fpt_lower_bound(I, e_max: int, budget=None) -> FptEstimate:

@@ -2,7 +2,8 @@
 
 Everything downstream (colon ideals, saturations, Frobenius criteria,
 containment reports) reduces to the three decision procedures here:
-ideal_member, ideal_subset, ideal_equal.
+ideal_member, ideal_subset, ideal_equal. last_escaping_power decides the
+containments I^r <= J for all r at once, which is what nu_e asks.
 
 Implementation notes: the kernel works on packed monomials (see rings: one int
 per exponent vector, int order = monomial order). Polynomials are packed once
@@ -23,7 +24,7 @@ import heapq
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, RingMismatch
-from .rings import Polynomial
+from .rings import EXPONENT_LIMIT, Polynomial
 
 
 @dataclass(frozen=True)
@@ -373,6 +374,63 @@ def ideal_subset(I: Ideal, J: Ideal, budget=None):
         if not ideal_member(g, J, budget):
             return False, g
     return True, None
+
+
+def last_escaping_power(gens, J: Ideal, cap: int, budget=None):
+    """Largest r < cap with (gens)^r not inside J; None when (gens)^cap still
+    escapes J.
+
+    Frontier scan: a multiple of an element of J is in J, and
+    NF(a*b) = NF(NF(a)*b), so level r+1 is built only from the generators of
+    (gens)^r still outside J, each replaced by its nonzero monic normal form,
+    duplicates dropped. The scan ends at the first empty level. Monomial
+    generators of J are a Groebner basis as they stand; otherwise J's cached
+    reduced basis is used. When gens and that basis are all monomials, a
+    level is a set of packed monomials and "outside J" is a guard-bit test
+    against each basis monomial.
+    """
+    ring = J.ring
+    budget = budget or DEFAULT_BUDGET
+    if all(g.is_monomial() for g in J.gens):
+        basis = _as_reducers(ring, J.gens)
+    else:
+        basis = J.groebner_basis(budget)._packed_reducers()
+    factors = [_pack_terms(ring, g.terms) for g in gens if g]
+    if all(len(f) == 1 for f in factors) and not any(tail for _, _, tail in basis):
+        return _last_escaping_monomial(ring, [f[0][0] for f in factors], [b[0] for b in basis], cap)
+    level = {((0, 1),)}  # the packed constant 1, which generates (gens)^0
+    for r in range(1, cap + 1):
+        nxt = set()
+        for a in level:
+            for f in factors:
+                h = _nf_terms(ring, [(m1 + m2, c1 * c2) for m1, c1 in a for m2, c2 in f], basis, budget)
+                if h:
+                    nxt.add(_monic(ring, h))
+        if not nxt:
+            return r - 1
+        level = nxt
+    return None
+
+
+def _last_escaping_monomial(ring, factors, targets, cap):
+    """last_escaping_power on packed monomials: J is generated by targets."""
+    packing = ring._packing
+    guards = packing.guards
+    # up to level `safe` no exponent can pass EXPONENT_LIMIT
+    top = max((max(packing.unpack(m)) for m in factors), default=0)
+    safe = EXPONENT_LIMIT // top if top else cap
+    level = {0}
+    for r in range(1, cap + 1):
+        level = {a + g for a in level for g in factors}
+        if r > safe:
+            for m in level:
+                if m & guards:
+                    packing.check(m)
+        for t in targets:
+            level = {m for m in level if (m - t) & guards}
+        if not level:
+            return r - 1
+    return None
 
 
 def ideal_equal(I: Ideal, J: Ideal, budget=None) -> bool:

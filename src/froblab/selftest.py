@@ -1,12 +1,15 @@
 """Built-in battery over the forced cases: constructor errors, arithmetic
-identities, monomial colon/saturation chains. Fast; used by `froblab selftest`.
+identities, monomial colon/saturation chains, and both nu_e frontier paths.
+Fast; used by `froblab selftest`.
 """
 
 from __future__ import annotations
 
+from .frobenius import nu_e
 from .groebner import Ideal, ideal_equal, ideal_member, normal_form
 from .idealops import ideal_colon, ideal_intersect, ideal_power, ideal_product, saturate
 from .parsing import parse_poly
+from .quotient import HypersurfaceRing, q_ideal
 from .rings import Polynomial, format_poly, make_ring
 
 
@@ -44,6 +47,10 @@ def _checks():
     )
     yield "((x^2) : x^inf) = (1) at exponent 2", lambda: _sat_check(r, x)
     yield "((xy, xz) : y^inf) = (x) at exponent 1", lambda: _sat_check2(r, x, y, z)
+    yield "nu_1((x, y)) = 8 over F_5 (monomial path)", lambda: nu_e(I_xy, 1) == 8
+    yield "nu_1(m) = 4 in F_5[x,y,z]/(xy - z^2) (hypersurface path)", lambda: nu_e(
+        q_ideal(HypersurfaceRing(r, x * y - z**2), [x, y, z]), 1
+    ) == 4
 
 
 def _sat_check(r, x):

@@ -37,6 +37,18 @@ def random_ideal(ring, rng, max_gens=3, max_deg=3, max_terms=3):
     return Ideal(ring, gens)
 
 
+def random_ideal_in_max(ring, rng, **kwargs):
+    """random_ideal with constant terms dropped: nonzero, inside (variables)."""
+    while True:
+        gens = [
+            Polynomial(ring, [(m, c) for m, c in g.terms if any(m)])
+            for g in random_ideal(ring, rng, **kwargs).gens
+        ]
+        I = Ideal(ring, gens)
+        if not I.is_zero():
+            return I
+
+
 def random_monomial_ideal(ring, rng, max_gens=3, max_deg=3):
     gens = []
     for _ in range(rng.randrange(1, max_gens + 1)):

@@ -140,6 +140,16 @@ class TestScripts:
         assert code == 0
         assert "jacobian-fpure-containment" in out and "HOLDS" in out
 
+    @pytest.mark.parametrize("cap,verdict", [(" cap=4", "skipped"), ("", "holds")])
+    def test_symbolic_ie_cap(self, tmp_path, cap, verdict):
+        # q = 5 > 4 skips; without cap= the default cap (25) lets q = 5 run
+        text = SCRIPT_OK.replace("check jacobian-fpure Q n=2", f"check symbolic-ie Q n=1 e=1{cap}")
+        code, out = self.run_script_text(tmp_path, text, as_json=True)
+        assert code == 0
+        (line,) = out.strip().splitlines()
+        report = json.loads(line)
+        assert report["theorem_tag"] == "symbolic-into-ie" and report["verdict"] == verdict
+
     def test_unknown_variable_exit_2(self, tmp_path):
         code, out = self.run_script_text(tmp_path, SCRIPT_BAD_NAME)
         assert code == 2 and "line 2" in out

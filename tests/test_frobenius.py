@@ -2,6 +2,7 @@
 and the F-pure-threshold lower bounds."""
 
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from froblab import (
     hypersurface_Ie,
     ideal_equal,
     ideal_member,
+    ideal_power,
     ideal_subset,
     is_fpure_quotient,
     make_ring,
@@ -29,11 +31,15 @@ from froblab import (
     q_bracket,
     q_ideal,
     q_member,
+    q_power,
     q_subset,
     sfr_witness_search,
 )
 from froblab.frobenius import recheck_splitting_witness
 from froblab.containment import xy_zk_setup
+from froblab.quotient import QuotientIdeal
+
+from conftest import random_ideal_in_max, random_monomial_ideal
 
 
 class TestFedderClassical:
@@ -267,6 +273,72 @@ class TestNuAndFpt:
         # frozen from the scan above; nu_2 = 24 >= p*nu_1 checks superadditivity
         assert value == 4
         assert nu_e(m, 2) == 24
+
+
+class TestNuClosedForms:
+    """Closed forms derived by hand: 3(q-1)/2 for the edge ideal of a
+    triangle, q - 1 for m and (x, z) in the quadric cone xy - z^2."""
+
+    def test_edge_ideal_e3(self):
+        r = make_ring(5, ["x", "y", "z"])
+        assert nu_e(Ideal(r, parse_gens(r, "x*y, x*z, y*z")), 3) == 186
+
+    @pytest.mark.parametrize("gens", ["x, y, z", "x, z"])
+    def test_quadric_cone_e2(self, gens):
+        ring = make_ring(7, ["x", "y", "z"])
+        R = HypersurfaceRing(ring, parse_poly(ring, "x*y - z^2"), reduced=True)
+        assert nu_e(q_ideal(R, parse_gens(ring, gens)), 2) == 48
+
+    def test_fpt_cli_edge_ideal(self, capsys):
+        from froblab.cli import main
+
+        code = main(["fpt", "--ring", "F5[x,y,z]", "--ideal", "x*y,x*z,y*z", "--emax", "3", "--json"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["nu_values"] == [[1, 6], [2, 36], [3, 186]]
+
+
+def _reference_nu(I, e):
+    """nu_e by building I^r for r = 1, 2, ... until it lands inside I_e(m)."""
+    quotient = isinstance(I, QuotientIdeal)
+    power, subset = (q_power, q_subset) if quotient else (ideal_power, ideal_subset)
+    target = Ie_maximal(I.ring, e)
+    r = 1
+    while not subset(power(I, r), target)[0]:
+        r += 1
+        assert r <= 100, "reference scan did not terminate"
+    return r - 1
+
+
+class TestNuDifferential:
+    """The frontier scan of nu_e against the power-by-power reference scan."""
+
+    @pytest.mark.parametrize("p,e", [(2, 1), (2, 2), (3, 1), (3, 2)])
+    def test_monomial_ideals(self, p, e):
+        rng = random.Random(100 * p + e)
+        for nvars in (2, 3):
+            ring = make_ring(p, ["x", "y", "z"][:nvars])
+            for _ in range(6):
+                I = random_monomial_ideal(ring, rng)
+                assert nu_e(I, e) == _reference_nu(I, e), I
+
+    @pytest.mark.parametrize("p,e", [(2, 1), (2, 2), (3, 1), (3, 2)])
+    def test_general_ideals(self, p, e):
+        rng = random.Random(200 * p + e)
+        ring = make_ring(p, ["x", "y", "z"])
+        for _ in range(6):
+            I = random_ideal_in_max(ring, rng)
+            assert nu_e(I, e) == _reference_nu(I, e), I
+
+    @pytest.mark.parametrize("p,k,e", [(2, 3, 1), (2, 3, 2), (3, 2, 1), (3, 2, 2)])
+    def test_hypersurface_ideals(self, p, k, e):
+        R, Q, _ = xy_zk_setup(p, k)
+        ring = R.ambient
+        ideals = [Q, q_ideal(R, parse_gens(ring, "x, y, z"))]
+        rng = random.Random(300 * p + 10 * k + e)
+        while len(ideals) < 6:
+            ideals.append(q_ideal(R, random_ideal_in_max(ring, rng, max_deg=2).gens))
+        for I in ideals:
+            assert nu_e(I, e) == _reference_nu(I, e), I
 
 
 def _monomial_ass(ring, J):

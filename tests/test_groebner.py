@@ -17,6 +17,7 @@ from froblab import (
     format_poly,
     ideal_equal,
     ideal_member,
+    ideal_power,
     ideal_subset,
     ideal_sum,
     make_ring,
@@ -24,8 +25,9 @@ from froblab import (
     parse_gens,
     parse_poly,
 )
+from froblab.groebner import last_escaping_power
 from froblab.rings import EXPONENT_LIMIT, mono_div, mono_lcm
-from conftest import random_ideal, random_poly
+from conftest import random_ideal, random_ideal_in_max, random_monomial_ideal, random_poly
 
 
 def spoly(f, g):
@@ -142,6 +144,48 @@ class TestNormalForm:
             f = random_poly(F5xyz, rng, max_deg=5, max_terms=6)
             nf = normal_form(f, G)
             assert normal_form(nf, G) == nf
+
+
+class TestLastEscapingPower:
+    """The frontier scan against building (gens)^r and testing each power."""
+
+    @staticmethod
+    def reference(gens, J, cap):
+        I = Ideal(J.ring, gens)
+        for r in range(1, cap + 1):
+            if ideal_subset(ideal_power(I, r), J)[0]:
+                return r - 1
+        return None
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_random_ideals(self, p):
+        # random J: its generators are rarely a Groebner basis; x^3, y^3
+        # make most of them m-primary, and without them some powers never
+        # enter J, so the scan also runs into its cap
+        rng = random.Random(40 + p)
+        ring = make_ring(p, ["x", "y"])
+        corners = parse_gens(ring, "x^3, y^3")
+        for i in range(12):
+            J = Ideal(ring, list(random_ideal_in_max(ring, rng).gens) + (corners if i % 3 else []))
+            gens = random_ideal_in_max(ring, rng, max_gens=2, max_deg=2).gens
+            assert last_escaping_power(gens, J, 5) == self.reference(gens, J, 5), (gens, J)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_random_monomial_ideals(self, p):
+        rng = random.Random(50 + p)
+        ring = make_ring(p, ["x", "y", "z"])
+        for _ in range(10):
+            J = random_monomial_ideal(ring, rng)
+            gens = random_monomial_ideal(ring, rng, max_deg=2).gens
+            assert last_escaping_power(gens, J, 6) == self.reference(gens, J, 6), (gens, J)
+
+    def test_overflow_raises(self):
+        r = make_ring(5, ["x", "y"])
+        big = Polynomial.monomial(r, (2**30, 0))
+        with pytest.raises(ExponentOverflow):
+            last_escaping_power([big], Ideal(r, [parse_poly(r, "y^2")]), 4)
+        with pytest.raises(ExponentOverflow):
+            last_escaping_power([big + parse_poly(r, "y")], Ideal(r, [parse_poly(r, "y^2")]), 4)
 
 
 class TestMembership:
