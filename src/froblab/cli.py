@@ -33,7 +33,7 @@ from .frobenius import (
 )
 from .groebner import GroebnerBudget, Ideal, ideal_subset
 from .parsing import parse_gens, parse_poly, parse_ring, split_top_level
-from .quotient import HypersurfaceRing, QuotientIdeal, q_ideal
+from .quotient import HypersurfaceRing, q_ideal
 from .rings import format_poly
 from .symbolic import PrimeData, symbolic_power
 
@@ -113,21 +113,13 @@ class Session:
         self.budget = budget
         self.reports = []
 
-    @property
-    def ambient(self):
-        return self.hyper if self.hyper is not None else self.ring
-
     def need_ring(self):
         if self.ring is None:
             raise ParseError("no ring declared yet")
         return self.ring
 
     def make_ideal(self, gens_text):
-        ring = self.need_ring()
-        gens = parse_gens(ring, gens_text)
-        if self.hyper is not None:
-            return q_ideal(self.hyper, gens)
-        return Ideal(ring, gens)
+        return _ideal_from_args(self.need_ring(), self.hyper, gens_text)
 
     def get_ideal(self, name):
         if name not in self.ideals:
@@ -151,9 +143,6 @@ class Session:
             asserted_fpure_quotient=raw.get("fpure", False),
             asserted_sfr_quotient=raw.get("sfr", False),
         )
-        if self.hyper is None:
-            # regular ambient: finite projective dimension is automatic
-            pd.asserted_finite_pd = True
         self.primedata[name] = pd
         return pd
 
@@ -397,7 +386,7 @@ def cmd_symbolic(args, out):
         pieces["separators"] = [
             parse_poly(ring, s) for s in split_top_level(args.separator, ";")
         ]
-    if not pieces and hyper is None and is_squarefree_monomial(I):
+    if not pieces and not I.ring.relations and is_squarefree_monomial(I):
         pd = primedata_for_squarefree(I)
     else:
         pd = PrimeData(
@@ -409,10 +398,9 @@ def cmd_symbolic(args, out):
     diag = {}
     result = symbolic_power(I, args.n, pd, strategy=args.strategy,
                             budget=_budget_from_env(), diag=diag)
-    gens = result.named_gens if hyper is not None else result.gens
     payload = {
         "symbolic_exponent": args.n,
-        "generators": [format_poly(g) for g in gens],
+        "generators": [format_poly(g) for g in result.gens],
         "diagnostics": diag,
     }
     if args.json:
@@ -428,12 +416,7 @@ def cmd_containment(args, out):
     ring, hyper = _session_from_args(args)
     lhs = _ideal_from_args(ring, hyper, args.lhs)
     rhs = _ideal_from_args(ring, hyper, args.rhs)
-    if hyper is not None:
-        from .quotient import q_subset
-
-        ok, wit = q_subset(lhs, rhs, _budget_from_env())
-    else:
-        ok, wit = ideal_subset(lhs, rhs, _budget_from_env())
+    ok, wit = ideal_subset(lhs, rhs, _budget_from_env())
     if args.json:
         _emit(out, json.dumps(
             {"holds": ok, "witness": format_poly(wit) if wit else None}, sort_keys=True

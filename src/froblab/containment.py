@@ -27,15 +27,7 @@ from .idealops import (
     minors,
 )
 from .frobenius import default_e_max, fpt_lower_bound, hypersurface_Ie
-from .quotient import (
-    HypersurfaceRing,
-    QuotientIdeal,
-    q_equal,
-    q_ideal,
-    q_member,
-    q_power,
-    q_subset,
-)
+from .quotient import HypersurfaceRing, q_ideal
 from .rings import Polynomial, format_poly, make_ring
 from .symbolic import (
     PrimeData,
@@ -94,49 +86,23 @@ class ContainmentReport:
         return json.dumps(self.to_dict(include_timings), sort_keys=True)
 
 
-def _is_quotient(X):
-    return isinstance(X, QuotientIdeal)
-
-
-def _power(X, n):
-    return q_power(X, n) if _is_quotient(X) else ideal_power(X, n)
-
-
-def _subset(A, B, budget=None):
-    return q_subset(A, B, budget) if _is_quotient(A) else ideal_subset(A, B, budget)
-
-
-def _equal(A, B, budget=None):
-    return q_equal(A, B, budget) if _is_quotient(A) else ideal_equal(A, B, budget)
-
-
-def _member(f, X, budget=None):
-    return q_member(f, X, budget) if _is_quotient(X) else ideal_member(f, X, budget)
-
-
-def _gens_of(X):
-    return X.named_gens if _is_quotient(X) else X.gens
-
-
-def _gb_len(X):
-    I = X.preimage if _is_quotient(X) else X
-    return len(I.groebner_basis())
+def _cap_text(cap, default):
+    return f"the default cap {cap}" if cap == default else f"the cap {cap}"
 
 
 def _recheck_witness(witness, lhs, rhs, budget=None, oracle_degree_slack=2):
     """Independent confirmation that witness ∈ lhs and witness ∉ rhs."""
     checks = {
-        "witness_in_lhs": _member(witness, lhs, budget),
-        "witness_not_in_rhs": not _member(witness, rhs, budget),
+        "witness_in_lhs": ideal_member(witness, lhs, budget),
+        "witness_not_in_rhs": not ideal_member(witness, rhs, budget),
     }
-    rhs_ideal = rhs.preimage if _is_quotient(rhs) else rhs
-    gens = [g for g in rhs_ideal.gens if g]
+    gens = rhs.preimage_gens
     if gens:
         min_deg = min(g.degree() for g in gens)
         bound = max(witness.degree() - min_deg, 0) + oracle_degree_slack
         try:
             checks["oracle_confirms_non_membership"] = not brute_membership_oracle(
-                witness, rhs_ideal, bound
+                witness, rhs, bound
             )
         except BudgetExceeded:
             checks["oracle_confirms_non_membership"] = "skipped(size cap)"
@@ -145,9 +111,9 @@ def _recheck_witness(witness, lhs, rhs, budget=None, oracle_degree_slack=2):
 
 def _finish(tag, params, ok, wit, lhs, rhs, expected, diag, t0, budget=None):
     diag = dict(diag)
-    diag["lhs_gens"] = len(_gens_of(lhs))
-    diag["rhs_gens"] = len(_gens_of(rhs))
-    diag["rhs_gb"] = _gb_len(rhs)
+    diag["lhs_gens"] = len(lhs.gens)
+    diag["rhs_gens"] = len(rhs.gens)
+    diag["rhs_gb"] = len(rhs.groebner_basis())
     diag["elapsed_seconds"] = round(time.perf_counter() - t0, 3)
     if ok:
         return ContainmentReport(tag, params, "holds", expected=expected, diagnostics=diag)
@@ -155,6 +121,31 @@ def _finish(tag, params, ok, wit, lhs, rhs, expected, diag, t0, budget=None):
     return ContainmentReport(
         tag, params, "fails", witness=format_poly(wit), expected=expected, diagnostics=diag
     )
+
+
+def _symbolic_inside_ordinary(Q, pd, sym_exp, n, jacobian_exponent, params, diag, budget):
+    """Q^(sym_exp), times J^jacobian_exponent unless that is None, against
+    Q^n: (ok, witness, lhs, rhs)."""
+    lhs = symbolic_power(Q, sym_exp, pd, budget=budget, diag=diag)
+    if jacobian_exponent is not None:
+        lhs = jacobian_power_product(jacobian_ideal(Q.ring), jacobian_exponent, lhs)
+        params["jacobian_exponent"] = jacobian_exponent
+    rhs = ideal_power(Q, n)
+    ok, wit = ideal_subset(lhs, rhs, budget)
+    return ok, wit, lhs, rhs
+
+
+def _require_relations_for(Q, pd, use_jacobian):
+    """The Jacobian variants need a relation. Without one finite projective
+    dimension is automatic; with one the other variants need it asserted."""
+    relations = Q.ring.relations
+    if use_jacobian and not relations:
+        raise ValueError("the Jacobian variant needs a hypersurface ambient")
+    if not use_jacobian and relations and not pd.asserted_finite_pd:
+        raise ValueError(
+            "finite projective dimension must be asserted for the non-Jacobian "
+            "containment in a singular ambient"
+        )
 
 
 def check_fpure_containment(
@@ -171,14 +162,7 @@ def check_fpure_containment(
     t0 = time.perf_counter()
     if not pd.asserted_fpure_quotient:
         raise ValueError("registry must assert R/Q F-pure for this check")
-    quotient = _is_quotient(Q)
-    if use_jacobian and not quotient:
-        raise ValueError("the Jacobian variant needs a hypersurface ambient")
-    if not use_jacobian and quotient and not pd.asserted_finite_pd:
-        raise ValueError(
-            "finite projective dimension must be asserted for the non-Jacobian "
-            "containment in a singular ambient"
-        )
+    _require_relations_for(Q, pd, use_jacobian)
     h = big_height(pd)
     sym_exp = h * n - h + 1
     tag = "jacobian-fpure-containment" if use_jacobian else "fpure-containment"
@@ -188,18 +172,14 @@ def check_fpure_containment(
             tag,
             params,
             "skipped",
-            reason=f"symbolic exponent {sym_exp} exceeds the default cap {exponent_cap}; "
-            "pass exponent_cap to override",
+            reason=f"symbolic exponent {sym_exp} exceeds "
+            f"{_cap_text(exponent_cap, DEFAULT_EXPONENT_CAP)}; pass exponent_cap to override",
             expected=expected,
         )
     diag = {}
-    lhs = symbolic_power(Q, sym_exp, pd, budget=budget, diag=diag)
-    if use_jacobian:
-        J = jacobian_ideal(Q.ring)
-        lhs = jacobian_power_product(J, n, lhs)
-        params["jacobian_exponent"] = n
-    rhs = _power(Q, n)
-    ok, wit = _subset(lhs, rhs, budget)
+    ok, wit, lhs, rhs = _symbolic_inside_ordinary(
+        Q, pd, sym_exp, n, n if use_jacobian else None, params, diag, budget
+    )
     return _finish(tag, params, ok, wit, lhs, rhs, expected, diag, t0, budget)
 
 
@@ -222,20 +202,13 @@ def check_sfr_containment(
     t0 = time.perf_counter()
     if require_assertions and not pd.asserted_sfr_quotient:
         raise ValueError("registry must assert R/Q strongly F-regular for this check")
-    quotient = _is_quotient(Q)
+    _require_relations_for(Q, pd, use_jacobian)
     if use_jacobian:
-        if not quotient:
-            raise ValueError("the Jacobian variant needs a hypersurface ambient")
         if pd.max_local_gens is None:
             raise ValueError("the Jacobian variant needs max_local_gens in the prime data")
         h = pd.max_local_gens
     else:
         h = big_height(pd)
-        if quotient and not pd.asserted_finite_pd:
-            raise ValueError(
-                "finite projective dimension must be asserted for the non-Jacobian "
-                "containment in a singular ambient"
-            )
     if h < 2:
         raise ValueError("the strongly F-regular containments need h >= 2")
     sym_exp = (h - 1) * (n - 1) + 1
@@ -248,17 +221,14 @@ def check_sfr_containment(
             tag,
             params,
             "skipped",
-            reason=f"symbolic exponent {sym_exp} exceeds the default cap {exponent_cap}",
+            reason=f"symbolic exponent {sym_exp} exceeds "
+            f"{_cap_text(exponent_cap, DEFAULT_EXPONENT_CAP)}",
             expected=expected,
         )
     diag = {}
-    lhs = symbolic_power(Q, sym_exp, pd, budget=budget, diag=diag)
-    if use_jacobian:
-        J = jacobian_ideal(Q.ring)
-        lhs = jacobian_power_product(J, 2 * n - 2, lhs)
-        params["jacobian_exponent"] = 2 * n - 2
-    rhs = _power(Q, n)
-    ok, wit = _subset(lhs, rhs, budget)
+    ok, wit, lhs, rhs = _symbolic_inside_ordinary(
+        Q, pd, sym_exp, n, 2 * n - 2 if use_jacobian else None, params, diag, budget
+    )
     if h == 2 and not use_jacobian:
         # Q^n <= Q^((n)) is automatic, so the subset verdict is the equality verdict
         diag["equality_checked"] = True
@@ -282,16 +252,14 @@ def check_fpt_containment(
     t0 = time.perf_counter()
     if not pd.asserted_radical:
         raise ValueError("the fpt containments need an asserted-radical ideal")
-    quotient = _is_quotient(I)
     if use_jacobian is None:
-        use_jacobian = quotient
-    if use_jacobian and not quotient:
+        use_jacobian = bool(I.ring.relations)
+    if use_jacobian and not I.ring.relations:
         raise ValueError("the Jacobian variant needs a hypersurface ambient")
     h = big_height(pd)
     diag = {}
     if fpt_floor == "auto":
-        p = I.ring.ambient.p if quotient else I.ring.p
-        est = fpt_lower_bound(I, e_max or default_e_max(p), budget)
+        est = fpt_lower_bound(I, e_max or default_e_max(I.ring.ambient.p), budget)
         floor = est.floor_lower_bound
         diag["nu_values"] = list(est.nu_values)
         diag["fpt_lower_bound"] = str(est.lower_bound)
@@ -306,13 +274,9 @@ def check_fpt_containment(
             reason="floor at least h*n makes the symbolic exponent non-positive",
             expected=expected,
         )
-    lhs = symbolic_power(I, sym_exp, pd, budget=budget, diag=diag)
-    if use_jacobian:
-        J = jacobian_ideal(I.ring)
-        lhs = jacobian_power_product(J, n, lhs)
-        params["jacobian_exponent"] = n
-    rhs = _power(I, n)
-    ok, wit = _subset(lhs, rhs, budget)
+    ok, wit, lhs, rhs = _symbolic_inside_ordinary(
+        I, pd, sym_exp, n, n if use_jacobian else None, params, diag, budget
+    )
     return _finish(tag, params, ok, wit, lhs, rhs, expected, diag, t0, budget)
 
 
@@ -326,27 +290,20 @@ def check_symbolic_into_Ie(
     if pd.max_local_gens is None:
         raise ValueError("this check needs max_local_gens in the prime data")
     h = pd.max_local_gens
-    quotient = _is_quotient(Q)
-    p = Q.ring.ambient.p if quotient else Q.ring.p
-    q = p**e
+    q = Q.ring.ambient.p**e
     sym_exp = q * (h + n - 1) - h + 1
     tag = "symbolic-into-ie"
     params = {"n": n, "e": e, "q": q, "h": h, "symbolic_exponent": sym_exp}
     if q_cap is not None and q > q_cap:
         return ContainmentReport(
             tag, params, "skipped",
-            reason=f"q = {q} exceeds the default cap {q_cap}", expected=expected,
+            reason=f"q = {q} exceeds {_cap_text(q_cap, DEFAULT_Q_CAP)}", expected=expected,
         )
     diag = {}
     lhs = symbolic_power(Q, sym_exp, pd, budget=budget, diag=diag)
     base = symbolic_power(Q, n, pd, budget=budget, diag=diag)
-    if quotient:
-        rhs = hypersurface_Ie(Q.ring, base, e, budget)
-    else:
-        from .idealops import bracket_power
-
-        rhs = bracket_power(base, e)
-    ok, wit = _subset(lhs, rhs, budget)
+    rhs = hypersurface_Ie(Q.ring, base, e, budget)
+    ok, wit = ideal_subset(lhs, rhs, budget)
     return _finish(tag, params, ok, wit, lhs, rhs, expected, diag, t0, budget)
 
 
@@ -466,6 +423,19 @@ def xy_zk_setup(p: int, k: int):
     return R, Q, pd
 
 
+def _fact(tag, params, holds, t0, witness=None, expected="holds", **diag):
+    """Report on one registry fact, timed from t0; witness is a Polynomial."""
+    diag["elapsed_seconds"] = round(time.perf_counter() - t0, 3)
+    return ContainmentReport(
+        tag,
+        params,
+        "holds" if holds else "fails",
+        witness=None if witness is None else format_poly(witness),
+        expected=expected,
+        diagnostics=diag,
+    )
+
+
 def _run_xy_zk(params, seed=0, budget=None):
     p = int(params.get("p", 5))
     k = int(params.get("k", 2))
@@ -481,46 +451,30 @@ def _run_xy_zk(params, seed=0, budget=None):
         R, [x, Polynomial.variable(ring, "y"), z ** (k - 1)]
     )
     t0 = time.perf_counter()
-    ok = q_equal(J, J_expected, budget)
-    reports.append(
-        ContainmentReport(
-            "jacobian-ideal-form",
-            {"p": p, "k": k},
-            "holds" if ok else "fails",
-            diagnostics={"elapsed_seconds": round(time.perf_counter() - t0, 3)},
-        )
-    )
+    ok = ideal_equal(J, J_expected, budget)
+    reports.append(_fact("jacobian-ideal-form", {"p": p, "k": k}, ok, t0))
 
     for n in n_values:
         base_params = {"p": p, "k": k, "n": n}
         diag = {}
         t0 = time.perf_counter()
         sym_kn = symbolic_power(Q, k * n, pd, budget=budget, diag=diag)
-        ok = q_equal(sym_kn, q_ideal(R, [x**n]), budget)
-        reports.append(
-            ContainmentReport(
-                "symbolic-power-principal-form",
-                dict(base_params, symbolic_exponent=k * n),
-                "holds" if ok else "fails",
-                diagnostics=dict(diag, elapsed_seconds=round(time.perf_counter() - t0, 3)),
-            )
-        )
+        ok = ideal_equal(sym_kn, q_ideal(R, [x**n]), budget)
+        reports.append(_fact(
+            "symbolic-power-principal-form",
+            dict(base_params, symbolic_exponent=k * n), ok, t0, **diag,
+        ))
 
-        Q_kn = q_power(Q, k * n)
+        Q_kn = ideal_power(Q, k * n)
         for r in range(k):
             wit = x ** (n + r)
             t0 = time.perf_counter()
             sym = sym_kn if r == 0 else symbolic_power(Q, k * n + r, pd, budget=budget)
-            in_sym = q_member(wit, sym, budget)
-            reports.append(
-                ContainmentReport(
-                    "symbolic-ladder-membership",
-                    dict(base_params, r=r, symbolic_exponent=k * n + r),
-                    "holds" if in_sym else "fails",
-                    witness=format_poly(wit),
-                    diagnostics={"elapsed_seconds": round(time.perf_counter() - t0, 3)},
-                )
-            )
+            reports.append(_fact(
+                "symbolic-ladder-membership",
+                dict(base_params, r=r, symbolic_exponent=k * n + r),
+                ideal_member(wit, sym, budget), t0, wit,
+            ))
             # as displayed, the exclusion targets Q^(kn); at the corner
             # n = 1, r = k-1 that is provably false (x^k generates into
             # Q^k), so there the registry expects the failure and asserts
@@ -528,72 +482,43 @@ def _run_xy_zk(params, seed=0, budget=None):
             # symbolic-vs-ordinary deduction actually uses.
             corner = n == 1 and r == k - 1
             t0 = time.perf_counter()
-            outside = not q_member(wit, Q_kn, budget)
-            reports.append(
-                ContainmentReport(
-                    "symbolic-ladder-noncontainment",
-                    dict(base_params, r=r, ordinary_exponent=k * n),
-                    "holds" if outside else "fails",
-                    witness=format_poly(wit),
-                    expected="fails" if corner else "holds",
-                    diagnostics={
-                        "elapsed_seconds": round(time.perf_counter() - t0, 3),
-                        **(
-                            {
-                                "note": "displayed exclusion is index-sloppy at "
-                                "this corner; see the strict variant"
-                            }
-                            if corner
-                            else {}
-                        ),
-                    },
-                )
-            )
+            outside = not ideal_member(wit, Q_kn, budget)
+            note = {"note": "displayed exclusion is index-sloppy at this corner; "
+                    "see the strict variant"} if corner else {}
+            reports.append(_fact(
+                "symbolic-ladder-noncontainment",
+                dict(base_params, r=r, ordinary_exponent=k * n),
+                outside, t0, wit, expected="fails" if corner else "holds", **note,
+            ))
             if r:
                 t0 = time.perf_counter()
-                outside_strict = not q_member(wit, q_power(Q, k * n + r), budget)
-                reports.append(
-                    ContainmentReport(
-                        "symbolic-ladder-noncontainment-strict",
-                        dict(base_params, r=r, ordinary_exponent=k * n + r),
-                        "holds" if outside_strict else "fails",
-                        witness=format_poly(wit),
-                        diagnostics={
-                            "elapsed_seconds": round(time.perf_counter() - t0, 3)
-                        },
-                    )
-                )
+                outside_strict = not ideal_member(wit, ideal_power(Q, k * n + r), budget)
+                reports.append(_fact(
+                    "symbolic-ladder-noncontainment-strict",
+                    dict(base_params, r=r, ordinary_exponent=k * n + r),
+                    outside_strict, t0, wit,
+                ))
 
         t0 = time.perf_counter()
         lhs = jacobian_power_product(J, (k - 1) * n, sym_kn)
-        ok, wit = q_subset(lhs, Q_kn, budget)
-        rep = ContainmentReport(
+        ok, wit = ideal_subset(lhs, Q_kn, budget)
+        reports.append(_fact(
             "jacobian-fpure-sharp-containment",
             dict(base_params, jacobian_exponent=(k - 1) * n, ordinary_exponent=k * n),
-            "holds" if ok else "fails",
-            witness=None if ok else format_poly(wit),
-            diagnostics={"elapsed_seconds": round(time.perf_counter() - t0, 3)},
-        )
-        reports.append(rep)
+            ok, t0, wit,
+        ))
 
         w_exp = (k - 1) * n - 1
         if w_exp >= 1:
             wit = (z**w_exp) * (x**n)
             t0 = time.perf_counter()
-            outside = not q_member(wit, Q_kn, budget)
-            reports.append(
-                ContainmentReport(
-                    "jacobian-sharpness-witness",
-                    dict(base_params, witness_z_exponent=w_exp, ordinary_exponent=k * n),
-                    "holds" if outside else "fails",
-                    witness=format_poly(wit),
-                    diagnostics={
-                        "elapsed_seconds": round(time.perf_counter() - t0, 3),
-                        "note": "the displayed non-containment statement is "
-                        "paper-ambiguous; only the witness-level fact is encoded",
-                    },
-                )
-            )
+            reports.append(_fact(
+                "jacobian-sharpness-witness",
+                dict(base_params, witness_z_exponent=w_exp, ordinary_exponent=k * n),
+                not ideal_member(wit, Q_kn, budget), t0, wit,
+                note="the displayed non-containment statement is "
+                "paper-ambiguous; only the witness-level fact is encoded",
+            ))
         else:
             reports.append(
                 ContainmentReport(

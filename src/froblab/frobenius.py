@@ -1,7 +1,10 @@
 """Frobenius splitting machinery: Fedder-type criteria, the non-splitting
-ideals I_e in hypersurface rings, Glassbrenner-type witness searches, and the
-nu_e / F-pure-threshold lower bounds.
+ideals I_e, Glassbrenner-type witness searches, and the nu_e /
+F-pure-threshold lower bounds.
 
+Every function takes ideals of S or of S/(f) alike. I_e(Q) is
+((Q^[q] + (f^q)) : f^(q-1)), which is Q^[q] when there is no relation f; the
+code branches on the ring's relations only where the mathematics differs.
 The criteria are one-directional without finite projective dimension, so
 verdicts are three-valued (confirmed / refuted / inconclusive) and always
 carry their certifying data.
@@ -20,15 +23,7 @@ from .idealops import (
     maximal_ideal,
     scale_ideal,
 )
-from .quotient import (
-    HypersurfaceRing,
-    QuotientIdeal,
-    q_bracket,
-    q_colon,
-    q_ideal,
-    q_member,
-    q_subset,
-)
+from .quotient import HypersurfaceRing, q_subset
 from .rings import Polynomial
 
 
@@ -70,16 +65,12 @@ def default_e_max(p: int) -> int:
     return 1
 
 
-def _require_proper(gb_owner, what):
-    if gb_owner.groebner_basis().is_unit():
-        raise ValueError(f"{what} must be proper")
-
-
 def fedder_is_fpure(I: Ideal, m: Ideal | None = None, e: int = 1, budget=None) -> CriterionVerdict:
     """Classical Fedder criterion in a regular ambient ring.
 
     Confirmed iff (I^[p^e] : I) is not contained in m^[p^e]; in the regular
-    case this is an if-and-only-if, so refuted really means not F-pure.
+    case this is an if-and-only-if, so refuted really means not F-pure. It is
+    is_fpure_quotient over S, where finite projective dimension is automatic.
     """
     ring = I.ring
     if m is None:
@@ -89,34 +80,38 @@ def fedder_is_fpure(I: Ideal, m: Ideal | None = None, e: int = 1, budget=None) -
         raise ValueError("m must be the ideal of all variables")
     if I.is_zero():
         raise ValueError("ideal must be nonzero")
-    _require_proper(I, "ideal")
-    colon = ideal_colon(bracket_power(I, e), I, budget)
-    contained, witness = ideal_subset(colon, bracket_power(m, e), budget)
-    if not contained:
-        return CriterionVerdict("confirmed", e, witness=witness, condition="fedder")
+    if not I.is_proper():
+        raise ValueError("ideal must be proper")
+    verdict = is_fpure_quotient(ring, I, e, finite_pd=True, budget=budget)
+    if verdict.confirmed:
+        return CriterionVerdict("confirmed", e, witness=verdict.witness, condition="fedder")
     return CriterionVerdict(
         "refuted", e, notes={"reason": "colon ideal inside the bracketed maximal ideal"}
     )
 
 
-def hypersurface_Ie(R: HypersurfaceRing, J: QuotientIdeal, e: int, budget=None) -> QuotientIdeal:
+def hypersurface_Ie(R, J: Ideal, e: int, budget=None) -> Ideal:
     """The non-splitting ideal I_e(J) of R = S/(f) via the trace generator.
 
     Preimage: ((J_S^[q] + (f^q)) : f^(q-1)) with q = p^e. The f^q term stays
     explicit even when redundant. The containment J^[q] <= I_e(J) is a theorem;
-    it is re-checked here and a failure signals an internal bug.
+    it is re-checked here and a failure signals an internal bug. Over S itself
+    (no relation) I_e(J) is J^[q].
     """
     if J.ring != R:
-        raise RingMismatch("quotient ideal from a different hypersurface ring")
+        raise RingMismatch("ideal from a different ring")
     if e < 1:
         raise ValueError("I_e needs e >= 1")
+    if not R.relations:
+        return bracket_power(J, e)
+    (f,) = R.relations
     q = R.ambient.p**e
-    f_qm1 = R.f ** (q - 1)
-    bracket = [g.frobenius(e) for g in J.named_gens]
-    base = Ideal(R.ambient, bracket + [R.f.frobenius(e)])
-    colon = ideal_colon(base, f_qm1, budget)
-    result = QuotientIdeal(R, colon.gens)
-    ok, bad = q_subset(q_bracket(J, e), result, budget)
+    f_qm1 = f ** (q - 1)
+    bracket = bracket_power(J, e)
+    base = Ideal(R.ambient, bracket.gens + (f.frobenius(e),))
+    result = Ideal(R, ideal_colon(base, f_qm1, budget).gens)
+    # through the quotient layer's name, which tests replace to fake a broken I_e
+    ok, bad = q_subset(bracket, result, budget)
     if not ok:
         raise ArithmeticError(
             f"internal error: bracket power escaped I_e (witness {bad})"
@@ -124,19 +119,14 @@ def hypersurface_Ie(R: HypersurfaceRing, J: QuotientIdeal, e: int, budget=None) 
     return result
 
 
-def Ie_maximal(ambient, e: int, budget=None):
+def Ie_maximal(ring, e: int, budget=None) -> Ideal:
     """I_e of the irrelevant maximal ideal: m^[q] in a regular ring,
     the trace colon in a hypersurface ring."""
-    if isinstance(ambient, HypersurfaceRing):
-        m = q_ideal(
-            ambient, [Polynomial.variable(ambient.ambient, v) for v in ambient.ambient.variables]
-        )
-        return hypersurface_Ie(ambient, m, e, budget)
-    return bracket_power(maximal_ideal(ambient), e)
+    return hypersurface_Ie(ring, maximal_ideal(ring), e, budget)
 
 
 def is_fpure_quotient(
-    R: HypersurfaceRing, Q: QuotientIdeal, e: int = 1, finite_pd: bool = False, budget=None
+    R, Q: Ideal, e: int = 1, finite_pd: bool = False, budget=None
 ) -> CriterionVerdict:
     """Fedder-type criterion for F-purity of R/Q in a hypersurface ring.
 
@@ -145,19 +135,20 @@ def is_fpure_quotient(
       (2) (I_e(Q) : Q) not inside I_e(m)
     Either confirms. Refuted needs the caller-asserted finite-pd flag (the
     converse direction of the criterion); otherwise the verdict is
-    inconclusive.
+    inconclusive. Over S, I_e(Q) = Q^[q], so (2) is (1).
     """
     if Q.ring != R:
-        raise RingMismatch("quotient ideal from a different hypersurface ring")
+        raise RingMismatch("ideal from a different ring")
     if not Q.is_proper():
         raise ValueError("Q must be proper")
     Ie_m = Ie_maximal(R, e, budget)
 
-    colon1 = q_colon(q_bracket(Q, e), Q, budget)
-    in1, wit1 = q_subset(colon1, Ie_m, budget)
-    IeQ = hypersurface_Ie(R, Q, e, budget)
-    colon2 = q_colon(IeQ, Q, budget)
-    in2, wit2 = q_subset(colon2, Ie_m, budget)
+    colon1 = ideal_colon(bracket_power(Q, e), Q, budget)
+    in1, wit1 = ideal_subset(colon1, Ie_m, budget)
+    in2, wit2 = in1, wit1
+    if R.relations:
+        colon2 = ideal_colon(hypersurface_Ie(R, Q, e, budget), Q, budget)
+        in2, wit2 = ideal_subset(colon2, Ie_m, budget)
 
     notes = {"condition1_holds": not in1, "condition2_holds": not in2}
     if not in2:
@@ -172,60 +163,52 @@ def is_fpure_quotient(
 
 
 def sfr_witness_search(
-    Q, c_list, e_max: int, minimal_primes=None, budget=None
+    Q: Ideal, c_list, e_max: int, minimal_primes=None, budget=None
 ) -> CriterionVerdict:
     """Glassbrenner-type search: for each test element c, hunt for an e with
-    c*(Q^[p^e] : Q) not inside I_e(m).
+    c*(Q^[p^e] : Q) not inside I_e(m), or (in S/(f)) c*(I_e(Q) : Q) not
+    inside I_e(m).
 
-    Q is an Ideal (regular ambient) or a QuotientIdeal (hypersurface). All
-    supplied c succeeding is supporting evidence for strong F-regularity at
-    the tested elements; exhausting e_max is inconclusive, never a refutation.
+    All supplied c succeeding is supporting evidence for strong F-regularity
+    at the tested elements; exhausting e_max is inconclusive, never a
+    refutation. I_e(m) and the two colons are computed once per e, when an
+    element first reaches that e.
     """
     if not c_list:
         raise ValueError("no test elements supplied")
     if e_max < 1:
         raise ValueError("e_max must be >= 1")
-    quotient = isinstance(Q, QuotientIdeal)
-    ambient = Q.ring
+    ring = Q.ring
     if minimal_primes:
         for c in c_list:
             for P in minimal_primes:
-                inside = (
-                    ideal_member(c, P.preimage, budget)
-                    if isinstance(P, QuotientIdeal)
-                    else ideal_member(c, P, budget)
-                )
-                if inside:
+                if ideal_member(c, P, budget):
                     raise ValueError(
                         f"test element {c} lies in a listed minimal prime"
                     )
+    Ie_m, colon1, colon2 = {}, {}, {}
     per_c = []
     all_ok = True
     witness = None
     for c in c_list:
         found = None
         for e in range(1, e_max + 1):
-            Ie_m = Ie_maximal(ambient, e, budget)
+            if e not in Ie_m:
+                Ie_m[e] = Ie_maximal(ring, e, budget)
+                colon1[e] = ideal_colon(bracket_power(Q, e), Q, budget)
             # condition (1): c (Q^[q] : Q) escapes I_e(m)
-            if quotient:
-                colon = q_colon(q_bracket(Q, e), Q, budget)
-                cand = QuotientIdeal(Q.ring, [c * g for g in colon.named_gens])
-                inside, wit = q_subset(cand, Ie_m, budget)
-            else:
-                colon = ideal_colon(bracket_power(Q, e), Q, budget)
-                cand = scale_ideal(c, colon)
-                inside, wit = ideal_subset(cand, Ie_m, budget)
+            inside, wit = ideal_subset(scale_ideal(c, colon1[e]), Ie_m[e], budget)
             if not inside:
                 found = (e, wit, "1")
                 break
-            # condition (2): c (I_e(Q) : Q) escapes I_e(m); only the
-            # hypersurface case has a separate I_e (regular: I_e = bracket)
-            if quotient:
-                colon2 = q_colon(hypersurface_Ie(Q.ring, Q, e, budget), Q, budget)
-                cand2 = QuotientIdeal(Q.ring, [c * g for g in colon2.named_gens])
-                inside2, wit2 = q_subset(cand2, Ie_m, budget)
-                if not inside2:
-                    found = (e, wit2, "2")
+            # condition (2): c (I_e(Q) : Q) escapes I_e(m); over S, I_e(Q) is
+            # Q^[q] and (2) is (1)
+            if ring.relations:
+                if e not in colon2:
+                    colon2[e] = ideal_colon(hypersurface_Ie(ring, Q, e, budget), Q, budget)
+                inside, wit = ideal_subset(scale_ideal(c, colon2[e]), Ie_m[e], budget)
+                if not inside:
+                    found = (e, wit, "2")
                     break
         if found:
             per_c.append(
@@ -245,52 +228,39 @@ def sfr_witness_search(
     return CriterionVerdict("inconclusive", (1, e_max), notes=notes)
 
 
-def nu_e(I, e: int, budget=None) -> int:
+def nu_e(I: Ideal, e: int, budget=None) -> int:
     """nu_e(I) = max{r : I^r not inside I_e(m)} (Mustata-Takagi-Watanabe),
     by a frontier scan that builds no power of I.
 
     Every multiple of an element of J = I_e(m) lies in J, and normal forms
     modulo J satisfy NF(a*b) = NF(NF(a)*b). So only the generators of I^r
     still outside J are carried to level r+1, each as its nonzero normal form
-    against J (for S/(f), against the preimage, which contains f), duplicates
-    dropped; nu_e is r - 1 at the first level whose frontier is empty. A
-    monomial I against m^[q] runs on packed monomials, where outside is a
+    against J's preimage (for S/(f) it contains f), duplicates dropped; nu_e
+    is r - 1 at the first level whose frontier is empty. A monomial I against
+    monomial preimage generators runs on packed monomials, where outside is a
     guard-bit test. The pigeonhole bound m^(n(q-1)+1) <= m^[q] <= J caps r.
     """
-    quotient = isinstance(I, QuotientIdeal)
-    ambient = I.ring
-    if quotient:
-        if not I.is_proper():
-            raise ValueError("I must be proper")
-        if not I.named_gens:
-            raise ValueError("I must be nonzero")
-        m_R = q_ideal(
-            ambient, [Polynomial.variable(ambient.ambient, v) for v in ambient.ambient.variables]
-        )
-        inside_m, _ = q_subset(I, m_R, budget)
-    else:
-        if I.is_zero():
-            raise ValueError("I must be nonzero")
-        _require_proper(I, "I")
-        inside_m, _ = ideal_subset(I, maximal_ideal(ambient), budget)
+    if I.is_zero():
+        raise ValueError("I must be nonzero")
+    if not I.is_proper(budget):
+        raise ValueError("I must be proper")
+    inside_m, _ = ideal_subset(I, maximal_ideal(I.ring), budget)
     if not inside_m:
         raise ValueError("I must be contained in the ideal of all variables")
-    Ie_m = Ie_maximal(ambient, e, budget)
-    ring = ambient.ambient if quotient else ambient
-    cap = ring.nvars * (ring.p**e - 1) + 2
-    gens, J = (I.named_gens, Ie_m.preimage) if quotient else (I.gens, Ie_m)
-    nu = last_escaping_power(gens, J, cap, budget)
+    Ie_m = Ie_maximal(I.ring, e, budget)
+    ambient = I.ring.ambient
+    cap = ambient.nvars * (ambient.p**e - 1) + 2
+    nu = last_escaping_power(I.gens, Ie_m, cap, budget)
     if nu is None:
         raise ArithmeticError("nu_e scan escaped its pigeonhole bound (internal bug)")
     return nu
 
 
-def fpt_lower_bound(I, e_max: int, budget=None) -> FptEstimate:
+def fpt_lower_bound(I: Ideal, e_max: int, budget=None) -> FptEstimate:
     """nu_e for e = 1..e_max and the induced floor of max nu_e / p^e."""
     if e_max < 1:
         raise ValueError("e_max must be >= 1")
-    quotient = isinstance(I, QuotientIdeal)
-    p = I.ring.ambient.p if quotient else I.ring.p
+    p = I.ring.ambient.p
     values = []
     best = Fraction(0)
     for e in range(1, e_max + 1):
@@ -302,11 +272,10 @@ def fpt_lower_bound(I, e_max: int, budget=None) -> FptEstimate:
     return FptEstimate(values, best, int(best))
 
 
-def recheck_splitting_witness(R: HypersurfaceRing, Q: QuotientIdeal, e: int, r: Polynomial, budget=None) -> bool:
+def recheck_splitting_witness(R: HypersurfaceRing, Q: Ideal, e: int, r: Polynomial, budget=None) -> bool:
     """Certificate check for a condition-(2) F-purity witness:
     r*Q inside I_e(Q) and r outside I_e(m)."""
     IeQ = hypersurface_Ie(R, Q, e, budget)
     Ie_m = Ie_maximal(R, e, budget)
-    rQ = QuotientIdeal(R, [r * g for g in Q.named_gens])
-    ok, _ = q_subset(rQ, IeQ, budget)
-    return ok and not q_member(r, Ie_m, budget)
+    ok, _ = ideal_subset(scale_ideal(r, Q), IeQ, budget)
+    return ok and not ideal_member(r, Ie_m, budget)

@@ -84,17 +84,23 @@ class GroebnerBasis:
 
 
 class Ideal:
-    """Generator list with a lazily computed, cached reduced Groebner basis.
+    """Ideal of a ring: a polynomial ring S (a RingDescriptor), or S modulo
+    relations (quotient.HypersurfaceRing, S/(f)); ring.ambient is S either way.
 
-    Zero generators are dropped; an empty list is the zero ideal.
+    gens are the chosen generators in S, zeros dropped and the relations not
+    added, so products and powers do not pile up multiples of f. The ideal is
+    carried by its preimage in S, gens plus ring.relations: the cached reduced
+    Groebner basis, and with it membership, subset and equality, are the
+    preimage's. No gens is the zero ideal, whose preimage is (relations).
     """
 
     __slots__ = ("ring", "gens", "_gb")
 
     def __init__(self, ring, gens=()):
         gens = tuple(gens)
+        ambient = ring.ambient
         for g in gens:
-            if g.ring != ring:
+            if g.ring != ambient:
                 raise RingMismatch("generator from a different ring")
         self.ring = ring
         self.gens = tuple(g for g in gens if g)
@@ -102,15 +108,38 @@ class Ideal:
 
     @classmethod
     def unit(cls, ring):
-        return cls(ring, (Polynomial.one(ring),))
+        return cls(ring, (Polynomial.one(ring.ambient),))
+
+    @property
+    def preimage_gens(self):
+        """Generators of the preimage in S: gens, then the relations not among them."""
+        return self.gens + tuple(r for r in self.ring.relations if r not in self.gens)
+
+    @property
+    def preimage(self):
+        """The preimage as an ideal of S; it shares a Groebner basis already computed."""
+        return Ideal(self.ring.ambient, self.preimage_gens).with_gb(self._gb)
+
+    @property
+    def named_gens(self):
+        """gens, under the name the quotient-ideal API used."""
+        return self.gens
 
     def is_zero(self):
-        return not self.gens
+        """True for the zero ideal of the ring: each generator reduces to zero
+        modulo the relations (none, or the single f, a Groebner basis of (f))."""
+        return not any(normal_form(g, self.ring.relations) for g in self.gens)
+
+    is_zero_ideal = is_zero
+
+    def is_proper(self, budget=None):
+        return not self.groebner_basis(budget).is_unit()
 
     def groebner_basis(self, budget=None) -> GroebnerBasis:
         if self._gb is None:
+            ambient = self.ring.ambient
             self._gb = GroebnerBasis(
-                self.ring, *_buchberger(self.ring, self.gens, budget or DEFAULT_BUDGET)
+                ambient, *_buchberger(ambient, self.preimage_gens, budget or DEFAULT_BUDGET)
             )
         return self._gb
 
@@ -120,7 +149,9 @@ class Ideal:
         return self
 
     def __repr__(self):
-        return f"Ideal({[str(g) for g in self.gens]})"
+        return f"Ideal({[str(g) for g in self.gens]})" + "".join(
+            f" + ({r})" for r in self.ring.relations
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -356,18 +387,22 @@ def groebner_basis(I: Ideal, budget=None) -> GroebnerBasis:
 
 
 def ideal_member(f: Polynomial, I: Ideal, budget=None) -> bool:
-    """f in I, decided by normal form against the cached reduced basis."""
-    if f.ring != I.ring:
+    """f in I (for an ideal of S/(f), the class of f), decided by normal form
+    against the cached reduced basis of I's preimage."""
+    if f.ring != I.ring.ambient:
         raise RingMismatch("polynomial from a different ring")
     if not f:
         return True
-    if I.is_zero():
+    if not I.preimage_gens:
         return False
     return not normal_form(f, I.groebner_basis(budget), budget)
 
 
 def ideal_subset(I: Ideal, J: Ideal, budget=None):
-    """(True, None) when I is contained in J, else (False, witness generator)."""
+    """(True, None) when I is contained in J, else (False, witness generator).
+
+    The relations lie in both preimages, so only I's gens are tested.
+    """
     if I.ring != J.ring:
         raise RingMismatch("ideals from different rings")
     for g in I.gens:
@@ -384,15 +419,16 @@ def last_escaping_power(gens, J: Ideal, cap: int, budget=None):
     NF(a*b) = NF(NF(a)*b), so level r+1 is built only from the generators of
     (gens)^r still outside J, each replaced by its nonzero monic normal form,
     duplicates dropped. The scan ends at the first empty level. Monomial
-    generators of J are a Groebner basis as they stand; otherwise J's cached
-    reduced basis is used. When gens and that basis are all monomials, a
-    level is a set of packed monomials and "outside J" is a guard-bit test
-    against each basis monomial.
+    generators of J's preimage (relations included) are a Groebner basis as
+    they stand; otherwise J's cached reduced basis is used. When gens and that
+    basis are all monomials, a level is a set of packed monomials and
+    "outside J" is a guard-bit test against each basis monomial.
     """
-    ring = J.ring
+    ring = J.ring.ambient
     budget = budget or DEFAULT_BUDGET
-    if all(g.is_monomial() for g in J.gens):
-        basis = _as_reducers(ring, J.gens)
+    preimage = J.preimage_gens
+    if all(g.is_monomial() for g in preimage):
+        basis = _as_reducers(ring, preimage)
     else:
         basis = J.groebner_basis(budget)._packed_reducers()
     factors = [_pack_terms(ring, g.terms) for g in gens if g]

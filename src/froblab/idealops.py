@@ -2,6 +2,10 @@
 colons, saturations, elimination, matrix minors, and an independent
 linear-algebra membership oracle.
 
+Each operation is defined once for ideals of S and of S/(f): sums, products,
+powers, bracket powers and scalings act on the generators and keep the ring,
+so the relations ride along in the preimage; intersections, colons and
+saturations work on preimages in S, which contain the relations.
 Intersections use the auxiliary-variable construction (eliminate t from
 t*I + (1-t)*J); colons divide the intersection with a principal ideal exactly;
 saturation iterates colons so the stabilization exponent comes out as
@@ -50,9 +54,10 @@ def _sorted_canonical(ring, gens):
     return sorted(gens, key=lambda g: (key(g.lead_monomial()), g.terms))
 
 
-def maximal_ideal(ring: RingDescriptor) -> Ideal:
+def maximal_ideal(ring) -> Ideal:
     """The irrelevant maximal ideal (all variables)."""
-    return Ideal(ring, [Polynomial.variable(ring, v) for v in ring.variables])
+    ambient = ring.ambient
+    return Ideal(ring, [Polynomial.variable(ambient, v) for v in ambient.variables])
 
 
 def ideal_sum(I: Ideal, J: Ideal) -> Ideal:
@@ -65,7 +70,7 @@ def ideal_product(I: Ideal, J: Ideal) -> Ideal:
     if I.ring != J.ring:
         raise RingMismatch("ideals from different rings")
     gens = _dedup(a * b for a in I.gens for b in J.gens)
-    return Ideal(I.ring, _sorted_canonical(I.ring, gens))
+    return Ideal(I.ring, _sorted_canonical(I.ring.ambient, gens))
 
 
 def ideal_power(I: Ideal, n: int) -> Ideal:
@@ -89,7 +94,7 @@ def bracket_power(I: Ideal, e: int) -> Ideal:
 
 def scale_ideal(f: Polynomial, I: Ideal) -> Ideal:
     """The product f*I of a polynomial with an ideal."""
-    if f.ring != I.ring:
+    if f.ring != I.ring.ambient:
         raise RingMismatch("polynomial from a different ring")
     return Ideal(I.ring, [f * g for g in I.gens])
 
@@ -171,21 +176,22 @@ def eliminate(I: Ideal, kill, budget=None) -> Ideal:
 
 
 def ideal_intersect(I: Ideal, J: Ideal, budget=None) -> Ideal:
-    """I ∩ J via eliminating t from t*I + (1-t)*J."""
+    """I ∩ J via eliminating t from t*I + (1-t)*J, on the preimages in S."""
     if I.ring != J.ring:
         raise RingMismatch("ideals from different rings")
-    ring = I.ring
-    if I.is_zero() or J.is_zero():
-        return Ideal(ring)
+    ring = I.ring.ambient
+    A, B = I.preimage_gens, J.preimage_gens
+    if not A or not B:
+        return Ideal(I.ring)
     t_name = _aux_name(ring)
     ring2 = _extended_ring(ring, [t_name])
     t = Polynomial.variable(ring2, t_name)
     one_minus_t = Polynomial.one(ring2) - t
-    gens2 = [t * _lift(g, ring2, 1) for g in I.gens]
-    gens2 += [one_minus_t * _lift(g, ring2, 1) for g in J.gens]
+    gens2 = [t * _lift(g, ring2, 1) for g in A]
+    gens2 += [one_minus_t * _lift(g, ring2, 1) for g in B]
     G = Ideal(ring2, gens2).groebner_basis(budget)
     kept = [_drop(g, ring, 1) for g in G if all(m[0] == 0 for m, _ in g.terms)]
-    return Ideal(ring, _sorted_canonical(ring, kept))
+    return Ideal(I.ring, _sorted_canonical(ring, kept))
 
 
 def poly_divide_exact(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -220,28 +226,28 @@ def poly_divide_exact(f: Polynomial, g: Polynomial) -> Polynomial:
 
 
 def _colon_single(I: Ideal, g: Polynomial, budget=None) -> Ideal:
-    """(I : g) = (I ∩ (g)) divided exactly by g."""
+    """(I : g) = (I ∩ (g)) divided exactly by g, with I's preimage intersected
+    with the principal ideal (g) of S (not of S/(f), whose preimage adds f)."""
     if not g:
         raise ValueError("colon by the zero polynomial")
     if g.is_constant():
         return Ideal(I.ring, I.gens)
-    if I.is_zero():
-        return Ideal(I.ring)
-    meet = ideal_intersect(I, Ideal(I.ring, [g]), budget)
+    ring = I.ring.ambient
+    meet = ideal_intersect(Ideal(ring, I.preimage_gens), Ideal(ring, [g]), budget)
     return Ideal(I.ring, [poly_divide_exact(h, g) for h in meet.gens])
 
 
 def ideal_colon(I: Ideal, J, budget=None) -> Ideal:
-    """(I : J); J may be an Ideal or a single Polynomial."""
+    """(I : J); J may be an Ideal or a single Polynomial. (I : 0) is the unit
+    ideal."""
     if isinstance(J, Polynomial):
         return _colon_single(I, J, budget)
     if I.ring != J.ring:
         raise RingMismatch("ideals from different rings")
-    gens = [g for g in J.gens if g]
-    if not gens:
-        raise ValueError("colon by the zero ideal")
+    if not J.gens:
+        return Ideal.unit(I.ring)
     result = None
-    for g in gens:
+    for g in J.gens:
         piece = _colon_single(I, g, budget)
         result = piece if result is None else ideal_intersect(result, piece, budget)
     return result
@@ -260,27 +266,19 @@ def saturate(I: Ideal, by, budget=None, fast=True):
     sat * x^s inside I.
     """
     if isinstance(by, Ideal):
-        gens = [g for g in by.gens if g]
-        if not gens:
+        if not by.gens:
             raise ValueError("saturation by the zero ideal")
-        if len(gens) == 1:
-            return saturate(I, gens[0], budget, fast)
-        current, steps = I, 0
-        for _ in range(MAX_SATURATION_STEPS):
-            nxt = ideal_colon(current, by, budget)
-            if ideal_equal(nxt, current, budget):
-                return current, steps
-            current = nxt
-            steps += 1
-        raise BudgetExceeded("saturation did not stabilize within the step cap")
-    f = by
-    if not f:
+        if len(by.gens) == 1:
+            return saturate(I, by.gens[0], budget, fast)
+    elif not by:
         raise ValueError("saturation by the zero polynomial")
-    if fast and _is_last_variable(I.ring, f) and all(g.is_homogeneous() for g in I.gens):
+    elif fast and _is_last_variable(I.ring.ambient, by) and all(
+        g.is_homogeneous() for g in I.preimage_gens
+    ):
         return _saturate_grevlex_last(I, budget)
     current, steps = I, 0
     for _ in range(MAX_SATURATION_STEPS):
-        nxt = _colon_single(current, f, budget)
+        nxt = ideal_colon(current, by, budget)
         if ideal_equal(nxt, current, budget):
             return current, steps
         current = nxt
@@ -296,7 +294,7 @@ def _is_last_variable(ring, f):
 
 
 def _saturate_grevlex_last(I: Ideal, budget):
-    ring = I.ring
+    ring = I.ring.ambient
     G = I.groebner_basis(budget)
     divided = []
     max_val = 0
@@ -311,7 +309,7 @@ def _saturate_grevlex_last(I: Ideal, budget):
                 canonical=True,
             )
         divided.append(g)
-    sat = Ideal(ring, _sorted_canonical(ring, divided))
+    sat = Ideal(I.ring, _sorted_canonical(ring, divided))
     if max_val == 0:
         sat._gb = G
         return sat, 0
@@ -421,13 +419,14 @@ def brute_membership_oracle(
 
     True is authoritative for membership. False only means "no certificate at
     this cofactor bound": callers must pick D >= deg f - min deg g_i plus slack
-    when they want the negative direction to carry weight.
+    when they want the negative direction to carry weight. The g_i are the
+    generators of I's preimage in S.
     """
-    if f.ring != I.ring:
+    if f.ring != I.ring.ambient:
         raise RingMismatch("polynomial from a different ring")
     if not f:
         return True
-    gens = [g for g in I.gens if g]
+    gens = I.preimage_gens
     if not gens:
         return False
     ring = f.ring

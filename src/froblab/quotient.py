@@ -1,15 +1,16 @@
-"""Ideal arithmetic inside a hypersurface ring R = S/(f), via preimages in S.
+"""Hypersurface rings R = S/(f): the ambient S with one relation, f.
 
-A QuotientIdeal is carried by its ambient preimage, which always contains f.
-It remembers its preferred ambient generators (excluding f) so powers and
-products do not accumulate spurious f-multiples.
+An ideal of R is a groebner.Ideal whose ring is a HypersurfaceRing; its
+preimage in S adjoins f, and every operation in groebner and idealops carries
+f through. QuotientIdeal and the q_* functions are that type and those
+operations under the names of the former quotient-ideal API.
 """
 
 from __future__ import annotations
 
 from .errors import RingMismatch
-from .groebner import Ideal, ideal_member, ideal_subset
-from .idealops import _dedup, _sorted_canonical, ideal_colon
+from .groebner import Ideal, ideal_equal, ideal_member, ideal_subset
+from .idealops import bracket_power, ideal_colon, ideal_power, ideal_product, ideal_sum
 from .rings import Polynomial, RingDescriptor
 
 
@@ -19,7 +20,7 @@ class HypersurfaceRing:
     Reducedness of S/(f) is asserted metadata from the registry, not computed.
     """
 
-    __slots__ = ("ambient", "f", "reduced")
+    __slots__ = ("ambient", "f", "relations", "reduced")
 
     def __init__(self, ambient: RingDescriptor, f: Polynomial, reduced=None):
         if f.ring != ambient:
@@ -30,6 +31,7 @@ class HypersurfaceRing:
             raise ValueError("hypersurface equation must not be a unit")
         self.ambient = ambient
         self.f = f
+        self.relations = (f,)
         self.reduced = reduced
 
     def __eq__(self, other):
@@ -46,105 +48,20 @@ class HypersurfaceRing:
         return f"{self.ambient!r}/({self.f})"
 
 
-class QuotientIdeal:
-    """Ideal of a hypersurface ring, represented by its ambient preimage."""
-
-    __slots__ = ("ring", "named_gens", "preimage")
-
-    def __init__(self, ring: HypersurfaceRing, gens=()):
-        gens = tuple(gens)
-        for g in gens:
-            if g.ring != ring.ambient:
-                raise RingMismatch("generator from a different ring")
-        self.ring = ring
-        self.named_gens = tuple(g for g in gens if g)
-        self.preimage = Ideal(ring.ambient, _dedup(self.named_gens + (ring.f,)))
-
-    def is_proper(self):
-        return not self.preimage.groebner_basis().is_unit()
-
-    def is_zero_ideal(self):
-        """True when this is the zero ideal of R, i.e. the preimage is (f)."""
-        from .groebner import ideal_equal
-
-        return ideal_equal(self.preimage, Ideal(self.ring.ambient, [self.ring.f]))
-
-    def __repr__(self):
-        return f"QuotientIdeal({[str(g) for g in self.named_gens]} + (f))"
+QuotientIdeal = Ideal
 
 
-def q_ideal(R: HypersurfaceRing, gens) -> QuotientIdeal:
-    """Ideal of R generated by ambient polynomials; preimage adjoins f."""
-    return QuotientIdeal(R, gens)
+def q_ideal(R: HypersurfaceRing, gens) -> Ideal:
+    """Ideal of R generated by ambient polynomials; its preimage adjoins f."""
+    return Ideal(R, gens)
 
 
-def q_unit(R: HypersurfaceRing) -> QuotientIdeal:
-    return QuotientIdeal(R, [Polynomial.one(R.ambient)])
-
-
-def q_power(Q: QuotientIdeal, n: int) -> QuotientIdeal:
-    """Q^n using the preferred generators (f excluded), f re-adjoined."""
-    if n < 0:
-        raise ValueError("ideal power needs n >= 0")
-    if n == 0:
-        return q_unit(Q.ring)
-    gens = list(Q.named_gens)
-    result = gens
-    for _ in range(n - 1):
-        result = _dedup(a * b for a in result for b in gens)
-    return QuotientIdeal(Q.ring, _sorted_canonical(Q.ring.ambient, result))
-
-
-def q_product(A: QuotientIdeal, B: QuotientIdeal) -> QuotientIdeal:
-    if A.ring != B.ring:
-        raise RingMismatch("quotient ideals from different rings")
-    gens = _dedup(a * b for a in A.named_gens for b in B.named_gens)
-    return QuotientIdeal(A.ring, _sorted_canonical(A.ring.ambient, gens))
-
-
-def q_sum(A: QuotientIdeal, B: QuotientIdeal) -> QuotientIdeal:
-    if A.ring != B.ring:
-        raise RingMismatch("quotient ideals from different rings")
-    return QuotientIdeal(A.ring, _dedup(A.named_gens + B.named_gens))
-
-
-def q_bracket(Q: QuotientIdeal, e: int) -> QuotientIdeal:
-    """Frobenius power Q^[p^e] in R, as a preimage."""
-    if e < 1:
-        raise ValueError("bracket power needs e >= 1")
-    return QuotientIdeal(Q.ring, [g.frobenius(e) for g in Q.named_gens])
-
-
-def q_colon(A: QuotientIdeal, B: QuotientIdeal, budget=None) -> QuotientIdeal:
-    """(A : B) in R, computed as the ambient colon of preimages.
-
-    Valid because f lies in the preimage of A: t*B ⊆ A holds in R exactly when
-    it holds for the preimages in S.
-    """
-    if A.ring != B.ring:
-        raise RingMismatch("quotient ideals from different rings")
-    if not B.named_gens:
-        # (A : 0) = R
-        return q_unit(A.ring)
-    ambient = ideal_colon(A.preimage, Ideal(A.ring.ambient, B.named_gens), budget)
-    return QuotientIdeal(A.ring, ambient.gens)
-
-
-def q_subset(A: QuotientIdeal, B: QuotientIdeal, budget=None):
-    """(True, None) or (False, witness) on preimages."""
-    if A.ring != B.ring:
-        raise RingMismatch("quotient ideals from different rings")
-    return ideal_subset(A.preimage, B.preimage, budget)
-
-
-def q_equal(A: QuotientIdeal, B: QuotientIdeal, budget=None) -> bool:
-    if A.ring != B.ring:
-        raise RingMismatch("quotient ideals from different rings")
-    from .groebner import ideal_equal
-
-    return ideal_equal(A.preimage, B.preimage, budget)
-
-
-def q_member(f: Polynomial, Q: QuotientIdeal, budget=None) -> bool:
-    """Membership of (the class of) an ambient polynomial in Q."""
-    return ideal_member(f, Q.preimage, budget)
+q_unit = Ideal.unit
+q_power = ideal_power
+q_product = ideal_product
+q_sum = ideal_sum
+q_bracket = bracket_power
+q_colon = ideal_colon
+q_subset = ideal_subset
+q_equal = ideal_equal
+q_member = ideal_member

@@ -159,6 +159,14 @@ class RingDescriptor:
 
     __slots__ = ("p", "variables", "order", "blocks", "_index", "_slices", "_packing")
 
+    # As the ring of an Ideal, S is its own ambient and has no relations
+    # (quotient.HypersurfaceRing is S with the relation f).
+    relations = ()
+
+    @property
+    def ambient(self):
+        return self
+
     def __init__(self, p, variables, order="grevlex", blocks=None):
         if not is_prime(p):
             raise ValueError(f"modulus not prime: {p}")

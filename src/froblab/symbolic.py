@@ -6,8 +6,8 @@ structure is asserted by the example author and only its checkable
 consequences (separator membership patterns, monomial minimal covers) are
 verified here. Three strategies:
 
-  * monomial_combinatorial — squarefree monomial ideals; intersect the n-th
-    powers of the minimal covers by pairwise lcm.
+  * monomial_combinatorial — squarefree monomial ideals of S; intersect the
+    n-th powers of the minimal covers by pairwise lcm.
   * saturate_by_separator — a single listed prime; saturate the ordinary power
     by a separator lying in every other listed associated prime.
   * intersect_minimal_primes — radical unmixed ideals; intersect the per-prime
@@ -22,12 +22,13 @@ from dataclasses import dataclass, field
 
 from .groebner import Ideal, ideal_member, ideal_subset
 from .idealops import (
+    ideal_intersect,
     ideal_power,
-    is_monomial_ideal,
+    ideal_product,
     monomial_min_gens,
     saturate,
 )
-from .quotient import HypersurfaceRing, QuotientIdeal, q_member, q_power, q_product
+from .quotient import HypersurfaceRing
 from .rings import Polynomial, mono_lcm
 
 log = logging.getLogger(__name__)
@@ -39,13 +40,13 @@ STRATEGIES = ("saturate_by_separator", "intersect_minimal_primes", "monomial_com
 class PrimeData:
     """Asserted associated-prime data for one ideal.
 
-    primes are the minimal primes (Ideal or QuotientIdeal); separators[i] must
-    lie in every other listed prime and every listed power_embedded prime but
-    not in primes[i] — that membership pattern is checked, the primality and
-    the completeness of the list are the author's assertion. heights are
-    registry-supplied except for monomial primes, where height = number of
-    generating variables. max_local_gens carries the largest minimal number of
-    generators of the ideal after localizing at a listed prime.
+    primes are the minimal primes (ideals of the same ring); separators[i]
+    must lie in every other listed prime and every listed power_embedded prime
+    but not in primes[i] — that membership pattern is checked, the primality
+    and the completeness of the list are the author's assertion. heights are
+    registry-supplied except for primes generated by variables, where they are
+    computed (see _prime_height). max_local_gens carries the largest minimal
+    number of generators of the ideal after localizing at a listed prime.
     """
 
     primes: tuple
@@ -75,7 +76,7 @@ class PrimeData:
             raise ValueError("one separator per listed prime is required")
         for i, s in enumerate(self.separators):
             for j, P in enumerate(self.primes):
-                inside = _member(s, P, budget)
+                inside = ideal_member(s, P, budget)
                 if i == j and inside:
                     raise ValueError(f"separator {s} lies in its own prime")
                 if i != j and not inside:
@@ -83,35 +84,34 @@ class PrimeData:
                         f"separator {s} misses listed prime #{j}; membership pattern violated"
                     )
             for E in self.power_embedded:
-                if not _member(s, E, budget):
+                if not ideal_member(s, E, budget):
                     raise ValueError(
                         f"separator {s} misses a listed embedded prime"
                     )
         self.checked["separators"] = True
 
 
-def _member(f, P, budget=None):
-    if isinstance(P, QuotientIdeal):
-        return q_member(f, P, budget)
-    return ideal_member(f, P, budget)
-
-
 def _prime_height(P):
-    """Computable only for monomial primes: the number of generating variables."""
-    gens = P.named_gens if isinstance(P, QuotientIdeal) else P.gens
+    """Computable only for primes generated by variables: the number of those
+    variables, less one per relation of the ring (S/(f) drops the height by
+    one), provided every relation lies in the ideal of those variables, which
+    holds when each of its terms has one of them. None otherwise."""
     names = set()
-    for g in gens:
+    for g in P.gens:
         if not g.is_monomial():
             return None
         m = g.lead_monomial()
         if sum(m) != 1:
             return None
         names.add(m.index(1))
-    return len(names)
+    relations = P.ring.relations
+    if not all(any(m[i] for i in names) for f in relations for m, _ in f.terms):
+        return None
+    return len(names) - len(relations)
 
 
 def big_height(pd: PrimeData) -> int:
-    """Max height over the listed primes; monomial heights are computed."""
+    """Max height over the listed primes; heights of variable primes are computed."""
     if not pd.primes:
         raise ValueError("prime data lists no primes")
     heights = []
@@ -190,18 +190,22 @@ def _monomial_power_gens(vars_idx, n, nvars):
 # ---------------------------------------------------------------------------
 
 
-def symbolic_power(I, n: int, pd: PrimeData, strategy=None, budget=None, diag=None):
-    """The n-th symbolic power of I under the asserted prime data.
+def symbolic_power(I: Ideal, n: int, pd: PrimeData, strategy=None, budget=None, diag=None):
+    """The n-th symbolic power of I under the asserted prime data, an ideal of
+    I's ring.
 
-    Returns the same kind of object as I (Ideal or QuotientIdeal). The
+    Saturations and intersections run on the preimage of I^n in S, whose
+    generators include the relations; the result is the image of theirs. The
     containment I^n <= result is re-checked on every call. Saturation
-    exponents land in the optional diag dict.
+    exponents land in the optional diag dict. The monomial strategy needs a
+    ring without relations: in S/(f) the covers of the generators are not the
+    primes.
     """
     if n < 1:
         raise ValueError("symbolic power needs n >= 1")
-    quotient = isinstance(I, QuotientIdeal)
+    relations = I.ring.relations
     if strategy is None:
-        if not quotient and is_squarefree_monomial(I):
+        if not relations and is_squarefree_monomial(I):
             strategy = "monomial_combinatorial"
         elif len(pd.primes) == 1:
             strategy = "saturate_by_separator"
@@ -215,36 +219,29 @@ def symbolic_power(I, n: int, pd: PrimeData, strategy=None, budget=None, diag=No
             "(power_embedded) or an asserted-radical flag"
         )
 
+    power = ideal_power(I, n)
     if strategy == "monomial_combinatorial":
-        if quotient or not is_squarefree_monomial(I):
+        if relations or not is_squarefree_monomial(I):
             raise ValueError("monomial_combinatorial needs a squarefree monomial ideal")
         result = _symbolic_monomial(I, n, pd)
     else:
         pd.validate_separators(budget)
-        base = q_power(I, n).preimage if quotient else ideal_power(I, n)
-        if strategy == "saturate_by_separator":
-            if len(pd.primes) != 1:
-                raise ValueError("saturate_by_separator needs exactly one listed prime")
-            sat, steps = saturate(base, pd.separators[0], budget)
+        if strategy == "saturate_by_separator" and len(pd.primes) != 1:
+            raise ValueError("saturate_by_separator needs exactly one listed prime")
+        base = power.preimage
+        acc = None
+        for s in pd.separators:
+            sat, steps = saturate(base, s, budget)
             if diag is not None:
                 diag.setdefault("saturation_exponents", []).append(steps)
-            result_ideal = sat
-        else:
-            pieces = []
-            for s in pd.separators:
-                sat, steps = saturate(base, s, budget)
-                if diag is not None:
-                    diag.setdefault("saturation_exponents", []).append(steps)
-                pieces.append(sat)
-            from .idealops import ideal_intersect
+            acc = sat if acc is None else ideal_intersect(acc, sat, budget)
+        result = Ideal(I.ring, acc.gens).with_gb(acc.groebner_basis(budget))
 
-            acc = pieces[0]
-            for piece in pieces[1:]:
-                acc = ideal_intersect(acc, piece, budget)
-            result_ideal = acc
-        result = QuotientIdeal(I.ring, result_ideal.gens) if quotient else result_ideal
-
-    _check_ordinary_inside(I, n, result, budget)
+    ok, bad = ideal_subset(power, result, budget)
+    if not ok:
+        raise ArithmeticError(
+            f"internal error: ordinary power escaped the symbolic power (witness {bad})"
+        )
     return result
 
 
@@ -272,23 +269,12 @@ def _symbolic_monomial(I: Ideal, n: int, pd: PrimeData) -> Ideal:
     return Ideal(ring, [Polynomial.monomial(ring, m) for m in monomial_min_gens(ring, inter)])
 
 
-def _check_ordinary_inside(I, n, result, budget):
-    if isinstance(I, QuotientIdeal):
-        ok, bad = ideal_subset(q_power(I, n).preimage, result.preimage, budget)
-    else:
-        ok, bad = ideal_subset(ideal_power(I, n), result, budget)
-    if not ok:
-        raise ArithmeticError(
-            f"internal error: ordinary power escaped the symbolic power (witness {bad})"
-        )
-
-
 # ---------------------------------------------------------------------------
 # Jacobian ideals (hypersurface case: partials of f)
 # ---------------------------------------------------------------------------
 
 
-def jacobian_ideal(R: HypersurfaceRing) -> QuotientIdeal:
+def jacobian_ideal(R: HypersurfaceRing) -> Ideal:
     """J(R/k) for R = S/(f): the partial derivatives of f, plus f."""
     partials = [R.f.derivative(v) for v in R.ambient.variables]
     nonzero = [g for g in partials if g]
@@ -297,15 +283,15 @@ def jacobian_ideal(R: HypersurfaceRing) -> QuotientIdeal:
             "all partial derivatives of %s vanish; the hypersurface is non-reduced",
             R.f,
         )
-    return QuotientIdeal(R, nonzero)
+    return Ideal(R, nonzero)
 
 
-def jacobian_power_product(J: QuotientIdeal, a: int, Q_sym: QuotientIdeal) -> QuotientIdeal:
-    """J^a * Q_sym as a quotient ideal; a = 0 returns Q_sym unchanged."""
+def jacobian_power_product(J: Ideal, a: int, Q_sym: Ideal) -> Ideal:
+    """J^a * Q_sym; a = 0 returns Q_sym unchanged."""
     if a < 0:
         raise ValueError("jacobian power needs a >= 0")
     if J.ring != Q_sym.ring:
         raise ValueError("ring mismatch between Jacobian and symbolic factor")
     if a == 0:
         return Q_sym
-    return q_product(q_power(J, a), Q_sym)
+    return ideal_product(ideal_power(J, a), Q_sym)

@@ -149,6 +149,51 @@ class TestScripts:
         (line,) = out.strip().splitlines()
         report = json.loads(line)
         assert report["theorem_tag"] == "symbolic-into-ie" and report["verdict"] == verdict
+        if cap:
+            assert report["reason"] == "q = 5 exceeds the cap 4"
+
+    def test_cap_reasons_name_the_cap_in_force(self, tmp_path):
+        from froblab import check_fpure_containment, check_sfr_containment
+
+        script = """\
+ring F2[x,y,z]
+ideal I = x*y, x*z, y*z
+primes I = (x, y); (x, z); (y, z) mu=2
+assert-fpure I
+assert-sfr I
+check fpure I n=5 cap=8
+check sfr I n=9 cap=8
+check symbolic-ie I n=1 e=1 cap=1
+"""
+        code, out = self.run_script_text(tmp_path, script, as_json=True)
+        assert code == 0
+        assert [json.loads(line)["reason"] for line in out.strip().splitlines()] == [
+            "symbolic exponent 9 exceeds the cap 8; pass exponent_cap to override",
+            "symbolic exponent 9 exceeds the cap 8",
+            "q = 2 exceeds the cap 1",
+        ]
+        ring = froblab.make_ring(2, ["x", "y", "z"])
+        I = froblab.Ideal(ring, froblab.parse_gens(ring, "x*y, x*z, y*z"))
+        pd = froblab.primedata_for_squarefree(I)
+        pd.asserted_fpure_quotient = pd.asserted_sfr_quotient = True
+        assert check_fpure_containment(I, pd, 5).reason == (
+            "symbolic exponent 9 exceeds the default cap 7; pass exponent_cap to override"
+        )
+        assert check_sfr_containment(I, pd, 9).reason == (
+            "symbolic exponent 9 exceeds the default cap 7"
+        )
+
+    def test_prime_height_in_the_cone_is_computed(self, tmp_path):
+        # Q = (x, z) has height 1 in F5[x,y,z]/(xy - z^2): Q^(2) = (x) escapes Q^2
+        script = SCRIPT_OK.replace("heights=1 ", "").replace(
+            "check jacobian-fpure Q n=2", "assert-finite-pd Q\ncheck fpure Q n=2"
+        )
+        given = script.replace("mu=2", "heights=1 mu=2")
+        outs = [self.run_script_text(tmp_path, text, as_json=True) for text in (script, given)]
+        assert outs[0] == outs[1]
+        code, out = outs[0]
+        report = json.loads(out.splitlines()[0])
+        assert code == 1 and report["params"]["h"] == 1 and report["witness"] == "x"
 
     def test_unknown_variable_exit_2(self, tmp_path):
         code, out = self.run_script_text(tmp_path, SCRIPT_BAD_NAME)
