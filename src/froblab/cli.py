@@ -14,6 +14,7 @@ import os
 import sys
 
 from .containment import (
+    DEFAULT_EXPONENT_CAP,
     DEFAULT_Q_CAP,
     REGISTRY,
     ContainmentReport,
@@ -246,14 +247,19 @@ def execute_statement(session: Session, line: str):
         expected = kv.get("expect", "holds")
         cap = int(kv["cap"]) if "cap" in kv else None
         common = dict(budget=session.budget, expected=expected)
+        exponent_cap = DEFAULT_EXPONENT_CAP if cap is None else cap
         if tag == "fpure":
-            rep = check_fpure_containment(Q, pd, n, exponent_cap=cap, **common)
+            rep = check_fpure_containment(Q, pd, n, exponent_cap=exponent_cap, **common)
         elif tag == "jacobian-fpure":
-            rep = check_fpure_containment(Q, pd, n, use_jacobian=True, exponent_cap=cap, **common)
+            rep = check_fpure_containment(
+                Q, pd, n, use_jacobian=True, exponent_cap=exponent_cap, **common
+            )
         elif tag == "sfr":
-            rep = check_sfr_containment(Q, pd, n, exponent_cap=cap, **common)
+            rep = check_sfr_containment(Q, pd, n, exponent_cap=exponent_cap, **common)
         elif tag == "jacobian-sfr":
-            rep = check_sfr_containment(Q, pd, n, use_jacobian=True, exponent_cap=cap, **common)
+            rep = check_sfr_containment(
+                Q, pd, n, use_jacobian=True, exponent_cap=exponent_cap, **common
+            )
         elif tag == "fpt":
             floor = kv.get("floor", "auto")
             if floor != "auto":

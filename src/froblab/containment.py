@@ -125,7 +125,8 @@ def _finish(tag, params, ok, wit, lhs, rhs, expected, diag, t0, budget=None):
 
 def _symbolic_inside_ordinary(Q, pd, sym_exp, n, jacobian_exponent, params, diag, budget):
     """Q^(sym_exp), times J^jacobian_exponent unless that is None, against
-    Q^n: (ok, witness, lhs, rhs)."""
+    Q^n: (ok, witness, lhs, rhs). When sym_exp == n, Q^n is the power
+    symbolic_power saturated, basis included."""
     lhs = symbolic_power(Q, sym_exp, pd, budget=budget, diag=diag)
     if jacobian_exponent is not None:
         lhs = jacobian_power_product(jacobian_ideal(Q.ring), jacobian_exponent, lhs)

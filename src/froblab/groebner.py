@@ -5,6 +5,12 @@ containment reports) reduces to the three decision procedures here:
 ideal_member, ideal_subset, ideal_equal. last_escaping_power decides the
 containments I^r <= J for all r at once, which is what nu_e asks.
 
+Each Ideal owns the objects computed from it, so that one check computes each
+of them once: its reduced Groebner basis, its preimage in S (the ideal itself
+over S, one cached Ideal of S over S/(f); the two hold one shared basis), and
+the powers idealops.ideal_power has built of it. Nothing is cached across
+ideals.
+
 Implementation notes: the kernel works on packed monomials (see rings: one int
 per exponent vector, int order = monomial order). Polynomials are packed once
 on the way in -- normal_form's argument, Buchberger's generators, and each
@@ -14,7 +20,9 @@ int add, divisibility a guard-bit test on a difference, and an exponent past
 EXPONENT_LIMIT raises ExponentOverflow instead of wrapping. Reduction keeps the
 working polynomial in a dict with a lazy max-heap of negated packed
 monomials. Pair selection is the normal strategy (minimal lcm degree first)
-with Buchberger's product and chain criteria. All tie-breaks are canonical,
+with Buchberger's product and chain criteria. Monomial generators are a
+Groebner basis already (every S-polynomial is zero), so they skip the pair
+loop: the reduced basis is their minimal ones. All tie-breaks are canonical,
 so runs are reproducible bit for bit.
 """
 
@@ -92,9 +100,14 @@ class Ideal:
     carried by its preimage in S, gens plus ring.relations: the cached reduced
     Groebner basis, and with it membership, subset and equality, are the
     preimage's. No gens is the zero ideal, whose preimage is (relations).
+
+    What an ideal owns, each computed at most once: its reduced basis, kept on
+    its preimage (which over S is the ideal itself, so one basis serves both);
+    over S/(f) its preimage, an Ideal of S made on first use; and the powers
+    idealops.ideal_power builds of it (_powers, from the square up).
     """
 
-    __slots__ = ("ring", "gens", "_gb")
+    __slots__ = ("ring", "gens", "_basis", "_preimage", "_powers")
 
     def __init__(self, ring, gens=()):
         gens = tuple(gens)
@@ -104,7 +117,9 @@ class Ideal:
                 raise RingMismatch("generator from a different ring")
         self.ring = ring
         self.gens = tuple(g for g in gens if g)
-        self._gb = None
+        self._basis = None
+        self._preimage = None
+        self._powers = None
 
     @classmethod
     def unit(cls, ring):
@@ -117,8 +132,18 @@ class Ideal:
 
     @property
     def preimage(self):
-        """The preimage as an ideal of S; it shares a Groebner basis already computed."""
-        return Ideal(self.ring.ambient, self.preimage_gens).with_gb(self._gb)
+        """The preimage as an ideal of S: the ideal itself over S, else one
+        Ideal(S, preimage_gens) made on first use. Both hold the same basis."""
+        if not self.ring.relations:
+            return self
+        if self._preimage is None:
+            self._preimage = Ideal(self.ring.ambient, self.preimage_gens)
+        return self._preimage
+
+    @property
+    def _gb(self):
+        """The reduced basis once computed, else None; it lives on the preimage."""
+        return self.preimage._basis
 
     @property
     def named_gens(self):
@@ -136,16 +161,20 @@ class Ideal:
         return not self.groebner_basis(budget).is_unit()
 
     def groebner_basis(self, budget=None) -> GroebnerBasis:
-        if self._gb is None:
+        # Computed here, never through preimage.groebner_basis(), so that a
+        # wrapper counting calls of this method sees one run per basis.
+        preimage = self.preimage
+        if preimage._basis is None:
             ambient = self.ring.ambient
-            self._gb = GroebnerBasis(
-                ambient, *_buchberger(ambient, self.preimage_gens, budget or DEFAULT_BUDGET)
+            preimage._basis = GroebnerBasis(
+                ambient, *_buchberger(ambient, preimage.gens, budget or DEFAULT_BUDGET)
             )
-        return self._gb
+        return preimage._basis
 
     def with_gb(self, gb: GroebnerBasis):
-        """Attach a known basis (e.g. carried through a ring translation)."""
-        self._gb = gb
+        """Attach a known basis (e.g. carried through a ring translation); the
+        preimage holds it, so the ideal and its preimage stay in step."""
+        self.preimage._basis = gb
         return self
 
     def __repr__(self):
@@ -259,6 +288,8 @@ def _buchberger(ring, gens, budget):
     packing = ring._packing
     if not any(gens):
         return (), []
+    if all(len(g.terms) <= 1 for g in gens):
+        return _minimal_monomials(ring, [g.terms[0][0] for g in gens if g])
 
     basis = []  # packed reducer triples (lm, lc_inv=1, tail); all monic
     lms = []
@@ -308,6 +339,23 @@ def _buchberger(ring, gens, budget):
             add(_monic(ring, h))
 
     return _reduce_basis(ring, basis, budget)
+
+
+def _minimal_monomials(ring, monos):
+    """Reduced basis of a monomial ideal without S-pairs: its minimal
+    generators, monic. Ascending packed order puts every divisor of a monomial
+    before it, so a monomial is kept when no kept one divides it."""
+    packing = ring._packing
+    guards = packing.guards
+    kept = []
+    for m in sorted(set(map(packing.pack, monos))):
+        if m & guards:
+            packing.check(m)
+        if all((m - k) & guards for k in kept):
+            kept.append(m)
+    unpack = packing.unpack
+    polys = tuple(Polynomial(ring, ((unpack(m), 1),), canonical=True) for m in kept)
+    return polys, [(m, 1, ()) for m in kept]
 
 
 def _chain(lms, pending, i, j, lcm, guards):
@@ -418,19 +466,15 @@ def last_escaping_power(gens, J: Ideal, cap: int, budget=None):
     Frontier scan: a multiple of an element of J is in J, and
     NF(a*b) = NF(NF(a)*b), so level r+1 is built only from the generators of
     (gens)^r still outside J, each replaced by its nonzero monic normal form,
-    duplicates dropped. The scan ends at the first empty level. Monomial
-    generators of J's preimage (relations included) are a Groebner basis as
-    they stand; otherwise J's cached reduced basis is used. When gens and that
-    basis are all monomials, a level is a set of packed monomials and
-    "outside J" is a guard-bit test against each basis monomial.
+    duplicates dropped. The scan ends at the first empty level. It reduces
+    against J's cached reduced basis (for monomial generators of J's preimage,
+    relations included, their minimal ones). When gens and that basis are all
+    monomials, a level is a set of packed monomials and "outside J" is a
+    guard-bit test against each basis monomial.
     """
     ring = J.ring.ambient
     budget = budget or DEFAULT_BUDGET
-    preimage = J.preimage_gens
-    if all(g.is_monomial() for g in preimage):
-        basis = _as_reducers(ring, preimage)
-    else:
-        basis = J.groebner_basis(budget)._packed_reducers()
+    basis = J.groebner_basis(budget)._packed_reducers()
     factors = [_pack_terms(ring, g.terms) for g in gens if g]
     if all(len(f) == 1 for f in factors) and not any(tail for _, _, tail in basis):
         return _last_escaping_monomial(ring, [f[0][0] for f in factors], [b[0] for b in basis], cap)

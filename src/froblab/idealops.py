@@ -74,15 +74,23 @@ def ideal_product(I: Ideal, J: Ideal) -> Ideal:
 
 
 def ideal_power(I: Ideal, n: int) -> Ideal:
-    """n-fold product; I^0 is the unit ideal by convention."""
+    """n-fold product; I^0 is the unit ideal by convention and I^1 is I.
+
+    I keeps the powers built of it: I^n is made once, as I^(n-1) * I, and a
+    later call returns that same object, with any basis computed for it.
+    """
     if n < 0:
         raise ValueError("ideal power needs n >= 0")
     if n == 0:
         return Ideal.unit(I.ring)
-    result = I
-    for _ in range(n - 1):
-        result = ideal_product(result, I)
-    return result
+    if n == 1:
+        return I
+    if I._powers is None:
+        I._powers = []
+    powers = I._powers  # I^2, I^3, ...
+    while len(powers) < n - 1:
+        powers.append(ideal_product(powers[-1] if powers else I, I))
+    return powers[n - 2]
 
 
 def bracket_power(I: Ideal, e: int) -> Ideal:
@@ -311,7 +319,7 @@ def _saturate_grevlex_last(I: Ideal, budget):
         divided.append(g)
     sat = Ideal(I.ring, _sorted_canonical(ring, divided))
     if max_val == 0:
-        sat._gb = G
+        sat.with_gb(G)
         return sat, 0
     # smallest s with sat * x_last^s inside I equals the first stable colon index
     x_last = Polynomial.variable(ring, ring.variables[-1])

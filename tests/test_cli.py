@@ -183,6 +183,26 @@ check symbolic-ie I n=1 e=1 cap=1
             "symbolic exponent 9 exceeds the default cap 7"
         )
 
+    @pytest.mark.parametrize("cap,verdict", [("", "skipped"), (" cap=9", "holds")])
+    def test_script_checks_apply_the_default_cap(self, tmp_path, cap, verdict):
+        # h = 2, n = 5: symbolic exponent 9, past the default cap 7 unless cap= lifts it
+        script = f"""\
+ring F2[x,y,z]
+ideal I = x*y, x*z, y*z
+primes I = (x, y); (x, z); (y, z) mu=2
+assert-fpure I
+check fpure I n=5{cap}
+"""
+        code, out = self.run_script_text(tmp_path, script, as_json=True)
+        assert code == 0
+        (line,) = out.strip().splitlines()
+        report = json.loads(line)
+        assert report["params"]["symbolic_exponent"] == 9 and report["verdict"] == verdict
+        if not cap:
+            assert report["reason"] == (
+                "symbolic exponent 9 exceeds the default cap 7; pass exponent_cap to override"
+            )
+
     def test_prime_height_in_the_cone_is_computed(self, tmp_path):
         # Q = (x, z) has height 1 in F5[x,y,z]/(xy - z^2): Q^(2) = (x) escapes Q^2
         script = SCRIPT_OK.replace("heights=1 ", "").replace(

@@ -15,6 +15,7 @@ from froblab import (
     fedder_is_fpure,
     ideal_from_masks,
     ideal_member,
+    ideal_power,
     make_ring,
     parse_gens,
     parse_poly,
@@ -26,7 +27,7 @@ from froblab.containment import (
     generic_determinantal_setup,
     xy_zk_setup,
 )
-from froblab.symbolic import PrimeData
+from froblab.symbolic import PrimeData, symbolic_power
 
 
 class TestFpureContainment:
@@ -155,6 +156,42 @@ class TestSymbolicIntoIe:
         R, Q, pd = xy_zk_setup(7, 2)
         rep = check_symbolic_into_Ie(Q, pd, n=1, e=2)  # q = 49 > 25
         assert rep.verdict == "skipped"
+
+
+class TestOneBuchbergerRunPerInput:
+    """A check computes the reduced basis of each input once: the symbolic
+    side's I^n is the right-hand side, and an ideal shares its basis with its
+    preimage."""
+
+    @staticmethod
+    def record_runs(monkeypatch):
+        import froblab.groebner as groebner
+
+        runs = []
+        run = groebner._buchberger
+
+        def recorded(ring, gens, budget):
+            runs.append((ring, tuple(sorted(g.monic().terms for g in gens))))
+            return run(ring, gens, budget)
+
+        monkeypatch.setattr(groebner, "_buchberger", recorded)
+        return runs
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_determinantal_sfr_check(self, monkeypatch, seed):
+        ring, I, pd, _ = generic_determinantal_setup(101, 2, 6, seed)
+        runs = self.record_runs(monkeypatch)
+        assert check_sfr_containment(I, pd, 3).verdict == "holds"
+        assert runs and len(set(runs)) == len(runs)
+
+    def test_xy_zk_power_after_symbolic_power(self, monkeypatch):
+        R, Q, pd = xy_zk_setup(5, 2)
+        x = Polynomial.variable(R.ambient, "x")
+        runs = self.record_runs(monkeypatch)
+        symbolic_power(Q, 2, pd)
+        before = len(runs)
+        assert ideal_member(x**2, ideal_power(Q, 2))
+        assert len(runs) == before
 
 
 class TestRegistry:

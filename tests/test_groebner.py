@@ -297,3 +297,103 @@ class TestSympyAgreement:
             assert G.elements == self.sympy_basis(I, order), (order, I)
             proper += not G.is_unit()
         assert proper >= 10  # the sample is not all unit ideals
+
+
+class TestMonomialBases:
+    """Monomial generators skip the pair loop; the basis they give must be the
+    one the pair loop gives, polynomials and packed reducers alike."""
+
+    RINGS = [
+        ("lex", None),
+        ("grevlex", None),
+        ("block", (("x", "y"), ("z", "w"))),
+    ]
+
+    @staticmethod
+    def random_monomials(ring, rng):
+        """Monomials with duplicates, coefficients other than 1, divisibility
+        chains and, now and then, a constant."""
+        gens = []
+        for _ in range(rng.randrange(1, 6)):
+            m = [rng.randrange(4) for _ in range(ring.nvars)]
+            gens.append(Polynomial(ring, [(tuple(m), rng.randrange(1, ring.p))]))
+            if rng.random() < 0.4:  # a multiple of it: a divisibility chain
+                m[rng.randrange(ring.nvars)] += rng.randrange(1, 3)
+                gens.append(Polynomial(ring, [(tuple(m), rng.randrange(1, ring.p))]))
+        if rng.random() < 0.3:
+            gens.append(rng.choice(gens))  # a duplicate
+        if rng.random() < 0.1:
+            gens.append(Polynomial.constant(ring, rng.randrange(1, ring.p)))
+        rng.shuffle(gens)
+        return gens
+
+    @staticmethod
+    def through_pair_loop(ring, gens, rng):
+        """gens plus a redundant member that is not a monomial, so the basis
+        of the same ideal comes out of Buchberger's pair loop."""
+        variables = [Polynomial.variable(ring, v) for v in ring.variables]
+        while True:
+            a, b = rng.choice(gens), rng.choice(gens)
+            h = a + rng.choice(variables) * b
+            if not h.is_monomial():
+                return Ideal(ring, gens + [h])
+
+    @pytest.mark.parametrize("order,blocks", RINGS)
+    def test_equals_the_pair_loop_basis(self, order, blocks):
+        rng = random.Random(f"monomial {order}")
+        for trial in range(40):
+            ring = make_ring([2, 3, 5, 7][trial % 4], ["x", "y", "z", "w"], order, blocks)
+            gens = self.random_monomials(ring, rng)
+            G = Ideal(ring, gens).groebner_basis()
+            reference = self.through_pair_loop(ring, gens, rng).groebner_basis()
+            assert G.elements == reference.elements, gens
+            assert G._reducers == reference._reducers, gens
+
+    @pytest.mark.parametrize("order", ["lex", "grevlex"])
+    def test_equals_sympy(self, order):
+        rng = random.Random(f"monomial sympy {order}")
+        for trial in range(20):
+            ring = make_ring([2, 3, 5, 7][trial % 4], ["x", "y", "z"], order)
+            I = Ideal(ring, self.random_monomials(ring, rng))
+            assert I.groebner_basis().elements == TestSympyAgreement.sympy_basis(I, order), I
+
+    def test_exponent_past_the_limit_raises(self):
+        ring = make_ring(5, ["x", "y"])
+        at_limit = Polynomial.monomial(ring, (EXPONENT_LIMIT, 0))
+        past = Polynomial(ring, [((0, EXPONENT_LIMIT + 1), 1)])  # made unchecked
+        assert Ideal(ring, [at_limit]).groebner_basis().elements == (at_limit,)
+        with pytest.raises(ExponentOverflow):
+            Ideal(ring, [at_limit, past]).groebner_basis()
+
+
+class TestOwnedObjects:
+    """An ideal computes its basis, its preimage and its powers once."""
+
+    def test_preimage_over_S_is_the_ideal(self, F5xyz):
+        I = Ideal(F5xyz, parse_gens(F5xyz, "x*y - z, x^2"))
+        assert I.preimage is I
+        assert I.groebner_basis() is I.preimage.groebner_basis()
+
+    @pytest.mark.parametrize("first", ["ideal", "preimage"])
+    def test_preimage_over_S_mod_f_shares_the_basis(self, F5xyz, first):
+        from froblab import HypersurfaceRing
+
+        R = HypersurfaceRing(F5xyz, parse_poly(F5xyz, "x*y - z^2"))
+        Q = Ideal(R, parse_gens(F5xyz, "x, z"))
+        assert Q.preimage is Q.preimage and Q.preimage.ring == F5xyz
+        G = Q.groebner_basis() if first == "ideal" else Q.preimage.groebner_basis()
+        assert Q.groebner_basis() is G and Q.preimage.groebner_basis() is G
+        # a basis attached to either is the basis of both
+        P = Ideal(R, parse_gens(F5xyz, "x"))
+        P.with_gb(G)
+        assert P.preimage.groebner_basis() is G
+
+    def test_powers_are_built_once(self, F5xyz):
+        I = Ideal(F5xyz, parse_gens(F5xyz, "x + y, z^2"))
+        cube = ideal_power(I, 3)
+        assert ideal_power(I, 3) is cube
+        assert ideal_power(I, 1) is I
+        assert ideal_power(I, 2).gens == ideal_power(Ideal(F5xyz, I.gens), 2).gens
+        assert ideal_power(I, 0).groebner_basis().is_unit()
+        G = cube.groebner_basis()
+        assert ideal_power(I, 3).groebner_basis() is G
