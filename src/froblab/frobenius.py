@@ -121,8 +121,12 @@ def hypersurface_Ie(R, J: Ideal, e: int, budget=None) -> Ideal:
 
 def Ie_maximal(ring, e: int, budget=None) -> Ideal:
     """I_e of the irrelevant maximal ideal: m^[q] in a regular ring,
-    the trace colon in a hypersurface ring."""
-    return hypersurface_Ie(ring, maximal_ideal(ring), e, budget)
+    the trace colon in a hypersurface ring, which the ring keeps per e."""
+    if not ring.relations:
+        return hypersurface_Ie(ring, maximal_ideal(ring), e, budget)
+    if e not in ring._Ie_maximal:
+        ring._Ie_maximal[e] = hypersurface_Ie(ring, maximal_ideal(ring), e, budget)
+    return ring._Ie_maximal[e]
 
 
 def is_fpure_quotient(
@@ -244,8 +248,12 @@ def nu_e(I: Ideal, e: int, budget=None) -> int:
         raise ValueError("I must be nonzero")
     if not I.is_proper(budget):
         raise ValueError("I must be proper")
-    inside_m, _ = ideal_subset(I, maximal_ideal(I.ring), budget)
-    if not inside_m:
+    # m's preimage, (variables) + (relations), holds g exactly when g has no
+    # constant term or some relation has one; canonical terms end with it
+    def has_constant(g):
+        return not any(g.terms[-1][0])
+
+    if not any(map(has_constant, I.ring.relations)) and any(map(has_constant, I.gens)):
         raise ValueError("I must be contained in the ideal of all variables")
     Ie_m = Ie_maximal(I.ring, e, budget)
     ambient = I.ring.ambient

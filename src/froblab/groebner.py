@@ -3,7 +3,9 @@
 Everything downstream (colon ideals, saturations, Frobenius criteria,
 containment reports) reduces to the three decision procedures here:
 ideal_member, ideal_subset, ideal_equal. last_escaping_power decides the
-containments I^r <= J for all r at once, which is what nu_e asks.
+containments I^r <= J for all r at once, which is what nu_e asks;
+absorbing_exponent, its variant from a given start, gives a saturation's
+stabilization exponent.
 
 Each Ideal owns the objects computed from it, so that one check computes each
 of them once: its reduced Groebner basis, its preimage in S (the ideal itself
@@ -478,16 +480,43 @@ def last_escaping_power(gens, J: Ideal, cap: int, budget=None):
     factors = [_pack_terms(ring, g.terms) for g in gens if g]
     if all(len(f) == 1 for f in factors) and not any(tail for _, _, tail in basis):
         return _last_escaping_monomial(ring, [f[0][0] for f in factors], [b[0] for b in basis], cap)
-    level = {((0, 1),)}  # the packed constant 1, which generates (gens)^0
-    for r in range(1, cap + 1):
+    # level 0 is the packed constant 1, which generates (gens)^0
+    depth = _frontier_depth(ring, {((0, 1),)}, factors, basis, cap, budget)
+    return None if depth is None else depth - 1
+
+
+def absorbing_exponent(start, gens, J: Ideal, cap: int, budget=None):
+    """Smallest s <= cap with (gens)^s * (start) inside J; None when there is
+    none. The frontier scan of last_escaping_power, begun at the normal forms
+    of start: for a saturation sat of J by (gens), the stabilization exponent.
+    """
+    ring = J.ring.ambient
+    budget = budget or DEFAULT_BUDGET
+    basis = J.groebner_basis(budget)._packed_reducers()
+    level = set()
+    for h in start:
+        nf = _nf_terms(ring, _pack_terms(ring, h.terms), basis, budget)
+        if nf:
+            level.add(_monic(ring, nf))
+    factors = [_pack_terms(ring, g.terms) for g in gens if g]
+    return _frontier_depth(ring, level, factors, basis, cap, budget)
+
+
+def _frontier_depth(ring, level, factors, basis, cap, budget):
+    """Index of the first empty level, if it is at most cap, else None. Level
+    r+1 holds the nonzero monic normal forms of a*f, a in level r and f in
+    factors (packed term tuples), against the packed basis."""
+    for r in range(cap + 1):
+        if not level:
+            return r
+        if r == cap:
+            break
         nxt = set()
         for a in level:
             for f in factors:
                 h = _nf_terms(ring, [(m1 + m2, c1 * c2) for m1, c1 in a for m2, c2 in f], basis, budget)
                 if h:
                     nxt.add(_monic(ring, h))
-        if not nxt:
-            return r - 1
         level = nxt
     return None
 

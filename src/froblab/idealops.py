@@ -8,8 +8,9 @@ so the relations ride along in the preimage; intersections, colons and
 saturations work on preimages in S, which contain the relations.
 Intersections use the auxiliary-variable construction (eliminate t from
 t*I + (1-t)*J); colons divide the intersection with a principal ideal exactly;
-saturation iterates colons so the stabilization exponent comes out as
-diagnostic data.
+saturation by g eliminates t from I + (1 - t*g) (the Rabinowitsch trick), one
+Groebner basis, and recovers the stabilization exponent, the smallest s with
+g^s * sat inside I, by carrying normal forms modulo I as diagnostic data.
 """
 
 from __future__ import annotations
@@ -20,12 +21,9 @@ import numpy as np
 
 from .errors import BudgetExceeded, RingMismatch
 from .groebner import (
-    DEFAULT_BUDGET,
     GroebnerBasis,
     Ideal,
-    ideal_equal,
-    ideal_member,
-    normal_form,
+    absorbing_exponent,
 )
 from .rings import (
     Polynomial,
@@ -265,33 +263,67 @@ MAX_SATURATION_STEPS = 256
 
 
 def saturate(I: Ideal, by, budget=None, fast=True):
-    """(I : by^∞) with the stabilization exponent, by iterated colon.
+    """(I : by^∞) with the stabilization exponent.
 
     Returns (ideal, s) where s is the first index with (I : by^(s+1)) equal to
-    (I : by^s). A grevlex fast path covers the classical case (homogeneous I,
-    saturation by the trailing variable): divide each reduced-basis element by
-    its trailing-variable power, then recover s by the smallest shift with
-    sat * x^s inside I.
+    (I : by^s), which is the smallest s with by^s * sat inside I. by is a
+    polynomial or an ideal; by an ideal (g1, ..., gk), the saturation is the
+    intersection of the saturations by each gi.
+
+    By a polynomial g the saturation is the t-free part of one reduced basis
+    of I's preimage plus (1 - t*g) under the [t | rest] block order (the
+    Rabinowitsch trick, Cox-Little-O'Shea, Ideals, Varieties, and Algorithms,
+    §4.4). Over a grevlex ring that part is already the saturation's reduced
+    basis and is attached to it. With fast=True a grevlex shortcut covers the
+    classical case (homogeneous preimage, saturation by the trailing variable):
+    divide each reduced-basis element of I by its trailing-variable power.
+    fast=False always takes the elimination. s is recovered by the frontier
+    scan groebner.absorbing_exponent on the normal forms of sat's generators
+    modulo I; when s would reach MAX_SATURATION_STEPS it raises
+    BudgetExceeded, as the colon loop did.
     """
     if isinstance(by, Ideal):
+        if I.ring != by.ring:
+            raise RingMismatch("ideals from different rings")
         if not by.gens:
             raise ValueError("saturation by the zero ideal")
-        if len(by.gens) == 1:
-            return saturate(I, by.gens[0], budget, fast)
-    elif not by:
-        raise ValueError("saturation by the zero polynomial")
-    elif fast and _is_last_variable(I.ring.ambient, by) and all(
-        g.is_homogeneous() for g in I.preimage_gens
-    ):
-        return _saturate_grevlex_last(I, budget)
-    current, steps = I, 0
-    for _ in range(MAX_SATURATION_STEPS):
-        nxt = ideal_colon(current, by, budget)
-        if ideal_equal(nxt, current, budget):
-            return current, steps
-        current = nxt
-        steps += 1
-    raise BudgetExceeded("saturation did not stabilize within the step cap")
+        factors = by.gens
+    else:
+        if not by:
+            raise ValueError("saturation by the zero polynomial")
+        if by.ring != I.ring.ambient:
+            raise RingMismatch("polynomial from a different ring")
+        factors = (by,)
+    ring = I.ring.ambient
+    sat = None
+    for g in factors:
+        if fast and _is_last_variable(ring, g) and all(h.is_homogeneous() for h in I.preimage_gens):
+            piece = _saturate_grevlex_last(I, budget)
+        else:
+            piece = _saturate_rabinowitsch(I, g, budget)
+        sat = piece if sat is None else ideal_intersect(sat, piece, budget)
+    if sat._gb is not None and sat._gb is I._gb:
+        return sat, 0  # sat carries I's own basis: nothing was divided out
+    s = absorbing_exponent(sat.gens, factors, I, MAX_SATURATION_STEPS - 1, budget)
+    if s is None:
+        raise BudgetExceeded("saturation did not stabilize within the step cap")
+    return sat, s
+
+
+def _saturate_rabinowitsch(I: Ideal, g: Polynomial, budget):
+    ring = I.ring.ambient
+    ring2 = _extended_ring(ring, [_aux_name(ring)])
+    t = Polynomial.variable(ring2, ring2.variables[0])
+    gens2 = [_lift(h, ring2, 1) for h in I.preimage_gens]
+    gens2.append(Polynomial.one(ring2) - t * _lift(g, ring2, 1))
+    G = Ideal(ring2, gens2).groebner_basis(budget)
+    kept = [_drop(h, ring, 1) for h in G if all(m[0] == 0 for m, _ in h.terms)]
+    sat = Ideal(I.ring, _sorted_canonical(ring, kept))
+    if ring.order == "grevlex":
+        # the block order is grevlex inside the rest block, so the elimination
+        # theorem makes the t-free part the reduced basis of the saturation
+        sat.with_gb(GroebnerBasis(ring, kept))
+    return sat
 
 
 def _is_last_variable(ring, f):
@@ -305,11 +337,11 @@ def _saturate_grevlex_last(I: Ideal, budget):
     ring = I.ring.ambient
     G = I.groebner_basis(budget)
     divided = []
-    max_val = 0
+    any_divided = False
     for g in G:
         val = min((m[-1] for m, _ in g.terms), default=0)
         if val:
-            max_val = max(max_val, val)
+            any_divided = True
             shift = tuple([0] * (ring.nvars - 1) + [-val])
             g = Polynomial(
                 ring,
@@ -318,17 +350,9 @@ def _saturate_grevlex_last(I: Ideal, budget):
             )
         divided.append(g)
     sat = Ideal(I.ring, _sorted_canonical(ring, divided))
-    if max_val == 0:
+    if not any_divided:
         sat.with_gb(G)
-        return sat, 0
-    # smallest s with sat * x_last^s inside I equals the first stable colon index
-    x_last = Polynomial.variable(ring, ring.variables[-1])
-    shifted = list(sat.gens)
-    for s in range(max_val + 1):
-        if all(ideal_member(g, I, budget) for g in shifted):
-            return sat, s
-        shifted = [g * x_last for g in shifted]
-    return sat, max_val
+    return sat
 
 
 # ---------------------------------------------------------------------------

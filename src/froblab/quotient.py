@@ -18,9 +18,11 @@ class HypersurfaceRing:
     """Ambient polynomial ring plus one defining equation f (nonzero, nonunit).
 
     Reducedness of S/(f) is asserted metadata from the registry, not computed.
+    The ring keeps the I_e of its maximal ideal per e (_Ie_maximal), filled by
+    frobenius.Ie_maximal on first use.
     """
 
-    __slots__ = ("ambient", "f", "relations", "reduced")
+    __slots__ = ("ambient", "f", "relations", "reduced", "_Ie_maximal")
 
     def __init__(self, ambient: RingDescriptor, f: Polynomial, reduced=None):
         if f.ring != ambient:
@@ -33,6 +35,7 @@ class HypersurfaceRing:
         self.f = f
         self.relations = (f,)
         self.reduced = reduced
+        self._Ie_maximal = {}
 
     def __eq__(self, other):
         return (

@@ -194,12 +194,12 @@ def symbolic_power(I: Ideal, n: int, pd: PrimeData, strategy=None, budget=None, 
     """The n-th symbolic power of I under the asserted prime data, an ideal of
     I's ring.
 
-    Saturations and intersections run on the preimage of I^n in S, whose
-    generators include the relations; the result is the image of theirs. The
-    containment I^n <= result is re-checked on every call. Saturation
-    exponents land in the optional diag dict. The monomial strategy needs a
-    ring without relations: in S/(f) the covers of the generators are not the
-    primes.
+    Saturations and intersections of I^n run on its preimage in S, whose
+    generators include the relations; the result is generated by a Groebner
+    basis of its own preimage. The containment I^n <= result is re-checked on
+    every call. Saturation exponents land in the optional diag dict. The
+    monomial strategy needs a ring without relations: in S/(f) the covers of
+    the generators are not the primes.
     """
     if n < 1:
         raise ValueError("symbolic power needs n >= 1")
@@ -228,14 +228,12 @@ def symbolic_power(I: Ideal, n: int, pd: PrimeData, strategy=None, budget=None, 
         pd.validate_separators(budget)
         if strategy == "saturate_by_separator" and len(pd.primes) != 1:
             raise ValueError("saturate_by_separator needs exactly one listed prime")
-        base = power.preimage
-        acc = None
+        result = None
         for s in pd.separators:
-            sat, steps = saturate(base, s, budget)
+            sat, steps = saturate(power, s, budget)
             if diag is not None:
                 diag.setdefault("saturation_exponents", []).append(steps)
-            acc = sat if acc is None else ideal_intersect(acc, sat, budget)
-        result = Ideal(I.ring, acc.gens).with_gb(acc.groebner_basis(budget))
+            result = sat if result is None else ideal_intersect(result, sat, budget)
 
     ok, bad = ideal_subset(power, result, budget)
     if not ok:

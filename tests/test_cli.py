@@ -81,6 +81,18 @@ class TestSubcommands:
         payload = json.loads(out)
         assert "x*y*z" in payload["generators"]
 
+    def test_symbolic_in_the_cone_lists_no_zero_generator(self):
+        code, out = invoke([
+            "symbolic", "--ring", "F5[x,y,z]", "--hypersurface", "x*y - z^2",
+            "--ideal", "x, z", "--n", "1", "--primes", "x, z", "--separator", "y",
+            "--json",
+        ])
+        assert code == 0
+        S = froblab.make_ring(5, ["x", "y", "z"])
+        f = froblab.parse_poly(S, "x*y - z^2")
+        gens = [froblab.parse_poly(S, g) for g in json.loads(out)["generators"]]
+        assert gens and all(froblab.normal_form(g, [f]) for g in gens)
+
     def test_containment_failure_witness(self):
         code, out = invoke([
             "containment", "--ring", "F5[x,y]", "--lhs", "x", "--rhs", "x^2",
