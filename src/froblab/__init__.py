@@ -27,6 +27,7 @@ from .groebner import (
     ideal_member,
     ideal_subset,
     normal_form,
+    poly_divide_exact,
 )
 from .idealops import (
     PolyMatrix,
@@ -41,23 +42,9 @@ from .idealops import (
     maximal_ideal,
     minors,
     monomial_intersect,
-    poly_divide_exact,
     saturate,
 )
-from .quotient import (
-    HypersurfaceRing,
-    QuotientIdeal,
-    q_bracket,
-    q_colon,
-    q_equal,
-    q_ideal,
-    q_member,
-    q_power,
-    q_product,
-    q_subset,
-    q_sum,
-    q_unit,
-)
+from .quotient import HypersurfaceRing, q_ideal
 from .frobenius import (
     CriterionVerdict,
     FptEstimate,

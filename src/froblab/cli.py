@@ -17,7 +17,6 @@ from .containment import (
     DEFAULT_EXPONENT_CAP,
     DEFAULT_Q_CAP,
     REGISTRY,
-    ContainmentReport,
     check_fpt_containment,
     check_fpure_containment,
     check_sfr_containment,
@@ -36,7 +35,7 @@ from .groebner import GroebnerBudget, Ideal, ideal_subset
 from .parsing import parse_gens, parse_poly, parse_ring, split_top_level
 from .quotient import HypersurfaceRing, q_ideal
 from .rings import format_poly
-from .symbolic import PrimeData, symbolic_power
+from .symbolic import STRATEGIES, PrimeData, symbolic_power
 
 EXIT_OK = 0
 EXIT_EXPECTATION = 1
@@ -494,9 +493,11 @@ def build_parser():
         prog="froblab",
         description="Exact positive-characteristic containment checks over F_p",
         epilog=(
-            "Budgets: set FROBLAB_MAX_PAIRS to cap Buchberger S-pair processing. "
+            "Budgets: FROBLAB_MAX_PAIRS caps the S-pairs of each Buchberger run "
+            "separately, not a command's total work. "
             "Search depth defaults: e_max is 3 for p <= 5, 2 for p <= 13, 1 above. "
-            "Exit codes: 0 ok, 1 expectation failed, 2 usage/parse error, 3 budget."
+            "Exit codes: 0 ok, 1 expectation failed, 2 usage/parse error or an "
+            "exponent past 2^31 - 1, 3 budget exhausted, 4 internal invariant failed."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -536,9 +537,7 @@ def build_parser():
     sp.add_argument("--primes", help="semicolon-separated generator lists")
     sp.add_argument("--heights", help="comma-separated heights for the primes")
     sp.add_argument("--separator", help="semicolon-separated separators")
-    sp.add_argument("--strategy", choices=[
-        "saturate_by_separator", "intersect_minimal_primes", "monomial_combinatorial",
-    ])
+    sp.add_argument("--strategy", choices=STRATEGIES)
     sp.set_defaults(func=cmd_symbolic)
 
     sp = sub.add_parser("containment", help="decide lhs ⊆ rhs")

@@ -41,6 +41,7 @@ log = logging.getLogger(__name__)
 
 DEFAULT_EXPONENT_CAP = 7
 DEFAULT_Q_CAP = 25
+ORACLE_DEGREE_SLACK = 2  # cofactor degrees past deg(witness) - min deg(rhs gens)
 
 
 @dataclass
@@ -90,7 +91,7 @@ def _cap_text(cap, default):
     return f"the default cap {cap}" if cap == default else f"the cap {cap}"
 
 
-def _recheck_witness(witness, lhs, rhs, budget=None, oracle_degree_slack=2):
+def _recheck_witness(witness, lhs, rhs, budget=None):
     """Independent confirmation that witness ∈ lhs and witness ∉ rhs."""
     checks = {
         "witness_in_lhs": ideal_member(witness, lhs, budget),
@@ -99,7 +100,7 @@ def _recheck_witness(witness, lhs, rhs, budget=None, oracle_degree_slack=2):
     gens = rhs.preimage_gens
     if gens:
         min_deg = min(g.degree() for g in gens)
-        bound = max(witness.degree() - min_deg, 0) + oracle_degree_slack
+        bound = max(witness.degree() - min_deg, 0) + ORACLE_DEGREE_SLACK
         try:
             checks["oracle_confirms_non_membership"] = not brute_membership_oracle(
                 witness, rhs, bound

@@ -23,7 +23,7 @@ from .idealops import (
     maximal_ideal,
     scale_ideal,
 )
-from .quotient import HypersurfaceRing, q_subset
+from .quotient import HypersurfaceRing
 from .rings import Polynomial
 
 
@@ -110,8 +110,7 @@ def hypersurface_Ie(R, J: Ideal, e: int, budget=None) -> Ideal:
     bracket = bracket_power(J, e)
     base = Ideal(R.ambient, bracket.gens + (f.frobenius(e),))
     result = Ideal(R, ideal_colon(base, f_qm1, budget).gens)
-    # through the quotient layer's name, which tests replace to fake a broken I_e
-    ok, bad = q_subset(bracket, result, budget)
+    ok, bad = ideal_subset(bracket, result, budget)
     if not ok:
         raise ArithmeticError(
             f"internal error: bracket power escaped I_e (witness {bad})"

@@ -5,7 +5,8 @@ containment reports) reduces to the three decision procedures here:
 ideal_member, ideal_subset, ideal_equal. last_escaping_power decides the
 containments I^r <= J for all r at once, which is what nu_e asks;
 absorbing_exponent, its variant from a given start, gives a saturation's
-stabilization exponent.
+stabilization exponent. poly_divide_exact is the exact division a colon
+ends with.
 
 Each Ideal owns the objects computed from it, so that one check computes each
 of them once: its reduced Groebner basis, its preimage in S (the ideal itself
@@ -24,8 +25,10 @@ working polynomial in a dict with a lazy max-heap of negated packed
 monomials. Pair selection is the normal strategy (minimal lcm degree first)
 with Buchberger's product and chain criteria. Monomial generators are a
 Groebner basis already (every S-polynomial is zero), so they skip the pair
-loop: the reduced basis is their minimal ones. All tie-breaks are canonical,
-so runs are reproducible bit for bit.
+loop: the reduced basis is their minimal ones (_minimal_monomials, which also
+prunes the monomial intersections of idealops and symbolic). Exact division
+runs on the same packed terms and heap. All tie-breaks are canonical, so runs
+are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -43,9 +46,6 @@ class GroebnerBudget:
 
     max_pairs: int = 100_000
     max_poly_terms: int = 500_000
-
-    def scaled(self, factor):
-        return GroebnerBudget(self.max_pairs * factor, self.max_poly_terms * factor)
 
 
 DEFAULT_BUDGET = GroebnerBudget()
@@ -147,17 +147,10 @@ class Ideal:
         """The reduced basis once computed, else None; it lives on the preimage."""
         return self.preimage._basis
 
-    @property
-    def named_gens(self):
-        """gens, under the name the quotient-ideal API used."""
-        return self.gens
-
     def is_zero(self):
         """True for the zero ideal of the ring: each generator reduces to zero
         modulo the relations (none, or the single f, a Groebner basis of (f))."""
         return not any(normal_form(g, self.ring.relations) for g in self.gens)
-
-    is_zero_ideal = is_zero
 
     def is_proper(self, budget=None):
         return not self.groebner_basis(budget).is_unit()
@@ -278,6 +271,47 @@ def normal_form(f: Polynomial, G, budget=None) -> Polynomial:
     terms = _nf_terms(ring, _pack_terms(ring, f.terms), reducers, budget or DEFAULT_BUDGET)
     unpack = ring._packing.unpack
     return Polynomial(ring, tuple((unpack(m), c) for m, c in terms), canonical=True)
+
+
+def poly_divide_exact(f: Polynomial, g: Polynomial) -> Polynomial:
+    """f/g when g divides f exactly; raises ArithmeticError otherwise.
+
+    Runs on packed terms, the remainder kept as in _nf_terms: a dict with a
+    lazy max-heap of negated packed monomials. No term of an exact quotient
+    times g passes EXPONENT_LIMIT, so a guard bit set in a quotient term or in
+    its product with g means the division is inexact.
+    """
+    if f.ring != g.ring:
+        raise RingMismatch("polynomials from different rings")
+    if not g:
+        raise ZeroDivisionError("division by the zero polynomial")
+    ring = f.ring
+    p, guards = ring.p, ring._packing.guards
+    (lm, lc), *tail = _pack_terms(ring, g.terms)
+    inv = pow(lc, p - 2, p)
+    work = dict(_pack_terms(ring, f.terms))
+    heap = [-m for m in work]
+    heapq.heapify(heap)
+    out = []
+    while heap:
+        m = -heapq.heappop(heap)
+        c = work.pop(m, 0)
+        if not c:
+            continue
+        q = m - lm
+        if q & guards or any((m2 + q) & guards for m2, _ in tail):
+            raise ArithmeticError("inexact polynomial division (internal bug signal)")
+        qc = c * inv % p
+        out.append((q, qc))
+        for m2, c2 in tail:
+            mm = m2 + q
+            if mm not in work:
+                heapq.heappush(heap, -mm)
+            v = (work.pop(mm, 0) - qc * c2) % p
+            if v:
+                work[mm] = v
+    unpack = ring._packing.unpack
+    return Polynomial(ring, tuple((unpack(m), c) for m, c in out), canonical=True)
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,13 @@ powers, bracket powers and scalings act on the generators and keep the ring,
 so the relations ride along in the preimage; intersections, colons and
 saturations work on preimages in S, which contain the relations.
 Intersections use the auxiliary-variable construction (eliminate t from
-t*I + (1-t)*J); colons divide the intersection with a principal ideal exactly;
-saturation by g eliminates t from I + (1 - t*g) (the Rabinowitsch trick), one
-Groebner basis, and recovers the stabilization exponent, the smallest s with
-g^s * sat inside I, by carrying normal forms modulo I as diagnostic data.
+t*I + (1-t)*J); colons divide the intersection with a principal ideal exactly
+(groebner.poly_divide_exact); saturation by g eliminates t from I + (1 - t*g)
+(the Rabinowitsch trick), one Groebner basis, and recovers the stabilization
+exponent, the smallest s with g^s * sat inside I, by carrying normal forms
+modulo I as diagnostic data. Monomial intersections prune with the kernel's
+groebner._minimal_monomials. Only the membership oracle, the independent
+check, uses a mono_* exponent-tuple helper.
 """
 
 from __future__ import annotations
@@ -23,15 +26,11 @@ from .errors import BudgetExceeded, RingMismatch
 from .groebner import (
     GroebnerBasis,
     Ideal,
+    _minimal_monomials,
     absorbing_exponent,
+    poly_divide_exact,
 )
-from .rings import (
-    Polynomial,
-    RingDescriptor,
-    mono_div,
-    mono_lcm,
-    mono_mul,
-)
+from .rings import Polynomial, RingDescriptor, mono_mul
 
 
 def _dedup(gens):
@@ -200,37 +199,6 @@ def ideal_intersect(I: Ideal, J: Ideal, budget=None) -> Ideal:
     return Ideal(I.ring, _sorted_canonical(ring, kept))
 
 
-def poly_divide_exact(f: Polynomial, g: Polynomial) -> Polynomial:
-    """f/g when g divides f exactly; raises ArithmeticError otherwise."""
-    if f.ring != g.ring:
-        raise RingMismatch("polynomials from different rings")
-    if not g:
-        raise ZeroDivisionError("division by the zero polynomial")
-    ring = f.ring
-    p = ring.p
-    lm_g, lc_g = g.terms[0]
-    inv = pow(lc_g, p - 2, p)
-    rest = dict(f.terms)
-    key = ring.key
-    out = []
-    while rest:
-        m = max(rest, key=key)
-        c = rest[m]
-        q = mono_div(m, lm_g)
-        if q is None:
-            raise ArithmeticError("inexact polynomial division (internal bug signal)")
-        qc = (c * inv) % p
-        out.append((q, qc))
-        for m2, c2 in g.terms:
-            mm = mono_mul(q, m2)
-            v = (rest.get(mm, 0) - qc * c2) % p
-            if v:
-                rest[mm] = v
-            else:
-                rest.pop(mm, None)
-    return Polynomial(ring, out)
-
-
 def _colon_single(I: Ideal, g: Polynomial, budget=None) -> Ideal:
     """(I : g) = (I ∩ (g)) divided exactly by g, with I's preimage intersected
     with the principal ideal (g) of S (not of S/(f), whose preimage adds f)."""
@@ -262,7 +230,7 @@ def ideal_colon(I: Ideal, J, budget=None) -> Ideal:
 MAX_SATURATION_STEPS = 256
 
 
-def saturate(I: Ideal, by, budget=None, fast=True):
+def saturate(I: Ideal, by, budget=None):
     """(I : by^∞) with the stabilization exponent.
 
     Returns (ideal, s) where s is the first index with (I : by^(s+1)) equal to
@@ -274,13 +242,12 @@ def saturate(I: Ideal, by, budget=None, fast=True):
     of I's preimage plus (1 - t*g) under the [t | rest] block order (the
     Rabinowitsch trick, Cox-Little-O'Shea, Ideals, Varieties, and Algorithms,
     §4.4). Over a grevlex ring that part is already the saturation's reduced
-    basis and is attached to it. With fast=True a grevlex shortcut covers the
-    classical case (homogeneous preimage, saturation by the trailing variable):
-    divide each reduced-basis element of I by its trailing-variable power.
-    fast=False always takes the elimination. s is recovered by the frontier
-    scan groebner.absorbing_exponent on the normal forms of sat's generators
-    modulo I; when s would reach MAX_SATURATION_STEPS it raises
-    BudgetExceeded, as the colon loop did.
+    basis and is attached to it. The classical grevlex case (homogeneous
+    preimage, saturation by the trailing variable) skips the elimination:
+    each reduced-basis element of I is divided by its trailing-variable power.
+    s is recovered by the frontier scan groebner.absorbing_exponent on the
+    normal forms of sat's generators modulo I; when s would reach
+    MAX_SATURATION_STEPS it raises BudgetExceeded.
     """
     if isinstance(by, Ideal):
         if I.ring != by.ring:
@@ -297,7 +264,7 @@ def saturate(I: Ideal, by, budget=None, fast=True):
     ring = I.ring.ambient
     sat = None
     for g in factors:
-        if fast and _is_last_variable(ring, g) and all(h.is_homogeneous() for h in I.preimage_gens):
+        if _is_last_variable(ring, g) and all(h.is_homogeneous() for h in I.preimage_gens):
             piece = _saturate_grevlex_last(I, budget)
         else:
             piece = _saturate_rabinowitsch(I, g, budget)
@@ -444,9 +411,7 @@ def monomials_up_to(ring, degree):
 ORACLE_SIZE_CAP = 2_000_000  # matrix cells
 
 
-def brute_membership_oracle(
-    f: Polynomial, I: Ideal, cofactor_degree_bound: int, size_cap=ORACLE_SIZE_CAP
-) -> bool:
+def brute_membership_oracle(f: Polynomial, I: Ideal, cofactor_degree_bound: int) -> bool:
     """Solve f = sum h_i g_i with deg h_i <= D as a dense linear system.
 
     True is authoritative for membership. False only means "no certificate at
@@ -490,9 +455,9 @@ def brute_membership_oracle(
             columns.append(None)
 
     n_rows, n_cols = len(rows), len(col_data)
-    if n_rows * n_cols > size_cap:
+    if n_rows * n_cols > ORACLE_SIZE_CAP:
         raise BudgetExceeded(
-            f"oracle system {n_rows}x{n_cols} exceeds the size cap {size_cap}"
+            f"oracle system {n_rows}x{n_cols} exceeds the size cap {ORACLE_SIZE_CAP}"
         )
 
     A = np.zeros((n_rows, n_cols + 1), dtype=np.int64)
@@ -540,28 +505,12 @@ def is_monomial_ideal(I: Ideal) -> bool:
     return all(g.is_monomial() for g in I.gens)
 
 
-def monomial_min_gens(ring, monos):
-    """Prune monomials divisible by another; canonical order."""
-    monos = sorted(set(monos), key=lambda m: (sum(m), ring.key(m)))
-    out = []
-    for m in monos:
-        if not any(mono_div(m, kept) is not None for kept in out):
-            out.append(m)
-    return out
-
-
 def monomial_intersect(I: Ideal, J: Ideal) -> Ideal:
-    """Combinatorial intersection of monomial ideals by pairwise lcm."""
+    """Combinatorial intersection of monomial ideals by pairwise lcm; the
+    minimal ones generate it, in ascending ring order."""
     if not (is_monomial_ideal(I) and is_monomial_ideal(J)):
         raise ValueError("monomial_intersect needs monomial ideals")
     if I.is_zero() or J.is_zero():
         return Ideal(I.ring)
-    ring = I.ring
-    monos = [
-        mono_lcm(a.lead_monomial(), b.lead_monomial())
-        for a in I.gens
-        for b in J.gens
-    ]
-    return Ideal(
-        ring, [Polynomial.monomial(ring, m) for m in monomial_min_gens(ring, monos)]
-    )
+    monos = [tuple(map(max, a.lead_monomial(), b.lead_monomial())) for a in I.gens for b in J.gens]
+    return Ideal(I.ring, _minimal_monomials(I.ring, monos)[0])

@@ -2,15 +2,13 @@
 
 An ideal of R is a groebner.Ideal whose ring is a HypersurfaceRing; its
 preimage in S adjoins f, and every operation in groebner and idealops carries
-f through. QuotientIdeal and the q_* functions are that type and those
-operations under the names of the former quotient-ideal API.
+f through. q_ideal builds one from ambient polynomials.
 """
 
 from __future__ import annotations
 
 from .errors import RingMismatch
-from .groebner import Ideal, ideal_equal, ideal_member, ideal_subset
-from .idealops import bracket_power, ideal_colon, ideal_power, ideal_product, ideal_sum
+from .groebner import Ideal
 from .rings import Polynomial, RingDescriptor
 
 
@@ -51,20 +49,7 @@ class HypersurfaceRing:
         return f"{self.ambient!r}/({self.f})"
 
 
-QuotientIdeal = Ideal
-
-
 def q_ideal(R: HypersurfaceRing, gens) -> Ideal:
     """Ideal of R generated by ambient polynomials; its preimage adjoins f."""
     return Ideal(R, gens)
 
-
-q_unit = Ideal.unit
-q_power = ideal_power
-q_product = ideal_product
-q_sum = ideal_sum
-q_bracket = bracket_power
-q_colon = ideal_colon
-q_subset = ideal_subset
-q_equal = ideal_equal
-q_member = ideal_member

@@ -5,12 +5,14 @@ order live on the RingDescriptor. Polynomials are immutable, canonically
 sorted term sequences, so equality and hashing are structural.
 
 Monomials are exponent tuples wherever they leave the kernel (Polynomial.terms,
-lead_monomial, the mono_* helpers). Inside the kernel -- Polynomial products
-and canonical sorting here, reduction and Buchberger in groebner -- they are
-packed into one int per monomial (Monagan & Pearce, "Polynomial division using
-dynamic arrays, heaps, and packed exponent vectors", CASC 2007), using the
-RingDescriptor's _Packing. Conversion happens only at that boundary: pack()
-on the way in, unpack() on the way out.
+lead_monomial). Inside the kernel -- Polynomial products and canonical sorting
+here; reduction, Buchberger, exact division and monomial pruning in groebner
+-- they are packed into one int per monomial (Monagan & Pearce, "Polynomial
+division using dynamic arrays, heaps, and packed exponent vectors", CASC
+2007), using the RingDescriptor's _Packing. Conversion happens only at that
+boundary: pack() on the way in, unpack() on the way out. The mono_* tuple
+helpers are not part of the kernel: they serve the linear-algebra membership
+oracle, which checks the kernel independently, and the tests as references.
 """
 
 from __future__ import annotations
@@ -63,10 +65,6 @@ def mono_div(a, b):
 
 def mono_lcm(a, b):
     return tuple(x if x >= y else y for x, y in zip(a, b))
-
-
-def mono_deg(a):
-    return sum(a)
 
 
 def mono_divides(a, b):

@@ -7,7 +7,8 @@ consequences (separator membership patterns, monomial minimal covers) are
 verified here. Three strategies:
 
   * monomial_combinatorial — squarefree monomial ideals of S; intersect the
-    n-th powers of the minimal covers by pairwise lcm.
+    n-th powers of the minimal covers by pairwise lcm, keeping the minimal
+    monomials (in ascending ring order) with the kernel's pruning.
   * saturate_by_separator — a single listed prime; saturate the ordinary power
     by a separator lying in every other listed associated prime.
   * intersect_minimal_primes — radical unmixed ideals; intersect the per-prime
@@ -20,16 +21,10 @@ import itertools
 import logging
 from dataclasses import dataclass, field
 
-from .groebner import Ideal, ideal_member, ideal_subset
-from .idealops import (
-    ideal_intersect,
-    ideal_power,
-    ideal_product,
-    monomial_min_gens,
-    saturate,
-)
+from .groebner import Ideal, _minimal_monomials, ideal_member, ideal_subset
+from .idealops import ideal_intersect, ideal_power, ideal_product, saturate
 from .quotient import HypersurfaceRing
-from .rings import Polynomial, mono_lcm
+from .rings import Polynomial
 
 log = logging.getLogger(__name__)
 
@@ -255,16 +250,13 @@ def _symbolic_monomial(I: Ideal, n: int, pd: PrimeData) -> Ideal:
                 raise ValueError("monomial strategy needs variable-generated primes")
             idx.add(m.index(1))
         var_sets.append(idx)
-    inter = None
+    gens = None
     for vs in var_sets:
-        gens = _monomial_power_gens(vs, n, ring.nvars)
-        if inter is None:
-            inter = gens
-        else:
-            inter = monomial_min_gens(
-                ring, [mono_lcm(a, b) for a in inter for b in gens]
-            )
-    return Ideal(ring, [Polynomial.monomial(ring, m) for m in monomial_min_gens(ring, inter)])
+        monos = _monomial_power_gens(vs, n, ring.nvars)
+        if gens is not None:
+            monos = [tuple(map(max, g.lead_monomial(), b)) for g in gens for b in monos]
+        gens, _ = _minimal_monomials(ring, monos)
+    return Ideal(ring, gens)
 
 
 # ---------------------------------------------------------------------------

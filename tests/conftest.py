@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from froblab import Ideal, Polynomial, make_ring
+import froblab.idealops as idealops
+from froblab import Ideal, Polynomial, ideal_colon, ideal_equal, make_ring
+from froblab.rings import mono_divides
 
 
 @pytest.fixture
@@ -57,3 +59,25 @@ def random_monomial_ideal(ring, rng, max_gens=3, max_deg=3):
             m[rng.randrange(ring.nvars)] += 1
         gens.append(Polynomial.monomial(ring, tuple(m)))
     return Ideal(ring, gens)
+
+
+def iterated_colon_saturate(I, by):
+    """Reference saturation: colon by `by` until the chain stops; returns
+    (ideal, first stable index)."""
+    current, steps = I, 0
+    for _ in range(idealops.MAX_SATURATION_STEPS):
+        nxt = ideal_colon(current, by)
+        if ideal_equal(nxt, current):
+            return current, steps
+        current = nxt
+        steps += 1
+    raise AssertionError("reference saturation did not stabilize")
+
+
+def assert_minimal_ascending(I):
+    """I is listed as the kernel lists a monomial ideal: its minimal
+    generators, monic, in strictly ascending ring order."""
+    monos = [g.lead_monomial() for g in I.gens]
+    assert all(g.terms == ((m, 1),) for g, m in zip(I.gens, monos)), I
+    assert monos == sorted(set(monos), key=I.ring.key), I
+    assert not any(a != b and mono_divides(a, b) for a in monos for b in monos), I

@@ -33,12 +33,7 @@ from froblab import (
     parse_gens,
     parse_poly,
     primedata_for_squarefree,
-    q_bracket,
-    q_equal,
     q_ideal,
-    q_member,
-    q_power,
-    q_subset,
     run_example,
     squarefree_antichains,
     symbolic_power,
@@ -226,11 +221,11 @@ class TestCriterion7PropertySuites:
         for p, k in ((5, 2), (5, 3), (7, 2), (7, 3)):
             R, Q, _ = xy_zk_setup(p, k)
             for e in (1, 2):
-                ok, _ = q_subset(q_bracket(Q, e), hypersurface_Ie(R, Q, e))
+                ok, _ = ideal_subset(bracket_power(Q, e), hypersurface_Ie(R, Q, e))
                 assert ok
                 instances += 1
             m = q_ideal(R, parse_gens(R.ambient, "x, y, z"))
-            ok, _ = q_subset(q_bracket(m, 1), hypersurface_Ie(R, m, 1))
+            ok, _ = ideal_subset(bracket_power(m, 1), hypersurface_Ie(R, m, 1))
             assert ok
             instances += 1
 

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import froblab
-from froblab.cli import main, run_script
+from froblab.cli import build_parser, main, run_script
 
 RUN = [sys.executable, "-m", "froblab.cli"]
 # the child interpreter finds the package where this one did, installed or not
@@ -275,7 +276,7 @@ class TestErrorExits:
     # (patched module, attribute, replacement, argv) reaching each invariant check
     INVARIANTS = {
         "bracket power escaped I_e": (
-            "froblab.frobenius", "q_subset", lambda *a, **k: (False, "x"),
+            "froblab.frobenius", "ideal_subset", lambda *a, **k: (False, "x"),
             ["fpure", "--ring", "F5[x,y,z]", "--hypersurface", "x*y - z^2",
              "--ideal", "x, z"],
         ),
@@ -353,3 +354,15 @@ class TestConsoleEntry:
         )
         assert proc.returncode == 0
         assert "selftest: 0 failure(s)" in proc.stdout
+
+
+class TestHelp:
+    def test_epilog_matches_readme(self):
+        epilog = build_parser().epilog
+        readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+        readme_exits = readme.split("Exit codes:")[1].split("Errors print")[0]
+        assert (set(re.findall(r"\b(\d) [a-z]", epilog.split("Exit codes:")[1]))
+                == set(re.findall(r"`(\d)`", readme_exits)) == set("01234"))
+        for phrase in ("S-pairs of each Buchberger run separately", "2^31 - 1",
+                       "internal invariant failed", "budget exhausted"):
+            assert phrase in epilog and phrase in readme, phrase

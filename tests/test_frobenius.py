@@ -28,16 +28,11 @@ from froblab import (
     nu_e,
     parse_gens,
     parse_poly,
-    q_bracket,
     q_ideal,
-    q_member,
-    q_power,
-    q_subset,
     sfr_witness_search,
 )
 from froblab.frobenius import recheck_splitting_witness
 from froblab.containment import xy_zk_setup
-from froblab.quotient import QuotientIdeal
 
 from conftest import random_ideal_in_max, random_monomial_ideal
 
@@ -83,14 +78,12 @@ class TestHypersurfaceIe:
         ring = make_ring(5, ["x", "y", "z"])
         R = HypersurfaceRing(ring, parse_poly(ring, "x*y - z^2"))
         Ie = Ie_maximal(R, 1)
-        assert not q_member(Polynomial.one(ring), Ie)
+        assert not ideal_member(Polynomial.one(ring), Ie)
 
     def test_unit_input(self):
         ring = make_ring(5, ["x", "y", "z"])
         R = HypersurfaceRing(ring, parse_poly(ring, "x*y - z^2"))
-        from froblab import q_unit
-
-        Ie = hypersurface_Ie(R, q_unit(R), 1)
+        Ie = hypersurface_Ie(R, Ideal.unit(R), 1)
         assert not Ie.is_proper()
 
     def test_bracket_always_inside(self):
@@ -98,7 +91,7 @@ class TestHypersurfaceIe:
             R, Q, _ = xy_zk_setup(p, k)
             for e in (1, 2):
                 Ie = hypersurface_Ie(R, Q, e)
-                ok, _ = q_subset(q_bracket(Q, e), Ie)
+                ok, _ = ideal_subset(bracket_power(Q, e), Ie)
                 assert ok
 
     def test_regular_case_reduces_to_bracket(self):
@@ -116,7 +109,7 @@ class TestHypersurfaceIe:
                     Ie = hypersurface_Ie(R, Q, e)
                     expected = Ideal(
                         ring,
-                        [g.frobenius(e) for g in Q.named_gens] + [w],
+                        [g.frobenius(e) for g in Q.gens] + [w],
                     )
                     assert ideal_equal(Ie.preimage, expected)
 
@@ -141,10 +134,8 @@ class TestFpureQuotient:
 
     def test_unit_rejected(self):
         R, _, _ = xy_zk_setup(5, 2)
-        from froblab import q_unit
-
         with pytest.raises(ValueError, match="proper"):
-            is_fpure_quotient(R, q_unit(R))
+            is_fpure_quotient(R, Ideal.unit(R))
 
     def test_refuted_needs_finite_pd(self):
         ring = make_ring(5, ["x", "y", "z"])
@@ -262,10 +253,8 @@ class TestNuAndFpt:
         value = nu_e(m, 1)
         Ie_m = Ie_maximal(R, 1)
         r_scan, current = 1, m
-        from froblab import q_power
-
         while True:
-            ok, _ = q_subset(q_power(m, r_scan), Ie_m)
+            ok, _ = ideal_subset(ideal_power(m, r_scan), Ie_m)
             if ok:
                 break
             r_scan += 1
@@ -299,11 +288,9 @@ class TestNuClosedForms:
 
 def _reference_nu(I, e):
     """nu_e by building I^r for r = 1, 2, ... until it lands inside I_e(m)."""
-    quotient = isinstance(I, QuotientIdeal)
-    power, subset = (q_power, q_subset) if quotient else (ideal_power, ideal_subset)
     target = Ie_maximal(I.ring, e)
     r = 1
-    while not subset(power(I, r), target)[0]:
+    while not ideal_subset(ideal_power(I, r), target)[0]:
         r += 1
         assert r <= 100, "reference scan did not terminate"
     return r - 1

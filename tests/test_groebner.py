@@ -24,9 +24,10 @@ from froblab import (
     normal_form,
     parse_gens,
     parse_poly,
+    poly_divide_exact,
 )
 from froblab.groebner import last_escaping_power
-from froblab.rings import EXPONENT_LIMIT, mono_div, mono_lcm
+from froblab.rings import EXPONENT_LIMIT, mono_div, mono_lcm, mono_mul
 from conftest import random_ideal, random_ideal_in_max, random_monomial_ideal, random_poly
 
 
@@ -397,3 +398,65 @@ class TestOwnedObjects:
         assert ideal_power(I, 0).groebner_basis().is_unit()
         G = cube.groebner_basis()
         assert ideal_power(I, 3).groebner_basis() is G
+
+
+def reference_divide_exact(f, g):
+    """Exact division on exponent tuples, as it ran before the packed kernel
+    took it over: the reference for poly_divide_exact."""
+    ring = f.ring
+    p = ring.p
+    lm_g, lc_g = g.terms[0]
+    inv = pow(lc_g, p - 2, p)
+    rest = dict(f.terms)
+    out = []
+    while rest:
+        m = max(rest, key=ring.key)
+        c = rest[m]
+        q = mono_div(m, lm_g)
+        if q is None:
+            raise ArithmeticError("inexact polynomial division (internal bug signal)")
+        qc = (c * inv) % p
+        out.append((q, qc))
+        for m2, c2 in g.terms:
+            mm = mono_mul(q, m2)
+            v = (rest.get(mm, 0) - qc * c2) % p
+            if v:
+                rest[mm] = v
+            else:
+                rest.pop(mm, None)
+    return Polynomial(ring, out)
+
+
+class TestExactDivision:
+    """poly_divide_exact on packed terms against the tuple reference."""
+
+    @pytest.mark.parametrize("order,blocks", TestMonomialBases.RINGS)
+    def test_agrees_with_tuple_reference(self, order, blocks):
+        rng = random.Random(f"divide {order}")
+        for trial in range(40):
+            ring = make_ring([2, 3, 5, 7][trial % 4], ["x", "y", "z", "w"], order, blocks)
+            f = random_poly(ring, rng, max_deg=4, max_terms=5)
+            g = random_poly(ring, rng, max_deg=3, max_terms=3, nonzero=True)
+            assert poly_divide_exact(f * g, g) == f
+            # an arbitrary dividend, and a product knocked off by one term
+            for h in (random_poly(ring, rng, max_deg=5, max_terms=6),
+                      f * g + random_poly(ring, rng, max_deg=5, max_terms=1)):
+                try:
+                    expected = reference_divide_exact(h, g)
+                except ArithmeticError:
+                    with pytest.raises(ArithmeticError, match="inexact"):
+                        poly_divide_exact(h, g)
+                else:
+                    assert poly_divide_exact(h, g) == expected
+
+    @pytest.mark.parametrize("order,blocks", [
+        ("lex", None), ("grevlex", None), ("block", (("x",), ("y",))),
+    ])
+    def test_product_term_past_the_limit_is_inexact(self, order, blocks):
+        # the quotient's first term y^LIMIT times y leaves the exponent range
+        ring = make_ring(5, ["x", "y"], order, blocks)
+        f = Polynomial.monomial(ring, (2, EXPONENT_LIMIT))
+        g = parse_poly(ring, "x^2 + y")
+        for divide in (poly_divide_exact, reference_divide_exact):
+            with pytest.raises(ArithmeticError, match="inexact"):
+                divide(f, g)

@@ -30,7 +30,13 @@ from froblab import (
     saturate,
 )
 from froblab.idealops import monomials_up_to
-from conftest import random_ideal, random_monomial_ideal, random_poly
+from conftest import (
+    assert_minimal_ascending,
+    iterated_colon_saturate,
+    random_ideal,
+    random_monomial_ideal,
+    random_poly,
+)
 
 
 class TestSumProductPower:
@@ -136,12 +142,14 @@ class TestIntersect:
 
     def test_agrees_with_lcm_oracle(self):
         rng = random.Random(61)
-        for p in (2, 5):
-            ring = make_ring(p, ["x", "y", "z"])
+        for p, order in ((2, "grevlex"), (5, "grevlex"), (2, "lex"), (5, "lex")):
+            ring = make_ring(p, ["x", "y", "z"], order=order)
             for _ in range(10):
                 I = random_monomial_ideal(ring, rng)
                 J = random_monomial_ideal(ring, rng)
-                assert ideal_equal(ideal_intersect(I, J), monomial_intersect(I, J))
+                meet = monomial_intersect(I, J)
+                assert ideal_equal(ideal_intersect(I, J), meet)
+                assert_minimal_ascending(meet)
 
 
 class TestColon:
@@ -238,8 +246,8 @@ class TestSaturate:
             if not gens:
                 continue
             I = Ideal(ring, gens)
-            fast, s_fast = saturate(I, z, fast=True)
-            slow, s_slow = saturate(I, z, fast=False)
+            fast, s_fast = saturate(I, z)
+            slow, s_slow = iterated_colon_saturate(I, z)
             assert ideal_equal(fast, slow)
             assert s_fast == s_slow
 

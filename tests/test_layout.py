@@ -1,0 +1,56 @@
+"""Import lint over the package sources: every imported name is used, and
+only rings (which defines them) and the membership oracle in idealops touch
+the mono_* exponent-tuple helpers; the kernel works on packed monomials."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "froblab"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+# (module, function) allowed to use a mono_* helper: the independent oracle
+MONO_USERS = {("idealops", "brute_membership_oracle")}
+
+
+def imported_names(tree):
+    """(bound name, imported name) for every import in the module."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if alias.name != "*" and not (
+                    isinstance(node, ast.ImportFrom) and node.module == "__future__"
+                ):
+                    yield (alias.asname or alias.name).split(".")[0], alias.name
+
+
+def loaded_names(tree):
+    return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_import_is_used(path):
+    tree = ast.parse(path.read_text())
+    used = loaded_names(tree)
+    unused = sorted(bound for bound, _ in imported_names(tree) if bound not in used)
+    assert unused == [], f"{path.name} imports names it never uses: {unused}"
+
+
+def mono_uses(node):
+    return [n.id for n in ast.walk(node) if isinstance(n, ast.Name) and n.id.startswith("mono_")]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.stem != "rings"], ids=lambda p: p.stem
+)
+def test_mono_helpers_stay_out_of_the_kernel(path):
+    tree = ast.parse(path.read_text())
+    imported = {name for _, name in imported_names(tree) if name.startswith("mono_")}
+    allowed = [
+        use
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and (path.stem, node.name) in MONO_USERS
+        for use in mono_uses(node)
+    ]
+    assert imported <= set(allowed), f"{path.name} imports {sorted(imported - set(allowed))}"
+    assert len(mono_uses(tree)) == len(allowed), f"{path.name} uses mono_* outside the oracle"
