@@ -46,9 +46,11 @@ EXIT_INTERNAL = 4
 
 def _budget_from_env():
     raw = os.environ.get("FROBLAB_MAX_PAIRS")
-    if raw:
-        return GroebnerBudget(max_pairs=int(raw))
-    return None
+    if not raw:
+        return None
+    if not (raw.isascii() and raw.isdigit() and int(raw) > 0):
+        raise ValueError(f"FROBLAB_MAX_PAIRS must be a positive integer, not {raw!r}")
+    return GroebnerBudget(max_pairs=int(raw))
 
 
 def _emit(out, text):
@@ -493,8 +495,9 @@ def build_parser():
         prog="froblab",
         description="Exact positive-characteristic containment checks over F_p",
         epilog=(
-            "Budgets: FROBLAB_MAX_PAIRS caps the S-pairs of each Buchberger run "
-            "separately, not a command's total work. "
+            "Budgets: FROBLAB_MAX_PAIRS, a positive integer, caps the S-pairs of "
+            "each Buchberger run separately (the pairs selected for reduction), "
+            "not a command's total work. "
             "Search depth defaults: e_max is 3 for p <= 5, 2 for p <= 13, 1 above. "
             "Exit codes: 0 ok, 1 expectation failed, 2 usage/parse error or an "
             "exponent past 2^31 - 1, 3 budget exhausted, 4 internal invariant failed."

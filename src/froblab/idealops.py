@@ -139,45 +139,32 @@ def _drop(poly, ring, pad):
     )
 
 
-def eliminate(I: Ideal, kill, budget=None) -> Ideal:
-    """I intersected with the subring avoiding the given variables.
+def _permute(poly, ring2, source):
+    """poly in ring2, whose i-th variable is poly's variable source[i]."""
+    return Polynomial(ring2, tuple((tuple(m[i] for i in source), c) for m, c in poly.terms))
 
-    The result is expressed in the original ring; its generators are free of
-    the eliminated variables.
+
+def eliminate(I: Ideal, kill, budget=None) -> Ideal:
+    """I's preimage in S (over S/(f) it contains f) intersected with the
+    subring avoiding the given variables: an ideal of S, its generators free
+    of the eliminated variables.
     """
+    ring = I.ring.ambient
     kill = tuple(kill)
     for v in kill:
-        I.ring.index(v)
-    if set(kill) == set(I.ring.variables):
+        ring.index(v)  # raises on an unknown variable
+    killed = [v for v in ring.variables if v in kill]
+    if len(killed) == ring.nvars:
         raise ValueError("cannot eliminate every variable")
-    if not kill:
-        return I
-    ring = I.ring
-    killed = [v for v in ring.variables if v in set(kill)]
-    keep = [v for v in ring.variables if v not in set(kill)]
-    ring2 = RingDescriptor(
-        ring.p, tuple(killed + keep), order="block", blocks=(tuple(killed), tuple(keep))
-    )
-    perm = [ring.index(v) for v in killed + keep]
-    nkill = len(killed)
-
-    def to2(f):
-        return Polynomial(
-            ring2, tuple((tuple(m[i] for i in perm), c) for m, c in f.terms)
-        )
-
-    inv = [0] * len(perm)
-    for pos, i in enumerate(perm):
-        inv[i] = pos
-
-    def back(f):
-        return Polynomial(
-            ring, tuple((tuple(m[inv[i]] for i in range(len(perm))), c) for m, c in f.terms)
-        )
-
-    G = Ideal(ring2, [to2(g) for g in I.gens]).groebner_basis(budget)
-    kept = [back(g) for g in G if all(g2 == 0 for m, _ in g.terms for g2 in m[:nkill])]
-    return Ideal(ring, kept)
+    if not killed:
+        return I.preimage
+    keep = [v for v in ring.variables if v not in kill]
+    ring2 = _extended_ring(RingDescriptor(ring.p, keep), killed)
+    to2 = [ring.index(v) for v in ring2.variables]
+    G = Ideal(ring2, [_permute(g, ring2, to2) for g in I.preimage_gens]).groebner_basis(budget)
+    back = [ring2.index(v) for v in ring.variables]
+    n = len(killed)
+    return Ideal(ring, [_permute(g, ring, back) for g in G if not any(any(m[:n]) for m, _ in g.terms)])
 
 
 def ideal_intersect(I: Ideal, J: Ideal, budget=None) -> Ideal:
@@ -431,7 +418,6 @@ def brute_membership_oracle(f: Polynomial, I: Ideal, cofactor_degree_bound: int)
     D = cofactor_degree_bound
     cof_monos = monomials_up_to(ring, D)
 
-    columns = []
     row_index = {}
     rows = []
 
@@ -452,7 +438,6 @@ def brute_membership_oracle(f: Polynomial, I: Ideal, cofactor_degree_bound: int)
             for m, c in g.terms:
                 entries.append((row_of(mono_mul(u, m)), c))
             col_data.append(entries)
-            columns.append(None)
 
     n_rows, n_cols = len(rows), len(col_data)
     if n_rows * n_cols > ORACLE_SIZE_CAP:

@@ -324,6 +324,14 @@ class TestErrorExits:
         assert err.startswith("error:") and message in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("value", ["abc", "-3", "0", "2.5", " 7"])
+    def test_bad_max_pairs_exit_2(self, value, monkeypatch, capsys):
+        monkeypatch.setenv("FROBLAB_MAX_PAIRS", value)
+        code = main(["fpt", "--ring", "F5[x,y]", "--ideal", "x,y", "--emax", "1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: FROBLAB_MAX_PAIRS must be a positive integer, not {value!r}\n"
+
     def test_internal_invariant_in_script_names_line(self, tmp_path, monkeypatch):
         module, attr, fake, _ = self.INVARIANTS["bracket power escaped I_e"]
         monkeypatch.setattr(f"{module}.{attr}", fake)

@@ -26,7 +26,8 @@ from froblab import (
     parse_poly,
     poly_divide_exact,
 )
-from froblab.groebner import last_escaping_power
+from froblab import groebner
+from froblab.groebner import DEFAULT_BUDGET, last_escaping_power
 from froblab.rings import EXPONENT_LIMIT, mono_div, mono_lcm, mono_mul
 from conftest import random_ideal, random_ideal_in_max, random_monomial_ideal, random_poly
 
@@ -365,6 +366,116 @@ class TestMonomialBases:
         assert Ideal(ring, [at_limit]).groebner_basis().elements == (at_limit,)
         with pytest.raises(ExponentOverflow):
             Ideal(ring, [at_limit, past]).groebner_basis()
+
+
+class TestF4:
+    """Homogeneous generators, two or more of them not monomials, go to F4.
+    Its basis must be the pair loop's, polynomials and packed reducers alike,
+    and sympy's; its budgets and overflow checks must fire as the pair loop's
+    do."""
+
+    @staticmethod
+    def engines(ring, gens, budget=DEFAULT_BUDGET):
+        return groebner._f4(ring, gens, budget), groebner._pair_loop(ring, gens, budget)
+
+    @staticmethod
+    def triangle(rng):
+        """Quadrics of F_5[x,y,z,w] leading at xy, yz and xz, so that all
+        three pairwise lcms are xyz; random tails below yz."""
+        ring = make_ring(5, ["x", "y", "z", "w"])
+        below = [(0, 0, 2, 0), (1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1), (0, 0, 0, 2)]
+        gens = [
+            Polynomial(ring, [(lead, 1)] + [(m, rng.randrange(1, 5)) for m in below
+                                            if rng.random() < 0.6])
+            for lead in [(1, 1, 0, 0), (0, 1, 1, 0), (1, 0, 1, 0)]
+        ]
+        return ring, gens
+
+    @staticmethod
+    def random_homogeneous(ring, rng):
+        """Two or three random forms of degree 1 to 3, up to three terms each."""
+        gens = []
+        for _ in range(rng.randrange(2, 4)):
+            degree = rng.randrange(1, 4)
+            terms = []
+            for _ in range(rng.randrange(1, 4)):
+                m = [0] * ring.nvars
+                for _ in range(degree):
+                    m[rng.randrange(ring.nvars)] += 1
+                terms.append((tuple(m), rng.randrange(1, ring.p)))
+            gens.append(Polynomial(ring, terms))
+        return [g for g in gens if g]
+
+    def test_triangle(self):
+        rng = random.Random("triangle")
+        past_degree_2 = 0
+        for _ in range(30):
+            ring, gens = self.triangle(rng)
+            (polys, reducers), (ref_polys, ref_reducers) = self.engines(ring, gens)
+            assert polys == ref_polys and reducers == ref_reducers, gens
+            assert Ideal(ring, gens).groebner_basis().elements == polys
+            past_degree_2 += any(g.degree() > 2 for g in polys)
+        assert past_degree_2 >= 20  # the pairs of lcm xyz matter
+
+    def test_triangle_equals_sympy(self):
+        rng = random.Random("triangle sympy")
+        for _ in range(6):
+            ring, gens = self.triangle(rng)
+            polys, _ = groebner._f4(ring, gens, DEFAULT_BUDGET)
+            assert polys == TestSympyAgreement.sympy_basis(Ideal(ring, gens), "grevlex"), gens
+
+    @pytest.mark.parametrize("order,blocks", TestMonomialBases.RINGS)
+    def test_random_homogeneous_equals_the_pair_loop(self, order, blocks):
+        rng = random.Random(f"f4 {order}")
+        for trial in range(30):
+            ring = make_ring([2, 3, 5, 7][trial % 4], ["x", "y", "z", "w"], order, blocks)
+            gens = self.random_homogeneous(ring, rng)
+            (polys, reducers), (ref_polys, ref_reducers) = self.engines(ring, gens)
+            assert polys == ref_polys and reducers == ref_reducers, gens
+
+    @pytest.mark.parametrize("order", ["lex", "grevlex"])
+    def test_random_homogeneous_equals_sympy(self, order):
+        rng = random.Random(f"f4 sympy {order}")
+        for trial in range(15):
+            ring = make_ring([2, 3, 5, 7][trial % 4], ["x", "y", "z", "w"], order)
+            gens = self.random_homogeneous(ring, rng)
+            polys, _ = groebner._f4(ring, gens, DEFAULT_BUDGET)
+            assert polys == TestSympyAgreement.sympy_basis(Ideal(ring, gens), order), gens
+
+    def test_engine_rule(self, monkeypatch):
+        ran = []
+        for name in ("_f4", "_pair_loop"):
+            engine = getattr(groebner, name)
+            monkeypatch.setattr(groebner, name, lambda r, g, b, n=name, e=engine: ran.append(n) or e(r, g, b))
+        ring = make_ring(5, ["x", "y", "z"])
+        cases = [
+            ("x*y - z^2, x*z + y^2", "_f4"),
+            ("x*y - z^2, x^3, y*z^2", "_pair_loop"),  # one generator not a monomial
+            ("x*y - z, x*z + y^2", "_pair_loop"),  # not homogeneous
+        ]
+        for text, engine in cases:
+            ran.clear()
+            Ideal(ring, parse_gens(ring, text)).groebner_basis()
+            assert ran == [engine], text
+
+    def test_budgets_fire(self):
+        # the quadrics alone fill a matrix of at least 4 columns, and the
+        # basis needs more than one pair
+        ring, gens = self.triangle(random.Random(0))
+        with pytest.raises(BudgetExceeded, match="1 S-pairs"):
+            Ideal(ring, gens).groebner_basis(GroebnerBudget(max_pairs=1))
+        with pytest.raises(BudgetExceeded, match="3 columns"):
+            Ideal(ring, gens).groebner_basis(GroebnerBudget(max_poly_terms=3))
+
+    def test_exponent_past_the_limit_raises(self):
+        # the pair's multiple y * (x*y^N) leaves the exponent range
+        N = EXPONENT_LIMIT
+        ring = make_ring(5, ["x", "y"])
+        gens = [Polynomial(ring, [((N, 1), 1), ((1, N), 1)]),
+                Polynomial(ring, [((N - 1, 2), 1), ((2, N - 1), 1)])]
+        for engine in (groebner._f4, groebner._pair_loop):
+            with pytest.raises(ExponentOverflow):
+                engine(ring, gens, DEFAULT_BUDGET)
 
 
 class TestOwnedObjects:

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from froblab import (
+    HypersurfaceRing,
     Ideal,
     PolyMatrix,
     Polynomial,
@@ -274,6 +275,17 @@ class TestEliminate:
     def test_noop_variable(self, F5xyz):
         I = Ideal(F5xyz, [Polynomial.variable(F5xyz, "x")])
         assert ideal_equal(eliminate(I, ["y"]), I)
+
+    @pytest.mark.parametrize("kill", [["z"], ["x"], ["x", "z"], []])
+    def test_over_S_mod_f_eliminates_the_preimage(self, F5xyz, kill):
+        f = parse_poly(F5xyz, "x*y - z^2")
+        R = HypersurfaceRing(F5xyz, f)
+        for text in ["x, z", "x + y, z^2", "y*z - x^2"]:
+            gens = parse_gens(F5xyz, text)
+            E = eliminate(Ideal(R, gens), kill)
+            assert E.ring == F5xyz
+            assert ideal_equal(E, eliminate(Ideal(F5xyz, gens + [f]), kill))
+            assert not any(any(m[F5xyz.index(v)] for v in kill) for g in E.gens for m, _ in g.terms)
 
     def test_cannot_eliminate_everything(self, F5xyz):
         I = Ideal(F5xyz, [Polynomial.variable(F5xyz, "x")])
