@@ -369,7 +369,7 @@ def cmd_sfr(args, out):
             _ideal_from_args(ring, hyper, g)
             for g in split_top_level(args.minimal_primes, ";")
         ]
-    e_max = args.emax or default_e_max(ring.p)
+    e_max = default_e_max(ring.p) if args.emax is None else args.emax
     verdict = sfr_witness_search(Q, cs, e_max, minimal_primes=primes,
                                  budget=_budget_from_env())
     for line in _verdict_report(verdict, args.json):
@@ -436,7 +436,7 @@ def cmd_containment(args, out):
 def cmd_fpt(args, out):
     ring, hyper = _session_from_args(args)
     I = _ideal_from_args(ring, hyper, args.ideal)
-    e_max = args.emax or default_e_max(ring.p)
+    e_max = default_e_max(ring.p) if args.emax is None else args.emax
     est = fpt_lower_bound(I, e_max, _budget_from_env())
     if args.json:
         _emit(out, json.dumps({

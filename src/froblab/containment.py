@@ -261,7 +261,7 @@ def check_fpt_containment(
     h = big_height(pd)
     diag = {}
     if fpt_floor == "auto":
-        est = fpt_lower_bound(I, e_max or default_e_max(I.ring.ambient.p), budget)
+        est = fpt_lower_bound(I, default_e_max(I.ring.ambient.p) if e_max is None else e_max, budget)
         floor = est.floor_lower_bound
         diag["nu_values"] = list(est.nu_values)
         diag["fpt_lower_bound"] = str(est.lower_bound)

@@ -240,8 +240,8 @@ def nu_e(I: Ideal, e: int, budget=None) -> int:
     still outside J are carried to level r+1, each as its nonzero normal form
     against J's preimage (for S/(f) it contains f), duplicates dropped; nu_e
     is r - 1 at the first level whose frontier is empty. A monomial I against
-    monomial preimage generators runs on packed monomials, where outside is a
-    guard-bit test. The pigeonhole bound m^(n(q-1)+1) <= m^[q] <= J caps r.
+    monomial preimage generators is scanned on numpy arrays of exponent keys.
+    The pigeonhole bound m^(n(q-1)+1) <= m^[q] <= J caps r.
     """
     if I.is_zero():
         raise ValueError("I must be nonzero")

@@ -5,8 +5,9 @@ containment reports) reduces to the three decision procedures here:
 ideal_member, ideal_subset, ideal_equal. last_escaping_power decides the
 containments I^r <= J for all r at once, which is what nu_e asks;
 absorbing_exponent, its variant from a given start, gives a saturation's
-stabilization exponent. poly_divide_exact is the exact division a colon
-ends with.
+stabilization exponent. elimination_basis is the elimination step of
+intersections and saturations; poly_divide_exact is the exact division a
+colon ends with.
 
 Each Ideal owns the objects computed from it, so that one check computes each
 of them once: its reduced Groebner basis, its preimage in S (the ideal itself
@@ -22,7 +23,8 @@ way out into canonical Polynomials. In between, multiplying monomials is an
 int add, divisibility a guard-bit test on a difference, and an exponent past
 EXPONENT_LIMIT raises ExponentOverflow instead of wrapping. Reduction keeps the
 working polynomial in a dict with a lazy max-heap of negated packed
-monomials; exact division runs on the same packed terms and heap.
+monomials; exact division runs on the same packed terms and heap. The monomial
+nu_e scan packs its own keys, fields as narrow as its cap allows, into numpy.
 
 Three engines compute a reduced basis; _buchberger picks one by the input.
 Monomial generators are a Groebner basis already (every S-polynomial is zero):
@@ -39,9 +41,10 @@ degree loses where xy - z^2 is the only generator not a monomial: script's
 60 such bases took 0.009 s in the pair loop and 0.034 s in F4, thresholds' 8
 took 0.015-0.018 s and 0.019-0.027 s. The eliminations (Rabinowitsch and t
 tricks) are inhomogeneous: 95% of the pair loop's time on script and
-thresholds, all of it on sweep. Both engines prune pairs by one Gebauer-Moller
-update (_Pairs). All tie-breaks are canonical, so runs are reproducible bit
-for bit.
+thresholds, all of it on sweep; of their bases only the part free of the
+eliminated block is inter-reduced and unpacked. Both engines prune pairs by
+one Gebauer-Moller update (_Pairs). All tie-breaks are canonical, so runs are
+reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceeded, RingMismatch
+from .errors import BudgetExceeded, ExponentOverflow, RingMismatch
 from .rings import EXPONENT_LIMIT, Polynomial
 
 
@@ -337,19 +340,35 @@ def poly_divide_exact(f: Polynomial, g: Polynomial) -> Polynomial:
 # ---------------------------------------------------------------------------
 
 
-def _buchberger(ring, gens, budget):
+def _buchberger(ring, gens, budget, front=0):
     """Reduced basis of (gens) as (polynomials, packed reducer triples):
     monomial generators take _minimal_monomials; homogeneous ones, two or more
-    of them not monomials, take _f4; the rest take _pair_loop."""
+    of them not monomials, take _f4; the rest take _pair_loop, then
+    _reduce_basis. With front > 0, only the elements whose leading monomial
+    avoids the first front variables are kept, reduced and unpacked."""
     gens = [g for g in gens if g]
     if not gens:
         return (), []
     polys = sum(len(g.terms) > 1 for g in gens)
     if not polys:
-        return _minimal_monomials(ring, [g.terms[0][0] for g in gens])
-    if polys > 1 and all(g.is_homogeneous() for g in gens):
-        return _f4(ring, gens, budget)
-    return _pair_loop(ring, gens, budget)
+        monos = [g.terms[0][0] for g in gens]
+        return _minimal_monomials(ring, [m for m in monos if not any(m[:front])])
+    homogeneous = polys > 1 and all(g.is_homogeneous() for g in gens)
+    basis = (_f4 if homogeneous else _pair_loop)(ring, gens, budget)
+    if front:
+        basis = [b for b in basis if not any(ring._packing.unpack(b[0])[:front])]
+    if not homogeneous:
+        basis = _reduce_basis(ring, basis, budget)
+    return _unpack_basis(ring, basis), basis
+
+
+def elimination_basis(ring, gens, budget=None):
+    """Reduced basis of (gens) ∩ F_p[rest] for a ring under the block order
+    [front | rest]: by the elimination theorem (Cox-Little-O'Shea §3.1), the
+    elements of the reduced basis of (gens) whose leading monomial avoids the
+    front block. Only rest-block leading monomials divide a rest-block
+    monomial, so the other elements are dropped before inter-reduction."""
+    return _buchberger(ring, gens, budget or DEFAULT_BUDGET, len(ring.blocks[0]))[0]
 
 
 class _Pairs:
@@ -411,7 +430,7 @@ class _Pairs:
 
 def _pair_loop(ring, gens, budget):
     """Buchberger's algorithm, one S-pair at a time under the normal strategy
-    (least lcm first), each reduced by _nf_terms; ends with _reduce_basis."""
+    (least lcm first), each reduced by _nf_terms; returns it not yet reduced."""
     basis = []  # packed reducer triples (lm, lc_inv=1, tail); all monic
     pairs = _Pairs(ring._packing, budget)
 
@@ -428,7 +447,7 @@ def _pair_loop(ring, gens, budget):
         h = _nf_terms(ring, _spoly_terms(ring, basis[i], basis[j], lcm), basis, budget)
         if h:
             add(_monic(ring, h))
-    return _reduce_basis(ring, basis, budget)
+    return basis
 
 
 def _f4(ring, gens, budget):
@@ -521,8 +540,7 @@ def _f4(ring, gens, budget):
             pairs.add(monos[-1][0], len(nz) == 1)
         del A, filled, reducers  # this degree's matrix and rows go before the next's
 
-    reduced = sorted((ms[0], 1, tuple(zip(ms[1:], cs[1:].tolist()))) for ms, cs in zip(monos, coefs))
-    return _unpack_basis(ring, reduced), reduced
+    return sorted((ms[0], 1, tuple(zip(ms[1:], cs[1:].tolist()))) for ms, cs in zip(monos, coefs))
 
 
 def _row_echelon(A, p):
@@ -561,9 +579,8 @@ def _minimal_monomials(ring, monos):
             packing.check(m)
         if all((m - k) & guards for k in kept):
             kept.append(m)
-    unpack = packing.unpack
-    polys = tuple(Polynomial(ring, ((unpack(m), 1),), canonical=True) for m in kept)
-    return polys, [(m, 1, ()) for m in kept]
+    reduced = [(m, 1, ()) for m in kept]
+    return _unpack_basis(ring, reduced), reduced
 
 
 def _spoly_terms(ring, fi, fj, lcm):
@@ -593,9 +610,8 @@ def _reduce_basis(ring, basis, budget):
     divides = ring._packing.divides
     kept = [b for i, b in enumerate(basis) if not any(
         j != i and divides(o[0], b[0]) and (o[0] != b[0] or j < i) for j, o in enumerate(basis))]
-    reduced = sorted((lm, 1, _nf_terms(ring, tail, kept[:k] + kept[k + 1:], budget))
-                     for k, (lm, _, tail) in enumerate(kept))
-    return _unpack_basis(ring, reduced), reduced
+    return sorted((lm, 1, _nf_terms(ring, tail, kept[:k] + kept[k + 1:], budget))
+                  for k, (lm, _, tail) in enumerate(kept))
 
 
 def _unpack_basis(ring, reduced):
@@ -657,8 +673,8 @@ def last_escaping_power(gens, J: Ideal, cap: int, budget=None):
     duplicates dropped. The scan ends at the first empty level. It reduces
     against J's cached reduced basis (for monomial generators of J's preimage,
     relations included, their minimal ones). When gens and that basis are all
-    monomials, a level is a set of packed monomials and "outside J" is a
-    guard-bit test against each basis monomial.
+    monomials, a level is a numpy array of exponent keys and "outside J" a
+    guard-bit test against each basis monomial (_last_escaping_monomial).
     """
     ring = J.ring.ambient
     budget = budget or DEFAULT_BUDGET
@@ -708,22 +724,36 @@ def _frontier_depth(ring, level, factors, basis, cap, budget):
 
 
 def _last_escaping_monomial(ring, factors, targets, cap):
-    """last_escaping_power on packed monomials: J is generated by targets."""
-    packing = ring._packing
-    guards = packing.guards
-    # up to level `safe` no exponent can pass EXPONENT_LIMIT
-    top = max((max(packing.unpack(m)) for m in factors), default=0)
-    safe = EXPONENT_LIMIT // top if top else cap
-    level = {0}
+    """last_escaping_power on monomials, J generated by targets. A level is a
+    sorted numpy array of distinct keys: exponents in fields one guard bit
+    wider than cap*top needs (top the largest factor exponent), int64 if they
+    fit, else Python ints. Outside J is (key - t) & guards != 0 for each target
+    t; a target with an exponent past cap*top divides nothing reachable."""
+    unpack = ring._packing.unpack
+    exps = list(map(unpack, factors))
+    top = max((max(e) for e in exps), default=0)
+    width = (cap * top).bit_length() + 1
+    shifts = [width * i for i in reversed(range(ring.nvars))]
+
+    def key(e):
+        return sum(x << s for x, s in zip(e, shifts))
+
+    dtype = np.int64 if width * ring.nvars <= 63 else object
+    guards = key([1 << (width - 1)] * ring.nvars)
+    over = key([((1 << width) - 1) & ~EXPONENT_LIMIT] * ring.nvars)  # past EXPONENT_LIMIT
+    step = np.array([key(e) for e in exps], dtype)
+    keys = [key(e) for e in map(unpack, targets) if max(e) <= cap * top]
+    level = np.zeros(1, dtype)
     for r in range(1, cap + 1):
-        level = {a + g for a in level for g in factors}
-        if r > safe:
-            for m in level:
-                if m & guards:
-                    packing.check(m)
-        for t in targets:
-            level = {m for m in level if (m - t) & guards}
-        if not level:
+        # a sorted run per factor, merged by a stable sort; duplicates adjacent
+        level = np.sort((step[:, None] + level).ravel(), kind="stable")
+        if r * top > EXPONENT_LIMIT and (level & over).any():
+            raise ExponentOverflow(f"exponent beyond {EXPONENT_LIMIT} in reduction")
+        keep = np.diff(level, prepend=-1) != 0
+        for t in keys:
+            keep &= (level - t) & guards != 0
+        level = level[keep]
+        if not level.size:
             return r - 1
     return None
 

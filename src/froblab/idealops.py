@@ -11,9 +11,10 @@ t*I + (1-t)*J); colons divide the intersection with a principal ideal exactly
 (groebner.poly_divide_exact); saturation by g eliminates t from I + (1 - t*g)
 (the Rabinowitsch trick), one Groebner basis, and recovers the stabilization
 exponent, the smallest s with g^s * sat inside I, by carrying normal forms
-modulo I as diagnostic data. Monomial intersections prune with the kernel's
-groebner._minimal_monomials. Only the membership oracle, the independent
-check, uses a mono_* exponent-tuple helper.
+modulo I as diagnostic data. Each elimination is one
+groebner.elimination_basis, which reduces only the part it keeps. Monomial
+intersections prune with the kernel's groebner._minimal_monomials. Only the
+membership oracle, the independent check, uses a mono_* exponent-tuple helper.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .groebner import (
     Ideal,
     _minimal_monomials,
     absorbing_exponent,
+    elimination_basis,
     poly_divide_exact,
 )
 from .rings import Polynomial, RingDescriptor, mono_mul
@@ -128,15 +130,11 @@ def _extended_ring(ring, front_vars):
 
 def _lift(poly, ring2, pad):
     zeros = (0,) * pad
-    return Polynomial(
-        ring2, tuple((zeros + m, c) for m, c in poly.terms), canonical=False
-    )
+    return Polynomial(ring2, tuple((zeros + m, c) for m, c in poly.terms), canonical=False)
 
 
 def _drop(poly, ring, pad):
-    return Polynomial(
-        ring, tuple((m[pad:], c) for m, c in poly.terms), canonical=False
-    )
+    return Polynomial(ring, tuple((m[pad:], c) for m, c in poly.terms), canonical=False)
 
 
 def _permute(poly, ring2, source):
@@ -161,10 +159,9 @@ def eliminate(I: Ideal, kill, budget=None) -> Ideal:
     keep = [v for v in ring.variables if v not in kill]
     ring2 = _extended_ring(RingDescriptor(ring.p, keep), killed)
     to2 = [ring.index(v) for v in ring2.variables]
-    G = Ideal(ring2, [_permute(g, ring2, to2) for g in I.preimage_gens]).groebner_basis(budget)
+    G = elimination_basis(ring2, [_permute(g, ring2, to2) for g in I.preimage_gens], budget)
     back = [ring2.index(v) for v in ring.variables]
-    n = len(killed)
-    return Ideal(ring, [_permute(g, ring, back) for g in G if not any(any(m[:n]) for m, _ in g.terms)])
+    return Ideal(ring, [_permute(g, ring, back) for g in G])
 
 
 def ideal_intersect(I: Ideal, J: Ideal, budget=None) -> Ideal:
@@ -181,8 +178,7 @@ def ideal_intersect(I: Ideal, J: Ideal, budget=None) -> Ideal:
     one_minus_t = Polynomial.one(ring2) - t
     gens2 = [t * _lift(g, ring2, 1) for g in A]
     gens2 += [one_minus_t * _lift(g, ring2, 1) for g in B]
-    G = Ideal(ring2, gens2).groebner_basis(budget)
-    kept = [_drop(g, ring, 1) for g in G if all(m[0] == 0 for m, _ in g.terms)]
+    kept = [_drop(g, ring, 1) for g in elimination_basis(ring2, gens2, budget)]
     return Ideal(I.ring, _sorted_canonical(ring, kept))
 
 
@@ -270,8 +266,7 @@ def _saturate_rabinowitsch(I: Ideal, g: Polynomial, budget):
     t = Polynomial.variable(ring2, ring2.variables[0])
     gens2 = [_lift(h, ring2, 1) for h in I.preimage_gens]
     gens2.append(Polynomial.one(ring2) - t * _lift(g, ring2, 1))
-    G = Ideal(ring2, gens2).groebner_basis(budget)
-    kept = [_drop(h, ring, 1) for h in G if all(m[0] == 0 for m, _ in h.terms)]
+    kept = [_drop(h, ring, 1) for h in elimination_basis(ring2, gens2, budget)]
     sat = Ideal(I.ring, _sorted_canonical(ring, kept))
     if ring.order == "grevlex":
         # the block order is grevlex inside the rest block, so the elimination

@@ -3,8 +3,16 @@ import random
 import pytest
 
 import froblab.idealops as idealops
-from froblab import Ideal, Polynomial, ideal_colon, ideal_equal, make_ring
-from froblab.rings import mono_divides
+from froblab import (
+    HypersurfaceRing,
+    Ideal,
+    Polynomial,
+    ideal_colon,
+    ideal_equal,
+    make_ring,
+    parse_poly,
+)
+from froblab.rings import EXPONENT_LIMIT, mono_divides
 
 
 @pytest.fixture
@@ -51,6 +59,21 @@ def random_ideal_in_max(ring, rng, **kwargs):
             return I
 
 
+def random_homogeneous(ring, rng):
+    """Two or three random forms of degree 1 to 3, up to three terms each."""
+    gens = []
+    for _ in range(rng.randrange(2, 4)):
+        degree = rng.randrange(1, 4)
+        terms = []
+        for _ in range(rng.randrange(1, 4)):
+            m = [0] * ring.nvars
+            for _ in range(degree):
+                m[rng.randrange(ring.nvars)] += 1
+            terms.append((tuple(m), rng.randrange(1, ring.p)))
+        gens.append(Polynomial(ring, terms))
+    return [g for g in gens if g]
+
+
 def random_monomial_ideal(ring, rng, max_gens=3, max_deg=3):
     gens = []
     for _ in range(rng.randrange(1, max_gens + 1)):
@@ -59,6 +82,15 @@ def random_monomial_ideal(ring, rng, max_gens=3, max_deg=3):
             m[rng.randrange(ring.nvars)] += 1
         gens.append(Polynomial.monomial(ring, tuple(m)))
     return Ideal(ring, gens)
+
+
+def rings(p):
+    """F_p[x,y,z] under grevlex and lex, and the cones F_p[x,y,z]/(xy - z^k)."""
+    for order in ("grevlex", "lex"):
+        yield make_ring(p, ["x", "y", "z"], order=order)
+    S = make_ring(p, ["x", "y", "z"])
+    for k in (2, 3):
+        yield HypersurfaceRing(S, parse_poly(S, f"x*y - z^{k}"))
 
 
 def iterated_colon_saturate(I, by):
@@ -81,3 +113,24 @@ def assert_minimal_ascending(I):
     assert all(g.terms == ((m, 1),) for g, m in zip(I.gens, monos)), I
     assert monos == sorted(set(monos), key=I.ring.key), I
     assert not any(a != b and mono_divides(a, b) for a in monos for b in monos), I
+
+
+def last_escaping_monomial_reference(ring, factors, targets, cap):
+    """Reference for groebner._last_escaping_monomial, on the ring's packed
+    monomials: each level a set of them, "outside J" a guard-bit test against
+    each target, exponents checked once they may pass EXPONENT_LIMIT."""
+    packing = ring._packing
+    guards = packing.guards
+    top = max((max(packing.unpack(m)) for m in factors), default=0)
+    safe = EXPONENT_LIMIT // top if top else cap
+    level = {0}
+    for r in range(1, cap + 1):
+        level = {a + g for a in level for g in factors}
+        if r > safe:
+            for m in level:
+                packing.check(m)
+        for t in targets:
+            level = {m for m in level if (m - t) & guards}
+        if not level:
+            return r - 1
+    return None

@@ -332,6 +332,23 @@ class TestErrorExits:
         assert code == 2
         assert err == f"error: FROBLAB_MAX_PAIRS must be a positive integer, not {value!r}\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["fpt", "--ring", "F5[x,y]", "--ideal", "x,y"],
+        ["sfr", "--ring", "F5[x,y]", "--ideal", "x", "--c", "1"],
+    ], ids=["fpt", "sfr"])
+    def test_emax_zero_exit_2(self, argv, capsys):
+        # 0 is a search depth, not "use the default"
+        assert main(argv + ["--emax", "0"]) == 2
+        assert capsys.readouterr().err == "error: e_max must be >= 1\n"
+
+    def test_emax_zero_in_script_names_line(self, tmp_path):
+        path = tmp_path / "script.flb"
+        path.write_text("ring F5[x,y,z]\nideal Q = x*y, x*z, y*z\n"
+                        "primes Q = (x, y); (x, z); (y, z)\ncheck fpt Q n=2 emax=0\n")
+        out = io.StringIO()
+        assert run_script(str(path), out=out, as_json=True) == 2
+        assert out.getvalue() == "error at line 4: e_max must be >= 1\n"
+
     def test_internal_invariant_in_script_names_line(self, tmp_path, monkeypatch):
         module, attr, fake, _ = self.INVARIANTS["bracket power escaped I_e"]
         monkeypatch.setattr(f"{module}.{attr}", fake)

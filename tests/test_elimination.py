@@ -1,0 +1,239 @@
+"""The kernel's elimination step (groebner.elimination_basis) against the
+t-free part of the full reduced basis on the extended ring, which is what
+intersections, colons, saturations and eliminations kept before it reduced
+only that part; and colons and saturations of monomial ideals against their
+combinatorial answer."""
+
+import itertools
+import random
+
+import pytest
+
+import froblab.groebner as groebner
+from froblab import (
+    Ideal,
+    Polynomial,
+    RingDescriptor,
+    eliminate,
+    ideal_colon,
+    ideal_equal,
+    ideal_intersect,
+    make_ring,
+    monomial_intersect,
+    parse_gens,
+    poly_divide_exact,
+    saturate,
+)
+from froblab.idealops import (
+    _aux_name,
+    _drop,
+    _extended_ring,
+    _lift,
+    _permute,
+    _saturate_rabinowitsch,
+    _sorted_canonical,
+)
+from froblab.rings import mono_divides
+from conftest import (
+    random_homogeneous,
+    random_ideal,
+    random_ideal_in_max,
+    random_monomial_ideal,
+    random_poly,
+    rings,
+)
+
+
+def t_free(ring2, gens2):
+    """The reference: the full reduced basis of (gens2) on a block ring,
+    restricted to the elements in which no front-block variable occurs."""
+    n = len(ring2.blocks[0])
+    G = Ideal(ring2, gens2).groebner_basis()
+    return tuple(g for g in G if not any(any(m[:n]) for m, _ in g.terms))
+
+
+RING_IDS = ["grevlex", "lex", "cone2", "cone3"]
+
+
+def t_ring(ring):
+    ring2 = _extended_ring(ring, [_aux_name(ring)])
+    return ring2, Polynomial.variable(ring2, ring2.variables[0])
+
+
+def intersect_reference(ring, A, B):
+    """Generators of (A) ∩ (B) in S: eliminate t from t*A + (1-t)*B."""
+    ring2, t = t_ring(ring)
+    gens2 = [t * _lift(g, ring2, 1) for g in A]
+    gens2 += [(Polynomial.one(ring2) - t) * _lift(g, ring2, 1) for g in B]
+    return _sorted_canonical(ring, [_drop(g, ring, 1) for g in t_free(ring2, gens2)])
+
+
+def colon_reference(I, g):
+    ring = I.ring.ambient
+    return [poly_divide_exact(h, g) for h in intersect_reference(ring, I.preimage_gens, [g])]
+
+
+def saturation_reference(I, g):
+    """The t-free part of the reduced basis of I's preimage + (1 - t*g)."""
+    ring = I.ring.ambient
+    ring2, t = t_ring(ring)
+    gens2 = [_lift(h, ring2, 1) for h in I.preimage_gens]
+    gens2.append(Polynomial.one(ring2) - t * _lift(g, ring2, 1))
+    return [_drop(h, ring, 1) for h in t_free(ring2, gens2)]
+
+
+class TestKernelStep:
+    # (front block, rest block) of F_p[a,b | x,y,z]-style rings
+    BLOCKS = [(("t",), ("x", "y", "z")), (("s", "t"), ("x", "y")), (("t",), ("x", "y"))]
+
+    @staticmethod
+    def random_gens(ring, rng, kind):
+        if kind == "monomial":
+            return list(random_monomial_ideal(ring, rng).gens)
+        if kind == "homogeneous":  # F4 computes these bases
+            return random_homogeneous(ring, rng)
+        return list(random_ideal(ring, rng, max_gens=3, max_deg=3).gens)
+
+    @pytest.mark.parametrize("kind", ["monomial", "homogeneous", "inhomogeneous"])
+    @pytest.mark.parametrize("blocks", BLOCKS, ids=["t|xyz", "st|xy", "t|xy"])
+    def test_equals_the_t_free_part(self, blocks, kind):
+        rng = random.Random(f"eliminate {blocks} {kind}")
+        kept = 0
+        for trial in range(25):
+            ring2 = make_ring([2, 3, 5, 7][trial % 4], blocks[0] + blocks[1], "block", blocks)
+            gens = self.random_gens(ring2, rng, kind)
+            got = groebner.elimination_basis(ring2, gens)
+            assert got == t_free(ring2, gens), gens
+            kept += len(got)
+        assert kept  # some elimination ideals are nonzero
+
+    def test_groebner_basis_on_a_block_ring_stays_full(self):
+        ring2 = make_ring(5, ["t", "x", "y"], "block", (("t",), ("x", "y")))
+        gens = parse_gens(ring2, "t*x - y, t*y - x, t^2 - 1")
+        full = Ideal(ring2, gens).groebner_basis()
+        kept = groebner.elimination_basis(ring2, gens)
+        assert any(g.lead_monomial()[0] for g in full)
+        assert kept == t_free(ring2, gens) and 0 < len(kept) < len(full)
+
+
+@pytest.mark.parametrize("R", list(rings(3)), ids=RING_IDS)
+class TestIdealOperations:
+    """Each operation's generators equal the reference's, element for element."""
+
+    def test_intersect(self, R):
+        rng = random.Random(11)
+        S = R.ambient
+        for _ in range(6):
+            I = Ideal(R, random_ideal(S, rng).gens)
+            J = Ideal(R, random_ideal(S, rng).gens)
+            assert list(ideal_intersect(I, J).gens) == intersect_reference(
+                S, I.preimage_gens, J.preimage_gens), (I, J)
+
+    def test_colon(self, R):
+        rng = random.Random(12)
+        S = R.ambient
+        for _ in range(6):
+            I = Ideal(R, random_ideal(S, rng).gens)
+            g = random_poly(S, rng, max_deg=2, max_terms=2, nonzero=True)
+            if g.is_constant():
+                continue
+            assert list(ideal_colon(I, g).gens) == colon_reference(I, g), (I, g)
+            J = Ideal(R, [g, random_poly(S, rng, max_deg=2, max_terms=2, nonzero=True)])
+            if any(h.is_constant() for h in J.gens) or len(J.gens) < 2:
+                continue
+            a, b = (Ideal(R, colon_reference(I, h)) for h in J.gens)
+            want = intersect_reference(S, a.preimage_gens, b.preimage_gens)
+            assert list(ideal_colon(I, J).gens) == want, (I, J)
+
+    def test_saturate(self, R):
+        rng = random.Random(13)
+        S = R.ambient
+        for _ in range(6):
+            I = Ideal(R, random_ideal_in_max(S, rng).gens)
+            g = random_poly(S, rng, max_deg=2, max_terms=2, nonzero=True)
+            want = saturation_reference(I, g)
+            sat = _saturate_rabinowitsch(I, g, None)
+            assert list(sat.gens) == _sorted_canonical(S, want), (I, g)
+            if S.order == "grevlex":
+                assert sat._gb.elements == tuple(want), (I, g)
+            if not (g.is_monomial() and g.degree() == 1):  # the grevlex shortcut
+                assert list(saturate(I, g)[0].gens) == list(sat.gens), (I, g)
+
+    def test_eliminate(self, R):
+        rng = random.Random(14)
+        S = R.ambient
+        for kill in (["x"], ["z"], ["x", "y"], ["y", "z"]):
+            I = Ideal(R, random_ideal(S, rng).gens)
+            keep = [v for v in S.variables if v not in kill]
+            ring2 = _extended_ring(RingDescriptor(S.p, keep), kill)
+            to2 = [S.index(v) for v in ring2.variables]
+            G = t_free(ring2, [_permute(g, ring2, to2) for g in I.preimage_gens])
+            back = [ring2.index(v) for v in S.variables]
+            assert eliminate(I, kill).gens == tuple(_permute(g, S, back) for g in G), (I, kill)
+
+
+def monomials(I):
+    return [g.lead_monomial() for g in I.gens]
+
+
+def colon_by_monomial(I, u):
+    """(I : u) = (m / gcd(m, u)) over the generators m of I."""
+    ring = I.ring
+    return Ideal(ring, [Polynomial.monomial(ring, tuple(max(a - b, 0) for a, b in zip(m, u)))
+                        for m in monomials(I)])
+
+
+def saturation_by_monomial(I, u):
+    """(I : u^∞): each generator with the variables of u struck out."""
+    ring = I.ring
+    return Ideal(ring, [Polynomial.monomial(ring, tuple(0 if b else a for a, b in zip(m, u)))
+                        for m in monomials(I)])
+
+
+def in_monomial_ideal(m, I):
+    return any(mono_divides(g, m) for g in monomials(I))
+
+
+def absorbing(sat, J, I):
+    """Smallest s with J^s * sat inside I, by products of generators."""
+    for s in itertools.count():
+        products = [tuple(map(sum, zip(v, *us)))
+                    for v in monomials(sat)
+                    for us in itertools.combinations_with_replacement(monomials(J), s)]
+        if all(in_monomial_ideal(m, I) for m in products):
+            return s
+
+
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+class TestMonomialCombinatorics:
+    """Colon and saturation of monomial ideals, computed by elimination, match
+    the combinatorial answer, the saturation's exponent included."""
+
+    def test_colon(self, order):
+        rng = random.Random(f"monomial colon {order}")
+        ring = make_ring(3, ["x", "y", "z"], order=order)
+        for _ in range(15):
+            I, J = random_monomial_ideal(ring, rng), random_monomial_ideal(ring, rng)
+            pieces = [colon_by_monomial(I, u) for u in monomials(J)]
+            want = pieces[0]
+            for piece in pieces[1:]:
+                want = monomial_intersect(want, piece)
+            assert ideal_equal(ideal_colon(I, J.gens[0]), pieces[0]), (I, J)
+            assert ideal_equal(ideal_colon(I, J), want), (I, J)
+
+    def test_saturate(self, order):
+        rng = random.Random(f"monomial saturate {order}")
+        ring = make_ring(3, ["x", "y", "z"], order=order)
+        for _ in range(15):
+            I = random_monomial_ideal(ring, rng, max_deg=4)
+            J = random_monomial_ideal(ring, rng, max_gens=2, max_deg=2)
+            u = J.gens[0]
+            sat, s = saturate(I, u)
+            want = saturation_by_monomial(I, u.lead_monomial())
+            assert ideal_equal(sat, want) and s == absorbing(want, Ideal(ring, [u]), I), (I, u)
+            pieces = [saturation_by_monomial(I, v) for v in monomials(J)]
+            want = pieces[0]
+            for piece in pieces[1:]:
+                want = monomial_intersect(want, piece)
+            sat, s = saturate(I, J)
+            assert ideal_equal(sat, want) and s == absorbing(want, J, I), (I, J)

@@ -29,7 +29,14 @@ from froblab import (
 from froblab import groebner
 from froblab.groebner import DEFAULT_BUDGET, last_escaping_power
 from froblab.rings import EXPONENT_LIMIT, mono_div, mono_lcm, mono_mul
-from conftest import random_ideal, random_ideal_in_max, random_monomial_ideal, random_poly
+from conftest import (
+    last_escaping_monomial_reference,
+    random_homogeneous,
+    random_ideal,
+    random_ideal_in_max,
+    random_monomial_ideal,
+    random_poly,
+)
 
 
 def spoly(f, g):
@@ -188,6 +195,71 @@ class TestLastEscapingPower:
             last_escaping_power([big], Ideal(r, [parse_poly(r, "y^2")]), 4)
         with pytest.raises(ExponentOverflow):
             last_escaping_power([big + parse_poly(r, "y")], Ideal(r, [parse_poly(r, "y^2")]), 4)
+
+
+class TestMonomialFrontier:
+    """The numpy scan of monomial levels against the set version it replaced,
+    kept in conftest as the reference."""
+
+    @staticmethod
+    def both(ring, factors, targets, cap):
+        pack = ring._packing.pack
+        args = (ring, [pack(m) for m in factors], [pack(m) for m in targets], cap)
+        got = groebner._last_escaping_monomial(*args)
+        assert got == last_escaping_monomial_reference(*args), (factors, targets, cap)
+        return got
+
+    @pytest.mark.parametrize("nvars", [2, 3, 4])
+    def test_random(self, nvars):
+        # pure powers make most J primary to the maximal ideal; exponents run
+        # up to two past the reach cap*top, so some targets divide nothing
+        rng = random.Random(f"frontier {nvars}")
+        ring = make_ring(5, ["x", "y", "z", "w"][:nvars])
+        seen = set()
+        for _ in range(60):
+            cap = rng.randrange(1, 9)
+            factors = [tuple(rng.randrange(4) for _ in range(nvars))
+                       for _ in range(rng.randrange(1, 4))]
+            reach = cap * max(map(max, factors))
+            targets = [tuple(rng.randrange(1, reach + 3) if j == i else 0 for j in range(nvars))
+                       for i in range(nvars) if rng.random() < 0.8]
+            targets += [tuple(rng.randrange(reach + 3) for _ in range(nvars))
+                        for _ in range(rng.randrange(3))]
+            seen.add(self.both(ring, factors, targets, cap))
+        assert None in seen and len(seen) > 4
+
+    def test_targets_beyond_reach(self):
+        ring = make_ring(5, ["x", "y"])
+        # x^10 is reached at level 10, x^11 never: x^11 must not stand in for x^10
+        assert self.both(ring, [(1, 0)], [(11, 0)], 10) is None
+        assert self.both(ring, [(1, 0), (0, 1)], [(11, 0), (0, 11)], 10) is None
+        assert self.both(ring, [(1, 1)], [(11, 0), (0, 4)], 10) == 3
+
+    def test_constant_factor(self):
+        ring = make_ring(5, ["x", "y", "z"])
+        # 1 lies in every power of (1, x), so none enters a proper J
+        assert self.both(ring, [(0, 0, 0), (1, 0, 0)], [(2, 0, 0)], 6) is None
+        # constants only: every field is one guard bit wide
+        assert self.both(ring, [(0, 0, 0)], [(1, 0, 0)], 6) is None
+
+    def test_no_factors(self):
+        ring = make_ring(5, ["x", "y"])
+        assert self.both(ring, [], [(1, 0)], 5) == 0
+        assert self.both(ring, [], [(1, 0)], 0) is None
+
+    def test_unit_J(self):
+        ring = make_ring(5, ["x", "y"])
+        assert self.both(ring, [(1, 0), (0, 2)], [(0, 0)], 5) == 0
+        assert self.both(ring, [(0, 0)], [(0, 0)], 5) == 0
+
+    def test_wide_fields(self):
+        # x^(2^20) with cap 12 needs 25-bit fields, 75 bits for three
+        # variables: the keys are Python ints. x^(4*2^20) * (yz)^6 is the last
+        # product outside (x^(5*2^20), y^7), at level 10
+        ring = make_ring(5, ["x", "y", "z"])
+        big = 2**20
+        assert self.both(ring, [(big, 0, 0), (0, 1, 1)], [(5 * big, 0, 0), (0, 7, 0)], 12) == 10
+        assert self.both(ring, [(big, 0, 0), (0, 1, 1)], [(5 * big, 0, 0), (0, 7, 0)], 10) is None
 
 
 class TestMembership:
@@ -376,7 +448,10 @@ class TestF4:
 
     @staticmethod
     def engines(ring, gens, budget=DEFAULT_BUDGET):
-        return groebner._f4(ring, gens, budget), groebner._pair_loop(ring, gens, budget)
+        """Both engines' reduced bases, as (polynomials, packed reducers)."""
+        f4 = groebner._f4(ring, gens, budget)
+        pair_loop = groebner._reduce_basis(ring, groebner._pair_loop(ring, gens, budget), budget)
+        return [(groebner._unpack_basis(ring, b), b) for b in (f4, pair_loop)]
 
     @staticmethod
     def triangle(rng):
@@ -390,21 +465,6 @@ class TestF4:
             for lead in [(1, 1, 0, 0), (0, 1, 1, 0), (1, 0, 1, 0)]
         ]
         return ring, gens
-
-    @staticmethod
-    def random_homogeneous(ring, rng):
-        """Two or three random forms of degree 1 to 3, up to three terms each."""
-        gens = []
-        for _ in range(rng.randrange(2, 4)):
-            degree = rng.randrange(1, 4)
-            terms = []
-            for _ in range(rng.randrange(1, 4)):
-                m = [0] * ring.nvars
-                for _ in range(degree):
-                    m[rng.randrange(ring.nvars)] += 1
-                terms.append((tuple(m), rng.randrange(1, ring.p)))
-            gens.append(Polynomial(ring, terms))
-        return [g for g in gens if g]
 
     def test_triangle(self):
         rng = random.Random("triangle")
@@ -421,7 +481,7 @@ class TestF4:
         rng = random.Random("triangle sympy")
         for _ in range(6):
             ring, gens = self.triangle(rng)
-            polys, _ = groebner._f4(ring, gens, DEFAULT_BUDGET)
+            polys = groebner._unpack_basis(ring, groebner._f4(ring, gens, DEFAULT_BUDGET))
             assert polys == TestSympyAgreement.sympy_basis(Ideal(ring, gens), "grevlex"), gens
 
     @pytest.mark.parametrize("order,blocks", TestMonomialBases.RINGS)
@@ -429,7 +489,7 @@ class TestF4:
         rng = random.Random(f"f4 {order}")
         for trial in range(30):
             ring = make_ring([2, 3, 5, 7][trial % 4], ["x", "y", "z", "w"], order, blocks)
-            gens = self.random_homogeneous(ring, rng)
+            gens = random_homogeneous(ring, rng)
             (polys, reducers), (ref_polys, ref_reducers) = self.engines(ring, gens)
             assert polys == ref_polys and reducers == ref_reducers, gens
 
@@ -438,8 +498,8 @@ class TestF4:
         rng = random.Random(f"f4 sympy {order}")
         for trial in range(15):
             ring = make_ring([2, 3, 5, 7][trial % 4], ["x", "y", "z", "w"], order)
-            gens = self.random_homogeneous(ring, rng)
-            polys, _ = groebner._f4(ring, gens, DEFAULT_BUDGET)
+            gens = random_homogeneous(ring, rng)
+            polys = groebner._unpack_basis(ring, groebner._f4(ring, gens, DEFAULT_BUDGET))
             assert polys == TestSympyAgreement.sympy_basis(Ideal(ring, gens), order), gens
 
     def test_engine_rule(self, monkeypatch):

@@ -28,16 +28,7 @@ from froblab import (
     saturate,
 )
 
-from conftest import iterated_colon_saturate, random_ideal, random_ideal_in_max, random_poly
-
-
-def rings(p):
-    """F_p[x,y,z] under grevlex and lex, and the cones F_p[x,y,z]/(xy - z^k)."""
-    for order in ("grevlex", "lex"):
-        yield make_ring(p, ["x", "y", "z"], order=order)
-    S = make_ring(p, ["x", "y", "z"])
-    for k in (2, 3):
-        yield HypersurfaceRing(S, parse_poly(S, f"x*y - z^{k}"))
+from conftest import iterated_colon_saturate, random_ideal, random_ideal_in_max, random_poly, rings
 
 
 def assert_matches_reference(I, by):
@@ -130,13 +121,13 @@ def record_runs(monkeypatch):
     run = groebner._buchberger
     saturate_code = idealops.saturate.__code__
 
-    def recorded(ring, gens, budget):
+    def recorded(ring, gens, budget, *front):
         frame, inside = sys._getframe(1), False
         while frame is not None and not inside:
             inside = frame.f_code is saturate_code
             frame = frame.f_back
         runs.append(((ring, tuple(sorted(g.monic().terms for g in gens))), inside))
-        return run(ring, gens, budget)
+        return run(ring, gens, budget, *front)
 
     monkeypatch.setattr(groebner, "_buchberger", recorded)
     return runs
