@@ -12,17 +12,13 @@ from .rings import (
     Polynomial,
     RingDescriptor,
     format_poly,
-    frob_pow,
     make_ring,
-    partial_derivative,
-    poly_arith,
 )
 from .parsing import parse_gens, parse_poly, parse_ring
 from .groebner import (
     GroebnerBasis,
     GroebnerBudget,
     Ideal,
-    groebner_basis,
     ideal_equal,
     ideal_member,
     ideal_subset,

@@ -9,13 +9,12 @@ invariant failed (an ArithmeticError other than ExponentOverflow).
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
 
 from .containment import (
-    DEFAULT_EXPONENT_CAP,
-    DEFAULT_Q_CAP,
     REGISTRY,
     check_fpt_containment,
     check_fpure_containment,
@@ -33,9 +32,15 @@ from .frobenius import (
 )
 from .groebner import GroebnerBudget, Ideal, ideal_subset
 from .parsing import parse_gens, parse_poly, parse_ring, split_top_level
-from .quotient import HypersurfaceRing, q_ideal
+from .quotient import HypersurfaceRing
 from .rings import format_poly
-from .symbolic import STRATEGIES, PrimeData, symbolic_power
+from .symbolic import (
+    STRATEGIES,
+    PrimeData,
+    is_squarefree_monomial,
+    primedata_for_squarefree,
+    symbolic_power,
+)
 
 EXIT_OK = 0
 EXIT_EXPECTATION = 1
@@ -149,21 +154,62 @@ class Session:
         return pd
 
     def raw_primedata(self, name):
+        """The prime data pieces declared so far for the ideal called name."""
+        self.get_ideal(name)
         raw = self.primedata.setdefault(name, {})
         if isinstance(raw, PrimeData):
             raise ParseError(f"prime data for {name!r} already finalized by a check")
         return raw
 
+    def make_ideals(self, body):
+        """One ideal per nonempty ';'-separated generator list."""
+        return [self.make_ideal(g) for g in split_top_level(body, ";") if g.strip()]
 
-def _parse_kv(parts):
-    args, flags = {}, []
-    for part in parts:
-        if "=" in part:
-            k, v = part.split("=", 1)
-            args[k.strip()] = v.strip()
-        else:
-            flags.append(part.strip())
-    return args, flags
+
+_ASSERTIONS = {"assert-fpure": "fpure", "assert-sfr": "sfr", "assert-finite-pd": "finite_pd"}
+
+_COMMON_KEYS = {"n": "n", "expect": "expected"}
+_CAP_KEYS = _COMMON_KEYS | {"cap": "exponent_cap"}
+_FPT_KEYS = _COMMON_KEYS | {"floor": "fpt_floor", "emax": "e_max"}
+_IE_KEYS = _COMMON_KEYS | {"e": "e", "cap": "q_cap"}
+
+
+def _run_check(session, rest):
+    # check tag -> (check function, use_jacobian, {script key: keyword it sets}).
+    # fpt picks its Jacobian variant from the ring. A key left out keeps the
+    # function's default; n has none, and the script's is 2. Built per call, so
+    # the check functions are looked up when they run and a wrapper put on this
+    # module's names (the benchmark's tracer) sees the call.
+    checks = {
+        "fpure": (check_fpure_containment, False, _CAP_KEYS),
+        "jacobian-fpure": (check_fpure_containment, True, _CAP_KEYS),
+        "sfr": (check_sfr_containment, False, _CAP_KEYS),
+        "jacobian-sfr": (check_sfr_containment, True, _CAP_KEYS),
+        "fpt": (check_fpt_containment, False, _FPT_KEYS),
+        "symbolic-ie": (check_symbolic_into_Ie, False, _IE_KEYS),
+    }
+    tag, _, argtext = rest.partition(" ")
+    if tag not in checks:
+        raise ParseError(f"unknown check tag {tag!r}")
+    check, use_jacobian, keys = checks[tag]
+    parts = argtext.split()
+    if not parts:
+        raise ParseError("check needs an ideal name")
+    kwargs = {"n": 2, "budget": session.budget}
+    if use_jacobian:
+        kwargs["use_jacobian"] = True
+    for part in parts[1:]:
+        key, eq, value = part.partition("=")
+        if not eq or key not in keys:
+            raise ParseError(f"check {tag} takes no argument {part!r}")
+        if key == "expect":
+            if value not in ("holds", "fails"):
+                raise ParseError(f"expect is holds or fails, not {value!r}")
+        elif key != "floor" or value != "auto":
+            value = int(value)
+        kwargs[keys[key]] = value
+    name = parts[0]
+    return check(session.get_ideal(name), session.primedata_for(name), **kwargs)
 
 
 def execute_statement(session: Session, line: str):
@@ -172,29 +218,21 @@ def execute_statement(session: Session, line: str):
         return
     head, _, rest = stripped.partition(" ")
     rest = rest.strip()
+    name, _, body = rest.partition("=")
+    name, body = name.strip(), body.strip()
 
     if head == "ring":
-        kv, flags = _parse_kv(rest.split())
-        decl = flags[0] if flags else rest
-        session.ring = parse_ring(decl)
-        return
-    if head == "hypersurface":
+        session.ring = parse_ring(rest)
+    elif head == "hypersurface":
         ring = session.need_ring()
         session.hyper = HypersurfaceRing(ring, parse_poly(ring, rest), reduced=True)
-        return
-    if head == "ideal":
-        name, _, gens_text = rest.partition("=")
-        name = name.strip()
+    elif head == "ideal":
         if not name.isidentifier():
             raise ParseError(f"bad ideal name {name!r}")
-        session.ideals[name] = session.make_ideal(gens_text.strip())
-        return
-    if head == "primes":
-        name, _, body = rest.partition("=")
-        name = name.strip()
-        session.get_ideal(name)
+        session.ideals[name] = session.make_ideal(body)
+    elif head == "primes":
         raw = session.raw_primedata(name)
-        tokens = body.strip().split()
+        tokens = body.split()
         kv = {}
         while tokens and "=" in tokens[-1]:
             key, _, value = tokens[-1].partition("=")
@@ -205,85 +243,25 @@ def execute_statement(session: Session, line: str):
             else:
                 raise ParseError(f"unknown primes argument {key!r}")
             tokens.pop()
-        body = " ".join(tokens)
-        groups = [g.strip() for g in split_top_level(body, ";") if g.strip()]
-        raw["primes"] = [session.make_ideal(g) for g in groups]
+        raw["primes"] = session.make_ideals(" ".join(tokens))
         raw.update(kv)
-        return
-    if head == "embedded":
-        name, _, body = rest.partition("=")
-        name = name.strip()
-        session.get_ideal(name)
-        raw = session.raw_primedata(name)
-        groups = [g.strip() for g in split_top_level(body.strip(), ";") if g.strip()]
-        raw["embedded"] = [session.make_ideal(g) for g in groups]
-        return
-    if head == "separator":
-        name, _, body = rest.partition("=")
-        name = name.strip()
-        session.get_ideal(name)
-        ring = session.need_ring()
-        raw = session.raw_primedata(name)
-        raw["separators"] = [
-            parse_poly(ring, g.strip()) for g in split_top_level(body.strip(), ";")
+    elif head == "embedded":
+        session.raw_primedata(name)["embedded"] = session.make_ideals(body)
+    elif head == "separator":
+        session.raw_primedata(name)["separators"] = [
+            parse_poly(session.ring, g.strip()) for g in split_top_level(body, ";")
         ]
-        return
-    if head in ("assert-fpure", "assert-sfr", "assert-finite-pd"):
-        name = rest.strip()
-        session.get_ideal(name)
-        raw = session.raw_primedata(name)
-        key = {"assert-fpure": "fpure", "assert-sfr": "sfr", "assert-finite-pd": "finite_pd"}[head]
-        raw[key] = True
-        return
-    if head == "check":
-        tag, _, argtext = rest.partition(" ")
-        parts = argtext.split()
-        if not parts:
-            raise ParseError("check needs an ideal name")
-        name = parts[0]
-        kv, _ = _parse_kv(parts[1:])
-        Q = session.get_ideal(name)
-        pd = session.primedata_for(name)
-        n = int(kv.get("n", 2))
-        expected = kv.get("expect", "holds")
-        cap = int(kv["cap"]) if "cap" in kv else None
-        common = dict(budget=session.budget, expected=expected)
-        exponent_cap = DEFAULT_EXPONENT_CAP if cap is None else cap
-        if tag == "fpure":
-            rep = check_fpure_containment(Q, pd, n, exponent_cap=exponent_cap, **common)
-        elif tag == "jacobian-fpure":
-            rep = check_fpure_containment(
-                Q, pd, n, use_jacobian=True, exponent_cap=exponent_cap, **common
-            )
-        elif tag == "sfr":
-            rep = check_sfr_containment(Q, pd, n, exponent_cap=exponent_cap, **common)
-        elif tag == "jacobian-sfr":
-            rep = check_sfr_containment(
-                Q, pd, n, use_jacobian=True, exponent_cap=exponent_cap, **common
-            )
-        elif tag == "fpt":
-            floor = kv.get("floor", "auto")
-            if floor != "auto":
-                floor = int(floor)
-            e_max = int(kv["emax"]) if "emax" in kv else None
-            rep = check_fpt_containment(Q, pd, n, fpt_floor=floor, e_max=e_max, **common)
-        elif tag == "symbolic-ie":
-            e = int(kv.get("e", 1))
-            q_cap = DEFAULT_Q_CAP if cap is None else cap
-            rep = check_symbolic_into_Ie(
-                Q, pd, n, e, budget=session.budget, q_cap=q_cap, expected=expected
-            )
-        else:
-            raise ParseError(f"unknown check tag {tag!r}")
-        session.reports.append(rep)
-        return
-    if head == "example":
+    elif head in _ASSERTIONS:
+        session.raw_primedata(rest)[_ASSERTIONS[head]] = True
+    elif head == "check":
+        session.reports.append(_run_check(session, rest))
+    elif head == "example":
         ex_id, _, argtext = rest.partition(" ")
-        kv, _ = _parse_kv(argtext.split())
+        kv = dict(part.split("=", 1) for part in argtext.split() if "=" in part)
         seed = int(kv.pop("seed", 0))
         session.reports.extend(run_example(ex_id, kv, seed=seed, budget=session.budget))
-        return
-    raise ParseError(f"unknown statement {head!r}")
+    else:
+        raise ParseError(f"unknown statement {head!r}")
 
 
 def run_script(path, out=sys.stdout, as_json=False, include_timings=False, budget=None):
@@ -332,10 +310,7 @@ def _session_from_args(args):
 
 
 def _ideal_from_args(ring, hyper, text):
-    gens = parse_gens(ring, text)
-    if hyper is not None:
-        return q_ideal(hyper, gens)
-    return Ideal(ring, gens)
+    return Ideal(hyper or ring, parse_gens(ring, text))
 
 
 def cmd_fedder(args, out):
@@ -351,7 +326,7 @@ def cmd_fpure(args, out):
     ring, hyper = _session_from_args(args)
     if hyper is None:
         raise ParseError("fpure needs --hypersurface (use fedder in a regular ring)")
-    Q = q_ideal(hyper, parse_gens(ring, args.ideal) if args.ideal else [])
+    Q = _ideal_from_args(ring, hyper, args.ideal)
     verdict = is_fpure_quotient(hyper, Q, e=args.e, finite_pd=args.finite_pd,
                                 budget=_budget_from_env())
     for line in _verdict_report(verdict, args.json):
@@ -378,8 +353,6 @@ def cmd_sfr(args, out):
 
 
 def cmd_symbolic(args, out):
-    from .symbolic import is_squarefree_monomial, primedata_for_squarefree
-
     ring, hyper = _session_from_args(args)
     I = _ideal_from_args(ring, hyper, args.ideal)
     pieces = {}
@@ -457,27 +430,11 @@ def cmd_example(args, out):
         k, _, v = item.partition("=")
         params[k] = v
     reports = run_example(args.id, params, seed=args.seed, budget=_budget_from_env())
-    lines = _report_lines(reports, args.json, args.timings)
-    text = "\n".join(lines)
-    _emit(out, text)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+    _emit(out, "\n".join(_report_lines(reports, args.json, args.timings)))
     return EXIT_OK if all(r.ok for r in reports) else EXIT_EXPECTATION
 
 
 def cmd_run(args, out):
-    if args.out:
-        import io
-
-        buffer = io.StringIO()
-        code = run_script(args.script, out=buffer, as_json=args.json,
-                          include_timings=args.timings, budget=_budget_from_env())
-        text = buffer.getvalue()
-        out.write(text)
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        return code
     return run_script(args.script, out=out, as_json=args.json,
                       include_timings=args.timings, budget=_budget_from_env())
 
@@ -578,10 +535,11 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # --out: the report stream is buffered, then goes to stdout and the file
+    out = io.StringIO() if getattr(args, "out", None) else sys.stdout
     try:
-        code = args.func(args, sys.stdout)
+        code = args.func(args, out)
     except BudgetExceeded as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
@@ -591,6 +549,10 @@ def main(argv=None):
     except ArithmeticError as exc:  # after ExponentOverflow, which is one too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    if out is not sys.stdout:
+        sys.stdout.write(out.getvalue())
+        with open(args.out, "w") as fh:
+            fh.write(out.getvalue())
     return code
 
 

@@ -124,17 +124,22 @@ def _finish(tag, params, ok, wit, lhs, rhs, expected, diag, t0, budget=None):
     )
 
 
-def _symbolic_inside_ordinary(Q, pd, sym_exp, n, jacobian_exponent, params, diag, budget):
-    """Q^(sym_exp), times J^jacobian_exponent unless that is None, against
-    Q^n: (ok, witness, lhs, rhs). When sym_exp == n, Q^n is the power
-    symbolic_power saturated, basis included."""
+def _skipped(tag, params, reason, expected="holds"):
+    return ContainmentReport(tag, params, "skipped", reason=reason, expected=expected)
+
+
+def _symbolic_inside_ordinary(tag, params, Q, pd, sym_exp, n, jacobian_exponent, expected,
+                              diag, t0, budget):
+    """The report on Q^(sym_exp), times J^jacobian_exponent unless that is
+    None, inside Q^n. When sym_exp == n, Q^n is the power symbolic_power
+    saturated, basis included."""
     lhs = symbolic_power(Q, sym_exp, pd, budget=budget, diag=diag)
     if jacobian_exponent is not None:
         lhs = jacobian_power_product(jacobian_ideal(Q.ring), jacobian_exponent, lhs)
         params["jacobian_exponent"] = jacobian_exponent
     rhs = ideal_power(Q, n)
     ok, wit = ideal_subset(lhs, rhs, budget)
-    return ok, wit, lhs, rhs
+    return _finish(tag, params, ok, wit, lhs, rhs, expected, diag, t0, budget)
 
 
 def _require_relations_for(Q, pd, use_jacobian):
@@ -170,19 +175,11 @@ def check_fpure_containment(
     tag = "jacobian-fpure-containment" if use_jacobian else "fpure-containment"
     params = {"n": n, "h": h, "symbolic_exponent": sym_exp}
     if exponent_cap is not None and sym_exp > exponent_cap:
-        return ContainmentReport(
-            tag,
-            params,
-            "skipped",
-            reason=f"symbolic exponent {sym_exp} exceeds "
-            f"{_cap_text(exponent_cap, DEFAULT_EXPONENT_CAP)}; pass exponent_cap to override",
-            expected=expected,
-        )
-    diag = {}
-    ok, wit, lhs, rhs = _symbolic_inside_ordinary(
-        Q, pd, sym_exp, n, n if use_jacobian else None, params, diag, budget
-    )
-    return _finish(tag, params, ok, wit, lhs, rhs, expected, diag, t0, budget)
+        cap = _cap_text(exponent_cap, DEFAULT_EXPONENT_CAP)
+        reason = f"symbolic exponent {sym_exp} exceeds {cap}; pass exponent_cap to override"
+        return _skipped(tag, params, reason, expected)
+    return _symbolic_inside_ordinary(tag, params, Q, pd, sym_exp, n, n if use_jacobian else None,
+                                     expected, {}, t0, budget)
 
 
 def check_sfr_containment(
@@ -219,23 +216,15 @@ def check_sfr_containment(
     if not require_assertions:
         params["hypotheses"] = "probe (assertions waived)"
     if exponent_cap is not None and sym_exp > exponent_cap:
-        return ContainmentReport(
-            tag,
-            params,
-            "skipped",
-            reason=f"symbolic exponent {sym_exp} exceeds "
-            f"{_cap_text(exponent_cap, DEFAULT_EXPONENT_CAP)}",
-            expected=expected,
-        )
-    diag = {}
-    ok, wit, lhs, rhs = _symbolic_inside_ordinary(
-        Q, pd, sym_exp, n, 2 * n - 2 if use_jacobian else None, params, diag, budget
-    )
+        cap = _cap_text(exponent_cap, DEFAULT_EXPONENT_CAP)
+        return _skipped(tag, params, f"symbolic exponent {sym_exp} exceeds {cap}", expected)
+    rep = _symbolic_inside_ordinary(tag, params, Q, pd, sym_exp, n,
+                                    2 * n - 2 if use_jacobian else None, expected, {}, t0, budget)
     if h == 2 and not use_jacobian:
         # Q^n <= Q^((n)) is automatic, so the subset verdict is the equality verdict
-        diag["equality_checked"] = True
-        diag["equality_holds"] = ok
-    return _finish(tag, params, ok, wit, lhs, rhs, expected, diag, t0, budget)
+        rep.diagnostics["equality_checked"] = True
+        rep.diagnostics["equality_holds"] = rep.verdict == "holds"
+    return rep
 
 
 def check_fpt_containment(
@@ -271,19 +260,14 @@ def check_fpt_containment(
     tag = "jacobian-fpt-containment" if use_jacobian else "fpt-containment"
     params = {"n": n, "h": h, "fpt_floor": floor, "symbolic_exponent": sym_exp}
     if sym_exp < 1:
-        return ContainmentReport(
-            tag, params, "skipped",
-            reason="floor at least h*n makes the symbolic exponent non-positive",
-            expected=expected,
-        )
-    ok, wit, lhs, rhs = _symbolic_inside_ordinary(
-        I, pd, sym_exp, n, n if use_jacobian else None, params, diag, budget
-    )
-    return _finish(tag, params, ok, wit, lhs, rhs, expected, diag, t0, budget)
+        reason = "floor at least h*n makes the symbolic exponent non-positive"
+        return _skipped(tag, params, reason, expected)
+    return _symbolic_inside_ordinary(tag, params, I, pd, sym_exp, n, n if use_jacobian else None,
+                                     expected, diag, t0, budget)
 
 
 def check_symbolic_into_Ie(
-    Q, pd: PrimeData, n: int, e: int, budget=None,
+    Q, pd: PrimeData, n: int, e: int = 1, budget=None,
     q_cap: int | None = DEFAULT_Q_CAP, expected: str = "holds",
 ) -> ContainmentReport:
     """Q^((q(h+n-1)-h+1)) ⊆ I_e(Q^((n))) with h = max_local_gens; the right
@@ -297,10 +281,8 @@ def check_symbolic_into_Ie(
     tag = "symbolic-into-ie"
     params = {"n": n, "e": e, "q": q, "h": h, "symbolic_exponent": sym_exp}
     if q_cap is not None and q > q_cap:
-        return ContainmentReport(
-            tag, params, "skipped",
-            reason=f"q = {q} exceeds {_cap_text(q_cap, DEFAULT_Q_CAP)}", expected=expected,
-        )
+        return _skipped(tag, params, f"q = {q} exceeds {_cap_text(q_cap, DEFAULT_Q_CAP)}",
+                        expected)
     diag = {}
     lhs = symbolic_power(Q, sym_exp, pd, budget=budget, diag=diag)
     base = symbolic_power(Q, n, pd, budget=budget, diag=diag)
@@ -522,14 +504,10 @@ def _run_xy_zk(params, seed=0, budget=None):
                 "paper-ambiguous; only the witness-level fact is encoded",
             ))
         else:
-            reports.append(
-                ContainmentReport(
-                    "jacobian-sharpness-witness",
-                    dict(base_params, ordinary_exponent=k * n),
-                    "skipped",
-                    reason="witness exponent (k-1)n-1 vanishes at this grid point",
-                )
-            )
+            reports.append(_skipped(
+                "jacobian-sharpness-witness", dict(base_params, ordinary_exponent=k * n),
+                "witness exponent (k-1)n-1 vanishes at this grid point",
+            ))
     return reports
 
 
@@ -579,7 +557,7 @@ def generic_determinantal_setup(p: int, size: int, d: int, seed: int, budget=Non
         attempts += 1
         log.info("degenerate determinantal draw (seed %s, attempt %s)", seed, attempts)
         if attempts > 5:
-            raise ArithmeticError("persistent degenerate draws; seed range unusable")
+            raise ValueError("persistent degenerate draws; seed range unusable")
     pd = PrimeData(
         primes=(I,),
         separators=(sep,),

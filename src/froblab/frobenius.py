@@ -65,7 +65,7 @@ def default_e_max(p: int) -> int:
     return 1
 
 
-def fedder_is_fpure(I: Ideal, m: Ideal | None = None, e: int = 1, budget=None) -> CriterionVerdict:
+def fedder_is_fpure(I: Ideal, e: int = 1, budget=None) -> CriterionVerdict:
     """Classical Fedder criterion in a regular ambient ring.
 
     Confirmed iff (I^[p^e] : I) is not contained in m^[p^e]; in the regular
@@ -73,11 +73,6 @@ def fedder_is_fpure(I: Ideal, m: Ideal | None = None, e: int = 1, budget=None) -
     is_fpure_quotient over S, where finite projective dimension is automatic.
     """
     ring = I.ring
-    if m is None:
-        m = maximal_ideal(ring)
-    expected = {Polynomial.variable(ring, v).terms for v in ring.variables}
-    if {g.terms for g in m.gens} != expected:
-        raise ValueError("m must be the ideal of all variables")
     if I.is_zero():
         raise ValueError("ideal must be nonzero")
     if not I.is_proper():

@@ -634,10 +634,6 @@ def _unpack_basis(ring, reduced):
 # ---------------------------------------------------------------------------
 
 
-def groebner_basis(I: Ideal, budget=None) -> GroebnerBasis:
-    return I.groebner_basis(budget)
-
-
 def ideal_member(f: Polynomial, I: Ideal, budget=None) -> bool:
     """f in I (for an ideal of S/(f), the class of f), decided by normal form
     against the cached reduced basis of I's preimage."""

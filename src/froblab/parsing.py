@@ -22,46 +22,29 @@ _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|(.))")
 _RING = re.compile(r"^\s*F_?(\d+)\s*\[([^\]]*)\]\s*(?::\s*(lex|grevlex))?\s*$")
 
 
+def _where(text, pos):
+    """Line and column, both from 1, of the offset pos in text."""
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
+
+
 class _Tokens:
     def __init__(self, text):
-        self.text = text
         self.items = []  # (kind, value, line, col)
-        line, col = 1, 1
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN.match(text, pos)
-            if not m or m.end() == pos:
-                break
-            ws = text[pos : m.start(1) if m.group(1) else (m.start(2) if m.group(2) else m.start(3))]
-            for ch in ws:
-                if ch == "\n":
-                    line += 1
-                    col = 1
-                else:
-                    col += 1
-            if m.group(1):
-                self.items.append(("num", m.group(1), line, col))
-                col += len(m.group(1))
-            elif m.group(2):
-                self.items.append(("name", m.group(2), line, col))
-                col += len(m.group(2))
-            else:
-                ch = m.group(3)
-                if not ch.isspace():
-                    self.items.append(("op", ch, line, col))
-                if ch == "\n":
-                    line += 1
-                    col = 1
-                else:
-                    col += 1
-            pos = m.end()
+        end = 0
+        # each match starts where the last ended; the scan stops at trailing newlines
+        for m in _TOKEN.finditer(text):
+            value = m.group(m.lastindex)
+            if not value.isspace():
+                kind = ("num", "name", "op")[m.lastindex - 1]
+                self.items.append((kind, value, *_where(text, m.start(m.lastindex))))
+            end = m.end()
         self.pos = 0
-        self.end_line, self.end_col = line, col
+        self.end = ("end", "", *_where(text, end))
 
     def peek(self):
         if self.pos < len(self.items):
             return self.items[self.pos]
-        return ("end", "", self.end_line, self.end_col)
+        return self.end
 
     def next(self):
         tok = self.peek()

@@ -510,25 +510,3 @@ def format_poly(f: Polynomial) -> str:
                 factors.append(f"{name}^{e}")
         parts.append("*".join(factors))
     return " + ".join(parts)
-
-
-def poly_arith(op, a, b):
-    """Dispatcher over {add, sub, mul, pow}; pow takes an int second argument."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "pow":
-        return a**b
-    raise ValueError(f"unknown operation {op}")
-
-
-def frob_pow(f: Polynomial, e: int) -> Polynomial:
-    """f^(p^e) via the Frobenius endomorphism; equals poly_arith pow at p^e."""
-    return f.frobenius(e)
-
-
-def partial_derivative(f: Polynomial, var: str) -> Polynomial:
-    return f.derivative(var)

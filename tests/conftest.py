@@ -12,6 +12,7 @@ from froblab import (
     make_ring,
     parse_poly,
 )
+from froblab.parsing import _TOKEN
 from froblab.rings import EXPONENT_LIMIT, mono_divides
 
 
@@ -134,3 +135,37 @@ def last_escaping_monomial_reference(ring, factors, targets, cap):
         if not level:
             return r - 1
     return None
+
+
+def tokens_reference(text):
+    """Reference for parsing._Tokens: positions by walking the whitespace
+    character by character. Returns (items, end token)."""
+    items, line, col, pos = [], 1, 1, 0
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if not m or m.end() == pos:
+            break
+        ws = text[pos : m.start(1) if m.group(1) else (m.start(2) if m.group(2) else m.start(3))]
+        for ch in ws:
+            if ch == "\n":
+                line += 1
+                col = 1
+            else:
+                col += 1
+        if m.group(1):
+            items.append(("num", m.group(1), line, col))
+            col += len(m.group(1))
+        elif m.group(2):
+            items.append(("name", m.group(2), line, col))
+            col += len(m.group(2))
+        else:
+            ch = m.group(3)
+            if not ch.isspace():
+                items.append(("op", ch, line, col))
+            if ch == "\n":
+                line += 1
+                col = 1
+            else:
+                col += 1
+        pos = m.end()
+    return items, ("end", "", line, col)

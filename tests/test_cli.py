@@ -228,6 +228,39 @@ check fpure I n=5{cap}
         report = json.loads(out.splitlines()[0])
         assert code == 1 and report["params"]["h"] == 1 and report["witness"] == "x"
 
+    def test_ring_declaration_may_hold_spaces(self, tmp_path):
+        script = SCRIPT_OK.replace("ring F5[x,y,z]", "ring F5[x, y, z]")
+        assert self.run_script_text(tmp_path, script) == self.run_script_text(tmp_path, SCRIPT_OK)
+
+    @pytest.mark.parametrize("check,params", [
+        ("check fpt Q n=2 floor=0 emax=1 expect=holds", {"fpt_floor": 0, "n": 2}),
+        ("check fpt Q floor=auto emax=1", {"fpt_floor": 0, "n": 2}),
+        ("check symbolic-ie Q n=1 e=1 cap=5 expect=holds", {"e": 1, "n": 1}),
+        ("check jacobian-sfr Q n=3 cap=3", {"symbolic_exponent": 3, "n": 3}),
+    ])
+    def test_check_keys_per_tag(self, tmp_path, check, params):
+        script = SCRIPT_OK.replace("assert-fpure Q", "assert-fpure Q\nassert-sfr Q")
+        code, out = self.run_script_text(
+            tmp_path, script.replace("check jacobian-fpure Q n=2", check), as_json=True
+        )
+        report = json.loads(out)
+        assert code == 0 and report["verdict"] == "holds"
+        assert params.items() <= report["params"].items()
+
+    def test_check_functions_are_looked_up_per_statement(self, tmp_path, monkeypatch):
+        # perfbench's tracer counts checks by patching the module's names
+        import froblab.cli
+
+        real, calls = froblab.cli.check_fpure_containment, []
+
+        def traced(*args, **kwargs):
+            calls.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(froblab.cli, "check_fpure_containment", traced)
+        assert self.run_script_text(tmp_path, SCRIPT_OK)[0] == 0
+        assert [call["use_jacobian"] for call in calls] == [True]
+
     def test_unknown_variable_exit_2(self, tmp_path):
         code, out = self.run_script_text(tmp_path, SCRIPT_BAD_NAME)
         assert code == 2 and "line 2" in out
@@ -267,6 +300,69 @@ check fpure I n=2
 """
         code, out = self.run_script_text(tmp_path, script)
         assert code == 3 and "budget" in out.lower()
+
+
+BATTERY_HEAD = """\
+ring F5[x,y,z]
+ideal I = x, y
+primes I = (x, y)
+assert-fpure I
+"""
+
+# (statement, a fragment of its one error line); each must exit 2
+DSL_ERRORS = [
+    ("ideal = x", "bad ideal name ''"),
+    ("primes I = (x) heights=a", "'a'"),
+    ("check fpure", "check needs an ideal name"),
+    ("check fpure I n=abc", "'abc'"),
+    ("example xy-zk p=abc", "'abc'"),
+    ("separator I =", "unexpected end of input"),
+    ("ideal I = x,,y", "unexpected end of input"),
+    ("ring F5[x,y,z] junk", "bad ring declaration: 'F5[x,y,z] junk'"),
+    ("check jacobian-fpure I nn=9 emax=4 junk", "check jacobian-fpure takes no argument 'nn=9'"),
+    ("check fpure I n=2 junk", "check fpure takes no argument 'junk'"),
+    ("check fpure I n=2 expect=maybe", "expect is holds or fails, not 'maybe'"),
+    ("check fpt I n=2 cap=4", "check fpt takes no argument 'cap=4'"),
+    ("check symbolic-ie I floor=1", "check symbolic-ie takes no argument 'floor=1'"),
+    ("example generic-determinantal d=2", "persistent degenerate draws"),
+]
+
+
+@pytest.mark.parametrize("statement,fragment", DSL_ERRORS, ids=[s for s, _ in DSL_ERRORS])
+def test_dsl_error_exits_2_with_one_line(statement, fragment, tmp_path, capsys):
+    path = tmp_path / "script.flb"
+    path.write_text(BATTERY_HEAD + statement + "\nideal J = x\n")
+    assert main(["run", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    (line,) = captured.out.splitlines()
+    assert line.startswith("error at line 5: ") and fragment in line, line
+
+
+@pytest.mark.parametrize("params", [["d=2"], ["size=1", "d=1"]])
+def test_degenerate_determinantal_parameters_exit_2(params, capsys):
+    argv = ["example", "generic-determinantal"]
+    for param in params:
+        argv += ["--param", param]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: persistent degenerate draws; seed range unusable\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["example", "xy-zk", "--param", "n=1", "--json"],
+    ["example", "xy-zk", "--param", "n=1"],
+    ["run", str(Path(__file__).resolve().parent / "golden" / "readme_script.flb"), "--json"],
+    ["run", "missing-script.flb"],
+], ids=["example-json", "example", "run", "run-error"])
+def test_out_file_holds_the_stdout_bytes(argv, tmp_path, capsys):
+    target = tmp_path / "out.txt"
+    code = main(argv + ["--out", str(target)])
+    captured = capsys.readouterr()
+    assert code == main(argv)
+    assert captured.out == capsys.readouterr().out == target.read_text()
+    assert captured.out and captured.err == ""
 
 
 class TestErrorExits:

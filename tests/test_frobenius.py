@@ -63,11 +63,6 @@ class TestFedderClassical:
         for I in cases:
             assert fedder_is_fpure(I, e=1).status == fedder_is_fpure(I, e=2).status
 
-    def test_requires_variable_ideal(self, F2xyz):
-        I = Ideal(F2xyz, parse_gens(F2xyz, "x*y"))
-        with pytest.raises(ValueError, match="all variables"):
-            fedder_is_fpure(I, m=I)
-
     def test_rejects_improper(self, F2xyz):
         with pytest.raises(ValueError, match="proper"):
             fedder_is_fpure(Ideal.unit(F2xyz))
