@@ -37,7 +37,6 @@ from .idealops import (
     ideal_sum,
     maximal_ideal,
     minors,
-    monomial_intersect,
     saturate,
 )
 from .quotient import HypersurfaceRing, q_ideal

@@ -9,6 +9,7 @@ invariant failed (an ArithmeticError other than ExponentOverflow).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
 import os
@@ -257,11 +258,25 @@ def execute_statement(session: Session, line: str):
         session.reports.append(_run_check(session, rest))
     elif head == "example":
         ex_id, _, argtext = rest.partition(" ")
-        kv = dict(part.split("=", 1) for part in argtext.split() if "=" in part)
+        kv = _example_params(ex_id, argtext.split(), ("seed",))
         seed = int(kv.pop("seed", 0))
         session.reports.extend(run_example(ex_id, kv, seed=seed, budget=session.budget))
     else:
         raise ParseError(f"unknown statement {head!r}")
+
+
+def _example_params(ex_id, words, extra=()):
+    """key=value words as a dict; a word without '=', or a key the example
+    (or extra) does not take, is an error naming it. The id is checked by
+    run_example."""
+    keys = (*REGISTRY[ex_id].defaults, *extra) if ex_id in REGISTRY else None
+    params = {}
+    for word in words:
+        key, eq, value = word.partition("=")
+        if keys is not None and (not eq or key not in keys):
+            raise ParseError(f"example {ex_id} takes no argument {word!r}")
+        params[key] = value
+    return params
 
 
 def run_script(path, out=sys.stdout, as_json=False, include_timings=False, budget=None):
@@ -425,10 +440,7 @@ def cmd_fpt(args, out):
 
 
 def cmd_example(args, out):
-    params = {}
-    for item in args.param or []:
-        k, _, v = item.partition("=")
-        params[k] = v
+    params = _example_params(args.id, args.param or [])
     reports = run_example(args.id, params, seed=args.seed, budget=_budget_from_env())
     _emit(out, "\n".join(_report_lines(reports, args.json, args.timings)))
     return EXIT_OK if all(r.ok for r in reports) else EXIT_EXPECTATION
@@ -536,23 +548,30 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    # --out: the report stream is buffered, then goes to stdout and the file
-    out = io.StringIO() if getattr(args, "out", None) else sys.stdout
+    # --out: the file is opened before the command runs, so that a path that
+    # cannot be written fails first; the report stream is buffered, then goes
+    # to stdout and the file
     try:
-        code = args.func(args, out)
-    except BudgetExceeded as exc:
-        print(f"budget exhausted: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except (ParseError, ValueError, ExponentOverflow) as exc:
+        sink = open(args.out, "w") if getattr(args, "out", None) else None
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ArithmeticError as exc:  # after ExponentOverflow, which is one too
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    if out is not sys.stdout:
-        sys.stdout.write(out.getvalue())
-        with open(args.out, "w") as fh:
-            fh.write(out.getvalue())
+    with sink or contextlib.nullcontext():
+        out = io.StringIO() if sink else sys.stdout
+        try:
+            code = args.func(args, out)
+        except BudgetExceeded as exc:
+            print(f"budget exhausted: {exc}", file=sys.stderr)
+            return EXIT_BUDGET
+        except (ParseError, ValueError, ExponentOverflow) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        except ArithmeticError as exc:  # after ExponentOverflow, which is one too
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INTERNAL
+        if sink:
+            sys.stdout.write(out.getvalue())
+            sink.write(out.getvalue())
     return code
 
 

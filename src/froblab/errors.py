@@ -14,9 +14,10 @@ class BudgetExceeded(RuntimeError):
 
 
 class ParseError(ValueError):
-    """Syntax or name error in the text DSL, with source position."""
+    """Syntax or name error in the text DSL; errors inside a piece of text
+    (a polynomial) carry their position in it, statement errors none."""
 
-    def __init__(self, message, line=1, col=1):
-        super().__init__(f"{message} (line {line}, column {col})")
+    def __init__(self, message, line=None, col=None):
+        super().__init__(message if line is None else f"{message} (line {line}, column {col})")
         self.line = line
         self.col = col

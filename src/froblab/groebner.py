@@ -26,23 +26,28 @@ working polynomial in a dict with a lazy max-heap of negated packed
 monomials; exact division runs on the same packed terms and heap. The monomial
 nu_e scan packs its own keys, fields as narrow as its cap allows, into numpy.
 
+Monomial ideals never leave packed ints. When every generator it works on is
+a monomial, idealops takes products here (_monomial_product: int adds),
+intersections (the minimal lcms of _minimal_monomials, as symbolic does) and
+colons by a monomial (_monomial_colon). Against a reduced basis of monomials,
+ideal_member and ideal_subset test each term for divisibility, no normal form.
+
 Three engines compute a reduced basis; _buchberger picks one by the input.
 Monomial generators are a Groebner basis already (every S-polynomial is zero):
-the reduced basis is their minimal ones (_minimal_monomials, which also prunes
-the monomial intersections of idealops and symbolic). Homogeneous generators,
-two or more of them not monomials, go to F4 (_f4): every pair of the lowest
-lcm degree is reduced at once, by numpy row reduction mod p. The rest go to
-the pair loop (_pair_loop): one S-pair at a time, least lcm first, each
-reduced by _nf_terms. The split is measured on the inputs of the benchmark's
-workloads (perfbench seed 0, repeated runs, 2-core x86, Python 3.11). F4 took
+the reduced basis is their minimal ones (_minimal_monomials). Homogeneous
+generators, two or more of them not monomials, go to F4 (_f4): every pair of
+the lowest lcm degree is reduced at once, by numpy row reduction mod p. The
+rest go to the pair loop (_pair_loop): one S-pair at a time, least lcm first,
+each reduced by _nf_terms. The split is measured on the inputs of the
+benchmark's workloads (perfbench seed 0, repeated runs, 2-core x86, Python 3.11). F4 took
 the 30 homogeneous bases of determinantal (I^n of 2x2 minors; I^3 has 10
 generators of ~460 terms) from 0.45-0.55 s to 0.09-0.12 s. Its fixed cost per
 degree loses where xy - z^2 is the only generator not a monomial: script's
 60 such bases took 0.009 s in the pair loop and 0.034 s in F4, thresholds' 8
 took 0.015-0.018 s and 0.019-0.027 s. The eliminations (Rabinowitsch and t
 tricks) are inhomogeneous: 95% of the pair loop's time on script and
-thresholds, all of it on sweep; of their bases only the part free of the
-eliminated block is inter-reduced and unpacked. Both engines prune pairs by
+thresholds (sweep, all monomials, never reaches it); of their bases only the
+part free of the eliminated block is inter-reduced and unpacked. Both engines prune pairs by
 one Gebauer-Moller update (_Pairs). All tie-breaks are canonical, so runs are
 reproducible bit for bit.
 """
@@ -55,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceeded, ExponentOverflow, RingMismatch
-from .rings import EXPONENT_LIMIT, Polynomial
+from .rings import EXPONENT_LIMIT, Polynomial, _packing_for
 
 
 @dataclass(frozen=True)
@@ -567,20 +572,66 @@ def _row_echelon(A, p):
     return A[:rank]
 
 
-def _minimal_monomials(ring, monos):
-    """Reduced basis of a monomial ideal without S-pairs: its minimal
-    generators, monic. Ascending packed order puts every divisor of a monomial
-    before it, so a monomial is kept when no kept one divides it."""
-    packing = ring._packing
-    guards = packing.guards
-    kept = []
-    for m in sorted(set(map(packing.pack, monos))):
-        if m & guards:
-            packing.check(m)
-        if all((m - k) & guards for k in kept):
-            kept.append(m)
-    reduced = [(m, 1, ()) for m in kept]
-    return _unpack_basis(ring, reduced), reduced
+def _minimal_monomials(ring, *factors):
+    """Reduced basis, as (polynomials, packed reducers), of the intersection
+    of the monomial ideals that the factors, lists of exponent tuples,
+    generate; of one factor, its minimal monomials, monic. The intersection is
+    generated by the lcms of one monomial from each factor (Miller-Sturmfels,
+    Combinatorial Commutative Algebra, ch. 1), taken factor by factor with
+    only the minimal ones carried on. They are taken and pruned on the lex
+    packing, whose ints are the exponent fields alone, and only the result is
+    packed in the ring's order. Ascending lex order, as every monomial order,
+    puts a divisor before its multiples, so a monomial is kept when no kept
+    one divides it; a divisor tends to sit close below, so the kept ones are
+    tried from the latest back. No factors give the zero ideal."""
+    lex = _packing_for(ring.nvars, "lex", None)
+    kept = None
+    for monos in factors:
+        packed = list(map(lex.pack, monos))
+        for m in packed:
+            lex.check(m)
+        if kept is not None:
+            packed = [lex.lcm(a, b) for a in kept for b in packed]
+        kept = []
+        for m in sorted(set(packed)):
+            for k in reversed(kept):
+                if not (m - k) & lex.guards:
+                    break
+            else:
+                kept.append(m)
+    pack = ring._packing.pack
+    exps = sorted((pack(e), e) for e in map(lex.unpack, kept or ()))
+    polys = tuple(Polynomial(ring, ((e, 1),), canonical=True) for _, e in exps)
+    return polys, [(m, 1, ()) for m, _ in exps]
+
+
+def _monomial_product(ring, A, B):
+    """The products a*b, a in A and b in B, of monomials: exact duplicates
+    dropped, ascending by (monomial, coefficient); None unless A and B are all
+    monomials. An exponent past EXPONENT_LIMIT raises ExponentOverflow."""
+    if any(len(g.terms) != 1 for g in (*A, *B)):
+        return None
+    p, packing = ring.p, ring._packing
+    a, b = ([(packing.pack(m), c) for ((m, c),) in (g.terms for g in gens)] for gens in (A, B))
+    products = sorted({(ma + mb, ca * cb % p) for ma, ca in a for mb, cb in b})
+    for m, _ in products:
+        packing.check(m)
+    return [Polynomial(ring, ((packing.unpack(m), c),), canonical=True) for m, c in products]
+
+
+def _monomial_colon(ring, gens, g):
+    """((gens) : g) for monomials: the minimal m/gcd(m, g), m in gens,
+    ascending, each times lc(g)^-1; None unless gens and g are all monomials.
+    An exponent of g or gens past EXPONENT_LIMIT raises ExponentOverflow."""
+    if any(len(h.terms) != 1 for h in (g, *gens)):
+        return None
+    for h in (g, *gens):
+        ring._packing.check(ring._packing.pack(h.terms[0][0]))
+    ((b, c),) = g.terms
+    quotients = [tuple(max(x - y, 0) for x, y in zip(h.terms[0][0], b)) for h in gens]
+    inv = pow(c, ring.p - 2, ring.p)
+    return [Polynomial(ring, ((h.terms[0][0], inv),), canonical=True)
+            for h in _minimal_monomials(ring, quotients)[0]]
 
 
 def _spoly_terms(ring, fi, fj, lcm):
@@ -636,27 +687,60 @@ def _unpack_basis(ring, reduced):
 
 def ideal_member(f: Polynomial, I: Ideal, budget=None) -> bool:
     """f in I (for an ideal of S/(f), the class of f), decided by normal form
-    against the cached reduced basis of I's preimage."""
+    against the cached reduced basis of I's preimage, or, when that basis is
+    all monomials, by divisibility of each term of f."""
     if f.ring != I.ring.ambient:
         raise RingMismatch("polynomial from a different ring")
     if not f:
         return True
     if not I.preimage_gens:
         return False
-    return not normal_form(f, I.groebner_basis(budget), budget)
+    G = I.groebner_basis(budget)
+    lms = _monomial_basis(G)
+    if lms is not None:
+        return _divisible(f, lms)
+    return not normal_form(f, G, budget)
 
 
 def ideal_subset(I: Ideal, J: Ideal, budget=None):
     """(True, None) when I is contained in J, else (False, witness generator).
 
-    The relations lie in both preimages, so only I's gens are tested.
+    The relations lie in both preimages, so only I's gens are tested. Against
+    a monomial basis each is tested term by term for divisibility.
     """
     if I.ring != J.ring:
         raise RingMismatch("ideals from different rings")
+    lms = _monomial_basis(J.groebner_basis(budget)) if I.gens and J.preimage_gens else None
     for g in I.gens:
-        if not ideal_member(g, J, budget):
+        if not (_divisible(g, lms) if lms is not None else ideal_member(g, J, budget)):
             return False, g
     return True, None
+
+
+def _monomial_basis(G):
+    """The packed leading monomials of a basis of monomials, else None."""
+    reducers = G._packed_reducers()
+    if any(tail for _, _, tail in reducers):
+        return None
+    return [lm for lm, _, _ in reducers]
+
+
+def _divisible(f, lms):
+    """f in the ideal of the packed monomials lms: each term of f has a
+    divisor among them. As in _nf_terms, a term past EXPONENT_LIMIT raises."""
+    packing = f.ring._packing
+    guards = packing.guards
+    terms = _pack_terms(f.ring, f.terms)
+    for m, _ in terms:
+        if m & guards:
+            packing.check(m)
+    for m, _ in terms:
+        for lm in lms:
+            if not (m - lm) & guards:
+                break
+        else:
+            return False
+    return True
 
 
 def last_escaping_power(gens, J: Ideal, cap: int, budget=None):

@@ -12,8 +12,13 @@ t*I + (1-t)*J); colons divide the intersection with a principal ideal exactly
 (the Rabinowitsch trick), one Groebner basis, and recovers the stabilization
 exponent, the smallest s with g^s * sat inside I, by carrying normal forms
 modulo I as diagnostic data. Each elimination is one
-groebner.elimination_basis, which reduces only the part it keeps. Monomial
-intersections prune with the kernel's groebner._minimal_monomials. Only the
+groebner.elimination_basis, which reduces only the part it keeps.
+
+When every generator an operation works on is a monomial, the kernel computes
+it on packed monomials, with the same result: products and powers by adding
+exponents, intersections by minimal pairwise lcms (the result keeps them as
+its basis), colons by a monomial g by the minimal m/gcd(m, g) times lc(g)^-1.
+Intersections and colons look at preimages, which over S/(f) hold f. Only the
 membership oracle, the independent check, uses a mono_* exponent-tuple helper.
 """
 
@@ -28,6 +33,8 @@ from .groebner import (
     GroebnerBasis,
     Ideal,
     _minimal_monomials,
+    _monomial_colon,
+    _monomial_product,
     absorbing_exponent,
     elimination_basis,
     poly_divide_exact,
@@ -68,8 +75,11 @@ def ideal_sum(I: Ideal, J: Ideal) -> Ideal:
 def ideal_product(I: Ideal, J: Ideal) -> Ideal:
     if I.ring != J.ring:
         raise RingMismatch("ideals from different rings")
-    gens = _dedup(a * b for a in I.gens for b in J.gens)
-    return Ideal(I.ring, _sorted_canonical(I.ring.ambient, gens))
+    ring = I.ring.ambient
+    gens = _monomial_product(ring, I.gens, J.gens)
+    if gens is None:
+        gens = _sorted_canonical(ring, _dedup(a * b for a in I.gens for b in J.gens))
+    return Ideal(I.ring, gens)
 
 
 def ideal_power(I: Ideal, n: int) -> Ideal:
@@ -165,13 +175,17 @@ def eliminate(I: Ideal, kill, budget=None) -> Ideal:
 
 
 def ideal_intersect(I: Ideal, J: Ideal, budget=None) -> Ideal:
-    """I ∩ J via eliminating t from t*I + (1-t)*J, on the preimages in S."""
+    """I ∩ J via eliminating t from t*I + (1-t)*J, on the preimages in S; for
+    monomial preimages, their minimal pairwise lcms."""
     if I.ring != J.ring:
         raise RingMismatch("ideals from different rings")
     ring = I.ring.ambient
     A, B = I.preimage_gens, J.preimage_gens
     if not A or not B:
         return Ideal(I.ring)
+    if all(g.is_monomial() for g in A + B):
+        polys, reduced = _minimal_monomials(ring, *([g.lead_monomial() for g in X] for X in (A, B)))
+        return Ideal(I.ring, polys).with_gb(GroebnerBasis(ring, polys, reduced))
     t_name = _aux_name(ring)
     ring2 = _extended_ring(ring, [t_name])
     t = Polynomial.variable(ring2, t_name)
@@ -184,12 +198,16 @@ def ideal_intersect(I: Ideal, J: Ideal, budget=None) -> Ideal:
 
 def _colon_single(I: Ideal, g: Polynomial, budget=None) -> Ideal:
     """(I : g) = (I ∩ (g)) divided exactly by g, with I's preimage intersected
-    with the principal ideal (g) of S (not of S/(f), whose preimage adds f)."""
+    with the principal ideal (g) of S (not of S/(f), whose preimage adds f);
+    for a monomial preimage and a monomial g, the kernel's quotients."""
     if not g:
         raise ValueError("colon by the zero polynomial")
     if g.is_constant():
         return Ideal(I.ring, I.gens)
     ring = I.ring.ambient
+    quotients = _monomial_colon(ring, I.preimage_gens, g)
+    if quotients is not None:
+        return Ideal(I.ring, quotients)
     meet = ideal_intersect(Ideal(ring, I.preimage_gens), Ideal(ring, [g]), budget)
     return Ideal(I.ring, [poly_divide_exact(h, g) for h in meet.gens])
 
@@ -474,23 +492,3 @@ def _consistent_mod_p(A, p, n_cols):
     tail = A[pivot_row:]
     bad = (tail[:, :-1] == 0).all(axis=1) & (tail[:, -1] != 0)
     return not bool(bad.any())
-
-
-# ---------------------------------------------------------------------------
-# monomial-ideal combinatorics (independent oracles + fast paths)
-# ---------------------------------------------------------------------------
-
-
-def is_monomial_ideal(I: Ideal) -> bool:
-    return all(g.is_monomial() for g in I.gens)
-
-
-def monomial_intersect(I: Ideal, J: Ideal) -> Ideal:
-    """Combinatorial intersection of monomial ideals by pairwise lcm; the
-    minimal ones generate it, in ascending ring order."""
-    if not (is_monomial_ideal(I) and is_monomial_ideal(J)):
-        raise ValueError("monomial_intersect needs monomial ideals")
-    if I.is_zero() or J.is_zero():
-        return Ideal(I.ring)
-    monos = [tuple(map(max, a.lead_monomial(), b.lead_monomial())) for a in I.gens for b in J.gens]
-    return Ideal(I.ring, _minimal_monomials(I.ring, monos)[0])

@@ -127,6 +127,14 @@ class _Packing:
     def divides(self, a, b):
         return not (b - a) & self.guards
 
+    def lcm(self, a, b):
+        """lcm of two monomials packed in lex order, whose ints are the exponent
+        fields alone. Per field, (a | guard) - b keeps the guard bit exactly
+        when a's exponent is the larger; the guard minus its shift down masks
+        that field of a, and b fills the rest."""
+        t = ((a | self.guards) - b) & self.guards
+        return b ^ ((a ^ b) & (t - (t >> (_FIELD_BITS - 1))))
+
     def check(self, packed):
         """Raise if an exponent of packed left the limit (its guard bit is set)."""
         if packed & self.guards:

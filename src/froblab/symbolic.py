@@ -8,7 +8,8 @@ verified here. Three strategies:
 
   * monomial_combinatorial — squarefree monomial ideals of S; intersect the
     n-th powers of the minimal covers by pairwise lcm, keeping the minimal
-    monomials (in ascending ring order) with the kernel's pruning.
+    monomials (in ascending ring order), all in the kernel on packed
+    monomials; the result keeps them as its reduced basis.
   * saturate_by_separator — a single listed prime; saturate the ordinary power
     by a separator lying in every other listed associated prime.
   * intersect_minimal_primes — radical unmixed ideals; intersect the per-prime
@@ -21,7 +22,7 @@ import itertools
 import logging
 from dataclasses import dataclass, field
 
-from .groebner import Ideal, _minimal_monomials, ideal_member, ideal_subset
+from .groebner import GroebnerBasis, Ideal, _minimal_monomials, ideal_member, ideal_subset
 from .idealops import ideal_intersect, ideal_power, ideal_product, saturate
 from .quotient import HypersurfaceRing
 from .rings import Polynomial
@@ -250,13 +251,9 @@ def _symbolic_monomial(I: Ideal, n: int, pd: PrimeData) -> Ideal:
                 raise ValueError("monomial strategy needs variable-generated primes")
             idx.add(m.index(1))
         var_sets.append(idx)
-    gens = None
-    for vs in var_sets:
-        monos = _monomial_power_gens(vs, n, ring.nvars)
-        if gens is not None:
-            monos = [tuple(map(max, g.lead_monomial(), b)) for g in gens for b in monos]
-        gens, _ = _minimal_monomials(ring, monos)
-    return Ideal(ring, gens)
+    powers = [_monomial_power_gens(vs, n, ring.nvars) for vs in var_sets]
+    polys, reduced = _minimal_monomials(ring, *powers)
+    return Ideal(ring, polys).with_gb(GroebnerBasis(ring, polys, reduced))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from froblab import (
     parse_poly,
 )
 from froblab.parsing import _TOKEN
-from froblab.rings import EXPONENT_LIMIT, mono_divides
+from froblab.rings import EXPONENT_LIMIT, mono_divides, mono_lcm
 
 
 @pytest.fixture
@@ -114,6 +114,15 @@ def assert_minimal_ascending(I):
     assert all(g.terms == ((m, 1),) for g, m in zip(I.gens, monos)), I
     assert monos == sorted(set(monos), key=I.ring.key), I
     assert not any(a != b and mono_divides(a, b) for a in monos for b in monos), I
+
+
+def lcm_intersect_reference(I, J):
+    """Reference for intersections of monomial ideals, on exponent tuples: the
+    minimal pairwise lcms of their generators, monic, in ascending ring order."""
+    ring = I.ring
+    lcms = {mono_lcm(a.lead_monomial(), b.lead_monomial()) for a in I.gens for b in J.gens}
+    minimal = [m for m in lcms if not any(d != m and mono_divides(d, m) for d in lcms)]
+    return Ideal(ring, [Polynomial.monomial(ring, m) for m in sorted(minimal, key=ring.key)])
 
 
 def last_escaping_monomial_reference(ring, factors, targets, cap):

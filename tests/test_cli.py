@@ -325,6 +325,8 @@ DSL_ERRORS = [
     ("check fpt I n=2 cap=4", "check fpt takes no argument 'cap=4'"),
     ("check symbolic-ie I floor=1", "check symbolic-ie takes no argument 'floor=1'"),
     ("example generic-determinantal d=2", "persistent degenerate draws"),
+    ("example xy-zk q=3 junk n=1", "example xy-zk takes no argument 'q=3'"),
+    ("example xy-zk n=1 junk", "example xy-zk takes no argument 'junk'"),
 ]
 
 
@@ -337,6 +339,36 @@ def test_dsl_error_exits_2_with_one_line(statement, fragment, tmp_path, capsys):
     assert captured.err == ""
     (line,) = captured.out.splitlines()
     assert line.startswith("error at line 5: ") and fragment in line, line
+
+
+@pytest.mark.parametrize("statement,line", [
+    ("check fpure J", "error at line 3: unknown ideal name 'J'"),
+    ("ideal J = x + + y", "error at line 3: unexpected '+' (line 1, column 5)"),
+], ids=["statement", "polynomial"])
+def test_dsl_error_names_one_position(statement, line, tmp_path):
+    # a statement error names the script line only; an error inside
+    # polynomial text adds its position in that text
+    path = tmp_path / "script.flb"
+    path.write_text(f"ring F5[x,y,z]\nideal I = x\n{statement}\n")
+    out = io.StringIO()
+    assert run_script(str(path), out=out) == 2
+    assert out.getvalue() == line + "\n"
+
+
+@pytest.mark.parametrize("param", ["bogus=3", "seed=3", "junk"])
+def test_unknown_example_parameter_exits_2(param, capsys):
+    assert main(["example", "xy-zk", "--param", "n=1", "--param", param]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: example xy-zk takes no argument {param!r}\n"
+
+
+def test_unwritable_out_path_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.txt"
+    assert main(["example", "xy-zk", "--param", "n=1", "--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not target.exists()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("params", [["d=2"], ["size=1", "d=1"]])

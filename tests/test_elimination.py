@@ -1,8 +1,9 @@
 """The kernel's elimination step (groebner.elimination_basis) against the
 t-free part of the full reduced basis on the extended ring, which is what
 intersections, colons, saturations and eliminations kept before it reduced
-only that part; and colons and saturations of monomial ideals against their
-combinatorial answer."""
+only that part; colons and saturations of monomial ideals against their
+combinatorial answer; and the packed monomial paths of products,
+intersections, colons and membership against the references they replace."""
 
 import itertools
 import random
@@ -11,6 +12,7 @@ import pytest
 
 import froblab.groebner as groebner
 from froblab import (
+    ExponentOverflow,
     Ideal,
     Polynomial,
     RingDescriptor,
@@ -18,9 +20,14 @@ from froblab import (
     ideal_colon,
     ideal_equal,
     ideal_intersect,
+    ideal_member,
+    ideal_power,
+    ideal_product,
+    ideal_subset,
     make_ring,
-    monomial_intersect,
+    normal_form,
     parse_gens,
+    parse_poly,
     poly_divide_exact,
     saturate,
 )
@@ -33,8 +40,9 @@ from froblab.idealops import (
     _saturate_rabinowitsch,
     _sorted_canonical,
 )
-from froblab.rings import mono_divides
+from froblab.rings import EXPONENT_LIMIT, mono_divides
 from conftest import (
+    lcm_intersect_reference,
     random_homogeneous,
     random_ideal,
     random_ideal_in_max,
@@ -217,7 +225,7 @@ class TestMonomialCombinatorics:
             pieces = [colon_by_monomial(I, u) for u in monomials(J)]
             want = pieces[0]
             for piece in pieces[1:]:
-                want = monomial_intersect(want, piece)
+                want = lcm_intersect_reference(want, piece)
             assert ideal_equal(ideal_colon(I, J.gens[0]), pieces[0]), (I, J)
             assert ideal_equal(ideal_colon(I, J), want), (I, J)
 
@@ -234,6 +242,140 @@ class TestMonomialCombinatorics:
             pieces = [saturation_by_monomial(I, v) for v in monomials(J)]
             want = pieces[0]
             for piece in pieces[1:]:
-                want = monomial_intersect(want, piece)
+                want = lcm_intersect_reference(want, piece)
             sat, s = saturate(I, J)
             assert ideal_equal(sat, want) and s == absorbing(want, J, I), (I, J)
+
+
+def random_monomials(ring, rng):
+    """Monomials with coefficients other than 1: now and then one monomial
+    twice under two coefficients, a multiple of another, or a constant."""
+    gens = []
+    for _ in range(rng.randrange(1, 5)):
+        m = [rng.randrange(3) for _ in range(ring.nvars)]
+        gens.append(Polynomial.monomial(ring, m, rng.randrange(1, ring.p)))
+        if rng.random() < 0.3:
+            gens.append(Polynomial.monomial(ring, m, rng.randrange(1, ring.p)))
+        if rng.random() < 0.3:
+            m[rng.randrange(ring.nvars)] += 1
+            gens.append(Polynomial.monomial(ring, m, rng.randrange(1, ring.p)))
+    if rng.random() < 0.1:
+        gens.append(Polynomial.constant(ring, rng.randrange(1, ring.p)))
+    rng.shuffle(gens)
+    return gens
+
+
+def product_reference(I, J):
+    """I*J's generators as Polynomial.__mul__ gives them: exact duplicates
+    dropped, ascending by leading monomial in ring order, then terms."""
+    ring = I.ring.ambient
+    products = {a * b for a in I.gens for b in J.gens}
+    return sorted(products, key=lambda g: (ring.key(g.lead_monomial()), g.terms))
+
+
+MONOMIAL_RINGS = [("lex", None), ("grevlex", None), ("block", (("x", "y"), ("z", "w")))]
+
+
+@pytest.mark.parametrize("order,blocks", MONOMIAL_RINGS, ids=["lex", "grevlex", "block"])
+class TestMonomialPaths:
+    """Monomial generators keep products, intersections, colons and
+    membership on packed monomials. Each equals, element for element, the
+    path it replaces: Polynomial products, the t-elimination with exact
+    division, and normal forms."""
+
+    @staticmethod
+    def ring(order, blocks, trial):
+        return make_ring([2, 3, 5, 7][trial % 4], ["x", "y", "z", "w"], order, blocks)
+
+    def test_product_and_power(self, order, blocks):
+        rng = random.Random(f"monomial product {order}")
+        for trial in range(30):
+            S = self.ring(order, blocks, trial)
+            I, J = Ideal(S, random_monomials(S, rng)), Ideal(S, random_monomials(S, rng))
+            assert list(ideal_product(I, J).gens) == product_reference(I, J), (I, J)
+            power = I
+            for n in (2, 3):
+                power = Ideal(S, product_reference(power, I))
+                assert ideal_power(I, n).gens == power.gens, (I, n)
+
+    def test_intersect(self, order, blocks):
+        rng = random.Random(f"monomial intersect {order}")
+        for trial in range(30):
+            S = self.ring(order, blocks, trial)
+            I, J = Ideal(S, random_monomials(S, rng)), Ideal(S, random_monomials(S, rng))
+            meet = ideal_intersect(I, J)
+            assert list(meet.gens) == intersect_reference(S, I.gens, J.gens), (I, J)
+            assert meet.groebner_basis() == Ideal(S, meet.gens).groebner_basis(), (I, J)
+
+    def test_colon(self, order, blocks):
+        rng = random.Random(f"monomial colon {order}")
+        for trial in range(30):
+            S = self.ring(order, blocks, trial)
+            I = Ideal(S, random_monomials(S, rng))
+            g = rng.choice(random_monomials(S, rng))
+            if not g.is_constant():
+                assert list(ideal_colon(I, g).gens) == colon_reference(I, g), (I, g)
+        # the quotients are scaled by lc(g)^-1: over F_3, 2^-1 = 2
+        S = self.ring(order, blocks, 1)
+        I = Ideal(S, parse_gens(S, "1, x*y, x*y*z"))
+        assert ideal_colon(I, parse_poly(S, "2*x*y")).gens == (Polynomial.constant(S, 2),)
+
+    def test_membership(self, order, blocks):
+        rng = random.Random(f"monomial membership {order}")
+        for trial in range(30):
+            S = self.ring(order, blocks, trial)
+            J = Ideal(S, random_monomials(S, rng))
+            G = J.groebner_basis()
+            members = [random_poly(S, rng, max_deg=2, max_terms=2, nonzero=True) * g
+                       for g in J.gens]
+            probes = members + [random_poly(S, rng, max_deg=5, max_terms=3) for _ in range(4)]
+            for f in probes:
+                assert ideal_member(f, J) == (not normal_form(f, G)), (f, J)
+            rng.shuffle(probes)
+            I = Ideal(S, probes)
+            witness = next((f for f in I.gens if normal_form(f, G)), None)
+            assert ideal_subset(I, J) == (witness is None, witness), (I, J)
+
+    def test_exponent_past_the_limit_raises(self, order, blocks):
+        S = self.ring(order, blocks, 2)
+        x, y = Polynomial.variable(S, "x"), Polynomial.variable(S, "y")
+        at_limit = Polynomial.monomial(S, (EXPONENT_LIMIT, 0, 0, 0))
+        past = Polynomial(S, [((EXPONENT_LIMIT + 1, 0, 0, 0), 1)])  # made unchecked
+        # products: x^N * x leaves the range, as Polynomial.__mul__ says. x^N * y
+        # does not: the packed product checks exponents, not the total degree
+        for make in (lambda: ideal_product(Ideal(S, [at_limit]), Ideal(S, [x])), lambda: at_limit * x,
+                     lambda: ideal_product(Ideal(S, [past]), Ideal(S, [y]))):
+            with pytest.raises(ExponentOverflow):
+                make()
+        x_N_y = Polynomial.monomial(S, (EXPONENT_LIMIT, 1, 0, 0))
+        assert ideal_product(Ideal(S, [at_limit]), Ideal(S, [y])).gens == (x_N_y,)
+        # colons and intersections: an input past the range raises, as the elimination does
+        for colon in (ideal_colon, colon_reference):
+            for I, g in ((Ideal(S, [past]), y), (Ideal(S, [y]), past)):
+                with pytest.raises(ExponentOverflow):
+                    colon(I, g)
+        with pytest.raises(ExponentOverflow):
+            ideal_intersect(Ideal(S, [past]), Ideal(S, [y]))
+        assert ideal_colon(Ideal(S, [at_limit]), x).gens == (Polynomial.monomial(S, (EXPONENT_LIMIT - 1, 0, 0, 0)),)
+        # membership: a term past the range raises, as it does in a normal form
+        J = Ideal(S, [y])
+        for test in (lambda: ideal_member(past + y, J), lambda: ideal_subset(Ideal(S, [y, past]), J),
+                     lambda: normal_form(past + y, J.groebner_basis())):
+            with pytest.raises(ExponentOverflow):
+                test()
+
+
+@pytest.mark.parametrize("R", list(rings(3))[2:], ids=RING_IDS[2:])
+def test_monomial_gens_over_a_cone_take_the_general_path(R):
+    """Over F_3[x,y,z]/(xy - z^k) the preimage of a monomial ideal holds the
+    relation, which is not a monomial: intersections and colons must
+    eliminate, not take lcms and quotients of the generators alone."""
+    S = R.ambient
+    rng = random.Random(f"cone {R.f}")
+    for _ in range(10):
+        I, J = Ideal(R, random_monomial_ideal(S, rng).gens), Ideal(R, random_monomial_ideal(S, rng).gens)
+        want = intersect_reference(S, I.preimage_gens, J.preimage_gens)
+        assert list(ideal_intersect(I, J).gens) == want, (I, J)
+        g = J.gens[0]
+        if not g.is_constant():
+            assert list(ideal_colon(I, g).gens) == colon_reference(I, g), (I, g)

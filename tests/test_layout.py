@@ -1,6 +1,7 @@
-"""Import lint over the package sources: every imported name is used, and
-only rings (which defines them) and the membership oracle in idealops touch
-the mono_* exponent-tuple helpers; the kernel works on packed monomials."""
+"""Import lint over the package sources: every imported name is used; only
+rings (which defines them) and the membership oracle in idealops touch the
+mono_* exponent-tuple helpers; and only the kernel, rings and groebner,
+touches the packing, so only it knows how monomials are stored."""
 
 import ast
 from pathlib import Path
@@ -54,3 +55,14 @@ def test_mono_helpers_stay_out_of_the_kernel(path):
     ]
     assert imported <= set(allowed), f"{path.name} imports {sorted(imported - set(allowed))}"
     assert len(mono_uses(tree)) == len(allowed), f"{path.name} uses mono_* outside the oracle"
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.stem not in ("rings", "groebner")], ids=lambda p: p.stem
+)
+def test_packing_stays_in_the_kernel(path):
+    tree = ast.parse(path.read_text())
+    names = [n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)]
+    names += [n.id for n in ast.walk(tree) if isinstance(n, ast.Name)]
+    names += [name for _, name in imported_names(tree)]
+    assert not [n for n in names if n.startswith("_packing")], f"{path.name} touches the packing"

@@ -1,5 +1,6 @@
 """Symbolic powers under asserted prime data, big height, Jacobian ideals."""
 
+import itertools
 import random
 
 import pytest
@@ -24,8 +25,8 @@ from froblab import (
     symbolic_power,
 )
 from froblab.symbolic import PrimeData, is_squarefree_monomial
-from froblab.containment import xy_zk_setup
-from conftest import assert_minimal_ascending
+from froblab.containment import ideal_from_masks, squarefree_antichains, xy_zk_setup
+from conftest import assert_minimal_ascending, lcm_intersect_reference
 
 
 class TestPrimeData:
@@ -112,6 +113,25 @@ class TestSymbolicPower:
                 intersected = symbolic_power(I, n, pd_sat, strategy="intersect_minimal_primes")
                 assert ideal_equal(combinatorial, intersected)
                 assert_minimal_ascending(combinatorial)
+
+    @pytest.mark.parametrize("order", ["lex", "grevlex"])
+    def test_monomial_strategy_equals_lcm_reference(self, order):
+        # the intersection of the powers P^n of the minimal primes, each built
+        # from exponent tuples and met by the tuple-lcm reference
+        ring = make_ring(3, ["w", "x", "y", "z"], order=order)
+        classes = squarefree_antichains(4)
+        for masks in random.Random(f"symbolic {order}").sample(classes, 12):
+            I = ideal_from_masks(ring, masks)
+            pd = primedata_for_squarefree(I)
+            for n in (2, 3, 5):
+                want = Ideal.unit(ring)
+                for P in pd.primes:
+                    cover = [g.lead_monomial().index(1) for g in P.gens]
+                    powers = [tuple(c.count(i) for i in range(4))
+                              for c in itertools.combinations_with_replacement(cover, n)]
+                    Pn = Ideal(ring, [Polynomial.monomial(ring, m) for m in powers])
+                    want = lcm_intersect_reference(want, Pn)
+                assert symbolic_power(I, n, pd).gens == want.gens, (masks, n)
 
     def test_prime_saturation_vs_monomial(self, F5xyz):
         # a single monomial prime: saturation and combinatorics agree
