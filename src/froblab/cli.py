@@ -9,7 +9,6 @@ invariant failed (an ArithmeticError other than ExponentOverflow).
 from __future__ import annotations
 
 import argparse
-import contextlib
 import io
 import json
 import os
@@ -546,32 +545,48 @@ def build_parser():
     return parser
 
 
+def _dispatch(args, out):
+    """(exit code, whether the command returned); an exception it raised is
+    one line on stderr."""
+    try:
+        return args.func(args, out), True
+    except BudgetExceeded as exc:
+        print(f"budget exhausted: {exc}", file=sys.stderr)
+        return EXIT_BUDGET, False
+    except (ParseError, ValueError, ExponentOverflow) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE, False
+    except ArithmeticError as exc:  # after ExponentOverflow, which is one too
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL, False
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    path = getattr(args, "out", None)
+    if not path:
+        return _dispatch(args, sys.stdout)[0]
     # --out: the file is opened before the command runs, so that a path that
-    # cannot be written fails first; the report stream is buffered, then goes
-    # to stdout and the file
+    # cannot be written fails first, but to append, so that a command that
+    # raises leaves it as it was (and removes it if the opening created it).
+    # The report stream of a command that returns replaces the file's content
+    # and goes to stdout.
+    created = not os.path.exists(path)
     try:
-        sink = open(args.out, "w") if getattr(args, "out", None) else None
+        sink = open(path, "a")
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    with sink or contextlib.nullcontext():
-        out = io.StringIO() if sink else sys.stdout
-        try:
-            code = args.func(args, out)
-        except BudgetExceeded as exc:
-            print(f"budget exhausted: {exc}", file=sys.stderr)
-            return EXIT_BUDGET
-        except (ParseError, ValueError, ExponentOverflow) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        except ArithmeticError as exc:  # after ExponentOverflow, which is one too
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INTERNAL
-        if sink:
-            sys.stdout.write(out.getvalue())
+    out = io.StringIO()
+    with sink:
+        code, returned = _dispatch(args, out)
+        if returned:
+            sink.seek(0)
+            sink.truncate()
             sink.write(out.getvalue())
+            sys.stdout.write(out.getvalue())
+    if not returned and created:
+        os.remove(path)
     return code
 
 

@@ -361,9 +361,7 @@ class ExampleSpec:
     notes: str = ""
 
 
-def _as_int_list(value, default):
-    if value is None:
-        return list(default)
+def _as_int_list(value):
     if isinstance(value, int):
         return [value]
     if isinstance(value, str):
@@ -421,9 +419,9 @@ def _fact(tag, params, holds, t0, witness=None, expected="holds", **diag):
 
 
 def _run_xy_zk(params, seed=0, budget=None):
-    p = int(params.get("p", 5))
-    k = int(params.get("k", 2))
-    n_values = _as_int_list(params.get("n"), [1, 2])
+    p = int(params["p"])
+    k = int(params["k"])
+    n_values = _as_int_list(params["n"])
     R, Q, pd = xy_zk_setup(p, k)
     ring = R.ambient
     x = Polynomial.variable(ring, "x")
@@ -574,11 +572,10 @@ def generic_determinantal_setup(p: int, size: int, d: int, seed: int, budget=Non
 
 
 def _run_generic_determinantal(params, seed=0, budget=None):
-    p = int(params.get("p", 101))
-    size = int(params.get("size", 2))
-    d = int(params.get("d", 6))
-    default_j = [2, 3] if d > size + 1 else [2]
-    j_values = _as_int_list(params.get("j", params.get("n")), default_j)
+    p = int(params["p"])
+    size = int(params["size"])
+    d = int(params["d"])
+    j_values = _as_int_list(params["j"])
     ring, I, pd, attempts = generic_determinantal_setup(p, size, d, seed, budget)
     expected = "holds" if d > size + 1 else "fails"
     reports = []

@@ -27,10 +27,11 @@ monomials; exact division runs on the same packed terms and heap. The monomial
 nu_e scan packs its own keys, fields as narrow as its cap allows, into numpy.
 
 Monomial ideals never leave packed ints. When every generator it works on is
-a monomial, idealops takes products here (_monomial_product: int adds),
-intersections (the minimal lcms of _minimal_monomials, as symbolic does) and
-colons by a monomial (_monomial_colon). Against a reduced basis of monomials,
-ideal_member and ideal_subset test each term for divisibility, no normal form.
+a monomial, idealops takes products here (_monomial_product: int adds) and
+intersections (the minimal lcms of _minimal_monomials, as symbolic does), and
+so colons by a monomial, which divide such an intersection exactly. Against a
+reduced basis of monomials, ideal_member (and so ideal_subset) tests each term
+for divisibility, no normal form.
 
 Three engines compute a reduced basis; _buchberger picks one by the input.
 Monomial generators are a Groebner basis already (every S-polynomial is zero):
@@ -81,20 +82,29 @@ class GroebnerBasis:
     """Reduced Groebner basis: monic, auto-reduced, sorted by leading monomial.
 
     Keeps its elements packed as reducer triples, built once, for every
-    normal form taken against it.
+    normal form taken against it, and, when they are all monomials, their
+    leading monomials, for every membership test against it.
     """
 
-    __slots__ = ("ring", "elements", "_reducers")
+    __slots__ = ("ring", "elements", "_reducers", "_lms")
 
     def __init__(self, ring, elements, reducers=None):
         self.ring = ring
         self.elements = tuple(elements)
         self._reducers = reducers
+        self._lms = None
 
     def _packed_reducers(self):
         if self._reducers is None:
             self._reducers = _as_reducers(self.ring, self.elements)
         return self._reducers
+
+    def _monomial_lms(self):
+        """The packed leading monomials of a basis of monomials, else False."""
+        if self._lms is None:
+            reducers = self._packed_reducers()
+            self._lms = not any(tail for _, _, tail in reducers) and [lm for lm, _, _ in reducers]
+        return self._lms
 
     def __iter__(self):
         return iter(self.elements)
@@ -619,21 +629,6 @@ def _monomial_product(ring, A, B):
     return [Polynomial(ring, ((packing.unpack(m), c),), canonical=True) for m, c in products]
 
 
-def _monomial_colon(ring, gens, g):
-    """((gens) : g) for monomials: the minimal m/gcd(m, g), m in gens,
-    ascending, each times lc(g)^-1; None unless gens and g are all monomials.
-    An exponent of g or gens past EXPONENT_LIMIT raises ExponentOverflow."""
-    if any(len(h.terms) != 1 for h in (g, *gens)):
-        return None
-    for h in (g, *gens):
-        ring._packing.check(ring._packing.pack(h.terms[0][0]))
-    ((b, c),) = g.terms
-    quotients = [tuple(max(x - y, 0) for x, y in zip(h.terms[0][0], b)) for h in gens]
-    inv = pow(c, ring.p - 2, ring.p)
-    return [Polynomial(ring, ((h.terms[0][0], inv),), canonical=True)
-            for h in _minimal_monomials(ring, quotients)[0]]
-
-
 def _spoly_terms(ring, fi, fj, lcm):
     """Packed term stream of the S-polynomial of two monic reducer triples."""
     lmi, _, taili = fi
@@ -696,8 +691,8 @@ def ideal_member(f: Polynomial, I: Ideal, budget=None) -> bool:
     if not I.preimage_gens:
         return False
     G = I.groebner_basis(budget)
-    lms = _monomial_basis(G)
-    if lms is not None:
+    lms = G._monomial_lms()
+    if lms is not False:
         return _divisible(f, lms)
     return not normal_form(f, G, budget)
 
@@ -705,24 +700,14 @@ def ideal_member(f: Polynomial, I: Ideal, budget=None) -> bool:
 def ideal_subset(I: Ideal, J: Ideal, budget=None):
     """(True, None) when I is contained in J, else (False, witness generator).
 
-    The relations lie in both preimages, so only I's gens are tested. Against
-    a monomial basis each is tested term by term for divisibility.
+    The relations lie in both preimages, so only I's gens are tested.
     """
     if I.ring != J.ring:
         raise RingMismatch("ideals from different rings")
-    lms = _monomial_basis(J.groebner_basis(budget)) if I.gens and J.preimage_gens else None
     for g in I.gens:
-        if not (_divisible(g, lms) if lms is not None else ideal_member(g, J, budget)):
+        if not ideal_member(g, J, budget):
             return False, g
     return True, None
-
-
-def _monomial_basis(G):
-    """The packed leading monomials of a basis of monomials, else None."""
-    reducers = G._packed_reducers()
-    if any(tail for _, _, tail in reducers):
-        return None
-    return [lm for lm, _, _ in reducers]
 
 
 def _divisible(f, lms):

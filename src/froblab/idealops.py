@@ -17,7 +17,8 @@ groebner.elimination_basis, which reduces only the part it keeps.
 When every generator an operation works on is a monomial, the kernel computes
 it on packed monomials, with the same result: products and powers by adding
 exponents, intersections by minimal pairwise lcms (the result keeps them as
-its basis), colons by a monomial g by the minimal m/gcd(m, g) times lc(g)^-1.
+its basis), and so colons by a monomial g, whose exact division of the
+intersection by g gives the minimal m/gcd(m, g) times lc(g)^-1.
 Intersections and colons look at preimages, which over S/(f) hold f. Only the
 membership oracle, the independent check, uses a mono_* exponent-tuple helper.
 """
@@ -33,7 +34,6 @@ from .groebner import (
     GroebnerBasis,
     Ideal,
     _minimal_monomials,
-    _monomial_colon,
     _monomial_product,
     absorbing_exponent,
     elimination_basis,
@@ -198,16 +198,12 @@ def ideal_intersect(I: Ideal, J: Ideal, budget=None) -> Ideal:
 
 def _colon_single(I: Ideal, g: Polynomial, budget=None) -> Ideal:
     """(I : g) = (I ∩ (g)) divided exactly by g, with I's preimage intersected
-    with the principal ideal (g) of S (not of S/(f), whose preimage adds f);
-    for a monomial preimage and a monomial g, the kernel's quotients."""
+    with the principal ideal (g) of S (not of S/(f), whose preimage adds f)."""
     if not g:
         raise ValueError("colon by the zero polynomial")
     if g.is_constant():
         return Ideal(I.ring, I.gens)
     ring = I.ring.ambient
-    quotients = _monomial_colon(ring, I.preimage_gens, g)
-    if quotients is not None:
-        return Ideal(I.ring, quotients)
     meet = ideal_intersect(Ideal(ring, I.preimage_gens), Ideal(ring, [g]), budget)
     return Ideal(I.ring, [poly_divide_exact(h, g) for h in meet.gens])
 

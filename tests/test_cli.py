@@ -371,6 +371,23 @@ def test_unwritable_out_path_exits_2(tmp_path, capsys):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("before", [None, "kept\n"], ids=["new", "existing"])
+def test_failing_command_leaves_out_path_as_it_was(before, tmp_path, capsys):
+    target = tmp_path / "x.txt"
+    if before is not None:
+        target.write_text(before)
+    assert main(["example", "xy-zk", "--param", "bogus=3", "--out", str(target)]) == 2
+    assert capsys.readouterr().out == ""
+    assert (target.read_text() if target.exists() else None) == before
+
+
+def test_out_path_may_be_the_script_it_runs(tmp_path, capsys):
+    script = tmp_path / "s.flb"
+    script.write_text("ring F5[x,y,z]\nideal I = x\ncheck fpure J\n")
+    assert main(["run", str(script), "--out", str(script)]) == 2
+    assert script.read_text() == capsys.readouterr().out != ""
+
+
 @pytest.mark.parametrize("params", [["d=2"], ["size=1", "d=1"]])
 def test_degenerate_determinantal_parameters_exit_2(params, capsys):
     argv = ["example", "generic-determinantal"]
