@@ -213,7 +213,8 @@ def _run_check(session, rest):
 
 
 def execute_statement(session: Session, line: str):
-    stripped = line.split("#", 1)[0].strip()
+    text = line.split("#", 1)[0].rstrip()
+    stripped = text.strip()
     if not stripped:
         return
     head, _, rest = stripped.partition(" ")
@@ -221,18 +222,21 @@ def execute_statement(session: Session, line: str):
     name, _, body = rest.partition("=")
     name, body = name.strip(), body.strip()
 
+    def at(tail):  # tail ends the line: padded to its column, a parse error names a column
+        return tail.rjust(len(text))
+
     if head == "ring":
         session.ring = parse_ring(rest)
     elif head == "hypersurface":
         ring = session.need_ring()
-        session.hyper = HypersurfaceRing(ring, parse_poly(ring, rest), reduced=True)
+        session.hyper = HypersurfaceRing(ring, parse_poly(ring, at(rest)), reduced=True)
     elif head == "ideal":
         if not name.isidentifier():
             raise ParseError(f"bad ideal name {name!r}")
-        session.ideals[name] = session.make_ideal(body)
+        session.ideals[name] = session.make_ideal(at(body))
     elif head == "primes":
         raw = session.raw_primedata(name)
-        tokens = body.split()
+        tokens, gens = body.split(), at(body)
         kv = {}
         while tokens and "=" in tokens[-1]:
             key, _, value = tokens[-1].partition("=")
@@ -242,14 +246,14 @@ def execute_statement(session: Session, line: str):
                 kv["mu"] = int(value)
             else:
                 raise ParseError(f"unknown primes argument {key!r}")
-            tokens.pop()
-        raw["primes"] = session.make_ideals(" ".join(tokens))
+            gens = gens.rstrip()[: -len(tokens.pop())]
+        raw["primes"] = session.make_ideals(gens)
         raw.update(kv)
     elif head == "embedded":
-        session.raw_primedata(name)["embedded"] = session.make_ideals(body)
+        session.raw_primedata(name)["embedded"] = session.make_ideals(at(body))
     elif head == "separator":
         session.raw_primedata(name)["separators"] = [
-            parse_poly(session.ring, g.strip()) for g in split_top_level(body, ";")
+            parse_poly(session.ring, g) for g in split_top_level(at(body), ";")
         ]
     elif head in _ASSERTIONS:
         session.raw_primedata(rest)[_ASSERTIONS[head]] = True
@@ -258,8 +262,10 @@ def execute_statement(session: Session, line: str):
     elif head == "example":
         ex_id, _, argtext = rest.partition(" ")
         kv = _example_params(ex_id, argtext.split(), ("seed",))
-        seed = int(kv.pop("seed", 0))
-        session.reports.extend(run_example(ex_id, kv, seed=seed, budget=session.budget))
+        seed = kv.pop("seed", "0")
+        if not seed.lstrip("-").isdigit():
+            raise ParseError(f"example seed must be an integer, not {seed!r}")
+        session.reports.extend(run_example(ex_id, kv, seed=int(seed), budget=session.budget))
     else:
         raise ParseError(f"unknown statement {head!r}")
 
@@ -295,6 +301,8 @@ def run_script(path, out=sys.stdout, as_json=False, include_timings=False, budge
             _emit(out, f"budget exhausted at line {lineno}: {exc}")
             return EXIT_BUDGET
         except (ParseError, ValueError, ExponentOverflow) as exc:
+            if getattr(exc, "col", None) is not None:  # a one-line piece padded to its column
+                exc = f"{exc.message} (column {exc.col})"
             _emit(out, f"error at line {lineno}: {exc}")
             return EXIT_USAGE
         except ArithmeticError as exc:

@@ -627,4 +627,11 @@ def run_example(example_id: str, params=None, seed: int = 0, budget=None):
     spec = REGISTRY[example_id]
     merged = dict(spec.defaults)
     merged.update(params or {})
+    for key, default in spec.defaults.items():
+        try:
+            int(merged[key]) if isinstance(default, int) else _as_int_list(merged[key])
+        except (TypeError, ValueError):
+            kind = "an integer" if isinstance(default, int) else "integers as a,b,... or a..b"
+            raise ValueError(f"example {example_id}: {key} must be {kind}, "
+                             f"not {merged[key]!r}") from None
     return spec.runner(merged, seed=seed, budget=budget)

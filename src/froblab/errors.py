@@ -19,5 +19,4 @@ class ParseError(ValueError):
 
     def __init__(self, message, line=None, col=None):
         super().__init__(message if line is None else f"{message} (line {line}, column {col})")
-        self.line = line
-        self.col = col
+        self.message, self.line, self.col = message, line, col

@@ -15,23 +15,25 @@ over S, one cached Ideal of S over S/(f); the two hold one shared basis), and
 the powers idealops.ideal_power has built of it. Nothing is cached across
 ideals.
 
-Implementation notes: the kernel works on packed monomials (see rings: one int
-per exponent vector, int order = monomial order). Polynomials are packed once
-on the way in -- normal_form's argument, Buchberger's generators, and each
-GroebnerBasis's reducers, which the basis keeps -- and unpacked once on the
-way out into canonical Polynomials. In between, multiplying monomials is an
-int add, divisibility a guard-bit test on a difference, and an exponent past
-EXPONENT_LIMIT raises ExponentOverflow instead of wrapping. Reduction keeps the
-working polynomial in a dict with a lazy max-heap of negated packed
-monomials; exact division runs on the same packed terms and heap. The monomial
-nu_e scan packs its own keys, fields as narrow as its cap allows, into numpy.
+The kernel works on packed monomials (see rings: one int per exponent
+vector, int order = monomial order). Polynomials are packed on the way in --
+normal_form's argument, Buchberger's generators, each GroebnerBasis's
+reducers, which the basis keeps -- and unpacked once on the way out into
+canonical Polynomials that keep the packed terms they came from, so a product
+or a basis element is never packed again. (Keeping the packed terms of every
+polynomial once packed, or of monomials, raised the peak RSS of script by 0.3
+MB and of sweep by 0.5 MB, perfbench seeds 910-932, for no time.) In between,
+multiplying monomials is an int add, divisibility a guard-bit test on a
+difference, and an exponent past EXPONENT_LIMIT raises ExponentOverflow
+instead of wrapping. Reduction and exact division keep the working polynomial
+in a dict with a lazy max-heap of negated packed monomials. The monomial nu_e
+scan packs its own keys, fields as narrow as its cap allows, into numpy.
 
-Monomial ideals never leave packed ints. When every generator it works on is
-a monomial, idealops takes products here (_monomial_product: int adds) and
-intersections (the minimal lcms of _minimal_monomials, as symbolic does), and
-so colons by a monomial, which divide such an intersection exactly. Against a
-reduced basis of monomials, ideal_member (and so ideal_subset) tests each term
-for divisibility, no normal form.
+Monomial ideals never leave packed ints: idealops takes their products here
+(_monomial_product: int adds) and intersections (the minimal lcms of
+_minimal_monomials), and so colons by a monomial, which divide such an
+intersection exactly; against a reduced basis of monomials, membership is a
+divisibility test per term.
 
 Three engines compute a reduced basis; _buchberger picks one by the input.
 Monomial generators are a Groebner basis already (every S-polynomial is zero):
@@ -40,17 +42,27 @@ generators, two or more of them not monomials, go to F4 (_f4): every pair of
 the lowest lcm degree is reduced at once, by numpy row reduction mod p. The
 rest go to the pair loop (_pair_loop): one S-pair at a time, least lcm first,
 each reduced by _nf_terms. The split is measured on the inputs of the
-benchmark's workloads (perfbench seed 0, repeated runs, 2-core x86, Python 3.11). F4 took
-the 30 homogeneous bases of determinantal (I^n of 2x2 minors; I^3 has 10
-generators of ~460 terms) from 0.45-0.55 s to 0.09-0.12 s. Its fixed cost per
-degree loses where xy - z^2 is the only generator not a monomial: script's
-60 such bases took 0.009 s in the pair loop and 0.034 s in F4, thresholds' 8
-took 0.015-0.018 s and 0.019-0.027 s. The eliminations (Rabinowitsch and t
-tricks) are inhomogeneous: 95% of the pair loop's time on script and
-thresholds (sweep, all monomials, never reaches it); of their bases only the
-part free of the eliminated block is inter-reduced and unpacked. Both engines prune pairs by
-one Gebauer-Moller update (_Pairs). All tie-breaks are canonical, so runs are
+benchmark's workloads (perfbench seed 0, repeated runs, 2-core x86, Python
+3.11). F4 took the 30 homogeneous bases of determinantal (I^n of 2x2 minors;
+I^3 has 10 generators of ~460 terms) from 0.45-0.55 s to 0.09-0.12 s. Its
+fixed cost per degree loses where xy - z^2 is the only generator not a
+monomial: script's 60 such bases took 0.009 s in the pair loop and 0.034 s in
+F4, thresholds' 8 took 0.015-0.018 s and 0.019-0.027 s. The eliminations
+(Rabinowitsch and t tricks) are inhomogeneous: 95% of the pair loop's time on
+script and thresholds; of their bases only the part free of the eliminated
+block is inter-reduced and unpacked. Both engines prune pairs by one
+Gebauer-Moller update (_Pairs). All tie-breaks are canonical, so runs are
 reproducible bit for bit.
+
+ideal_subset takes a batch against a homogeneous basis not all monomials
+through F4's symbolic preprocessing and column sweep (_sweep), one matrix per
+degree: each row left is a generator's normal form. Below BATCH_MIN_TERMS =
+256 generator terms the matrix's fixed cost loses to a loop over
+ideal_member. Measured per batch on perfbench seed 910 (2-core x86): script's
+33 such batches (2-60 terms, monomials against bases with one binomial) took
+0.17-1.2 ms in the matrix and 0.03-0.36 ms in the loop; determinantal's took
+0.32-0.39 and 0.05-0.31 ms at 57-90 terms, 0.75-1.1 and 0.7-2.4 ms at
+700-750, and 3.6-5.3 and 4.4-25 ms at 4350-4580.
 """
 
 from __future__ import annotations
@@ -76,23 +88,26 @@ class GroebnerBudget:
 
 
 DEFAULT_BUDGET = GroebnerBudget()
+BATCH_MIN_TERMS = 256  # ideal_subset's smallest batch for a membership matrix
 
 
 class GroebnerBasis:
     """Reduced Groebner basis: monic, auto-reduced, sorted by leading monomial.
 
     Keeps its elements packed as reducer triples, built once, for every
-    normal form taken against it, and, when they are all monomials, their
-    leading monomials, for every membership test against it.
+    normal form taken against it; when they are all monomials, their leading
+    monomials, for every membership test against it; and when they are
+    homogeneous and not all monomials, the basis _sweep reduces by, for every
+    batch of memberships that ideal_subset takes in one matrix.
     """
 
-    __slots__ = ("ring", "elements", "_reducers", "_lms")
+    __slots__ = ("ring", "elements", "_reducers", "_lms", "_matrix")
 
     def __init__(self, ring, elements, reducers=None):
         self.ring = ring
         self.elements = tuple(elements)
         self._reducers = reducers
-        self._lms = None
+        self._lms = self._matrix = None
 
     def _packed_reducers(self):
         if self._reducers is None:
@@ -106,6 +121,18 @@ class GroebnerBasis:
             self._lms = not any(tail for _, _, tail in reducers) and [lm for lm, _, _ in reducers]
         return self._lms
 
+    def _matrix_basis(self):
+        """_sweep's (lms, monomials, monic coefficient arrays) of a homogeneous
+        basis not all monomials, else False."""
+        if self._matrix is None:
+            p, reducers = self.ring.p, self._packed_reducers()
+            homogeneous = all(g.is_homogeneous() for g in self)
+            self._matrix = self._monomial_lms() is False and homogeneous and (
+                [lm for lm, _, _ in reducers],
+                [[lm, *(m for m, _ in tail)] for lm, _, tail in reducers],
+                [np.array([1, *(c * inv % p for _, c in tail)]) for _, inv, tail in reducers])
+        return self._matrix
+
     def __iter__(self):
         return iter(self.elements)
 
@@ -113,11 +140,8 @@ class GroebnerBasis:
         return len(self.elements)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, GroebnerBasis)
-            and self.ring == other.ring
-            and self.elements == other.elements
-        )
+        return isinstance(other, GroebnerBasis) and (self.ring, self.elements) == (
+            other.ring, other.elements)
 
     def __hash__(self):
         return hash((self.ring, self.elements))
@@ -142,7 +166,7 @@ class Ideal:
     What an ideal owns, each computed at most once: its reduced basis, kept on
     its preimage (which over S is the ideal itself, so one basis serves both);
     over S/(f) its preimage, an Ideal of S made on first use; and the powers
-    idealops.ideal_power builds of it (_powers, from the square up).
+    idealops.ideal_power builds of it (_powers, from I itself up).
     """
 
     __slots__ = ("ring", "gens", "_basis", "_preimage", "_powers")
@@ -280,33 +304,20 @@ def _nf_terms(ring, terms, basis, budget):
     return tuple(out)
 
 
-def _pack_terms(ring, terms):
-    pack = ring._packing.pack
-    return tuple((pack(m), c) for m, c in terms)
-
-
 def _as_reducers(ring, polys):
     """Packed (lm, lc_inv, tail) triples for monic-or-not polynomials."""
     p = ring.p
-    out = []
-    for g in polys:
-        if not g:
-            continue
-        (lm, lc), *tail = _pack_terms(ring, g.terms)
-        out.append((lm, pow(lc, p - 2, p), tuple(tail)))
-    return out
+    packed = [g._packed_terms() for g in polys if g]
+    return [(t[0][0], pow(t[0][1], p - 2, p), t[1:]) for t in packed]
 
 
 def normal_form(f: Polynomial, G, budget=None) -> Polynomial:
     """Unique remainder of f modulo a Groebner basis G (idempotent)."""
     ring = f.ring
-    if isinstance(G, GroebnerBasis):
-        reducers = G._packed_reducers()
-    else:
-        reducers = _as_reducers(ring, G)
-    terms = _nf_terms(ring, _pack_terms(ring, f.terms), reducers, budget or DEFAULT_BUDGET)
+    reducers = G._packed_reducers() if isinstance(G, GroebnerBasis) else _as_reducers(ring, G)
+    terms = _nf_terms(ring, f._packed_terms(), reducers, budget or DEFAULT_BUDGET)
     unpack = ring._packing.unpack
-    return Polynomial(ring, tuple((unpack(m), c) for m, c in terms), canonical=True)
+    return Polynomial(ring, tuple((unpack(m), c) for m, c in terms), canonical=True, packed=terms)
 
 
 def poly_divide_exact(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -323,9 +334,9 @@ def poly_divide_exact(f: Polynomial, g: Polynomial) -> Polynomial:
         raise ZeroDivisionError("division by the zero polynomial")
     ring = f.ring
     p, guards = ring.p, ring._packing.guards
-    (lm, lc), *tail = _pack_terms(ring, g.terms)
+    (lm, lc), *tail = g._packed_terms()
     inv = pow(lc, p - 2, p)
-    work = dict(_pack_terms(ring, f.terms))
+    work = dict(f._packed_terms())
     heap = [-m for m in work]
     heapq.heapify(heap)
     out = []
@@ -347,7 +358,8 @@ def poly_divide_exact(f: Polynomial, g: Polynomial) -> Polynomial:
             if v:
                 work[mm] = v
     unpack = ring._packing.unpack
-    return Polynomial(ring, tuple((unpack(m), c) for m, c in out), canonical=True)
+    out = tuple(out)
+    return Polynomial(ring, tuple((unpack(m), c) for m, c in out), canonical=True, packed=out)
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +466,7 @@ def _pair_loop(ring, gens, budget):
         pairs.add(terms[0][0], len(terms) == 1)
 
     for g in gens:
-        h = _nf_terms(ring, _pack_terms(ring, g.monic().terms), basis, budget)
+        h = _nf_terms(ring, _monic(ring, g._packed_terms()), basis, budget)
         if h:
             add(_monic(ring, h))
     while pairs.queue:
@@ -470,25 +482,19 @@ def _f4(ring, gens, budget):
     generators, one degree d at a time, lowest first.
 
     The rows of degree d are the generators of degree d and both multiples
-    (lcm/lm)*g of every pair of lcm degree d. Symbolic preprocessing adds, for
-    each monomial of a row that a basis leading monomial divides, one reducer
-    multiple leading there; the columns are all monomials met, descending.
-    The reducers, one per leading monomial, clear their columns from the other
-    rows, which fill one dense int64 matrix mod p (p < 2^31 keeps products
-    below 2^63), column by column; then that matrix is brought to reduced row
-    echelon form. Each nonzero row left leads at a column no reducer covers
-    and becomes a basis element. It is reduced against the whole basis: a
-    monomial a basis leading monomial divides is a reducer column, the pivot
-    columns are cleared, and a leading monomial of degree d divides no
-    monomial of lower degree. So the elements collected are the reduced basis.
+    (lcm/lm)*g of every pair of lcm degree d, one of which is the reducer of
+    the lcm's column. _sweep reduces them by the basis so far; the result is
+    brought to reduced row echelon form. Each nonzero row left leads at a
+    column no reducer covers and becomes a basis element. It is reduced
+    against the whole basis: a monomial a basis leading monomial divides is a
+    reducer column, the pivot columns are cleared, and a leading monomial of
+    degree d divides no monomial of lower degree. So the elements collected
+    are the reduced basis.
     """
-    p = ring.p
-    packing = ring._packing
-    guards = packing.guards
     todo = {}  # degree -> generators of that degree, packed, not yet used
     for g in gens:
-        todo.setdefault(sum(g.terms[0][0]), []).append(_pack_terms(ring, g.terms))
-    pairs = _Pairs(packing, budget)
+        todo.setdefault(sum(g.terms[0][0]), []).append(g._packed_terms())
+    pairs = _Pairs(ring._packing, budget)
     lms = pairs.lms
     monos, coefs = [], []  # per element: packed monomials, coefficient array
     while pairs.queue or todo:
@@ -501,61 +507,81 @@ def _f4(ring, gens, budget):
                 row = (lcm - lms[k], k)
                 if reducer.setdefault(lcm, row) != row and row not in rows:
                     rows.append(row)
-
-        # symbolic preprocessing: each monomial met gets a column, numbered as
-        # met, and a reducer when a basis leading monomial divides it
-        column, met, pending = {}, [], list(reducer)
-
-        def columns(shift, ms):
-            ms = [m + shift for m in ms]
-            out = [column.get(m) for m in ms]
-            if None in out:
-                for pos, m in enumerate(ms):
-                    if out[pos] is not None:
-                        continue
-                    if m & guards:
-                        packing.check(m)
-                    out[pos] = column[m] = len(met)
-                    met.append(m)
-                    if len(met) > budget.max_poly_terms:
-                        raise BudgetExceeded(f"F4 matrix exceeded {budget.max_poly_terms} "
-                                             "columns; raise the budget to proceed")
-                    if m not in reducer:
-                        for k, lm in enumerate(lms):
-                            if not (m - lm) & guards:
-                                reducer[m] = (m - lm, k)
-                                pending.append(m)
-                                break
-            return out
-
-        filled = [(columns(0, [m for m, _ in t]), [c for _, c in t]) for t in todo.pop(d, ())]
-        filled += [(columns(u, monos[k]), coefs[k]) for u, k in rows]
-        reducers = []
-        while pending:
-            m = pending.pop()
-            u, k = reducer[m]
-            reducers.append((column[m], np.array(columns(u, monos[k]), np.int32), k))
-
-        order = sorted(range(len(met)), key=met.__getitem__, reverse=True)
-        final = np.empty(len(met), dtype=np.intp)  # column as met -> descending
-        final[order] = np.arange(len(met))
-        met = [met[i] for i in order]
-        A = np.zeros((len(filled), len(met)), dtype=np.int64)
-        for r, (cols, cs) in enumerate(filled):
-            A[r, final[cols]] = cs
-        for c, cols, k in sorted((final[c], cols, k) for c, cols, k in reducers):
-            f = A[:, c]
-            if f.any():
-                cols = final[cols]
-                A[:, cols] = (A[:, cols] - np.outer(f, coefs[k])) % p
-        for row in _row_echelon(A, p):
+        filled = [(0, [m for m, _ in t], [c for _, c in t]) for t in todo.pop(d, ())]
+        filled += [(u, monos[k], coefs[k]) for u, k in rows]
+        A, met = _sweep(ring, budget, (lms, monos, coefs), filled, reducer)
+        for row in _row_echelon(A, ring.p):
             nz = np.flatnonzero(row)
             monos.append([met[i] for i in nz.tolist()])
             coefs.append(row[nz])
             pairs.add(monos[-1][0], len(nz) == 1)
-        del A, filled, reducers  # this degree's matrix and rows go before the next's
+        del A, filled  # this degree's matrix and rows go before the next's
 
     return sorted((ms[0], 1, tuple(zip(ms[1:], cs[1:].tolist()))) for ms, cs in zip(monos, coefs))
+
+
+def _sweep(ring, budget, basis, rows, reducer):
+    """F4's symbolic preprocessing and column sweep: the rows reduced by the
+    basis, as a dense int64 matrix mod p (p < 2^31 keeps products below
+    2^63) over the monomials met, descending (returned with it).
+
+    basis is (leading monomials, packed monomials, monic coefficient arrays)
+    per element; rows are (shift, packed monomials, coefficients); reducer
+    maps a monomial to the multiple (shift, element) that clears it. Each
+    monomial met gets a column and, when a leading monomial divides it and it
+    has none, one reducer multiple leading there, whose monomials are met in
+    turn. The reducers, one per leading monomial, clear their columns from
+    the rows, largest column first; what is left of a row has only monomials
+    no leading monomial divides. Raises ExponentOverflow on a monomial past
+    EXPONENT_LIMIT and BudgetExceeded past budget.max_poly_terms columns.
+    """
+    p = ring.p
+    packing = ring._packing
+    guards = packing.guards
+    lms, monos, coefs = basis
+    column, met, pending = {}, [], list(reducer)
+
+    def columns(shift, ms):
+        ms = [m + shift for m in ms]
+        out = [column.get(m) for m in ms]
+        if None in out:
+            for pos, m in enumerate(ms):
+                if out[pos] is not None:
+                    continue
+                if m & guards:
+                    packing.check(m)
+                out[pos] = column[m] = len(met)
+                met.append(m)
+                if len(met) > budget.max_poly_terms:
+                    raise BudgetExceeded(f"F4 matrix exceeded {budget.max_poly_terms} "
+                                         "columns; raise the budget to proceed")
+                if m not in reducer:
+                    for k, lm in enumerate(lms):
+                        if not (m - lm) & guards:
+                            reducer[m] = (m - lm, k)
+                            pending.append(m)
+                            break
+        return out
+
+    filled = [(columns(u, ms), cs) for u, ms, cs in rows]
+    reducers = []
+    while pending:
+        m = pending.pop()
+        u, k = reducer[m]
+        reducers.append((column[m], np.array(columns(u, monos[k]), np.int32), k))
+
+    order = sorted(range(len(met)), key=met.__getitem__, reverse=True)
+    final = np.empty(len(met), dtype=np.intp)  # column as met -> descending
+    final[order] = np.arange(len(met))
+    A = np.zeros((len(filled), len(met)), dtype=np.int64)
+    for r, (cols, cs) in enumerate(filled):
+        A[r, final[cols]] = cs
+    for c, cols, k in sorted((final[c], cols, k) for c, cols, k in reducers):
+        f = A[:, c]
+        if f.any():
+            cols = final[cols]
+            A[:, cols] = (A[:, cols] - np.outer(f, coefs[k])) % p
+    return A, [met[i] for i in order]
 
 
 def _row_echelon(A, p):
@@ -671,7 +697,8 @@ def _unpack_basis(ring, reduced):
         for m, _ in terms:
             if m not in exps:
                 exps[m] = unpack(m)
-        polys.append(Polynomial(ring, tuple((exps[m], c) for m, c in terms), canonical=True))
+        polys.append(Polynomial(ring, tuple((exps[m], c) for m, c in terms), canonical=True,
+                                packed=terms))
     return tuple(polys)
 
 
@@ -698,16 +725,30 @@ def ideal_member(f: Polynomial, I: Ideal, budget=None) -> bool:
 
 
 def ideal_subset(I: Ideal, J: Ideal, budget=None):
-    """(True, None) when I is contained in J, else (False, witness generator).
-
-    The relations lie in both preimages, so only I's gens are tested.
-    """
+    """(True, None) when I is contained in J, else (False, the first generator
+    of I, in I.gens order, outside J). The relations lie in both preimages, so
+    only I's gens are tested: homogeneous ones with BATCH_MIN_TERMS terms or
+    more in all, against a homogeneous basis not all monomials, in one matrix
+    per degree, where a row _sweep leaves nonzero is the normal form of a
+    generator outside J; any others one by one with ideal_member."""
     if I.ring != J.ring:
         raise RingMismatch("ideals from different rings")
-    for g in I.gens:
-        if not ideal_member(g, J, budget):
-            return False, g
-    return True, None
+    gens = I.gens
+    big = sum(len(g.terms) for g in gens) >= BATCH_MIN_TERMS
+    basis = big and J.preimage_gens and J.groebner_basis(budget)._matrix_basis()
+    if basis and all(g.is_homogeneous() for g in gens):
+        degrees = {}
+        for i, g in enumerate(gens):
+            degrees.setdefault(sum(g.terms[0][0]), []).append(i)
+        outside = []
+        for batch in degrees.values():
+            rows = [(0, *zip(*gens[i]._packed_terms())) for i in batch]
+            A, _ = _sweep(J.ring.ambient, budget or DEFAULT_BUDGET, basis, rows, {})
+            outside += [batch[r] for r in np.flatnonzero(A.any(axis=1)).tolist()]
+        bad = gens[min(outside)] if outside else None
+    else:
+        bad = next((g for g in gens if not ideal_member(g, J, budget)), None)
+    return bad is None, bad
 
 
 def _divisible(f, lms):
@@ -715,7 +756,7 @@ def _divisible(f, lms):
     divisor among them. As in _nf_terms, a term past EXPONENT_LIMIT raises."""
     packing = f.ring._packing
     guards = packing.guards
-    terms = _pack_terms(f.ring, f.terms)
+    terms = f._packed_terms()
     for m, _ in terms:
         if m & guards:
             packing.check(m)
@@ -744,7 +785,7 @@ def last_escaping_power(gens, J: Ideal, cap: int, budget=None):
     ring = J.ring.ambient
     budget = budget or DEFAULT_BUDGET
     basis = J.groebner_basis(budget)._packed_reducers()
-    factors = [_pack_terms(ring, g.terms) for g in gens if g]
+    factors = [g._packed_terms() for g in gens if g]
     if all(len(f) == 1 for f in factors) and not any(tail for _, _, tail in basis):
         return _last_escaping_monomial(ring, [f[0][0] for f in factors], [b[0] for b in basis], cap)
     # level 0 is the packed constant 1, which generates (gens)^0
@@ -762,10 +803,10 @@ def absorbing_exponent(start, gens, J: Ideal, cap: int, budget=None):
     basis = J.groebner_basis(budget)._packed_reducers()
     level = set()
     for h in start:
-        nf = _nf_terms(ring, _pack_terms(ring, h.terms), basis, budget)
+        nf = _nf_terms(ring, h._packed_terms(), basis, budget)
         if nf:
             level.add(_monic(ring, nf))
-    factors = [_pack_terms(ring, g.terms) for g in gens if g]
+    factors = [g._packed_terms() for g in gens if g]
     return _frontier_depth(ring, level, factors, basis, cap, budget)
 
 

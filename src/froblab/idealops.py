@@ -43,16 +43,8 @@ from .rings import Polynomial, RingDescriptor, mono_mul
 
 
 def _dedup(gens):
-    seen = set()
-    out = []
-    for g in gens:
-        if not g:
-            continue
-        if g.terms in seen:
-            continue
-        seen.add(g.terms)
-        out.append(g)
-    return out
+    """The nonzero gens, each kept at its first occurrence."""
+    return list(dict.fromkeys(g for g in gens if g))
 
 
 def _sorted_canonical(ring, gens):
@@ -85,8 +77,11 @@ def ideal_product(I: Ideal, J: Ideal) -> Ideal:
 def ideal_power(I: Ideal, n: int) -> Ideal:
     """n-fold product; I^0 is the unit ideal by convention and I^1 is I.
 
-    I keeps the powers built of it: I^n is made once, as I^(n-1) * I, and a
-    later call returns that same object, with any basis computed for it.
+    I keeps the powers built of it, so a later call returns the same object,
+    with any basis computed for it. I^n is generated by the products g^α over
+    the multisets α of n generators, each made once, as g^(α - e_i) * g_i for
+    the largest index i in α; the distinct ones are listed as ideal_product
+    lists I^(n-1) * I. Monomial ideals take that product itself.
     """
     if n < 0:
         raise ValueError("ideal power needs n >= 0")
@@ -96,10 +91,18 @@ def ideal_power(I: Ideal, n: int) -> Ideal:
         return I
     if I._powers is None:
         I._powers = []
-    powers = I._powers  # I^2, I^3, ...
+    powers = I._powers  # (I^k, {multiset of indices into I.gens: its product}) from k = 2
+    ring, gens = I.ring.ambient, I.gens
     while len(powers) < n - 1:
-        powers.append(ideal_product(powers[-1] if powers else I, I))
-    return powers[n - 2]
+        last, products = powers[-1] if powers else (I, {(i,): g for i, g in enumerate(gens)})
+        power = _monomial_product(ring, last.gens, gens)
+        if power is None:
+            shared = {}  # the products share each monomial's int and exponent tuple
+            products = {a + (i,): f._mul(gens[i], shared)
+                        for a, f in products.items() for i in range(a[-1], len(gens))}
+            power = _sorted_canonical(ring, _dedup(products.values()))
+        powers.append((Ideal(I.ring, power), products))
+    return powers[n - 2][0]
 
 
 def bracket_power(I: Ideal, e: int) -> Ideal:
@@ -390,18 +393,11 @@ def minors(M: PolyMatrix, size: int) -> Ideal:
 
 
 def monomials_up_to(ring, degree):
-    """All exponent tuples of total degree <= degree, deterministic order."""
-    n = ring.nvars
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            for e in range(remaining + 1):
-                yield prefix + (e,)
-            return
-        for e in range(remaining + 1):
-            yield from rec(prefix + (e,), remaining - e, slots - 1)
-
-    return list(rec((), degree, n))
+    """All exponent tuples of total degree <= degree, in ascending lex order."""
+    out = [()]
+    for _ in range(ring.nvars):
+        out = [m + (e,) for m in out for e in range(degree - sum(m) + 1)]
+    return out
 
 
 ORACLE_SIZE_CAP = 2_000_000  # matrix cells
@@ -427,28 +423,13 @@ def brute_membership_oracle(f: Polynomial, I: Ideal, cofactor_degree_bound: int)
     D = cofactor_degree_bound
     cof_monos = monomials_up_to(ring, D)
 
-    row_index = {}
-    rows = []
-
-    def row_of(m):
-        idx = row_index.get(m)
-        if idx is None:
-            idx = len(rows)
-            row_index[m] = idx
-            rows.append(m)
-        return idx
-
+    row_index = {}  # monomial -> its row, numbered as met
     for m, _ in f.terms:
-        row_of(m)
-    col_data = []
-    for g in gens:
-        for u in cof_monos:
-            entries = []
-            for m, c in g.terms:
-                entries.append((row_of(mono_mul(u, m)), c))
-            col_data.append(entries)
+        row_index.setdefault(m, len(row_index))
+    col_data = [[(row_index.setdefault(mono_mul(u, m), len(row_index)), c) for m, c in g.terms]
+                for g in gens for u in cof_monos]
 
-    n_rows, n_cols = len(rows), len(col_data)
+    n_rows, n_cols = len(row_index), len(col_data)
     if n_rows * n_cols > ORACLE_SIZE_CAP:
         raise BudgetExceeded(
             f"oracle system {n_rows}x{n_cols} exceeds the size cap {ORACLE_SIZE_CAP}"

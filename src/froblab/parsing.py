@@ -13,6 +13,7 @@ and parse(format(f)) == f.
 
 from __future__ import annotations
 
+import itertools
 import re
 
 from .errors import ExponentOverflow, ParseError
@@ -143,44 +144,35 @@ def parse_poly(ring: RingDescriptor, text: str) -> Polynomial:
 
 
 def split_top_level(text: str, sep: str = ","):
-    """Split on sep outside parentheses; used for generator lists."""
-    parts, depth, cur = [], 0, []
-    for ch in text:
+    """Split on sep outside parentheses; used for generator lists. Each part
+    is padded on the left with spaces to the column where it starts in text,
+    so that a parse error in it names a column of text."""
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
         if ch == "(":
             depth += 1
         elif ch == ")":
             depth -= 1
-        if ch == sep and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
+        elif ch == sep and depth == 0:
+            parts.append(" " * start + text[start:i])
+            start = i + 1
+    parts.append(" " * start + text[start:])
     return parts
 
 
 def parse_gens(ring: RingDescriptor, text: str):
-    """Parse a comma-separated generator list, optionally parenthesized."""
-    text = text.strip()
-    if text.startswith("(") and text.endswith(")"):
-        inner = text[1:-1]
-        if all(d >= 0 for d in _depth_prefix(inner)):
-            text = inner
+    """Parse a comma-separated generator list, optionally parenthesized;
+    error positions are those in text."""
+    inner = text.strip()
+    if inner.startswith("(") and inner.endswith(")"):
+        # the outer parentheses match when no prefix of what they hold closes more than it opens
+        depths = itertools.accumulate((ch == "(") - (ch == ")") for ch in inner[1:-1])
+        if min(depths, default=0) >= 0:
+            start, end = text.index("("), text.rindex(")")
+            text = f"{text[:start]} {text[start + 1:end]} "
     if not text.strip():
         return []
     return [parse_poly(ring, part) for part in split_top_level(text)]
-
-
-def _depth_prefix(text):
-    depth = 0
-    out = []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        out.append(depth)
-    return out
 
 
 def parse_ring(text: str) -> RingDescriptor:

@@ -10,14 +10,17 @@ here; reduction, Buchberger, exact division and monomial pruning in groebner
 -- they are packed into one int per monomial (Monagan & Pearce, "Polynomial
 division using dynamic arrays, heaps, and packed exponent vectors", CASC
 2007), using the RingDescriptor's _Packing. Conversion happens only at that
-boundary: pack() on the way in, unpack() on the way out. The mono_* tuple
-helpers are not part of the kernel: they serve the linear-algebra membership
-oracle, which checks the kernel independently, and the tests as references.
+boundary: pack() on the way in, unpack() on the way out; a Polynomial the
+kernel made keeps its packed terms, so it never crosses inward again. mono_mul, on
+tuples, is not part of the kernel: it serves the linear-algebra membership
+oracle, which checks the kernel independently.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 import struct
 from operator import mul
 
@@ -34,42 +37,12 @@ ORDER_TAGS = ("lex", "grevlex", "block")
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic trial division; moduli are at most 2^31."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    """Deterministic trial division by 2 and the odd numbers; moduli are at most 2^31."""
+    return n == 2 or n > 2 and n % 2 == 1 and all(n % d for d in range(3, math.isqrt(n) + 1, 2))
 
 
 def mono_mul(a, b):
     return tuple(x + y for x, y in zip(a, b))
-
-
-def mono_div(a, b):
-    """Return a/b as an exponent tuple, or None when b does not divide a."""
-    out = []
-    for x, y in zip(a, b):
-        if x < y:
-            return None
-        out.append(x - y)
-    return tuple(out)
-
-
-def mono_lcm(a, b):
-    return tuple(x if x >= y else y for x, y in zip(a, b))
-
-
-def mono_divides(a, b):
-    """True when a | b componentwise."""
-    return all(x <= y for x, y in zip(a, b))
 
 
 def _grevlex_key(m):
@@ -199,14 +172,8 @@ class RingDescriptor:
         self.order = order
         self.blocks = blocks
         self._index = {v: i for i, v in enumerate(variables)}
-        if order == "block":
-            slices, start = [], 0
-            for b in blocks:
-                slices.append(slice(start, start + len(b)))
-                start += len(b)
-            self._slices = tuple(slices)
-        else:
-            self._slices = None
+        ends = itertools.accumulate(map(len, blocks or ()))
+        self._slices = tuple(slice(e - len(b), e) for b, e in zip(blocks, ends)) if blocks else None
         self._packing = _packing_for(
             len(variables), order, tuple(map(len, blocks)) if blocks else None
         )
@@ -256,12 +223,15 @@ class Polynomial:
 
     terms is a tuple of (exponent_tuple, coeff) pairs, strictly descending in
     the ring's order, with no zero coefficients. The zero polynomial has no
-    terms. Instances are immutable and hashable.
+    terms. Instances are immutable and hashable. The kernel reads the terms
+    packed (_packed_terms): a product, normal form, exact quotient or basis
+    element keeps the packed tuple it was made from (packed); any other
+    polynomial, a monomial the kernel made included, packs on each use.
     """
 
-    __slots__ = ("ring", "terms", "_h")
+    __slots__ = ("ring", "terms", "_h", "_packed")
 
-    def __init__(self, ring, terms=(), canonical=False):
+    def __init__(self, ring, terms=(), canonical=False, packed=None):
         self.ring = ring
         if canonical:
             self.terms = tuple(terms)
@@ -279,6 +249,14 @@ class Polynomial:
                 sorted(acc.items(), key=lambda t: pack(t[0]), reverse=True)
             )
         self._h = None
+        self._packed = packed
+
+    def _packed_terms(self):
+        """terms with each monomial packed by the ring's _Packing."""
+        if self._packed is not None:
+            return self._packed
+        pack = self.ring._packing.pack
+        return tuple([(pack(m), c) for m, c in self.terms])
 
     # -- constructors ------------------------------------------------------
 
@@ -342,12 +320,16 @@ class Polynomial:
         """Total degree; -1 for the zero polynomial."""
         if not self.terms:
             return -1
+        if self.ring.order == "grevlex":  # the terms descend by degree first
+            return sum(self.terms[0][0])
         return max(sum(m) for m, _ in self.terms)
 
     def is_homogeneous(self):
         if not self.terms:
             return True
         d = sum(self.terms[0][0])
+        if self.ring.order == "grevlex":
+            return sum(self.terms[-1][0]) == d
         return all(sum(m) == d for m, _ in self.terms)
 
     # -- arithmetic --------------------------------------------------------
@@ -389,6 +371,11 @@ class Polynomial:
                 tuple((m, (c0 * c) % p) for m, c0 in self.terms),
                 canonical=True,
             )
+        return self._mul(other, {})
+
+    def _mul(self, other, shared):
+        """self * other. shared maps each packed monomial met to (that int, its
+        exponent tuple); products made with one shared dict share them."""
         self._check(other)
         if not self.terms or not other.terms:
             return Polynomial.zero(self.ring)
@@ -397,26 +384,24 @@ class Polynomial:
         # within the degree bound no exponent can pass EXPONENT_LIMIT, so the
         # packed sums need no guard check
         p = self.ring.p
-        packing = self.ring._packing
-        pack = packing.pack
-        small, big = self.terms, other.terms
+        small, big = self._packed_terms(), other._packed_terms()
         if len(small) > len(big):
             small, big = big, small
-        big = [(pack(m), c) for m, c in big]
         acc = {}
         get = acc.get
         for m1, c1 in small:
-            m1 = pack(m1)
             for m2, c2 in big:
                 m = m1 + m2
                 acc[m] = get(m, 0) + c1 * c2
-        unpack = packing.unpack
-        terms = []
+        unpack = self.ring._packing.unpack
+        packed, terms = [], []
         for m in sorted(acc, reverse=True):
             c = acc[m] % p
             if c:
-                terms.append((unpack(m), c))
-        return Polynomial(self.ring, tuple(terms), canonical=True)
+                m, e = shared.get(m) or shared.setdefault(m, (m, unpack(m)))
+                packed.append((m, c))
+                terms.append((e, c))
+        return Polynomial(self.ring, tuple(terms), canonical=True, packed=tuple(packed))
 
     __rmul__ = __mul__
 

@@ -9,11 +9,27 @@ from froblab import (
     Polynomial,
     ideal_colon,
     ideal_equal,
+    ideal_product,
     make_ring,
     parse_poly,
 )
 from froblab.parsing import _TOKEN
-from froblab.rings import EXPONENT_LIMIT, mono_divides, mono_lcm
+from froblab.rings import EXPONENT_LIMIT
+
+
+def mono_div(a, b):
+    """a/b as an exponent tuple, or None when b does not divide a."""
+    d = tuple(x - y for x, y in zip(a, b))
+    return None if min(d, default=0) < 0 else d
+
+
+def mono_lcm(a, b):
+    return tuple(map(max, a, b))
+
+
+def mono_divides(a, b):
+    """True when a | b componentwise."""
+    return all(x <= y for x, y in zip(a, b))
 
 
 @pytest.fixture
@@ -123,6 +139,15 @@ def lcm_intersect_reference(I, J):
     lcms = {mono_lcm(a.lead_monomial(), b.lead_monomial()) for a in I.gens for b in J.gens}
     minimal = [m for m in lcms if not any(d != m and mono_divides(d, m) for d in lcms)]
     return Ideal(ring, [Polynomial.monomial(ring, m) for m in sorted(minimal, key=ring.key)])
+
+
+def power_reference(I, n):
+    """Reference for idealops.ideal_power, n >= 1: I^n as I^(n-1) * I through
+    ideal_product, each factor a fresh Ideal, so nothing is cached."""
+    power = Ideal(I.ring, I.gens)
+    for _ in range(n - 1):
+        power = ideal_product(power, Ideal(I.ring, I.gens))
+    return power
 
 
 def last_escaping_monomial_reference(ring, factors, targets, cap):

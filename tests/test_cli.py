@@ -327,6 +327,8 @@ DSL_ERRORS = [
     ("example generic-determinantal d=2", "persistent degenerate draws"),
     ("example xy-zk q=3 junk n=1", "example xy-zk takes no argument 'q=3'"),
     ("example xy-zk n=1 junk", "example xy-zk takes no argument 'junk'"),
+    ("example xy-zk n=1..y", "example xy-zk: n must be integers as a,b,... or a..b, not '1..y'"),
+    ("example xy-zk n=1 seed=x", "example seed must be an integer, not 'x'"),
 ]
 
 
@@ -343,16 +345,33 @@ def test_dsl_error_exits_2_with_one_line(statement, fragment, tmp_path, capsys):
 
 @pytest.mark.parametrize("statement,line", [
     ("check fpure J", "error at line 3: unknown ideal name 'J'"),
-    ("ideal J = x + + y", "error at line 3: unexpected '+' (line 1, column 5)"),
-], ids=["statement", "polynomial"])
+    ("ideal J = x + + y", "error at line 3: unexpected '+' (column 15)"),
+    ("ideal J = x*y, x*z,, y*z", "error at line 3: unexpected end of input (column 20)"),
+    ("ideal J = (x, y +)", "error at line 3: unexpected end of input (column 19)"),
+    ("primes I = (x, y);  (x,  z^) mu=2", "error at line 3: expected integer exponent after"
+     " '^' (column 29)"),
+    ("separator I = y; x + * z", "error at line 3: unexpected '*' (column 22)"),
+    ("hypersurface  x*y - z^", "error at line 3: expected integer exponent after '^' (column 23)"),
+], ids=["statement", "polynomial", "generator-list", "parenthesized", "primes", "separator",
+        "hypersurface"])
 def test_dsl_error_names_one_position(statement, line, tmp_path):
     # a statement error names the script line only; an error inside
-    # polynomial text adds its position in that text
+    # polynomial text adds its column in that line
     path = tmp_path / "script.flb"
     path.write_text(f"ring F5[x,y,z]\nideal I = x\n{statement}\n")
     out = io.StringIO()
     assert run_script(str(path), out=out) == 2
     assert out.getvalue() == line + "\n"
+
+
+@pytest.mark.parametrize("example,param,message", [
+    ("generic-determinantal", "d=abc", "d must be an integer, not 'abc'"),
+    ("generic-determinantal", "j=2,x", "j must be integers as a,b,... or a..b, not '2,x'"),
+    ("xy-zk", "p=", "p must be an integer, not ''"),
+])
+def test_bad_example_parameter_names_its_key(example, param, message, capsys):
+    assert main(["example", example, "--param", param]) == 2
+    assert capsys.readouterr().err == f"error: example {example}: {message}\n"
 
 
 @pytest.mark.parametrize("param", ["bogus=3", "seed=3", "junk"])

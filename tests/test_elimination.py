@@ -40,9 +40,10 @@ from froblab.idealops import (
     _saturate_rabinowitsch,
     _sorted_canonical,
 )
-from froblab.rings import EXPONENT_LIMIT, mono_divides
+from froblab.rings import EXPONENT_LIMIT
 from conftest import (
     lcm_intersect_reference,
+    mono_divides,
     random_homogeneous,
     random_ideal,
     random_ideal_in_max,

@@ -5,12 +5,15 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from froblab import (
     BudgetExceeded,
     ExponentOverflow,
     GroebnerBasis,
     GroebnerBudget,
+    HypersurfaceRing,
     Ideal,
     Polynomial,
     brute_membership_oracle,
@@ -28,9 +31,11 @@ from froblab import (
 )
 from froblab import groebner
 from froblab.groebner import DEFAULT_BUDGET, last_escaping_power
-from froblab.rings import EXPONENT_LIMIT, mono_div, mono_lcm, mono_mul
+from froblab.rings import EXPONENT_LIMIT, mono_mul
 from conftest import (
     last_escaping_monomial_reference,
+    mono_div,
+    mono_lcm,
     random_homogeneous,
     random_ideal,
     random_ideal_in_max,
@@ -536,6 +541,158 @@ class TestF4:
         for engine in (groebner._f4, groebner._pair_loop):
             with pytest.raises(ExponentOverflow):
                 engine(ring, gens, DEFAULT_BUDGET)
+
+
+class TestBatchedSubset:
+    """Against a homogeneous basis not all monomials, ideal_subset tests a
+    large batch of homogeneous generators in one matrix per degree. It must
+    decide as a loop over ideal_member does, with the same witness: the first
+    generator outside, in I.gens order."""
+
+    @staticmethod
+    def reference(I, J):
+        for g in I.gens:
+            if not ideal_member(g, J):
+                return False, g
+        return True, None
+
+    @staticmethod
+    def form(ring, rng, degree):
+        terms = []
+        for _ in range(rng.randrange(1, 4)):
+            m = [0] * ring.nvars
+            for _ in range(degree):
+                m[rng.randrange(ring.nvars)] += 1
+            terms.append((tuple(m), rng.randrange(1, ring.p)))
+        return Polynomial(ring, terms)
+
+    @classmethod
+    def batch(cls, J, rng):
+        """Generators of degrees 2 to 4: members (sums of forms times
+        generators of J's preimage), forms that are mostly not members, and
+        with a third of the cases only members."""
+        S = J.ring.ambient
+        basis = J.preimage_gens
+        only_members = rng.random() < 0.35
+        gens = []
+        for _ in range(rng.randrange(2, 8)):
+            degree = rng.randrange(2, 5)
+            if only_members or rng.random() < 0.5:
+                f = Polynomial.zero(S)
+                for g in rng.sample(basis, min(len(basis), 2)):
+                    if g.degree() <= degree:
+                        f = f + cls.form(S, rng, degree - g.degree()) * g
+            else:
+                f = cls.form(S, rng, degree)
+            gens.append(f)
+        return Ideal(J.ring, gens)
+
+    def check(self, J, rng, sweeps):
+        """Decide a random batch against J both ways: (matrix run, verdict)."""
+        J.groebner_basis()
+        I = self.batch(J, rng)
+        before = len(sweeps)
+        verdict = ideal_subset(I, J)
+        assert verdict == self.reference(I, J), (I, J)
+        return len(sweeps) > before, verdict[0]
+
+    @pytest.fixture
+    def sweeps(self, monkeypatch):
+        """Every batch takes the matrix; the list records each _sweep run."""
+        monkeypatch.setattr(groebner, "BATCH_MIN_TERMS", 0)
+        runs, sweep = [], groebner._sweep
+        monkeypatch.setattr(groebner, "_sweep", lambda *a: runs.append(1) or sweep(*a))
+        return runs
+
+    @pytest.mark.parametrize("order,blocks", TestMonomialBases.RINGS)
+    def test_agrees_with_the_membership_loop(self, order, blocks, sweeps):
+        rng = random.Random(f"batched subset {order}")
+        batched = outside = 0
+        for trial in range(40):
+            ring = make_ring([2, 3, 5, 7][trial % 4], ["x", "y", "z", "w"], order, blocks)
+            ran, holds = self.check(Ideal(ring, random_homogeneous(ring, rng)), rng, sweeps)
+            batched += ran
+            outside += not holds
+        assert batched >= 25 and 10 <= outside <= 30
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_agrees_over_the_cone(self, k, sweeps):
+        # the preimage of an ideal of F_p[x,y,z]/(xy - z^k) holds xy - z^k,
+        # homogeneous for k = 2 only; for k = 3 the loop decides unless the
+        # basis of the preimage is homogeneous all the same
+        rng = random.Random(f"batched subset cone {k}")
+        batched = 0
+        for trial in range(30):
+            S = make_ring([2, 3, 5, 7][trial % 4], ["x", "y", "z"])
+            R = HypersurfaceRing(S, parse_poly(S, f"x*y - z^{k}"))
+            batched += self.check(Ideal(R, random_homogeneous(S, rng)), rng, sweeps)[0]
+        assert batched >= 15 or k == 3
+
+    def test_cutoff(self, F5xyz, monkeypatch):
+        # below BATCH_MIN_TERMS generator terms in all the loop decides
+        ran = []
+        sweep = groebner._sweep
+        monkeypatch.setattr(groebner, "_sweep", lambda *a: ran.append(1) or sweep(*a))
+        J = Ideal(F5xyz, parse_gens(F5xyz, "x*y - z^2, x*z + y^2"))
+        J.groebner_basis()
+        ran.clear()
+        small = Ideal(F5xyz, parse_gens(F5xyz, "x^2*y - x*z^2, x*y^2 + y*z^2, x^3"))
+        assert ideal_subset(small, J) == self.reference(small, J) and not ran
+        large = ideal_power(Ideal(F5xyz, parse_gens(F5xyz, "x + y + z, x - y, y - z")), 20)
+        assert sum(len(g.terms) for g in large.gens) >= groebner.BATCH_MIN_TERMS
+        assert ideal_subset(large, J) == self.reference(large, J) and ran
+
+    def test_budget_and_overflow(self, sweeps):
+        ring = make_ring(5, ["x", "y", "z"])
+        J = Ideal(ring, parse_gens(ring, "y^2 - x*z, x*y - z^2"))
+        I = Ideal(ring, parse_gens(ring, "x^3*y - x^2*z^2, y^4, x*y*z^2"))
+        with pytest.raises(BudgetExceeded, match="3 columns"):
+            ideal_subset(I, J, GroebnerBudget(max_poly_terms=3))
+        # clearing y^2 from y^2*z^N leaves x*z^(N+1), clearing x*y from x*y*z^N z^(N+2)
+        N = EXPONENT_LIMIT
+        I = Ideal(ring, [Polynomial.monomial(ring, (0, 2, N)), Polynomial.monomial(ring, (1, 1, N))])
+        with pytest.raises(ExponentOverflow):
+            ideal_subset(I, J)
+        assert sweeps
+
+    def test_inhomogeneous_basis_takes_the_loop(self, sweeps):
+        S = make_ring(5, ["x", "y", "z"])
+        R = HypersurfaceRing(S, parse_poly(S, "x*y - z^3"))
+        J = Ideal(R, parse_gens(S, "x + y"))  # basis x + y, y^2 + z^3
+        J.groebner_basis()
+        sweeps.clear()
+        I = Ideal(R, parse_gens(S, "x^2 - y^2, x*z + y*z, z^2"))
+        assert ideal_subset(I, J) == (False, I.gens[2]) and not sweeps
+
+
+@st.composite
+def small_generators(draw):
+    """One to three term lists over x, y, z: exponents at most 2, one to
+    three terms, coefficients mod 5."""
+    exponent = st.tuples(*[st.integers(0, 2)] * 3)
+    term = st.tuples(exponent, st.integers(1, 4))
+    return draw(st.lists(st.lists(term, min_size=1, max_size=3), min_size=1, max_size=3))
+
+
+class TestBasisProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(small_generators())
+    def test_lex_and_grevlex_bases_generate_one_ideal(self, gens):
+        ideals = [Ideal(ring, [Polynomial(ring, g) for g in gens])
+                  for ring in (make_ring(5, "xyz", "lex"), make_ring(5, "xyz", "grevlex"))]
+        for A, B in (ideals, ideals[::-1]):
+            for g in A.groebner_basis():
+                assert ideal_member(Polynomial(B.ring, g.terms), B), (gens, g)
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_generators(), st.randoms(use_true_random=False))
+    def test_duplicated_generators_leave_the_reduced_basis(self, gens, rnd):
+        for order in ("lex", "grevlex"):
+            ring = make_ring(5, "xyz", order)
+            polys = [Polynomial(ring, g) for g in gens]
+            more = polys + [rnd.choice(polys) for _ in range(rnd.randrange(1, 4))]
+            rnd.shuffle(more)
+            assert Ideal(ring, more).groebner_basis() == Ideal(ring, polys).groebner_basis(), gens
 
 
 class TestOwnedObjects:

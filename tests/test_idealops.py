@@ -34,6 +34,7 @@ from conftest import (
     assert_minimal_ascending,
     iterated_colon_saturate,
     lcm_intersect_reference,
+    power_reference,
     random_ideal,
     random_monomial_ideal,
     random_poly,
@@ -54,6 +55,36 @@ class TestSumProductPower:
     def test_zeroth_power_is_unit(self, F5xyz):
         I = Ideal(F5xyz, parse_gens(F5xyz, "x, y"))
         assert ideal_power(I, 0).groebner_basis().is_unit()
+
+    @pytest.mark.parametrize("order,blocks", [
+        ("lex", None), ("grevlex", None), ("block", (("x", "y"), ("z", "w"))), ("cone", None),
+    ])
+    def test_power_by_multisets_matches_repeated_products(self, order, blocks):
+        # the same generators in the same order as I^(n-1) * I, also with
+        # repeated generators, monomials among them, and over S/(xy - z^2)
+        rng = random.Random(f"multiset power {order}")
+        for trial in range(20):
+            p = [2, 3, 5, 7][trial % 4]
+            if order == "cone":
+                S = make_ring(p, ["x", "y", "z"])
+                ring = HypersurfaceRing(S, parse_poly(S, "x*y - z^2"))
+            else:
+                S = ring = make_ring(p, ["x", "y", "z", "w"], order, blocks)
+            gens = list(random_ideal(S, rng, max_gens=3, max_deg=2, max_terms=3).gens)
+            gens += rng.sample(gens, rng.randrange(len(gens) + 1))
+            I = Ideal(ring, gens)
+            for n in (4, 2, 3, 1):
+                assert ideal_power(I, n).gens == power_reference(I, n).gens, (I, n)
+
+    def test_one_product_per_multiset(self, F5xyz, monkeypatch):
+        # three generators: I^2 takes the 6 multisets of two of them, I^3
+        # the 10 of three; I^(n-1) * I would take 9 and 18 products
+        I = Ideal(F5xyz, parse_gens(F5xyz, "x*y - z^2, x*z + y^2, y*z - x^2"))
+        made = []
+        mul = Polynomial._mul
+        monkeypatch.setattr(Polynomial, "_mul", lambda f, g, shared: made.append(1) or mul(f, g, shared))
+        assert len(ideal_power(I, 3).gens) == 10 and len(made) == 16
+        assert len(ideal_power(I, 2).gens) == 6 and len(made) == 16
 
 
 class TestBracketPower:

@@ -14,9 +14,9 @@ from froblab import (
     make_ring,
     parse_poly,
 )
-from froblab.rings import EXPONENT_LIMIT, mono_divides, mono_mul
+from froblab.rings import EXPONENT_LIMIT, mono_mul
 from froblab.parsing import _Tokens
-from conftest import random_poly, tokens_reference
+from conftest import mono_divides, random_poly, tokens_reference
 
 
 class TestMakeRing:
