@@ -206,10 +206,23 @@ def _run_check(session, rest):
             if value not in ("holds", "fails"):
                 raise ParseError(f"expect is holds or fails, not {value!r}")
         elif key != "floor" or value != "auto":
-            value = int(value)
+            value = _ints(key, value)
         kwargs[keys[key]] = value
     name = parts[0]
     return check(session.get_ideal(name), session.primedata_for(name), **kwargs)
+
+
+def _ints(key, text, many=False):
+    """int(text), or with many the ints of its comma-separated pieces; a piece
+    that is not an integer is a ParseError that names key."""
+    values = []
+    for piece in text.split(",") if many else [text]:
+        try:
+            values.append(int(piece))
+        except ValueError:
+            kind = "integers" if many else "an integer"
+            raise ParseError(f"{key} must be {kind}, not {piece!r}") from None
+    return values if many else values[0]
 
 
 def execute_statement(session: Session, line: str):
@@ -241,9 +254,9 @@ def execute_statement(session: Session, line: str):
         while tokens and "=" in tokens[-1]:
             key, _, value = tokens[-1].partition("=")
             if key == "heights":
-                kv["heights"] = [int(v) for v in value.split(",")]
+                kv["heights"] = _ints(key, value, many=True)
             elif key == "mu":
-                kv["mu"] = int(value)
+                kv["mu"] = _ints(key, value)
             else:
                 raise ParseError(f"unknown primes argument {key!r}")
             gens = gens.rstrip()[: -len(tokens.pop())]
@@ -262,10 +275,8 @@ def execute_statement(session: Session, line: str):
     elif head == "example":
         ex_id, _, argtext = rest.partition(" ")
         kv = _example_params(ex_id, argtext.split(), ("seed",))
-        seed = kv.pop("seed", "0")
-        if not seed.lstrip("-").isdigit():
-            raise ParseError(f"example seed must be an integer, not {seed!r}")
-        session.reports.extend(run_example(ex_id, kv, seed=int(seed), budget=session.budget))
+        seed = _ints("example seed", kv.pop("seed", "0"))
+        session.reports.extend(run_example(ex_id, kv, seed=seed, budget=session.budget))
     else:
         raise ParseError(f"unknown statement {head!r}")
 
@@ -383,7 +394,7 @@ def cmd_symbolic(args, out):
             _ideal_from_args(ring, hyper, g) for g in split_top_level(args.primes, ";")
         ]
         if args.heights:
-            pieces["heights"] = tuple(int(h) for h in args.heights.split(","))
+            pieces["heights"] = tuple(_ints("heights", args.heights, many=True))
     if args.separator:
         pieces["separators"] = [
             parse_poly(ring, s) for s in split_top_level(args.separator, ";")

@@ -51,8 +51,11 @@ F4, thresholds' 8 took 0.015-0.018 s and 0.019-0.027 s. The eliminations
 (Rabinowitsch and t tricks) are inhomogeneous: 95% of the pair loop's time on
 script and thresholds; of their bases only the part free of the eliminated
 block is inter-reduced and unpacked. Both engines prune pairs by one
-Gebauer-Moller update (_Pairs). All tie-breaks are canonical, so runs are
-reproducible bit for bit.
+Gebauer-Moller update (_Pairs) on ints: the exponent fields of the leading
+monomials, whose lcms are a guard-bit fieldwise max; a pair gets its packed
+lcm, its place in the queue, only once it survives. The pair loop's active
+elements are its minimal ones, so _reduce_basis only reduces their tails.
+All tie-breaks are canonical, so runs are reproducible bit for bit.
 
 ideal_subset takes a batch against a homogeneous basis not all monomials
 through F4's symbolic preprocessing and column sweep (_sweep), one matrix per
@@ -410,15 +413,22 @@ class _Pairs:
       then the new survivors with coprime leading monomials (the product
       criterion) or two monomials (S-polynomial zero) go too, after serving as
       witnesses for M and F. Elements whose leading monomial lm_k divides get
-      no further pairs. pop() selects a pair for reduction; the selections are
-      what budget.max_pairs caps.
+      no further pairs; active lists the others, ascending. pop() selects a
+      pair for reduction; the selections are what budget.max_pairs caps.
+
+    The update runs on ints: fields keeps lm & mask per element, the lex
+    packing of its exponents, on which _Packing.lcm takes lcm(i, k): for each
+    active i, and for B_k the two of a queued pair whose lcm lm_k divides. M
+    and F sort the new lcms in lex order, not the ring's; a divisor comes
+    first in every monomial order, so the same ones are kept. A pair entering
+    the queue gets its heap key by one unpack and one pack.
     """
 
-    __slots__ = ("packing", "budget", "lms", "exps", "monomial", "active", "queue", "selected")
+    __slots__ = ("packing", "budget", "lms", "fields", "monomial", "active", "queue", "selected")
 
     def __init__(self, packing, budget):
         self.packing, self.budget = packing, budget
-        self.lms, self.exps, self.monomial, self.active, self.queue = [], [], [], [], []
+        self.lms, self.fields, self.monomial, self.active, self.queue = [], [], [], [], []
         self.selected = 0
 
     def pop(self):
@@ -430,34 +440,33 @@ class _Pairs:
         return heapq.heappop(self.queue)
 
     def add(self, lm, monomial):
-        packing, lms, active = self.packing, self.lms, self.active
-        guards, pack = packing.guards, packing.pack
-        k = len(lms)
-        exp = packing.unpack(lm)
-        lcms = [tuple(map(max, e, exp)) for e in self.exps]
-        lcms = [(sum(e), pack(e)) for e in lcms]
-        queue = [
-            q for q in self.queue
-            if (q[1] - lm) & guards or q[1] == lcms[q[2]][1] or q[1] == lcms[q[3]][1]
-        ]
+        packing, fields, active = self.packing, self.fields, self.active
+        guards, mask, lcm = packing.guards, packing._mask, packing.lcm
+        k, x = len(fields), lm & mask
+        lcms = {i: lcm(fields[i], x) for i in active}
+        queue = [q for q in self.queue if (q[1] - lm) & guards
+                 or (q[1] & mask) in (lcm(fields[q[2]], x), lcm(fields[q[3]], x))]
         witnesses = []
-        for lcm, shared, i in sorted((lcms[i][1], lcms[i][1] != lms[i] + lm, i) for i in active):
-            if any(not (lcm - w) & guards for w in witnesses):
+        for f, shared, i in sorted((lcms[i], lcms[i] != fields[i] + x, i) for i in active):
+            if any(not (f - w) & guards for w in witnesses):
                 continue
-            witnesses.append(lcm)
+            witnesses.append(f)
             if shared and not (monomial and self.monomial[i]):
-                queue.append((lcms[i][0], lcm, i, k))
+                e = packing.unpack(f)
+                queue.append((sum(e), packing.pack(e), i, k))
         heapq.heapify(queue)
         self.queue = queue
-        self.active = [i for i in active if (lms[i] - lm) & guards] + [k]
-        lms.append(lm)
-        self.exps.append(exp)
+        self.active = [i for i in active if (fields[i] - x) & guards] + [k]
+        self.lms.append(lm)
+        fields.append(x)
         self.monomial.append(monomial)
 
 
 def _pair_loop(ring, gens, budget):
     """Buchberger's algorithm, one S-pair at a time under the normal strategy
-    (least lcm first), each reduced by _nf_terms; returns it not yet reduced."""
+    (least lcm first), each reduced by _nf_terms. Returns the active elements,
+    not yet reduced: each is reduced by the earlier ones on arrival, so they
+    are the ones whose leading monomial no other element's divides."""
     basis = []  # packed reducer triples (lm, lc_inv=1, tail); all monic
     pairs = _Pairs(ring._packing, budget)
 
@@ -474,7 +483,7 @@ def _pair_loop(ring, gens, budget):
         h = _nf_terms(ring, _spoly_terms(ring, basis[i], basis[j], lcm), basis, budget)
         if h:
             add(_monic(ring, h))
-    return basis
+    return [basis[i] for i in pairs.active]
 
 
 def _f4(ring, gens, budget):
@@ -657,14 +666,8 @@ def _monomial_product(ring, A, B):
 
 def _spoly_terms(ring, fi, fj, lcm):
     """Packed term stream of the S-polynomial of two monic reducer triples."""
-    lmi, _, taili = fi
-    lmj, _, tailj = fj
-    ui = lcm - lmi
-    uj = lcm - lmj
-    p = ring.p
-    out = [(m + ui, c) for m, c in taili]
-    out.extend((m + uj, p - c) for m, c in tailj)
-    return out
+    ui, uj, p = lcm - fi[0], lcm - fj[0], ring.p
+    return [(m + ui, c) for m, c in fi[2]] + [(m + uj, p - c) for m, c in fj[2]]
 
 
 def _monic(ring, terms):
@@ -677,29 +680,20 @@ def _monic(ring, terms):
 
 
 def _reduce_basis(ring, basis, budget):
-    """Drop the elements whose leading monomial another's divides (of equal
-    ones, all but the first), then reduce each tail by the others."""
-    divides = ring._packing.divides
-    kept = [b for i, b in enumerate(basis) if not any(
-        j != i and divides(o[0], b[0]) and (o[0] != b[0] or j < i) for j, o in enumerate(basis))]
-    return sorted((lm, 1, _nf_terms(ring, tail, kept[:k] + kept[k + 1:], budget))
-                  for k, (lm, _, tail) in enumerate(kept))
+    """Reduce each tail by the other elements of a basis whose leading
+    monomials divide none of each other's, as _pair_loop returns it."""
+    return sorted((lm, 1, _nf_terms(ring, tail, basis[:k] + basis[k + 1:], budget))
+                  for k, (lm, _, tail) in enumerate(basis))
 
 
 def _unpack_basis(ring, reduced):
     """Polynomials of sorted reducer triples; a monomial recurs across basis
     elements, so each is unpacked once and its tuple shared."""
     unpack = ring._packing.unpack
-    exps = {}
-    polys = []
-    for lm, _, tail in reduced:
-        terms = ((lm, 1),) + tail
-        for m, _ in terms:
-            if m not in exps:
-                exps[m] = unpack(m)
-        polys.append(Polynomial(ring, tuple((exps[m], c) for m, c in terms), canonical=True,
-                                packed=terms))
-    return tuple(polys)
+    terms = [((lm, 1),) + tail for lm, _, tail in reduced]
+    exps = {m: unpack(m) for m in {m for t in terms for m, _ in t}}
+    return tuple(Polynomial(ring, tuple((exps[m], c) for m, c in t), canonical=True, packed=t)
+                 for t in terms)
 
 
 # ---------------------------------------------------------------------------

@@ -97,9 +97,6 @@ class _Packing:
     def unpack(self, packed):
         return self._struct.unpack((packed & self._mask).to_bytes(self._nbytes, "big"))
 
-    def divides(self, a, b):
-        return not (b - a) & self.guards
-
     def lcm(self, a, b):
         """lcm of two monomials packed in lex order, whose ints are the exponent
         fields alone. Per field, (a | guard) - b keeps the guard bit exactly
@@ -197,7 +194,7 @@ class RingDescriptor:
         return tuple(_grevlex_key(m[s]) for s in self._slices)
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, RingDescriptor)
             and self.p == other.p
             and self.variables == other.variables

@@ -1,8 +1,10 @@
+import heapq
 import random
 
 import pytest
 
 import froblab.idealops as idealops
+from froblab import groebner
 from froblab import (
     HypersurfaceRing,
     Ideal,
@@ -13,6 +15,7 @@ from froblab import (
     make_ring,
     parse_poly,
 )
+from froblab.errors import BudgetExceeded
 from froblab.parsing import _TOKEN
 from froblab.rings import EXPONENT_LIMIT
 
@@ -203,3 +206,80 @@ def tokens_reference(text):
                 col += 1
         pos = m.end()
     return items, ("end", "", line, col)
+
+
+class PairsReference:
+    """Reference for groebner._Pairs: the same Gebauer-Moller update on
+    exponent tuples, each lcm(i, k) taken for every earlier element as a
+    fieldwise max and packed in the ring's order, so that M and F sort the
+    new lcms in the ring's order."""
+
+    __slots__ = ("packing", "budget", "lms", "exps", "monomial", "active", "queue", "selected")
+
+    def __init__(self, packing, budget):
+        self.packing, self.budget = packing, budget
+        self.lms, self.exps, self.monomial, self.active, self.queue = [], [], [], [], []
+        self.selected = 0
+
+    def pop(self):
+        self.selected += 1
+        if self.selected > self.budget.max_pairs:
+            raise BudgetExceeded(
+                f"Buchberger exceeded {self.budget.max_pairs} S-pairs; raise the budget to proceed"
+            )
+        return heapq.heappop(self.queue)
+
+    def add(self, lm, monomial):
+        packing, lms, active = self.packing, self.lms, self.active
+        guards, pack = packing.guards, packing.pack
+        k = len(lms)
+        exp = packing.unpack(lm)
+        lcms = [tuple(map(max, e, exp)) for e in self.exps]
+        lcms = [(sum(e), pack(e)) for e in lcms]
+        queue = [
+            q for q in self.queue
+            if (q[1] - lm) & guards or q[1] == lcms[q[2]][1] or q[1] == lcms[q[3]][1]
+        ]
+        witnesses = []
+        for lcm, shared, i in sorted((lcms[i][1], lcms[i][1] != lms[i] + lm, i) for i in active):
+            if any(not (lcm - w) & guards for w in witnesses):
+                continue
+            witnesses.append(lcm)
+            if shared and not (monomial and self.monomial[i]):
+                queue.append((lcms[i][0], lcm, i, k))
+        heapq.heapify(queue)
+        self.queue = queue
+        self.active = [i for i in active if (lms[i] - lm) & guards] + [k]
+        lms.append(lm)
+        self.exps.append(exp)
+        self.monomial.append(monomial)
+
+
+def reduced_pair_loop_reference(ring, gens, budget):
+    """Reference for groebner._reduce_basis of groebner._pair_loop: the pair
+    loop on PairsReference, which keeps every element it adds; the elements
+    whose leading monomial another's divides are dropped (of equal ones, all
+    but the first) before each tail is reduced by the others."""
+    basis = []
+    pairs = PairsReference(ring._packing, budget)
+
+    def add(terms):
+        basis.append((terms[0][0], 1, terms[1:]))
+        pairs.add(terms[0][0], len(terms) == 1)
+
+    for g in gens:
+        h = groebner._nf_terms(ring, groebner._monic(ring, g._packed_terms()), basis, budget)
+        if h:
+            add(groebner._monic(ring, h))
+    while pairs.queue:
+        _, lcm, i, j = pairs.pop()
+        spoly = groebner._spoly_terms(ring, basis[i], basis[j], lcm)
+        h = groebner._nf_terms(ring, spoly, basis, budget)
+        if h:
+            add(groebner._monic(ring, h))
+    guards = ring._packing.guards
+    kept = [b for i, b in enumerate(basis) if not any(
+        j != i and not (b[0] - o[0]) & guards and (o[0] != b[0] or j < i)
+        for j, o in enumerate(basis))]
+    return sorted((lm, 1, groebner._nf_terms(ring, tail, kept[:k] + kept[k + 1:], budget))
+                  for k, (lm, _, tail) in enumerate(kept))

@@ -312,9 +312,9 @@ assert-fpure I
 # (statement, a fragment of its one error line); each must exit 2
 DSL_ERRORS = [
     ("ideal = x", "bad ideal name ''"),
-    ("primes I = (x) heights=a", "'a'"),
+    ("primes I = (x) heights=a", "heights must be integers, not 'a'"),
     ("check fpure", "check needs an ideal name"),
-    ("check fpure I n=abc", "'abc'"),
+    ("check fpure I n=abc", "n must be an integer, not 'abc'"),
     ("example xy-zk p=abc", "'abc'"),
     ("separator I =", "unexpected end of input"),
     ("ideal I = x,,y", "unexpected end of input"),
@@ -362,6 +362,38 @@ def test_dsl_error_names_one_position(statement, line, tmp_path):
     out = io.StringIO()
     assert run_script(str(path), out=out) == 2
     assert out.getvalue() == line + "\n"
+
+
+# (statement, its error): an integer a script gives outside an example's
+# parameters names its key and the type expected
+INTEGER_ERRORS = [
+    ("primes I = (x, y);  (x,  z) mu=2 heights=1,+", "heights must be integers, not '+'"),
+    ("primes I = (x, y) mu=two", "mu must be an integer, not 'two'"),
+    ("check fpure I n=abc", "n must be an integer, not 'abc'"),
+    ("check symbolic-ie I e=1.5", "e must be an integer, not '1.5'"),
+    ("check sfr I cap=", "cap must be an integer, not ''"),
+    ("check fpt I emax=x", "emax must be an integer, not 'x'"),
+    ("check fpt I floor=half", "floor must be an integer, not 'half'"),
+]
+
+
+@pytest.mark.parametrize("statement,message", INTEGER_ERRORS,
+                         ids=["heights", "mu", "n", "e", "cap", "emax", "floor"])
+def test_script_integer_names_its_key(statement, message, tmp_path, capsys):
+    path = tmp_path / "script.flb"
+    path.write_text(f"ring F5[x,y,z]\nideal I = x, y\n{statement}\n")
+    out = io.StringIO()
+    assert run_script(str(path), out=out) == 2
+    assert out.getvalue() == f"error at line 3: {message}\n"
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr() == (f"error at line 3: {message}\n", "")
+
+
+def test_heights_option_names_its_key(capsys):
+    argv = ["symbolic", "--ring", "F5[x,y,z]", "--ideal", "x, y", "--n", "2",
+            "--primes", "x, y", "--heights", "1,+"]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: heights must be integers, not '+'\n")
 
 
 @pytest.mark.parametrize("example,param,message", [

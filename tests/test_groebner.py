@@ -33,6 +33,7 @@ from froblab import groebner
 from froblab.groebner import DEFAULT_BUDGET, last_escaping_power
 from froblab.rings import EXPONENT_LIMIT, mono_mul
 from conftest import (
+    PairsReference,
     last_escaping_monomial_reference,
     mono_div,
     mono_lcm,
@@ -41,7 +42,20 @@ from conftest import (
     random_ideal_in_max,
     random_monomial_ideal,
     random_poly,
+    reduced_pair_loop_reference,
 )
+
+
+def check_pair_loop(ring, gens, budget=DEFAULT_BUDGET):
+    """_pair_loop returns elements no leading monomial of another divides, and
+    _reduce_basis makes of them the reference pair loop's basis."""
+    basis = groebner._pair_loop(ring, gens, budget)
+    lms, guards = [b[0] for b in basis], ring._packing.guards
+    assert not any(i != j and not (b - a) & guards
+                   for i, a in enumerate(lms) for j, b in enumerate(lms)), gens
+    reduced = groebner._reduce_basis(ring, basis, budget)
+    assert reduced == reduced_pair_loop_reference(ring, gens, budget), gens
+    return reduced
 
 
 def spoly(f, g):
@@ -374,6 +388,7 @@ class TestSympyAgreement:
             I = random_ideal(ring, rng, max_gens=3, max_deg=3, max_terms=3)
             G = I.groebner_basis()
             assert G.elements == self.sympy_basis(I, order), (order, I)
+            check_pair_loop(ring, I.gens)
             proper += not G.is_unit()
         assert proper >= 10  # the sample is not all unit ideals
 
@@ -455,7 +470,7 @@ class TestF4:
     def engines(ring, gens, budget=DEFAULT_BUDGET):
         """Both engines' reduced bases, as (polynomials, packed reducers)."""
         f4 = groebner._f4(ring, gens, budget)
-        pair_loop = groebner._reduce_basis(ring, groebner._pair_loop(ring, gens, budget), budget)
+        pair_loop = check_pair_loop(ring, gens, budget)
         return [(groebner._unpack_basis(ring, b), b) for b in (f4, pair_loop)]
 
     @staticmethod
@@ -541,6 +556,40 @@ class TestF4:
         for engine in (groebner._f4, groebner._pair_loop):
             with pytest.raises(ExponentOverflow):
                 engine(ring, gens, DEFAULT_BUDGET)
+
+
+class TestPairs:
+    """_Pairs runs the Gebauer-Moller update on exponent fields. Replayed
+    through it and the tuple reference, a sequence of leading monomials with
+    pops in between must queue the same pairs, select them in the same order
+    and leave the same active elements."""
+
+    @pytest.mark.parametrize("nvars", [2, 3, 4, 5])
+    @pytest.mark.parametrize("order", ["lex", "grevlex", "block"])
+    def test_replay_matches_the_tuple_reference(self, order, nvars):
+        rng = random.Random(f"pairs {order} {nvars}")
+        names = list("xyzwv"[:nvars])
+        blocks = (names[: nvars // 2], names[nvars // 2:]) if order == "block" else None
+        ring = make_ring(5, names, order, blocks)
+        huge = (EXPONENT_LIMIT, EXPONENT_LIMIT - 1, 1 << 30)
+        popped = 0
+        for _ in range(40):
+            top = rng.choice([2, 3, 4])
+            ours, ref = (cls(ring._packing, DEFAULT_BUDGET) for cls in (groebner._Pairs, PairsReference))
+            for _ in range(rng.randrange(2, 25)):
+                e = [rng.choice(huge) if rng.random() < 0.05 else rng.randrange(top) for _ in names]
+                lm, monomial = ring._packing.pack(e), rng.random() < 0.3
+                ours.add(lm, monomial)
+                ref.add(lm, monomial)
+                assert sorted(ours.queue) == sorted(ref.queue) and ours.active == ref.active
+                for _ in range(min(rng.randrange(3), len(ref.queue))):
+                    assert ours.pop() == ref.pop()
+                    popped += 1
+            while ref.queue:
+                assert ours.pop() == ref.pop()
+                popped += 1
+            assert not ours.queue and ours.active == ref.active
+        assert popped >= 100  # the criteria leave pairs to select
 
 
 class TestBatchedSubset:
