@@ -16,14 +16,10 @@ the powers idealops.ideal_power has built of it. Nothing is cached across
 ideals.
 
 The kernel works on packed monomials (see rings: one int per exponent
-vector, int order = monomial order). Polynomials are packed on the way in --
-normal_form's argument, Buchberger's generators, each GroebnerBasis's
-reducers, which the basis keeps -- and unpacked once on the way out into
-canonical Polynomials that keep the packed terms they came from, so a product
-or a basis element is never packed again. (Keeping the packed terms of every
-polynomial once packed, or of monomials, raised the peak RSS of script by 0.3
-MB and of sweep by 0.5 MB, perfbench seeds 910-932, for no time.) In between,
-multiplying monomials is an int add, divisibility a guard-bit test on a
+vector, int order = monomial order), which is how every Polynomial is stored:
+it reads a polynomial's packed terms (_packed) and makes its results from
+packed terms (Polynomial._from_packed), with no exponent tuple on either
+side. Multiplying monomials is an int add, divisibility a guard-bit test on a
 difference, and an exponent past EXPONENT_LIMIT raises ExponentOverflow
 instead of wrapping. Reduction and exact division keep the working polynomial
 in a dict with a lazy max-heap of negated packed monomials. The monomial nu_e
@@ -50,7 +46,7 @@ monomial: script's 60 such bases took 0.009 s in the pair loop and 0.034 s in
 F4, thresholds' 8 took 0.015-0.018 s and 0.019-0.027 s. The eliminations
 (Rabinowitsch and t tricks) are inhomogeneous: 95% of the pair loop's time on
 script and thresholds; of their bases only the part free of the eliminated
-block is inter-reduced and unpacked. Both engines prune pairs by one
+block is inter-reduced. Both engines prune pairs by one
 Gebauer-Moller update (_Pairs) on ints: the exponent fields of the leading
 monomials, whose lcms are a guard-bit fieldwise max; a pair gets its packed
 lcm, its place in the queue, only once it survives. The pair loop's active
@@ -310,7 +306,7 @@ def _nf_terms(ring, terms, basis, budget):
 def _as_reducers(ring, polys):
     """Packed (lm, lc_inv, tail) triples for monic-or-not polynomials."""
     p = ring.p
-    packed = [g._packed_terms() for g in polys if g]
+    packed = [g._packed for g in polys if g]
     return [(t[0][0], pow(t[0][1], p - 2, p), t[1:]) for t in packed]
 
 
@@ -318,9 +314,8 @@ def normal_form(f: Polynomial, G, budget=None) -> Polynomial:
     """Unique remainder of f modulo a Groebner basis G (idempotent)."""
     ring = f.ring
     reducers = G._packed_reducers() if isinstance(G, GroebnerBasis) else _as_reducers(ring, G)
-    terms = _nf_terms(ring, f._packed_terms(), reducers, budget or DEFAULT_BUDGET)
-    unpack = ring._packing.unpack
-    return Polynomial(ring, tuple((unpack(m), c) for m, c in terms), canonical=True, packed=terms)
+    terms = _nf_terms(ring, f._packed, reducers, budget or DEFAULT_BUDGET)
+    return Polynomial._from_packed(ring, terms)
 
 
 def poly_divide_exact(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -337,9 +332,9 @@ def poly_divide_exact(f: Polynomial, g: Polynomial) -> Polynomial:
         raise ZeroDivisionError("division by the zero polynomial")
     ring = f.ring
     p, guards = ring.p, ring._packing.guards
-    (lm, lc), *tail = g._packed_terms()
+    (lm, lc), *tail = g._packed
     inv = pow(lc, p - 2, p)
-    work = dict(f._packed_terms())
+    work = dict(f._packed)
     heap = [-m for m in work]
     heapq.heapify(heap)
     out = []
@@ -360,9 +355,7 @@ def poly_divide_exact(f: Polynomial, g: Polynomial) -> Polynomial:
             v = (work.pop(mm, 0) - qc * c2) % p
             if v:
                 work[mm] = v
-    unpack = ring._packing.unpack
-    out = tuple(out)
-    return Polynomial(ring, tuple((unpack(m), c) for m, c in out), canonical=True, packed=out)
+    return Polynomial._from_packed(ring, tuple(out))
 
 
 # ---------------------------------------------------------------------------
@@ -375,21 +368,22 @@ def _buchberger(ring, gens, budget, front=0):
     monomial generators take _minimal_monomials; homogeneous ones, two or more
     of them not monomials, take _f4; the rest take _pair_loop, then
     _reduce_basis. With front > 0, only the elements whose leading monomial
-    avoids the first front variables are kept, reduced and unpacked."""
+    avoids the first front variables are kept and reduced."""
     gens = [g for g in gens if g]
     if not gens:
         return (), []
-    polys = sum(len(g.terms) > 1 for g in gens)
+    polys = sum(len(g._packed) > 1 for g in gens)
+    unpack = ring._packing.unpack
     if not polys:
-        monos = [g.terms[0][0] for g in gens]
-        return _minimal_monomials(ring, [m for m in monos if not any(m[:front])])
+        free = [g for g in gens if not any(unpack(g._packed[0][0])[:front])]
+        return _minimal_monomials(ring, free)
     homogeneous = polys > 1 and all(g.is_homogeneous() for g in gens)
     basis = (_f4 if homogeneous else _pair_loop)(ring, gens, budget)
     if front:
-        basis = [b for b in basis if not any(ring._packing.unpack(b[0])[:front])]
+        basis = [b for b in basis if not any(unpack(b[0])[:front])]
     if not homogeneous:
         basis = _reduce_basis(ring, basis, budget)
-    return _unpack_basis(ring, basis), basis
+    return _basis_polys(ring, basis), basis
 
 
 def elimination_basis(ring, gens, budget=None):
@@ -409,7 +403,7 @@ class _Pairs:
       B_k   an old pair (i, j) goes when lm_k divides its lcm and differs from
             lcm(i, k) and lcm(j, k);
       M, F  a new pair (i, k) goes when the lcm of another new pair divides its
-            lcm; of new pairs with one lcm one stays, a coprime one first;
+            lcm; of new pairs with one lcm the least i stays;
       then the new survivors with coprime leading monomials (the product
       criterion) or two monomials (S-polynomial zero) go too, after serving as
       witnesses for M and F. Elements whose leading monomial lm_k divides get
@@ -420,8 +414,11 @@ class _Pairs:
     packing of its exponents, on which _Packing.lcm takes lcm(i, k): for each
     active i, and for B_k the two of a queued pair whose lcm lm_k divides. M
     and F sort the new lcms in lex order, not the ring's; a divisor comes
-    first in every monomial order, so the same ones are kept. A pair entering
-    the queue gets its heap key by one unpack and one pack.
+    first in every monomial order, so the same ones are kept. A coprime pair
+    never ties: lcm(i, k) = lm_i * lm_k = lcm(j, k) forces lm_i | lm_j, and
+    the active leading monomials divide none of each other. So coprimality is
+    tested only for the survivors. A pair entering the queue gets its heap
+    key by one unpack and one pack.
     """
 
     __slots__ = ("packing", "budget", "lms", "fields", "monomial", "active", "queue", "selected")
@@ -447,11 +444,11 @@ class _Pairs:
         queue = [q for q in self.queue if (q[1] - lm) & guards
                  or (q[1] & mask) in (lcm(fields[q[2]], x), lcm(fields[q[3]], x))]
         witnesses = []
-        for f, shared, i in sorted((lcms[i], lcms[i] != fields[i] + x, i) for i in active):
+        for f, i in sorted((lcms[i], i) for i in active):
             if any(not (f - w) & guards for w in witnesses):
                 continue
             witnesses.append(f)
-            if shared and not (monomial and self.monomial[i]):
+            if f != fields[i] + x and not (monomial and self.monomial[i]):
                 e = packing.unpack(f)
                 queue.append((sum(e), packing.pack(e), i, k))
         heapq.heapify(queue)
@@ -475,7 +472,7 @@ def _pair_loop(ring, gens, budget):
         pairs.add(terms[0][0], len(terms) == 1)
 
     for g in gens:
-        h = _nf_terms(ring, _monic(ring, g._packed_terms()), basis, budget)
+        h = _nf_terms(ring, _monic(ring, g._packed), basis, budget)
         if h:
             add(_monic(ring, h))
     while pairs.queue:
@@ -502,7 +499,7 @@ def _f4(ring, gens, budget):
     """
     todo = {}  # degree -> generators of that degree, packed, not yet used
     for g in gens:
-        todo.setdefault(sum(g.terms[0][0]), []).append(g._packed_terms())
+        todo.setdefault(sum(g.lead_monomial()), []).append(g._packed)
     pairs = _Pairs(ring._packing, budget)
     lms = pairs.lms
     monos, coefs = [], []  # per element: packed monomials, coefficient array
@@ -619,22 +616,21 @@ def _row_echelon(A, p):
 
 def _minimal_monomials(ring, *factors):
     """Reduced basis, as (polynomials, packed reducers), of the intersection
-    of the monomial ideals that the factors, lists of exponent tuples,
-    generate; of one factor, its minimal monomials, monic. The intersection is
-    generated by the lcms of one monomial from each factor (Miller-Sturmfels,
+    of the monomial ideals that the factors, lists of monomials, generate; of
+    one factor, its minimal monomials, monic. The intersection is generated
+    by the lcms of one monomial from each factor (Miller-Sturmfels,
     Combinatorial Commutative Algebra, ch. 1), taken factor by factor with
-    only the minimal ones carried on. They are taken and pruned on the lex
-    packing, whose ints are the exponent fields alone, and only the result is
-    packed in the ring's order. Ascending lex order, as every monomial order,
-    puts a divisor before its multiples, so a monomial is kept when no kept
-    one divides it; a divisor tends to sit close below, so the kept ones are
-    tried from the latest back. No factors give the zero ideal."""
+    only the minimal ones carried on. They are taken and pruned on the
+    exponent fields, m & mask, which are the lex packing, and only the result
+    is packed in the ring's order. Ascending lex order, as every monomial
+    order, puts a divisor before its multiples, so a monomial is kept when no
+    kept one divides it; a divisor tends to sit close below, so the kept ones
+    are tried from the latest back. No factors give the zero ideal."""
+    packing = ring._packing
     lex = _packing_for(ring.nvars, "lex", None)
     kept = None
     for monos in factors:
-        packed = list(map(lex.pack, monos))
-        for m in packed:
-            lex.check(m)
+        packed = [g._packed[0][0] & packing._mask for g in monos]
         if kept is not None:
             packed = [lex.lcm(a, b) for a in kept for b in packed]
         kept = []
@@ -644,24 +640,22 @@ def _minimal_monomials(ring, *factors):
                     break
             else:
                 kept.append(m)
-    pack = ring._packing.pack
-    exps = sorted((pack(e), e) for e in map(lex.unpack, kept or ()))
-    polys = tuple(Polynomial(ring, ((e, 1),), canonical=True) for _, e in exps)
-    return polys, [(m, 1, ()) for m, _ in exps]
+    reduced = sorted((packing.pack(lex.unpack(m)), 1, ()) for m in kept or ())
+    return tuple(Polynomial._from_packed(ring, ((m, 1),)) for m, _, _ in reduced), reduced
 
 
 def _monomial_product(ring, A, B):
     """The products a*b, a in A and b in B, of monomials: exact duplicates
     dropped, ascending by (monomial, coefficient); None unless A and B are all
     monomials. An exponent past EXPONENT_LIMIT raises ExponentOverflow."""
-    if any(len(g.terms) != 1 for g in (*A, *B)):
+    if any(len(g._packed) != 1 for g in (*A, *B)):
         return None
     p, packing = ring.p, ring._packing
-    a, b = ([(packing.pack(m), c) for ((m, c),) in (g.terms for g in gens)] for gens in (A, B))
-    products = sorted({(ma + mb, ca * cb % p) for ma, ca in a for mb, cb in b})
+    products = sorted({(ma + mb, ca * cb % p) for ((ma, ca),) in (g._packed for g in A)
+                       for ((mb, cb),) in (g._packed for g in B)})
     for m, _ in products:
         packing.check(m)
-    return [Polynomial(ring, ((packing.unpack(m), c),), canonical=True) for m, c in products]
+    return [Polynomial._from_packed(ring, (t,)) for t in products]
 
 
 def _spoly_terms(ring, fi, fj, lcm):
@@ -686,14 +680,9 @@ def _reduce_basis(ring, basis, budget):
                   for k, (lm, _, tail) in enumerate(basis))
 
 
-def _unpack_basis(ring, reduced):
-    """Polynomials of sorted reducer triples; a monomial recurs across basis
-    elements, so each is unpacked once and its tuple shared."""
-    unpack = ring._packing.unpack
-    terms = [((lm, 1),) + tail for lm, _, tail in reduced]
-    exps = {m: unpack(m) for m in {m for t in terms for m, _ in t}}
-    return tuple(Polynomial(ring, tuple((exps[m], c) for m, c in t), canonical=True, packed=t)
-                 for t in terms)
+def _basis_polys(ring, reduced):
+    """The polynomials of monic reducer triples."""
+    return tuple(Polynomial._from_packed(ring, ((lm, 1),) + tail) for lm, _, tail in reduced)
 
 
 # ---------------------------------------------------------------------------
@@ -728,15 +717,15 @@ def ideal_subset(I: Ideal, J: Ideal, budget=None):
     if I.ring != J.ring:
         raise RingMismatch("ideals from different rings")
     gens = I.gens
-    big = sum(len(g.terms) for g in gens) >= BATCH_MIN_TERMS
+    big = sum(len(g._packed) for g in gens) >= BATCH_MIN_TERMS
     basis = big and J.preimage_gens and J.groebner_basis(budget)._matrix_basis()
     if basis and all(g.is_homogeneous() for g in gens):
         degrees = {}
         for i, g in enumerate(gens):
-            degrees.setdefault(sum(g.terms[0][0]), []).append(i)
+            degrees.setdefault(sum(g.lead_monomial()), []).append(i)
         outside = []
         for batch in degrees.values():
-            rows = [(0, *zip(*gens[i]._packed_terms())) for i in batch]
+            rows = [(0, *zip(*gens[i]._packed)) for i in batch]
             A, _ = _sweep(J.ring.ambient, budget or DEFAULT_BUDGET, basis, rows, {})
             outside += [batch[r] for r in np.flatnonzero(A.any(axis=1)).tolist()]
         bad = gens[min(outside)] if outside else None
@@ -747,14 +736,9 @@ def ideal_subset(I: Ideal, J: Ideal, budget=None):
 
 def _divisible(f, lms):
     """f in the ideal of the packed monomials lms: each term of f has a
-    divisor among them. As in _nf_terms, a term past EXPONENT_LIMIT raises."""
-    packing = f.ring._packing
-    guards = packing.guards
-    terms = f._packed_terms()
-    for m, _ in terms:
-        if m & guards:
-            packing.check(m)
-    for m, _ in terms:
+    divisor among them."""
+    guards = f.ring._packing.guards
+    for m, _ in f._packed:
         for lm in lms:
             if not (m - lm) & guards:
                 break
@@ -779,7 +763,7 @@ def last_escaping_power(gens, J: Ideal, cap: int, budget=None):
     ring = J.ring.ambient
     budget = budget or DEFAULT_BUDGET
     basis = J.groebner_basis(budget)._packed_reducers()
-    factors = [g._packed_terms() for g in gens if g]
+    factors = [g._packed for g in gens if g]
     if all(len(f) == 1 for f in factors) and not any(tail for _, _, tail in basis):
         return _last_escaping_monomial(ring, [f[0][0] for f in factors], [b[0] for b in basis], cap)
     # level 0 is the packed constant 1, which generates (gens)^0
@@ -797,10 +781,10 @@ def absorbing_exponent(start, gens, J: Ideal, cap: int, budget=None):
     basis = J.groebner_basis(budget)._packed_reducers()
     level = set()
     for h in start:
-        nf = _nf_terms(ring, h._packed_terms(), basis, budget)
+        nf = _nf_terms(ring, h._packed, basis, budget)
         if nf:
             level.add(_monic(ring, nf))
-    factors = [g._packed_terms() for g in gens if g]
+    factors = [g._packed for g in gens if g]
     return _frontier_depth(ring, level, factors, basis, cap, budget)
 
 

@@ -39,17 +39,12 @@ from .groebner import (
     elimination_basis,
     poly_divide_exact,
 )
-from .rings import Polynomial, RingDescriptor, mono_mul
+from .rings import Polynomial, RingDescriptor, mono_mul, sorted_canonical
 
 
 def _dedup(gens):
     """The nonzero gens, each kept at its first occurrence."""
     return list(dict.fromkeys(g for g in gens if g))
-
-
-def _sorted_canonical(ring, gens):
-    key = ring.key
-    return sorted(gens, key=lambda g: (key(g.lead_monomial()), g.terms))
 
 
 def maximal_ideal(ring) -> Ideal:
@@ -70,7 +65,7 @@ def ideal_product(I: Ideal, J: Ideal) -> Ideal:
     ring = I.ring.ambient
     gens = _monomial_product(ring, I.gens, J.gens)
     if gens is None:
-        gens = _sorted_canonical(ring, _dedup(a * b for a in I.gens for b in J.gens))
+        gens = sorted_canonical(_dedup(a * b for a in I.gens for b in J.gens))
     return Ideal(I.ring, gens)
 
 
@@ -97,10 +92,9 @@ def ideal_power(I: Ideal, n: int) -> Ideal:
         last, products = powers[-1] if powers else (I, {(i,): g for i, g in enumerate(gens)})
         power = _monomial_product(ring, last.gens, gens)
         if power is None:
-            shared = {}  # the products share each monomial's int and exponent tuple
-            products = {a + (i,): f._mul(gens[i], shared)
+            products = {a + (i,): f * gens[i]
                         for a, f in products.items() for i in range(a[-1], len(gens))}
-            power = _sorted_canonical(ring, _dedup(products.values()))
+            power = sorted_canonical(_dedup(products.values()))
         powers.append((Ideal(I.ring, power), products))
     return powers[n - 2][0]
 
@@ -143,16 +137,16 @@ def _extended_ring(ring, front_vars):
 
 def _lift(poly, ring2, pad):
     zeros = (0,) * pad
-    return Polynomial(ring2, tuple((zeros + m, c) for m, c in poly.terms), canonical=False)
+    return Polynomial(ring2, [(zeros + m, c) for m, c in poly.terms])
 
 
 def _drop(poly, ring, pad):
-    return Polynomial(ring, tuple((m[pad:], c) for m, c in poly.terms), canonical=False)
+    return Polynomial(ring, [(m[pad:], c) for m, c in poly.terms])
 
 
 def _permute(poly, ring2, source):
     """poly in ring2, whose i-th variable is poly's variable source[i]."""
-    return Polynomial(ring2, tuple((tuple(m[i] for i in source), c) for m, c in poly.terms))
+    return Polynomial(ring2, [(tuple(m[i] for i in source), c) for m, c in poly.terms])
 
 
 def eliminate(I: Ideal, kill, budget=None) -> Ideal:
@@ -187,7 +181,7 @@ def ideal_intersect(I: Ideal, J: Ideal, budget=None) -> Ideal:
     if not A or not B:
         return Ideal(I.ring)
     if all(g.is_monomial() for g in A + B):
-        polys, reduced = _minimal_monomials(ring, *([g.lead_monomial() for g in X] for X in (A, B)))
+        polys, reduced = _minimal_monomials(ring, A, B)
         return Ideal(I.ring, polys).with_gb(GroebnerBasis(ring, polys, reduced))
     t_name = _aux_name(ring)
     ring2 = _extended_ring(ring, [t_name])
@@ -196,7 +190,7 @@ def ideal_intersect(I: Ideal, J: Ideal, budget=None) -> Ideal:
     gens2 = [t * _lift(g, ring2, 1) for g in A]
     gens2 += [one_minus_t * _lift(g, ring2, 1) for g in B]
     kept = [_drop(g, ring, 1) for g in elimination_basis(ring2, gens2, budget)]
-    return Ideal(I.ring, _sorted_canonical(ring, kept))
+    return Ideal(I.ring, sorted_canonical(kept))
 
 
 def _colon_single(I: Ideal, g: Polynomial, budget=None) -> Ideal:
@@ -284,7 +278,7 @@ def _saturate_rabinowitsch(I: Ideal, g: Polynomial, budget):
     gens2 = [_lift(h, ring2, 1) for h in I.preimage_gens]
     gens2.append(Polynomial.one(ring2) - t * _lift(g, ring2, 1))
     kept = [_drop(h, ring, 1) for h in elimination_basis(ring2, gens2, budget)]
-    sat = Ideal(I.ring, _sorted_canonical(ring, kept))
+    sat = Ideal(I.ring, sorted_canonical(kept))
     if ring.order == "grevlex":
         # the block order is grevlex inside the rest block, so the elimination
         # theorem makes the t-free part the reduced basis of the saturation
@@ -293,30 +287,17 @@ def _saturate_rabinowitsch(I: Ideal, g: Polynomial, budget):
 
 
 def _is_last_variable(ring, f):
-    if ring.order != "grevlex" or len(f.terms) != 1:
+    if ring.order != "grevlex" or not f.is_monomial():
         return False
-    m, _ = f.terms[0]
+    m = f.lead_monomial()
     return sum(m) == 1 and m[-1] == 1
 
 
 def _saturate_grevlex_last(I: Ideal, budget):
-    ring = I.ring.ambient
     G = I.groebner_basis(budget)
-    divided = []
-    any_divided = False
-    for g in G:
-        val = min((m[-1] for m, _ in g.terms), default=0)
-        if val:
-            any_divided = True
-            shift = tuple([0] * (ring.nvars - 1) + [-val])
-            g = Polynomial(
-                ring,
-                tuple((tuple(x + s for x, s in zip(m, shift)), c) for m, c in g.terms),
-                canonical=True,
-            )
-        divided.append(g)
-    sat = Ideal(I.ring, _sorted_canonical(ring, divided))
-    if not any_divided:
+    divided = [g.without_last_power() for g in G]
+    sat = Ideal(I.ring, sorted_canonical(divided))
+    if all(h is g for h, g in zip(divided, G)):
         sat.with_gb(G)
     return sat
 
@@ -384,7 +365,7 @@ def minors(M: PolyMatrix, size: int) -> Ideal:
     for rsel in itertools.combinations(range(rows), size):
         for csel in itertools.combinations(range(cols), size):
             gens.append(M.determinant_of(rsel, csel, memo))
-    return Ideal(M.ring, _sorted_canonical(M.ring, _dedup(gens)))
+    return Ideal(M.ring, sorted_canonical(_dedup(gens)))
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +407,8 @@ def brute_membership_oracle(f: Polynomial, I: Ideal, cofactor_degree_bound: int)
     row_index = {}  # monomial -> its row, numbered as met
     for m, _ in f.terms:
         row_index.setdefault(m, len(row_index))
-    col_data = [[(row_index.setdefault(mono_mul(u, m), len(row_index)), c) for m, c in g.terms]
-                for g in gens for u in cof_monos]
+    col_data = [[(row_index.setdefault(mono_mul(u, m), len(row_index)), c) for m, c in terms]
+                for terms in [g.terms for g in gens] for u in cof_monos]
 
     n_rows, n_cols = len(row_index), len(col_data)
     if n_rows * n_cols > ORACLE_SIZE_CAP:

@@ -4,16 +4,17 @@ Coefficients are plain int residues in [0, p); the modulus and the monomial
 order live on the RingDescriptor. Polynomials are immutable, canonically
 sorted term sequences, so equality and hashing are structural.
 
-Monomials are exponent tuples wherever they leave the kernel (Polynomial.terms,
-lead_monomial). Inside the kernel -- Polynomial products and canonical sorting
-here; reduction, Buchberger, exact division and monomial pruning in groebner
--- they are packed into one int per monomial (Monagan & Pearce, "Polynomial
-division using dynamic arrays, heaps, and packed exponent vectors", CASC
-2007), using the RingDescriptor's _Packing. Conversion happens only at that
-boundary: pack() on the way in, unpack() on the way out; a Polynomial the
-kernel made keeps its packed terms, so it never crosses inward again. mono_mul, on
-tuples, is not part of the kernel: it serves the linear-algebra membership
-oracle, which checks the kernel independently.
+A Polynomial is stored once, as its packed terms: one int per monomial
+(Monagan & Pearce, "Polynomial division using dynamic arrays, heaps, and
+packed exponent vectors", CASC 2007), packed by the RingDescriptor's
+_Packing, whose int order is the ring's monomial order. The kernel -- the
+arithmetic and canonical sorting here; reduction, Buchberger, exact division
+and monomial pruning in groebner -- works on those ints and makes its results
+through Polynomial._from_packed. Exponent tuples are the view outside the
+kernel: the constructor packs and checks them, and Polynomial.terms and
+lead_monomial() decode on demand. mono_mul, on tuples, is not part of the
+kernel: it serves the linear-algebra membership oracle, which checks the
+kernel independently.
 """
 
 from __future__ import annotations
@@ -43,10 +44,6 @@ def is_prime(n: int) -> bool:
 
 def mono_mul(a, b):
     return tuple(x + y for x, y in zip(a, b))
-
-
-def _grevlex_key(m):
-    return (sum(m), tuple(-e for e in reversed(m)))
 
 
 def _grevlex_forms(nvars, start, stop):
@@ -133,7 +130,7 @@ class RingDescriptor:
     which is what elimination uses.
     """
 
-    __slots__ = ("p", "variables", "order", "blocks", "_index", "_slices", "_packing")
+    __slots__ = ("p", "variables", "order", "blocks", "_index", "_packing")
 
     # As the ring of an Ideal, S is its own ambient and has no relations
     # (quotient.HypersurfaceRing is S with the relation f).
@@ -169,8 +166,6 @@ class RingDescriptor:
         self.order = order
         self.blocks = blocks
         self._index = {v: i for i, v in enumerate(variables)}
-        ends = itertools.accumulate(map(len, blocks or ()))
-        self._slices = tuple(slice(e - len(b), e) for b, e in zip(blocks, ends)) if blocks else None
         self._packing = _packing_for(
             len(variables), order, tuple(map(len, blocks)) if blocks else None
         )
@@ -184,14 +179,6 @@ class RingDescriptor:
             return self._index[name]
         except KeyError:
             raise ValueError(f"unknown variable {name}") from None
-
-    def key(self, m):
-        """Sort key: ascending in the ring's monomial order."""
-        if self.order == "grevlex":
-            return (sum(m), tuple(-e for e in reversed(m)))
-        if self.order == "lex":
-            return m
-        return tuple(_grevlex_key(m[s]) for s in self._slices)
 
     def __eq__(self, other):
         return self is other or (
@@ -218,55 +205,55 @@ def make_ring(p, variables, order="grevlex", blocks=None) -> RingDescriptor:
 class Polynomial:
     """Canonical sorted term sequence over a RingDescriptor.
 
-    terms is a tuple of (exponent_tuple, coeff) pairs, strictly descending in
-    the ring's order, with no zero coefficients. The zero polynomial has no
-    terms. Instances are immutable and hashable. The kernel reads the terms
-    packed (_packed_terms): a product, normal form, exact quotient or basis
-    element keeps the packed tuple it was made from (packed); any other
-    polynomial, a monomial the kernel made included, packs on each use.
+    Stored once, as packed terms: (packed monomial, coeff) pairs strictly
+    descending, which is descending in the ring's order, with no zero
+    coefficients. The zero polynomial has no terms. Instances are immutable
+    and hashable. terms, the (exponent_tuple, coeff) pairs, is decoded on
+    each use and not kept (keeping it raised the peak RSS of the benchmark's
+    thresholds workload by 0.3 MB); lead_monomial() decodes the leading
+    monomial alone. The kernel makes its results through _from_packed.
     """
 
-    __slots__ = ("ring", "terms", "_h", "_packed")
+    __slots__ = ("ring", "_packed", "_h")
 
-    def __init__(self, ring, terms=(), canonical=False, packed=None):
+    def __init__(self, ring, terms=()):
+        n, pack = ring.nvars, ring._packing.pack
+        acc = {}
+        for m, c in terms:
+            if len(m) != n:
+                raise ValueError("exponent tuple has wrong length")
+            if min(m) < 0:
+                raise ValueError("negative exponent")
+            if max(m) > EXPONENT_LIMIT:
+                raise ExponentOverflow(f"exponent beyond {EXPONENT_LIMIT}")
+            m = pack(m)
+            acc[m] = acc.get(m, 0) + c
         self.ring = ring
-        if canonical:
-            self.terms = tuple(terms)
-        else:
-            p = ring.p
-            acc = {}
-            for m, c in terms:
-                c = (acc.get(m, 0) + c) % p
-                if c:
-                    acc[m] = c
-                else:
-                    acc.pop(m, None)
-            pack = ring._packing.pack
-            self.terms = tuple(
-                sorted(acc.items(), key=lambda t: pack(t[0]), reverse=True)
-            )
+        self._packed = _canonical(ring.p, acc)
         self._h = None
-        self._packed = packed
 
-    def _packed_terms(self):
-        """terms with each monomial packed by the ring's _Packing."""
-        if self._packed is not None:
-            return self._packed
-        pack = self.ring._packing.pack
-        return tuple([(pack(m), c) for m, c in self.terms])
+    @classmethod
+    def _from_packed(cls, ring, packed):
+        """The polynomial of canonical packed terms, taken as they are."""
+        self = object.__new__(cls)
+        self.ring, self._packed, self._h = ring, packed, None
+        return self
+
+    @property
+    def terms(self):
+        unpack = self.ring._packing.unpack
+        return tuple([(unpack(m), c) for m, c in self._packed])
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, ring):
-        return cls(ring, (), canonical=True)
+        return cls._from_packed(ring, ())
 
     @classmethod
     def constant(cls, ring, c):
         c %= ring.p
-        if not c:
-            return cls.zero(ring)
-        return cls(ring, (((0,) * ring.nvars, c),), canonical=True)
+        return cls._from_packed(ring, ((0, c),) if c else ())
 
     @classmethod
     def one(cls, ring):
@@ -274,59 +261,48 @@ class Polynomial:
 
     @classmethod
     def variable(cls, ring, name):
-        i = ring.index(name)
-        m = tuple(1 if j == i else 0 for j in range(ring.nvars))
-        return cls(ring, ((m, 1),), canonical=True)
+        return cls._from_packed(ring, ((ring._packing.units[ring.index(name)], 1),))
 
     @classmethod
     def monomial(cls, ring, exponents, coeff=1):
-        coeff %= ring.p
-        exponents = tuple(exponents)
-        if len(exponents) != ring.nvars:
-            raise ValueError("exponent tuple has wrong length")
-        if any(e < 0 for e in exponents):
-            raise ValueError("negative exponent")
-        if max(exponents) > EXPONENT_LIMIT:
-            raise ExponentOverflow(f"exponent beyond {EXPONENT_LIMIT}")
-        if not coeff:
-            return cls.zero(ring)
-        return cls(ring, ((exponents, coeff),), canonical=True)
+        return cls(ring, ((tuple(exponents), coeff),))
 
     # -- structure ---------------------------------------------------------
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._packed)
 
     def is_constant(self):
-        return not self.terms or (len(self.terms) == 1 and not any(self.terms[0][0]))
+        return not self._packed or self._packed[0][0] == 0
 
     def is_monomial(self):
-        return len(self.terms) == 1
+        return len(self._packed) == 1
 
     def lead_monomial(self):
-        if not self.terms:
+        if not self._packed:
             raise ValueError("zero polynomial has no leading monomial")
-        return self.terms[0][0]
+        return self.ring._packing.unpack(self._packed[0][0])
 
     def lead_coeff(self):
-        if not self.terms:
+        if not self._packed:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.terms[0][1]
+        return self._packed[0][1]
 
     def degree(self):
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self._packed:
             return -1
         if self.ring.order == "grevlex":  # the terms descend by degree first
-            return sum(self.terms[0][0])
+            return sum(self.lead_monomial())
         return max(sum(m) for m, _ in self.terms)
 
     def is_homogeneous(self):
-        if not self.terms:
+        if not self._packed:
             return True
-        d = sum(self.terms[0][0])
         if self.ring.order == "grevlex":
-            return sum(self.terms[-1][0]) == d
+            last = self.ring._packing.unpack(self._packed[-1][0])
+            return sum(self.lead_monomial()) == sum(last)
+        d = sum(self.lead_monomial())
         return all(sum(m) == d for m, _ in self.terms)
 
     # -- arithmetic --------------------------------------------------------
@@ -335,19 +311,26 @@ class Polynomial:
         if self.ring != other.ring:
             raise RingMismatch(f"ring mismatch: {self.ring} vs {other.ring}")
 
+    def _scaled(self, coeffs):
+        """The polynomial of the same monomials with the coefficients coeffs."""
+        return Polynomial._from_packed(
+            self.ring, tuple([(m, c) for (m, _), c in zip(self._packed, coeffs)])
+        )
+
     def __add__(self, other):
         if isinstance(other, int):
             other = Polynomial.constant(self.ring, other)
         self._check(other)
-        return Polynomial(self.ring, self.terms + other.terms)
+        acc = dict(self._packed)
+        for m, c in other._packed:
+            acc[m] = acc.get(m, 0) + c
+        return Polynomial._from_packed(self.ring, _canonical(self.ring.p, acc))
 
     __radd__ = __add__
 
     def __neg__(self):
         p = self.ring.p
-        return Polynomial(
-            self.ring, tuple((m, p - c) for m, c in self.terms), canonical=True
-        )
+        return self._scaled(p - c for _, c in self._packed)
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -358,30 +341,20 @@ class Polynomial:
         return (-self) + other
 
     def __mul__(self, other):
+        p = self.ring.p
         if isinstance(other, int):
-            c = other % self.ring.p
+            c = other % p
             if not c:
                 return Polynomial.zero(self.ring)
-            p = self.ring.p
-            return Polynomial(
-                self.ring,
-                tuple((m, (c0 * c) % p) for m, c0 in self.terms),
-                canonical=True,
-            )
-        return self._mul(other, {})
-
-    def _mul(self, other, shared):
-        """self * other. shared maps each packed monomial met to (that int, its
-        exponent tuple); products made with one shared dict share them."""
+            return self._scaled(c0 * c % p for _, c0 in self._packed)
         self._check(other)
-        if not self.terms or not other.terms:
+        if not self._packed or not other._packed:
             return Polynomial.zero(self.ring)
         if self.degree() + other.degree() > EXPONENT_LIMIT:
             raise ExponentOverflow("product degree beyond checked exponent range")
         # within the degree bound no exponent can pass EXPONENT_LIMIT, so the
         # packed sums need no guard check
-        p = self.ring.p
-        small, big = self._packed_terms(), other._packed_terms()
+        small, big = self._packed, other._packed
         if len(small) > len(big):
             small, big = big, small
         acc = {}
@@ -390,15 +363,7 @@ class Polynomial:
             for m2, c2 in big:
                 m = m1 + m2
                 acc[m] = get(m, 0) + c1 * c2
-        unpack = self.ring._packing.unpack
-        packed, terms = [], []
-        for m in sorted(acc, reverse=True):
-            c = acc[m] % p
-            if c:
-                m, e = shared.get(m) or shared.setdefault(m, (m, unpack(m)))
-                packed.append((m, c))
-                terms.append((e, c))
-        return Polynomial(self.ring, tuple(terms), canonical=True, packed=tuple(packed))
+        return Polynomial._from_packed(self.ring, _canonical(p, acc))
 
     __rmul__ = __mul__
 
@@ -407,7 +372,7 @@ class Polynomial:
             raise ValueError("exponent must be a non-negative integer")
         if n == 0:
             return Polynomial.one(self.ring)
-        if self.terms and self.degree() * n > EXPONENT_LIMIT:
+        if self._packed and self.degree() * n > EXPONENT_LIMIT:
             raise ExponentOverflow("power degree beyond checked exponent range")
         result = None
         base = self
@@ -420,19 +385,16 @@ class Polynomial:
         return result
 
     def frobenius(self, e):
-        """f^(p^e), computed term-wise through the Frobenius endomorphism."""
+        """f^(p^e), computed term-wise through the Frobenius endomorphism,
+        which fixes the coefficients (c^p = c in F_p); packing is linear, so
+        the packed monomial of m^q is q times m's."""
         if e < 1:
             raise ValueError("Frobenius exponent must be >= 1")
-        p = self.ring.p
-        q = p**e
-        if self.terms and self.degree() * q > EXPONENT_LIMIT:
+        q = self.ring.p**e
+        if self._packed and self.degree() * q > EXPONENT_LIMIT:
             raise ExponentOverflow("Frobenius power beyond checked exponent range")
-        return Polynomial(
-            self.ring,
-            tuple(
-                (tuple(x * q for x in m), pow(c, q, p)) for m, c in self.terms
-            ),
-            canonical=True,
+        return Polynomial._from_packed(
+            self.ring, tuple([(m * q, c) for m, c in self._packed])
         )
 
     def derivative(self, var):
@@ -441,26 +403,29 @@ class Polynomial:
         p = self.ring.p
         out = []
         for m, c in self.terms:
-            a = m[i]
-            if a == 0:
-                continue
-            c2 = (c * a) % p
-            if not c2:
-                continue
-            out.append((m[:i] + (a - 1,) + m[i + 1 :], c2))
-        return Polynomial(self.ring, tuple(out), canonical=True)
+            if m[i] % p:
+                out.append((m[:i] + (m[i] - 1,) + m[i + 1 :], c * m[i]))
+        return Polynomial(self.ring, out)
 
     def monic(self):
-        if not self.terms:
+        if not self._packed:
             return self
-        lc = self.terms[0][1]
+        lc = self._packed[0][1]
         if lc == 1:
             return self
         p = self.ring.p
         inv = pow(lc, p - 2, p)
-        return Polynomial(
-            self.ring, tuple((m, (c * inv) % p) for m, c in self.terms), canonical=True
-        )
+        return self._scaled(c * inv % p for _, c in self._packed)
+
+    def without_last_power(self):
+        """self divided by the largest power of the last variable that divides
+        it; self itself when that power is 1. The last variable's exponent is
+        the lowest packed field, and dividing by a monomial keeps the order."""
+        val = min((m & EXPONENT_LIMIT for m, _ in self._packed), default=0)
+        if not val:
+            return self
+        unit = val * self.ring._packing.units[-1]
+        return Polynomial._from_packed(self.ring, tuple([(m - unit, c) for m, c in self._packed]))
 
     # -- identity ----------------------------------------------------------
 
@@ -468,12 +433,12 @@ class Polynomial:
         return (
             isinstance(other, Polynomial)
             and self.ring == other.ring
-            and self.terms == other.terms
+            and self._packed == other._packed
         )
 
     def __hash__(self):
         if self._h is None:
-            self._h = hash((self.ring, self.terms))
+            self._h = hash((self.ring, self._packed))
         return self._h
 
     def __str__(self):
@@ -483,9 +448,34 @@ class Polynomial:
         return f"<{format_poly(self)} over {self.ring!r}>"
 
 
+def _canonical(p, acc):
+    """Canonical packed terms of {packed monomial: coefficient}: coefficients
+    mod p, zeros dropped, descending."""
+    terms = [(m, acc[m] % p) for m in sorted(acc, reverse=True)]
+    return tuple([t for t in terms if t[1]])
+
+
+def sorted_canonical(polys):
+    """Nonzero polys ascending by leading monomial in the ring's order; those
+    with one leading monomial by their terms, exponent tuples compared
+    lexicographically. That is the lex order of the exponent fields, m & mask,
+    which is computed only for the polynomials that tie."""
+    def lead(g):
+        return g._packed[0][0]
+
+    out = []
+    for _, tied in itertools.groupby(sorted(polys, key=lead), key=lead):
+        tied = list(tied)
+        if len(tied) > 1:
+            mask = tied[0].ring._packing._mask
+            tied.sort(key=lambda g: [(m & mask, c) for m, c in g._packed])
+        out += tied
+    return out
+
+
 def format_poly(f: Polynomial) -> str:
     """Canonical text form; parse_poly inverts this exactly."""
-    if not f.terms:
+    if not f:
         return "0"
     names = f.ring.variables
     parts = []

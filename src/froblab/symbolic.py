@@ -170,14 +170,14 @@ def primedata_for_squarefree(I: Ideal) -> PrimeData:
     )
 
 
-def _monomial_power_gens(vars_idx, n, nvars):
-    """Exponent tuples of the n-th power of a variable ideal."""
+def _monomial_power_gens(vars_idx, n, ring):
+    """Monomial generators of the n-th power of a variable ideal."""
     out = []
     for combo in itertools.combinations_with_replacement(sorted(vars_idx), n):
-        m = [0] * nvars
+        m = [0] * ring.nvars
         for i in combo:
             m[i] += 1
-        out.append(tuple(m))
+        out.append(Polynomial.monomial(ring, m))
     return out
 
 
@@ -251,7 +251,7 @@ def _symbolic_monomial(I: Ideal, n: int, pd: PrimeData) -> Ideal:
                 raise ValueError("monomial strategy needs variable-generated primes")
             idx.add(m.index(1))
         var_sets.append(idx)
-    powers = [_monomial_power_gens(vs, n, ring.nvars) for vs in var_sets]
+    powers = [_monomial_power_gens(vs, n, ring) for vs in var_sets]
     polys, reduced = _minimal_monomials(ring, *powers)
     return Ideal(ring, polys).with_gb(GroebnerBasis(ring, polys, reduced))
 

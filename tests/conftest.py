@@ -1,4 +1,5 @@
 import heapq
+import itertools
 import random
 
 import pytest
@@ -33,6 +34,27 @@ def mono_lcm(a, b):
 def mono_divides(a, b):
     """True when a | b componentwise."""
     return all(x <= y for x, y in zip(a, b))
+
+
+def _grevlex_key(m):
+    return (sum(m), tuple(-e for e in reversed(m)))
+
+
+def order_key(ring, m):
+    """Sort key of an exponent tuple, ascending in the ring's monomial order:
+    the reference that the packed int order is checked against."""
+    if ring.order == "grevlex":
+        return _grevlex_key(m)
+    if ring.order == "lex":
+        return m
+    ends = list(itertools.accumulate(map(len, ring.blocks)))
+    return tuple(_grevlex_key(m[e - len(b):e]) for b, e in zip(ring.blocks, ends))
+
+
+def sorted_reference(polys):
+    """Nonzero polys ascending by leading monomial in the ring's order, then by
+    their terms as exponent tuples: the reference for rings.sorted_canonical."""
+    return sorted(polys, key=lambda g: (order_key(g.ring, g.lead_monomial()), g.terms))
 
 
 @pytest.fixture
@@ -131,7 +153,7 @@ def assert_minimal_ascending(I):
     generators, monic, in strictly ascending ring order."""
     monos = [g.lead_monomial() for g in I.gens]
     assert all(g.terms == ((m, 1),) for g, m in zip(I.gens, monos)), I
-    assert monos == sorted(set(monos), key=I.ring.key), I
+    assert monos == sorted(set(monos), key=lambda m: order_key(I.ring, m)), I
     assert not any(a != b and mono_divides(a, b) for a in monos for b in monos), I
 
 
@@ -141,7 +163,8 @@ def lcm_intersect_reference(I, J):
     ring = I.ring
     lcms = {mono_lcm(a.lead_monomial(), b.lead_monomial()) for a in I.gens for b in J.gens}
     minimal = [m for m in lcms if not any(d != m and mono_divides(d, m) for d in lcms)]
-    return Ideal(ring, [Polynomial.monomial(ring, m) for m in sorted(minimal, key=ring.key)])
+    minimal.sort(key=lambda m: order_key(ring, m))
+    return Ideal(ring, [Polynomial.monomial(ring, m) for m in minimal])
 
 
 def power_reference(I, n):
@@ -268,7 +291,7 @@ def reduced_pair_loop_reference(ring, gens, budget):
         pairs.add(terms[0][0], len(terms) == 1)
 
     for g in gens:
-        h = groebner._nf_terms(ring, groebner._monic(ring, g._packed_terms()), basis, budget)
+        h = groebner._nf_terms(ring, groebner._monic(ring, g._packed), basis, budget)
         if h:
             add(groebner._monic(ring, h))
     while pairs.queue:

@@ -38,7 +38,6 @@ from froblab.idealops import (
     _lift,
     _permute,
     _saturate_rabinowitsch,
-    _sorted_canonical,
 )
 from froblab.rings import EXPONENT_LIMIT
 from conftest import (
@@ -50,6 +49,7 @@ from conftest import (
     random_monomial_ideal,
     random_poly,
     rings,
+    sorted_reference,
 )
 
 
@@ -74,7 +74,7 @@ def intersect_reference(ring, A, B):
     ring2, t = t_ring(ring)
     gens2 = [t * _lift(g, ring2, 1) for g in A]
     gens2 += [(Polynomial.one(ring2) - t) * _lift(g, ring2, 1) for g in B]
-    return _sorted_canonical(ring, [_drop(g, ring, 1) for g in t_free(ring2, gens2)])
+    return sorted_reference([_drop(g, ring, 1) for g in t_free(ring2, gens2)])
 
 
 def colon_reference(I, g):
@@ -162,7 +162,7 @@ class TestIdealOperations:
             g = random_poly(S, rng, max_deg=2, max_terms=2, nonzero=True)
             want = saturation_reference(I, g)
             sat = _saturate_rabinowitsch(I, g, None)
-            assert list(sat.gens) == _sorted_canonical(S, want), (I, g)
+            assert list(sat.gens) == sorted_reference(want), (I, g)
             if S.order == "grevlex":
                 assert sat._gb.elements == tuple(want), (I, g)
             if not (g.is_monomial() and g.degree() == 1):  # the grevlex shortcut
@@ -269,9 +269,7 @@ def random_monomials(ring, rng):
 def product_reference(I, J):
     """I*J's generators as Polynomial.__mul__ gives them: exact duplicates
     dropped, ascending by leading monomial in ring order, then terms."""
-    ring = I.ring.ambient
-    products = {a * b for a in I.gens for b in J.gens}
-    return sorted(products, key=lambda g: (ring.key(g.lead_monomial()), g.terms))
+    return sorted_reference({a * b for a in I.gens for b in J.gens})
 
 
 MONOMIAL_RINGS = [("lex", None), ("grevlex", None), ("block", (("x", "y"), ("z", "w")))]
@@ -341,29 +339,17 @@ class TestMonomialPaths:
         S = self.ring(order, blocks, 2)
         x, y = Polynomial.variable(S, "x"), Polynomial.variable(S, "y")
         at_limit = Polynomial.monomial(S, (EXPONENT_LIMIT, 0, 0, 0))
-        past = Polynomial(S, [((EXPONENT_LIMIT + 1, 0, 0, 0), 1)])  # made unchecked
+        # no polynomial holds an exponent past the range, so no input does
+        with pytest.raises(ExponentOverflow):
+            Polynomial(S, [((EXPONENT_LIMIT + 1, 0, 0, 0), 1)])
         # products: x^N * x leaves the range, as Polynomial.__mul__ says. x^N * y
         # does not: the packed product checks exponents, not the total degree
-        for make in (lambda: ideal_product(Ideal(S, [at_limit]), Ideal(S, [x])), lambda: at_limit * x,
-                     lambda: ideal_product(Ideal(S, [past]), Ideal(S, [y]))):
+        for make in (lambda: ideal_product(Ideal(S, [at_limit]), Ideal(S, [x])), lambda: at_limit * x):
             with pytest.raises(ExponentOverflow):
                 make()
         x_N_y = Polynomial.monomial(S, (EXPONENT_LIMIT, 1, 0, 0))
         assert ideal_product(Ideal(S, [at_limit]), Ideal(S, [y])).gens == (x_N_y,)
-        # colons and intersections: an input past the range raises, as the elimination does
-        for colon in (ideal_colon, colon_reference):
-            for I, g in ((Ideal(S, [past]), y), (Ideal(S, [y]), past)):
-                with pytest.raises(ExponentOverflow):
-                    colon(I, g)
-        with pytest.raises(ExponentOverflow):
-            ideal_intersect(Ideal(S, [past]), Ideal(S, [y]))
         assert ideal_colon(Ideal(S, [at_limit]), x).gens == (Polynomial.monomial(S, (EXPONENT_LIMIT - 1, 0, 0, 0)),)
-        # membership: a term past the range raises, as it does in a normal form
-        J = Ideal(S, [y])
-        for test in (lambda: ideal_member(past + y, J), lambda: ideal_subset(Ideal(S, [y, past]), J),
-                     lambda: normal_form(past + y, J.groebner_basis())):
-            with pytest.raises(ExponentOverflow):
-                test()
 
 
 @pytest.mark.parametrize("R", list(rings(3))[2:], ids=RING_IDS[2:])

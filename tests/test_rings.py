@@ -1,4 +1,5 @@
-"""Ring-core: exact arithmetic, Frobenius powers, derivatives, text round trips."""
+"""Ring-core: exact arithmetic, Frobenius powers, derivatives, text round trips,
+the packed storage of polynomials and the checks of their constructor."""
 
 import random
 
@@ -8,15 +9,18 @@ from hypothesis import strategies as st
 
 from froblab import (
     ExponentOverflow,
+    Ideal,
     Polynomial,
     RingMismatch,
     format_poly,
+    ideal_member,
     make_ring,
+    normal_form,
     parse_poly,
 )
-from froblab.rings import EXPONENT_LIMIT, mono_mul
+from froblab.rings import EXPONENT_LIMIT, mono_mul, sorted_canonical
 from froblab.parsing import _Tokens
-from conftest import mono_divides, random_poly, tokens_reference
+from conftest import mono_divides, order_key, random_poly, sorted_reference, tokens_reference
 
 
 class TestMakeRing:
@@ -244,7 +248,7 @@ class TestPacking:
     def test_int_order_is_ring_order(self, case):
         ring, (a, b) = case
         pa, pb = ring._packing.pack(a), ring._packing.pack(b)
-        assert (pa < pb) == (ring.key(a) < ring.key(b))
+        assert (pa < pb) == (order_key(ring, a) < order_key(ring, b))
         assert (pa == pb) == (a == b)
 
     @settings(max_examples=150, deadline=None)
@@ -257,3 +261,106 @@ class TestPacking:
         ab = mono_mul(a, b)
         if max(ab) <= EXPONENT_LIMIT:
             assert not (pk.pack(ab) - pk.pack(a)) & pk.guards
+
+
+# -- one representation: packed terms, exponent tuples decoded on demand -----
+
+ORDER_RINGS = [
+    make_ring(7, ["x", "y", "z", "w"], "lex"),
+    make_ring(7, ["x", "y", "z", "w"], "grevlex"),
+    make_ring(7, ["x", "y", "z", "w"], "block", (("x", "y"), ("z", "w"))),
+]
+
+
+def kernel_made(ring, rng):
+    """Polynomials the kernel makes from packed terms: sums, products,
+    scalings, Frobenius powers, normal forms and basis elements."""
+    a, b, c = (random_poly(ring, rng, nonzero=True) for _ in range(3))
+    G = Ideal(ring, [b, c]).groebner_basis()
+    return [a + b, a * b, 3 * a, -a, a.monic(), a.frobenius(1), normal_form(a * c + b, G),
+            *G, a.without_last_power()]
+
+
+@pytest.mark.parametrize("ring", ORDER_RINGS, ids=lambda r: r.order)
+class TestPackedStorage:
+    def test_terms_round_trip(self, ring):
+        rng = random.Random(f"round trip {ring.order}")
+        for _ in range(20):
+            made = kernel_made(ring, rng) + [random_poly(ring, rng) for _ in range(3)]
+            for f in made:
+                g = Polynomial(ring, f.terms)
+                assert g == f and hash(g) == hash(f), f
+                assert g.terms == f.terms and list(f.terms) == sorted(
+                    f.terms, key=lambda t: order_key(ring, t[0]), reverse=True)
+                if f:
+                    assert f.lead_monomial() == f.terms[0][0]
+                    assert f.lead_coeff() == f.terms[0][1]
+                    assert f.degree() == max(sum(m) for m, _ in f.terms)
+                    assert f.is_homogeneous() == (len({sum(m) for m, _ in f.terms}) == 1)
+
+    def test_frobenius_is_the_termwise_power(self, ring):
+        rng = random.Random(f"frobenius {ring.order}")
+        p = ring.p
+        for e in (1, 2):
+            q = p**e
+            for _ in range(15):
+                f = random_poly(ring, rng)
+                want = [(tuple(x * q for x in m), pow(c, q, p)) for m, c in f.terms]
+                want = Polynomial(ring, want)
+                assert f.frobenius(e).terms == want.terms
+        d = EXPONENT_LIMIT // p
+        top = Polynomial.monomial(ring, (d, 0, 0, 0)).frobenius(1)
+        assert top.terms == (((d * p, 0, 0, 0), 1),)
+        with pytest.raises(ExponentOverflow):
+            Polynomial.monomial(ring, (0, 0, 0, d + 1)).frobenius(1)
+        with pytest.raises(ExponentOverflow):
+            parse_poly(ring, f"x*y^{d} + z").frobenius(1)
+
+    def test_without_last_power(self, ring):
+        rng = random.Random(f"last power {ring.order}")
+        w = Polynomial.variable(ring, "w")
+        for _ in range(20):
+            f = random_poly(ring, rng, nonzero=True)
+            f = f * w ** rng.choice([0, 1, 2, 300, EXPONENT_LIMIT // 2])
+            v = min(m[-1] for m, _ in f.terms)
+            want = Polynomial(ring, [(m[:-1] + (m[-1] - v,), c) for m, c in f.terms])
+            assert f.without_last_power() == want
+            assert (f.without_last_power() is f) == (v == 0)
+        assert not Polynomial.zero(ring).without_last_power()
+
+    def test_tied_leading_monomials_keep_the_tuple_order(self, ring):
+        rng = random.Random(f"ties {ring.order}")
+        lead = Polynomial.monomial(ring, (3, 3, 3, 3))
+        for _ in range(20):
+            tails = [random_poly(ring, rng, max_deg=3) for _ in range(rng.randrange(2, 7))]
+            gens = list(dict.fromkeys(lead + t for t in tails))
+            gens += [random_poly(ring, rng, nonzero=True) for _ in range(3)]
+            rng.shuffle(gens)
+            assert sorted_canonical(gens) == sorted_reference(gens)
+
+    def test_ties_are_broken_by_exponent_tuples_not_the_ring_order(self, ring):
+        # y^2 against x*w: lex puts x*w higher, grevlex y^2; exponent tuples
+        # compare as lex, so x^4 + y^2 comes first under every order
+        f, g, h = (parse_poly(ring, s) for s in ("x^4 + y^2", "x^4 + x*w", "x^4 + 2*y^2"))
+        assert sorted_canonical([h, g, f]) == [f, h, g] == sorted_reference([h, g, f])
+
+
+class TestConstructorChecks:
+    def test_exponents_are_checked(self, F5xyz):
+        with pytest.raises(ValueError, match="wrong length"):
+            Polynomial(F5xyz, [((1, 2), 1)])
+        with pytest.raises(ValueError, match="negative"):
+            Polynomial(F5xyz, [((1, -1, 0), 1)])
+        for bad in ((0, EXPONENT_LIMIT + 1, 0), (0, 2**32, 0)):
+            with pytest.raises(ExponentOverflow):
+                Polynomial(F5xyz, [(bad, 1), ((1, 0, 0), 1)])
+            with pytest.raises(ExponentOverflow):
+                Polynomial.monomial(F5xyz, bad)
+        top = Polynomial(F5xyz, [((0, EXPONENT_LIMIT, 0), 1)])
+        assert top.lead_monomial() == (0, EXPONENT_LIMIT, 0)
+
+    def test_a_wrapped_field_is_not_a_member(self, F5xyz):
+        # y^(2^32) would wrap its packed field into x and land in (x)
+        x = Polynomial.variable(F5xyz, "x")
+        with pytest.raises(ExponentOverflow):
+            ideal_member(Polynomial(F5xyz, [((0, 2**32, 0), 1)]), Ideal(F5xyz, [x]))
