@@ -97,7 +97,7 @@ def _recheck_witness(witness, lhs, rhs, budget=None):
         "witness_in_lhs": ideal_member(witness, lhs, budget),
         "witness_not_in_rhs": not ideal_member(witness, rhs, budget),
     }
-    gens = rhs.preimage_gens
+    gens = rhs.preimage.gens
     if gens:
         min_deg = min(g.degree() for g in gens)
         bound = max(witness.degree() - min_deg, 0) + ORACLE_DEGREE_SLACK

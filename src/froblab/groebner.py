@@ -187,18 +187,15 @@ class Ideal:
         return cls(ring, (Polynomial.one(ring.ambient),))
 
     @property
-    def preimage_gens(self):
-        """Generators of the preimage in S: gens, then the relations not among them."""
-        return self.gens + tuple(r for r in self.ring.relations if r not in self.gens)
-
-    @property
     def preimage(self):
         """The preimage as an ideal of S: the ideal itself over S, else one
-        Ideal(S, preimage_gens) made on first use. Both hold the same basis."""
+        Ideal of S, generated by gens and then the relations not among them,
+        made on first use. Both hold the same basis."""
         if not self.ring.relations:
             return self
         if self._preimage is None:
-            self._preimage = Ideal(self.ring.ambient, self.preimage_gens)
+            extra = tuple(r for r in self.ring.relations if r not in self.gens)
+            self._preimage = Ideal(self.ring.ambient, self.gens + extra)
         return self._preimage
 
     @property
@@ -698,7 +695,7 @@ def ideal_member(f: Polynomial, I: Ideal, budget=None) -> bool:
         raise RingMismatch("polynomial from a different ring")
     if not f:
         return True
-    if not I.preimage_gens:
+    if not I.preimage.gens:
         return False
     G = I.groebner_basis(budget)
     lms = G._monomial_lms()
@@ -718,7 +715,7 @@ def ideal_subset(I: Ideal, J: Ideal, budget=None):
         raise RingMismatch("ideals from different rings")
     gens = I.gens
     big = sum(len(g._packed) for g in gens) >= BATCH_MIN_TERMS
-    basis = big and J.preimage_gens and J.groebner_basis(budget)._matrix_basis()
+    basis = big and J.preimage.gens and J.groebner_basis(budget)._matrix_basis()
     if basis and all(g.is_homogeneous() for g in gens):
         degrees = {}
         for i, g in enumerate(gens):
@@ -762,10 +759,11 @@ def last_escaping_power(gens, J: Ideal, cap: int, budget=None):
     """
     ring = J.ring.ambient
     budget = budget or DEFAULT_BUDGET
-    basis = J.groebner_basis(budget)._packed_reducers()
+    G = J.groebner_basis(budget)
     factors = [g._packed for g in gens if g]
-    if all(len(f) == 1 for f in factors) and not any(tail for _, _, tail in basis):
-        return _last_escaping_monomial(ring, [f[0][0] for f in factors], [b[0] for b in basis], cap)
+    if all(len(f) == 1 for f in factors) and G._monomial_lms() is not False:
+        return _last_escaping_monomial(ring, [f[0][0] for f in factors], G._monomial_lms(), cap)
+    basis = G._packed_reducers()
     # level 0 is the packed constant 1, which generates (gens)^0
     depth = _frontier_depth(ring, {((0, 1),)}, factors, basis, cap, budget)
     return None if depth is None else depth - 1

@@ -12,7 +12,8 @@ t*I + (1-t)*J); colons divide the intersection with a principal ideal exactly
 (the Rabinowitsch trick), one Groebner basis, and recovers the stabilization
 exponent, the smallest s with g^s * sat inside I, by carrying normal forms
 modulo I as diagnostic data. Each elimination is one
-groebner.elimination_basis, which reduces only the part it keeps.
+groebner.elimination_basis, which reduces only the part it keeps, on a block
+ring that Polynomial.in_ring moves polynomials to and from by variable name.
 
 When every generator an operation works on is a monomial, the kernel computes
 it on packed monomials, with the same result: products and powers by adding
@@ -20,7 +21,7 @@ exponents, intersections by minimal pairwise lcms (the result keeps them as
 its basis), and so colons by a monomial g, whose exact division of the
 intersection by g gives the minimal m/gcd(m, g) times lc(g)^-1.
 Intersections and colons look at preimages, which over S/(f) hold f. Only the
-membership oracle, the independent check, uses a mono_* exponent-tuple helper.
+membership oracle, the independent check, works on exponent tuples (mono_mul).
 """
 
 from __future__ import annotations
@@ -114,39 +115,23 @@ def scale_ideal(f: Polynomial, I: Ideal) -> Ideal:
 
 
 # ---------------------------------------------------------------------------
-# ring translations for the auxiliary-variable constructions
+# rings of the auxiliary-variable constructions
 # ---------------------------------------------------------------------------
-
-
-def _aux_name(ring):
-    name = "t"
-    while name in ring.variables:
-        name += "_"
-    return name
 
 
 def _extended_ring(ring, front_vars):
     """Ring with front_vars prepended under a [front | rest] block order."""
-    return RingDescriptor(
-        ring.p,
-        tuple(front_vars) + ring.variables,
-        order="block",
-        blocks=(tuple(front_vars), ring.variables),
-    )
+    front = tuple(front_vars)
+    return RingDescriptor(ring.p, front + ring.variables, "block", (front, ring.variables))
 
 
-def _lift(poly, ring2, pad):
-    zeros = (0,) * pad
-    return Polynomial(ring2, [(zeros + m, c) for m, c in poly.terms])
-
-
-def _drop(poly, ring, pad):
-    return Polynomial(ring, [(m[pad:], c) for m, c in poly.terms])
-
-
-def _permute(poly, ring2, source):
-    """poly in ring2, whose i-th variable is poly's variable source[i]."""
-    return Polynomial(ring2, [(tuple(m[i] for i in source), c) for m, c in poly.terms])
+def _t_ring(ring):
+    """[t | ring] under the block order, t a variable name ring lacks, and t."""
+    name = "t"
+    while name in ring.variables:
+        name += "_"
+    ring2 = _extended_ring(ring, [name])
+    return ring2, Polynomial.variable(ring2, name)
 
 
 def eliminate(I: Ideal, kill, budget=None) -> Ideal:
@@ -165,10 +150,8 @@ def eliminate(I: Ideal, kill, budget=None) -> Ideal:
         return I.preimage
     keep = [v for v in ring.variables if v not in kill]
     ring2 = _extended_ring(RingDescriptor(ring.p, keep), killed)
-    to2 = [ring.index(v) for v in ring2.variables]
-    G = elimination_basis(ring2, [_permute(g, ring2, to2) for g in I.preimage_gens], budget)
-    back = [ring2.index(v) for v in ring.variables]
-    return Ideal(ring, [_permute(g, ring, back) for g in G])
+    G = elimination_basis(ring2, [g.in_ring(ring2) for g in I.preimage.gens], budget)
+    return Ideal(ring, [g.in_ring(ring) for g in G])
 
 
 def ideal_intersect(I: Ideal, J: Ideal, budget=None) -> Ideal:
@@ -177,31 +160,31 @@ def ideal_intersect(I: Ideal, J: Ideal, budget=None) -> Ideal:
     if I.ring != J.ring:
         raise RingMismatch("ideals from different rings")
     ring = I.ring.ambient
-    A, B = I.preimage_gens, J.preimage_gens
+    A, B = I.preimage.gens, J.preimage.gens
     if not A or not B:
         return Ideal(I.ring)
     if all(g.is_monomial() for g in A + B):
         polys, reduced = _minimal_monomials(ring, A, B)
         return Ideal(I.ring, polys).with_gb(GroebnerBasis(ring, polys, reduced))
-    t_name = _aux_name(ring)
-    ring2 = _extended_ring(ring, [t_name])
-    t = Polynomial.variable(ring2, t_name)
+    ring2, t = _t_ring(ring)
     one_minus_t = Polynomial.one(ring2) - t
-    gens2 = [t * _lift(g, ring2, 1) for g in A]
-    gens2 += [one_minus_t * _lift(g, ring2, 1) for g in B]
-    kept = [_drop(g, ring, 1) for g in elimination_basis(ring2, gens2, budget)]
+    gens2 = [t * g.in_ring(ring2) for g in A]
+    gens2 += [one_minus_t * g.in_ring(ring2) for g in B]
+    kept = [g.in_ring(ring) for g in elimination_basis(ring2, gens2, budget)]
     return Ideal(I.ring, sorted_canonical(kept))
 
 
 def _colon_single(I: Ideal, g: Polynomial, budget=None) -> Ideal:
     """(I : g) = (I ∩ (g)) divided exactly by g, with I's preimage intersected
     with the principal ideal (g) of S (not of S/(f), whose preimage adds f)."""
+    ring = I.ring.ambient
+    if g.ring != ring:
+        raise RingMismatch("polynomial from a different ring")
     if not g:
         raise ValueError("colon by the zero polynomial")
     if g.is_constant():
         return Ideal(I.ring, I.gens)
-    ring = I.ring.ambient
-    meet = ideal_intersect(Ideal(ring, I.preimage_gens), Ideal(ring, [g]), budget)
+    meet = ideal_intersect(I.preimage, Ideal(ring, [g]), budget)
     return Ideal(I.ring, [poly_divide_exact(h, g) for h in meet.gens])
 
 
@@ -258,7 +241,7 @@ def saturate(I: Ideal, by, budget=None):
     ring = I.ring.ambient
     sat = None
     for g in factors:
-        if _is_last_variable(ring, g) and all(h.is_homogeneous() for h in I.preimage_gens):
+        if _is_last_variable(ring, g) and all(h.is_homogeneous() for h in I.preimage.gens):
             piece = _saturate_grevlex_last(I, budget)
         else:
             piece = _saturate_rabinowitsch(I, g, budget)
@@ -273,11 +256,10 @@ def saturate(I: Ideal, by, budget=None):
 
 def _saturate_rabinowitsch(I: Ideal, g: Polynomial, budget):
     ring = I.ring.ambient
-    ring2 = _extended_ring(ring, [_aux_name(ring)])
-    t = Polynomial.variable(ring2, ring2.variables[0])
-    gens2 = [_lift(h, ring2, 1) for h in I.preimage_gens]
-    gens2.append(Polynomial.one(ring2) - t * _lift(g, ring2, 1))
-    kept = [_drop(h, ring, 1) for h in elimination_basis(ring2, gens2, budget)]
+    ring2, t = _t_ring(ring)
+    gens2 = [h.in_ring(ring2) for h in I.preimage.gens]
+    gens2.append(Polynomial.one(ring2) - t * g.in_ring(ring2))
+    kept = [h.in_ring(ring) for h in elimination_basis(ring2, gens2, budget)]
     sat = Ideal(I.ring, sorted_canonical(kept))
     if ring.order == "grevlex":
         # the block order is grevlex inside the rest block, so the elimination
@@ -287,10 +269,7 @@ def _saturate_rabinowitsch(I: Ideal, g: Polynomial, budget):
 
 
 def _is_last_variable(ring, f):
-    if ring.order != "grevlex" or not f.is_monomial():
-        return False
-    m = f.lead_monomial()
-    return sum(m) == 1 and m[-1] == 1
+    return ring.order == "grevlex" and f.monic() == Polynomial.variable(ring, ring.variables[-1])
 
 
 def _saturate_grevlex_last(I: Ideal, budget):
@@ -396,7 +375,7 @@ def brute_membership_oracle(f: Polynomial, I: Ideal, cofactor_degree_bound: int)
         raise RingMismatch("polynomial from a different ring")
     if not f:
         return True
-    gens = I.preimage_gens
+    gens = I.preimage.gens
     if not gens:
         return False
     ring = f.ring

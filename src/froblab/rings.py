@@ -10,11 +10,12 @@ packed exponent vectors", CASC 2007), packed by the RingDescriptor's
 _Packing, whose int order is the ring's monomial order. The kernel -- the
 arithmetic and canonical sorting here; reduction, Buchberger, exact division
 and monomial pruning in groebner -- works on those ints and makes its results
-through Polynomial._from_packed. Exponent tuples are the view outside the
-kernel: the constructor packs and checks them, and Polynomial.terms and
-lead_monomial() decode on demand. mono_mul, on tuples, is not part of the
-kernel: it serves the linear-algebra membership oracle, which checks the
-kernel independently.
+through Polynomial._from_packed; Polynomial.in_ring moves packed terms to
+another ring over the same p by variable name, and degrees are read off the
+packed ints. Exponent tuples are the view outside the kernel: the
+constructor packs and checks them, and Polynomial.terms and lead_monomial()
+decode on demand. mono_mul, on tuples, is not part of the kernel: it serves
+the linear-algebra membership oracle, which checks the kernel independently.
 """
 
 from __future__ import annotations
@@ -66,23 +67,32 @@ class _Packing:
 
     The low nvars fields of _FIELD_BITS hold the exponents, first variable most
     significant, each with a guard bit above EXPONENT_LIMIT. Above them sit the
-    order's linear forms (none for lex, whose exponent fields already compare
-    lexicographically), each field just wide enough for its largest value when
-    every exponent is at most EXPONENT_LIMIT. Sums of two packed monomials never
-    carry between exponent fields; an exponent past EXPONENT_LIMIT sets its
-    guard bit, which check() turns into ExponentOverflow.
+    grevlex forms of each block, given by their sizes (none for lex, whose
+    exponent fields already compare lexicographically), each field just wide
+    enough for its largest value when every exponent is at most EXPONENT_LIMIT;
+    degrees holds, top first, the (shift, mask) of each block's degree form.
+    Sums of two packed monomials never carry between exponent fields; an
+    exponent past EXPONENT_LIMIT sets its guard bit, which check() turns into
+    ExponentOverflow.
     """
 
-    __slots__ = ("units", "guards", "_mask", "_struct", "_nbytes")
+    __slots__ = ("units", "guards", "degrees", "_mask", "_struct", "_nbytes")
 
-    def __init__(self, nvars, forms):
+    def __init__(self, nvars, blocks):
+        bounds = (0, *itertools.accumulate(blocks))  # each block's first variable, then the end
+        forms = [f for a, b in itertools.pairwise(bounds) for f in _grevlex_forms(nvars, a, b)]
         shift = _FIELD_BITS * nvars
         units = [1 << (_FIELD_BITS * (nvars - 1 - i)) for i in range(nvars)]
-        for form in reversed(forms):
-            for i, w in enumerate(form):
+        degrees = []
+        for k in reversed(range(len(forms))):
+            for i, w in enumerate(forms[k]):
                 units[i] += w << shift
-            shift += (sum(form) * EXPONENT_LIMIT).bit_length()
+            width = (sum(forms[k]) * EXPONENT_LIMIT).bit_length()
+            if k in bounds:  # a block of s variables has s forms
+                degrees.append((shift, (1 << width) - 1))
+            shift += width
         self.units = tuple(units)
+        self.degrees = tuple(reversed(degrees))  # the top field first
         self.guards = sum(1 << (_FIELD_BITS * (k + 1) - 1) for k in range(nvars))
         self._nbytes = _FIELD_BITS // 8 * nvars
         self._mask = (1 << (8 * self._nbytes)) - 1
@@ -110,16 +120,7 @@ class _Packing:
 
 @functools.lru_cache(maxsize=64)
 def _packing_for(nvars, order, block_sizes):
-    if order == "lex":
-        forms = []
-    elif order == "grevlex":
-        forms = _grevlex_forms(nvars, 0, nvars)
-    else:
-        forms, start = [], 0
-        for size in block_sizes:
-            forms += _grevlex_forms(nvars, start, start + size)
-            start += size
-    return _Packing(nvars, forms)
+    return _Packing(nvars, () if order == "lex" else block_sizes or (nvars,))
 
 
 class RingDescriptor:
@@ -290,20 +291,39 @@ class Polynomial:
 
     def degree(self):
         """Total degree; -1 for the zero polynomial."""
-        if not self._packed:
-            return -1
-        if self.ring.order == "grevlex":  # the terms descend by degree first
-            return sum(self.lead_monomial())
-        return max(sum(m) for m, _ in self.terms)
+        degrees = self.ring._packing.degrees
+        if len(degrees) == 1 and self._packed:  # one grevlex block: the terms descend by degree
+            return self._packed[0][0] >> degrees[0][0]
+        return max(self._degrees(), default=-1)
 
     def is_homogeneous(self):
-        if not self._packed:
-            return True
-        if self.ring.order == "grevlex":
-            last = self.ring._packing.unpack(self._packed[-1][0])
-            return sum(self.lead_monomial()) == sum(last)
-        d = sum(self.lead_monomial())
-        return all(sum(m) == d for m, _ in self.terms)
+        return len(set(self._degrees())) <= 1
+
+    def _degrees(self):
+        """Total degrees of the terms, read from the packed ints: with one
+        grevlex block the top field, of the first and last terms only, which
+        bound the others'; with two, as eliminations have, the sum of the two
+        degree fields; under lex or more blocks, the sum of the exponents."""
+        packed, degrees = self._packed, self.ring._packing.degrees
+        if len(degrees) == 1:
+            return [m >> degrees[0][0] for m, _ in packed[:1] + packed[-1:]]
+        if len(degrees) == 2:
+            (top, _), (shift, mask) = degrees  # the top field needs no mask
+            return [(m >> top) + ((m >> shift) & mask) for m, _ in packed]
+        return list(map(sum, map(self.ring._packing.unpack, [m for m, _ in packed])))
+
+    def in_ring(self, ring):
+        """This polynomial in ring, a polynomial ring over the same p, by
+        variable name: one unpack per term, dotted with ring's units. Raises
+        RingMismatch for another p, ValueError for a variable ring lacks."""
+        if ring.p != self.ring.p:
+            raise RingMismatch(f"ring mismatch: {self.ring} vs {ring}")
+        units, lost = _ring_map(self.ring, ring)
+        if lost and any(m & lost for m, _ in self._packed):
+            raise ValueError(f"{self} has a variable that {ring!r} lacks")
+        unpack = self.ring._packing.unpack
+        terms = [(sum(map(mul, unpack(m), units)), c) for m, c in self._packed]
+        return Polynomial._from_packed(ring, tuple(sorted(terms, reverse=True)))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -446,6 +466,18 @@ class Polynomial:
 
     def __repr__(self):
         return f"<{format_poly(self)} over {self.ring!r}>"
+
+
+@functools.lru_cache(maxsize=64)
+def _ring_map(source, target):
+    """Polynomial.in_ring's map: per variable of source, the packed unit of
+    target's variable of that name, 0 if there is none; and the mask of the
+    exponent fields of the variables target lacks."""
+    index, packing = target._index, source._packing
+    units = tuple(target._packing.units[index[v]] if v in index else 0 for v in source.variables)
+    lost = sum(EXPONENT_LIMIT * (u & packing._mask)
+               for u, v in zip(packing.units, source.variables) if v not in index)
+    return units, lost
 
 
 def _canonical(p, acc):

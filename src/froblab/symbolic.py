@@ -22,7 +22,8 @@ import itertools
 import logging
 from dataclasses import dataclass, field
 
-from .groebner import GroebnerBasis, Ideal, _minimal_monomials, ideal_member, ideal_subset
+from .groebner import GroebnerBasis, Ideal, ideal_member, ideal_subset
+from .groebner import _minimal_monomials, _monomial_product  # the kernel's monomial paths
 from .idealops import ideal_intersect, ideal_power, ideal_product, saturate
 from .quotient import HypersurfaceRing
 from .rings import Polynomial
@@ -87,21 +88,23 @@ class PrimeData:
         self.checked["separators"] = True
 
 
+def _variable_indices(P):
+    """The indices of the variables that generate P; None unless each
+    generator is a variable times a unit."""
+    monos = [g.lead_monomial() for g in P.gens if g.is_monomial()]
+    if len(monos) == len(P.gens) and all(sum(m) == 1 for m in monos):
+        return {m.index(1) for m in monos}
+    return None
+
+
 def _prime_height(P):
     """Computable only for primes generated by variables: the number of those
     variables, less one per relation of the ring (S/(f) drops the height by
     one), provided every relation lies in the ideal of those variables, which
     holds when each of its terms has one of them. None otherwise."""
-    names = set()
-    for g in P.gens:
-        if not g.is_monomial():
-            return None
-        m = g.lead_monomial()
-        if sum(m) != 1:
-            return None
-        names.add(m.index(1))
+    names = _variable_indices(P)
     relations = P.ring.relations
-    if not all(any(m[i] for i in names) for f in relations for m, _ in f.terms):
+    if names is None or not all(any(m[i] for i in names) for f in relations for m, _ in f.terms):
         return None
     return len(names) - len(relations)
 
@@ -170,17 +173,6 @@ def primedata_for_squarefree(I: Ideal) -> PrimeData:
     )
 
 
-def _monomial_power_gens(vars_idx, n, ring):
-    """Monomial generators of the n-th power of a variable ideal."""
-    out = []
-    for combo in itertools.combinations_with_replacement(sorted(vars_idx), n):
-        m = [0] * ring.nvars
-        for i in combo:
-            m[i] += 1
-        out.append(Polynomial.monomial(ring, m))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # symbolic power
 # ---------------------------------------------------------------------------
@@ -242,16 +234,14 @@ def symbolic_power(I: Ideal, n: int, pd: PrimeData, strategy=None, budget=None, 
 def _symbolic_monomial(I: Ideal, n: int, pd: PrimeData) -> Ideal:
     ring = I.ring
     primes = pd.primes if pd.primes else monomial_minimal_primes(I)
-    var_sets = []
+    powers = []
     for P in primes:
-        idx = set()
-        for g in P.gens:
-            m = g.lead_monomial()
-            if sum(m) != 1:
-                raise ValueError("monomial strategy needs variable-generated primes")
-            idx.add(m.index(1))
-        var_sets.append(idx)
-    powers = [_monomial_power_gens(vs, n, ring) for vs in var_sets]
+        if _variable_indices(P) is None:
+            raise ValueError("monomial strategy needs variable-generated primes")
+        power = P.gens
+        for _ in range(n - 1):
+            power = _monomial_product(ring, power, P.gens)
+        powers.append(power)
     polys, reduced = _minimal_monomials(ring, *powers)
     return Ideal(ring, polys).with_gb(GroebnerBasis(ring, polys, reduced))
 

@@ -167,6 +167,23 @@ def lcm_intersect_reference(I, J):
     return Ideal(ring, [Polynomial.monomial(ring, m) for m in minimal])
 
 
+def lift_reference(poly, ring2, pad):
+    """poly in ring2, whose variables are poly's behind pad new ones in front,
+    through exponent tuples: the reference for Polynomial.in_ring."""
+    zeros = (0,) * pad
+    return Polynomial(ring2, [(zeros + m, c) for m, c in poly.terms])
+
+
+def drop_reference(poly, ring, pad):
+    """poly, free of its first pad variables, in ring, which lacks them."""
+    return Polynomial(ring, [(m[pad:], c) for m, c in poly.terms])
+
+
+def permute_reference(poly, ring2, source):
+    """poly in ring2, whose i-th variable is poly's variable source[i]."""
+    return Polynomial(ring2, [(tuple(m[i] for i in source), c) for m, c in poly.terms])
+
+
 def power_reference(I, n):
     """Reference for idealops.ideal_power, n >= 1: I^n as I^(n-1) * I through
     ideal_product, each factor a fresh Ideal, so nothing is cached."""

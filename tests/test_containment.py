@@ -8,6 +8,7 @@ import pytest
 from froblab import (
     Ideal,
     Polynomial,
+    brute_membership_oracle,
     check_fpt_containment,
     check_fpure_containment,
     check_sfr_containment,
@@ -16,6 +17,7 @@ from froblab import (
     ideal_from_masks,
     ideal_member,
     ideal_power,
+    ideal_subset,
     make_ring,
     parse_gens,
     parse_poly,
@@ -27,7 +29,51 @@ from froblab.containment import (
     generic_determinantal_setup,
     xy_zk_setup,
 )
-from froblab.symbolic import PrimeData, symbolic_power
+from froblab.symbolic import (
+    PrimeData,
+    jacobian_ideal,
+    jacobian_power_product,
+    symbolic_power,
+)
+
+
+def squarefree_holds_case(p, names, gens, symbolic_exponent, n):
+    S = make_ring(p, names)
+    Q = Ideal(S, parse_gens(S, gens))
+    return symbolic_power(Q, symbolic_exponent, primedata_for_squarefree(Q)), ideal_power(Q, n)
+
+
+def xy_z2_holds_case(n):
+    R, Q, pd = xy_zk_setup(5, 2)
+    lhs = jacobian_power_product(jacobian_ideal(R), n, symbolic_power(Q, 2 * n, pd))
+    return lhs, ideal_power(Q, 2 * n)
+
+
+# "holds" containments small enough for the oracle: (lhs, rhs) and the
+# number of lhs generators
+HOLDS_CASES = {
+    # Q^(3) in Q^2, Q the triangle's edge ideal over F_5
+    "triangle": (lambda: squarefree_holds_case(5, "xyz", "x*y, x*z, y*z", 3, 2), 6),
+    # Q^(4) in Q^3, Q the edge ideal of K4 over F_3
+    "K4": (lambda: squarefree_holds_case(3, "abcd", "a*b, a*c, a*d, b*c, b*d, c*d", 4, 3), 28),
+    # J^n Q^(2n) in Q^(2n) over F_5[x,y,z]/(xy - z^2)
+    "xy-z2 n=1": (lambda: xy_z2_holds_case(1), 6),
+    "xy-z2 n=2": (lambda: xy_z2_holds_case(2), 24),
+}
+
+
+@pytest.mark.parametrize("name", HOLDS_CASES)
+def test_the_oracle_confirms_holds_verdicts(name):
+    """Every lhs generator g has a certificate in rhs's preimage at cofactor
+    degree deg g - min deg(rhs), with no slack; the oracle's True is
+    authoritative."""
+    build, count = HOLDS_CASES[name]
+    lhs, rhs = build()
+    assert ideal_subset(lhs, rhs) == (True, None)
+    assert len(lhs.gens) == count
+    low = min(h.degree() for h in rhs.preimage.gens)
+    for g in lhs.gens:
+        assert brute_membership_oracle(g, rhs, g.degree() - low), g
 
 
 class TestFpureContainment:

@@ -31,18 +31,14 @@ from froblab import (
     poly_divide_exact,
     saturate,
 )
-from froblab.idealops import (
-    _aux_name,
-    _drop,
-    _extended_ring,
-    _lift,
-    _permute,
-    _saturate_rabinowitsch,
-)
+from froblab.idealops import _extended_ring, _saturate_rabinowitsch, _t_ring
 from froblab.rings import EXPONENT_LIMIT
 from conftest import (
+    drop_reference,
     lcm_intersect_reference,
+    lift_reference,
     mono_divides,
+    permute_reference,
     random_homogeneous,
     random_ideal,
     random_ideal_in_max,
@@ -64,31 +60,26 @@ def t_free(ring2, gens2):
 RING_IDS = ["grevlex", "lex", "cone2", "cone3"]
 
 
-def t_ring(ring):
-    ring2 = _extended_ring(ring, [_aux_name(ring)])
-    return ring2, Polynomial.variable(ring2, ring2.variables[0])
-
-
 def intersect_reference(ring, A, B):
     """Generators of (A) ∩ (B) in S: eliminate t from t*A + (1-t)*B."""
-    ring2, t = t_ring(ring)
-    gens2 = [t * _lift(g, ring2, 1) for g in A]
-    gens2 += [(Polynomial.one(ring2) - t) * _lift(g, ring2, 1) for g in B]
-    return sorted_reference([_drop(g, ring, 1) for g in t_free(ring2, gens2)])
+    ring2, t = _t_ring(ring)
+    gens2 = [t * lift_reference(g, ring2, 1) for g in A]
+    gens2 += [(Polynomial.one(ring2) - t) * lift_reference(g, ring2, 1) for g in B]
+    return sorted_reference([drop_reference(g, ring, 1) for g in t_free(ring2, gens2)])
 
 
 def colon_reference(I, g):
     ring = I.ring.ambient
-    return [poly_divide_exact(h, g) for h in intersect_reference(ring, I.preimage_gens, [g])]
+    return [poly_divide_exact(h, g) for h in intersect_reference(ring, I.preimage.gens, [g])]
 
 
 def saturation_reference(I, g):
     """The t-free part of the reduced basis of I's preimage + (1 - t*g)."""
     ring = I.ring.ambient
-    ring2, t = t_ring(ring)
-    gens2 = [_lift(h, ring2, 1) for h in I.preimage_gens]
-    gens2.append(Polynomial.one(ring2) - t * _lift(g, ring2, 1))
-    return [_drop(h, ring, 1) for h in t_free(ring2, gens2)]
+    ring2, t = _t_ring(ring)
+    gens2 = [lift_reference(h, ring2, 1) for h in I.preimage.gens]
+    gens2.append(Polynomial.one(ring2) - t * lift_reference(g, ring2, 1))
+    return [drop_reference(h, ring, 1) for h in t_free(ring2, gens2)]
 
 
 class TestKernelStep:
@@ -136,7 +127,7 @@ class TestIdealOperations:
             I = Ideal(R, random_ideal(S, rng).gens)
             J = Ideal(R, random_ideal(S, rng).gens)
             assert list(ideal_intersect(I, J).gens) == intersect_reference(
-                S, I.preimage_gens, J.preimage_gens), (I, J)
+                S, I.preimage.gens, J.preimage.gens), (I, J)
 
     def test_colon(self, R):
         rng = random.Random(12)
@@ -151,7 +142,7 @@ class TestIdealOperations:
             if any(h.is_constant() for h in J.gens) or len(J.gens) < 2:
                 continue
             a, b = (Ideal(R, colon_reference(I, h)) for h in J.gens)
-            want = intersect_reference(S, a.preimage_gens, b.preimage_gens)
+            want = intersect_reference(S, a.preimage.gens, b.preimage.gens)
             assert list(ideal_colon(I, J).gens) == want, (I, J)
 
     def test_saturate(self, R):
@@ -176,9 +167,9 @@ class TestIdealOperations:
             keep = [v for v in S.variables if v not in kill]
             ring2 = _extended_ring(RingDescriptor(S.p, keep), kill)
             to2 = [S.index(v) for v in ring2.variables]
-            G = t_free(ring2, [_permute(g, ring2, to2) for g in I.preimage_gens])
+            G = t_free(ring2, [permute_reference(g, ring2, to2) for g in I.preimage.gens])
             back = [ring2.index(v) for v in S.variables]
-            assert eliminate(I, kill).gens == tuple(_permute(g, S, back) for g in G), (I, kill)
+            assert eliminate(I, kill).gens == tuple(permute_reference(g, S, back) for g in G), (I, kill)
 
 
 def monomials(I):
@@ -361,7 +352,7 @@ def test_monomial_gens_over_a_cone_take_the_general_path(R):
     rng = random.Random(f"cone {R.f}")
     for _ in range(10):
         I, J = Ideal(R, random_monomial_ideal(S, rng).gens), Ideal(R, random_monomial_ideal(S, rng).gens)
-        want = intersect_reference(S, I.preimage_gens, J.preimage_gens)
+        want = intersect_reference(S, I.preimage.gens, J.preimage.gens)
         assert list(ideal_intersect(I, J).gens) == want, (I, J)
         g = J.gens[0]
         if not g.is_constant():

@@ -621,7 +621,7 @@ class TestBatchedSubset:
         generators of J's preimage), forms that are mostly not members, and
         with a third of the cases only members."""
         S = J.ring.ambient
-        basis = J.preimage_gens
+        basis = J.preimage.gens
         only_members = rng.random() < 0.35
         gens = []
         for _ in range(rng.randrange(2, 8)):

@@ -10,6 +10,7 @@ from froblab import (
     Ideal,
     PolyMatrix,
     Polynomial,
+    RingMismatch,
     bracket_power,
     brute_membership_oracle,
     eliminate,
@@ -227,6 +228,19 @@ class TestColon:
                 t = Polynomial.monomial(ring, m)
                 sends_in = all(ideal_member(t * g, I) for g in J.gens)
                 assert sends_in == ideal_member(t, C)
+
+    def test_a_polynomial_from_another_ring_raises(self):
+        r = make_ring(5, ["x", "y"])
+        I = Ideal(r, [Polynomial.variable(r, "x")])
+        u = make_ring(7, ["u"])
+        # a constant from another ring once returned I unchanged
+        for g in (Polynomial.one(u), Polynomial.variable(u, "u"),
+                  Polynomial.one(make_ring(7, ["x", "y"]))):
+            for J in (g, Ideal(g.ring, [g])):
+                with pytest.raises(RingMismatch, match="different ring"):
+                    ideal_colon(I, J)
+            with pytest.raises(RingMismatch, match="polynomial from a different ring"):
+                ideal_colon(I, g)
 
     def test_exact_division_guard(self, F5xyz):
         with pytest.raises(ArithmeticError):

@@ -1,8 +1,10 @@
 """Import lint over the package sources: every imported name is used; only
 rings (which defines them) and the membership oracle in idealops touch the
-mono_* exponent-tuple helpers; and only the kernel, rings and groebner,
-touches the packing, a polynomial's packed terms or the constructor that
-takes them, so only it knows how monomials are stored."""
+mono_* exponent-tuple helpers; in idealops only that oracle reads exponent
+tuples (.terms), so its ring changes stay with Polynomial.in_ring; only the
+kernel, rings and groebner, touches the packing, a polynomial's packed terms
+or the constructor that takes them, so only it knows how monomials are
+stored; and the sources stay within their line budget."""
 
 import ast
 from pathlib import Path
@@ -13,6 +15,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "froblab"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 # (module, function) allowed to use a mono_* helper: the independent oracle
 MONO_USERS = {("idealops", "brute_membership_oracle")}
+LINE_BUDGET = 4090  # ROADMAP's standing rule for wc -l src/froblab/*.py
 
 
 def imported_names(tree):
@@ -69,3 +72,20 @@ def test_packing_stays_in_the_kernel(path):
     # _pack* covers _packing, _packed (a polynomial's terms) and _packed_reducers
     touched = sorted({n for n in names if n.startswith("_pack") or n == "_from_packed"})
     assert not touched, f"{path.name} touches the packed storage: {touched}"
+
+
+def terms_reads(node):
+    return [n for n in ast.walk(node) if isinstance(n, ast.Attribute) and n.attr == "terms"]
+
+
+def test_idealops_reads_exponent_tuples_only_in_the_oracle():
+    tree = ast.parse((SRC / "idealops.py").read_text())
+    oracle = [node for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef) and node.name == "brute_membership_oracle"]
+    allowed = sum(len(terms_reads(node)) for node in oracle)
+    assert len(terms_reads(tree)) == allowed, "idealops reads .terms outside the oracle"
+
+
+def test_sources_stay_within_the_line_budget():
+    total = sum(len(p.read_text().splitlines()) for p in SRC.glob("*.py"))
+    assert total <= LINE_BUDGET, f"src/froblab/*.py has {total} lines, over {LINE_BUDGET}"

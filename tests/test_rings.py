@@ -1,5 +1,7 @@
 """Ring-core: exact arithmetic, Frobenius powers, derivatives, text round trips,
-the packed storage of polynomials and the checks of their constructor."""
+the packed storage of polynomials, degrees read off it, ring changes
+(Polynomial.in_ring) against exponent-tuple references, and the checks of the
+constructor."""
 
 import random
 
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from froblab import (
     ExponentOverflow,
+    HypersurfaceRing,
     Ideal,
     Polynomial,
     RingMismatch,
@@ -20,7 +23,17 @@ from froblab import (
 )
 from froblab.rings import EXPONENT_LIMIT, mono_mul, sorted_canonical
 from froblab.parsing import _Tokens
-from conftest import mono_divides, order_key, random_poly, sorted_reference, tokens_reference
+from conftest import (
+    drop_reference,
+    lift_reference,
+    mono_divides,
+    order_key,
+    permute_reference,
+    random_homogeneous,
+    random_poly,
+    sorted_reference,
+    tokens_reference,
+)
 
 
 class TestMakeRing:
@@ -343,6 +356,88 @@ class TestPackedStorage:
         # compare as lex, so x^4 + y^2 comes first under every order
         f, g, h = (parse_poly(ring, s) for s in ("x^4 + y^2", "x^4 + x*w", "x^4 + 2*y^2"))
         assert sorted_canonical([h, g, f]) == [f, h, g] == sorted_reference([h, g, f])
+
+
+@pytest.mark.parametrize("blocks", [(("x", "y", "z", "w"),), (("x",), ("y", "z"), ("w",))],
+                         ids=["one block", "three blocks"])
+def test_degrees_under_other_block_counts(blocks):
+    # two blocks are TestPackedStorage's; one and three read the packed
+    # degree fields another way
+    ring = make_ring(7, ["x", "y", "z", "w"], "block", blocks)
+    rng = random.Random(f"degrees {blocks}")
+    for _ in range(15):
+        for f in kernel_made(ring, rng) + random_homogeneous(ring, rng) + [Polynomial.zero(ring)]:
+            assert f.degree() == max((sum(m) for m, _ in f.terms), default=-1), f
+            assert f.is_homogeneous() == (len({sum(m) for m, _ in f.terms}) <= 1), f
+
+
+# -- ring changes: Polynomial.in_ring against the exponent-tuple references ---
+
+S_XYZ = make_ring(5, ["x", "y", "z"])
+IN_RING_SOURCES = [
+    S_XYZ,
+    make_ring(5, ["x", "y", "z"], "lex"),
+    make_ring(5, ["x", "y", "z"], "block", (("x",), ("y", "z"))),
+    HypersurfaceRing(S_XYZ, parse_poly(S_XYZ, "x*y - z^2")),
+]
+
+
+def front_ring(S, name="t"):
+    """[name | S] under the block order, as an elimination builds it."""
+    return make_ring(S.p, (name,) + S.variables, "block", ((name,), S.variables))
+
+
+@pytest.mark.parametrize("R", IN_RING_SOURCES, ids=["grevlex", "lex", "block", "cone"])
+class TestInRing:
+    @staticmethod
+    def polys(R, rng):
+        """Random polynomials of R's ambient S, the relations, a kernel-made
+        product and exponents at the limit."""
+        S = R.ambient
+        gens = [random_poly(S, rng) for _ in range(10)] + list(R.relations)
+        gens += [gens[0] * gens[1], Polynomial.monomial(S, (EXPONENT_LIMIT, 0, 1), 3)]
+        return gens
+
+    def test_lift_then_drop_is_the_identity(self, R):
+        S, rng = R.ambient, random.Random(f"lift {R!r}")
+        ring2 = front_ring(S)
+        for g in self.polys(R, rng):
+            lifted = g.in_ring(ring2)
+            assert lifted == lift_reference(g, ring2, 1), g
+            assert lifted.in_ring(S) == g == drop_reference(lifted, S, 1), g
+
+    def test_a_permutation_by_name_is_the_tuple_permutation(self, R):
+        S, rng = R.ambient, random.Random(f"permute {R!r}")
+        for order in ("grevlex", "lex", "block"):
+            for _ in range(3):
+                names = list(S.variables)
+                rng.shuffle(names)
+                blocks = ((names[0],), tuple(names[1:])) if order == "block" else None
+                ring2 = make_ring(S.p, names, order, blocks)
+                source = [S.index(v) for v in ring2.variables]
+                for g in self.polys(R, rng):
+                    assert g.in_ring(ring2) == permute_reference(g, ring2, source), (g, ring2)
+
+    def test_a_lost_variable_raises(self, R):
+        S, rng = R.ambient, random.Random(f"lost {R!r}")
+        ring2 = front_ring(S)
+        t = Polynomial.variable(ring2, "t")
+        xy = make_ring(S.p, ["x", "y"])
+        for g in self.polys(R, rng):
+            with pytest.raises(ValueError, match="lacks"):
+                (t + g.in_ring(ring2)).in_ring(S)
+            z_free = Polynomial(S, [(m, c) for m, c in g.terms if not m[2]])
+            if z_free != g:
+                with pytest.raises(ValueError, match="lacks"):
+                    g.in_ring(xy)
+            assert z_free.in_ring(xy) == Polynomial(xy, [(m[:2], c) for m, c in z_free.terms])
+
+    def test_another_p_raises(self, R):
+        S = R.ambient
+        other = make_ring(7, S.variables, S.order, S.blocks)
+        for g in (Polynomial.variable(S, "x"), Polynomial.one(S), Polynomial.zero(S)):
+            with pytest.raises(RingMismatch):
+                g.in_ring(other)
 
 
 class TestConstructorChecks:

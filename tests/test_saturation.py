@@ -111,7 +111,7 @@ class TestCorners:
             sat = idealops._saturate_rabinowitsch(I, g, None)
             attached = sat._gb
             assert (attached is not None) == (S.order == "grevlex")
-            assert sat.groebner_basis() == Ideal(S, sat.preimage_gens).groebner_basis()
+            assert sat.groebner_basis() == Ideal(S, sat.preimage.gens).groebner_basis()
             assert ideal_subset(I, sat)[0]
 
 
