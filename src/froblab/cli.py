@@ -50,9 +50,10 @@ EXIT_INTERNAL = 4
 
 
 def _budget_from_env():
+    """The budget FROBLAB_MAX_PAIRS sets; unset or empty, the default one."""
     raw = os.environ.get("FROBLAB_MAX_PAIRS")
     if not raw:
-        return None
+        return GroebnerBudget()
     if not (raw.isascii() and raw.isdigit() and int(raw) > 0):
         raise ValueError(f"FROBLAB_MAX_PAIRS must be a positive integer, not {raw!r}")
     return GroebnerBudget(max_pairs=int(raw))
@@ -112,12 +113,11 @@ def _verdict_report(verdict, as_json):
 class Session:
     """State of one script run: ring, optional hypersurface, named objects."""
 
-    def __init__(self, budget=None):
+    def __init__(self):
         self.ring = None
         self.hyper = None
         self.ideals = {}
         self.primedata = {}  # name -> dict of pieces until first use
-        self.budget = budget
         self.reports = []
 
     def need_ring(self):
@@ -195,7 +195,7 @@ def _run_check(session, rest):
     parts = argtext.split()
     if not parts:
         raise ParseError("check needs an ideal name")
-    kwargs = {"n": 2, "budget": session.budget}
+    kwargs = {"n": 2}
     if use_jacobian:
         kwargs["use_jacobian"] = True
     for part in parts[1:]:
@@ -266,7 +266,7 @@ def execute_statement(session: Session, line: str):
         session.raw_primedata(name)["embedded"] = session.make_ideals(at(body))
     elif head == "separator":
         session.raw_primedata(name)["separators"] = [
-            parse_poly(session.ring, g) for g in split_top_level(at(body), ";")
+            parse_poly(session.need_ring(), g) for g in split_top_level(at(body), ";")
         ]
     elif head in _ASSERTIONS:
         session.raw_primedata(rest)[_ASSERTIONS[head]] = True
@@ -276,7 +276,7 @@ def execute_statement(session: Session, line: str):
         ex_id, _, argtext = rest.partition(" ")
         kv = _example_params(ex_id, argtext.split(), ("seed",))
         seed = _ints("example seed", kv.pop("seed", "0"))
-        session.reports.extend(run_example(ex_id, kv, seed=seed, budget=session.budget))
+        session.reports.extend(run_example(ex_id, kv, seed=seed))
     else:
         raise ParseError(f"unknown statement {head!r}")
 
@@ -295,38 +295,40 @@ def _example_params(ex_id, words, extra=()):
     return params
 
 
-def run_script(path, out=sys.stdout, as_json=False, include_timings=False, budget=None):
-    """Execute a script; returns the exit code, streaming reports as they land."""
-    session = Session(budget=budget or _budget_from_env())
-    try:
-        with open(path) as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        _emit(out, f"error: {exc}")
-        return EXIT_USAGE
-    emitted = 0
-    for lineno, line in enumerate(lines, start=1):
+def run_script(path, out=sys.stdout, as_json=False, include_timings=False):
+    """Execute a script in the scope of the budget FROBLAB_MAX_PAIRS sets;
+    returns the exit code, streaming reports as they land."""
+    with _budget_from_env():
+        session = Session()
         try:
-            execute_statement(session, line)
-        except BudgetExceeded as exc:
-            _emit(out, f"budget exhausted at line {lineno}: {exc}")
-            return EXIT_BUDGET
-        except (ParseError, ValueError, ExponentOverflow) as exc:
-            if getattr(exc, "col", None) is not None:  # a one-line piece padded to its column
-                exc = f"{exc.message} (column {exc.col})"
-            _emit(out, f"error at line {lineno}: {exc}")
+            with open(path) as fh:
+                lines = fh.readlines()
+        except OSError as exc:
+            _emit(out, f"error: {exc}")
             return EXIT_USAGE
-        except ArithmeticError as exc:
-            _emit(out, f"error at line {lineno}: {exc}")
-            return EXIT_INTERNAL
-        for rep in session.reports[emitted:]:
-            _emit(out, _report_lines([rep], as_json, include_timings)[0])
-        emitted = len(session.reports)
-    failed = [r for r in session.reports if not r.ok]
-    if failed:
-        _emit(out, f"{len(failed)} expectation(s) failed")
-        return EXIT_EXPECTATION
-    return EXIT_OK
+        emitted = 0
+        for lineno, line in enumerate(lines, start=1):
+            try:
+                execute_statement(session, line)
+            except BudgetExceeded as exc:
+                _emit(out, f"budget exhausted at line {lineno}: {exc}")
+                return EXIT_BUDGET
+            except (ParseError, ValueError, ExponentOverflow) as exc:
+                if getattr(exc, "col", None) is not None:  # a one-line piece padded to its column
+                    exc = f"{exc.message} (column {exc.col})"
+                _emit(out, f"error at line {lineno}: {exc}")
+                return EXIT_USAGE
+            except ArithmeticError as exc:
+                _emit(out, f"error at line {lineno}: {exc}")
+                return EXIT_INTERNAL
+            for rep in session.reports[emitted:]:
+                _emit(out, _report_lines([rep], as_json, include_timings)[0])
+            emitted = len(session.reports)
+        failed = [r for r in session.reports if not r.ok]
+        if failed:
+            _emit(out, f"{len(failed)} expectation(s) failed")
+            return EXIT_EXPECTATION
+        return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +351,7 @@ def _ideal_from_args(ring, hyper, text):
 def cmd_fedder(args, out):
     ring, _ = _session_from_args(args)
     I = Ideal(ring, parse_gens(ring, args.ideal))
-    verdict = fedder_is_fpure(I, e=args.e, budget=_budget_from_env())
+    verdict = fedder_is_fpure(I, e=args.e)
     for line in _verdict_report(verdict, args.json):
         _emit(out, line)
     return EXIT_OK if verdict.status != "refuted" else EXIT_EXPECTATION
@@ -360,8 +362,7 @@ def cmd_fpure(args, out):
     if hyper is None:
         raise ParseError("fpure needs --hypersurface (use fedder in a regular ring)")
     Q = _ideal_from_args(ring, hyper, args.ideal)
-    verdict = is_fpure_quotient(hyper, Q, e=args.e, finite_pd=args.finite_pd,
-                                budget=_budget_from_env())
+    verdict = is_fpure_quotient(hyper, Q, e=args.e, finite_pd=args.finite_pd)
     for line in _verdict_report(verdict, args.json):
         _emit(out, line)
     return EXIT_OK if verdict.status == "confirmed" else EXIT_EXPECTATION
@@ -378,8 +379,7 @@ def cmd_sfr(args, out):
             for g in split_top_level(args.minimal_primes, ";")
         ]
     e_max = default_e_max(ring.p) if args.emax is None else args.emax
-    verdict = sfr_witness_search(Q, cs, e_max, minimal_primes=primes,
-                                 budget=_budget_from_env())
+    verdict = sfr_witness_search(Q, cs, e_max, minimal_primes=primes)
     for line in _verdict_report(verdict, args.json):
         _emit(out, line)
     return EXIT_OK if verdict.status == "confirmed" else EXIT_EXPECTATION
@@ -409,8 +409,7 @@ def cmd_symbolic(args, out):
             asserted_radical=True,
         )
     diag = {}
-    result = symbolic_power(I, args.n, pd, strategy=args.strategy,
-                            budget=_budget_from_env(), diag=diag)
+    result = symbolic_power(I, args.n, pd, strategy=args.strategy, diag=diag)
     payload = {
         "symbolic_exponent": args.n,
         "generators": [format_poly(g) for g in result.gens],
@@ -429,7 +428,7 @@ def cmd_containment(args, out):
     ring, hyper = _session_from_args(args)
     lhs = _ideal_from_args(ring, hyper, args.lhs)
     rhs = _ideal_from_args(ring, hyper, args.rhs)
-    ok, wit = ideal_subset(lhs, rhs, _budget_from_env())
+    ok, wit = ideal_subset(lhs, rhs)
     if args.json:
         _emit(out, json.dumps(
             {"holds": ok, "witness": format_poly(wit) if wit else None}, sort_keys=True
@@ -443,7 +442,7 @@ def cmd_fpt(args, out):
     ring, hyper = _session_from_args(args)
     I = _ideal_from_args(ring, hyper, args.ideal)
     e_max = default_e_max(ring.p) if args.emax is None else args.emax
-    est = fpt_lower_bound(I, e_max, _budget_from_env())
+    est = fpt_lower_bound(I, e_max)
     if args.json:
         _emit(out, json.dumps({
             "nu_values": est.nu_values,
@@ -459,14 +458,13 @@ def cmd_fpt(args, out):
 
 def cmd_example(args, out):
     params = _example_params(args.id, args.param or [])
-    reports = run_example(args.id, params, seed=args.seed, budget=_budget_from_env())
+    reports = run_example(args.id, params, seed=args.seed)
     _emit(out, "\n".join(_report_lines(reports, args.json, args.timings)))
     return EXIT_OK if all(r.ok for r in reports) else EXIT_EXPECTATION
 
 
 def cmd_run(args, out):
-    return run_script(args.script, out=out, as_json=args.json,
-                      include_timings=args.timings, budget=_budget_from_env())
+    return run_script(args.script, out=out, as_json=args.json, include_timings=args.timings)
 
 
 def cmd_selftest(args, out):
@@ -565,10 +563,12 @@ def build_parser():
 
 
 def _dispatch(args, out):
-    """(exit code, whether the command returned); an exception it raised is
-    one line on stderr."""
+    """(exit code, whether the command returned), the command run in the
+    scope of the budget FROBLAB_MAX_PAIRS sets; an exception it raised is one
+    line on stderr."""
     try:
-        return args.func(args, out), True
+        with _budget_from_env():
+            return args.func(args, out), True
     except BudgetExceeded as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET, False

@@ -91,11 +91,11 @@ def _cap_text(cap, default):
     return f"the default cap {cap}" if cap == default else f"the cap {cap}"
 
 
-def _recheck_witness(witness, lhs, rhs, budget=None):
+def _recheck_witness(witness, lhs, rhs):
     """Independent confirmation that witness ∈ lhs and witness ∉ rhs."""
     checks = {
-        "witness_in_lhs": ideal_member(witness, lhs, budget),
-        "witness_not_in_rhs": not ideal_member(witness, rhs, budget),
+        "witness_in_lhs": ideal_member(witness, lhs),
+        "witness_not_in_rhs": not ideal_member(witness, rhs),
     }
     gens = rhs.preimage.gens
     if gens:
@@ -110,7 +110,7 @@ def _recheck_witness(witness, lhs, rhs, budget=None):
     return checks
 
 
-def _finish(tag, params, ok, wit, lhs, rhs, expected, diag, t0, budget=None):
+def _finish(tag, params, ok, wit, lhs, rhs, expected, diag, t0):
     diag = dict(diag)
     diag["lhs_gens"] = len(lhs.gens)
     diag["rhs_gens"] = len(rhs.gens)
@@ -118,7 +118,7 @@ def _finish(tag, params, ok, wit, lhs, rhs, expected, diag, t0, budget=None):
     diag["elapsed_seconds"] = round(time.perf_counter() - t0, 3)
     if ok:
         return ContainmentReport(tag, params, "holds", expected=expected, diagnostics=diag)
-    diag["witness_recheck"] = _recheck_witness(wit, lhs, rhs, budget)
+    diag["witness_recheck"] = _recheck_witness(wit, lhs, rhs)
     return ContainmentReport(
         tag, params, "fails", witness=format_poly(wit), expected=expected, diagnostics=diag
     )
@@ -129,17 +129,17 @@ def _skipped(tag, params, reason, expected="holds"):
 
 
 def _symbolic_inside_ordinary(tag, params, Q, pd, sym_exp, n, jacobian_exponent, expected,
-                              diag, t0, budget):
+                              diag, t0):
     """The report on Q^(sym_exp), times J^jacobian_exponent unless that is
     None, inside Q^n. When sym_exp == n, Q^n is the power symbolic_power
     saturated, basis included."""
-    lhs = symbolic_power(Q, sym_exp, pd, budget=budget, diag=diag)
+    lhs = symbolic_power(Q, sym_exp, pd, diag=diag)
     if jacobian_exponent is not None:
         lhs = jacobian_power_product(jacobian_ideal(Q.ring), jacobian_exponent, lhs)
         params["jacobian_exponent"] = jacobian_exponent
     rhs = ideal_power(Q, n)
-    ok, wit = ideal_subset(lhs, rhs, budget)
-    return _finish(tag, params, ok, wit, lhs, rhs, expected, diag, t0, budget)
+    ok, wit = ideal_subset(lhs, rhs)
+    return _finish(tag, params, ok, wit, lhs, rhs, expected, diag, t0)
 
 
 def _require_relations_for(Q, pd, use_jacobian):
@@ -160,7 +160,6 @@ def check_fpure_containment(
     pd: PrimeData,
     n: int,
     use_jacobian: bool = False,
-    budget=None,
     exponent_cap: int | None = DEFAULT_EXPONENT_CAP,
     expected: str = "holds",
 ) -> ContainmentReport:
@@ -179,7 +178,7 @@ def check_fpure_containment(
         reason = f"symbolic exponent {sym_exp} exceeds {cap}; pass exponent_cap to override"
         return _skipped(tag, params, reason, expected)
     return _symbolic_inside_ordinary(tag, params, Q, pd, sym_exp, n, n if use_jacobian else None,
-                                     expected, {}, t0, budget)
+                                     expected, {}, t0)
 
 
 def check_sfr_containment(
@@ -187,7 +186,6 @@ def check_sfr_containment(
     pd: PrimeData,
     n: int,
     use_jacobian: bool = False,
-    budget=None,
     exponent_cap: int | None = DEFAULT_EXPONENT_CAP,
     expected: str = "holds",
     require_assertions: bool = True,
@@ -219,7 +217,7 @@ def check_sfr_containment(
         cap = _cap_text(exponent_cap, DEFAULT_EXPONENT_CAP)
         return _skipped(tag, params, f"symbolic exponent {sym_exp} exceeds {cap}", expected)
     rep = _symbolic_inside_ordinary(tag, params, Q, pd, sym_exp, n,
-                                    2 * n - 2 if use_jacobian else None, expected, {}, t0, budget)
+                                    2 * n - 2 if use_jacobian else None, expected, {}, t0)
     if h == 2 and not use_jacobian:
         # Q^n <= Q^((n)) is automatic, so the subset verdict is the equality verdict
         rep.diagnostics["equality_checked"] = True
@@ -234,7 +232,6 @@ def check_fpt_containment(
     fpt_floor="auto",
     e_max: int | None = None,
     use_jacobian: bool | None = None,
-    budget=None,
     expected: str = "holds",
 ) -> ContainmentReport:
     """The threshold containment I^((hn - floor fpt)) ⊆ I^n; the floor comes
@@ -250,7 +247,7 @@ def check_fpt_containment(
     h = big_height(pd)
     diag = {}
     if fpt_floor == "auto":
-        est = fpt_lower_bound(I, default_e_max(I.ring.ambient.p) if e_max is None else e_max, budget)
+        est = fpt_lower_bound(I, default_e_max(I.ring.ambient.p) if e_max is None else e_max)
         floor = est.floor_lower_bound
         diag["nu_values"] = list(est.nu_values)
         diag["fpt_lower_bound"] = str(est.lower_bound)
@@ -263,12 +260,11 @@ def check_fpt_containment(
         reason = "floor at least h*n makes the symbolic exponent non-positive"
         return _skipped(tag, params, reason, expected)
     return _symbolic_inside_ordinary(tag, params, I, pd, sym_exp, n, n if use_jacobian else None,
-                                     expected, diag, t0, budget)
+                                     expected, diag, t0)
 
 
 def check_symbolic_into_Ie(
-    Q, pd: PrimeData, n: int, e: int = 1, budget=None,
-    q_cap: int | None = DEFAULT_Q_CAP, expected: str = "holds",
+    Q, pd: PrimeData, n: int, e: int = 1, q_cap: int | None = DEFAULT_Q_CAP, expected: str = "holds"
 ) -> ContainmentReport:
     """Q^((q(h+n-1)-h+1)) ⊆ I_e(Q^((n))) with h = max_local_gens; the right
     side is the bracket power in a regular ambient."""
@@ -284,11 +280,11 @@ def check_symbolic_into_Ie(
         return _skipped(tag, params, f"q = {q} exceeds {_cap_text(q_cap, DEFAULT_Q_CAP)}",
                         expected)
     diag = {}
-    lhs = symbolic_power(Q, sym_exp, pd, budget=budget, diag=diag)
-    base = symbolic_power(Q, n, pd, budget=budget, diag=diag)
-    rhs = hypersurface_Ie(Q.ring, base, e, budget)
-    ok, wit = ideal_subset(lhs, rhs, budget)
-    return _finish(tag, params, ok, wit, lhs, rhs, expected, diag, t0, budget)
+    lhs = symbolic_power(Q, sym_exp, pd, diag=diag)
+    base = symbolic_power(Q, n, pd, diag=diag)
+    rhs = hypersurface_Ie(Q.ring, base, e)
+    ok, wit = ideal_subset(lhs, rhs)
+    return _finish(tag, params, ok, wit, lhs, rhs, expected, diag, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +414,7 @@ def _fact(tag, params, holds, t0, witness=None, expected="holds", **diag):
     )
 
 
-def _run_xy_zk(params, seed=0, budget=None):
+def _run_xy_zk(params, seed=0):
     p = int(params["p"])
     k = int(params["k"])
     n_values = _as_int_list(params["n"])
@@ -433,15 +429,15 @@ def _run_xy_zk(params, seed=0, budget=None):
         R, [x, Polynomial.variable(ring, "y"), z ** (k - 1)]
     )
     t0 = time.perf_counter()
-    ok = ideal_equal(J, J_expected, budget)
+    ok = ideal_equal(J, J_expected)
     reports.append(_fact("jacobian-ideal-form", {"p": p, "k": k}, ok, t0))
 
     for n in n_values:
         base_params = {"p": p, "k": k, "n": n}
         diag = {}
         t0 = time.perf_counter()
-        sym_kn = symbolic_power(Q, k * n, pd, budget=budget, diag=diag)
-        ok = ideal_equal(sym_kn, q_ideal(R, [x**n]), budget)
+        sym_kn = symbolic_power(Q, k * n, pd, diag=diag)
+        ok = ideal_equal(sym_kn, q_ideal(R, [x**n]))
         reports.append(_fact(
             "symbolic-power-principal-form",
             dict(base_params, symbolic_exponent=k * n), ok, t0, **diag,
@@ -451,11 +447,11 @@ def _run_xy_zk(params, seed=0, budget=None):
         for r in range(k):
             wit = x ** (n + r)
             t0 = time.perf_counter()
-            sym = sym_kn if r == 0 else symbolic_power(Q, k * n + r, pd, budget=budget)
+            sym = sym_kn if r == 0 else symbolic_power(Q, k * n + r, pd)
             reports.append(_fact(
                 "symbolic-ladder-membership",
                 dict(base_params, r=r, symbolic_exponent=k * n + r),
-                ideal_member(wit, sym, budget), t0, wit,
+                ideal_member(wit, sym), t0, wit,
             ))
             # as displayed, the exclusion targets Q^(kn); at the corner
             # n = 1, r = k-1 that is provably false (x^k generates into
@@ -464,7 +460,7 @@ def _run_xy_zk(params, seed=0, budget=None):
             # symbolic-vs-ordinary deduction actually uses.
             corner = n == 1 and r == k - 1
             t0 = time.perf_counter()
-            outside = not ideal_member(wit, Q_kn, budget)
+            outside = not ideal_member(wit, Q_kn)
             note = {"note": "displayed exclusion is index-sloppy at this corner; "
                     "see the strict variant"} if corner else {}
             reports.append(_fact(
@@ -474,7 +470,7 @@ def _run_xy_zk(params, seed=0, budget=None):
             ))
             if r:
                 t0 = time.perf_counter()
-                outside_strict = not ideal_member(wit, ideal_power(Q, k * n + r), budget)
+                outside_strict = not ideal_member(wit, ideal_power(Q, k * n + r))
                 reports.append(_fact(
                     "symbolic-ladder-noncontainment-strict",
                     dict(base_params, r=r, ordinary_exponent=k * n + r),
@@ -483,7 +479,7 @@ def _run_xy_zk(params, seed=0, budget=None):
 
         t0 = time.perf_counter()
         lhs = jacobian_power_product(J, (k - 1) * n, sym_kn)
-        ok, wit = ideal_subset(lhs, Q_kn, budget)
+        ok, wit = ideal_subset(lhs, Q_kn)
         reports.append(_fact(
             "jacobian-fpure-sharp-containment",
             dict(base_params, jacobian_exponent=(k - 1) * n, ordinary_exponent=k * n),
@@ -497,7 +493,7 @@ def _run_xy_zk(params, seed=0, budget=None):
             reports.append(_fact(
                 "jacobian-sharpness-witness",
                 dict(base_params, witness_z_exponent=w_exp, ordinary_exponent=k * n),
-                not ideal_member(wit, Q_kn, budget), t0, wit,
+                not ideal_member(wit, Q_kn), t0, wit,
                 note="the displayed non-containment statement is "
                 "paper-ambiguous; only the witness-level fact is encoded",
             ))
@@ -529,7 +525,7 @@ def random_linear_forms_matrix(ring, rows, cols, rng):
     return PolyMatrix(ring, entries)
 
 
-def generic_determinantal_setup(p: int, size: int, d: int, seed: int, budget=None):
+def generic_determinantal_setup(p: int, size: int, d: int, seed: int):
     """Random specialization of the generic 2x3-determinantal example: the
     ideal of size x size minors of a size x (size+1) matrix of random linear
     forms in d variables over F_p.
@@ -546,10 +542,10 @@ def generic_determinantal_setup(p: int, size: int, d: int, seed: int, budget=Non
         I = minors(M, size)
         degenerate = len(I.gens) != size + 1
         if not degenerate:
-            degenerate = I.groebner_basis(budget).is_unit()
+            degenerate = I.groebner_basis().is_unit()
         if not degenerate:
             # separator must be a nonzerodivisor mod I: (I : sep) = I
-            degenerate = not ideal_equal(ideal_colon(I, sep, budget), I, budget)
+            degenerate = not ideal_equal(ideal_colon(I, sep), I)
         if not degenerate:
             break
         attempts += 1
@@ -571,23 +567,16 @@ def generic_determinantal_setup(p: int, size: int, d: int, seed: int, budget=Non
     return ring, I, pd, attempts
 
 
-def _run_generic_determinantal(params, seed=0, budget=None):
+def _run_generic_determinantal(params, seed=0):
     p = int(params["p"])
     size = int(params["size"])
     d = int(params["d"])
     j_values = _as_int_list(params["j"])
-    ring, I, pd, attempts = generic_determinantal_setup(p, size, d, seed, budget)
+    ring, I, pd, attempts = generic_determinantal_setup(p, size, d, seed)
     expected = "holds" if d > size + 1 else "fails"
     reports = []
     for j in j_values:
-        rep = check_sfr_containment(
-            I,
-            pd,
-            j,
-            budget=budget,
-            expected=expected,
-            require_assertions=(d > size + 1),
-        )
+        rep = check_sfr_containment(I, pd, j, expected=expected, require_assertions=(d > size + 1))
         rep.params.update({"p": p, "d": d, "size": size, "seed": seed, "j": j})
         rep.diagnostics["draw_attempts"] = attempts
         reports.append(rep)
@@ -619,7 +608,7 @@ REGISTRY = {
 }
 
 
-def run_example(example_id: str, params=None, seed: int = 0, budget=None):
+def run_example(example_id: str, params=None, seed: int = 0):
     """Evaluate every expectation of a registered example; reports in
     canonical order."""
     if example_id not in REGISTRY:
@@ -634,4 +623,4 @@ def run_example(example_id: str, params=None, seed: int = 0, budget=None):
             kind = "an integer" if isinstance(default, int) else "integers as a,b,... or a..b"
             raise ValueError(f"example {example_id}: {key} must be {kind}, "
                              f"not {merged[key]!r}") from None
-    return spec.runner(merged, seed=seed, budget=budget)
+    return spec.runner(merged, seed=seed)

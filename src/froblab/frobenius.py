@@ -65,7 +65,7 @@ def default_e_max(p: int) -> int:
     return 1
 
 
-def fedder_is_fpure(I: Ideal, e: int = 1, budget=None) -> CriterionVerdict:
+def fedder_is_fpure(I: Ideal, e: int = 1) -> CriterionVerdict:
     """Classical Fedder criterion in a regular ambient ring.
 
     Confirmed iff (I^[p^e] : I) is not contained in m^[p^e]; in the regular
@@ -77,7 +77,7 @@ def fedder_is_fpure(I: Ideal, e: int = 1, budget=None) -> CriterionVerdict:
         raise ValueError("ideal must be nonzero")
     if not I.is_proper():
         raise ValueError("ideal must be proper")
-    verdict = is_fpure_quotient(ring, I, e, finite_pd=True, budget=budget)
+    verdict = is_fpure_quotient(ring, I, e, finite_pd=True)
     if verdict.confirmed:
         return CriterionVerdict("confirmed", e, witness=verdict.witness, condition="fedder")
     return CriterionVerdict(
@@ -85,7 +85,7 @@ def fedder_is_fpure(I: Ideal, e: int = 1, budget=None) -> CriterionVerdict:
     )
 
 
-def hypersurface_Ie(R, J: Ideal, e: int, budget=None) -> Ideal:
+def hypersurface_Ie(R, J: Ideal, e: int) -> Ideal:
     """The non-splitting ideal I_e(J) of R = S/(f) via the trace generator.
 
     Preimage: ((J_S^[q] + (f^q)) : f^(q-1)) with q = p^e. The f^q term stays
@@ -104,8 +104,8 @@ def hypersurface_Ie(R, J: Ideal, e: int, budget=None) -> Ideal:
     f_qm1 = f ** (q - 1)
     bracket = bracket_power(J, e)
     base = Ideal(R.ambient, bracket.gens + (f.frobenius(e),))
-    result = Ideal(R, ideal_colon(base, f_qm1, budget).gens)
-    ok, bad = ideal_subset(bracket, result, budget)
+    result = Ideal(R, ideal_colon(base, f_qm1).gens)
+    ok, bad = ideal_subset(bracket, result)
     if not ok:
         raise ArithmeticError(
             f"internal error: bracket power escaped I_e (witness {bad})"
@@ -113,19 +113,17 @@ def hypersurface_Ie(R, J: Ideal, e: int, budget=None) -> Ideal:
     return result
 
 
-def Ie_maximal(ring, e: int, budget=None) -> Ideal:
+def Ie_maximal(ring, e: int) -> Ideal:
     """I_e of the irrelevant maximal ideal: m^[q] in a regular ring,
     the trace colon in a hypersurface ring, which the ring keeps per e."""
     if not ring.relations:
-        return hypersurface_Ie(ring, maximal_ideal(ring), e, budget)
+        return hypersurface_Ie(ring, maximal_ideal(ring), e)
     if e not in ring._Ie_maximal:
-        ring._Ie_maximal[e] = hypersurface_Ie(ring, maximal_ideal(ring), e, budget)
+        ring._Ie_maximal[e] = hypersurface_Ie(ring, maximal_ideal(ring), e)
     return ring._Ie_maximal[e]
 
 
-def is_fpure_quotient(
-    R, Q: Ideal, e: int = 1, finite_pd: bool = False, budget=None
-) -> CriterionVerdict:
+def is_fpure_quotient(R, Q: Ideal, e: int = 1, finite_pd: bool = False) -> CriterionVerdict:
     """Fedder-type criterion for F-purity of R/Q in a hypersurface ring.
 
     Evaluates both sufficient conditions at the given e:
@@ -139,14 +137,14 @@ def is_fpure_quotient(
         raise RingMismatch("ideal from a different ring")
     if not Q.is_proper():
         raise ValueError("Q must be proper")
-    Ie_m = Ie_maximal(R, e, budget)
+    Ie_m = Ie_maximal(R, e)
 
-    colon1 = ideal_colon(bracket_power(Q, e), Q, budget)
-    in1, wit1 = ideal_subset(colon1, Ie_m, budget)
+    colon1 = ideal_colon(bracket_power(Q, e), Q)
+    in1, wit1 = ideal_subset(colon1, Ie_m)
     in2, wit2 = in1, wit1
     if R.relations:
-        colon2 = ideal_colon(hypersurface_Ie(R, Q, e, budget), Q, budget)
-        in2, wit2 = ideal_subset(colon2, Ie_m, budget)
+        colon2 = ideal_colon(hypersurface_Ie(R, Q, e), Q)
+        in2, wit2 = ideal_subset(colon2, Ie_m)
 
     notes = {"condition1_holds": not in1, "condition2_holds": not in2}
     if not in2:
@@ -160,9 +158,7 @@ def is_fpure_quotient(
     return CriterionVerdict("inconclusive", e, notes=notes)
 
 
-def sfr_witness_search(
-    Q: Ideal, c_list, e_max: int, minimal_primes=None, budget=None
-) -> CriterionVerdict:
+def sfr_witness_search(Q: Ideal, c_list, e_max: int, minimal_primes=None) -> CriterionVerdict:
     """Glassbrenner-type search: for each test element c, hunt for an e with
     c*(Q^[p^e] : Q) not inside I_e(m), or (in S/(f)) c*(I_e(Q) : Q) not
     inside I_e(m).
@@ -180,7 +176,7 @@ def sfr_witness_search(
     if minimal_primes:
         for c in c_list:
             for P in minimal_primes:
-                if ideal_member(c, P, budget):
+                if ideal_member(c, P):
                     raise ValueError(
                         f"test element {c} lies in a listed minimal prime"
                     )
@@ -192,10 +188,10 @@ def sfr_witness_search(
         found = None
         for e in range(1, e_max + 1):
             if e not in Ie_m:
-                Ie_m[e] = Ie_maximal(ring, e, budget)
-                colon1[e] = ideal_colon(bracket_power(Q, e), Q, budget)
+                Ie_m[e] = Ie_maximal(ring, e)
+                colon1[e] = ideal_colon(bracket_power(Q, e), Q)
             # condition (1): c (Q^[q] : Q) escapes I_e(m)
-            inside, wit = ideal_subset(scale_ideal(c, colon1[e]), Ie_m[e], budget)
+            inside, wit = ideal_subset(scale_ideal(c, colon1[e]), Ie_m[e])
             if not inside:
                 found = (e, wit, "1")
                 break
@@ -203,8 +199,8 @@ def sfr_witness_search(
             # Q^[q] and (2) is (1)
             if ring.relations:
                 if e not in colon2:
-                    colon2[e] = ideal_colon(hypersurface_Ie(ring, Q, e, budget), Q, budget)
-                inside, wit = ideal_subset(scale_ideal(c, colon2[e]), Ie_m[e], budget)
+                    colon2[e] = ideal_colon(hypersurface_Ie(ring, Q, e), Q)
+                inside, wit = ideal_subset(scale_ideal(c, colon2[e]), Ie_m[e])
                 if not inside:
                     found = (e, wit, "2")
                     break
@@ -226,7 +222,7 @@ def sfr_witness_search(
     return CriterionVerdict("inconclusive", (1, e_max), notes=notes)
 
 
-def nu_e(I: Ideal, e: int, budget=None) -> int:
+def nu_e(I: Ideal, e: int) -> int:
     """nu_e(I) = max{r : I^r not inside I_e(m)} (Mustata-Takagi-Watanabe),
     by a frontier scan that builds no power of I.
 
@@ -240,7 +236,7 @@ def nu_e(I: Ideal, e: int, budget=None) -> int:
     """
     if I.is_zero():
         raise ValueError("I must be nonzero")
-    if not I.is_proper(budget):
+    if not I.is_proper():
         raise ValueError("I must be proper")
     # m's preimage, (variables) + (relations), holds g exactly when g has no
     # constant term or some relation has one; canonical terms end with it
@@ -249,16 +245,16 @@ def nu_e(I: Ideal, e: int, budget=None) -> int:
 
     if not any(map(has_constant, I.ring.relations)) and any(map(has_constant, I.gens)):
         raise ValueError("I must be contained in the ideal of all variables")
-    Ie_m = Ie_maximal(I.ring, e, budget)
+    Ie_m = Ie_maximal(I.ring, e)
     ambient = I.ring.ambient
     cap = ambient.nvars * (ambient.p**e - 1) + 2
-    nu = last_escaping_power(I.gens, Ie_m, cap, budget)
+    nu = last_escaping_power(I.gens, Ie_m, cap)
     if nu is None:
         raise ArithmeticError("nu_e scan escaped its pigeonhole bound (internal bug)")
     return nu
 
 
-def fpt_lower_bound(I: Ideal, e_max: int, budget=None) -> FptEstimate:
+def fpt_lower_bound(I: Ideal, e_max: int) -> FptEstimate:
     """nu_e for e = 1..e_max and the induced floor of max nu_e / p^e."""
     if e_max < 1:
         raise ValueError("e_max must be >= 1")
@@ -266,7 +262,7 @@ def fpt_lower_bound(I: Ideal, e_max: int, budget=None) -> FptEstimate:
     values = []
     best = Fraction(0)
     for e in range(1, e_max + 1):
-        nu = nu_e(I, e, budget)
+        nu = nu_e(I, e)
         values.append((e, nu))
         frac = Fraction(nu, p**e)
         if frac > best:
@@ -274,10 +270,10 @@ def fpt_lower_bound(I: Ideal, e_max: int, budget=None) -> FptEstimate:
     return FptEstimate(values, best, int(best))
 
 
-def recheck_splitting_witness(R: HypersurfaceRing, Q: Ideal, e: int, r: Polynomial, budget=None) -> bool:
+def recheck_splitting_witness(R: HypersurfaceRing, Q: Ideal, e: int, r: Polynomial) -> bool:
     """Certificate check for a condition-(2) F-purity witness:
     r*Q inside I_e(Q) and r outside I_e(m)."""
-    IeQ = hypersurface_Ie(R, Q, e, budget)
-    Ie_m = Ie_maximal(R, e, budget)
-    ok, _ = ideal_subset(scale_ideal(r, Q), IeQ, budget)
-    return ok and not ideal_member(r, Ie_m, budget)
+    IeQ = hypersurface_Ie(R, Q, e)
+    Ie_m = Ie_maximal(R, e)
+    ok, _ = ideal_subset(scale_ideal(r, Q), IeQ)
+    return ok and not ideal_member(r, Ie_m)

@@ -67,6 +67,7 @@ ideal_member. Measured per batch on perfbench seed 910 (2-core x86): script's
 from __future__ import annotations
 
 import heapq
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,16 +78,29 @@ from .rings import EXPONENT_LIMIT, Polynomial, _packing_for
 
 @dataclass(frozen=True)
 class GroebnerBudget:
-    """Resource caps of one Groebner basis computation; exceeding one raises
-    BudgetExceeded, never truncates. max_pairs caps the S-pairs selected for
-    reduction, in either engine; max_poly_terms caps the working terms of one
-    normal form and the columns of one F4 matrix."""
+    """Resource caps of each Groebner basis computation; exceeding one raises
+    BudgetExceeded, never truncates. max_pairs caps the S-pairs that one run
+    of either engine selects for reduction; max_poly_terms caps the working
+    terms of one normal form and the columns of one F4 matrix. A budget holds
+    in its with scope (`with GroebnerBudget(max_pairs=50):`) for every
+    computation started there, and the enclosing one again after, exception
+    or not; outside every scope, DEFAULT_BUDGET. The scopes are a ContextVar's
+    (PEP 567), so each thread and asyncio task has its own."""
 
     max_pairs: int = 100_000
     max_poly_terms: int = 500_000
 
+    def __enter__(self):
+        _scopes.set(_scopes.get() + (self,))
+        return self
+
+    def __exit__(self, *exc):
+        _scopes.set(_scopes.get()[:-1])
+
 
 DEFAULT_BUDGET = GroebnerBudget()
+# the budgets of the enclosing with scopes, innermost (the one in force) last
+_scopes = ContextVar("groebner_budgets", default=(DEFAULT_BUDGET,))
 BATCH_MIN_TERMS = 256  # ideal_subset's smallest batch for a membership matrix
 
 
@@ -208,18 +222,16 @@ class Ideal:
         modulo the relations (none, or the single f, a Groebner basis of (f))."""
         return not any(normal_form(g, self.ring.relations) for g in self.gens)
 
-    def is_proper(self, budget=None):
-        return not self.groebner_basis(budget).is_unit()
+    def is_proper(self):
+        return not self.groebner_basis().is_unit()
 
-    def groebner_basis(self, budget=None) -> GroebnerBasis:
+    def groebner_basis(self) -> GroebnerBasis:
         # Computed here, never through preimage.groebner_basis(), so that a
         # wrapper counting calls of this method sees one run per basis.
         preimage = self.preimage
         if preimage._basis is None:
             ambient = self.ring.ambient
-            preimage._basis = GroebnerBasis(
-                ambient, *_buchberger(ambient, preimage.gens, budget or DEFAULT_BUDGET)
-            )
+            preimage._basis = GroebnerBasis(ambient, *_buchberger(ambient, preimage.gens))
         return preimage._basis
 
     def with_gb(self, gb: GroebnerBasis):
@@ -239,7 +251,7 @@ class Ideal:
 # ---------------------------------------------------------------------------
 
 
-def _nf_terms(ring, terms, basis, budget):
+def _nf_terms(ring, terms, basis):
     """Full normal form of a packed term stream against [(lm, lc_inv, tail), ...].
 
     Returns the packed canonical descending term tuple. basis entries need not
@@ -264,7 +276,7 @@ def _nf_terms(ring, terms, basis, budget):
     heapq.heapify(heap)
     push, pop = heapq.heappush, heapq.heappop
     out = []
-    cap = budget.max_poly_terms
+    cap = _scopes.get()[-1].max_poly_terms
     while heap:
         m = -pop(heap)
         c = work.pop(m, 0)
@@ -307,11 +319,11 @@ def _as_reducers(ring, polys):
     return [(t[0][0], pow(t[0][1], p - 2, p), t[1:]) for t in packed]
 
 
-def normal_form(f: Polynomial, G, budget=None) -> Polynomial:
+def normal_form(f: Polynomial, G) -> Polynomial:
     """Unique remainder of f modulo a Groebner basis G (idempotent)."""
     ring = f.ring
     reducers = G._packed_reducers() if isinstance(G, GroebnerBasis) else _as_reducers(ring, G)
-    terms = _nf_terms(ring, f._packed, reducers, budget or DEFAULT_BUDGET)
+    terms = _nf_terms(ring, f._packed, reducers)
     return Polynomial._from_packed(ring, terms)
 
 
@@ -360,7 +372,7 @@ def poly_divide_exact(f: Polynomial, g: Polynomial) -> Polynomial:
 # ---------------------------------------------------------------------------
 
 
-def _buchberger(ring, gens, budget, front=0):
+def _buchberger(ring, gens, front=0):
     """Reduced basis of (gens) as (polynomials, packed reducer triples):
     monomial generators take _minimal_monomials; homogeneous ones, two or more
     of them not monomials, take _f4; the rest take _pair_loop, then
@@ -375,21 +387,21 @@ def _buchberger(ring, gens, budget, front=0):
         free = [g for g in gens if not any(unpack(g._packed[0][0])[:front])]
         return _minimal_monomials(ring, free)
     homogeneous = polys > 1 and all(g.is_homogeneous() for g in gens)
-    basis = (_f4 if homogeneous else _pair_loop)(ring, gens, budget)
+    basis = (_f4 if homogeneous else _pair_loop)(ring, gens)
     if front:
         basis = [b for b in basis if not any(unpack(b[0])[:front])]
     if not homogeneous:
-        basis = _reduce_basis(ring, basis, budget)
+        basis = _reduce_basis(ring, basis)
     return _basis_polys(ring, basis), basis
 
 
-def elimination_basis(ring, gens, budget=None):
+def elimination_basis(ring, gens):
     """Reduced basis of (gens) ∩ F_p[rest] for a ring under the block order
     [front | rest]: by the elimination theorem (Cox-Little-O'Shea §3.1), the
     elements of the reduced basis of (gens) whose leading monomial avoids the
     front block. Only rest-block leading monomials divide a rest-block
     monomial, so the other elements are dropped before inter-reduction."""
-    return _buchberger(ring, gens, budget or DEFAULT_BUDGET, len(ring.blocks[0]))[0]
+    return _buchberger(ring, gens, len(ring.blocks[0]))[0]
 
 
 class _Pairs:
@@ -405,7 +417,8 @@ class _Pairs:
       criterion) or two monomials (S-polynomial zero) go too, after serving as
       witnesses for M and F. Elements whose leading monomial lm_k divides get
       no further pairs; active lists the others, ascending. pop() selects a
-      pair for reduction; the selections are what budget.max_pairs caps.
+      pair for reduction; the selections are what max_pairs caps, of the
+      budget in force when the run began.
 
     The update runs on ints: fields keeps lm & mask per element, the lex
     packing of its exponents, on which _Packing.lcm takes lcm(i, k): for each
@@ -420,8 +433,8 @@ class _Pairs:
 
     __slots__ = ("packing", "budget", "lms", "fields", "monomial", "active", "queue", "selected")
 
-    def __init__(self, packing, budget):
-        self.packing, self.budget = packing, budget
+    def __init__(self, packing):
+        self.packing, self.budget = packing, _scopes.get()[-1]
         self.lms, self.fields, self.monomial, self.active, self.queue = [], [], [], [], []
         self.selected = 0
 
@@ -456,31 +469,31 @@ class _Pairs:
         self.monomial.append(monomial)
 
 
-def _pair_loop(ring, gens, budget):
+def _pair_loop(ring, gens):
     """Buchberger's algorithm, one S-pair at a time under the normal strategy
     (least lcm first), each reduced by _nf_terms. Returns the active elements,
     not yet reduced: each is reduced by the earlier ones on arrival, so they
     are the ones whose leading monomial no other element's divides."""
     basis = []  # packed reducer triples (lm, lc_inv=1, tail); all monic
-    pairs = _Pairs(ring._packing, budget)
+    pairs = _Pairs(ring._packing)
 
     def add(terms):
         basis.append((terms[0][0], 1, terms[1:]))
         pairs.add(terms[0][0], len(terms) == 1)
 
     for g in gens:
-        h = _nf_terms(ring, _monic(ring, g._packed), basis, budget)
+        h = _nf_terms(ring, _monic(ring, g._packed), basis)
         if h:
             add(_monic(ring, h))
     while pairs.queue:
         _, lcm, i, j = pairs.pop()
-        h = _nf_terms(ring, _spoly_terms(ring, basis[i], basis[j], lcm), basis, budget)
+        h = _nf_terms(ring, _spoly_terms(ring, basis[i], basis[j], lcm), basis)
         if h:
             add(_monic(ring, h))
     return [basis[i] for i in pairs.active]
 
 
-def _f4(ring, gens, budget):
+def _f4(ring, gens):
     """Faugere's F4 (J. Pure Appl. Algebra 139, 1999) for homogeneous
     generators, one degree d at a time, lowest first.
 
@@ -497,7 +510,7 @@ def _f4(ring, gens, budget):
     todo = {}  # degree -> generators of that degree, packed, not yet used
     for g in gens:
         todo.setdefault(sum(g.lead_monomial()), []).append(g._packed)
-    pairs = _Pairs(ring._packing, budget)
+    pairs = _Pairs(ring._packing)
     lms = pairs.lms
     monos, coefs = [], []  # per element: packed monomials, coefficient array
     while pairs.queue or todo:
@@ -512,7 +525,7 @@ def _f4(ring, gens, budget):
                     rows.append(row)
         filled = [(0, [m for m, _ in t], [c for _, c in t]) for t in todo.pop(d, ())]
         filled += [(u, monos[k], coefs[k]) for u, k in rows]
-        A, met = _sweep(ring, budget, (lms, monos, coefs), filled, reducer)
+        A, met = _sweep(ring, (lms, monos, coefs), filled, reducer)
         for row in _row_echelon(A, ring.p):
             nz = np.flatnonzero(row)
             monos.append([met[i] for i in nz.tolist()])
@@ -523,7 +536,7 @@ def _f4(ring, gens, budget):
     return sorted((ms[0], 1, tuple(zip(ms[1:], cs[1:].tolist()))) for ms, cs in zip(monos, coefs))
 
 
-def _sweep(ring, budget, basis, rows, reducer):
+def _sweep(ring, basis, rows, reducer):
     """F4's symbolic preprocessing and column sweep: the rows reduced by the
     basis, as a dense int64 matrix mod p (p < 2^31 keeps products below
     2^63) over the monomials met, descending (returned with it).
@@ -536,13 +549,14 @@ def _sweep(ring, budget, basis, rows, reducer):
     turn. The reducers, one per leading monomial, clear their columns from
     the rows, largest column first; what is left of a row has only monomials
     no leading monomial divides. Raises ExponentOverflow on a monomial past
-    EXPONENT_LIMIT and BudgetExceeded past budget.max_poly_terms columns.
+    EXPONENT_LIMIT and BudgetExceeded past max_poly_terms columns.
     """
     p = ring.p
     packing = ring._packing
     guards = packing.guards
     lms, monos, coefs = basis
     column, met, pending = {}, [], list(reducer)
+    cap = _scopes.get()[-1].max_poly_terms
 
     def columns(shift, ms):
         ms = [m + shift for m in ms]
@@ -555,9 +569,9 @@ def _sweep(ring, budget, basis, rows, reducer):
                     packing.check(m)
                 out[pos] = column[m] = len(met)
                 met.append(m)
-                if len(met) > budget.max_poly_terms:
-                    raise BudgetExceeded(f"F4 matrix exceeded {budget.max_poly_terms} "
-                                         "columns; raise the budget to proceed")
+                if len(met) > cap:
+                    raise BudgetExceeded(
+                        f"F4 matrix exceeded {cap} columns; raise the budget to proceed")
                 if m not in reducer:
                     for k, lm in enumerate(lms):
                         if not (m - lm) & guards:
@@ -670,10 +684,10 @@ def _monic(ring, terms):
     return tuple((m, (c * inv) % p) for m, c in terms)
 
 
-def _reduce_basis(ring, basis, budget):
+def _reduce_basis(ring, basis):
     """Reduce each tail by the other elements of a basis whose leading
     monomials divide none of each other's, as _pair_loop returns it."""
-    return sorted((lm, 1, _nf_terms(ring, tail, basis[:k] + basis[k + 1:], budget))
+    return sorted((lm, 1, _nf_terms(ring, tail, basis[:k] + basis[k + 1:]))
                   for k, (lm, _, tail) in enumerate(basis))
 
 
@@ -687,7 +701,7 @@ def _basis_polys(ring, reduced):
 # ---------------------------------------------------------------------------
 
 
-def ideal_member(f: Polynomial, I: Ideal, budget=None) -> bool:
+def ideal_member(f: Polynomial, I: Ideal) -> bool:
     """f in I (for an ideal of S/(f), the class of f), decided by normal form
     against the cached reduced basis of I's preimage, or, when that basis is
     all monomials, by divisibility of each term of f."""
@@ -697,14 +711,14 @@ def ideal_member(f: Polynomial, I: Ideal, budget=None) -> bool:
         return True
     if not I.preimage.gens:
         return False
-    G = I.groebner_basis(budget)
+    G = I.groebner_basis()
     lms = G._monomial_lms()
     if lms is not False:
         return _divisible(f, lms)
-    return not normal_form(f, G, budget)
+    return not normal_form(f, G)
 
 
-def ideal_subset(I: Ideal, J: Ideal, budget=None):
+def ideal_subset(I: Ideal, J: Ideal):
     """(True, None) when I is contained in J, else (False, the first generator
     of I, in I.gens order, outside J). The relations lie in both preimages, so
     only I's gens are tested: homogeneous ones with BATCH_MIN_TERMS terms or
@@ -715,7 +729,7 @@ def ideal_subset(I: Ideal, J: Ideal, budget=None):
         raise RingMismatch("ideals from different rings")
     gens = I.gens
     big = sum(len(g._packed) for g in gens) >= BATCH_MIN_TERMS
-    basis = big and J.preimage.gens and J.groebner_basis(budget)._matrix_basis()
+    basis = big and J.preimage.gens and J.groebner_basis()._matrix_basis()
     if basis and all(g.is_homogeneous() for g in gens):
         degrees = {}
         for i, g in enumerate(gens):
@@ -723,11 +737,11 @@ def ideal_subset(I: Ideal, J: Ideal, budget=None):
         outside = []
         for batch in degrees.values():
             rows = [(0, *zip(*gens[i]._packed)) for i in batch]
-            A, _ = _sweep(J.ring.ambient, budget or DEFAULT_BUDGET, basis, rows, {})
+            A, _ = _sweep(J.ring.ambient, basis, rows, {})
             outside += [batch[r] for r in np.flatnonzero(A.any(axis=1)).tolist()]
         bad = gens[min(outside)] if outside else None
     else:
-        bad = next((g for g in gens if not ideal_member(g, J, budget)), None)
+        bad = next((g for g in gens if not ideal_member(g, J)), None)
     return bad is None, bad
 
 
@@ -744,7 +758,7 @@ def _divisible(f, lms):
     return True
 
 
-def last_escaping_power(gens, J: Ideal, cap: int, budget=None):
+def last_escaping_power(gens, J: Ideal, cap: int):
     """Largest r < cap with (gens)^r not inside J; None when (gens)^cap still
     escapes J.
 
@@ -758,35 +772,33 @@ def last_escaping_power(gens, J: Ideal, cap: int, budget=None):
     guard-bit test against each basis monomial (_last_escaping_monomial).
     """
     ring = J.ring.ambient
-    budget = budget or DEFAULT_BUDGET
-    G = J.groebner_basis(budget)
+    G = J.groebner_basis()
     factors = [g._packed for g in gens if g]
     if all(len(f) == 1 for f in factors) and G._monomial_lms() is not False:
         return _last_escaping_monomial(ring, [f[0][0] for f in factors], G._monomial_lms(), cap)
     basis = G._packed_reducers()
     # level 0 is the packed constant 1, which generates (gens)^0
-    depth = _frontier_depth(ring, {((0, 1),)}, factors, basis, cap, budget)
+    depth = _frontier_depth(ring, {((0, 1),)}, factors, basis, cap)
     return None if depth is None else depth - 1
 
 
-def absorbing_exponent(start, gens, J: Ideal, cap: int, budget=None):
+def absorbing_exponent(start, gens, J: Ideal, cap: int):
     """Smallest s <= cap with (gens)^s * (start) inside J; None when there is
     none. The frontier scan of last_escaping_power, begun at the normal forms
     of start: for a saturation sat of J by (gens), the stabilization exponent.
     """
     ring = J.ring.ambient
-    budget = budget or DEFAULT_BUDGET
-    basis = J.groebner_basis(budget)._packed_reducers()
+    basis = J.groebner_basis()._packed_reducers()
     level = set()
     for h in start:
-        nf = _nf_terms(ring, h._packed, basis, budget)
+        nf = _nf_terms(ring, h._packed, basis)
         if nf:
             level.add(_monic(ring, nf))
     factors = [g._packed for g in gens if g]
-    return _frontier_depth(ring, level, factors, basis, cap, budget)
+    return _frontier_depth(ring, level, factors, basis, cap)
 
 
-def _frontier_depth(ring, level, factors, basis, cap, budget):
+def _frontier_depth(ring, level, factors, basis, cap):
     """Index of the first empty level, if it is at most cap, else None. Level
     r+1 holds the nonzero monic normal forms of a*f, a in level r and f in
     factors (packed term tuples), against the packed basis."""
@@ -798,7 +810,7 @@ def _frontier_depth(ring, level, factors, basis, cap, budget):
         nxt = set()
         for a in level:
             for f in factors:
-                h = _nf_terms(ring, [(m1 + m2, c1 * c2) for m1, c1 in a for m2, c2 in f], basis, budget)
+                h = _nf_terms(ring, [(m1 + m2, c1 * c2) for m1, c1 in a for m2, c2 in f], basis)
                 if h:
                     nxt.add(_monic(ring, h))
         level = nxt
@@ -840,8 +852,8 @@ def _last_escaping_monomial(ring, factors, targets, cap):
     return None
 
 
-def ideal_equal(I: Ideal, J: Ideal, budget=None) -> bool:
+def ideal_equal(I: Ideal, J: Ideal) -> bool:
     """Equality via identical reduced Groebner bases."""
     if I.ring != J.ring:
         raise RingMismatch("ideals from different rings")
-    return I.groebner_basis(budget) == J.groebner_basis(budget)
+    return I.groebner_basis() == J.groebner_basis()

@@ -134,7 +134,7 @@ def _t_ring(ring):
     return ring2, Polynomial.variable(ring2, name)
 
 
-def eliminate(I: Ideal, kill, budget=None) -> Ideal:
+def eliminate(I: Ideal, kill) -> Ideal:
     """I's preimage in S (over S/(f) it contains f) intersected with the
     subring avoiding the given variables: an ideal of S, its generators free
     of the eliminated variables.
@@ -150,11 +150,11 @@ def eliminate(I: Ideal, kill, budget=None) -> Ideal:
         return I.preimage
     keep = [v for v in ring.variables if v not in kill]
     ring2 = _extended_ring(RingDescriptor(ring.p, keep), killed)
-    G = elimination_basis(ring2, [g.in_ring(ring2) for g in I.preimage.gens], budget)
+    G = elimination_basis(ring2, [g.in_ring(ring2) for g in I.preimage.gens])
     return Ideal(ring, [g.in_ring(ring) for g in G])
 
 
-def ideal_intersect(I: Ideal, J: Ideal, budget=None) -> Ideal:
+def ideal_intersect(I: Ideal, J: Ideal) -> Ideal:
     """I ∩ J via eliminating t from t*I + (1-t)*J, on the preimages in S; for
     monomial preimages, their minimal pairwise lcms."""
     if I.ring != J.ring:
@@ -170,11 +170,11 @@ def ideal_intersect(I: Ideal, J: Ideal, budget=None) -> Ideal:
     one_minus_t = Polynomial.one(ring2) - t
     gens2 = [t * g.in_ring(ring2) for g in A]
     gens2 += [one_minus_t * g.in_ring(ring2) for g in B]
-    kept = [g.in_ring(ring) for g in elimination_basis(ring2, gens2, budget)]
+    kept = [g.in_ring(ring) for g in elimination_basis(ring2, gens2)]
     return Ideal(I.ring, sorted_canonical(kept))
 
 
-def _colon_single(I: Ideal, g: Polynomial, budget=None) -> Ideal:
+def _colon_single(I: Ideal, g: Polynomial) -> Ideal:
     """(I : g) = (I ∩ (g)) divided exactly by g, with I's preimage intersected
     with the principal ideal (g) of S (not of S/(f), whose preimage adds f)."""
     ring = I.ring.ambient
@@ -184,30 +184,30 @@ def _colon_single(I: Ideal, g: Polynomial, budget=None) -> Ideal:
         raise ValueError("colon by the zero polynomial")
     if g.is_constant():
         return Ideal(I.ring, I.gens)
-    meet = ideal_intersect(I.preimage, Ideal(ring, [g]), budget)
+    meet = ideal_intersect(I.preimage, Ideal(ring, [g]))
     return Ideal(I.ring, [poly_divide_exact(h, g) for h in meet.gens])
 
 
-def ideal_colon(I: Ideal, J, budget=None) -> Ideal:
+def ideal_colon(I: Ideal, J) -> Ideal:
     """(I : J); J may be an Ideal or a single Polynomial. (I : 0) is the unit
     ideal."""
     if isinstance(J, Polynomial):
-        return _colon_single(I, J, budget)
+        return _colon_single(I, J)
     if I.ring != J.ring:
         raise RingMismatch("ideals from different rings")
     if not J.gens:
         return Ideal.unit(I.ring)
     result = None
     for g in J.gens:
-        piece = _colon_single(I, g, budget)
-        result = piece if result is None else ideal_intersect(result, piece, budget)
+        piece = _colon_single(I, g)
+        result = piece if result is None else ideal_intersect(result, piece)
     return result
 
 
 MAX_SATURATION_STEPS = 256
 
 
-def saturate(I: Ideal, by, budget=None):
+def saturate(I: Ideal, by):
     """(I : by^∞) with the stabilization exponent.
 
     Returns (ideal, s) where s is the first index with (I : by^(s+1)) equal to
@@ -242,24 +242,24 @@ def saturate(I: Ideal, by, budget=None):
     sat = None
     for g in factors:
         if _is_last_variable(ring, g) and all(h.is_homogeneous() for h in I.preimage.gens):
-            piece = _saturate_grevlex_last(I, budget)
+            piece = _saturate_grevlex_last(I)
         else:
-            piece = _saturate_rabinowitsch(I, g, budget)
-        sat = piece if sat is None else ideal_intersect(sat, piece, budget)
+            piece = _saturate_rabinowitsch(I, g)
+        sat = piece if sat is None else ideal_intersect(sat, piece)
     if sat._gb is not None and sat._gb is I._gb:
         return sat, 0  # sat carries I's own basis: nothing was divided out
-    s = absorbing_exponent(sat.gens, factors, I, MAX_SATURATION_STEPS - 1, budget)
+    s = absorbing_exponent(sat.gens, factors, I, MAX_SATURATION_STEPS - 1)
     if s is None:
         raise BudgetExceeded("saturation did not stabilize within the step cap")
     return sat, s
 
 
-def _saturate_rabinowitsch(I: Ideal, g: Polynomial, budget):
+def _saturate_rabinowitsch(I: Ideal, g: Polynomial):
     ring = I.ring.ambient
     ring2, t = _t_ring(ring)
     gens2 = [h.in_ring(ring2) for h in I.preimage.gens]
     gens2.append(Polynomial.one(ring2) - t * g.in_ring(ring2))
-    kept = [h.in_ring(ring) for h in elimination_basis(ring2, gens2, budget)]
+    kept = [h.in_ring(ring) for h in elimination_basis(ring2, gens2)]
     sat = Ideal(I.ring, sorted_canonical(kept))
     if ring.order == "grevlex":
         # the block order is grevlex inside the rest block, so the elimination
@@ -272,8 +272,8 @@ def _is_last_variable(ring, f):
     return ring.order == "grevlex" and f.monic() == Polynomial.variable(ring, ring.variables[-1])
 
 
-def _saturate_grevlex_last(I: Ideal, budget):
-    G = I.groebner_basis(budget)
+def _saturate_grevlex_last(I: Ideal):
+    G = I.groebner_basis()
     divided = [g.without_last_power() for g in G]
     sat = Ideal(I.ring, sorted_canonical(divided))
     if all(h is g for h, g in zip(divided, G)):

@@ -22,6 +22,7 @@ import itertools
 import logging
 from dataclasses import dataclass, field
 
+from .errors import RingMismatch
 from .groebner import GroebnerBasis, Ideal, ideal_member, ideal_subset
 from .groebner import _minimal_monomials, _monomial_product  # the kernel's monomial paths
 from .idealops import ideal_intersect, ideal_power, ideal_product, saturate
@@ -65,7 +66,7 @@ class PrimeData:
             self.heights = tuple(self.heights)
         self.power_embedded = tuple(self.power_embedded)
 
-    def validate_separators(self, budget=None):
+    def validate_separators(self):
         """Check the separator membership pattern; raises on violation."""
         if self.separators is None:
             raise ValueError("prime data has no separators")
@@ -73,7 +74,7 @@ class PrimeData:
             raise ValueError("one separator per listed prime is required")
         for i, s in enumerate(self.separators):
             for j, P in enumerate(self.primes):
-                inside = ideal_member(s, P, budget)
+                inside = ideal_member(s, P)
                 if i == j and inside:
                     raise ValueError(f"separator {s} lies in its own prime")
                 if i != j and not inside:
@@ -81,7 +82,7 @@ class PrimeData:
                         f"separator {s} misses listed prime #{j}; membership pattern violated"
                     )
             for E in self.power_embedded:
-                if not ideal_member(s, E, budget):
+                if not ideal_member(s, E):
                     raise ValueError(
                         f"separator {s} misses a listed embedded prime"
                     )
@@ -178,7 +179,7 @@ def primedata_for_squarefree(I: Ideal) -> PrimeData:
 # ---------------------------------------------------------------------------
 
 
-def symbolic_power(I: Ideal, n: int, pd: PrimeData, strategy=None, budget=None, diag=None):
+def symbolic_power(I: Ideal, n: int, pd: PrimeData, strategy=None, diag=None):
     """The n-th symbolic power of I under the asserted prime data, an ideal of
     I's ring.
 
@@ -213,17 +214,17 @@ def symbolic_power(I: Ideal, n: int, pd: PrimeData, strategy=None, budget=None, 
             raise ValueError("monomial_combinatorial needs a squarefree monomial ideal")
         result = _symbolic_monomial(I, n, pd)
     else:
-        pd.validate_separators(budget)
+        pd.validate_separators()
         if strategy == "saturate_by_separator" and len(pd.primes) != 1:
             raise ValueError("saturate_by_separator needs exactly one listed prime")
         result = None
         for s in pd.separators:
-            sat, steps = saturate(power, s, budget)
+            sat, steps = saturate(power, s)
             if diag is not None:
                 diag.setdefault("saturation_exponents", []).append(steps)
-            result = sat if result is None else ideal_intersect(result, sat, budget)
+            result = sat if result is None else ideal_intersect(result, sat)
 
-    ok, bad = ideal_subset(power, result, budget)
+    ok, bad = ideal_subset(power, result)
     if not ok:
         raise ArithmeticError(
             f"internal error: ordinary power escaped the symbolic power (witness {bad})"
@@ -268,7 +269,7 @@ def jacobian_power_product(J: Ideal, a: int, Q_sym: Ideal) -> Ideal:
     if a < 0:
         raise ValueError("jacobian power needs a >= 0")
     if J.ring != Q_sym.ring:
-        raise ValueError("ring mismatch between Jacobian and symbolic factor")
+        raise RingMismatch("ring mismatch between Jacobian and symbolic factor")
     if a == 0:
         return Q_sym
     return ideal_product(ideal_power(J, a), Q_sym)

@@ -256,8 +256,8 @@ class PairsReference:
 
     __slots__ = ("packing", "budget", "lms", "exps", "monomial", "active", "queue", "selected")
 
-    def __init__(self, packing, budget):
-        self.packing, self.budget = packing, budget
+    def __init__(self, packing):
+        self.packing, self.budget = packing, groebner._scopes.get()[-1]
         self.lms, self.exps, self.monomial, self.active, self.queue = [], [], [], [], []
         self.selected = 0
 
@@ -295,31 +295,31 @@ class PairsReference:
         self.monomial.append(monomial)
 
 
-def reduced_pair_loop_reference(ring, gens, budget):
+def reduced_pair_loop_reference(ring, gens):
     """Reference for groebner._reduce_basis of groebner._pair_loop: the pair
     loop on PairsReference, which keeps every element it adds; the elements
     whose leading monomial another's divides are dropped (of equal ones, all
     but the first) before each tail is reduced by the others."""
     basis = []
-    pairs = PairsReference(ring._packing, budget)
+    pairs = PairsReference(ring._packing)
 
     def add(terms):
         basis.append((terms[0][0], 1, terms[1:]))
         pairs.add(terms[0][0], len(terms) == 1)
 
     for g in gens:
-        h = groebner._nf_terms(ring, groebner._monic(ring, g._packed), basis, budget)
+        h = groebner._nf_terms(ring, groebner._monic(ring, g._packed), basis)
         if h:
             add(groebner._monic(ring, h))
     while pairs.queue:
         _, lcm, i, j = pairs.pop()
         spoly = groebner._spoly_terms(ring, basis[i], basis[j], lcm)
-        h = groebner._nf_terms(ring, spoly, basis, budget)
+        h = groebner._nf_terms(ring, spoly, basis)
         if h:
             add(groebner._monic(ring, h))
     guards = ring._packing.guards
     kept = [b for i, b in enumerate(basis) if not any(
         j != i and not (b[0] - o[0]) & guards and (o[0] != b[0] or j < i)
         for j, o in enumerate(basis))]
-    return sorted((lm, 1, groebner._nf_terms(ring, tail, kept[:k] + kept[k + 1:], budget))
+    return sorted((lm, 1, groebner._nf_terms(ring, tail, kept[:k] + kept[k + 1:]))
                   for k, (lm, _, tail) in enumerate(kept))

@@ -482,12 +482,12 @@ class TestErrorExits:
              "--n", "2", "--strategy", "monomial_combinatorial"],
         ),
         "inexact polynomial division": (
-            "froblab.idealops", "ideal_intersect", lambda I, J, budget=None: I,
+            "froblab.idealops", "ideal_intersect", lambda I, J: I,
             ["fpure", "--ring", "F5[x,y,z]", "--hypersurface", "x*y - z^2",
              "--ideal", "x, z"],
         ),
         "nu_e scan escaped its pigeonhole bound": (
-            "froblab.frobenius", "Ie_maximal", lambda R, e, budget=None: froblab.Ideal(R),
+            "froblab.frobenius", "Ie_maximal", lambda R, e: froblab.Ideal(R),
             ["fpt", "--ring", "F5[x,y]", "--ideal", "x,y", "--emax", "1"],
         ),
     }
@@ -553,6 +553,62 @@ class TestErrorExits:
         out = io.StringIO()
         assert run_script(str(path), out=out) == 4
         assert out.getvalue().startswith("error at line 9: internal error: bracket power")
+
+
+class TestBudgetFromEnvironment:
+    """Every subcommand runs in the scope of the budget FROBLAB_MAX_PAIRS
+    sets, so a cap of one pair stops each at its first Buchberger run that
+    needs a second pair."""
+
+    README_SCRIPT = str(Path(__file__).parent / "golden" / "readme_script.flb")
+    CONE = ["--ring", "F5[x,y,z]", "--hypersurface", "x*y - z^2"]
+    COMMANDS = {
+        "fedder": ["fedder", "--ring", "F7[x,y,z]", "--ideal", "x^3+y^3+z^3"],
+        "fpure": ["fpure", *CONE, "--ideal", "x,z"],
+        "sfr": ["sfr", *CONE, "--ideal", "x,z", "--c", "y"],
+        "symbolic": ["symbolic", "--ring", "F5[x,y,z]", "--ideal", "y^2-x*z, x*y-z^2, x^2-y*z",
+                     "--n", "2", "--separator", "x"],
+        "containment": ["containment", "--ring", "F5[x,y,z]", "--lhs", "x",
+                        "--rhs", "x^4*y + z^2, x*z^3 - y^2*x + 1, y^4*z - x"],
+        "fpt": ["fpt", *CONE, "--ideal", "x,y,z", "--emax", "1"],
+        "example": ["example", "xy-zk"],
+    }
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_one_pair_exits_3(self, command, monkeypatch, capsys):
+        argv = self.COMMANDS[command]
+        assert main(argv) in (0, 1)  # the default budget suffices
+        capsys.readouterr()
+        monkeypatch.setenv("FROBLAB_MAX_PAIRS", "1")
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("budget exhausted: Buchberger exceeded 1 S-pairs; "
+                                "raise the budget to proceed\n")
+
+    def test_script_one_pair_exits_3(self, monkeypatch, capsys):
+        monkeypatch.setenv("FROBLAB_MAX_PAIRS", "1")
+        assert main(["run", self.README_SCRIPT]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        budget_lines = [line for line in captured.out.splitlines() if "budget" in line]
+        assert budget_lines == ["budget exhausted at line 9: Buchberger exceeded 1 S-pairs; "
+                                "raise the budget to proceed"]
+        # an API caller of run_script is held to the same budget
+        out = io.StringIO()
+        assert run_script(self.README_SCRIPT, out=out) == 3
+        assert out.getvalue().splitlines()[-1] == budget_lines[0]
+
+
+def test_separator_before_ring_exits_2(tmp_path, capsys):
+    path = tmp_path / "script.flb"
+    path.write_text("separator Q = y\n")
+    out = io.StringIO()
+    assert run_script(str(path), out=out) == 2
+    assert out.getvalue() == "error at line 1: no ring declared yet\n"
+    assert main(["run", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("error at line 1: no ring declared yet\n", "")
 
 
 class TestConsoleEntry:

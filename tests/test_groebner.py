@@ -30,7 +30,7 @@ from froblab import (
     poly_divide_exact,
 )
 from froblab import groebner
-from froblab.groebner import DEFAULT_BUDGET, last_escaping_power
+from froblab.groebner import last_escaping_power
 from froblab.rings import EXPONENT_LIMIT, mono_mul
 from conftest import (
     PairsReference,
@@ -47,15 +47,15 @@ from conftest import (
 )
 
 
-def check_pair_loop(ring, gens, budget=DEFAULT_BUDGET):
+def check_pair_loop(ring, gens):
     """_pair_loop returns elements no leading monomial of another divides, and
     _reduce_basis makes of them the reference pair loop's basis."""
-    basis = groebner._pair_loop(ring, gens, budget)
+    basis = groebner._pair_loop(ring, gens)
     lms, guards = [b[0] for b in basis], ring._packing.guards
     assert not any(i != j and not (b - a) & guards
                    for i, a in enumerate(lms) for j, b in enumerate(lms)), gens
-    reduced = groebner._reduce_basis(ring, basis, budget)
-    assert reduced == reduced_pair_loop_reference(ring, gens, budget), gens
+    reduced = groebner._reduce_basis(ring, basis)
+    assert reduced == reduced_pair_loop_reference(ring, gens), gens
     return reduced
 
 
@@ -122,8 +122,8 @@ class TestBuchberger:
     def test_budget_is_explicit_failure(self):
         ring = make_ring(5, ["x", "y", "z"])
         I = Ideal(ring, parse_gens(ring, "x^4*y + z^2, x*z^3 - y^2*x + 1, y^4*z - x"))
-        with pytest.raises(BudgetExceeded):
-            I.groebner_basis(GroebnerBudget(max_pairs=2))
+        with pytest.raises(BudgetExceeded), GroebnerBudget(max_pairs=2):
+            I.groebner_basis()
 
 
 class TestNormalForm:
@@ -467,10 +467,10 @@ class TestF4:
     do."""
 
     @staticmethod
-    def engines(ring, gens, budget=DEFAULT_BUDGET):
+    def engines(ring, gens):
         """Both engines' reduced bases, as (polynomials, packed reducers)."""
-        f4 = groebner._f4(ring, gens, budget)
-        pair_loop = check_pair_loop(ring, gens, budget)
+        f4 = groebner._f4(ring, gens)
+        pair_loop = check_pair_loop(ring, gens)
         return [(groebner._basis_polys(ring, b), b) for b in (f4, pair_loop)]
 
     @staticmethod
@@ -501,7 +501,7 @@ class TestF4:
         rng = random.Random("triangle sympy")
         for _ in range(6):
             ring, gens = self.triangle(rng)
-            polys = groebner._basis_polys(ring, groebner._f4(ring, gens, DEFAULT_BUDGET))
+            polys = groebner._basis_polys(ring, groebner._f4(ring, gens))
             assert polys == TestSympyAgreement.sympy_basis(Ideal(ring, gens), "grevlex"), gens
 
     @pytest.mark.parametrize("order,blocks", TestMonomialBases.RINGS)
@@ -519,14 +519,14 @@ class TestF4:
         for trial in range(15):
             ring = make_ring([2, 3, 5, 7][trial % 4], ["x", "y", "z", "w"], order)
             gens = random_homogeneous(ring, rng)
-            polys = groebner._basis_polys(ring, groebner._f4(ring, gens, DEFAULT_BUDGET))
+            polys = groebner._basis_polys(ring, groebner._f4(ring, gens))
             assert polys == TestSympyAgreement.sympy_basis(Ideal(ring, gens), order), gens
 
     def test_engine_rule(self, monkeypatch):
         ran = []
         for name in ("_f4", "_pair_loop"):
             engine = getattr(groebner, name)
-            monkeypatch.setattr(groebner, name, lambda r, g, b, n=name, e=engine: ran.append(n) or e(r, g, b))
+            monkeypatch.setattr(groebner, name, lambda r, g, n=name, e=engine: ran.append(n) or e(r, g))
         ring = make_ring(5, ["x", "y", "z"])
         cases = [
             ("x*y - z^2, x*z + y^2", "_f4"),
@@ -542,10 +542,10 @@ class TestF4:
         # the quadrics alone fill a matrix of at least 4 columns, and the
         # basis needs more than one pair
         ring, gens = self.triangle(random.Random(0))
-        with pytest.raises(BudgetExceeded, match="1 S-pairs"):
-            Ideal(ring, gens).groebner_basis(GroebnerBudget(max_pairs=1))
-        with pytest.raises(BudgetExceeded, match="3 columns"):
-            Ideal(ring, gens).groebner_basis(GroebnerBudget(max_poly_terms=3))
+        with pytest.raises(BudgetExceeded, match="1 S-pairs"), GroebnerBudget(max_pairs=1):
+            Ideal(ring, gens).groebner_basis()
+        with pytest.raises(BudgetExceeded, match="3 columns"), GroebnerBudget(max_poly_terms=3):
+            Ideal(ring, gens).groebner_basis()
 
     def test_exponent_past_the_limit_raises(self):
         # the pair's multiple y * (x*y^N) leaves the exponent range
@@ -555,7 +555,7 @@ class TestF4:
                 Polynomial(ring, [((N - 1, 2), 1), ((2, N - 1), 1)])]
         for engine in (groebner._f4, groebner._pair_loop):
             with pytest.raises(ExponentOverflow):
-                engine(ring, gens, DEFAULT_BUDGET)
+                engine(ring, gens)
 
 
 class TestPairs:
@@ -575,7 +575,7 @@ class TestPairs:
         popped = 0
         for _ in range(40):
             top = rng.choice([2, 3, 4])
-            ours, ref = (cls(ring._packing, DEFAULT_BUDGET) for cls in (groebner._Pairs, PairsReference))
+            ours, ref = (cls(ring._packing) for cls in (groebner._Pairs, PairsReference))
             for _ in range(rng.randrange(2, 25)):
                 e = [rng.choice(huge) if rng.random() < 0.05 else rng.randrange(top) for _ in names]
                 lm, monomial = ring._packing.pack(e), rng.random() < 0.3
@@ -695,8 +695,8 @@ class TestBatchedSubset:
         ring = make_ring(5, ["x", "y", "z"])
         J = Ideal(ring, parse_gens(ring, "y^2 - x*z, x*y - z^2"))
         I = Ideal(ring, parse_gens(ring, "x^3*y - x^2*z^2, y^4, x*y*z^2"))
-        with pytest.raises(BudgetExceeded, match="3 columns"):
-            ideal_subset(I, J, GroebnerBudget(max_poly_terms=3))
+        with pytest.raises(BudgetExceeded, match="3 columns"), GroebnerBudget(max_poly_terms=3):
+            ideal_subset(I, J)
         # clearing y^2 from y^2*z^N leaves x*z^(N+1), clearing x*y from x*y*z^N z^(N+2)
         N = EXPONENT_LIMIT
         I = Ideal(ring, [Polynomial.monomial(ring, (0, 2, N)), Polynomial.monomial(ring, (1, 1, N))])

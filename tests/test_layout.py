@@ -4,7 +4,9 @@ mono_* exponent-tuple helpers; in idealops only that oracle reads exponent
 tuples (.terms), so its ring changes stay with Polynomial.in_ring; only the
 kernel, rings and groebner, touches the packing, a polynomial's packed terms
 or the constructor that takes them, so only it knows how monomials are
-stored; and the sources stay within their line budget."""
+stored; no layer takes a Groebner budget as a parameter, since the kernel
+reads the budget of the enclosing with scope; and the sources stay within
+their line budget."""
 
 import ast
 from pathlib import Path
@@ -84,6 +86,37 @@ def test_idealops_reads_exponent_tuples_only_in_the_oracle():
               if isinstance(node, ast.FunctionDef) and node.name == "brute_membership_oracle"]
     allowed = sum(len(terms_reads(node)) for node in oracle)
     assert len(terms_reads(tree)) == allowed, "idealops reads .terms outside the oracle"
+
+
+def takes_budget(fn):
+    args = fn.args
+    return "budget" in [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+
+
+def public_functions(tree):
+    """(name, node) of the module's public functions and of its public
+    classes' public and dunder methods."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef) and (
+                        not fn.name.startswith("_") or fn.name.startswith("__")):
+                    yield f"{node.name}.{fn.name}", fn
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_budget_parameter(path):
+    """Outside groebner no function takes a budget, and in groebner no public
+    one does: every run reads the budget of its with scope."""
+    tree = ast.parse(path.read_text())
+    if path.stem == "groebner":
+        found = [name for name, fn in public_functions(tree) if takes_budget(fn)]
+    else:
+        found = [getattr(fn, "name", "<lambda>") for fn in ast.walk(tree)
+                 if isinstance(fn, (ast.FunctionDef, ast.Lambda)) and takes_budget(fn)]
+    assert not found, f"{path.name}: {found} take a budget parameter"
 
 
 def test_sources_stay_within_the_line_budget():

@@ -9,6 +9,7 @@ from froblab import (
     HypersurfaceRing,
     Ideal,
     Polynomial,
+    RingMismatch,
     big_height,
     ideal_equal,
     ideal_member,
@@ -236,6 +237,12 @@ class TestJacobian:
             R.ambient, parse_gens(R.ambient, "x^2, x*y, x*z, x*y - z^2")
         )
         assert ideal_equal(prod.preimage, expected)
+
+    def test_power_product_ring_mismatch(self):
+        R, Q, pd = xy_zk_setup(5, 2)
+        other, _, _ = xy_zk_setup(5, 3)
+        with pytest.raises(RingMismatch, match="ring mismatch between Jacobian and symbolic"):
+            jacobian_power_product(jacobian_ideal(other), 1, Q)
 
     def test_example61_repair_instance(self):
         # J^((k-1)n) Q^((kn)) inside Q^(kn) at k=2, n=1
