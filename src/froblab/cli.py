@@ -35,7 +35,6 @@ from .parsing import parse_gens, parse_poly, parse_ring, split_top_level
 from .quotient import HypersurfaceRing
 from .rings import format_poly
 from .symbolic import (
-    STRATEGIES,
     PrimeData,
     is_squarefree_monomial,
     primedata_for_squarefree,
@@ -117,7 +116,7 @@ class Session:
         self.ring = None
         self.hyper = None
         self.ideals = {}
-        self.primedata = {}  # name -> dict of pieces until first use
+        self.primedata = {}  # name -> {PrimeData field: value} until first use
         self.reports = []
 
     def need_ring(self):
@@ -139,17 +138,7 @@ class Session:
             raise ParseError(f"no prime data declared for {name!r}")
         if isinstance(raw, PrimeData):
             return raw
-        pd = PrimeData(
-            primes=tuple(raw.get("primes", ())),
-            separators=tuple(raw["separators"]) if raw.get("separators") else None,
-            heights=tuple(raw["heights"]) if raw.get("heights") else None,
-            max_local_gens=raw.get("mu"),
-            power_embedded=tuple(raw.get("embedded", ())),
-            asserted_radical=raw.get("radical", True),
-            asserted_finite_pd=raw.get("finite_pd", False),
-            asserted_fpure_quotient=raw.get("fpure", False),
-            asserted_sfr_quotient=raw.get("sfr", False),
-        )
+        pd = PrimeData(**{"primes": (), **raw}, asserted_radical=True)
         self.primedata[name] = pd
         return pd
 
@@ -166,7 +155,8 @@ class Session:
         return [self.make_ideal(g) for g in split_top_level(body, ";") if g.strip()]
 
 
-_ASSERTIONS = {"assert-fpure": "fpure", "assert-sfr": "sfr", "assert-finite-pd": "finite_pd"}
+_ASSERTIONS = {"assert-fpure": "asserted_fpure_quotient", "assert-sfr": "asserted_sfr_quotient",
+               "assert-finite-pd": "asserted_finite_pd"}
 
 _COMMON_KEYS = {"n": "n", "expect": "expected"}
 _CAP_KEYS = _COMMON_KEYS | {"cap": "exponent_cap"}
@@ -256,14 +246,14 @@ def execute_statement(session: Session, line: str):
             if key == "heights":
                 kv["heights"] = _ints(key, value, many=True)
             elif key == "mu":
-                kv["mu"] = _ints(key, value)
+                kv["max_local_gens"] = _ints(key, value)
             else:
                 raise ParseError(f"unknown primes argument {key!r}")
             gens = gens.rstrip()[: -len(tokens.pop())]
         raw["primes"] = session.make_ideals(gens)
         raw.update(kv)
     elif head == "embedded":
-        session.raw_primedata(name)["embedded"] = session.make_ideals(at(body))
+        session.raw_primedata(name)["power_embedded"] = session.make_ideals(at(body))
     elif head == "separator":
         session.raw_primedata(name)["separators"] = [
             parse_poly(session.need_ring(), g) for g in split_top_level(at(body), ";")
@@ -394,7 +384,7 @@ def cmd_symbolic(args, out):
             _ideal_from_args(ring, hyper, g) for g in split_top_level(args.primes, ";")
         ]
         if args.heights:
-            pieces["heights"] = tuple(_ints("heights", args.heights, many=True))
+            pieces["heights"] = _ints("heights", args.heights, many=True)
     if args.separator:
         pieces["separators"] = [
             parse_poly(ring, s) for s in split_top_level(args.separator, ";")
@@ -402,14 +392,9 @@ def cmd_symbolic(args, out):
     if not pieces and not I.ring.relations and is_squarefree_monomial(I):
         pd = primedata_for_squarefree(I)
     else:
-        pd = PrimeData(
-            primes=tuple(pieces.get("primes", (I,))),
-            separators=tuple(pieces["separators"]) if "separators" in pieces else None,
-            heights=pieces.get("heights"),
-            asserted_radical=True,
-        )
+        pd = PrimeData(**{"primes": (I,), **pieces}, asserted_radical=True)
     diag = {}
-    result = symbolic_power(I, args.n, pd, strategy=args.strategy, diag=diag)
+    result = symbolic_power(I, args.n, pd, diag=diag)
     payload = {
         "symbolic_exponent": args.n,
         "generators": [format_poly(g) for g in result.gens],
@@ -525,7 +510,6 @@ def build_parser():
     sp.add_argument("--primes", help="semicolon-separated generator lists")
     sp.add_argument("--heights", help="comma-separated heights for the primes")
     sp.add_argument("--separator", help="semicolon-separated separators")
-    sp.add_argument("--strategy", choices=STRATEGIES)
     sp.set_defaults(func=cmd_symbolic)
 
     sp = sub.add_parser("containment", help="decide lhs ⊆ rhs")

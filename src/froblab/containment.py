@@ -110,18 +110,26 @@ def _recheck_witness(witness, lhs, rhs):
     return checks
 
 
-def _finish(tag, params, ok, wit, lhs, rhs, expected, diag, t0):
-    diag = dict(diag)
-    diag["lhs_gens"] = len(lhs.gens)
-    diag["rhs_gens"] = len(rhs.gens)
-    diag["rhs_gb"] = len(rhs.groebner_basis())
+def _fact(tag, params, holds, t0, witness=None, expected="holds", **diag):
+    """Report on one fact, timed from t0; witness is a Polynomial."""
     diag["elapsed_seconds"] = round(time.perf_counter() - t0, 3)
-    if ok:
-        return ContainmentReport(tag, params, "holds", expected=expected, diagnostics=diag)
-    diag["witness_recheck"] = _recheck_witness(wit, lhs, rhs)
     return ContainmentReport(
-        tag, params, "fails", witness=format_poly(wit), expected=expected, diagnostics=diag
+        tag,
+        params,
+        "holds" if holds else "fails",
+        witness=None if witness is None else format_poly(witness),
+        expected=expected,
+        diagnostics=diag,
     )
+
+
+def _finish(tag, params, ok, wit, lhs, rhs, expected, diag, t0):
+    """The report on lhs ⊆ rhs; the recheck of a witness is not timed."""
+    rep = _fact(tag, params, ok, t0, wit, expected, **diag, lhs_gens=len(lhs.gens),
+                rhs_gens=len(rhs.gens), rhs_gb=len(rhs.groebner_basis()))
+    if not ok:
+        rep.diagnostics["witness_recheck"] = _recheck_witness(wit, lhs, rhs)
+    return rep
 
 
 def _skipped(tag, params, reason, expected="holds"):
@@ -231,19 +239,16 @@ def check_fpt_containment(
     n: int,
     fpt_floor="auto",
     e_max: int | None = None,
-    use_jacobian: bool | None = None,
     expected: str = "holds",
 ) -> ContainmentReport:
     """The threshold containment I^((hn - floor fpt)) ⊆ I^n; the floor comes
     from the nu_e lower bound in auto mode (a smaller floor only strengthens
-    the tested instance). Hypersurface inputs use the Jacobian repair J^n."""
+    the tested instance). Exactly the inputs of a ring with a relation use
+    the Jacobian repair J^n."""
     t0 = time.perf_counter()
     if not pd.asserted_radical:
         raise ValueError("the fpt containments need an asserted-radical ideal")
-    if use_jacobian is None:
-        use_jacobian = bool(I.ring.relations)
-    if use_jacobian and not I.ring.relations:
-        raise ValueError("the Jacobian variant needs a hypersurface ambient")
+    use_jacobian = bool(I.ring.relations)
     h = big_height(pd)
     diag = {}
     if fpt_floor == "auto":
@@ -399,19 +404,6 @@ def xy_zk_setup(p: int, k: int):
         checked={"fpure": "R/Q regular", "note": "graded model at the origin"},
     )
     return R, Q, pd
-
-
-def _fact(tag, params, holds, t0, witness=None, expected="holds", **diag):
-    """Report on one registry fact, timed from t0; witness is a Polynomial."""
-    diag["elapsed_seconds"] = round(time.perf_counter() - t0, 3)
-    return ContainmentReport(
-        tag,
-        params,
-        "holds" if holds else "fails",
-        witness=None if witness is None else format_poly(witness),
-        expected=expected,
-        diagnostics=diag,
-    )
 
 
 def _run_xy_zk(params, seed=0):

@@ -26,6 +26,7 @@ membership oracle, the independent check, works on exponent tuples (mono_mul).
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -197,11 +198,7 @@ def ideal_colon(I: Ideal, J) -> Ideal:
         raise RingMismatch("ideals from different rings")
     if not J.gens:
         return Ideal.unit(I.ring)
-    result = None
-    for g in J.gens:
-        piece = _colon_single(I, g)
-        result = piece if result is None else ideal_intersect(result, piece)
-    return result
+    return functools.reduce(ideal_intersect, (_colon_single(I, g) for g in J.gens))
 
 
 MAX_SATURATION_STEPS = 256
@@ -239,13 +236,12 @@ def saturate(I: Ideal, by):
             raise RingMismatch("polynomial from a different ring")
         factors = (by,)
     ring = I.ring.ambient
-    sat = None
-    for g in factors:
-        if _is_last_variable(ring, g) and all(h.is_homogeneous() for h in I.preimage.gens):
-            piece = _saturate_grevlex_last(I)
-        else:
-            piece = _saturate_rabinowitsch(I, g)
-        sat = piece if sat is None else ideal_intersect(sat, piece)
+    sat = functools.reduce(ideal_intersect, (
+        _saturate_grevlex_last(I)
+        if _is_last_variable(ring, g) and all(h.is_homogeneous() for h in I.preimage.gens)
+        else _saturate_rabinowitsch(I, g)
+        for g in factors
+    ))
     if sat._gb is not None and sat._gb is I._gb:
         return sat, 0  # sat carries I's own basis: nothing was divided out
     s = absorbing_exponent(sat.gens, factors, I, MAX_SATURATION_STEPS - 1)

@@ -5,6 +5,7 @@ Fast; used by `froblab selftest`.
 
 from __future__ import annotations
 
+from .errors import BudgetExceeded
 from .frobenius import nu_e
 from .groebner import Ideal, ideal_equal, ideal_member, normal_form
 from .idealops import ideal_colon, ideal_intersect, ideal_power, ideal_product, saturate
@@ -72,10 +73,14 @@ def _raises(fn):
 
 
 def run(out):
+    """One line per check on out; the number failed. An exhausted budget is
+    not a failed check: BudgetExceeded propagates, as from every command."""
     failures = 0
     for name, check in _checks():
         try:
             ok = bool(check())
+        except BudgetExceeded:
+            raise
         except Exception as exc:  # a selftest must report, not crash
             ok = False
             name = f"{name} (raised {exc!r})"

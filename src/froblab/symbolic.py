@@ -4,34 +4,32 @@ bookkeeping, and Jacobian ideals of hypersurfaces.
 Symbolic powers are never computed from a primary decomposition: the prime
 structure is asserted by the example author and only its checkable
 consequences (separator membership patterns, monomial minimal covers) are
-verified here. Three strategies:
+verified here. Two constructions, picked by the input:
 
-  * monomial_combinatorial — squarefree monomial ideals of S; intersect the
-    n-th powers of the minimal covers by pairwise lcm, keeping the minimal
-    monomials (in ascending ring order), all in the kernel on packed
-    monomials; the result keeps them as its reduced basis.
-  * saturate_by_separator — a single listed prime; saturate the ordinary power
-    by a separator lying in every other listed associated prime.
-  * intersect_minimal_primes — radical unmixed ideals; intersect the per-prime
-    saturations.
+  * a squarefree monomial ideal of S: intersect the n-th powers of the
+    minimal covers by pairwise lcm, keeping the minimal monomials (in
+    ascending ring order), all in the kernel on packed monomials; the result
+    keeps them as its reduced basis. In S/(f) the covers of the generators
+    are not the primes, so this needs a ring without relations.
+  * every other input: saturate the ordinary power by each separator, which
+    lies in every other listed associated prime, and intersect the results.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 from dataclasses import dataclass, field
 
 from .errors import RingMismatch
 from .groebner import GroebnerBasis, Ideal, ideal_member, ideal_subset
-from .groebner import _minimal_monomials, _monomial_product  # the kernel's monomial paths
+from .groebner import _minimal_monomials  # the kernel's monomial path
 from .idealops import ideal_intersect, ideal_power, ideal_product, saturate
 from .quotient import HypersurfaceRing
 from .rings import Polynomial
 
 log = logging.getLogger(__name__)
-
-STRATEGIES = ("saturate_by_separator", "intersect_minimal_primes", "monomial_combinatorial")
 
 
 @dataclass
@@ -179,29 +177,17 @@ def primedata_for_squarefree(I: Ideal) -> PrimeData:
 # ---------------------------------------------------------------------------
 
 
-def symbolic_power(I: Ideal, n: int, pd: PrimeData, strategy=None, diag=None):
+def symbolic_power(I: Ideal, n: int, pd: PrimeData, diag=None):
     """The n-th symbolic power of I under the asserted prime data, an ideal of
-    I's ring.
+    I's ring, by the construction the input picks (see the module docstring).
 
     Saturations and intersections of I^n run on its preimage in S, whose
     generators include the relations; the result is generated by a Groebner
     basis of its own preimage. The containment I^n <= result is re-checked on
-    every call. Saturation exponents land in the optional diag dict. The
-    monomial strategy needs a ring without relations: in S/(f) the covers of
-    the generators are not the primes.
+    every call. Saturation exponents land in the optional diag dict.
     """
     if n < 1:
         raise ValueError("symbolic power needs n >= 1")
-    relations = I.ring.relations
-    if strategy is None:
-        if not relations and is_squarefree_monomial(I):
-            strategy = "monomial_combinatorial"
-        elif len(pd.primes) == 1:
-            strategy = "saturate_by_separator"
-        else:
-            strategy = "intersect_minimal_primes"
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy}")
     if not pd.asserted_radical and not pd.power_embedded:
         raise ValueError(
             "inputs with possibly embedded primes need the full Ass listed "
@@ -209,20 +195,10 @@ def symbolic_power(I: Ideal, n: int, pd: PrimeData, strategy=None, diag=None):
         )
 
     power = ideal_power(I, n)
-    if strategy == "monomial_combinatorial":
-        if relations or not is_squarefree_monomial(I):
-            raise ValueError("monomial_combinatorial needs a squarefree monomial ideal")
+    if not I.ring.relations and is_squarefree_monomial(I):
         result = _symbolic_monomial(I, n, pd)
     else:
-        pd.validate_separators()
-        if strategy == "saturate_by_separator" and len(pd.primes) != 1:
-            raise ValueError("saturate_by_separator needs exactly one listed prime")
-        result = None
-        for s in pd.separators:
-            sat, steps = saturate(power, s)
-            if diag is not None:
-                diag.setdefault("saturation_exponents", []).append(steps)
-            result = sat if result is None else ideal_intersect(result, sat)
+        result = _symbolic_by_separators(power, pd, diag)
 
     ok, bad = ideal_subset(power, result)
     if not ok:
@@ -232,17 +208,31 @@ def symbolic_power(I: Ideal, n: int, pd: PrimeData, strategy=None, diag=None):
     return result
 
 
+def _symbolic_by_separators(power, pd: PrimeData, diag=None) -> Ideal:
+    """The saturations of power by each separator of pd, intersected."""
+    pd.validate_separators()
+
+    def saturated(s):
+        sat, steps = saturate(power, s)
+        if diag is not None:
+            diag.setdefault("saturation_exponents", []).append(steps)
+        return sat
+
+    return functools.reduce(ideal_intersect, map(saturated, pd.separators))
+
+
 def _symbolic_monomial(I: Ideal, n: int, pd: PrimeData) -> Ideal:
+    """The minimal monomials of the intersection of the P^n, each P^n the
+    degree-n monomials in P's variables."""
     ring = I.ring
     primes = pd.primes if pd.primes else monomial_minimal_primes(I)
     powers = []
     for P in primes:
-        if _variable_indices(P) is None:
+        indices = _variable_indices(P)
+        if indices is None:
             raise ValueError("monomial strategy needs variable-generated primes")
-        power = P.gens
-        for _ in range(n - 1):
-            power = _monomial_product(ring, power, P.gens)
-        powers.append(power)
+        powers.append([Polynomial.monomial(ring, [c.count(i) for i in range(ring.nvars)])
+                       for c in itertools.combinations_with_replacement(sorted(indices), n)])
     polys, reduced = _minimal_monomials(ring, *powers)
     return Ideal(ring, polys).with_gb(GroebnerBasis(ring, polys, reduced))
 

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, the script DSL, exit codes, determinism."""
 
+import dataclasses
 import io
 import json
 import os
@@ -11,7 +12,8 @@ from pathlib import Path
 import pytest
 
 import froblab
-from froblab.cli import build_parser, main, run_script
+from froblab.cli import Session, build_parser, execute_statement, main, run_script
+from froblab.symbolic import PrimeData
 
 RUN = [sys.executable, "-m", "froblab.cli"]
 # the child interpreter finds the package where this one did, installed or not
@@ -76,7 +78,7 @@ class TestSubcommands:
     def test_symbolic(self):
         code, out = invoke([
             "symbolic", "--ring", "F2[x,y,z]", "--ideal", "x*y, x*z, y*z",
-            "--n", "2", "--strategy", "monomial_combinatorial", "--json",
+            "--n", "2", "--json",
         ])
         assert code == 0
         payload = json.loads(out)
@@ -479,7 +481,7 @@ class TestErrorExits:
         "ordinary power escaped the symbolic power": (
             "froblab.symbolic", "ideal_subset", lambda *a, **k: (False, "x"),
             ["symbolic", "--ring", "F2[x,y,z]", "--ideal", "x*y, x*z, y*z",
-             "--n", "2", "--strategy", "monomial_combinatorial"],
+             "--n", "2"],
         ),
         "inexact polynomial division": (
             "froblab.idealops", "ideal_intersect", lambda I, J: I,
@@ -586,6 +588,15 @@ class TestBudgetFromEnvironment:
         assert captured.err == ("budget exhausted: Buchberger exceeded 1 S-pairs; "
                                 "raise the budget to proceed\n")
 
+    def test_selftest_one_pair_exits_3(self, monkeypatch, capsys):
+        # an exhausted budget stops the battery; it is not a failed check
+        monkeypatch.setenv("FROBLAB_MAX_PAIRS", "1")
+        assert main(["selftest"]) == 3
+        captured = capsys.readouterr()
+        assert "FAIL" not in captured.out
+        assert captured.err == ("budget exhausted: Buchberger exceeded 1 S-pairs; "
+                                "raise the budget to proceed\n")
+
     def test_script_one_pair_exits_3(self, monkeypatch, capsys):
         monkeypatch.setenv("FROBLAB_MAX_PAIRS", "1")
         assert main(["run", self.README_SCRIPT]) == 3
@@ -609,6 +620,38 @@ def test_separator_before_ring_exits_2(tmp_path, capsys):
     assert main(["run", str(path)]) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("error at line 1: no ring declared yet\n", "")
+
+
+def _plain_fields(pd):
+    """pd's fields, with ideals and polynomials as generator strings."""
+    def plain(value):
+        if isinstance(value, tuple):
+            return tuple(plain(v) for v in value)
+        if isinstance(value, froblab.Ideal):
+            return plain(tuple(value.gens))
+        if isinstance(value, froblab.Polynomial):
+            return froblab.format_poly(value)
+        return value
+
+    return {f.name: plain(getattr(pd, f.name)) for f in dataclasses.fields(pd)}
+
+
+@pytest.mark.parametrize("statement,fields", [
+    ("primes Q = x, z; y heights=1,2 mu=2",
+     {"primes": (("x", "z"), ("y",)), "heights": (1, 2), "max_local_gens": 2}),
+    ("embedded Q = x, y, z", {"power_embedded": (("x", "y", "z"),)}),
+    ("separator Q = y; x", {"separators": ("y", "x")}),
+    ("assert-fpure Q", {"asserted_fpure_quotient": True}),
+    ("assert-sfr Q", {"asserted_sfr_quotient": True}),
+    ("assert-finite-pd Q", {"asserted_finite_pd": True}),
+])
+def test_each_script_statement_sets_its_own_primedata_field(statement, fields):
+    # a script's prime data is asserted radical; each statement sets only its fields
+    session = Session()
+    for line in ("ring F5[x,y,z]", "ideal Q = x, z", statement):
+        execute_statement(session, line)
+    want = _plain_fields(PrimeData(primes=(), asserted_radical=True)) | fields
+    assert _plain_fields(session.primedata_for("Q")) == want
 
 
 class TestConsoleEntry:

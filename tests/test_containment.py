@@ -166,6 +166,15 @@ class TestFptContainment:
         rep = check_fpt_containment(I, pd, 2, fpt_floor=0)
         assert rep.verdict == "holds" and rep.params["symbolic_exponent"] == 4
 
+    def test_the_ring_picks_the_jacobian_variant(self, F5xyz):
+        I = Ideal(F5xyz, parse_gens(F5xyz, "x*y, x*z, y*z"))
+        rep = check_fpt_containment(I, primedata_for_squarefree(I), 2, fpt_floor=0)
+        assert rep.theorem_tag == "fpt-containment" and "jacobian_exponent" not in rep.params
+        R, Q, pd = xy_zk_setup(5, 2)
+        rep = check_fpt_containment(Q, pd, 1, fpt_floor=0)
+        assert rep.theorem_tag == "jacobian-fpt-containment"
+        assert rep.verdict == "holds" and rep.params["jacobian_exponent"] == 1
+
     def test_improper_rejected(self, F5xyz):
         pd = PrimeData(primes=(), asserted_radical=True)
         with pytest.raises(ValueError):

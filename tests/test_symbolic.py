@@ -1,6 +1,7 @@
 """Symbolic powers under asserted prime data, big height, Jacobian ideals."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -25,7 +26,7 @@ from froblab import (
     q_ideal,
     symbolic_power,
 )
-from froblab.symbolic import PrimeData, is_squarefree_monomial
+from froblab.symbolic import PrimeData, _symbolic_by_separators, is_squarefree_monomial
 from froblab.containment import ideal_from_masks, squarefree_antichains, xy_zk_setup
 from conftest import assert_minimal_ascending, lcm_intersect_reference
 
@@ -110,10 +111,30 @@ class TestSymbolicPower:
                 asserted_radical=True,
             )
             for n in (2, 3):
-                combinatorial = symbolic_power(I, n, pd, strategy="monomial_combinatorial")
-                intersected = symbolic_power(I, n, pd_sat, strategy="intersect_minimal_primes")
+                combinatorial = symbolic_power(I, n, pd)
+                intersected = _symbolic_by_separators(ideal_power(I, n), pd_sat)
                 assert ideal_equal(combinatorial, intersected)
                 assert_minimal_ascending(combinatorial)
+
+    @pytest.mark.parametrize("order", ["lex", "grevlex"])
+    def test_constructions_agree_on_random_squarefree(self, order):
+        # the combinatorial construction against saturation by separators,
+        # each prime's separator the product of the variables outside it
+        ring = make_ring(3, ["w", "x", "y", "z"], order=order)
+        variables = [Polynomial.variable(ring, v) for v in ring.variables]
+        classes = squarefree_antichains(4)
+        for masks in random.Random(f"constructions {order}").sample(classes, 10):
+            I = ideal_from_masks(ring, masks)
+            pd = primedata_for_squarefree(I)
+            separators = []
+            for P in pd.primes:
+                inside = {g.lead_monomial().index(1) for g in P.gens}
+                outside = (v for i, v in enumerate(variables) if i not in inside)
+                separators.append(math.prod(outside, start=Polynomial.one(ring)))
+            pd_sat = PrimeData(primes=pd.primes, separators=separators, asserted_radical=True)
+            for n in (2, 3):
+                by_separators = _symbolic_by_separators(ideal_power(I, n), pd_sat)
+                assert ideal_equal(symbolic_power(I, n, pd), by_separators), (masks, n)
 
     @pytest.mark.parametrize("order", ["lex", "grevlex"])
     def test_monomial_strategy_equals_lcm_reference(self, order):
@@ -144,7 +165,7 @@ class TestSymbolicPower:
             asserted_radical=True,
         )
         for n in (2, 3):
-            sat = symbolic_power(P, n, pd_sat, strategy="saturate_by_separator")
+            sat = _symbolic_by_separators(ideal_power(P, n), pd_sat)
             assert ideal_equal(sat, ideal_power(P, n))
 
     def test_ordinary_always_inside(self, F2xyz):

@@ -162,8 +162,6 @@ class TestRelationTraps:
         sym = symbolic_power(Q, 2, pd, diag=diag)
         assert ideal_equal(sym, q_ideal(R, [Polynomial.variable(R.ambient, "x")]))
         assert diag["saturation_exponents"] == [1]
-        with pytest.raises(ValueError, match="squarefree monomial"):
-            symbolic_power(Q, 2, pd, strategy="monomial_combinatorial")
 
     def test_fast_saturation_needs_homogeneous_relations(self):
         # (y^2) is homogeneous, the relation is not: saturating by the last
