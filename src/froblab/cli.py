@@ -3,12 +3,16 @@ emit deterministic reports.
 
 Exit codes: 0 all expectations hold, 1 expectation failure, 2 usage or parse
 error or an exponent past the checked range, 3 budget exhaustion, 4 an internal
-invariant failed (an ArithmeticError other than ExponentOverflow).
+invariant failed (an ArithmeticError other than ExponentOverflow). _failure
+is the one map from an exception to its exit code and error line, for the
+subcommands and the script runner alike; both build their inputs through
+Session.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
 import os
@@ -23,13 +27,7 @@ from .containment import (
     run_example,
 )
 from .errors import BudgetExceeded, ExponentOverflow, ParseError
-from .frobenius import (
-    default_e_max,
-    fedder_is_fpure,
-    fpt_lower_bound,
-    is_fpure_quotient,
-    sfr_witness_search,
-)
+from .frobenius import fedder_is_fpure, fpt_lower_bound, is_fpure_quotient, sfr_witness_search
 from .groebner import GroebnerBudget, Ideal, ideal_subset
 from .parsing import parse_gens, parse_poly, parse_ring, split_top_level
 from .quotient import HypersurfaceRing
@@ -58,29 +56,35 @@ def _budget_from_env():
     return GroebnerBudget(max_pairs=int(raw))
 
 
+def _failure(exc):
+    """(exit code, line head) of an exception a command raised; any other
+    exception than these is a bug and propagates."""
+    if isinstance(exc, BudgetExceeded):
+        return EXIT_BUDGET, "budget exhausted"
+    if isinstance(exc, (ValueError, ExponentOverflow, OSError)):  # ParseError is a ValueError
+        return EXIT_USAGE, "error"
+    if isinstance(exc, ArithmeticError):  # after ExponentOverflow, which is one too
+        return EXIT_INTERNAL, "error"
+    raise exc
+
+
 def _emit(out, text):
     out.write(text + "\n")
 
 
-def _report_lines(reports, as_json, include_timings=False):
-    lines = []
-    for rep in reports:
-        if as_json:
-            lines.append(rep.to_json(include_timings))
-        else:
-            bits = [f"[{rep.verdict.upper():>7}]", rep.theorem_tag]
-            if rep.params:
-                bits.append(
-                    " ".join(f"{k}={rep.params[k]}" for k in sorted(rep.params))
-                )
-            if rep.witness:
-                bits.append(f"witness: {rep.witness}")
-            if rep.reason:
-                bits.append(f"({rep.reason})")
-            if rep.expected != "holds":
-                bits.append(f"expected: {rep.expected}")
-            lines.append("  ".join(bits))
-    return lines
+def _report_line(rep, as_json, include_timings=False):
+    if as_json:
+        return rep.to_json(include_timings)
+    bits = [f"[{rep.verdict.upper():>7}]", rep.theorem_tag]
+    if rep.params:
+        bits.append(" ".join(f"{k}={rep.params[k]}" for k in sorted(rep.params)))
+    if rep.witness:
+        bits.append(f"witness: {rep.witness}")
+    if rep.reason:
+        bits.append(f"({rep.reason})")
+    if rep.expected != "holds":
+        bits.append(f"expected: {rep.expected}")
+    return "  ".join(bits)
 
 
 def _verdict_report(verdict, as_json):
@@ -92,7 +96,7 @@ def _verdict_report(verdict, as_json):
             "witness": format_poly(verdict.witness) if verdict.witness is not None else None,
             "notes": verdict.notes,
         }
-        return [json.dumps(payload, sort_keys=True)]
+        return json.dumps(payload, sort_keys=True)
     line = f"[{verdict.status.upper()}] e={verdict.e_used}"
     if verdict.condition:
         line += f" condition={verdict.condition}"
@@ -101,16 +105,23 @@ def _verdict_report(verdict, as_json):
     reason = verdict.notes.get("reason")
     if reason:
         line += f" ({reason})"
-    return [line]
+    return line
+
+
+def _emit_verdict(out, verdict, as_json):
+    """The verdict's line; exit 0 if it is confirmed, 1 otherwise."""
+    _emit(out, _verdict_report(verdict, as_json))
+    return EXIT_OK if verdict.confirmed else EXIT_EXPECTATION
 
 
 # ---------------------------------------------------------------------------
-# script sessions
+# sessions: the inputs of a script or a subcommand
 # ---------------------------------------------------------------------------
 
 
 class Session:
-    """State of one script run: ring, optional hypersurface, named objects."""
+    """State of one script run: ring, optional hypersurface, named objects.
+    A subcommand builds its inputs through one too (from_args)."""
 
     def __init__(self):
         self.ring = None
@@ -119,13 +130,35 @@ class Session:
         self.primedata = {}  # name -> {PrimeData field: value} until first use
         self.reports = []
 
+    @classmethod
+    def from_args(cls, args):
+        """The session of --ring, over --hypersurface where the command takes it."""
+        session = cls()
+        session.ring = parse_ring(args.ring)
+        if getattr(args, "hypersurface", None):
+            session.set_hypersurface(args.hypersurface)
+        return session
+
     def need_ring(self):
         if self.ring is None:
             raise ParseError("no ring declared yet")
         return self.ring
 
+    def set_hypersurface(self, text):
+        ring = self.need_ring()
+        self.hyper = HypersurfaceRing(ring, parse_poly(ring, text), reduced=True)
+
     def make_ideal(self, gens_text):
-        return _ideal_from_args(self.need_ring(), self.hyper, gens_text)
+        ring = self.need_ring()
+        return Ideal(self.hyper or ring, parse_gens(ring, gens_text))
+
+    def make_ideals(self, body):
+        """One ideal per nonempty ';'-separated generator list."""
+        return [self.make_ideal(g) for g in split_top_level(body, ";") if g.strip()]
+
+    def make_polys(self, body):
+        """One polynomial per ';'-separated piece."""
+        return [parse_poly(self.need_ring(), g) for g in split_top_level(body, ";")]
 
     def get_ideal(self, name):
         if name not in self.ideals:
@@ -149,10 +182,6 @@ class Session:
         if isinstance(raw, PrimeData):
             raise ParseError(f"prime data for {name!r} already finalized by a check")
         return raw
-
-    def make_ideals(self, body):
-        """One ideal per nonempty ';'-separated generator list."""
-        return [self.make_ideal(g) for g in split_top_level(body, ";") if g.strip()]
 
 
 _ASSERTIONS = {"assert-fpure": "asserted_fpure_quotient", "assert-sfr": "asserted_sfr_quotient",
@@ -231,8 +260,7 @@ def execute_statement(session: Session, line: str):
     if head == "ring":
         session.ring = parse_ring(rest)
     elif head == "hypersurface":
-        ring = session.need_ring()
-        session.hyper = HypersurfaceRing(ring, parse_poly(ring, at(rest)), reduced=True)
+        session.set_hypersurface(at(rest))
     elif head == "ideal":
         if not name.isidentifier():
             raise ParseError(f"bad ideal name {name!r}")
@@ -255,9 +283,7 @@ def execute_statement(session: Session, line: str):
     elif head == "embedded":
         session.raw_primedata(name)["power_embedded"] = session.make_ideals(at(body))
     elif head == "separator":
-        session.raw_primedata(name)["separators"] = [
-            parse_poly(session.need_ring(), g) for g in split_top_level(at(body), ";")
-        ]
+        session.raw_primedata(name)["separators"] = session.make_polys(at(body))
     elif head in _ASSERTIONS:
         session.raw_primedata(rest)[_ASSERTIONS[head]] = True
     elif head == "check":
@@ -287,38 +313,30 @@ def _example_params(ex_id, words, extra=()):
 
 def run_script(path, out=sys.stdout, as_json=False, include_timings=False):
     """Execute a script in the scope of the budget FROBLAB_MAX_PAIRS sets;
-    returns the exit code, streaming reports as they land."""
+    returns the exit code, streaming reports as they land. A failure is one
+    line, which names the script line it stopped at."""
     with _budget_from_env():
-        session = Session()
+        session, lineno = Session(), 0
         try:
             with open(path) as fh:
                 lines = fh.readlines()
-        except OSError as exc:
-            _emit(out, f"error: {exc}")
-            return EXIT_USAGE
-        emitted = 0
-        for lineno, line in enumerate(lines, start=1):
-            try:
+            for lineno, line in enumerate(lines, start=1):
+                before = len(session.reports)
                 execute_statement(session, line)
-            except BudgetExceeded as exc:
-                _emit(out, f"budget exhausted at line {lineno}: {exc}")
-                return EXIT_BUDGET
-            except (ParseError, ValueError, ExponentOverflow) as exc:
-                if getattr(exc, "col", None) is not None:  # a one-line piece padded to its column
-                    exc = f"{exc.message} (column {exc.col})"
-                _emit(out, f"error at line {lineno}: {exc}")
-                return EXIT_USAGE
-            except ArithmeticError as exc:
-                _emit(out, f"error at line {lineno}: {exc}")
-                return EXIT_INTERNAL
-            for rep in session.reports[emitted:]:
-                _emit(out, _report_lines([rep], as_json, include_timings)[0])
-            emitted = len(session.reports)
-        failed = [r for r in session.reports if not r.ok]
-        if failed:
-            _emit(out, f"{len(failed)} expectation(s) failed")
-            return EXIT_EXPECTATION
-        return EXIT_OK
+                for rep in session.reports[before:]:
+                    _emit(out, _report_line(rep, as_json, include_timings))
+        except Exception as exc:
+            code, head = _failure(exc)
+            if getattr(exc, "col", None) is not None:  # a one-line piece padded to its column
+                exc = f"{exc.message} (column {exc.col})"
+            where = f" at line {lineno}" if lineno else ""
+            _emit(out, f"{head}{where}: {exc}")
+            return code
+    failed = sum(not r.ok for r in session.reports)
+    if failed:
+        _emit(out, f"{failed} expectation(s) failed")
+        return EXIT_EXPECTATION
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -326,69 +344,37 @@ def run_script(path, out=sys.stdout, as_json=False, include_timings=False):
 # ---------------------------------------------------------------------------
 
 
-def _session_from_args(args):
-    ring = parse_ring(args.ring)
-    hyper = None
-    if getattr(args, "hypersurface", None):
-        hyper = HypersurfaceRing(ring, parse_poly(ring, args.hypersurface), reduced=True)
-    return ring, hyper
-
-
-def _ideal_from_args(ring, hyper, text):
-    return Ideal(hyper or ring, parse_gens(ring, text))
-
-
 def cmd_fedder(args, out):
-    ring, _ = _session_from_args(args)
-    I = Ideal(ring, parse_gens(ring, args.ideal))
-    verdict = fedder_is_fpure(I, e=args.e)
-    for line in _verdict_report(verdict, args.json):
-        _emit(out, line)
-    return EXIT_OK if verdict.status != "refuted" else EXIT_EXPECTATION
+    I = Session.from_args(args).make_ideal(args.ideal)
+    return _emit_verdict(out, fedder_is_fpure(I, e=args.e), args.json)
 
 
 def cmd_fpure(args, out):
-    ring, hyper = _session_from_args(args)
-    if hyper is None:
+    session = Session.from_args(args)
+    if session.hyper is None:
         raise ParseError("fpure needs --hypersurface (use fedder in a regular ring)")
-    Q = _ideal_from_args(ring, hyper, args.ideal)
-    verdict = is_fpure_quotient(hyper, Q, e=args.e, finite_pd=args.finite_pd)
-    for line in _verdict_report(verdict, args.json):
-        _emit(out, line)
-    return EXIT_OK if verdict.status == "confirmed" else EXIT_EXPECTATION
+    Q = session.make_ideal(args.ideal)
+    verdict = is_fpure_quotient(session.hyper, Q, e=args.e, finite_pd=args.finite_pd)
+    return _emit_verdict(out, verdict, args.json)
 
 
 def cmd_sfr(args, out):
-    ring, hyper = _session_from_args(args)
-    Q = _ideal_from_args(ring, hyper, args.ideal)
-    cs = [parse_poly(ring, c) for c in args.c]
-    primes = None
-    if args.minimal_primes:
-        primes = [
-            _ideal_from_args(ring, hyper, g)
-            for g in split_top_level(args.minimal_primes, ";")
-        ]
-    e_max = default_e_max(ring.p) if args.emax is None else args.emax
-    verdict = sfr_witness_search(Q, cs, e_max, minimal_primes=primes)
-    for line in _verdict_report(verdict, args.json):
-        _emit(out, line)
-    return EXIT_OK if verdict.status == "confirmed" else EXIT_EXPECTATION
+    session = Session.from_args(args)
+    Q = session.make_ideal(args.ideal)
+    cs = [parse_poly(session.ring, c) for c in args.c]
+    primes = session.make_ideals(args.minimal_primes or "")
+    verdict = sfr_witness_search(Q, cs, args.emax, minimal_primes=primes)
+    return _emit_verdict(out, verdict, args.json)
 
 
 def cmd_symbolic(args, out):
-    ring, hyper = _session_from_args(args)
-    I = _ideal_from_args(ring, hyper, args.ideal)
+    session = Session.from_args(args)
+    I = session.make_ideal(args.ideal)
     pieces = {}
     if args.primes:
-        pieces["primes"] = [
-            _ideal_from_args(ring, hyper, g) for g in split_top_level(args.primes, ";")
-        ]
-        if args.heights:
-            pieces["heights"] = _ints("heights", args.heights, many=True)
+        pieces["primes"] = session.make_ideals(args.primes)
     if args.separator:
-        pieces["separators"] = [
-            parse_poly(ring, s) for s in split_top_level(args.separator, ";")
-        ]
+        pieces["separators"] = session.make_polys(args.separator)
     if not pieces and not I.ring.relations and is_squarefree_monomial(I):
         pd = primedata_for_squarefree(I)
     else:
@@ -410,10 +396,8 @@ def cmd_symbolic(args, out):
 
 
 def cmd_containment(args, out):
-    ring, hyper = _session_from_args(args)
-    lhs = _ideal_from_args(ring, hyper, args.lhs)
-    rhs = _ideal_from_args(ring, hyper, args.rhs)
-    ok, wit = ideal_subset(lhs, rhs)
+    session = Session.from_args(args)
+    ok, wit = ideal_subset(session.make_ideal(args.lhs), session.make_ideal(args.rhs))
     if args.json:
         _emit(out, json.dumps(
             {"holds": ok, "witness": format_poly(wit) if wit else None}, sort_keys=True
@@ -424,10 +408,7 @@ def cmd_containment(args, out):
 
 
 def cmd_fpt(args, out):
-    ring, hyper = _session_from_args(args)
-    I = _ideal_from_args(ring, hyper, args.ideal)
-    e_max = default_e_max(ring.p) if args.emax is None else args.emax
-    est = fpt_lower_bound(I, e_max)
+    est = fpt_lower_bound(Session.from_args(args).make_ideal(args.ideal), args.emax)
     if args.json:
         _emit(out, json.dumps({
             "nu_values": est.nu_values,
@@ -444,7 +425,7 @@ def cmd_fpt(args, out):
 def cmd_example(args, out):
     params = _example_params(args.id, args.param or [])
     reports = run_example(args.id, params, seed=args.seed)
-    _emit(out, "\n".join(_report_lines(reports, args.json, args.timings)))
+    _emit(out, "\n".join(_report_line(r, args.json, args.timings) for r in reports))
     return EXIT_OK if all(r.ok for r in reports) else EXIT_EXPECTATION
 
 
@@ -508,7 +489,6 @@ def build_parser():
     sp.add_argument("--ideal", required=True)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--primes", help="semicolon-separated generator lists")
-    sp.add_argument("--heights", help="comma-separated heights for the primes")
     sp.add_argument("--separator", help="semicolon-separated separators")
     sp.set_defaults(func=cmd_symbolic)
 
@@ -546,51 +526,33 @@ def build_parser():
     return parser
 
 
-def _dispatch(args, out):
-    """(exit code, whether the command returned), the command run in the
-    scope of the budget FROBLAB_MAX_PAIRS sets; an exception it raised is one
-    line on stderr."""
-    try:
-        with _budget_from_env():
-            return args.func(args, out), True
-    except BudgetExceeded as exc:
-        print(f"budget exhausted: {exc}", file=sys.stderr)
-        return EXIT_BUDGET, False
-    except (ParseError, ValueError, ExponentOverflow) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE, False
-    except ArithmeticError as exc:  # after ExponentOverflow, which is one too
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL, False
-
-
 def main(argv=None):
+    """Run one command in the scope of the budget FROBLAB_MAX_PAIRS sets; an
+    exception it raises is one line on stderr."""
     args = build_parser().parse_args(argv)
     path = getattr(args, "out", None)
-    if not path:
-        return _dispatch(args, sys.stdout)[0]
     # --out: the file is opened before the command runs, so that a path that
     # cannot be written fails first, but to append, so that a command that
     # raises leaves it as it was (and removes it if the opening created it).
     # The report stream of a command that returns replaces the file's content
     # and goes to stdout.
-    created = not os.path.exists(path)
+    created = bool(path) and not os.path.exists(path)
+    out = io.StringIO() if path else sys.stdout
     try:
-        sink = open(path, "a")
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    out = io.StringIO()
-    with sink:
-        code, returned = _dispatch(args, out)
-        if returned:
-            sink.seek(0)
-            sink.truncate()
-            sink.write(out.getvalue())
-            sys.stdout.write(out.getvalue())
-    if not returned and created:
-        os.remove(path)
-    return code
+        with (open(path, "a") if path else contextlib.nullcontext()) as sink, _budget_from_env():
+            code = args.func(args, out)
+            if path:
+                sink.seek(0)
+                sink.truncate()
+                sink.write(out.getvalue())
+                sys.stdout.write(out.getvalue())
+            return code
+    except Exception as exc:
+        code, head = _failure(exc)
+        print(f"{head}: {exc}", file=sys.stderr)
+        if created and os.path.exists(path):
+            os.remove(path)
+        return code
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, ExponentOverflow
 from .groebner import Ideal, ideal_equal, ideal_member, ideal_subset
 from .idealops import (
     PolyMatrix,
@@ -26,9 +26,9 @@ from .idealops import (
     ideal_power,
     minors,
 )
-from .frobenius import default_e_max, fpt_lower_bound, hypersurface_Ie
+from .frobenius import fpt_lower_bound, hypersurface_Ie
 from .quotient import HypersurfaceRing, q_ideal
-from .rings import Polynomial, format_poly, make_ring
+from .rings import EXPONENT_LIMIT, Polynomial, format_poly, make_ring
 from .symbolic import (
     PrimeData,
     big_height,
@@ -252,7 +252,7 @@ def check_fpt_containment(
     h = big_height(pd)
     diag = {}
     if fpt_floor == "auto":
-        est = fpt_lower_bound(I, default_e_max(I.ring.ambient.p) if e_max is None else e_max)
+        est = fpt_lower_bound(I, e_max)
         floor = est.floor_lower_bound
         diag["nu_values"] = list(est.nu_values)
         diag["fpt_lower_bound"] = str(est.lower_bound)
@@ -363,14 +363,19 @@ class ExampleSpec:
 
 
 def _as_int_list(value):
+    """The ints of a grid parameter: an int, "a,b,..." or the range "a..b",
+    kept lazy; a value past the checked exponent range raises ExponentOverflow."""
     if isinstance(value, int):
-        return [value]
-    if isinstance(value, str):
-        if ".." in value:
-            lo, hi = value.split("..")
-            return list(range(int(lo), int(hi) + 1))
-        return [int(v) for v in value.split(",")]
-    return [int(v) for v in value]
+        values = ends = [value]
+    elif isinstance(value, str) and ".." in value:
+        lo, hi = (int(v) for v in value.split(".."))
+        values, ends = range(lo, hi + 1), (lo, hi)
+    else:
+        values = ends = [int(v) for v in (value.split(",") if isinstance(value, str) else value)]
+    for v in ends:
+        if abs(v) > EXPONENT_LIMIT:
+            raise ExponentOverflow(f"value {v} beyond {EXPONENT_LIMIT}")
+    return values
 
 
 def xy_zk_setup(p: int, k: int):
@@ -381,9 +386,9 @@ def xy_zk_setup(p: int, k: int):
     """
     if k < 2:
         raise ValueError("k must be at least 2")
+    ring = make_ring(p, ["x", "y", "z"])  # checks p before k % p divides by it
     if k % p == 0:
         raise ValueError("p must not divide k")
-    ring = make_ring(p, ["x", "y", "z"])
     x = Polynomial.variable(ring, "x")
     y = Polynomial.variable(ring, "y")
     z = Polynomial.variable(ring, "z")
@@ -615,4 +620,6 @@ def run_example(example_id: str, params=None, seed: int = 0):
             kind = "an integer" if isinstance(default, int) else "integers as a,b,... or a..b"
             raise ValueError(f"example {example_id}: {key} must be {kind}, "
                              f"not {merged[key]!r}") from None
+        except ExponentOverflow as exc:
+            raise ExponentOverflow(f"example {example_id}: {key} {exc}") from None
     return spec.runner(merged, seed=seed)

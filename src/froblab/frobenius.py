@@ -129,9 +129,11 @@ def is_fpure_quotient(R, Q: Ideal, e: int = 1, finite_pd: bool = False) -> Crite
     Evaluates both sufficient conditions at the given e:
       (1) (Q^[p^e] : Q) not inside I_e(m)
       (2) (I_e(Q) : Q) not inside I_e(m)
-    Either confirms. Refuted needs the caller-asserted finite-pd flag (the
+    Either confirms. Q^[q] <= I_e(Q), so (1) implies (2), and the verdict
+    names (2) with its witness; over S, I_e(Q) = Q^[q], so (2) is (1). Both
+    land in the notes. Refuted needs the caller-asserted finite-pd flag (the
     converse direction of the criterion); otherwise the verdict is
-    inconclusive. Over S, I_e(Q) = Q^[q], so (2) is (1).
+    inconclusive.
     """
     if Q.ring != R:
         raise RingMismatch("ideal from a different ring")
@@ -149,8 +151,6 @@ def is_fpure_quotient(R, Q: Ideal, e: int = 1, finite_pd: bool = False) -> Crite
     notes = {"condition1_holds": not in1, "condition2_holds": not in2}
     if not in2:
         return CriterionVerdict("confirmed", e, witness=wit2, condition="2", notes=notes)
-    if not in1:
-        return CriterionVerdict("confirmed", e, witness=wit1, condition="1", notes=notes)
     if finite_pd:
         notes["reason"] = "both conditions fail and finite pd is asserted"
         return CriterionVerdict("refuted", e, notes=notes)
@@ -158,7 +158,9 @@ def is_fpure_quotient(R, Q: Ideal, e: int = 1, finite_pd: bool = False) -> Crite
     return CriterionVerdict("inconclusive", e, notes=notes)
 
 
-def sfr_witness_search(Q: Ideal, c_list, e_max: int, minimal_primes=None) -> CriterionVerdict:
+def sfr_witness_search(
+    Q: Ideal, c_list, e_max: int | None = None, minimal_primes=None
+) -> CriterionVerdict:
     """Glassbrenner-type search: for each test element c, hunt for an e with
     c*(Q^[p^e] : Q) not inside I_e(m), or (in S/(f)) c*(I_e(Q) : Q) not
     inside I_e(m).
@@ -166,13 +168,14 @@ def sfr_witness_search(Q: Ideal, c_list, e_max: int, minimal_primes=None) -> Cri
     All supplied c succeeding is supporting evidence for strong F-regularity
     at the tested elements; exhausting e_max is inconclusive, never a
     refutation. I_e(m) and the two colons are computed once per e, when an
-    element first reaches that e.
+    element first reaches that e. e_max None searches up to default_e_max(p).
     """
     if not c_list:
         raise ValueError("no test elements supplied")
+    ring = Q.ring
+    e_max = default_e_max(ring.ambient.p) if e_max is None else e_max
     if e_max < 1:
         raise ValueError("e_max must be >= 1")
-    ring = Q.ring
     if minimal_primes:
         for c in c_list:
             for P in minimal_primes:
@@ -254,11 +257,13 @@ def nu_e(I: Ideal, e: int) -> int:
     return nu
 
 
-def fpt_lower_bound(I: Ideal, e_max: int) -> FptEstimate:
-    """nu_e for e = 1..e_max and the induced floor of max nu_e / p^e."""
+def fpt_lower_bound(I: Ideal, e_max: int | None = None) -> FptEstimate:
+    """nu_e for e = 1..e_max and the induced floor of max nu_e / p^e; e_max
+    None is default_e_max(p)."""
+    p = I.ring.ambient.p
+    e_max = default_e_max(p) if e_max is None else e_max
     if e_max < 1:
         raise ValueError("e_max must be >= 1")
-    p = I.ring.ambient.p
     values = []
     best = Fraction(0)
     for e in range(1, e_max + 1):

@@ -66,6 +66,8 @@ class PrimeData:
 
     def validate_separators(self):
         """Check the separator membership pattern; raises on violation."""
+        if not self.primes:
+            raise ValueError("prime data lists no primes")
         if self.separators is None:
             raise ValueError("prime data has no separators")
         if len(self.separators) != len(self.primes):
@@ -230,7 +232,7 @@ def _symbolic_monomial(I: Ideal, n: int, pd: PrimeData) -> Ideal:
     for P in primes:
         indices = _variable_indices(P)
         if indices is None:
-            raise ValueError("monomial strategy needs variable-generated primes")
+            raise ValueError("the monomial construction needs variable-generated primes")
         powers.append([Polynomial.monomial(ring, [c.count(i) for i in range(ring.nvars)])
                        for c in itertools.combinations_with_replacement(sorted(indices), n)])
     polys, reduced = _minimal_monomials(ring, *powers)

@@ -391,21 +391,33 @@ def test_script_integer_names_its_key(statement, message, tmp_path, capsys):
     assert capsys.readouterr() == (f"error at line 3: {message}\n", "")
 
 
-def test_heights_option_names_its_key(capsys):
+def test_symbolic_heights_option_is_a_usage_error(capsys):
+    # a symbolic power reads no heights, so the subcommand takes none
     argv = ["symbolic", "--ring", "F5[x,y,z]", "--ideal", "x, y", "--n", "2",
-            "--primes", "x, y", "--heights", "1,+"]
-    assert main(argv) == 2
-    assert capsys.readouterr() == ("", "error: heights must be integers, not '+'\n")
+            "--separator", "x", "--heights", "abc"]
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    assert stop.value.code == 2
+    assert "unrecognized arguments: --heights abc" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("example,param,message", [
     ("generic-determinantal", "d=abc", "d must be an integer, not 'abc'"),
     ("generic-determinantal", "j=2,x", "j must be integers as a,b,... or a..b, not '2,x'"),
     ("xy-zk", "p=", "p must be an integer, not ''"),
+    # a range is not built before it runs, and its ends stay in the exponent range
+    ("xy-zk", "n=1..2147483648", "n value 2147483648 beyond 2147483647"),
+    ("xy-zk", "n=-99999999999999999999..1", "n value -99999999999999999999 beyond 2147483647"),
 ])
 def test_bad_example_parameter_names_its_key(example, param, message, capsys):
     assert main(["example", example, "--param", param]) == 2
     assert capsys.readouterr().err == f"error: example {example}: {message}\n"
+
+
+def test_example_modulus_is_checked_before_use(capsys):
+    # p = 0 once reached k % p and exited 4 on a ZeroDivisionError
+    assert main(["example", "xy-zk", "--param", "p=0"]) == 2
+    assert capsys.readouterr().err == "error: modulus not prime: 0\n"
 
 
 @pytest.mark.parametrize("param", ["bogus=3", "seed=3", "junk"])

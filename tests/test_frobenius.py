@@ -140,6 +140,26 @@ class TestFpureQuotient:
         assert is_fpure_quotient(R, zero).status == "inconclusive"
         assert is_fpure_quotient(R, zero, finite_pd=True).status == "refuted"
 
+    def test_condition1_implies_condition2(self):
+        # Q^[q] <= I_e(Q), so (Q^[q] : Q) <= (I_e(Q) : Q): a colon that escapes
+        # I_e(m) by (1) escapes it by (2) as well; over S the two are one
+        R, Q, _ = xy_zk_setup(5, 2)
+        cubic = HypersurfaceRing(R.ambient, parse_poly(R.ambient, "x^3+y^3+z^3"))
+        regular = make_ring(7, ["x", "y", "z"])
+        cases = [(R, Q), (R, q_ideal(R, [])), (R, q_ideal(R, parse_gens(R.ambient, "x, y, z"))),
+                 (cubic, q_ideal(cubic, [])),
+                 (regular, Ideal(regular, parse_gens(regular, "x^3+y^3+z^3"))),
+                 (regular, Ideal(regular, parse_gens(regular, "x*y, x*z, y*z")))]
+        seen = set()
+        for ring, ideal in cases:
+            for e in (1, 2):
+                notes = is_fpure_quotient(ring, ideal, e).notes
+                seen.add((notes["condition1_holds"], notes["condition2_holds"]))
+                if not ring.relations:
+                    assert notes["condition1_holds"] == notes["condition2_holds"]
+        assert (True, False) not in seen
+        assert (True, True) in seen and (False, False) in seen
+
     def test_splitting_witness_is_recheckable(self):
         R, Q, _ = xy_zk_setup(5, 2)
         v = is_fpure_quotient(R, Q)

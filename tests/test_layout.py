@@ -5,8 +5,9 @@ tuples (.terms), so its ring changes stay with Polynomial.in_ring; only the
 kernel, rings and groebner, touches the packing, a polynomial's packed terms
 or the constructor that takes them, so only it knows how monomials are
 stored; no layer takes a Groebner budget as a parameter, since the kernel
-reads the budget of the enclosing with scope; and the sources stay within
-their line budget."""
+reads the budget of the enclosing with scope; only cli._failure maps an
+exception to a failing exit code; and the sources stay within their line
+budget."""
 
 import ast
 from pathlib import Path
@@ -117,6 +118,18 @@ def test_no_budget_parameter(path):
         found = [getattr(fn, "name", "<lambda>") for fn in ast.walk(tree)
                  if isinstance(fn, (ast.FunctionDef, ast.Lambda)) and takes_budget(fn)]
     assert not found, f"{path.name}: {found} take a budget parameter"
+
+
+def test_one_failure_map():
+    """EXIT_USAGE, EXIT_BUDGET and EXIT_INTERNAL are read only in cli._failure,
+    so the subcommands and the script runner share one exception-to-exit map."""
+    tree = ast.parse((SRC / "cli.py").read_text())
+    inside = {id(n) for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name == "_failure"
+              for n in ast.walk(fn)}
+    reads = [n for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+             and n.id in ("EXIT_USAGE", "EXIT_BUDGET", "EXIT_INTERNAL")]
+    assert reads and all(id(n) in inside for n in reads), (
+        f"exit codes read outside cli._failure at lines {[n.lineno for n in reads if id(n) not in inside]}")
 
 
 def test_sources_stay_within_the_line_budget():

@@ -27,7 +27,9 @@ from froblab import (
     symbolic_power,
 )
 from froblab.symbolic import PrimeData, _symbolic_by_separators, is_squarefree_monomial
-from froblab.containment import ideal_from_masks, squarefree_antichains, xy_zk_setup
+from froblab.containment import (
+    check_symbolic_into_Ie, ideal_from_masks, squarefree_antichains, xy_zk_setup,
+)
 from conftest import assert_minimal_ascending, lcm_intersect_reference
 
 
@@ -59,6 +61,18 @@ class TestPrimeData:
         bad2 = PrimeData(primes=(P1, P2), separators=(z, z), asserted_radical=True)
         with pytest.raises(ValueError, match="membership pattern"):
             bad2.validate_separators()
+
+
+    def test_no_primes_is_rejected(self):
+        # with no primes and no separators the separator intersection once
+        # reduced an empty list (a TypeError)
+        R = make_ring(5, ["x", "y"])
+        I = Ideal(R, parse_gens(R, "x^2"))
+        pd = PrimeData(primes=(), separators=(), asserted_radical=True, max_local_gens=1)
+        with pytest.raises(ValueError, match="^prime data lists no primes$"):
+            symbolic_power(I, 2, pd)
+        with pytest.raises(ValueError, match="^prime data lists no primes$"):
+            check_symbolic_into_Ie(I, pd, 1)
 
 
 class TestMinimalPrimes:
