@@ -375,7 +375,8 @@ def cmd_symbolic(args, out):
         pieces["primes"] = session.make_ideals(args.primes)
     if args.separator:
         pieces["separators"] = session.make_polys(args.separator)
-    if not pieces and not I.ring.relations and is_squarefree_monomial(I):
+    # the monomial construction reads no separators, only variable primes
+    if "primes" not in pieces and not I.ring.relations and is_squarefree_monomial(I):
         pd = primedata_for_squarefree(I)
     else:
         pd = PrimeData(**{"primes": (I,), **pieces}, asserted_radical=True)

@@ -62,13 +62,33 @@ ideal_member. Measured per batch on perfbench seed 910 (2-core x86): script's
 0.17-1.2 ms in the matrix and 0.03-0.36 ms in the loop; determinantal's took
 0.32-0.39 and 0.05-0.31 ms at 57-90 terms, 0.75-1.1 and 0.7-2.4 ms at
 700-750, and 3.6-5.3 and 4.4-25 ms at 4350-4580.
+
+_nf_terms finds the first element of its reducer list whose leading monomial
+divides a term. On a list of INDEX_MIN_ELEMENTS = 40 or more it asks a
+divisor index (_Reducers: per variable, a bitmask of the elements with each
+exponent or less; the divisors are the AND of one mask per variable, the
+first is the lowest bit), else it scans the list. Both pick the same element,
+so the reduction paths, bases and selected pairs are the same. The index is
+built on first use and caught up with the elements added since, so the pair
+loop's growing basis indexes each element once. Measured as the seconds
+inside _nf_terms per pass (interleaved passes at each cutoff, 2-core x86): on
+thresholds (seed 3, 10 passes), whose irreducible terms met a scan of up to
+104 elements, 0.21 s without the index, 0.12-0.13 s with it from 20, 30 or 40
+elements, 0.18 s from 60; on script (seeds 0 and 3, 15 passes), whose ~1200
+bases average ~10 elements, 0.057-0.060 s without, the same from 30 or 40,
++8% from 20 and +50% from 10, where building the index costs more than the
+short scans it replaces.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left, bisect_right
 from contextvars import ContextVar
 from dataclasses import dataclass
+from functools import reduce
+from itertools import accumulate
+from operator import and_, getitem, or_
 
 import numpy as np
 
@@ -102,6 +122,42 @@ DEFAULT_BUDGET = GroebnerBudget()
 # the budgets of the enclosing with scopes, innermost (the one in force) last
 _scopes = ContextVar("groebner_budgets", default=(DEFAULT_BUDGET,))
 BATCH_MIN_TERMS = 256  # ideal_subset's smallest batch for a membership matrix
+INDEX_MIN_ELEMENTS = 40  # _nf_terms' smallest basis for the divisor index
+
+
+class _Reducers(list):
+    """Packed reducer triples (lm, lc_inv, tail), in the order _nf_terms
+    tries them, with a divisor index on their leading monomials. Per
+    variable it keeps the sorted distinct exponents, the bits of the elements
+    with each one (_exact), and their running ORs (_masks, after a leading 0):
+    masks[bisect_right(exps, a)] are the elements whose exponent there is at
+    most a. The elements that divide a monomial are the AND of one mask per
+    variable. The index is built on first use and caught up with the
+    elements appended since."""
+
+    __slots__ = ("_exps", "_exact", "_masks", "_indexed")
+
+    def __init__(self, items=()):
+        super().__init__(items)
+        self._exps = self._exact = self._masks = None
+        self._indexed = 0
+
+    def divisor_index(self, packing):
+        """(exponents, masks) per variable, over every element."""
+        if self._masks is None or self._indexed < len(self):
+            if self._exps is None:
+                self._exps, self._exact = [[] for _ in packing.units], [[] for _ in packing.units]
+            for i in range(self._indexed, len(self)):
+                for a, exps, exact in zip(packing.unpack(self[i][0]), self._exps, self._exact):
+                    k = bisect_left(exps, a)
+                    if k < len(exps) and exps[k] == a:
+                        exact[k] |= 1 << i
+                    else:
+                        exps.insert(k, a)
+                        exact.insert(k, 1 << i)
+            self._masks = [[0, *accumulate(exact, or_)] for exact in self._exact]
+            self._indexed = len(self)
+        return self._exps, self._masks
 
 
 class GroebnerBasis:
@@ -119,7 +175,7 @@ class GroebnerBasis:
     def __init__(self, ring, elements, reducers=None):
         self.ring = ring
         self.elements = tuple(elements)
-        self._reducers = reducers
+        self._reducers = reducers if reducers is None else _Reducers(reducers)
         self._lms = self._matrix = None
 
     def _packed_reducers(self):
@@ -254,9 +310,11 @@ class Ideal:
 def _nf_terms(ring, terms, basis):
     """Full normal form of a packed term stream against [(lm, lc_inv, tail), ...].
 
-    Returns the packed canonical descending term tuple. basis entries need not
-    be a Groebner basis; the result is then just *a* remainder along a
-    deterministic reduction path. Raises ExponentOverflow when a term, given
+    Returns the packed canonical descending term tuple. Each term is reduced
+    by the first entry whose leading monomial divides it: the divisor index
+    finds it in a _Reducers of INDEX_MIN_ELEMENTS or more, a scan elsewhere.
+    basis entries need not be a Groebner basis; the result is then just *a*
+    remainder along a deterministic reduction path. Raises ExponentOverflow when a term, given
     or produced, has an exponent past EXPONENT_LIMIT.
     """
     p = ring.p
@@ -277,18 +335,32 @@ def _nf_terms(ring, terms, basis):
     push, pop = heapq.heappush, heapq.heappop
     out = []
     cap = _scopes.get()[-1].max_poly_terms
+    indexed = len(basis) >= INDEX_MIN_ELEMENTS and isinstance(basis, _Reducers)
+    if indexed:
+        exps, masks = basis.divisor_index(packing)
+        unpack, mask, nbytes = packing._struct.unpack, packing._mask, packing._nbytes
     while heap:
         m = -pop(heap)
         c = work.pop(m, 0)
         if not c:
             continue
-        for lm, lc_inv, tail in basis:
+        if indexed:
+            # the divisors of m; the first, as a scan would find it, is the lowest bit
+            hits = reduce(and_, map(getitem, masks, map(
+                bisect_right, exps, unpack((m & mask).to_bytes(nbytes, "big")))))
+            if not hits:
+                out.append((m, c))
+                continue
+            lm, lc_inv, tail = basis[(hits & -hits).bit_length() - 1]
             q = m - lm
-            if not q & guards:
-                break
         else:
-            out.append((m, c))
-            continue
+            for lm, lc_inv, tail in basis:
+                q = m - lm
+                if not q & guards:
+                    break
+            else:
+                out.append((m, c))
+                continue
         minus = p - (c * lc_inv) % p
         for m2, c2 in tail:
             mm = m2 + q
@@ -316,7 +388,7 @@ def _as_reducers(ring, polys):
     """Packed (lm, lc_inv, tail) triples for monic-or-not polynomials."""
     p = ring.p
     packed = [g._packed for g in polys if g]
-    return [(t[0][0], pow(t[0][1], p - 2, p), t[1:]) for t in packed]
+    return _Reducers((t[0][0], pow(t[0][1], p - 2, p), t[1:]) for t in packed)
 
 
 def normal_form(f: Polynomial, G) -> Polynomial:
@@ -474,7 +546,7 @@ def _pair_loop(ring, gens):
     (least lcm first), each reduced by _nf_terms. Returns the active elements,
     not yet reduced: each is reduced by the earlier ones on arrival, so they
     are the ones whose leading monomial no other element's divides."""
-    basis = []  # packed reducer triples (lm, lc_inv=1, tail); all monic
+    basis = _Reducers()  # all monic: lc_inv = 1
     pairs = _Pairs(ring._packing)
 
     def add(terms):
@@ -685,10 +757,11 @@ def _monic(ring, terms):
 
 
 def _reduce_basis(ring, basis):
-    """Reduce each tail by the other elements of a basis whose leading
-    monomials divide none of each other's, as _pair_loop returns it."""
-    return sorted((lm, 1, _nf_terms(ring, tail, basis[:k] + basis[k + 1:]))
-                  for k, (lm, _, tail) in enumerate(basis))
+    """Reduce each tail by a basis whose leading monomials divide none of
+    each other's, as _pair_loop returns it. The whole basis serves: the terms
+    met reducing g's tail are below lm(g), so lm(g) divides none of them."""
+    basis = _Reducers(basis)
+    return sorted((lm, 1, _nf_terms(ring, tail, basis)) for lm, _, tail in basis)
 
 
 def _basis_polys(ring, reduced):

@@ -90,10 +90,10 @@ class PrimeData:
 
 
 def _variable_indices(P):
-    """The indices of the variables that generate P; None unless each
-    generator is a variable times a unit."""
+    """The indices of the variables that generate P; None unless P has
+    generators and each is a variable times a unit."""
     monos = [g.lead_monomial() for g in P.gens if g.is_monomial()]
-    if len(monos) == len(P.gens) and all(sum(m) == 1 for m in monos):
+    if monos and len(monos) == len(P.gens) and all(sum(m) == 1 for m in monos):
         return {m.index(1) for m in monos}
     return None
 

@@ -2,7 +2,9 @@
 `with GroebnerBudget(...)` reads that budget, at any depth of the call, and
 the scope's end restores the enclosing one."""
 
+import io
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -10,12 +12,14 @@ import froblab.groebner as groebner
 from froblab import (
     BudgetExceeded,
     GroebnerBudget,
+    HypersurfaceRing,
     Ideal,
     check_fpt_containment,
     check_fpure_containment,
     check_sfr_containment,
     check_symbolic_into_Ie,
     fedder_is_fpure,
+    hypersurface_Ie,
     is_fpure_quotient,
     make_ring,
     normal_form,
@@ -26,6 +30,7 @@ from froblab import (
     run_example,
     sfr_witness_search,
 )
+from froblab.cli import run_script
 from froblab.containment import xy_zk_setup
 from froblab.groebner import DEFAULT_BUDGET
 
@@ -143,3 +148,39 @@ def test_normal_forms_read_the_scope():
     with pytest.raises(BudgetExceeded, match="2 working terms"), GroebnerBudget(max_poly_terms=2):
         normal_form(f, G)
     assert normal_form(f, G) == parse_poly(ring, "4*z^3")
+
+
+@pytest.fixture
+def selections(monkeypatch):
+    """The S-pairs each Groebner run (pair loop or F4) selects, run by run."""
+    runs = []
+
+    class Pairs(groebner._Pairs):
+        __slots__ = ()
+
+        def __init__(self, packing):
+            super().__init__(packing)
+            runs.append(self)
+
+    monkeypatch.setattr(groebner, "_Pairs", Pairs)
+    return lambda: [r.selected for r in runs]
+
+
+# The selections below were recorded before the divisor index of the normal
+# forms. Where max_pairs trips follows them, so an engine change that alters
+# pair selection shows here first.
+
+
+@pytest.mark.parametrize("gens,selected", [("x, y, z", [252, 50]), ("x, z", [127, 25])])
+def test_cone_trace_colon_selects_the_recorded_pairs(gens, selected, selections):
+    # I_2 of F_7[x,y,z]/(xy - z^2), q = 49: the trace colon of nu_e on the cone
+    ring = make_ring(7, ["x", "y", "z"])
+    R = HypersurfaceRing(ring, parse_poly(ring, "x*y - z^2"), reduced=True)
+    hypersurface_Ie(R, q_ideal(R, parse_gens(ring, gens)), 2)
+    assert selections() == selected
+
+
+def test_readme_script_selects_the_recorded_pairs(selections):
+    script = Path(__file__).resolve().parent / "golden" / "readme_script.flb"
+    assert run_script(str(script), out=io.StringIO()) == 0
+    assert selections() == [0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0, 9, 3, 10, 4, 2, 13, 5]

@@ -96,6 +96,14 @@ class TestSubcommands:
         gens = [froblab.parse_poly(S, g) for g in json.loads(out)["generators"]]
         assert gens and all(froblab.normal_form(g, [f]) for g in gens)
 
+    def test_symbolic_separator_without_primes_on_a_monomial_ideal(self):
+        # the monomial construction reads no separators: the minimal primes
+        # are computed as without --separator
+        argv = ["symbolic", "--ring", "F5[x,y,z]", "--ideal", "x*y", "--n", "2", "--json"]
+        code, out = invoke(argv + ["--separator", "y"])
+        assert code == 0 and json.loads(out)["generators"] == ["x^2*y^2"]
+        assert invoke(argv) == (code, out)
+
     def test_containment_failure_witness(self):
         code, out = invoke([
             "containment", "--ring", "F5[x,y]", "--lhs", "x", "--rhs", "x^2",

@@ -558,6 +558,112 @@ class TestF4:
                 engine(ring, gens)
 
 
+class TestDivisorIndex:
+    """_nf_terms' divisor index must find the first divisor in basis order,
+    as the linear scan does. So with the index on for every basis (cutoff 0)
+    and on for none (a cutoff no basis reaches), every reduction path is the
+    same: the pair loop's elements before inter-reduction, the reduced
+    bases, the pairs each run selects, and the normal forms against reducer
+    lists that are no Groebner basis, where only the order of the divisors
+    fixes the remainder."""
+
+    CUTOFFS = (0, 10**9)
+
+    @staticmethod
+    def on_and_off(monkeypatch, call):
+        """call() under each cutoff, with the S-pairs each Groebner run in it
+        selected and every normal form _nf_terms returned."""
+        runs, forms, nf_terms = [], [], groebner._nf_terms
+
+        class Pairs(groebner._Pairs):
+            __slots__ = ()
+
+            def __init__(self, packing):
+                super().__init__(packing)
+                runs.append(self)
+
+        def recorded(*args):
+            forms.append(nf_terms(*args))
+            return forms[-1]
+
+        monkeypatch.setattr(groebner, "_Pairs", Pairs)
+        monkeypatch.setattr(groebner, "_nf_terms", recorded)
+        out = []
+        for cutoff in TestDivisorIndex.CUTOFFS:
+            monkeypatch.setattr(groebner, "INDEX_MIN_ELEMENTS", cutoff)
+            runs.clear()
+            forms.clear()
+            result = call()
+            out.append((result, [r.selected for r in runs], list(forms)))
+        return out
+
+    @staticmethod
+    def bases(ring, gens):
+        """The pair loop's elements, the reduced ones, and the basis of a
+        fresh ideal: polynomials and packed reducers."""
+        G = Ideal(ring, gens).groebner_basis()
+        return groebner._pair_loop(ring, gens), check_pair_loop(ring, gens), G.elements, G._reducers
+
+    @pytest.mark.parametrize("over", ["S", "S/(f)"])
+    def test_bases_and_pairs(self, over, monkeypatch):
+        # Under grevlex the pair loop's remainders seldom depend on the
+        # divisor (least lcm first, its basis is close to a truncated
+        # Groebner basis), so a wrong divisor shows in the lex and block runs.
+        selected = 0
+        for order, blocks in TestMonomialBases.RINGS:
+            rng = random.Random(f"divisor index {order} {over}")
+            for trial in range(30):
+                ring = make_ring([2, 3, 5, 7][trial % 4], ["x", "y", "z", "w"], order, blocks)
+                # inside the maximal ideal, so that few of them are the unit ideal
+                I = random_ideal_in_max(ring, rng, max_gens=4, max_deg=4, max_terms=4)
+                if over == "S/(f)":
+                    (f,) = random_ideal_in_max(ring, rng, max_gens=1, max_deg=3, max_terms=3).gens
+                    I = Ideal(HypersurfaceRing(ring, f), I.gens)
+                gens = I.preimage.gens
+                (on, *paths_on), (off, *paths_off) = self.on_and_off(
+                    monkeypatch, lambda: self.bases(ring, gens))
+                assert on == off and paths_on == paths_off, (order, gens)
+                if order != "block" and trial % 5 == 0:
+                    assert on[2] == TestSympyAgreement.sympy_basis(Ideal(ring, gens), order), gens
+                selected += sum(paths_on[0])
+        assert selected >= 500  # the pair loops run long enough to matter
+
+    @pytest.mark.parametrize("order,blocks", TestMonomialBases.RINGS)
+    @pytest.mark.parametrize("q", [1, 5**7])
+    def test_normal_forms_against_lists(self, order, blocks, q, monkeypatch):
+        # q = 5^7 takes bracket powers, whose exponents pass 2^16; the map
+        # m -> m^q keeps order and divisibility, so the reductions are alike
+        rng = random.Random(f"index normal forms {order} {q}")
+        ring = make_ring(5, ["x", "y", "z", "w"], order, blocks)
+
+        def make():
+            g = random_poly(ring, rng, max_deg=4, max_terms=4, nonzero=True)
+            return g if q == 1 else g.frobenius(7)
+
+        moved = 0
+        for _ in range(40):
+            reducers = [make() for _ in range(rng.randrange(2, 8))]
+            f = make() * make()
+            (on, _, _), (off, _, _) = self.on_and_off(monkeypatch, lambda: normal_form(f, reducers))
+            # a plain list of triples takes the scan at any cutoff
+            scan = groebner._nf_terms(ring, f._packed, list(groebner._as_reducers(ring, reducers)))
+            assert on == off == Polynomial._from_packed(ring, scan), (f, reducers)
+            moved += on != normal_form(f, reducers[::-1])
+        assert moved >= 5  # the order of the reducers decides these remainders
+
+    def test_exponent_overflow(self, monkeypatch):
+        # x*y has two divisors: x*y + w leaves -w; x + y^N leaves -y^(N+1),
+        # past the limit. Which one comes first decides.
+        N = EXPONENT_LIMIT
+        ring = make_ring(5, ["x", "y", "w"], "lex")
+        xy, x_first = parse_poly(ring, "x*y"), parse_poly(ring, f"x + y^{N}")
+        for cutoff in self.CUTOFFS:
+            monkeypatch.setattr(groebner, "INDEX_MIN_ELEMENTS", cutoff)
+            assert normal_form(xy, [xy + parse_poly(ring, "w"), x_first]) == parse_poly(ring, "-w")
+            with pytest.raises(ExponentOverflow):
+                normal_form(xy, [x_first, xy + parse_poly(ring, "w")])
+
+
 class TestPairs:
     """_Pairs runs the Gebauer-Moller update on exponent fields. Replayed
     through it and the tuple reference, a sequence of leading monomials with

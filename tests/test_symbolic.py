@@ -218,6 +218,16 @@ class TestSymbolicPower:
         sym = symbolic_power(Q, 2, pd)
         assert ideal_equal(sym, q_ideal(R, [Polynomial.variable(R.ambient, "x")]))
 
+    def test_zero_prime_is_bad_input(self):
+        # the zero ideal has no generators, so it is no variable prime; it was
+        # once taken as one with an empty n-th power, and the recheck of
+        # I^n <= I^(n) then raised an internal error
+        R = make_ring(5, ["x", "y"])
+        x, y = (Polynomial.variable(R, v) for v in "xy")
+        pd = PrimeData(primes=(Ideal(R, [x]), Ideal(R), Ideal(R, [y])), asserted_radical=True)
+        with pytest.raises(ValueError, match="needs variable-generated primes"):
+            symbolic_power(Ideal(R, [x * y]), 2, pd)
+
     def test_embedded_requires_assertion(self, F5xyz):
         P = Ideal(F5xyz, parse_gens(F5xyz, "x, z"))
         pd = PrimeData(primes=(P,), separators=(Polynomial.variable(F5xyz, "y"),))
