@@ -5,6 +5,8 @@ F-pure-threshold lower bounds.
 Every function takes ideals of S or of S/(f) alike. I_e(Q) is
 ((Q^[q] + (f^q)) : f^(q-1)), which is Q^[q] when there is no relation f; the
 code branches on the ring's relations only where the mathematics differs.
+nu_e of an ideal generated by variables skips that colon: it is read off the
+terms of f^(q-1).
 The criteria are one-directional without finite projective dimension, so
 verdicts are three-valued (confirmed / refuted / inconclusive) and always
 carry their certifying data.
@@ -55,8 +57,9 @@ def default_e_max(p: int) -> int:
     """Largest e searched by default, chosen so that q = p^e stays small.
 
     The cost grows with q: the nu_e scan runs up to n(q-1)+1 levels, and in a
-    hypersurface I_e(m) is a colon by f^(q-1). The values fix which nu_e enter
-    reported fpt floors, so they stay as they are.
+    hypersurface I_e(m) is a colon by f^(q-1) (nu_e of an ideal generated by
+    variables skips both and reads the terms of f^(q-1)). The values fix which
+    nu_e enter reported fpt floors, so they stay as they are.
     """
     if p <= 5:
         return 3
@@ -226,16 +229,26 @@ def sfr_witness_search(
 
 
 def nu_e(I: Ideal, e: int) -> int:
-    """nu_e(I) = max{r : I^r not inside I_e(m)} (Mustata-Takagi-Watanabe),
-    by a frontier scan that builds no power of I.
+    """nu_e(I) = max{r : I^r not inside I_e(m)} (Mustata-Takagi-Watanabe).
 
-    Every multiple of an element of J = I_e(m) lies in J, and normal forms
-    modulo J satisfy NF(a*b) = NF(NF(a)*b). So only the generators of I^r
-    still outside J are carried to level r+1, each as its nonzero normal form
-    against J's preimage (for S/(f) it contains f), duplicates dropped; nu_e
-    is r - 1 at the first level whose frontier is empty. A monomial I against
-    monomial preimage generators is scanned on numpy arrays of exponent keys.
-    The pigeonhole bound m^(n(q-1)+1) <= m^[q] <= J caps r.
+    If every generator of I is a variable (scaled or repeated) and no relation
+    has a constant term, a closed form from Fedder's criterion, with no colon:
+    with P the variables of I, q = p^e and g = f^(q-1) (1 over S), nu_e(I) is
+    the largest sum over i in P of q-1-a_i over the terms x^a of g with all
+    a_i < q, and 0 if there is none. Proof: f is in m, so f^q is in m^[q] and
+    I_e(m) has preimage J = (m^[q] : g). I^r is generated by the degree-r
+    monomials h in P, and h*g is in m^[q] iff each term h*t is, as h cancels
+    no term; so I^r is not inside J iff some term t of g has all t_i < q and
+    r <= sum over P of q-1-t_i. The witness, prod over P of x_i^(q-1-a_i), is
+    re-checked by one product: g times it keeps a term outside m^[q].
+
+    Any other I is scanned against I_e(m), building no power: a multiple of
+    an element of J lies in J and NF(a*b) = NF(NF(a)*b), so level r+1 is built
+    from the generators of I^r still outside J, as nonzero normal forms
+    against J's preimage (over S/(f) it holds f), duplicates dropped; nu_e is
+    r - 1 at the first empty level. Monomial I and preimage generators are
+    scanned on numpy arrays of exponent keys. The pigeonhole bound
+    m^(n(q-1)+1) <= m^[q] <= J caps r.
     """
     if I.is_zero():
         raise ValueError("I must be nonzero")
@@ -246,12 +259,24 @@ def nu_e(I: Ideal, e: int) -> int:
     def has_constant(g):
         return not any(g.terms[-1][0])
 
-    if not any(map(has_constant, I.ring.relations)) and any(map(has_constant, I.gens)):
+    relations, ambient = I.ring.relations, I.ring.ambient
+    m_proper = not any(map(has_constant, relations))
+    if m_proper and any(map(has_constant, I.gens)):
         raise ValueError("I must be contained in the ideal of all variables")
-    Ie_m = Ie_maximal(I.ring, e)
-    ambient = I.ring.ambient
-    cap = ambient.nvars * (ambient.p**e - 1) + 2
-    nu = last_escaping_power(I.gens, Ie_m, cap)
+    q = ambient.p**e
+    if m_proper and all(g.is_monomial() and g.degree() == 1 for g in I.gens):
+        P = {g.lead_monomial().index(1) for g in I.gens}
+        g = relations[0] ** (q - 1) if relations else Polynomial.one(ambient)
+        nu, a = max(((sum(q - 1 - a[i] for i in P), a) for a, _ in g.terms if max(a) < q),
+                    default=(0, None))
+        if a is None:
+            return 0
+        h = Polynomial.monomial(ambient, [q - 1 - a[i] if i in P else 0 for i in range(len(a))])
+        if not any(max(t) < q for t, _ in (g * h).terms):
+            raise ArithmeticError(f"nu_e witness {h} fell into m^[q] (internal bug)")
+        return nu
+    cap = ambient.nvars * (q - 1) + 2
+    nu = last_escaping_power(I.gens, Ie_maximal(I.ring, e), cap)
     if nu is None:
         raise ArithmeticError("nu_e scan escaped its pigeonhole bound (internal bug)")
     return nu

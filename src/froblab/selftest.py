@@ -1,13 +1,14 @@
 """Built-in battery over the forced cases: constructor errors, arithmetic
-identities, monomial colon/saturation chains, and both nu_e frontier paths.
+identities, monomial colon/saturation chains, both nu_e frontier scans, and
+the nu_e closed form for ideals generated by variables against the scan.
 Fast; used by `froblab selftest`.
 """
 
 from __future__ import annotations
 
 from .errors import BudgetExceeded
-from .frobenius import nu_e
-from .groebner import Ideal, ideal_equal, ideal_member, normal_form
+from .frobenius import Ie_maximal, nu_e
+from .groebner import Ideal, ideal_equal, ideal_member, last_escaping_power, normal_form
 from .idealops import ideal_colon, ideal_intersect, ideal_power, ideal_product, saturate
 from .parsing import parse_poly
 from .quotient import HypersurfaceRing, q_ideal
@@ -48,10 +49,14 @@ def _checks():
     )
     yield "((x^2) : x^inf) = (1) at exponent 2", lambda: _sat_check(r, x)
     yield "((xy, xz) : y^inf) = (x) at exponent 1", lambda: _sat_check2(r, x, y, z)
-    yield "nu_1((x, y)) = 8 over F_5 (monomial path)", lambda: nu_e(I_xy, 1) == 8
-    yield "nu_1(m) = 4 in F_5[x,y,z]/(xy - z^2) (hypersurface path)", lambda: nu_e(
-        q_ideal(HypersurfaceRing(r, x * y - z**2), [x, y, z]), 1
-    ) == 4
+    R = HypersurfaceRing(r, x * y - z**2)
+    yield "nu_1((x, y)) = 8 over F_5 (closed form)", lambda: nu_e(I_xy, 1) == 8
+    yield "nu_1((xy, xz, yz)) = 6 over F_5 (monomial scan)", lambda: nu_e(
+        Ideal(r, [x * y, x * z, y * z]), 1) == 6
+    yield "nu_1((x, yz, z^2)) = 2 in F_5[x,y,z]/(xy - z^2) (trace-colon scan)", lambda: nu_e(
+        q_ideal(R, [x, y * z, z**2]), 1) == 2
+    yield "nu_1(m) = 4 in F_5[x,y,z]/(xy - z^2), closed form = trace-colon scan", lambda: nu_e(
+        q_ideal(R, [x, y, z]), 1) == last_escaping_power((x, y, z), Ie_maximal(R, 1), 14) == 4
 
 
 def _sat_check(r, x):

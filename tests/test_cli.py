@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -510,6 +511,13 @@ class TestErrorExits:
         ),
         "nu_e scan escaped its pigeonhole bound": (
             "froblab.frobenius", "Ie_maximal", lambda R, e: froblab.Ideal(R),
+            ["fpt", "--ring", "F5[x,y]", "--ideal", "x^2,y", "--emax", "1"],
+        ),
+        "nu_e witness": (
+            # the closed form's witness, every exponent raised by one, lies in m^[q]
+            "froblab.frobenius", "Polynomial", types.SimpleNamespace(
+                one=froblab.Polynomial.one,
+                monomial=lambda ring, a: froblab.Polynomial.monomial(ring, [i + 1 for i in a])),
             ["fpt", "--ring", "F5[x,y]", "--ideal", "x,y", "--emax", "1"],
         ),
     }
@@ -592,7 +600,7 @@ class TestBudgetFromEnvironment:
                      "--n", "2", "--separator", "x"],
         "containment": ["containment", "--ring", "F5[x,y,z]", "--lhs", "x",
                         "--rhs", "x^4*y + z^2, x*z^3 - y^2*x + 1, y^4*z - x"],
-        "fpt": ["fpt", *CONE, "--ideal", "x,y,z", "--emax", "1"],
+        "fpt": ["fpt", *CONE, "--ideal", "x,y^2,z", "--emax", "1"],
         "example": ["example", "xy-zk"],
     }
 

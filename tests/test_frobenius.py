@@ -32,6 +32,7 @@ from froblab import (
     sfr_witness_search,
 )
 from froblab.frobenius import recheck_splitting_witness
+from froblab.groebner import last_escaping_power
 from froblab.containment import xy_zk_setup
 
 from conftest import random_ideal_in_max, random_monomial_ideal
@@ -341,6 +342,92 @@ class TestNuDifferential:
             ideals.append(q_ideal(R, random_ideal_in_max(ring, rng, max_deg=2).gens))
         for I in ideals:
             assert nu_e(I, e) == _reference_nu(I, e), I
+
+
+# (p, e) with q = p^e <= 49
+SMALL_Q = [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 1), (3, 2), (3, 3),
+           (5, 1), (5, 2), (7, 1), (7, 2)]
+
+
+def _variable_ideals(R):
+    """The ideals of R generated by a nonempty subset of x, y, z."""
+    S = R.ambient
+    for k in (1, 2, 3):
+        for names in itertools.combinations("xyz", k):
+            yield Ideal(R, [Polynomial.variable(S, v) for v in names])
+
+
+class TestNuVariableIdeals:
+    """nu_e of an ideal generated by variables in closed form from Fedder's
+    criterion, against the frontier scan over I_e(m) and, for q <= 9, the
+    power-by-power reference scan."""
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        """The generator tuples nu_e hands to the frontier scan."""
+        calls = []
+
+        def spy(gens, J, cap):
+            calls.append(gens)
+            return last_escaping_power(gens, J, cap)
+
+        monkeypatch.setattr("froblab.frobenius.last_escaping_power", spy)
+        return calls
+
+    @pytest.mark.parametrize("p,e", SMALL_Q)
+    @pytest.mark.parametrize("relation", [None, "x*y - z^2", "x*y - z^3"])
+    def test_matches_scans(self, p, e, relation, scans):
+        S = make_ring(p, ["x", "y", "z"])
+        R = HypersurfaceRing(S, parse_poly(S, relation)) if relation else S
+        q = p**e
+        for I in _variable_ideals(R):
+            nu = nu_e(I, e)
+            assert nu == last_escaping_power(I.gens, Ie_maximal(R, e), 3 * (q - 1) + 2), I
+            if q <= 9:
+                assert nu == _reference_nu(I, e), I
+            if not relation:
+                assert nu == len(I.gens) * (q - 1)
+        assert scans == []
+
+    @pytest.mark.parametrize("e", [1, 2, 3, 4, 5])
+    def test_no_term_survives(self, e, scans):
+        # over F_2 every term of (x^3 + y^3 + z^3)^(q-1) has an exponent of
+        # at least q, so I_e(m) is the unit ideal
+        S = make_ring(2, ["x", "y", "z"])
+        R = HypersurfaceRing(S, parse_poly(S, "x^3 + y^3 + z^3"))
+        for I in _variable_ideals(R):
+            assert nu_e(I, e) == 0
+            assert last_escaping_power(I.gens, Ie_maximal(R, e), 3 * (2**e - 1) + 2) == 0
+        assert Ie_maximal(R, 1).groebner_basis().is_unit()
+        assert scans == []
+
+    @pytest.mark.parametrize("relation", [None, "x*y - z^2"])
+    def test_scaled_and_repeated_generators(self, relation, scans):
+        S = make_ring(5, ["x", "y", "z"])
+        R = HypersurfaceRing(S, parse_poly(S, relation)) if relation else S
+        plain = Ideal(R, parse_gens(S, "x, z"))
+        for gens in ("2*x, z", "x, x, 3*z", "x, 4*x, z, z"):
+            I = Ideal(R, parse_gens(S, gens))
+            for e in (1, 2):
+                assert nu_e(I, e) == nu_e(plain, e) == last_escaping_power(
+                    I.gens, Ie_maximal(R, e), 3 * (5**e - 1) + 2)
+        assert scans == []
+
+    def test_constant_term_relation_falls_back_to_the_scan(self, scans):
+        # m is the unit ideal of F_5[x,y,z]/(xy - 1), so the closed form's
+        # premise f in m fails
+        S = make_ring(5, ["x", "y", "z"])
+        R = HypersurfaceRing(S, parse_poly(S, "x*y - 1"))
+        I = Ideal(R, parse_gens(S, "z"))
+        assert nu_e(I, 1) == _reference_nu(I, 1) == 0
+        assert scans == [I.gens]
+
+    def test_other_ideals_scan(self, scans):
+        S = make_ring(5, ["x", "y", "z"])
+        R = HypersurfaceRing(S, parse_poly(S, "x*y - z^2"))
+        for gens in ("x, z^2", "x + y, z", "x*y, z"):
+            nu_e(Ideal(R, parse_gens(S, gens)), 1)
+        assert len(scans) == 3
 
 
 def _monomial_ass(ring, J):
