@@ -5,7 +5,7 @@ F-pure-threshold lower bounds.
 Every function takes ideals of S or of S/(f) alike. I_e(Q) is
 ((Q^[q] + (f^q)) : f^(q-1)), which is Q^[q] when there is no relation f; the
 code branches on the ring's relations only where the mathematics differs.
-nu_e of an ideal generated by variables skips that colon: it is read off the
+nu_e of a monomial ideal skips that colon: it is an integer program over the
 terms of f^(q-1).
 The criteria are one-directional without finite projective dimension, so
 verdicts are three-valued (confirmed / refuted / inconclusive) and always
@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import prod
+from operator import add, mul
 
 from .errors import RingMismatch
 from .groebner import Ideal, ideal_member, ideal_subset, last_escaping_power
@@ -56,10 +58,9 @@ class FptEstimate:
 def default_e_max(p: int) -> int:
     """Largest e searched by default, chosen so that q = p^e stays small.
 
-    The cost grows with q: the nu_e scan runs up to n(q-1)+1 levels, and in a
-    hypersurface I_e(m) is a colon by f^(q-1) (nu_e of an ideal generated by
-    variables skips both and reads the terms of f^(q-1)). The values fix which
-    nu_e enter reported fpt floors, so they stay as they are.
+    The cost grows with q: nu_e's frontier scan runs up to n(q-1)+1 levels against
+    a colon by f^(q-1); its integer program is solved once per term of f^(q-1).
+    The values fix which nu_e enter reported fpt floors, so they stay as they are.
     """
     if p <= 5:
         return 3
@@ -229,31 +230,12 @@ def sfr_witness_search(
 
 
 def nu_e(I: Ideal, e: int) -> int:
-    """nu_e(I) = max{r : I^r not inside I_e(m)} (Mustata-Takagi-Watanabe).
-
-    If every generator of I is a variable (scaled or repeated) and no relation
-    has a constant term, a closed form from Fedder's criterion, with no colon:
-    with P the variables of I, q = p^e and g = f^(q-1) (1 over S), nu_e(I) is
-    the largest sum over i in P of q-1-a_i over the terms x^a of g with all
-    a_i < q, and 0 if there is none. Proof: f is in m, so f^q is in m^[q] and
-    I_e(m) has preimage J = (m^[q] : g). I^r is generated by the degree-r
-    monomials h in P, and h*g is in m^[q] iff each term h*t is, as h cancels
-    no term; so I^r is not inside J iff some term t of g has all t_i < q and
-    r <= sum over P of q-1-t_i. The witness, prod over P of x_i^(q-1-a_i), is
-    re-checked by one product: g times it keeps a term outside m^[q].
-
-    Any other I is scanned against I_e(m), building no power: a multiple of
-    an element of J lies in J and NF(a*b) = NF(NF(a)*b), so level r+1 is built
-    from the generators of I^r still outside J, as nonzero normal forms
-    against J's preimage (over S/(f) it holds f), duplicates dropped; nu_e is
-    r - 1 at the first empty level. Monomial I and preimage generators are
-    scanned on numpy arrays of exponent keys. The pigeonhole bound
-    m^(n(q-1)+1) <= m^[q] <= J caps r.
-    """
+    """nu_e(I) = max{r : I^r not inside I_e(m)} (Mustata-Takagi-Watanabe): an
+    integer program (_nu_monomial) if every generator of I is a monomial and no
+    relation has a constant term, else the frontier scan last_escaping_power
+    against I_e(m), capped by the pigeonhole bound m^(n(q-1)+1) <= m^[q]."""
     if I.is_zero():
         raise ValueError("I must be nonzero")
-    if not I.is_proper():
-        raise ValueError("I must be proper")
     # m's preimage, (variables) + (relations), holds g exactly when g has no
     # constant term or some relation has one; canonical terms end with it
     def has_constant(g):
@@ -261,25 +243,94 @@ def nu_e(I: Ideal, e: int) -> int:
 
     relations, ambient = I.ring.relations, I.ring.ambient
     m_proper = not any(map(has_constant, relations))
+    monomial = m_proper and all(g.is_monomial() for g in I.gens)
+    # monomials that are not constants lie in m, which is then proper
+    if any(map(has_constant, I.gens)) if monomial else not I.is_proper():
+        raise ValueError("I must be proper")
+    if monomial:
+        return _nu_monomial(I, e)
     if m_proper and any(map(has_constant, I.gens)):
         raise ValueError("I must be contained in the ideal of all variables")
-    q = ambient.p**e
-    if m_proper and all(g.is_monomial() and g.degree() == 1 for g in I.gens):
-        P = {g.lead_monomial().index(1) for g in I.gens}
-        g = relations[0] ** (q - 1) if relations else Polynomial.one(ambient)
-        nu, a = max(((sum(q - 1 - a[i] for i in P), a) for a, _ in g.terms if max(a) < q),
-                    default=(0, None))
-        if a is None:
-            return 0
-        h = Polynomial.monomial(ambient, [q - 1 - a[i] if i in P else 0 for i in range(len(a))])
-        if not any(max(t) < q for t, _ in (g * h).terms):
-            raise ArithmeticError(f"nu_e witness {h} fell into m^[q] (internal bug)")
-        return nu
-    cap = ambient.nvars * (q - 1) + 2
+    cap = ambient.nvars * (ambient.p**e - 1) + 2
     nu = last_escaping_power(I.gens, Ie_maximal(I.ring, e), cap)
     if nu is None:
         raise ArithmeticError("nu_e scan escaped its pigeonhole bound (internal bug)")
     return nu
+
+
+def _nu_monomial(I: Ideal, e: int) -> int:
+    """nu_e of I = (x^a_1, ..., x^a_k), no relation with a constant term: the
+    max, over the terms x^t of g = f^(q-1) (1 over S) with all t_i < q, of the
+    integer program max{sum c : sum c_j a_j <= b = (q-1)*1 - t, c in N^k}, else
+    0 (Mustata-Takagi-Watanabe): f^q is in m^[q], so I_e(m) = (m^[q] : g), and
+    a product h of generators cancels no term of g, so h*g escapes m^[q] iff
+    some h + t < q. Solved by branch and bound; re-checked in integers: the
+    witness times g keeps a term outside m^[q], and a root dual point y with
+    floor(y.b) = nu_e is feasible: y >= 0 and y.a_j >= 1."""
+    S, relations, q = I.ring.ambient, I.ring.relations, I.ring.ambient.p**e
+    A = sorted({g.lead_monomial() for g in I.gens})
+    # g = prod over i < e of (f^(p-1))^(p^i), as the Frobenius fixes F_p
+    h = relations[0] ** (S.p - 1) if relations else Polynomial.one(S)
+    g = prod([h.frobenius(i) for i in range(1, e)], start=h)
+    terms = [t for t, _ in g.terms if max(t) < q]
+    if not terms:
+        return 0
+    duals, top = [[] for _ in A], [-1, None, None]  # value, c, b
+
+    def search(j, b, c):
+        # False when a cached dual point y of A[j:] or a prefix (y >= 0, y.a >= 1)
+        # caps sum(c) + floor(y.b) at the best. Then the greedy point (each column
+        # as often as the rest allows), the LP, and c_j from floor(x_j) down, then
+        # up, until a child is pruned: c_j + LP(rest) is concave, largest at x_j
+        fill, rest = [], b
+        for a in A[j:]:
+            fill.append(min(r // ai for r, ai in zip(rest, a) if ai))
+            rest = [r - fill[-1] * ai for r, ai in zip(rest, a)]
+        if sum(c) + sum(fill) > top[0]:
+            top[:] = sum(c) + sum(fill), c + fill, right  # the term the loop below tries
+        room = top[0] - sum(c)
+        if any(sum(map(mul, Y, b)) // D <= room for cached in duals[: j + 1] for Y, D in cached):
+            return False
+        V, X, Y, D = _simplex(A[j:], b)
+        duals[j].append((Y, D))
+        for v, step in ((X[0] // D, -1), (X[0] // D + 1, 1)):
+            while 0 <= v <= fill[0] and top[0] - sum(c) < V // D and search(
+                    j + 1, [bi - v * ai for bi, ai in zip(b, A[j])], c + [v]):
+                v += step
+        return V // D > room
+
+    Y, D = [int(any(col)) for col in zip(*A)], min(map(sum, A))  # 1/d on I's variables
+    duals[0].append((Y, D))  # a dual point: y.a_j = deg(a_j) / d >= 1
+    for right in sorted([tuple([q - 1 - ti for ti in t]) for t in terms],
+                        key=lambda b: -sum(map(mul, Y, b))):
+        if sum(map(mul, Y, right)) // D <= top[0]:  # nor any later term
+            break
+        search(0, right, [])
+    nu, c, b = top
+    Y, D = min(duals[0], key=lambda yd: sum(map(mul, yd[0], b)) // yd[1])
+    h, t = [sum(map(mul, c, col)) for col in zip(*A)], [q - 1 - bi for bi in b]
+    if sum(c) != nu or min(c) < 0 or tuple(t) not in terms or max(map(add, h, t)) >= q:
+        raise ArithmeticError(f"nu_e witness exponent {h} meets x^{t} in m^[q] (internal bug)")
+    if sum(map(mul, Y, b)) // D <= nu and (min(Y) < 0 or any(sum(map(mul, Y, a)) < D for a in A)):
+        raise ArithmeticError(f"nu_e dual point {Y}/{D} is not feasible (internal bug)")
+    return nu
+
+
+def _simplex(A, b):
+    """(V, X, Y, D): max sum c, sum c_j A[j] <= b, c >= 0 is V/D at the optimum
+    X/D, dual optimum Y/D. Primal simplex from the slack basis, Bland's rule,
+    fraction-free pivots over the basis determinant D (Edmonds)."""
+    k, n = len(A), len(b)
+    rows = [[a[i] for a in A] + [int(i == l) for l in range(n)] + [b[i]] for i in range(n)]
+    z, basis, D = [-1] * k + [0] * (n + 1), list(range(k, k + n)), 1
+    while (s := next((j for j, v in enumerate(z[:-1]) if v < 0), None)) is not None:
+        r = min((i for i in range(n) if rows[i][s] > 0),
+                key=lambda i: (Fraction(rows[i][-1], rows[i][s]), basis[i]))
+        for row in rows[:r] + rows[r + 1:] + [z]:
+            row[:] = [(v * rows[r][s] - row[s] * w) // D for v, w in zip(row, rows[r])]
+        D, basis[r] = rows[r][s], s
+    X = dict(zip(basis, (row[-1] for row in rows)))
+    return z[-1], [X.get(j, 0) for j in range(k)], z[k:-1], D
 
 
 def fpt_lower_bound(I: Ideal, e_max: int | None = None) -> FptEstimate:
@@ -289,14 +340,8 @@ def fpt_lower_bound(I: Ideal, e_max: int | None = None) -> FptEstimate:
     e_max = default_e_max(p) if e_max is None else e_max
     if e_max < 1:
         raise ValueError("e_max must be >= 1")
-    values = []
-    best = Fraction(0)
-    for e in range(1, e_max + 1):
-        nu = nu_e(I, e)
-        values.append((e, nu))
-        frac = Fraction(nu, p**e)
-        if frac > best:
-            best = frac
+    values = [(e, nu_e(I, e)) for e in range(1, e_max + 1)]
+    best = max(Fraction(nu, p**e) for e, nu in values)
     return FptEstimate(values, best, int(best))
 
 

@@ -22,8 +22,7 @@ packed terms (Polynomial._from_packed), with no exponent tuple on either
 side. Multiplying monomials is an int add, divisibility a guard-bit test on a
 difference, and an exponent past EXPONENT_LIMIT raises ExponentOverflow
 instead of wrapping. Reduction and exact division keep the working polynomial
-in a dict with a lazy max-heap of negated packed monomials. The monomial nu_e
-scan packs its own keys, fields as narrow as its cap allows, into numpy.
+in a dict with a lazy max-heap of negated packed monomials.
 
 Monomial ideals never leave packed ints: idealops takes their products here
 (_monomial_product: int adds) and intersections (the minimal lcms of
@@ -92,8 +91,8 @@ from operator import and_, getitem, or_
 
 import numpy as np
 
-from .errors import BudgetExceeded, ExponentOverflow, RingMismatch
-from .rings import EXPONENT_LIMIT, Polynomial, _packing_for
+from .errors import BudgetExceeded, RingMismatch
+from .rings import Polynomial, _packing_for
 
 
 @dataclass(frozen=True)
@@ -840,16 +839,11 @@ def last_escaping_power(gens, J: Ideal, cap: int):
     (gens)^r still outside J, each replaced by its nonzero monic normal form,
     duplicates dropped. The scan ends at the first empty level. It reduces
     against J's cached reduced basis (for monomial generators of J's preimage,
-    relations included, their minimal ones). When gens and that basis are all
-    monomials, a level is a numpy array of exponent keys and "outside J" a
-    guard-bit test against each basis monomial (_last_escaping_monomial).
+    relations included, their minimal ones).
     """
     ring = J.ring.ambient
-    G = J.groebner_basis()
     factors = [g._packed for g in gens if g]
-    if all(len(f) == 1 for f in factors) and G._monomial_lms() is not False:
-        return _last_escaping_monomial(ring, [f[0][0] for f in factors], G._monomial_lms(), cap)
-    basis = G._packed_reducers()
+    basis = J.groebner_basis()._packed_reducers()
     # level 0 is the packed constant 1, which generates (gens)^0
     depth = _frontier_depth(ring, {((0, 1),)}, factors, basis, cap)
     return None if depth is None else depth - 1
@@ -887,41 +881,6 @@ def _frontier_depth(ring, level, factors, basis, cap):
                 if h:
                     nxt.add(_monic(ring, h))
         level = nxt
-    return None
-
-
-def _last_escaping_monomial(ring, factors, targets, cap):
-    """last_escaping_power on monomials, J generated by targets. A level is a
-    sorted numpy array of distinct keys: exponents in fields one guard bit
-    wider than cap*top needs (top the largest factor exponent), int64 if they
-    fit, else Python ints. Outside J is (key - t) & guards != 0 for each target
-    t; a target with an exponent past cap*top divides nothing reachable."""
-    unpack = ring._packing.unpack
-    exps = list(map(unpack, factors))
-    top = max((max(e) for e in exps), default=0)
-    width = (cap * top).bit_length() + 1
-    shifts = [width * i for i in reversed(range(ring.nvars))]
-
-    def key(e):
-        return sum(x << s for x, s in zip(e, shifts))
-
-    dtype = np.int64 if width * ring.nvars <= 63 else object
-    guards = key([1 << (width - 1)] * ring.nvars)
-    over = key([((1 << width) - 1) & ~EXPONENT_LIMIT] * ring.nvars)  # past EXPONENT_LIMIT
-    step = np.array([key(e) for e in exps], dtype)
-    keys = [key(e) for e in map(unpack, targets) if max(e) <= cap * top]
-    level = np.zeros(1, dtype)
-    for r in range(1, cap + 1):
-        # a sorted run per factor, merged by a stable sort; duplicates adjacent
-        level = np.sort((step[:, None] + level).ravel(), kind="stable")
-        if r * top > EXPONENT_LIMIT and (level & over).any():
-            raise ExponentOverflow(f"exponent beyond {EXPONENT_LIMIT} in reduction")
-        keep = np.diff(level, prepend=-1) != 0
-        for t in keys:
-            keep &= (level - t) & guards != 0
-        level = level[keep]
-        if not level.size:
-            return r - 1
     return None
 
 

@@ -2,7 +2,7 @@
 
 An ideal of R is a groebner.Ideal whose ring is a HypersurfaceRing; its
 preimage in S adjoins f, and every operation in groebner and idealops carries
-f through. q_ideal builds one from ambient polynomials.
+f through. q_ideal(R, gens) is Ideal(R, gens) under its older name.
 """
 
 from __future__ import annotations
@@ -49,7 +49,5 @@ class HypersurfaceRing:
         return f"{self.ambient!r}/({self.f})"
 
 
-def q_ideal(R: HypersurfaceRing, gens) -> Ideal:
-    """Ideal of R generated by ambient polynomials; its preimage adjoins f."""
+def q_ideal(R: HypersurfaceRing, gens) -> Ideal:  # Ideal under its older name
     return Ideal(R, gens)
-

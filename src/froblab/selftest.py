@@ -1,6 +1,6 @@
 """Built-in battery over the forced cases: constructor errors, arithmetic
-identities, monomial colon/saturation chains, both nu_e frontier scans, and
-the nu_e closed form for ideals generated by variables against the scan.
+identities, monomial colon/saturation chains, the nu_e frontier scan over S
+and S/(f), and nu_e's integer program for monomial ideals against the scan.
 Fast; used by `froblab selftest`.
 """
 
@@ -50,12 +50,12 @@ def _checks():
     yield "((x^2) : x^inf) = (1) at exponent 2", lambda: _sat_check(r, x)
     yield "((xy, xz) : y^inf) = (x) at exponent 1", lambda: _sat_check2(r, x, y, z)
     R = HypersurfaceRing(r, x * y - z**2)
-    yield "nu_1((x, y)) = 8 over F_5 (closed form)", lambda: nu_e(I_xy, 1) == 8
-    yield "nu_1((xy, xz, yz)) = 6 over F_5 (monomial scan)", lambda: nu_e(
-        Ideal(r, [x * y, x * z, y * z]), 1) == 6
-    yield "nu_1((x, yz, z^2)) = 2 in F_5[x,y,z]/(xy - z^2) (trace-colon scan)", lambda: nu_e(
-        q_ideal(R, [x, y * z, z**2]), 1) == 2
-    yield "nu_1(m) = 4 in F_5[x,y,z]/(xy - z^2), closed form = trace-colon scan", lambda: nu_e(
+    yield "nu_1((x, y)) = 8 over F_5 (integer program)", lambda: nu_e(I_xy, 1) == 8
+    yield "nu_1((xy + z^2, xz, yz)) = 6 over F_5 (frontier scan)", lambda: nu_e(
+        Ideal(r, [x * y + z**2, x * z, y * z]), 1) == 6
+    yield "nu_1((x + yz, z^2)) = 2 in F_5[x,y,z]/(xy - z^2) (trace-colon scan)", lambda: nu_e(
+        q_ideal(R, [x + y * z, z**2]), 1) == 2
+    yield "nu_1(m) = 4 in F_5[x,y,z]/(xy - z^2), integer program = trace-colon scan", lambda: nu_e(
         q_ideal(R, [x, y, z]), 1) == last_escaping_power((x, y, z), Ie_maximal(R, 1), 14) == 4
 
 

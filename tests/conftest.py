@@ -194,9 +194,11 @@ def power_reference(I, n):
 
 
 def last_escaping_monomial_reference(ring, factors, targets, cap):
-    """Reference for groebner._last_escaping_monomial, on the ring's packed
-    monomials: each level a set of them, "outside J" a guard-bit test against
-    each target, exponents checked once they may pass EXPONENT_LIMIT."""
+    """Largest r < cap with (factors)^r not inside the ideal of targets, else
+    None: the reference for nu_e of monomial ideals (targets m^[q]), on the
+    ring's packed monomials: each level a set of them, "outside J" a guard-bit
+    test against each target, exponents checked once they may pass
+    EXPONENT_LIMIT."""
     packing = ring._packing
     guards = packing.guards
     top = max((max(packing.unpack(m)) for m in factors), default=0)

@@ -7,7 +7,7 @@ import os
 import re
 import subprocess
 import sys
-import types
+import time
 from pathlib import Path
 
 import pytest
@@ -75,6 +75,19 @@ class TestSubcommands:
             (2, 48),
         ]
         assert payload["floor"] == 1
+
+    def test_fpt_of_a_monomial_ideal_at_large_q(self):
+        # (x^2, y)^r escapes m^[q] up to r = (q-1) + (q-1)/2; at q = 5^7 the
+        # monomials below m^[q] number 6.1e9, so no scan over them finishes
+        start = time.perf_counter()
+        code, out = invoke(
+            ["fpt", "--ring", "F5[x,y]", "--ideal", "x^2,y", "--emax", "7", "--json"]
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert json.loads(out)["nu_values"] == [
+            [e, 5**e - 1 + (5**e - 1) // 2] for e in range(1, 8)
+        ]
 
     def test_symbolic(self):
         code, out = invoke([
@@ -510,15 +523,22 @@ class TestErrorExits:
              "--ideal", "x, z"],
         ),
         "nu_e scan escaped its pigeonhole bound": (
+            # an ideal not generated by monomials takes the frontier scan
             "froblab.frobenius", "Ie_maximal", lambda R, e: froblab.Ideal(R),
-            ["fpt", "--ring", "F5[x,y]", "--ideal", "x^2,y", "--emax", "1"],
+            ["fpt", "--ring", "F5[x,y]", "--ideal", "x^2+y^3,x*y", "--emax", "1"],
         ),
         "nu_e witness": (
-            # the closed form's witness, every exponent raised by one, lies in m^[q]
-            "froblab.frobenius", "Polynomial", types.SimpleNamespace(
-                one=froblab.Polynomial.one,
-                monomial=lambda ring, a: froblab.Polynomial.monomial(ring, [i + 1 for i in a])),
-            ["fpt", "--ring", "F5[x,y]", "--ideal", "x,y", "--emax", "1"],
+            # each product of the program's dot products one too large: the
+            # witness's exponents, sums of such products, pass q - 1
+            "froblab.frobenius", "mul", lambda a, b: a * b + 1,
+            ["fpt", "--ring", "F5[x,y]", "--ideal", "x^2,y", "--emax", "1"],
+        ),
+        "nu_e dual point": (
+            # every LP dual point zeroed: the root's no longer bounds the program
+            "froblab.frobenius", "_simplex",
+            lambda A, b, real=froblab.frobenius._simplex: (
+                lambda V, X, Y, D: (V, X, [0] * len(Y), D))(*real(A, b)),
+            ["fpt", "--ring", "F5[x,y]", "--ideal", "x^2,y", "--emax", "1"],
         ),
     }
 
@@ -600,7 +620,8 @@ class TestBudgetFromEnvironment:
                      "--n", "2", "--separator", "x"],
         "containment": ["containment", "--ring", "F5[x,y,z]", "--lhs", "x",
                         "--rhs", "x^4*y + z^2, x*z^3 - y^2*x + 1, y^4*z - x"],
-        "fpt": ["fpt", *CONE, "--ideal", "x,y^2,z", "--emax", "1"],
+        # not generated by monomials, so nu_e scans against I_e(m), a colon
+        "fpt": ["fpt", *CONE, "--ideal", "x+y^2,z", "--emax", "1"],
         "example": ["example", "xy-zk"],
     }
 

@@ -7,6 +7,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from froblab import (
     HypersurfaceRing,
@@ -357,22 +359,23 @@ def _variable_ideals(R):
             yield Ideal(R, [Polynomial.variable(S, v) for v in names])
 
 
+@pytest.fixture
+def scans(monkeypatch):
+    """The generator tuples nu_e hands to the frontier scan."""
+    calls = []
+
+    def spy(gens, J, cap):
+        calls.append(gens)
+        return last_escaping_power(gens, J, cap)
+
+    monkeypatch.setattr("froblab.frobenius.last_escaping_power", spy)
+    return calls
+
+
 class TestNuVariableIdeals:
-    """nu_e of an ideal generated by variables in closed form from Fedder's
-    criterion, against the frontier scan over I_e(m) and, for q <= 9, the
-    power-by-power reference scan."""
-
-    @pytest.fixture
-    def scans(self, monkeypatch):
-        """The generator tuples nu_e hands to the frontier scan."""
-        calls = []
-
-        def spy(gens, J, cap):
-            calls.append(gens)
-            return last_escaping_power(gens, J, cap)
-
-        monkeypatch.setattr("froblab.frobenius.last_escaping_power", spy)
-        return calls
+    """nu_e of an ideal generated by variables, by the integer program, against
+    the frontier scan over I_e(m) and, for q <= 9, the power-by-power
+    reference scan."""
 
     @pytest.mark.parametrize("p,e", SMALL_Q)
     @pytest.mark.parametrize("relation", [None, "x*y - z^2", "x*y - z^3"])
@@ -414,8 +417,8 @@ class TestNuVariableIdeals:
         assert scans == []
 
     def test_constant_term_relation_falls_back_to_the_scan(self, scans):
-        # m is the unit ideal of F_5[x,y,z]/(xy - 1), so the closed form's
-        # premise f in m fails
+        # m is the unit ideal of F_5[x,y,z]/(xy - 1), so the integer
+        # program's premise f in m fails
         S = make_ring(5, ["x", "y", "z"])
         R = HypersurfaceRing(S, parse_poly(S, "x*y - 1"))
         I = Ideal(R, parse_gens(S, "z"))
@@ -425,9 +428,71 @@ class TestNuVariableIdeals:
     def test_other_ideals_scan(self, scans):
         S = make_ring(5, ["x", "y", "z"])
         R = HypersurfaceRing(S, parse_poly(S, "x*y - z^2"))
-        for gens in ("x, z^2", "x + y, z", "x*y, z"):
+        for gens in ("x, z^2 + y*z", "x + y, z", "x*y - z^3, z"):
             nu_e(Ideal(R, parse_gens(S, gens)), 1)
         assert len(scans) == 3
+
+
+def _lp_one(A):
+    """max sum c over c >= 0 with sum c_j a_j <= 1 in every coordinate: the
+    best vertex, each the solution of k tight constraints (c_j = 0 or a
+    coordinate's sum = 1), by Gauss-Jordan elimination over Fractions."""
+    k, n = len(A), len(A[0])
+    constraints = [([Fraction(int(i == j)) for i in range(k)], 0) for j in range(k)]
+    constraints += [([Fraction(a[i]) for a in A], 1) for i in range(n)]
+    best = Fraction(0)
+    for tight in itertools.combinations(constraints, k):
+        M = [row + [Fraction(v)] for row, v in tight]
+        for col in range(k):
+            pivot = next((r for r in range(col, k) if M[r][col]), None)
+            if pivot is None:
+                break
+            M[col], M[pivot] = M[pivot], M[col]
+            M[col] = [v / M[col][col] for v in M[col]]
+            for r in range(k):
+                if r != col and M[r][col]:
+                    M[r] = [v - M[r][col] * w for v, w in zip(M[r], M[col])]
+        else:
+            c = [row[-1] for row in M]
+            if min(c) >= 0 and all(sum(cj * a[i] for cj, a in zip(c, A)) <= 1 for i in range(n)):
+                best = max(best, sum(c))
+    return best
+
+
+class TestNuMonomialProgram:
+    """nu_e of ideals generated by monomials, by the integer program, against
+    the power-by-power reference and the frontier scan over I_e(m), and two
+    properties: nu_(e+1) >= p nu_e, and nu_e / q at most the value of the LP
+    with right side 1 (Howald's log canonical threshold)."""
+
+    @pytest.mark.parametrize("p,e", [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1)])
+    @pytest.mark.parametrize("relation", [None, "x*y - z^2", "x*y - z^3"])
+    def test_matches_scans(self, p, e, relation, scans):
+        S = make_ring(p, ["x", "y", "z"])
+        R = HypersurfaceRing(S, parse_poly(S, relation)) if relation else S
+        q = p**e
+        rng = random.Random(f"program {p} {e} {relation}")
+        for _ in range(5):
+            I = Ideal(R, random_monomial_ideal(S, rng, max_gens=4).gens)
+            nu = nu_e(I, e)
+            assert nu == last_escaping_power(I.gens, Ie_maximal(R, e), 3 * (q - 1) + 2), I
+            assert nu == _reference_nu(I, e), I
+        assert scans == []
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from([2, 3, 5]),
+        st.sampled_from([None, "x*y - z^2", "x*y - z^3"]),
+        st.lists(st.tuples(*[st.integers(0, 3)] * 3).filter(any), min_size=1, max_size=4),
+    )
+    def test_lp_properties(self, p, relation, exponents):
+        S = make_ring(p, ["x", "y", "z"])
+        R = HypersurfaceRing(S, parse_poly(S, relation)) if relation else S
+        I = Ideal(R, [Polynomial.monomial(S, a) for a in exponents])
+        nus = [nu_e(I, e) for e in (1, 2, 3)]
+        assert all(later >= p * nu for nu, later in zip(nus, nus[1:])), nus
+        lp = _lp_one(exponents)
+        assert all(Fraction(nu, p**e) <= lp for e, nu in enumerate(nus, 1)), (nus, lp)
 
 
 def _monomial_ass(ring, J):

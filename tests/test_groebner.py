@@ -30,6 +30,7 @@ from froblab import (
     poly_divide_exact,
 )
 from froblab import groebner
+from froblab.frobenius import Ie_maximal, nu_e
 from froblab.groebner import last_escaping_power
 from froblab.rings import EXPONENT_LIMIT, mono_mul
 from conftest import (
@@ -218,68 +219,81 @@ class TestLastEscapingPower:
 
 
 class TestMonomialFrontier:
-    """The numpy scan of monomial levels against the set version it replaced,
-    kept in conftest as the reference."""
+    """nu_e of ideals generated by monomials, by the integer program, against
+    the set version of the level scan, kept in conftest as the reference, with
+    m^[q] as the targets."""
 
     @staticmethod
-    def both(ring, factors, targets, cap):
-        pack = ring._packing.pack
-        args = (ring, [pack(m) for m in factors], [pack(m) for m in targets], cap)
-        got = groebner._last_escaping_monomial(*args)
-        assert got == last_escaping_monomial_reference(*args), (factors, targets, cap)
+    def both(ring, factors, e):
+        pack, n, q = ring._packing.pack, ring.nvars, ring.p**e
+        targets = [tuple(q * (j == i) for j in range(n)) for i in range(n)]
+        got = nu_e(Ideal(ring, [Polynomial.monomial(ring, m) for m in factors]), e)
+        # the pigeonhole bound: no product of n(q-1)+1 factors escapes m^[q]
+        want = last_escaping_monomial_reference(
+            ring, [pack(m) for m in factors], [pack(t) for t in targets], n * (q - 1) + 1)
+        assert got == want, (factors, e)
         return got
 
     @pytest.mark.parametrize("nvars", [2, 3, 4])
     def test_random(self, nvars):
-        # pure powers make most J primary to the maximal ideal; exponents run
-        # up to two past the reach cap*top, so some targets divide nothing
         rng = random.Random(f"frontier {nvars}")
-        ring = make_ring(5, ["x", "y", "z", "w"][:nvars])
+        F5, F2 = (make_ring(p, ["x", "y", "z", "w"][:nvars]) for p in (5, 2))
         seen = set()
         for _ in range(60):
             cap = rng.randrange(1, 9)
             factors = [tuple(rng.randrange(4) for _ in range(nvars))
                        for _ in range(rng.randrange(1, 4))]
-            reach = cap * max(map(max, factors))
-            targets = [tuple(rng.randrange(1, reach + 3) if j == i else 0 for j in range(nvars))
-                       for i in range(nvars) if rng.random() < 0.8]
-            targets += [tuple(rng.randrange(reach + 3) for _ in range(nvars))
-                        for _ in range(rng.randrange(3))]
-            seen.add(self.both(ring, factors, targets, cap))
-        assert None in seen and len(seen) > 4
+            if not all(map(any, factors)):
+                with pytest.raises(ValueError):
+                    nu_e(Ideal(F5, [Polynomial.monomial(F5, m) for m in factors]), 1)
+                continue
+            seen.add(self.both(F5, factors, 1))
+            seen.add(self.both(F2, factors, 1 + cap % 3))
+        assert len(seen) > 4
 
     def test_targets_beyond_reach(self):
+        # a generator with an exponent of q or more lies in m^[q] and is never used
         ring = make_ring(5, ["x", "y"])
-        # x^10 is reached at level 10, x^11 never: x^11 must not stand in for x^10
-        assert self.both(ring, [(1, 0)], [(11, 0)], 10) is None
-        assert self.both(ring, [(1, 0), (0, 1)], [(11, 0), (0, 11)], 10) is None
-        assert self.both(ring, [(1, 1)], [(11, 0), (0, 4)], 10) == 3
+        assert self.both(ring, [(11, 0), (0, 1)], 1) == 4
+        assert self.both(ring, [(11, 0), (0, 11)], 1) == 0
+        assert self.both(ring, [(1, 1), (5, 0)], 1) == 4
 
     def test_constant_factor(self):
         ring = make_ring(5, ["x", "y", "z"])
-        # 1 lies in every power of (1, x), so none enters a proper J
-        assert self.both(ring, [(0, 0, 0), (1, 0, 0)], [(2, 0, 0)], 6) is None
-        # constants only: every field is one guard bit wide
-        assert self.both(ring, [(0, 0, 0)], [(1, 0, 0)], 6) is None
+        pack = ring._packing.pack
+        # 1 lies in every power of (1, x), so none enters m^[q]; nu_e refuses it
+        assert last_escaping_monomial_reference(
+            ring, [pack((0, 0, 0)), pack((1, 0, 0))], [pack((5, 0, 0))], 6) is None
+        with pytest.raises(ValueError, match="proper"):
+            nu_e(Ideal(ring, parse_gens(ring, "1, x")), 1)
 
     def test_no_factors(self):
         ring = make_ring(5, ["x", "y"])
-        assert self.both(ring, [], [(1, 0)], 5) == 0
-        assert self.both(ring, [], [(1, 0)], 0) is None
+        assert last_escaping_monomial_reference(ring, [], [ring._packing.pack((5, 0))], 5) == 0
+        with pytest.raises(ValueError, match="nonzero"):
+            nu_e(Ideal(ring), 1)
 
     def test_unit_J(self):
-        ring = make_ring(5, ["x", "y"])
-        assert self.both(ring, [(1, 0), (0, 2)], [(0, 0)], 5) == 0
-        assert self.both(ring, [(0, 0)], [(0, 0)], 5) == 0
+        # over F_2[x,y]/(x^3), f^(q-1) = x^(3(q-1)) lies in m^[q], so I_e(m)
+        # is the unit ideal and nothing escapes it
+        S = make_ring(2, ["x", "y"])
+        R = HypersurfaceRing(S, parse_poly(S, "x^3"))
+        pack = S._packing.pack
+        for e in (1, 2, 3):
+            assert Ie_maximal(R, e).groebner_basis().is_unit()
+            for gens in ("x", "y^2", "x*y, y^3"):
+                I = Ideal(R, parse_gens(S, gens))
+                factors = [pack(g.lead_monomial()) for g in I.gens]
+                assert nu_e(I, e) == last_escaping_monomial_reference(
+                    S, factors, [pack((0, 0))], 5) == 0
 
     def test_wide_fields(self):
-        # x^(2^20) with cap 12 needs 25-bit fields, 75 bits for three
-        # variables: the keys are Python ints. x^(4*2^20) * (yz)^6 is the last
-        # product outside (x^(5*2^20), y^7), at level 10
+        # x^(2^20) with q = 5^9: (q-1) // 2^20 = 1 copy of it, and q - 1 of yz
         ring = make_ring(5, ["x", "y", "z"])
-        big = 2**20
-        assert self.both(ring, [(big, 0, 0), (0, 1, 1)], [(5 * big, 0, 0), (0, 7, 0)], 12) == 10
-        assert self.both(ring, [(big, 0, 0), (0, 1, 1)], [(5 * big, 0, 0), (0, 7, 0)], 10) is None
+        big, q = 2**20, 5**9
+        I = Ideal(ring, [Polynomial.monomial(ring, (big, 0, 0)), parse_poly(ring, "y*z")])
+        assert nu_e(I, 9) == (q - 1) // big + q - 1 == q
+        assert nu_e(I, 8) == 5**8 - 1
 
 
 class TestMembership:
