@@ -19,13 +19,7 @@ from dataclasses import dataclass, field
 
 from .errors import BudgetExceeded, ExponentOverflow
 from .groebner import Ideal, ideal_equal, ideal_member, ideal_subset
-from .idealops import (
-    PolyMatrix,
-    brute_membership_oracle,
-    ideal_colon,
-    ideal_power,
-    minors,
-)
+from .idealops import PolyMatrix, brute_membership_oracle, ideal_power, minors, saturate
 from .frobenius import fpt_lower_bound, hypersurface_Ie
 from .quotient import HypersurfaceRing, q_ideal
 from .rings import EXPONENT_LIMIT, Polynomial, format_poly, make_ring
@@ -537,12 +531,11 @@ def generic_determinantal_setup(p: int, size: int, d: int, seed: int):
         rng = random.Random(seed + 1000 * attempts)
         M = random_linear_forms_matrix(ring, size, size + 1, rng)
         I = minors(M, size)
-        degenerate = len(I.gens) != size + 1
-        if not degenerate:
-            degenerate = I.groebner_basis().is_unit()
-        if not degenerate:
-            # separator must be a nonzerodivisor mod I: (I : sep) = I
-            degenerate = not ideal_equal(ideal_colon(I, sep), I)
+        # sep must be a nonzerodivisor mod I, (I : sep) = I: I is homogeneous and
+        # sep the last grevlex variable, so the saturation divides I's basis
+        # (Bayer-Stillman) and s = 0 exactly when it divides nothing
+        degenerate = (len(I.gens) != size + 1 or I.groebner_basis().is_unit()
+                      or saturate(I, sep)[1] != 0)
         if not degenerate:
             break
         attempts += 1

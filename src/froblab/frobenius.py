@@ -16,11 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import prod
 from operator import add, mul
 
-from .errors import RingMismatch
-from .groebner import Ideal, ideal_member, ideal_subset, last_escaping_power
+from .errors import BudgetExceeded, RingMismatch
+from .groebner import Ideal, _scopes, ideal_member, ideal_subset, last_escaping_power
 from .idealops import (
     bracket_power,
     ideal_colon,
@@ -269,9 +268,14 @@ def _nu_monomial(I: Ideal, e: int) -> int:
     floor(y.b) = nu_e is feasible: y >= 0 and y.a_j >= 1."""
     S, relations, q = I.ring.ambient, I.ring.relations, I.ring.ambient.p**e
     A = sorted({g.lead_monomial() for g in I.gens})
-    # g = prod over i < e of (f^(p-1))^(p^i), as the Frobenius fixes F_p
+    # g = prod over i < e of (f^(p-1))^(p^i), as the Frobenius fixes F_p; it has
+    # about q terms, so each partial product counts against max_poly_terms
     h = relations[0] ** (S.p - 1) if relations else Polynomial.one(S)
-    g = prod([h.frobenius(i) for i in range(1, e)], start=h)
+    g, cap = h, _scopes.get()[-1].max_poly_terms
+    for i in range(1, e):
+        if len(g.terms) * len(h.terms) > cap:  # bounds the next product's terms
+            raise BudgetExceeded(f"f^(q-1) would exceed {cap} terms; raise the budget to proceed")
+        g = g * h.frobenius(i)
     terms = [t for t, _ in g.terms if max(t) < q]
     if not terms:
         return 0

@@ -792,13 +792,17 @@ def ideal_member(f: Polynomial, I: Ideal) -> bool:
 
 def ideal_subset(I: Ideal, J: Ideal):
     """(True, None) when I is contained in J, else (False, the first generator
-    of I, in I.gens order, outside J). The relations lie in both preimages, so
-    only I's gens are tested: homogeneous ones with BATCH_MIN_TERMS terms or
-    more in all, against a homogeneous basis not all monomials, in one matrix
-    per degree, where a row _sweep leaves nonzero is the normal form of a
-    generator outside J; any others one by one with ideal_member."""
+    of I, in I.gens order, outside J). When I and J already hold equal reduced
+    bases they are equal, and nothing is reduced. The relations lie in both
+    preimages, so only I's gens are tested: homogeneous ones with
+    BATCH_MIN_TERMS terms or more in all, against a homogeneous basis not all
+    monomials, in one matrix per degree, where a row _sweep leaves nonzero is
+    the normal form of a generator outside J; any others one by one with
+    ideal_member."""
     if I.ring != J.ring:
         raise RingMismatch("ideals from different rings")
+    if I._gb is not None and I._gb == J._gb:
+        return True, None
     gens = I.gens
     big = sum(len(g._packed) for g in gens) >= BATCH_MIN_TERMS
     basis = big and J.preimage.gens and J.groebner_basis()._matrix_basis()

@@ -416,12 +416,11 @@ def _consistent_mod_p(A, p, n_cols):
             A[[pivot_row, r]] = A[[r, pivot_row]]
         inv = pow(int(A[pivot_row, col]), p - 2, p)
         A[pivot_row] = (A[pivot_row] * inv) % p
-        mask = np.nonzero(A[:, col])[0]
-        for i in mask:
-            if i != pivot_row:
-                A[i] = (A[i] - A[i, col] * A[pivot_row]) % p
+        f = A[:, col].copy()
+        f[pivot_row] = 0
+        hit = np.flatnonzero(f)
+        if hit.size:  # entries below p < 2^31 keep each product below 2^62
+            A[hit] = (A[hit] - np.outer(f[hit], A[pivot_row])) % p
         pivot_row += 1
-    # inconsistent iff some row is (0 ... 0 | nonzero)
-    tail = A[pivot_row:]
-    bad = (tail[:, :-1] == 0).all(axis=1) & (tail[:, -1] != 0)
-    return not bool(bad.any())
+    # every column is eliminated below pivot_row: inconsistent iff b is not
+    return not A[pivot_row:, n_cols].any()

@@ -185,3 +185,15 @@ def test_readme_script_selects_the_recorded_pairs(selections):
     script = Path(__file__).resolve().parent / "golden" / "readme_script.flb"
     assert run_script(str(script), out=io.StringIO()) == 0
     assert selections() == [0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0, 9, 3, 10, 4, 2, 13, 5]
+
+
+def test_nu_e_caps_f_to_the_q_minus_1():
+    """nu_e's integer program over the cone builds f^(q-1), about q terms, one
+    Frobenius factor at a time; a product that may pass max_poly_terms raises
+    (exit 3 from the CLI) before it is built."""
+    R, Q, _ = xy_zk_setup(5, 2)  # Q = (x, z), f^(p-1) has 5 terms
+    with GroebnerBudget(max_poly_terms=100):
+        assert nu_e(Q, 2) == 24  # 5 * 5 terms
+        with pytest.raises(BudgetExceeded, match=r"f\^\(q-1\) would exceed 100 terms"):
+            nu_e(Q, 3)  # 25 * 5
+    assert nu_e(Q, 3) == 124

@@ -249,6 +249,56 @@ class TestOneBuchbergerRunPerInput:
         assert len(runs) == before
 
 
+class TestComputedOncePerCheck:
+    """A subset of two ideals that hold one reduced basis reduces nothing, and
+    a determinantal run bases I and I^n once each, in F4."""
+
+    @staticmethod
+    def forbid_reduction(monkeypatch):
+        import froblab.groebner as groebner
+
+        def forbidden(*args):
+            raise AssertionError("reduced despite a shared basis")
+
+        monkeypatch.setattr(groebner, "_sweep", forbidden)
+        monkeypatch.setattr(groebner, "ideal_member", forbidden)
+
+    def test_a_shared_basis_decides_the_subset(self, monkeypatch):
+        ring, I, _, _ = generic_determinantal_setup(101, 2, 6, 0)
+        R, Q, _ = xy_zk_setup(5, 2)
+        pairs = [(ideal_power(I, 3), Ideal(ring, ideal_power(I, 3).gens[::-1])),
+                 (Q, Ideal(R, Q.gens[::-1]))]
+        for A, B in pairs:  # one basis each, equal, computed apart
+            assert A.groebner_basis() == B.groebner_basis()
+            assert A.groebner_basis() is not B.groebner_basis()
+        self.forbid_reduction(monkeypatch)
+        for A, B in pairs:
+            assert ideal_subset(A, B) == ideal_subset(B, A) == (True, None)
+
+    def test_determinantal_run_bases_I_and_its_cube(self, monkeypatch):
+        import froblab.groebner as groebner
+
+        f4, sweep, inside, runs = groebner._f4, groebner._sweep, [], []
+
+        def counted_f4(ring, gens):
+            runs.append(len(gens))
+            inside.append(True)
+            try:
+                return f4(ring, gens)
+            finally:
+                inside.pop()
+
+        def checked_sweep(*args):
+            assert inside, "_sweep ran outside _f4"
+            return sweep(*args)
+
+        monkeypatch.setattr(groebner, "_f4", counted_f4)
+        monkeypatch.setattr(groebner, "_sweep", checked_sweep)
+        (rep,) = run_example("generic-determinantal", {"d": 6, "j": 3})
+        assert rep.verdict == "holds" and rep.diagnostics["draw_attempts"] == 0
+        assert runs == [3, 10]  # I's three minors, then I^3's ten products
+
+
 class TestRegistry:
     def test_unknown_id(self):
         with pytest.raises(ValueError, match="unknown example"):

@@ -24,6 +24,9 @@ CASES = {
                       "--param", "n=1..2", "--json"],
     "example_generic_determinantal": ["example", "generic-determinantal", "--param", "d=6",
                                       "--seed", "42", "--json"],
+    # the failing branch: the witness and every witness_recheck flag
+    "example_generic_determinantal_fails": ["example", "generic-determinantal", "--param",
+                                            "d=3", "--seed", "42", "--json"],
     "readme_script": ["run", str(GOLDEN / "readme_script.flb"), "--json"],
     "fedder": ["fedder", "--ring", "F7[x,y,z]", "--ideal", "x^3+y^3+z^3", "--json"],
     "fpure": ["fpure", *CONE, "--ideal", "x, z", "--json"],

@@ -3,6 +3,7 @@ saturation, elimination, minors, and the oracle's own contract."""
 
 import random
 
+import numpy as np
 import pytest
 
 from froblab import (
@@ -30,7 +31,7 @@ from froblab import (
     poly_divide_exact,
     saturate,
 )
-from froblab.idealops import monomials_up_to
+from froblab.idealops import _consistent_mod_p, monomials_up_to
 from conftest import (
     assert_minimal_ascending,
     iterated_colon_saturate,
@@ -375,3 +376,51 @@ class TestBruteOracle:
         I = Ideal(F2xyz, parse_gens(F2xyz, "x*y, x*z, y*z"))
         xyz = parse_poly(F2xyz, "x*y*z")
         assert not brute_membership_oracle(xyz, ideal_power(I, 2), 3)
+
+
+def reference_consistent(rows, p, n_cols):
+    """Pure-Python Gauss-Jordan elimination mod p on augmented rows [a | b]:
+    True iff a x = b has a solution."""
+    rows = [list(row) for row in rows]
+    rank = 0
+    for col in range(n_cols):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], p - 2, p)
+        rows[rank] = [v * inv % p for v in rows[rank]]
+        for i, row in enumerate(rows):
+            if i != rank and row[col]:
+                rows[i] = [(a - row[col] * b) % p for a, b in zip(row, rows[rank])]
+        rank += 1
+    return not any(row[n_cols] for row in rows[rank:])
+
+
+@pytest.mark.parametrize("p", [2, 101, 2**31 - 1])
+def test_oracle_elimination_against_python(p):
+    """_consistent_mod_p on random augmented systems whose coefficient rows
+    span a chosen rank (often below the row count), with b in the column space
+    or drawn at random; p = 2^31 - 1 puts products at the int64 headroom."""
+    rng = random.Random(p)
+    seen = set()
+    for trial in range(80):
+        n_rows, n_cols = rng.randrange(1, 8), rng.randrange(1, 8)
+        rank = rng.randrange(min(n_rows, n_cols) + 1)
+        span = [[rng.randrange(p) for _ in range(n_cols)] for _ in range(rank)]
+        a = [[sum(rng.randrange(p) * s[j] for s in span) % p for j in range(n_cols)]
+             for _ in range(n_rows)]
+        if trial % 2:
+            x = [rng.randrange(p) for _ in range(n_cols)]
+            b = [sum(ai * xi for ai, xi in zip(row, x)) % p for row in a]
+        else:
+            b = [rng.randrange(p) for _ in range(n_rows)]
+        rows = [row + [bi] for row, bi in zip(a, b)]
+        expected = reference_consistent(rows, p, n_cols)
+        assert expected or not trial % 2
+        assert _consistent_mod_p(np.array(rows, dtype=np.int64), p, n_cols) is expected, rows
+        seen.add((expected, rank < n_rows))
+    assert seen >= {(True, True), (True, False), (False, True)}
+    top = p - 1  # every entry at its largest
+    for rows, expected in (([[top, top, top]] * 3, True), ([[top, top, 0], [top, top, 1]], False)):
+        assert _consistent_mod_p(np.array(rows, dtype=np.int64), p, 2) is expected

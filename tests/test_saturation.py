@@ -1,6 +1,7 @@
 """Saturation by one elimination (the Rabinowitsch trick) against the iterated
 colon loop it replaced, kept in conftest as the reference; the stabilization
-exponent; and the Buchberger runs that saturation and I_e(m) no longer repeat.
+exponent; the Buchberger runs that saturation and I_e(m) no longer repeat; and
+the separator check that reads s = 0 off a saturation.
 """
 
 import random
@@ -27,7 +28,10 @@ from froblab import (
     saturate,
 )
 
-from conftest import iterated_colon_saturate, random_ideal, random_ideal_in_max, random_poly, rings
+from froblab.cli import main
+
+from conftest import (iterated_colon_saturate, random_homogeneous, random_ideal, random_ideal_in_max,
+                      random_poly, rings)
 
 
 def assert_matches_reference(I, by):
@@ -171,3 +175,37 @@ class TestNuInsideMaximal:
         S = make_ring(5, ["x", "y", "z"])
         R = HypersurfaceRing(S, parse_poly(S, "x*y - 1"))
         assert nu_e(Ideal(R, parse_gens(S, "x + 1")), 1) == 0
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_separator_check_agrees_with_the_colon(p, monkeypatch):
+    """generic_determinantal_setup's nonzerodivisor test, s = 0 in saturate,
+    against (I : v) = I on random homogeneous ideals of S, for v the last
+    grevlex variable (the divided basis, Bayer-Stillman) and the others (the
+    Rabinowitsch elimination)."""
+    paths = set()
+    for path in ("_saturate_grevlex_last", "_saturate_rabinowitsch"):
+        def taken(*args, _path=path, _run=getattr(idealops, path)):
+            paths.add(_path)
+            return _run(*args)
+        monkeypatch.setattr(idealops, path, taken)
+    rng = random.Random(400 + p)
+    S = make_ring(p, ["x", "y", "z", "w"])
+    verdicts = set()
+    for _ in range(8):
+        gens = random_homogeneous(S, rng)
+        for v in S.variables:
+            var = Polynomial.variable(S, v)
+            nonzerodivisor = saturate(Ideal(S, gens), var)[1] == 0
+            assert nonzerodivisor == ideal_equal(idealops.ideal_colon(Ideal(S, gens), var),
+                                                 Ideal(S, gens)), (gens, v)
+            verdicts.add((v == S.variables[-1], nonzerodivisor))
+    assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
+    assert paths == {"_saturate_grevlex_last", "_saturate_rabinowitsch"}
+
+
+def test_degenerate_determinantal_draws_still_stop(capsys):
+    # in two variables the minors generate an ideal primary to (x1, x2), so
+    # the last variable is a zero divisor mod I on every draw
+    assert main(["example", "generic-determinantal", "--param", "d=2"]) == 2
+    assert capsys.readouterr().err == "error: persistent degenerate draws; seed range unusable\n"
