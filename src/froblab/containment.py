@@ -335,11 +335,10 @@ def squarefree_antichains(nvars: int):
 
 
 def ideal_from_masks(ring, masks) -> Ideal:
-    gens = []
-    for m in masks:
-        exps = tuple(1 if m >> i & 1 else 0 for i in range(ring.nvars))
-        gens.append(Polynomial.monomial(ring, exps))
-    return Ideal(ring, gens)
+    """The squarefree monomial ideal whose generators have bit i of a mask as
+    their exponent of variable i."""
+    return Ideal(ring, [Polynomial.monomial(ring, [m >> i & 1 for i in range(ring.nvars)])
+                        for m in masks])
 
 
 # ---------------------------------------------------------------------------
@@ -383,9 +382,7 @@ def xy_zk_setup(p: int, k: int):
     ring = make_ring(p, ["x", "y", "z"])  # checks p before k % p divides by it
     if k % p == 0:
         raise ValueError("p must not divide k")
-    x = Polynomial.variable(ring, "x")
-    y = Polynomial.variable(ring, "y")
-    z = Polynomial.variable(ring, "z")
+    x, y, z = (Polynomial.variable(ring, v) for v in "xyz")
     f = x * y - z**k
     R = HypersurfaceRing(ring, f, reduced=True)
     Q = q_ideal(R, [x, z])
@@ -410,15 +407,11 @@ def _run_xy_zk(params, seed=0):
     k = int(params["k"])
     n_values = _as_int_list(params["n"])
     R, Q, pd = xy_zk_setup(p, k)
-    ring = R.ambient
-    x = Polynomial.variable(ring, "x")
-    z = Polynomial.variable(ring, "z")
+    x, y, z = (Polynomial.variable(R.ambient, v) for v in "xyz")
     reports = []
 
     J = jacobian_ideal(R)
-    J_expected = q_ideal(
-        R, [x, Polynomial.variable(ring, "y"), z ** (k - 1)]
-    )
+    J_expected = q_ideal(R, [x, y, z ** (k - 1)])
     t0 = time.perf_counter()
     ok = ideal_equal(J, J_expected)
     reports.append(_fact("jacobian-ideal-form", {"p": p, "k": k}, ok, t0))
@@ -497,23 +490,11 @@ def _run_xy_zk(params, seed=0):
 
 
 def random_linear_forms_matrix(ring, rows, cols, rng):
-    entries = []
-    for _ in range(rows):
-        row = []
-        for _ in range(cols):
-            coeffs = [rng.randrange(ring.p) for _ in range(ring.nvars)]
-            row.append(
-                Polynomial(
-                    ring,
-                    [
-                        (tuple(1 if j == i else 0 for j in range(ring.nvars)), c)
-                        for i, c in enumerate(coeffs)
-                        if c
-                    ],
-                )
-            )
-        entries.append(row)
-    return PolyMatrix(ring, entries)
+    """rows x cols linear forms, row by row, each coefficient of each
+    variable drawn in turn by rng.randrange(p); the zero ones drop out."""
+    units = [tuple(int(j == i) for j in range(ring.nvars)) for i in range(ring.nvars)]
+    return PolyMatrix(ring, [[Polynomial(ring, zip(units, [rng.randrange(ring.p) for _ in units]))
+                              for _ in range(cols)] for _ in range(rows)])
 
 
 def generic_determinantal_setup(p: int, size: int, d: int, seed: int):

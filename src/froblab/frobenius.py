@@ -20,12 +20,7 @@ from operator import add, mul
 
 from .errors import BudgetExceeded, RingMismatch
 from .groebner import Ideal, _scopes, ideal_member, ideal_subset, last_escaping_power
-from .idealops import (
-    bracket_power,
-    ideal_colon,
-    maximal_ideal,
-    scale_ideal,
-)
+from .idealops import bracket_power, ideal_colon, maximal_ideal, scale_ideal
 from .quotient import HypersurfaceRing
 from .rings import Polynomial
 

@@ -36,21 +36,23 @@ the reduced basis is their minimal ones (_minimal_monomials). Homogeneous
 generators, two or more of them not monomials, go to F4 (_f4): every pair of
 the lowest lcm degree is reduced at once, by numpy row reduction mod p. The
 rest go to the pair loop (_pair_loop): one S-pair at a time, least lcm first,
-each reduced by _nf_terms. The split is measured on the inputs of the
-benchmark's workloads (perfbench seed 0, repeated runs, 2-core x86, Python
-3.11). F4 took the 30 homogeneous bases of determinantal (I^n of 2x2 minors;
-I^3 has 10 generators of ~460 terms) from 0.45-0.55 s to 0.09-0.12 s. Its
-fixed cost per degree loses where xy - z^2 is the only generator not a
-monomial: script's 60 such bases took 0.009 s in the pair loop and 0.034 s in
-F4, thresholds' 8 took 0.015-0.018 s and 0.019-0.027 s. The eliminations
-(Rabinowitsch and t tricks) are inhomogeneous: 95% of the pair loop's time on
-script and thresholds; of their bases only the part free of the eliminated
-block is inter-reduced. Both engines prune pairs by one
-Gebauer-Moller update (_Pairs) on ints: the exponent fields of the leading
-monomials, whose lcms are a guard-bit fieldwise max; a pair gets its packed
-lcm, its place in the queue, only once it survives. The pair loop's active
-elements are its minimal ones, so _reduce_basis only reduces their tails.
-All tie-breaks are canonical, so runs are reproducible bit for bit.
+each reduced by _nf_terms. It starts from a seed, a set already known to be a
+Groebner basis, and queues no pair inside it: the minimal monomial
+generators, or what its caller passes as known (a grevlex saturation passes
+I's reduced basis). The split is measured on the benchmark's inputs
+(perfbench seed 0, 2-core x86, Python 3.11): F4 took determinantal's 30
+homogeneous bases (I^n of 2x2 minors; I^3 has 10 generators of ~460 terms)
+from 0.45-0.55 s to 0.09-0.12 s, while its fixed cost per degree loses where
+xy - z^2 is the only generator not a monomial (script's 60 such bases: 0.009 s
+in the pair loop, 0.034 s in F4). The eliminations (Rabinowitsch and t
+tricks) are inhomogeneous, most of script's pair-loop time; of their bases
+only the part free of the eliminated block is inter-reduced. Both engines
+prune pairs by one Gebauer-Moller update (_Pairs) on ints: the exponent fields
+of the leading monomials, whose lcms are a guard-bit fieldwise max; a pair
+gets its packed lcm, its place in the queue, only once it survives. The pair
+loop's active elements are its minimal ones, so _reduce_basis only reduces
+their tails. All tie-breaks are canonical, so runs are reproducible bit for
+bit.
 
 ideal_subset takes a batch against a homogeneous basis not all monomials
 through F4's symbolic preprocessing and column sweep (_sweep), one matrix per
@@ -69,14 +71,12 @@ exponent or less; the divisors are the AND of one mask per variable, the
 first is the lowest bit), else it scans the list. Both pick the same element,
 so the reduction paths, bases and selected pairs are the same. The index is
 built on first use and caught up with the elements added since, so the pair
-loop's growing basis indexes each element once. Measured as the seconds
-inside _nf_terms per pass (interleaved passes at each cutoff, 2-core x86): on
-thresholds (seed 3, 10 passes), whose irreducible terms met a scan of up to
-104 elements, 0.21 s without the index, 0.12-0.13 s with it from 20, 30 or 40
-elements, 0.18 s from 60; on script (seeds 0 and 3, 15 passes), whose ~1200
-bases average ~10 elements, 0.057-0.060 s without, the same from 30 or 40,
-+8% from 20 and +50% from 10, where building the index costs more than the
-short scans it replaces.
+loop's growing basis indexes each element once. The cutoff was measured as
+the seconds inside _nf_terms per pass (2-core x86): with scans of up to 104
+elements the index cut them by 40% from a cutoff of 20 to 40 and by 15% from
+60; on script, whose ~1200 bases average ~10 elements, cutoffs of 30 or 40
+cost nothing, 20 cost 8% and 10 cost 50%, where building the index costs more
+than the short scans it replaces.
 """
 
 from __future__ import annotations
@@ -443,22 +443,23 @@ def poly_divide_exact(f: Polynomial, g: Polynomial) -> Polynomial:
 # ---------------------------------------------------------------------------
 
 
-def _buchberger(ring, gens, front=0):
-    """Reduced basis of (gens) as (polynomials, packed reducer triples):
+def _buchberger(ring, gens, front=0, known=()):
+    """Reduced basis of (gens, known) as (polynomials, packed reducer triples):
     monomial generators take _minimal_monomials; homogeneous ones, two or more
-    of them not monomials, take _f4; the rest take _pair_loop, then
-    _reduce_basis. With front > 0, only the elements whose leading monomial
-    avoids the first front variables are kept and reduced."""
+    of them not monomials, take _f4; the rest, and any with known (a reduced
+    basis it starts from), take _pair_loop, then _reduce_basis. With front >
+    0, only the elements whose leading monomial avoids the first front
+    variables are kept and reduced."""
     gens = [g for g in gens if g]
-    if not gens:
+    if not gens and not known:
         return (), []
-    polys = sum(len(g._packed) > 1 for g in gens)
+    polys = sum(len(g._packed) > 1 for g in gens) + len(known)
     unpack = ring._packing.unpack
     if not polys:
         free = [g for g in gens if not any(unpack(g._packed[0][0])[:front])]
         return _minimal_monomials(ring, free)
-    homogeneous = polys > 1 and all(g.is_homogeneous() for g in gens)
-    basis = (_f4 if homogeneous else _pair_loop)(ring, gens)
+    homogeneous = not known and polys > 1 and all(g.is_homogeneous() for g in gens)
+    basis = _f4(ring, gens) if homogeneous else _pair_loop(ring, gens, known)
     if front:
         basis = [b for b in basis if not any(unpack(b[0])[:front])]
     if not homogeneous:
@@ -466,19 +467,24 @@ def _buchberger(ring, gens, front=0):
     return _basis_polys(ring, basis), basis
 
 
-def elimination_basis(ring, gens):
-    """Reduced basis of (gens) ∩ F_p[rest] for a ring under the block order
-    [front | rest]: by the elimination theorem (Cox-Little-O'Shea §3.1), the
-    elements of the reduced basis of (gens) whose leading monomial avoids the
-    front block. Only rest-block leading monomials divide a rest-block
-    monomial, so the other elements are dropped before inter-reduction."""
-    return _buchberger(ring, gens, len(ring.blocks[0]))[0]
+def elimination_basis(ring, gens, known=()):
+    """Reduced basis of (gens, known) ∩ F_p[rest] for a ring under the block
+    order [front | rest]: by the elimination theorem (Cox-Little-O'Shea §3.1),
+    the elements of the reduced basis of (gens, known) whose leading monomial
+    avoids the front block. Only rest-block leading monomials divide a
+    rest-block monomial, so the other elements are dropped before
+    inter-reduction. known must be a reduced basis under this order; the pair
+    loop starts from it."""
+    return _buchberger(ring, gens, len(ring.blocks[0]), known)[0]
 
 
 class _Pairs:
     """Critical pairs of a growing basis under the Gebauer-Moller update.
 
-    queue is a heap of (lcm degree, packed lcm, i, j), i < j. add(lm, monomial)
+    queue is a heap of (lcm degree, packed lcm, i, j), i < j. seed(lms,
+    monomial), before any add, registers a Groebner basis whose leading
+    monomials divide none of each other's: all active, and no pair of two of
+    them queued, as its S-polynomial reduces to zero. add(lm, monomial)
     registers element k = len(lms) and prunes at once:
       B_k   an old pair (i, j) goes when lm_k divides its lcm and differs from
             lcm(i, k) and lcm(j, k);
@@ -517,6 +523,10 @@ class _Pairs:
             )
         return heapq.heappop(self.queue)
 
+    def seed(self, lms, monomial):
+        self.lms, self.monomial, self.active = list(lms), list(monomial), list(range(len(lms)))
+        self.fields = [lm & self.packing._mask for lm in lms]
+
     def add(self, lm, monomial):
         packing, fields, active = self.packing, self.fields, self.active
         guards, mask, lcm = packing.guards, packing._mask, packing.lcm
@@ -540,13 +550,22 @@ class _Pairs:
         self.monomial.append(monomial)
 
 
-def _pair_loop(ring, gens):
+def _pair_loop(ring, gens, known=()):
     """Buchberger's algorithm, one S-pair at a time under the normal strategy
     (least lcm first), each reduced by _nf_terms. Returns the active elements,
     not yet reduced: each is reduced by the earlier ones on arrival, so they
-    are the ones whose leading monomial no other element's divides."""
-    basis = _Reducers()  # all monic: lc_inv = 1
+    are the ones whose leading monomial no other element's divides. They
+    start as the seed (_Pairs.seed): known, a reduced basis, when given, else
+    the minimal monomials of gens, which then leave gens. Only the elements
+    added after it pass the Gebauer-Moller update."""
+    if known:
+        seed = [(g._packed[0][0], 1, g._packed[1:]) for g in known]
+    else:
+        seed = _minimal_monomials(ring, [g for g in gens if len(g._packed) == 1])[1]
+        gens = [g for g in gens if len(g._packed) > 1]
+    basis = _Reducers(seed)  # all monic: lc_inv = 1
     pairs = _Pairs(ring._packing)
+    pairs.seed([lm for lm, _, _ in seed], [not tail for _, _, tail in seed])
 
     def add(terms):
         basis.append((terms[0][0], 1, terms[1:]))

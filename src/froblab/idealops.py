@@ -9,11 +9,12 @@ saturations work on preimages in S, which contain the relations.
 Intersections use the auxiliary-variable construction (eliminate t from
 t*I + (1-t)*J); colons divide the intersection with a principal ideal exactly
 (groebner.poly_divide_exact); saturation by g eliminates t from I + (1 - t*g)
-(the Rabinowitsch trick), one Groebner basis, and recovers the stabilization
-exponent, the smallest s with g^s * sat inside I, by carrying normal forms
-modulo I as diagnostic data. Each elimination is one
-groebner.elimination_basis, which reduces only the part it keeps, on a block
-ring that Polynomial.in_ring moves polynomials to and from by variable name.
+(the Rabinowitsch trick), one Groebner basis, over a grevlex ring started from
+I's reduced basis, and recovers the stabilization exponent, the smallest s
+with g^s * sat inside I, by carrying normal forms modulo I as diagnostic data.
+Each elimination is one groebner.elimination_basis, which reduces only the
+part it keeps, on a block ring that Polynomial.in_ring moves polynomials to
+and from by variable name.
 
 When every generator an operation works on is a monomial, the kernel computes
 it on packed monomials, with the same result: products and powers by adding
@@ -215,8 +216,9 @@ def saturate(I: Ideal, by):
     By a polynomial g the saturation is the t-free part of one reduced basis
     of I's preimage plus (1 - t*g) under the [t | rest] block order (the
     Rabinowitsch trick, Cox-Little-O'Shea, Ideals, Varieties, and Algorithms,
-    §4.4). Over a grevlex ring that part is already the saturation's reduced
-    basis and is attached to it. The classical grevlex case (homogeneous
+    §4.4). Over a grevlex ring the elimination starts from I's reduced basis,
+    which it computes once for s too, and the t-free part is the saturation's
+    reduced basis, attached to it. The classical grevlex case (homogeneous
     preimage, saturation by the trailing variable) skips the elimination:
     each reduced-basis element of I is divided by its trailing-variable power.
     s is recovered by the frontier scan groebner.absorbing_exponent on the
@@ -253,13 +255,16 @@ def saturate(I: Ideal, by):
 def _saturate_rabinowitsch(I: Ideal, g: Polynomial):
     ring = I.ring.ambient
     ring2, t = _t_ring(ring)
-    gens2 = [h.in_ring(ring2) for h in I.preimage.gens]
+    # The block order is grevlex inside the rest block: over a grevlex ring,
+    # the ring's order on t-free monomials. So I's reduced basis in ring2 is
+    # reduced there, and the t-free part is the saturation's reduced basis.
+    grevlex = ring.order == "grevlex"
+    known = [h.in_ring(ring2) for h in I.groebner_basis()] if grevlex else ()
+    gens2 = [] if grevlex else [h.in_ring(ring2) for h in I.preimage.gens]
     gens2.append(Polynomial.one(ring2) - t * g.in_ring(ring2))
-    kept = [h.in_ring(ring) for h in elimination_basis(ring2, gens2)]
+    kept = [h.in_ring(ring) for h in elimination_basis(ring2, gens2, known)]
     sat = Ideal(I.ring, sorted_canonical(kept))
-    if ring.order == "grevlex":
-        # the block order is grevlex inside the rest block, so the elimination
-        # theorem makes the t-free part the reduced basis of the saturation
+    if grevlex:
         sat.with_gb(GroebnerBasis(ring, kept))
     return sat
 
@@ -379,25 +384,23 @@ def brute_membership_oracle(f: Polynomial, I: Ideal, cofactor_degree_bound: int)
     D = cofactor_degree_bound
     cof_monos = monomials_up_to(ring, D)
 
+    columns = [*itertools.product([g.terms for g in gens], cof_monos), (f.terms, (0,) * ring.nvars)]
     row_index = {}  # monomial -> its row, numbered as met
-    for m, _ in f.terms:
-        row_index.setdefault(m, len(row_index))
-    col_data = [[(row_index.setdefault(mono_mul(u, m), len(row_index)), c) for m, c in terms]
-                for terms in [g.terms for g in gens] for u in cof_monos]
+    # (row, column, coefficient) of each term of u*g, a column per (g, u), and
+    # of f, the last column; distinct terms times one u are distinct, so no
+    # cell comes twice and one assignment fills the matrix
+    cells = [(row_index.setdefault(mono_mul(u, m), len(row_index)), j, c)
+             for j, (terms, u) in enumerate(columns) for m, c in terms]
 
-    n_rows, n_cols = len(row_index), len(col_data)
+    n_rows, n_cols = len(row_index), len(columns) - 1
     if n_rows * n_cols > ORACLE_SIZE_CAP:
         raise BudgetExceeded(
             f"oracle system {n_rows}x{n_cols} exceeds the size cap {ORACLE_SIZE_CAP}"
         )
 
     A = np.zeros((n_rows, n_cols + 1), dtype=np.int64)
-    for j, entries in enumerate(col_data):
-        for i, c in entries:
-            A[i, j] = (A[i, j] + c) % p
-    for m, c in f.terms:
-        A[row_index[m], n_cols] = c
-
+    rows, cols, coefs = np.array(cells).T
+    A[rows, cols] = coefs
     return _consistent_mod_p(A, p, n_cols)
 
 

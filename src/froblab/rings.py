@@ -24,7 +24,7 @@ import functools
 import itertools
 import math
 import struct
-from operator import mul
+from operator import add, mul
 
 from .errors import ExponentOverflow, RingMismatch
 
@@ -44,7 +44,7 @@ def is_prime(n: int) -> bool:
 
 
 def mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def _grevlex_forms(nvars, start, stop):

@@ -28,6 +28,7 @@ from froblab import (
     parse_poly,
     q_ideal,
     run_example,
+    saturate,
     sfr_witness_search,
 )
 from froblab.cli import run_script
@@ -168,11 +169,13 @@ def selections(monkeypatch):
 
 
 # The selections below were recorded before the divisor index of the normal
-# forms. Where max_pairs trips follows them, so an engine change that alters
-# pair selection shows here first.
+# forms, and again once the pair loop started from a seed (I's reduced basis
+# in a grevlex saturation, the minimal monomial generators elsewhere), which
+# queues no pair inside the seed. Where max_pairs trips follows them, so an
+# engine change that alters pair selection shows here first.
 
 
-@pytest.mark.parametrize("gens,selected", [("x, y, z", [252, 50]), ("x, z", [127, 25])])
+@pytest.mark.parametrize("gens,selected", [("x, y, z", [252, 49]), ("x, z", [127, 25])])
 def test_cone_trace_colon_selects_the_recorded_pairs(gens, selected, selections):
     # I_2 of F_7[x,y,z]/(xy - z^2), q = 49: the trace colon of nu_e on the cone
     ring = make_ring(7, ["x", "y", "z"])
@@ -184,7 +187,50 @@ def test_cone_trace_colon_selects_the_recorded_pairs(gens, selected, selections)
 def test_readme_script_selects_the_recorded_pairs(selections):
     script = Path(__file__).resolve().parent / "golden" / "readme_script.flb"
     assert run_script(str(script), out=io.StringIO()) == 0
-    assert selections() == [0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0, 9, 3, 10, 4, 2, 13, 5]
+    assert selections() == [0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 3, 6, 4, 6, 2, 5, 8]
+
+
+def test_xy_zk_ladder_selects_the_recorded_pairs(monkeypatch):
+    """One xy-zk run at k = 3 (its saturations start from I^n's reduced
+    basis): the pairs its Groebner runs select in all, and no leading
+    monomial of a seed passes through add, which sees only later elements."""
+    runs = []
+
+    class Pairs(groebner._Pairs):
+        __slots__ = ("seeded", "added")
+
+        def __init__(self, packing):
+            super().__init__(packing)
+            self.seeded, self.added = [], []
+            runs.append(self)
+
+        def seed(self, lms, monomial):
+            self.seeded = list(lms)
+            super().seed(lms, monomial)
+
+        def add(self, lm, monomial):
+            self.added.append(lm)
+            super().add(lm, monomial)
+
+    monkeypatch.setattr(groebner, "_Pairs", Pairs)
+    assert all(r.ok for r in run_example("xy-zk", {"p": 5, "k": 3, "n": "1..3"}))
+    assert sum(r.selected for r in runs) == 92
+    assert [len(r.seeded) + len(r.added) for r in runs] == [len(r.lms) for r in runs]
+    assert not any(set(r.seeded) & set(r.added) for r in runs)
+    assert sum(len(r.seeded) for r in runs) == 170
+    assert sum(len(r.added) for r in runs) == 101
+
+
+def test_the_cap_reaches_a_seeded_elimination():
+    # I's basis is made outside the scope, so the scope's one pair goes to the
+    # elimination that starts from it, which selects 5 pairs unscoped
+    ring = make_ring(5, ["x", "y", "z"])
+    I = Ideal(ring, parse_gens(ring, "x*y - z^2, x^3"))
+    I.groebner_basis()
+    with pytest.raises(BudgetExceeded, match="1 S-pairs"), GroebnerBudget(max_pairs=1):
+        saturate(I, parse_poly(ring, "y"))
+    with GroebnerBudget(max_pairs=5):
+        assert saturate(I, parse_poly(ring, "y"))[1] == 0
 
 
 def test_nu_e_caps_f_to_the_q_minus_1():

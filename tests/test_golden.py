@@ -22,6 +22,9 @@ CONE = ["--ring", "F5[x,y,z]", "--hypersurface", "x*y - z^2"]
 CASES = {
     "example_xy_zk": ["example", "xy-zk", "--param", "p=5", "--param", "k=2",
                       "--param", "n=1..2", "--json"],
+    # the inhomogeneous ladder: Q^(kn+r) for k = 3 saturates by the Rabinowitsch trick
+    "example_xy_zk_k3": ["example", "xy-zk", "--param", "p=7", "--param", "k=3",
+                         "--param", "n=1..2", "--json"],
     "example_generic_determinantal": ["example", "generic-determinantal", "--param", "d=6",
                                       "--seed", "42", "--json"],
     # the failing branch: the witness and every witness_recheck flag

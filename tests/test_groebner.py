@@ -540,7 +540,8 @@ class TestF4:
         ran = []
         for name in ("_f4", "_pair_loop"):
             engine = getattr(groebner, name)
-            monkeypatch.setattr(groebner, name, lambda r, g, n=name, e=engine: ran.append(n) or e(r, g))
+            monkeypatch.setattr(groebner, name, lambda r, g, *known, n=name, e=engine:
+                                ran.append(n) or e(r, g, *known))
         ring = make_ring(5, ["x", "y", "z"])
         cases = [
             ("x*y - z^2, x*z + y^2", "_f4"),
@@ -710,6 +711,45 @@ class TestPairs:
                 popped += 1
             assert not ours.queue and ours.active == ref.active
         assert popped >= 100  # the criteria leave pairs to select
+
+
+class TestSeededPairLoop:
+    """The pair loop starts from a seed it queues no pair inside: the minimal
+    monomial generators, or a reduced basis passed as known. Its reduced basis
+    must be the reference pair loop's, which adds every generator in turn,
+    wherever the monomials sit among the generators."""
+
+    @pytest.mark.parametrize("order,blocks", TestMonomialBases.RINGS)
+    def test_monomials_anywhere(self, order, blocks):
+        rng = random.Random(f"seeded monomials {order}")
+        seeded = 0
+        for trial in range(30):
+            ring = make_ring([2, 3, 5, 7][trial % 4], ["x", "y", "z", "w"], order, blocks)
+            gens = TestMonomialBases.random_monomials(ring, rng)
+            while all(g.is_monomial() for g in gens):
+                gens += random_ideal_in_max(ring, rng, max_gens=3, max_deg=3).gens
+            rng.shuffle(gens)
+            reduced = check_pair_loop(ring, gens)
+            first = next(i for i, g in enumerate(gens) if not g.is_monomial())
+            # a monomial after a polynomial, in an ideal other than (1)
+            seeded += any(g.is_monomial() for g in gens[first:]) and reduced[0][0] != 0
+        assert seeded >= 15
+
+    @pytest.mark.parametrize("order,blocks", TestMonomialBases.RINGS)
+    def test_known_reduced_basis(self, order, blocks):
+        # the basis of (A + B) from A's reduced basis as known and B's
+        # generators, against the reference on A's and B's generators
+        rng = random.Random(f"seeded known {order}")
+        for trial in range(30):
+            ring = make_ring([2, 3, 5, 7][trial % 4], ["x", "y", "z", "w"], order, blocks)
+            A = random_ideal_in_max(ring, rng, max_gens=3, max_deg=3)
+            B = list(random_ideal_in_max(ring, rng, max_gens=2, max_deg=3).gens)
+            known = A.groebner_basis().elements
+            basis = groebner._pair_loop(ring, B, known)
+            reduced = groebner._reduce_basis(ring, basis)
+            assert reduced == reduced_pair_loop_reference(ring, list(A.gens) + B), (A, B)
+            polys, _ = groebner._buchberger(ring, B, 0, known)
+            assert polys == Ideal(ring, list(A.gens) + B).groebner_basis().elements
 
 
 class TestBatchedSubset:

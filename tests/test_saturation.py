@@ -4,6 +4,7 @@ exponent; the Buchberger runs that saturation and I_e(m) no longer repeat; and
 the separator check that reads s = 0 off a saturation.
 """
 
+import functools
 import random
 import sys
 
@@ -118,19 +119,66 @@ class TestCorners:
             assert ideal_subset(I, sat)[0]
 
 
+def unseeded_saturation(I, g):
+    """The t-free part of the reduced basis of I's preimage generators plus
+    1 - t*g, computed from those generators alone, as over lex and block rings."""
+    S = I.ring.ambient
+    ring2, t = idealops._t_ring(S)
+    gens2 = [h.in_ring(ring2) for h in I.preimage.gens]
+    gens2.append(Polynomial.one(ring2) - t * g.in_ring(ring2))
+    return tuple(h.in_ring(S) for h in groebner.elimination_basis(ring2, gens2))
+
+
+@pytest.mark.parametrize("over", ["S", "S/(f)"])
+def test_seeded_elimination_equals_the_unseeded(over, monkeypatch):
+    """Over a grevlex ring the Rabinowitsch elimination starts from I's
+    reduced basis. Its t-free part must be the one the raw generators give,
+    by a polynomial and, intersected, by an ideal."""
+    seeds = []
+    pair_loop = groebner._pair_loop
+
+    def recorded(ring, gens, known=()):
+        seeds.append(len(known))
+        return pair_loop(ring, gens, known)
+
+    monkeypatch.setattr(groebner, "_pair_loop", recorded)
+    rng = random.Random(f"seeded saturation {over}")
+    S = make_ring(5, ["x", "y", "z", "w"])
+    for _ in range(12):
+        R = S
+        if over == "S/(f)":
+            (f,) = random_ideal_in_max(S, rng, max_gens=1, max_deg=3, max_terms=3).gens
+            R = HypersurfaceRing(S, f)
+        I = Ideal(R, random_ideal_in_max(S, rng, max_gens=3, max_deg=3).gens)
+        J = Ideal(R, [random_poly(S, rng, max_deg=2, max_terms=2, nonzero=True)
+                      for _ in range(2)])
+        expected = [unseeded_saturation(I, g) for g in J.gens]
+        for g, basis in zip(J.gens, expected):
+            sat, _ = saturate(I, g)
+            assert sat.groebner_basis().elements == basis, (I, g)
+        sat, _ = saturate(I, J)
+        meet = functools.reduce(idealops.ideal_intersect, (Ideal(R, b) for b in expected))
+        assert ideal_equal(sat, meet), (I, J)
+    assert sum(n > 0 for n in seeds) >= 24  # the seeded path ran
+
+
 def record_runs(monkeypatch):
-    """Each Buchberger input, with whether a saturate call is on the stack."""
+    """Each Buchberger input, every argument (the seed too), with whether a
+    saturate call is on the stack."""
     runs = []
     run = groebner._buchberger
     saturate_code = idealops.saturate.__code__
 
-    def recorded(ring, gens, *front):
+    def terms(polys):
+        return tuple(sorted(g.monic().terms for g in polys))
+
+    def recorded(ring, gens, front=0, known=()):
         frame, inside = sys._getframe(1), False
         while frame is not None and not inside:
             inside = frame.f_code is saturate_code
             frame = frame.f_back
-        runs.append(((ring, tuple(sorted(g.monic().terms for g in gens))), inside))
-        return run(ring, gens, *front)
+        runs.append(((ring, terms(gens), front, terms(known)), inside))
+        return run(ring, gens, front, known)
 
     monkeypatch.setattr(groebner, "_buchberger", recorded)
     return runs
