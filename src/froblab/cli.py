@@ -258,7 +258,7 @@ def execute_statement(session: Session, line: str):
         return tail.rjust(len(text))
 
     if head == "ring":
-        session.ring = parse_ring(rest)
+        session.ring, session.hyper = parse_ring(rest), None
     elif head == "hypersurface":
         session.set_hypersurface(at(rest))
     elif head == "ideal":

@@ -54,16 +54,6 @@ loop's active elements are its minimal ones, so _reduce_basis only reduces
 their tails. All tie-breaks are canonical, so runs are reproducible bit for
 bit.
 
-ideal_subset takes a batch against a homogeneous basis not all monomials
-through F4's symbolic preprocessing and column sweep (_sweep), one matrix per
-degree: each row left is a generator's normal form. Below BATCH_MIN_TERMS =
-256 generator terms the matrix's fixed cost loses to a loop over
-ideal_member. Measured per batch on perfbench seed 910 (2-core x86): script's
-33 such batches (2-60 terms, monomials against bases with one binomial) took
-0.17-1.2 ms in the matrix and 0.03-0.36 ms in the loop; determinantal's took
-0.32-0.39 and 0.05-0.31 ms at 57-90 terms, 0.75-1.1 and 0.7-2.4 ms at
-700-750, and 3.6-5.3 and 4.4-25 ms at 4350-4580.
-
 _nf_terms finds the first element of its reducer list whose leading monomial
 divides a term. On a list of INDEX_MIN_ELEMENTS = 40 or more it asks a
 divisor index (_Reducers: per variable, a bitmask of the elements with each
@@ -120,7 +110,6 @@ class GroebnerBudget:
 DEFAULT_BUDGET = GroebnerBudget()
 # the budgets of the enclosing with scopes, innermost (the one in force) last
 _scopes = ContextVar("groebner_budgets", default=(DEFAULT_BUDGET,))
-BATCH_MIN_TERMS = 256  # ideal_subset's smallest batch for a membership matrix
 INDEX_MIN_ELEMENTS = 40  # _nf_terms' smallest basis for the divisor index
 
 
@@ -163,19 +152,17 @@ class GroebnerBasis:
     """Reduced Groebner basis: monic, auto-reduced, sorted by leading monomial.
 
     Keeps its elements packed as reducer triples, built once, for every
-    normal form taken against it; when they are all monomials, their leading
-    monomials, for every membership test against it; and when they are
-    homogeneous and not all monomials, the basis _sweep reduces by, for every
-    batch of memberships that ideal_subset takes in one matrix.
+    normal form taken against it; and when they are all monomials, their
+    leading monomials, for every membership test against it.
     """
 
-    __slots__ = ("ring", "elements", "_reducers", "_lms", "_matrix")
+    __slots__ = ("ring", "elements", "_reducers", "_lms")
 
     def __init__(self, ring, elements, reducers=None):
         self.ring = ring
         self.elements = tuple(elements)
         self._reducers = reducers if reducers is None else _Reducers(reducers)
-        self._lms = self._matrix = None
+        self._lms = None
 
     def _packed_reducers(self):
         if self._reducers is None:
@@ -188,18 +175,6 @@ class GroebnerBasis:
             reducers = self._packed_reducers()
             self._lms = not any(tail for _, _, tail in reducers) and [lm for lm, _, _ in reducers]
         return self._lms
-
-    def _matrix_basis(self):
-        """_sweep's (lms, monomials, monic coefficient arrays) of a homogeneous
-        basis not all monomials, else False."""
-        if self._matrix is None:
-            p, reducers = self.ring.p, self._packed_reducers()
-            homogeneous = all(g.is_homogeneous() for g in self)
-            self._matrix = self._monomial_lms() is False and homogeneous and (
-                [lm for lm, _, _ in reducers],
-                [[lm, *(m for m, _ in tail)] for lm, _, tail in reducers],
-                [np.array([1, *(c * inv % p for _, c in tail)]) for _, inv, tail in reducers])
-        return self._matrix
 
     def __iter__(self):
         return iter(self.elements)
@@ -813,30 +788,12 @@ def ideal_subset(I: Ideal, J: Ideal):
     """(True, None) when I is contained in J, else (False, the first generator
     of I, in I.gens order, outside J). When I and J already hold equal reduced
     bases they are equal, and nothing is reduced. The relations lie in both
-    preimages, so only I's gens are tested: homogeneous ones with
-    BATCH_MIN_TERMS terms or more in all, against a homogeneous basis not all
-    monomials, in one matrix per degree, where a row _sweep leaves nonzero is
-    the normal form of a generator outside J; any others one by one with
-    ideal_member."""
+    preimages, so only I's gens are tested, one by one with ideal_member."""
     if I.ring != J.ring:
         raise RingMismatch("ideals from different rings")
     if I._gb is not None and I._gb == J._gb:
         return True, None
-    gens = I.gens
-    big = sum(len(g._packed) for g in gens) >= BATCH_MIN_TERMS
-    basis = big and J.preimage.gens and J.groebner_basis()._matrix_basis()
-    if basis and all(g.is_homogeneous() for g in gens):
-        degrees = {}
-        for i, g in enumerate(gens):
-            degrees.setdefault(sum(g.lead_monomial()), []).append(i)
-        outside = []
-        for batch in degrees.values():
-            rows = [(0, *zip(*gens[i]._packed)) for i in batch]
-            A, _ = _sweep(J.ring.ambient, basis, rows, {})
-            outside += [batch[r] for r in np.flatnonzero(A.any(axis=1)).tolist()]
-        bad = gens[min(outside)] if outside else None
-    else:
-        bad = next((g for g in gens if not ideal_member(g, J)), None)
+    bad = next((g for g in I.gens if not ideal_member(g, J)), None)
     return bad is None, bad
 
 

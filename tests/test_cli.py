@@ -256,6 +256,16 @@ check fpure I n=5{cap}
         script = SCRIPT_OK.replace("ring F5[x,y,z]", "ring F5[x, y, z]")
         assert self.run_script_text(tmp_path, script) == self.run_script_text(tmp_path, SCRIPT_OK)
 
+    @pytest.mark.parametrize("second", ["F7[a,b]", "F5[x,y,z]"])
+    def test_ring_statement_drops_the_hypersurface(self, second):
+        # a new ring, or the same one again, is a polynomial ring: no S/(f)
+        session = Session()
+        for line in ("ring F5[x,y,z]", "hypersurface x*y - z^2", f"ring {second}",
+                     f"ideal I = {second[3]}"):
+            execute_statement(session, line)
+        assert session.hyper is None
+        assert session.ideals["I"].ring == session.ring and not session.ring.relations
+
     @pytest.mark.parametrize("check,params", [
         ("check fpt Q n=2 floor=0 emax=1 expect=holds", {"fpt_floor": 0, "n": 2}),
         ("check fpt Q floor=auto emax=1", {"fpt_floor": 0, "n": 2}),
