@@ -27,8 +27,10 @@ in a dict with a lazy max-heap of negated packed monomials.
 Monomial ideals never leave packed ints: idealops takes their products here
 (_monomial_product: int adds) and intersections (the minimal lcms of
 _minimal_monomials), and so colons by a monomial, which divide such an
-intersection exactly; against a reduced basis of monomials, membership is a
-divisibility test per term.
+intersection exactly, and symbolic its intersections of powers of variable
+primes (_intersect_variable_powers, by degree completion). Against a reduced
+basis of monomials, membership is a divisibility test per term, a subset one
+pass over I's generators.
 
 Three engines compute a reduced basis; _buchberger picks one by the input.
 Monomial generators are a Groebner basis already (every S-polynomial is zero):
@@ -76,7 +78,7 @@ from bisect import bisect_left, bisect_right
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate
+from itertools import accumulate, combinations_with_replacement
 from operator import and_, getitem, or_
 
 import numpy as np
@@ -695,28 +697,47 @@ def _minimal_monomials(ring, *factors):
     of the monomial ideals that the factors, lists of monomials, generate; of
     one factor, its minimal monomials, monic. The intersection is generated
     by the lcms of one monomial from each factor (Miller-Sturmfels,
-    Combinatorial Commutative Algebra, ch. 1), taken factor by factor with
-    only the minimal ones carried on. They are taken and pruned on the
-    exponent fields, m & mask, which are the lex packing, and only the result
-    is packed in the ring's order. Ascending lex order, as every monomial
-    order, puts a divisor before its multiples, so a monomial is kept when no
-    kept one divides it; a divisor tends to sit close below, so the kept ones
-    are tried from the latest back. No factors give the zero ideal."""
-    packing = ring._packing
+    Combinatorial Commutative Algebra, ch. 1), met one factor at a time."""
+    mask = ring._packing._mask
+    factors = [[g._packed[0][0] & mask for g in monos] for monos in factors]
+    return _carry(ring, factors, lambda lex, kept, ms: [lex.lcm(a, b) for a in kept for b in ms])
+
+
+def _intersect_variable_powers(ring, variable_sets, n):
+    """Reduced basis, as (polynomials, packed reducers), of the intersection
+    of the P^n, each P generated by the variables of one set of indices:
+    (u) ∩ P^n is u times the monomials of degree max(0, n - deg_P(u)) in P's
+    variables, int sums of their units, so no P^n is ever listed."""
+    def meet(lex, kept, indices):
+        units, completions, out = [lex.units[i] for i in sorted(indices)], {}, []
+        for u in kept:
+            e = lex.unpack(u)
+            k = max(0, n - sum(e[i] for i in indices))
+            if k not in completions:  # the monomials of degree k in P's variables
+                completions[k] = list(map(sum, combinations_with_replacement(units, k)))
+            out += [u + w for w in completions[k]]
+        return out
+    return _carry(ring, variable_sets, meet)
+
+
+def _carry(ring, steps, meet):
+    """The reduced basis of the monomial ideal reached from the unit ideal
+    by meet(lex, kept, step) per step, which lists generators of the next
+    ideal from the kept minimal monomials, on the exponent fields (m & mask:
+    the lex packing); only the result is packed in the ring's order. A divisor
+    comes first in ascending lex order, as in every monomial order, and tends
+    to sit close below, so the kept ones are tried from the latest back."""
     lex = _packing_for(ring.nvars, "lex", None)
-    kept = None
-    for monos in factors:
-        packed = [g._packed[0][0] & packing._mask for g in monos]
-        if kept is not None:
-            packed = [lex.lcm(a, b) for a in kept for b in packed]
-        kept = []
-        for m in sorted(set(packed)):
+    kept = [0]  # the unit ideal
+    for step in steps:
+        packed, kept = sorted(set(meet(lex, kept, step))), []
+        for m in packed:
             for k in reversed(kept):
                 if not (m - k) & lex.guards:
                     break
             else:
                 kept.append(m)
-    reduced = sorted((packing.pack(lex.unpack(m)), 1, ()) for m in kept or ())
+    reduced = sorted((ring._packing.pack(lex.unpack(m)), 1, ()) for m in kept)
     return tuple(Polynomial._from_packed(ring, ((m, 1),)) for m, _, _ in reduced), reduced
 
 
@@ -780,7 +801,7 @@ def ideal_member(f: Polynomial, I: Ideal) -> bool:
     G = I.groebner_basis()
     lms = G._monomial_lms()
     if lms is not False:
-        return _divisible(f, lms)
+        return _first_outside((f,), lms) is None
     return not normal_form(f, G)
 
 
@@ -788,26 +809,30 @@ def ideal_subset(I: Ideal, J: Ideal):
     """(True, None) when I is contained in J, else (False, the first generator
     of I, in I.gens order, outside J). When I and J already hold equal reduced
     bases they are equal, and nothing is reduced. The relations lie in both
-    preimages, so only I's gens are tested, one by one with ideal_member."""
+    preimages, so only I's gens are tested, and J's basis is computed only
+    when I has some: against a reduced basis of monomials in one
+    divisibility pass, else one by one with ideal_member."""
     if I.ring != J.ring:
         raise RingMismatch("ideals from different rings")
     if I._gb is not None and I._gb == J._gb:
         return True, None
-    bad = next((g for g in I.gens if not ideal_member(g, J)), None)
+    lms = I.gens and J.preimage.gens and J.groebner_basis()._monomial_lms()
+    bad = _first_outside(I.gens, lms) if lms else next(
+        (g for g in I.gens if not ideal_member(g, J)), None)
     return bad is None, bad
 
 
-def _divisible(f, lms):
-    """f in the ideal of the packed monomials lms: each term of f has a
-    divisor among them."""
-    guards = f.ring._packing.guards
-    for m, _ in f._packed:
-        for lm in lms:
-            if not (m - lm) & guards:
-                break
-        else:
-            return False
-    return True
+def _first_outside(polys, lms):
+    """The first of polys outside the ideal of the packed monomials lms, one
+    with a term that none of them divides; None when there is none."""
+    guards = polys[0].ring._packing.guards
+    for f in polys:
+        for m, _ in f._packed:
+            for lm in lms:
+                if not (m - lm) & guards:
+                    break
+            else:
+                return f
 
 
 def last_escaping_power(gens, J: Ideal, cap: int):

@@ -32,7 +32,7 @@ import itertools
 
 import numpy as np
 
-from .errors import BudgetExceeded, RingMismatch
+from .errors import BudgetExceeded, ExponentOverflow, RingMismatch
 from .groebner import (
     GroebnerBasis,
     Ideal,
@@ -42,7 +42,7 @@ from .groebner import (
     elimination_basis,
     poly_divide_exact,
 )
-from .rings import Polynomial, RingDescriptor, mono_mul, sorted_canonical
+from .rings import EXPONENT_LIMIT, Polynomial, RingDescriptor, mono_mul, sorted_canonical
 
 
 def _dedup(gens):
@@ -79,7 +79,9 @@ def ideal_power(I: Ideal, n: int) -> Ideal:
     with any basis computed for it. I^n is generated by the products g^α over
     the multisets α of n generators, each made once, as g^(α - e_i) * g_i for
     the largest index i in α; the distinct ones are listed as ideal_product
-    lists I^(n-1) * I. Monomial ideals take that product itself.
+    lists I^(n-1) * I. Monomial ideals take that product itself. I^n holds
+    each g^n: n times g's largest exponent (its degree, as products check,
+    unless I is monomial) past EXPONENT_LIMIT raises ExponentOverflow at once.
     """
     if n < 0:
         raise ValueError("ideal power needs n >= 0")
@@ -87,6 +89,10 @@ def ideal_power(I: Ideal, n: int) -> Ideal:
         return Ideal.unit(I.ring)
     if n == 1:
         return I
+    monomial = all(g.is_monomial() for g in I.gens)
+    top = max((max(g.lead_monomial()) if monomial else g.degree() for g in I.gens), default=0)
+    if n * top > EXPONENT_LIMIT:
+        raise ExponentOverflow(f"I^{n} has an exponent beyond {EXPONENT_LIMIT}")
     if I._powers is None:
         I._powers = []
     powers = I._powers  # (I^k, {multiset of indices into I.gens: its product}) from k = 2

@@ -7,9 +7,10 @@ consequences (separator membership patterns, monomial minimal covers) are
 verified here. Two constructions, picked by the input:
 
   * a squarefree monomial ideal of S: intersect the n-th powers of the
-    minimal covers by pairwise lcm, keeping the minimal monomials (in
-    ascending ring order), all in the kernel on packed monomials; the result
-    keeps them as its reduced basis. In S/(f) the covers of the generators
+    minimal covers (or of the listed primes) in the kernel on packed
+    monomials, by degree completion (u meets P^n in u times the monomials of
+    degree n - deg_P(u) in P's variables); the result keeps its minimal
+    monomials as its reduced basis. In S/(f) the covers of the generators
     are not the primes, so this needs a ring without relations.
   * every other input: saturate the ordinary power by each separator, which
     lies in every other listed associated prime, and intersect the results.
@@ -18,13 +19,12 @@ verified here. Two constructions, picked by the input:
 from __future__ import annotations
 
 import functools
-import itertools
 import logging
 from dataclasses import dataclass, field
 
 from .errors import RingMismatch
 from .groebner import GroebnerBasis, Ideal, ideal_member, ideal_subset
-from .groebner import _minimal_monomials  # the kernel's monomial path
+from .groebner import _intersect_variable_powers, _minimal_monomials  # the kernel's monomial paths
 from .idealops import ideal_intersect, ideal_power, ideal_product, saturate
 from .quotient import HypersurfaceRing
 from .rings import Polynomial
@@ -138,32 +138,27 @@ def is_squarefree_monomial(I: Ideal) -> bool:
 
 
 def monomial_minimal_primes(I: Ideal):
-    """Minimal vertex covers of the generator supports, as variable ideals."""
+    """Minimal vertex covers of the generator supports, as variable ideals,
+    by size, then by index: the supports of the minimal monomials of the
+    intersection of the ideals of each generator's variables, I's Alexander
+    dual (Miller-Sturmfels, Combinatorial Commutative Algebra, ch. 1)."""
     if not is_squarefree_monomial(I):
         raise ValueError("minimal primes are only computed for squarefree monomial ideals")
     ring = I.ring
-    supports = [frozenset(i for i, e in enumerate(g.lead_monomial()) if e) for g in I.gens]
-    used = sorted(set().union(*supports))
-    covers = []
-    for size in range(1, len(used) + 1):
-        for combo in itertools.combinations(used, size):
-            cset = set(combo)
-            if not all(s & cset for s in supports):
-                continue
-            if any(set(c) <= cset for c in covers):
-                continue
-            covers.append(combo)
-    primes = [
-        Ideal(ring, [Polynomial.variable(ring, ring.variables[i]) for i in combo])
-        for combo in covers
-    ]
-    return primes
+    xs = [Polynomial.variable(ring, v) for v in ring.variables]
+    dual, _ = _minimal_monomials(ring, *([x for x, e in zip(xs, g.lead_monomial()) if e]
+                                         for g in I.gens))
+    covers = sorted(([i for i, e in enumerate(m.lead_monomial()) if e] for m in dual),
+                    key=lambda c: (len(c), c))
+    return [Ideal(ring, [xs[i] for i in c]) for c in covers]
 
 
 def primedata_for_squarefree(I: Ideal) -> PrimeData:
     """PrimeData for a squarefree monomial ideal: computed covers and heights;
     radical and finite pd hold in the regular monomial setting."""
     primes = monomial_minimal_primes(I)
+    if not primes:  # every generator is a unit
+        raise ValueError("the unit ideal has no minimal primes")
     return PrimeData(
         primes=tuple(primes),
         heights=tuple(len(P.gens) for P in primes),
@@ -196,10 +191,10 @@ def symbolic_power(I: Ideal, n: int, pd: PrimeData, diag=None):
             "(power_embedded) or an asserted-radical flag"
         )
 
-    power = ideal_power(I, n)
     if not I.ring.relations and is_squarefree_monomial(I):
-        result = _symbolic_monomial(I, n, pd)
+        power, result = _symbolic_monomial(I, n, pd)
     else:
+        power = ideal_power(I, n)
         result = _symbolic_by_separators(power, pd, diag)
 
     ok, bad = ideal_subset(power, result)
@@ -223,20 +218,23 @@ def _symbolic_by_separators(power, pd: PrimeData, diag=None) -> Ideal:
     return functools.reduce(ideal_intersect, map(saturated, pd.separators))
 
 
-def _symbolic_monomial(I: Ideal, n: int, pd: PrimeData) -> Ideal:
-    """The minimal monomials of the intersection of the P^n, each P^n the
-    degree-n monomials in P's variables."""
-    ring = I.ring
-    primes = pd.primes if pd.primes else monomial_minimal_primes(I)
-    powers = []
-    for P in primes:
+def _symbolic_monomial(I: Ideal, n: int, pd: PrimeData):
+    """(I^n, the intersection of the P^n) over the listed primes, else the
+    minimal covers: the kernel meets each P^n from P's variable indices and
+    n. A prime that misses a generator's support does not contain I and is
+    rejected before I^n is built, whose overflow check precedes the kernel."""
+    sets = []
+    for P in pd.primes or monomial_minimal_primes(I):
         indices = _variable_indices(P)
         if indices is None:
             raise ValueError("the monomial construction needs variable-generated primes")
-        powers.append([Polynomial.monomial(ring, [c.count(i) for i in range(ring.nvars)])
-                       for c in itertools.combinations_with_replacement(sorted(indices), n)])
-    polys, reduced = _minimal_monomials(ring, *powers)
-    return Ideal(ring, polys).with_gb(GroebnerBasis(ring, polys, reduced))
+        missed = next((g for g in I.gens if not any(g.lead_monomial()[i] for i in indices)), None)
+        if missed is not None:
+            raise ValueError(f"listed prime ({', '.join(map(str, P.gens))}) misses {missed}")
+        sets.append(indices)
+    power = ideal_power(I, n)
+    polys, reduced = _intersect_variable_powers(I.ring, sets, n)
+    return power, Ideal(I.ring, polys).with_gb(GroebnerBasis(I.ring, polys, reduced))
 
 
 # ---------------------------------------------------------------------------

@@ -561,6 +561,29 @@ class TestErrorExits:
         assert proc.returncode == 2
         assert proc.stderr == "error: power degree beyond checked exponent range\n"
 
+    def test_ideal_power_overflow_exits_2_at_once(self):
+        # I^n's exponent check comes before any product, not after 2^30 of them
+        start = time.perf_counter()
+        proc = subprocess.run(
+            RUN + ["symbolic", "--ring", "F2[x,y,z]", "--ideal", "x*y, y*z",
+                   "--n", "2147483648"],
+            capture_output=True, text=True, env=CHILD_ENV, timeout=20,
+        )
+        assert time.perf_counter() - start < 10
+        assert proc.returncode == 2
+        assert proc.stderr == "error: I^2147483648 has an exponent beyond 2147483647\n"
+
+    @pytest.mark.parametrize("argv,message", [
+        # (z) does not contain x*y: the input is at fault, not the program
+        (["--ideal", "x*y, y*z", "--n", "3", "--primes", "x,y;z"],
+         "error: listed prime (z) misses x*y\n"),
+        (["--ideal", "1", "--n", "2"], "error: the unit ideal has no minimal primes\n"),
+    ], ids=["prime-misses-a-generator", "unit-ideal"])
+    def test_symbolic_input_faults_exit_2(self, argv, message, capsys):
+        assert main(["symbolic", "--ring", "F2[x,y,z]"] + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == message and captured.out == ""
+
     def test_overflow_in_script_names_line(self, tmp_path):
         path = tmp_path / "script.flb"
         path.write_text("ring F5[x,y,z]\nideal I = x, y\nideal J = x^2147483648\n")

@@ -848,6 +848,107 @@ class TestBatchedSubset:
         assert ideal_subset(I, J) == (False, I.gens[2])
 
 
+class TestMonomialSubset:
+    """ideal_subset against a reduced basis of monomials is one divisibility
+    pass over I's generators. Its verdict and witness must be those of the
+    loop over ideal_member, and of normal forms, which reduce instead."""
+
+    @staticmethod
+    def by_normal_form(I, J):
+        G = J.groebner_basis()
+        bad = next((g for g in I.gens if normal_form(g, G)), None)
+        return bad is None, bad
+
+    @staticmethod
+    def batch(J, rng):
+        """Monomials and polynomials, some multiples of J's generators and of
+        the relations, so that some batches lie inside."""
+        S = J.ring.ambient
+        multiples = [g * Polynomial.monomial(S, [rng.randrange(3) for _ in range(S.nvars)])
+                     for g in J.preimage.gens]
+        gens = []
+        for _ in range(rng.randrange(1, 6)):
+            if multiples and rng.random() < 0.6:
+                f = rng.choice(multiples)
+                if rng.random() < 0.3:
+                    f = f + rng.choice(multiples)
+            else:
+                f = random_poly(S, rng, max_deg=3, max_terms=rng.choice([1, 1, 2]))
+            gens.append(f)
+        return Ideal(J.ring, gens)
+
+    def check(self, I, J):
+        verdict = ideal_subset(I, J)
+        assert verdict == TestBatchedSubset.reference(I, J) == self.by_normal_form(I, J), (I, J)
+        return verdict[0]
+
+    @pytest.mark.parametrize("order,blocks", TestMonomialBases.RINGS)
+    def test_agrees_with_the_membership_loop(self, order, blocks):
+        rng = random.Random(f"monomial subset {order}")
+        inside = 0
+        for trial in range(60):
+            ring = make_ring([2, 3, 5, 7][trial % 4], ["x", "y", "z", "w"], order, blocks)
+            J = Ideal(ring, TestMonomialBases.random_monomials(ring, rng))
+            assert J.groebner_basis()._monomial_lms() is not False
+            inside += self.check(self.batch(J, rng), J)
+        assert 10 <= inside <= 50
+
+    def test_over_a_monomial_hypersurface(self):
+        # f = x*y^2 is a monomial, so the preimage of an ideal of monomials
+        # has a basis of monomials, and f's multiples lie in every ideal
+        rng = random.Random("monomial subset over S/(x*y^2)")
+        S = make_ring(3, ["x", "y", "z"])
+        R = HypersurfaceRing(S, parse_poly(S, "x*y^2"))
+        inside = 0
+        for trial in range(40):
+            J = Ideal(R, TestMonomialBases.random_monomials(S, rng)[:rng.randrange(3)])
+            assert J.groebner_basis()._monomial_lms() is not False
+            inside += self.check(self.batch(J, rng), J)
+        assert 5 <= inside <= 35
+        f_multiple = parse_poly(S, "x^2*y^2*z + x*y^3")
+        assert ideal_subset(Ideal(R, [f_multiple]), Ideal(R)) == (True, None)
+
+    def test_zero_ideals(self):
+        S = make_ring(5, ["x", "y", "z"])
+        I = Ideal(S, parse_gens(S, "x*y, y + z"))
+        assert ideal_subset(I, Ideal(S)) == (False, I.gens[0])
+        J = Ideal(S, parse_gens(S, "x, y^2"))
+        assert ideal_subset(Ideal(S), J) == (True, None)
+        assert J._gb is None  # no generators to test: J's basis is not computed
+        assert ideal_subset(Ideal(S), Ideal(S)) == (True, None)
+
+
+class TestVariablePowerIntersection:
+    """The intersection of powers of primes generated by variables, by degree
+    completion, must be the basis of the minimal lcms of each kept monomial
+    with every monomial of each P^n, polynomials and packed reducers alike."""
+
+    @staticmethod
+    def power(ring, indices, n):
+        """P^n as the list of its degree-n monomials in P's variables."""
+        return [Polynomial.monomial(ring, [c.count(i) for i in range(ring.nvars)])
+                for c in itertools.combinations_with_replacement(sorted(indices), n)]
+
+    @pytest.mark.parametrize("order", ["lex", "grevlex", "block"])
+    def test_agrees_with_the_lcm_products(self, order):
+        rng = random.Random(f"variable powers {order}")
+        for trial in range(40):
+            nvars = 3 + trial % 4
+            names = [f"x{i}" for i in range(nvars)]
+            blocks = (names[:nvars // 2], names[nvars // 2:]) if order == "block" else None
+            ring = make_ring([2, 3, 5][trial % 3], names, order, blocks)
+            n = 1 + trial % 8
+            sets = [set(rng.sample(range(nvars), rng.randrange(1, min(nvars, 4) + 1)))
+                    for _ in range(rng.randrange(1, 4))]
+            expected = groebner._minimal_monomials(ring, *(self.power(ring, s, n) for s in sets))
+            assert groebner._intersect_variable_powers(ring, sets, n) == expected, (sets, n)
+
+    def test_no_primes_give_the_unit_ideal(self):
+        ring = make_ring(2, ["x", "y"])
+        polys, reduced = groebner._intersect_variable_powers(ring, [], 3)
+        assert polys == (Polynomial.one(ring),) and reduced == [(0, 1, ())]
+
+
 @st.composite
 def small_generators(draw):
     """One to three term lists over x, y, z: exponents at most 2, one to

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from froblab import (
+    ExponentOverflow,
     HypersurfaceRing,
     Ideal,
     PolyMatrix,
@@ -31,7 +32,9 @@ from froblab import (
     poly_divide_exact,
     saturate,
 )
+from froblab import idealops
 from froblab.idealops import _consistent_mod_p, monomials_up_to
+from froblab.rings import EXPONENT_LIMIT
 from conftest import (
     assert_minimal_ascending,
     iterated_colon_saturate,
@@ -87,6 +90,28 @@ class TestSumProductPower:
         monkeypatch.setattr(Polynomial, "__mul__", lambda f, g: made.append(1) or mul(f, g))
         assert len(ideal_power(I, 3).gens) == 10 and len(made) == 16
         assert len(ideal_power(I, 2).gens) == 6 and len(made) == 16
+
+    @pytest.mark.parametrize("ambient", ["S", "S/(f)"])
+    def test_overflow_is_raised_before_any_product(self, ambient, monkeypatch):
+        # g^n is a generator of I^n: n times an exponent of a monomial
+        # generator, or a degree of another, past EXPONENT_LIMIT raises at
+        # once; at the limit itself the products start
+        class ProductBuilt(Exception):
+            pass
+
+        def product(*args):
+            raise ProductBuilt
+
+        monkeypatch.setattr(idealops, "_monomial_product", product)
+        S = make_ring(5, ["x", "y", "z"])
+        ring = S if ambient == "S" else HypersurfaceRing(S, parse_poly(S, "x*y - z^2"))
+        for gens, n in [("x*y, y*z", 2**31), ("x^2, y", 2**30), ("x + y^2, z", 2**30)]:
+            with pytest.raises(ExponentOverflow, match=f"I\\^{n} has an exponent beyond"):
+                ideal_power(Ideal(ring, parse_gens(S, gens)), n)
+        at_limit = [("x*y, y*z", EXPONENT_LIMIT), ("x^2, y", 2**30 - 1), ("x + y^2", 2**30 - 1)]
+        for gens, n in at_limit:
+            with pytest.raises(ProductBuilt):
+                ideal_power(Ideal(ring, parse_gens(S, gens)), n)
 
 
 class TestBracketPower:

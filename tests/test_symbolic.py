@@ -97,8 +97,50 @@ class TestMinimalPrimes:
         with pytest.raises(ValueError):
             monomial_minimal_primes(Ideal(F2xyz, [parse_poly(F2xyz, "x^2")]))
 
+    def test_covers_by_size_then_index(self):
+        # against the search over variable subsets, smallest first, in
+        # itertools.combinations order, keeping those no kept cover lies in
+        rng = random.Random("minimal covers")
+        ring = make_ring(2, ["a", "b", "c", "d", "e"])
+        for _ in range(40):
+            supports = [rng.sample(range(5), rng.randrange(1, 4)) for _ in range(rng.randrange(1, 6))]
+            I = Ideal(ring, [Polynomial.monomial(ring, [int(i in s) for i in range(5)])
+                             for s in supports])
+            expected = []
+            for size in range(1, 6):
+                for combo in itertools.combinations(range(5), size):
+                    if all(set(s) & set(combo) for s in supports) and not any(
+                            set(c) <= set(combo) for c in expected):
+                        expected.append(combo)
+            got = [tuple(g.lead_monomial().index(1) for g in P.gens)
+                   for P in monomial_minimal_primes(I)]
+            assert got == expected, supports
+
+    def test_the_unit_ideal_has_no_minimal_primes(self, F2xyz):
+        unit = Ideal.unit(F2xyz)
+        assert is_squarefree_monomial(unit) and monomial_minimal_primes(unit) == []
+        with pytest.raises(ValueError, match="the unit ideal has no minimal primes"):
+            primedata_for_squarefree(unit)
+
 
 class TestSymbolicPower:
+    def test_a_prime_missing_a_generator_is_rejected_before_the_power(self, F2xyz, monkeypatch):
+        # (z) does not contain x*y: set logic rejects it, no power is built
+        I = Ideal(F2xyz, parse_gens(F2xyz, "x*y, y*z"))
+        primes = tuple(Ideal(F2xyz, parse_gens(F2xyz, g)) for g in ("x, y", "z"))
+        monkeypatch.setattr("froblab.symbolic.ideal_power", lambda *a: pytest.fail("I^n built"))
+        with pytest.raises(ValueError, match=r"listed prime \(z\) misses x\*y"):
+            symbolic_power(I, 3, PrimeData(primes=primes, asserted_radical=True))
+
+    def test_the_monomial_construction_lists_no_power(self, F2xyz, monkeypatch):
+        # degree completion in the kernel: no P^n is listed as monomials
+        I = Ideal(F2xyz, parse_gens(F2xyz, "x*y, x*z, y*z"))
+        pd = primedata_for_squarefree(I)
+        a, b, c = (ideal_power(P, 4) for P in pd.primes)
+        expected = lcm_intersect_reference(lcm_intersect_reference(a, b), c).gens
+        monkeypatch.setattr(Polynomial, "monomial", lambda *a, **k: pytest.fail("monomial built"))
+        assert symbolic_power(I, 4, pd).gens == expected
+
     def test_edge_ideal_square(self, F2xyz):
         I = Ideal(F2xyz, parse_gens(F2xyz, "x*y, x*z, y*z"))
         pd = primedata_for_squarefree(I)
