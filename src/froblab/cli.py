@@ -2,11 +2,11 @@
 emit deterministic reports.
 
 Exit codes: 0 all expectations hold, 1 expectation failure, 2 usage or parse
-error or an exponent past the checked range, 3 budget exhaustion, 4 an internal
-invariant failed (an ArithmeticError other than ExponentOverflow). _failure
-is the one map from an exception to its exit code and error line, for the
-subcommands and the script runner alike; both build their inputs through
-Session.
+error or an exponent past the checked range, 3 budget exhaustion or out of
+memory, 4 an internal invariant failed (an ArithmeticError other than
+ExponentOverflow). _failure is the one map from an exception to its exit code
+and error line, for the subcommands and the script runner alike; both build
+their inputs through Session.
 """
 
 from __future__ import annotations
@@ -61,6 +61,9 @@ def _failure(exc):
     exception than these is a bug and propagates."""
     if isinstance(exc, BudgetExceeded):
         return EXIT_BUDGET, "budget exhausted"
+    if isinstance(exc, MemoryError):  # the host's budget; Python's own has no text
+        exc.args = exc.args or ("out of memory",)
+        return EXIT_BUDGET, "error"
     if isinstance(exc, (ValueError, ExponentOverflow, OSError)):  # ParseError is a ValueError
         return EXIT_USAGE, "error"
     if isinstance(exc, ArithmeticError):  # after ExponentOverflow, which is one too
@@ -451,8 +454,8 @@ def build_parser():
             "each Buchberger run separately (the pairs selected for reduction), "
             "not a command's total work. "
             "Search depth defaults: e_max is 3 for p <= 5, 2 for p <= 13, 1 above. "
-            "Exit codes: 0 ok, 1 expectation failed, 2 usage/parse error or an "
-            "exponent past 2^31 - 1, 3 budget exhausted, 4 internal invariant failed."
+            "Exit codes: 0 ok, 1 expectation failed, 2 usage/parse error or an exponent past "
+            "2^31 - 1, 3 budget exhausted or out of memory, 4 internal invariant failed."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)

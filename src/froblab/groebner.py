@@ -36,7 +36,7 @@ Three engines compute a reduced basis; _buchberger picks one by the input.
 Monomial generators are a Groebner basis already (every S-polynomial is zero):
 the reduced basis is their minimal ones (_minimal_monomials). Homogeneous
 generators, two or more of them not monomials, go to F4 (_f4): every pair of
-the lowest lcm degree is reduced at once, by numpy row reduction mod p. The
+the lowest lcm degree is reduced at once, by row reduction on ints mod p. The
 rest go to the pair loop (_pair_loop): one S-pair at a time, least lcm first,
 each reduced by _nf_terms. It starts from a seed, a set already known to be a
 Groebner basis, and queues no pair inside it: the minimal monomial
@@ -45,8 +45,8 @@ I's reduced basis). The split is measured on the benchmark's inputs
 (perfbench seed 0, 2-core x86, Python 3.11): F4 took determinantal's 30
 homogeneous bases (I^n of 2x2 minors; I^3 has 10 generators of ~460 terms)
 from 0.45-0.55 s to 0.09-0.12 s, while its fixed cost per degree loses where
-xy - z^2 is the only generator not a monomial (script's 60 such bases: 0.009 s
-in the pair loop, 0.034 s in F4). The eliminations (Rabinowitsch and t
+xy - z^2 is the only generator not a monomial (script's 58 such bases: 0.004 s
+in the pair loop, 0.011 s in F4). The eliminations (Rabinowitsch and t
 tricks) are inhomogeneous, most of script's pair-loop time; of their bases
 only the part free of the eliminated block is inter-reduced. Both engines
 prune pairs by one Gebauer-Moller update (_Pairs) on ints: the exponent fields
@@ -78,10 +78,9 @@ from bisect import bisect_left, bisect_right
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate, combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement, compress
 from operator import and_, getitem, or_
-
-import numpy as np
+from struct import Struct
 
 from .errors import BudgetExceeded, RingMismatch
 from .rings import Polynomial, _packing_for
@@ -566,130 +565,138 @@ def _f4(ring, gens):
 
     The rows of degree d are the generators of degree d and both multiples
     (lcm/lm)*g of every pair of lcm degree d, one of which is the reducer of
-    the lcm's column. _sweep reduces them by the basis so far; the result is
-    brought to reduced row echelon form. Each nonzero row left leads at a
-    column no reducer covers and becomes a basis element. It is reduced
-    against the whole basis: a monomial a basis leading monomial divides is a
-    reducer column, the pivot columns are cleared, and a leading monomial of
-    degree d divides no monomial of lower degree. So the elements collected
-    are the reduced basis.
+    the lcm's column. _sweep brings them and the reducers to reduced row
+    echelon form; each new row leads at a column no reducer covers and
+    becomes a basis element. It is reduced against the whole basis: a
+    monomial a basis leading monomial divides is a reducer column, the pivot
+    columns are cleared, and a leading monomial of degree d divides no
+    monomial of lower degree. So the elements collected are the reduced basis.
     """
-    todo = {}  # degree -> generators of that degree, packed, not yet used
+    todo = {}  # degree -> generators of that degree not yet used, as elements
     for g in gens:
-        todo.setdefault(sum(g.lead_monomial()), []).append(g._packed)
+        todo.setdefault(sum(g.lead_monomial()), []).append(tuple(zip(*g._packed)))
     pairs = _Pairs(ring._packing)
-    lms = pairs.lms
-    monos, coefs = [], []  # per element: packed monomials, coefficient array
+    lms, elements = pairs.lms, []  # per element: packed monomials, coefficients
     while pairs.queue or todo:
         d = min([*todo, *(q[0] for q in pairs.queue[:1])])
         reducer = {}  # covered monomial -> (shift, element)
-        rows = []  # the other (shift, element) multiples
+        rows = [(0, g) for g in todo.pop(d, ())]  # then the other (shift, element)
         while pairs.queue and pairs.queue[0][0] == d:
             _, lcm, i, j = pairs.pop()
             for k in (i, j):
-                row = (lcm - lms[k], k)
+                row = (lcm - lms[k], elements[k])
                 if reducer.setdefault(lcm, row) != row and row not in rows:
                     rows.append(row)
-        filled = [(0, [m for m, _ in t], [c for _, c in t]) for t in todo.pop(d, ())]
-        filled += [(u, monos[k], coefs[k]) for u, k in rows]
-        A, met = _sweep(ring, (lms, monos, coefs), filled, reducer)
-        for row in _row_echelon(A, ring.p):
-            nz = np.flatnonzero(row)
-            monos.append([met[i] for i in nz.tolist()])
-            coefs.append(row[nz])
-            pairs.add(monos[-1][0], len(nz) == 1)
-        del A, filled  # this degree's matrix and rows go before the next's
-
-    return sorted((ms[0], 1, tuple(zip(ms[1:], cs[1:].tolist()))) for ms, cs in zip(monos, coefs))
+        for ms, cs in _sweep(ring, lms, elements, rows, reducer):
+            elements.append((ms, cs))
+            pairs.add(ms[0], len(ms) == 1)
+    return sorted((ms[0], 1, tuple(zip(ms[1:], cs[1:]))) for ms, cs in elements)
 
 
-def _sweep(ring, basis, rows, reducer):
-    """F4's symbolic preprocessing and column sweep: the rows reduced by the
-    basis, as a dense int64 matrix mod p (p < 2^31 keeps products below
-    2^63) over the monomials met, descending (returned with it).
+def _sweep(ring, lms, elements, rows, reducer):
+    """F4's symbolic preprocessing and elimination for one degree: yields the
+    new basis elements, (packed monomials, coefficients), monic, descending.
 
-    basis is (leading monomials, packed monomials, monic coefficient arrays)
-    per element; rows are (shift, packed monomials, coefficients); reducer
+    lms and elements are the basis so far; rows are (shift, element); reducer
     maps a monomial to the multiple (shift, element) that clears it. Each
     monomial met gets a column and, when a leading monomial divides it and it
     has none, one reducer multiple leading there, whose monomials are met in
-    turn. The reducers, one per leading monomial, clear their columns from
-    the rows, largest column first; what is left of a row has only monomials
-    no leading monomial divides. Raises ExponentOverflow on a monomial past
-    EXPONENT_LIMIT and BudgetExceeded past max_poly_terms columns.
+    turn. Rows and reducers go to _eliminate as ints, a slot of 64 * words
+    bits per column (little-endian words, packed by struct), the largest
+    monomial on top; a slot takes all the operations on a row. Raises
+    ExponentOverflow past EXPONENT_LIMIT, BudgetExceeded past max_poly_terms
+    columns.
     """
-    p = ring.p
-    packing = ring._packing
-    guards = packing.guards
-    lms, monos, coefs = basis
-    column, met, pending = {}, [], list(reducer)
+    guards = ring._packing.guards
+    column, pending = {}, list(reducer)  # monomial -> its column, as met
     cap = _scopes.get()[-1].max_poly_terms
 
-    def columns(shift, ms):
-        ms = [m + shift for m in ms]
-        out = [column.get(m) for m in ms]
+    def columns(shift, element):
+        ms = [m + shift for m in element[0]]
+        out = list(map(column.get, ms))
         if None in out:
             for pos, m in enumerate(ms):
                 if out[pos] is not None:
                     continue
                 if m & guards:
-                    packing.check(m)
-                out[pos] = column[m] = len(met)
-                met.append(m)
-                if len(met) > cap:
+                    ring._packing.check(m)
+                out[pos] = column[m] = len(column)
+                if len(column) > cap:
                     raise BudgetExceeded(
                         f"F4 matrix exceeded {cap} columns; raise the budget to proceed")
                 if m not in reducer:
                     for k, lm in enumerate(lms):
                         if not (m - lm) & guards:
-                            reducer[m] = (m - lm, k)
+                            reducer[m] = (m - lm, elements[k])
                             pending.append(m)
                             break
-        return out
+        return out, element[1]
 
-    filled = [(columns(u, ms), cs) for u, ms, cs in rows]
-    reducers = []
+    rows = [columns(*row) for row in rows]
+    pivots = []  # the reducers, each leading at its first column
     while pending:
-        m = pending.pop()
-        u, k = reducer[m]
-        reducers.append((column[m], np.array(columns(u, monos[k]), np.int32), k))
+        pivots.append(columns(*reducer[pending.pop()]))
+    words = ((len(column) + 1) * ring.p ** 2).bit_length() // 32 + 1
+    ascending = sorted(column)
+    slot = [0] * len(column)  # column -> its first word
+    for i, m in enumerate(ascending):
+        slot[column[m]] = i * words
+    layout = Struct(f"<{words * len(column)}Q")
 
-    order = sorted(range(len(met)), key=met.__getitem__, reverse=True)
-    final = np.empty(len(met), dtype=np.intp)  # column as met -> descending
-    final[order] = np.arange(len(met))
-    A = np.zeros((len(filled), len(met)), dtype=np.int64)
-    for r, (cols, cs) in enumerate(filled):
-        A[r, final[cols]] = cs
-    for c, cols, k in sorted((final[c], cols, k) for c, cols, k in reducers):
-        f = A[:, c]
-        if f.any():
-            cols = final[cols]
-            A[:, cols] = (A[:, cols] - np.outer(f, coefs[k])) % p
-    return A, [met[i] for i in order]
+    def pack(cols, cs):
+        row = [0] * len(slot) * words
+        for i, c in zip(map(slot.__getitem__, cols), cs):
+            row[i] = c
+        return int.from_bytes(layout.pack(*row), "little")
+
+    pivots = {slot[cols[0]] // words: pack(cols, cs) for cols, cs in pivots}
+    for x in _eliminate(ring.p, 64 * words, len(column), pivots, [pack(*r) for r in rows]):
+        values = layout.unpack(x.to_bytes(layout.size, "little"))[::words]
+        yield list(compress(ascending, values))[::-1], list(compress(values, values))[::-1]
 
 
-def _row_echelon(A, p):
-    """The nonzero rows of the reduced row echelon form of A mod p (A is
-    overwritten), by ascending pivot column."""
-    n_rows, n_cols = A.shape
-    rank = 0
-    while rank < n_rows:
-        nonzero = A[rank:] != 0
-        lead = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), n_cols)
-        r = rank + int(lead.argmin())
-        col = int(lead[r - rank])
-        if col == n_cols:
-            break
-        if r != rank:
-            A[[rank, r]] = A[[r, rank]]
-        A[rank] = A[rank] * pow(int(A[rank, col]), p - 2, p) % p
-        f = A[:, col].copy()
-        f[rank] = 0
-        hit = np.flatnonzero(f)
-        if hit.size:
-            A[hit] = (A[hit] - np.outer(f[hit], A[rank])) % p
-        rank += 1
-    return A[:rank]
+def _eliminate(p, w, n, pivots, rows):
+    """The new rows of the reduced row echelon form mod p of pivots and rows,
+    by descending leading slot. A row is an int of n slots of w bits; pivots
+    maps a slot to a row leading there with 1, and gains the new rows.
+
+    Each row is cleared top-down at every pivot slot t by x + c * pivot, c =
+    -x_t mod p; a nonzero remainder, made monic, is the pivot of its leading
+    slot and is cleared from the new pivots above it. w must keep a slot below
+    2^k, k = w/2 - 1, through a row's operations (each adds less than p^2);
+    then one Barrett step x - p * (((x * M) >> s) & qmask), M = ceil(2^s / p),
+    s = k + bits(p - 1), takes each slot mod p: its quotient is exact, and
+    x_t * M < 2^w keeps the slots apart (Dumas-Fousse-Salvy, J. Symbolic
+    Comput. 46, 2011).
+    """
+    s = w // 2 - 1 + (p - 1).bit_length()
+    M, full = -(-(1 << s) // p), (1 << w) - 1
+    qmask = ((1 << w * n) - 1) // full * ((1 << (w - s)) - 1)
+    mask = sum(full << t * w for t in pivots)  # every pivot slot
+    new = []
+
+    def clear(x, slots):
+        """x mod p, zero at slots (descending) and the pivot slots below."""
+        cut = (slots[0] + 1) * w if slots else 0
+        hi, x = x >> cut, x & ((1 << cut) - 1)
+        for t in slots:
+            c = -(x >> t * w & full) % p
+            if c:
+                x += c * pivots[t]
+        x = hi << cut | x & ~mask
+        return x - p * ((x * M >> s) & qmask)
+
+    for x in rows:
+        x = clear(x, sorted(pivots, reverse=True))
+        if x:
+            t = (x.bit_length() - 1) // w
+            pivots[t] = clear(x * pow(x >> t * w, p - 2, p), [])
+            mask |= full << t * w
+            for r in new:
+                if r > t:
+                    pivots[r] = clear(pivots[r], [t])
+            new.append(t)
+    return [pivots[t] for t in sorted(new, reverse=True)]
 
 
 def _minimal_monomials(ring, *factors):

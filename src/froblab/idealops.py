@@ -30,8 +30,6 @@ from __future__ import annotations
 import functools
 import itertools
 
-import numpy as np
-
 from .errors import BudgetExceeded, ExponentOverflow, RingMismatch
 from .groebner import (
     GroebnerBasis,
@@ -371,7 +369,8 @@ ORACLE_SIZE_CAP = 2_000_000  # matrix cells
 
 
 def brute_membership_oracle(f: Polynomial, I: Ideal, cofactor_degree_bound: int) -> bool:
-    """Solve f = sum h_i g_i with deg h_i <= D as a dense linear system.
+    """Solve f = sum h_i g_i with deg h_i <= D = cofactor_degree_bound, as a
+    linear system mod p.
 
     True is authoritative for membership. False only means "no certificate at
     this cofactor bound": callers must pick D >= deg f - min deg g_i plus slack
@@ -386,50 +385,41 @@ def brute_membership_oracle(f: Polynomial, I: Ideal, cofactor_degree_bound: int)
     if not gens:
         return False
     ring = f.ring
-    p = ring.p
-    D = cofactor_degree_bound
-    cof_monos = monomials_up_to(ring, D)
-
+    cof_monos = monomials_up_to(ring, cofactor_degree_bound)
     columns = [*itertools.product([g.terms for g in gens], cof_monos), (f.terms, (0,) * ring.nvars)]
-    row_index = {}  # monomial -> its row, numbered as met
-    # (row, column, coefficient) of each term of u*g, a column per (g, u), and
-    # of f, the last column; distinct terms times one u are distinct, so no
-    # cell comes twice and one assignment fills the matrix
-    cells = [(row_index.setdefault(mono_mul(u, m), len(row_index)), j, c)
-             for j, (terms, u) in enumerate(columns) for m, c in terms]
-
-    n_rows, n_cols = len(row_index), len(columns) - 1
-    if n_rows * n_cols > ORACLE_SIZE_CAP:
+    rows = {}  # monomial -> its row, {column: coefficient}, f's column the last
+    # distinct terms times one u are distinct, so no cell comes twice
+    for j, (terms, u) in enumerate(columns):
+        for m, c in terms:
+            rows.setdefault(mono_mul(u, m), {})[j] = c
+    n_cols = len(columns) - 1
+    if len(rows) * n_cols > ORACLE_SIZE_CAP:
         raise BudgetExceeded(
-            f"oracle system {n_rows}x{n_cols} exceeds the size cap {ORACLE_SIZE_CAP}"
+            f"oracle system {len(rows)}x{n_cols} exceeds the size cap {ORACLE_SIZE_CAP}"
         )
-
-    A = np.zeros((n_rows, n_cols + 1), dtype=np.int64)
-    rows, cols, coefs = np.array(cells).T
-    A[rows, cols] = coefs
-    return _consistent_mod_p(A, p, n_cols)
+    return _consistent_mod_p(rows.values(), ring.p, n_cols)
 
 
-def _consistent_mod_p(A, p, n_cols):
-    """Gaussian elimination mod p on [A | b]; True iff the system is solvable."""
-    n_rows = A.shape[0]
-    pivot_row = 0
-    for col in range(n_cols):
-        if pivot_row >= n_rows:
-            break
-        nz = np.nonzero(A[pivot_row:, col])[0]
-        if nz.size == 0:
-            continue
-        r = pivot_row + int(nz[0])
-        if r != pivot_row:
-            A[[pivot_row, r]] = A[[r, pivot_row]]
-        inv = pow(int(A[pivot_row, col]), p - 2, p)
-        A[pivot_row] = (A[pivot_row] * inv) % p
-        f = A[:, col].copy()
-        f[pivot_row] = 0
-        hit = np.flatnonzero(f)
-        if hit.size:  # entries below p < 2^31 keep each product below 2^62
-            A[hit] = (A[hit] - np.outer(f[hit], A[pivot_row])) % p
-        pivot_row += 1
-    # every column is eliminated below pivot_row: inconsistent iff b is not
-    return not A[pivot_row:, n_cols].any()
+def _consistent_mod_p(rows, p, n_cols):
+    """Gaussian elimination mod p on the rows of [A | b], each a dict {column:
+    value}, b the column n_cols; True iff the system is solvable. A row is one
+    int, a slot of w = 4 bits(p) + 1 bits per column, b in the lowest; the
+    Barrett step x - p * (((x * M) >> s) & qmask) takes every slot below p^2
+    mod p at once, and x_t * M < 2^w keeps the slots apart."""
+    w, s = 4 * p.bit_length() + 1, 2 * p.bit_length() + (p - 1).bit_length()
+    M = -(-(1 << s) // p)
+    qmask = ((1 << w * (n_cols + 1)) - 1) // ((1 << w) - 1) * ((1 << (w - s)) - 1)
+    pivots = {}  # slot -> the monic row leading there
+    for row in rows:
+        x = sum(v << (n_cols - j) * w for j, v in row.items())
+        while x:
+            t = (x.bit_length() - 1) // w
+            if not t:  # 0 = b_t != 0 in the span of the rows
+                return False
+            if t not in pivots:
+                x *= pow(x >> t * w, p - 2, p)
+                pivots[t] = x - p * ((x * M >> s) & qmask)
+                break
+            x += (p - (x >> t * w)) * pivots[t]
+            x -= p * ((x * M >> s) & qmask)
+    return True

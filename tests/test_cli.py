@@ -512,8 +512,9 @@ def test_out_file_holds_the_stdout_bytes(argv, tmp_path, capsys):
 
 
 class TestErrorExits:
-    """Overflow exits 2 and an internal invariant failure exits 4, each with a
-    one-line message and no traceback, from subcommands and from scripts."""
+    """Overflow exits 2, running out of memory 3 and an internal invariant
+    failure 4, each with a one-line message and no traceback, from subcommands
+    and from scripts."""
 
     # (patched module, attribute, replacement, argv) reaching each invariant check
     INVARIANTS = {
@@ -602,6 +603,22 @@ class TestErrorExits:
         assert code == 4
         assert err.startswith("error:") and message in err
         assert err.count("\n") == 1
+
+    def test_out_of_memory_exits_3(self, tmp_path, monkeypatch, capsys):
+        # running out of memory (an unbounded ideal power under a memory limit)
+        # ends as a spent budget does: exit 3 and one error line, no traceback
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr("froblab.cli.symbolic_power", exhausted)
+        assert main(["symbolic", "--ring", "F2[x,y,z]", "--ideal", "x*y, y*z", "--n", "2"]) == 3
+        assert capsys.readouterr() == ("", "error: out of memory\n")
+        monkeypatch.setattr("froblab.cli.execute_statement", exhausted)
+        path = tmp_path / "script.flb"
+        path.write_text("ring F5[x,y,z]\n")
+        out = io.StringIO()
+        assert run_script(str(path), out=out) == 3
+        assert out.getvalue() == "error at line 1: out of memory\n"
 
     @pytest.mark.parametrize("value", ["abc", "-3", "0", "2.5", " 7"])
     def test_bad_max_pairs_exit_2(self, value, monkeypatch, capsys):

@@ -518,11 +518,15 @@ class TestF4:
             polys = groebner._basis_polys(ring, groebner._f4(ring, gens))
             assert polys == TestSympyAgreement.sympy_basis(Ideal(ring, gens), "grevlex"), gens
 
+    # 101 is the determinantal registry's prime; 2^31 - 1, the largest, takes
+    # F4's widest slots
+    PRIMES = [2, 3, 5, 7, 101, 2**31 - 1]
+
     @pytest.mark.parametrize("order,blocks", TestMonomialBases.RINGS)
     def test_random_homogeneous_equals_the_pair_loop(self, order, blocks):
         rng = random.Random(f"f4 {order}")
-        for trial in range(30):
-            ring = make_ring([2, 3, 5, 7][trial % 4], ["x", "y", "z", "w"], order, blocks)
+        for trial in range(42):
+            ring = make_ring(self.PRIMES[trial % 6], ["x", "y", "z", "w"], order, blocks)
             gens = random_homogeneous(ring, rng)
             (polys, reducers), (ref_polys, ref_reducers) = self.engines(ring, gens)
             assert polys == ref_polys and reducers == ref_reducers, gens
@@ -530,8 +534,8 @@ class TestF4:
     @pytest.mark.parametrize("order", ["lex", "grevlex"])
     def test_random_homogeneous_equals_sympy(self, order):
         rng = random.Random(f"f4 sympy {order}")
-        for trial in range(15):
-            ring = make_ring([2, 3, 5, 7][trial % 4], ["x", "y", "z", "w"], order)
+        for trial in range(18):
+            ring = make_ring(self.PRIMES[trial % 6], ["x", "y", "z", "w"], order)
             gens = random_homogeneous(ring, rng)
             polys = groebner._basis_polys(ring, groebner._f4(ring, gens))
             assert polys == TestSympyAgreement.sympy_basis(Ideal(ring, gens), order), gens

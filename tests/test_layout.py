@@ -1,15 +1,17 @@
-"""Import lint over the package sources: every imported name is used; only
-rings (which defines them) and the membership oracle in idealops touch the
-mono_* exponent-tuple helpers; in idealops only that oracle reads exponent
-tuples (.terms), so its ring changes stay with Polynomial.in_ring; only the
-kernel, rings and groebner, touches the packing, a polynomial's packed terms
-or the constructor that takes them, so only it knows how monomials are
-stored; no layer takes a Groebner budget as a parameter, since the kernel
-reads the budget of the enclosing with scope; only cli._failure maps an
-exception to a failing exit code; and the sources stay within their line
-budget."""
+"""Import lint over the package sources: every import is the standard
+library's or froblab's own, so the package has no dependency; every imported
+name is used; only rings (which defines them) and the membership oracle in
+idealops touch the mono_* exponent-tuple helpers; in idealops only that oracle
+reads exponent tuples (.terms), so its ring changes stay with
+Polynomial.in_ring; only the kernel, rings and groebner, touches the packing,
+a polynomial's packed terms or the constructor that takes them, so only it
+knows how monomials are stored; no layer takes a Groebner budget as a
+parameter, since the kernel reads the budget of the enclosing with scope; only
+cli._failure maps an exception to a failing exit code; and the sources stay
+within their line budget."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -34,6 +36,18 @@ def imported_names(tree):
 
 def loaded_names(tree):
     return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_imports_only_the_standard_library(path):
+    tree = ast.parse(path.read_text())
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names]
+    modules += [node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and not node.level]  # level > 0: froblab's
+    outside = sorted({m for m in modules
+                      if m.split(".")[0] not in sys.stdlib_module_names | {"froblab"}})
+    assert not outside, f"{path.name} imports from outside the standard library: {outside}"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
