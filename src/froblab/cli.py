@@ -304,7 +304,7 @@ def _example_params(ex_id, words, extra=()):
     """key=value words as a dict; a word without '=', or a key the example
     (or extra) does not take, is an error naming it. The id is checked by
     run_example."""
-    keys = (*REGISTRY[ex_id].defaults, *extra) if ex_id in REGISTRY else None
+    keys = (*REGISTRY[ex_id][0], *extra) if ex_id in REGISTRY else None
     params = {}
     for word in words:
         key, eq, value = word.partition("=")

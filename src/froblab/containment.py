@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import logging
 import random
 import time
 from dataclasses import dataclass, field
@@ -30,8 +29,6 @@ from .symbolic import (
     jacobian_power_product,
     symbolic_power,
 )
-
-log = logging.getLogger(__name__)
 
 DEFAULT_EXPONENT_CAP = 7
 DEFAULT_Q_CAP = 25
@@ -346,15 +343,6 @@ def ideal_from_masks(ring, masks) -> Ideal:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ExampleSpec:
-    id: str
-    description: str
-    defaults: dict
-    runner: object
-    notes: str = ""
-
-
 def _as_int_list(value):
     """The ints of a grid parameter: an int, "a,b,..." or the range "a..b",
     kept lazy; a value past the checked exponent range raises ExponentOverflow."""
@@ -402,10 +390,10 @@ def xy_zk_setup(p: int, k: int):
     return R, Q, pd
 
 
-def _run_xy_zk(params, seed=0):
-    p = int(params["p"])
-    k = int(params["k"])
-    n_values = _as_int_list(params["n"])
+def _run_xy_zk(seed, p, k, n_values):
+    """Q = (x,z) inside F_p[x,y,z]/(xy - z^k): principal symbolic powers, the
+    x^(n+r) ladder, and the sharp Jacobian repair exponent; the graded avatar
+    of the power-series example. p must not divide k."""
     R, Q, pd = xy_zk_setup(p, k)
     x, y, z = (Polynomial.variable(R.ambient, v) for v in "xyz")
     reports = []
@@ -503,7 +491,7 @@ def generic_determinantal_setup(p: int, size: int, d: int, seed: int):
     forms in d variables over F_p.
 
     Degenerate draws (zero or repeated minors, unit ideal, separator not a
-    nonzerodivisor) are re-drawn with a shifted seed and logged.
+    nonzerodivisor) are re-drawn with a shifted seed and counted.
     """
     ring = make_ring(p, [f"x{i}" for i in range(1, d + 1)])
     sep = Polynomial.variable(ring, ring.variables[-1])
@@ -520,7 +508,6 @@ def generic_determinantal_setup(p: int, size: int, d: int, seed: int):
         if not degenerate:
             break
         attempts += 1
-        log.info("degenerate determinantal draw (seed %s, attempt %s)", seed, attempts)
         if attempts > 5:
             raise ValueError("persistent degenerate draws; seed range unusable")
     pd = PrimeData(
@@ -538,11 +525,11 @@ def generic_determinantal_setup(p: int, size: int, d: int, seed: int):
     return ring, I, pd, attempts
 
 
-def _run_generic_determinantal(params, seed=0):
-    p = int(params["p"])
-    size = int(params["size"])
-    d = int(params["d"])
-    j_values = _as_int_list(params["j"])
+def _run_generic_determinantal(seed, p, size, d, j_values):
+    """size x size minors of a random size x (size+1) matrix of linear forms,
+    a random specialization over F_p standing in for generic coefficients:
+    symbolic equals ordinary in d > size+1 variables, fails with a certified
+    witness at d = size+1."""
     ring, I, pd, attempts = generic_determinantal_setup(p, size, d, seed)
     expected = "holds" if d > size + 1 else "fails"
     reports = []
@@ -554,28 +541,12 @@ def _run_generic_determinantal(params, seed=0):
     return reports
 
 
+# id -> (defaults, runner): runner(seed, *values) takes each value checked
+# and converted, in the order of the defaults
 REGISTRY = {
-    "xy-zk": ExampleSpec(
-        id="xy-zk",
-        description=(
-            "Q = (x,z) inside F_p[x,y,z]/(xy - z^k): principal symbolic powers, "
-            "the x^(n+r) ladder, and the sharp Jacobian repair exponent"
-        ),
-        defaults={"p": 5, "k": 2, "n": "1..2"},
-        runner=_run_xy_zk,
-        notes="graded avatar of the power-series example; p must not divide k",
-    ),
-    "generic-determinantal": ExampleSpec(
-        id="generic-determinantal",
-        description=(
-            "size x size minors of a random (size)x(size+1) matrix of linear "
-            "forms: symbolic equals ordinary in d > size+1 variables, fails "
-            "with a certified witness at d = size+1"
-        ),
-        defaults={"p": 101, "size": 2, "d": 6, "j": "2,3"},
-        runner=_run_generic_determinantal,
-        notes="random specialization over F_p stands in for generic coefficients",
-    ),
+    "xy-zk": ({"p": 5, "k": 2, "n": "1..2"}, _run_xy_zk),
+    "generic-determinantal": ({"p": 101, "size": 2, "d": 6, "j": "2,3"},
+                              _run_generic_determinantal),
 }
 
 
@@ -584,16 +555,18 @@ def run_example(example_id: str, params=None, seed: int = 0):
     canonical order."""
     if example_id not in REGISTRY:
         raise ValueError(f"unknown example id {example_id!r}")
-    spec = REGISTRY[example_id]
-    merged = dict(spec.defaults)
+    defaults, runner = REGISTRY[example_id]
+    merged = dict(defaults)
     merged.update(params or {})
-    for key, default in spec.defaults.items():
+    values = []
+    for key, default in defaults.items():
         try:
-            int(merged[key]) if isinstance(default, int) else _as_int_list(merged[key])
+            values.append(int(merged[key]) if isinstance(default, int)
+                          else _as_int_list(merged[key]))
         except (TypeError, ValueError):
             kind = "an integer" if isinstance(default, int) else "integers as a,b,... or a..b"
             raise ValueError(f"example {example_id}: {key} must be {kind}, "
                              f"not {merged[key]!r}") from None
         except ExponentOverflow as exc:
             raise ExponentOverflow(f"example {example_id}: {key} {exc}") from None
-    return spec.runner(merged, seed=seed)
+    return runner(seed, *values)

@@ -9,66 +9,11 @@ stabilization exponent. elimination_basis is the elimination step of
 intersections and saturations; poly_divide_exact is the exact division a
 colon ends with.
 
-Each Ideal owns the objects computed from it, so that one check computes each
-of them once: its reduced Groebner basis, its preimage in S (the ideal itself
-over S, one cached Ideal of S over S/(f); the two hold one shared basis), and
-the powers idealops.ideal_power has built of it. Nothing is cached across
-ideals.
-
-The kernel works on packed monomials (see rings: one int per exponent
-vector, int order = monomial order), which is how every Polynomial is stored:
-it reads a polynomial's packed terms (_packed) and makes its results from
-packed terms (Polynomial._from_packed), with no exponent tuple on either
-side. Multiplying monomials is an int add, divisibility a guard-bit test on a
-difference, and an exponent past EXPONENT_LIMIT raises ExponentOverflow
-instead of wrapping. Reduction and exact division keep the working polynomial
-in a dict with a lazy max-heap of negated packed monomials.
-
-Monomial ideals never leave packed ints: idealops takes their products here
-(_monomial_product: int adds) and intersections (the minimal lcms of
-_minimal_monomials), and so colons by a monomial, which divide such an
-intersection exactly, and symbolic its intersections of powers of variable
-primes (_intersect_variable_powers, by degree completion). Against a reduced
-basis of monomials, membership is a divisibility test per term, a subset one
-pass over I's generators.
-
-Three engines compute a reduced basis; _buchberger picks one by the input.
-Monomial generators are a Groebner basis already (every S-polynomial is zero):
-the reduced basis is their minimal ones (_minimal_monomials). Homogeneous
-generators, two or more of them not monomials, go to F4 (_f4): every pair of
-the lowest lcm degree is reduced at once, by row reduction on ints mod p. The
-rest go to the pair loop (_pair_loop): one S-pair at a time, least lcm first,
-each reduced by _nf_terms. It starts from a seed, a set already known to be a
-Groebner basis, and queues no pair inside it: the minimal monomial
-generators, or what its caller passes as known (a grevlex saturation passes
-I's reduced basis). The split is measured on the benchmark's inputs
-(perfbench seed 0, 2-core x86, Python 3.11): F4 took determinantal's 30
-homogeneous bases (I^n of 2x2 minors; I^3 has 10 generators of ~460 terms)
-from 0.45-0.55 s to 0.09-0.12 s, while its fixed cost per degree loses where
-xy - z^2 is the only generator not a monomial (script's 58 such bases: 0.004 s
-in the pair loop, 0.011 s in F4). The eliminations (Rabinowitsch and t
-tricks) are inhomogeneous, most of script's pair-loop time; of their bases
-only the part free of the eliminated block is inter-reduced. Both engines
-prune pairs by one Gebauer-Moller update (_Pairs) on ints: the exponent fields
-of the leading monomials, whose lcms are a guard-bit fieldwise max; a pair
-gets its packed lcm, its place in the queue, only once it survives. The pair
-loop's active elements are its minimal ones, so _reduce_basis only reduces
-their tails. All tie-breaks are canonical, so runs are reproducible bit for
+The kernel works on packed monomials (see rings), which is how every
+Polynomial is stored: it reads a polynomial's packed terms (_packed) and makes
+its results through Polynomial._from_packed, and monomial ideals never leave
+packed ints. All tie-breaks are canonical, so runs are reproducible bit for
 bit.
-
-_nf_terms finds the first element of its reducer list whose leading monomial
-divides a term. On a list of INDEX_MIN_ELEMENTS = 40 or more it asks a
-divisor index (_Reducers: per variable, a bitmask of the elements with each
-exponent or less; the divisors are the AND of one mask per variable, the
-first is the lowest bit), else it scans the list. Both pick the same element,
-so the reduction paths, bases and selected pairs are the same. The index is
-built on first use and caught up with the elements added since, so the pair
-loop's growing basis indexes each element once. The cutoff was measured as
-the seconds inside _nf_terms per pass (2-core x86): with scans of up to 104
-elements the index cut them by 40% from a cutoff of 20 to 40 and by 15% from
-60; on script, whose ~1200 bases average ~10 elements, cutoffs of 30 or 40
-cost nothing, 20 cost 8% and 10 cost 50%, where building the index costs more
-than the short scans it replaces.
 """
 
 from __future__ import annotations
@@ -83,7 +28,7 @@ from operator import and_, getitem, or_
 from struct import Struct
 
 from .errors import BudgetExceeded, RingMismatch
-from .rings import Polynomial, _packing_for
+from .rings import Polynomial, _monic, _packing_for
 
 
 @dataclass(frozen=True)
@@ -111,7 +56,13 @@ class GroebnerBudget:
 DEFAULT_BUDGET = GroebnerBudget()
 # the budgets of the enclosing with scopes, innermost (the one in force) last
 _scopes = ContextVar("groebner_budgets", default=(DEFAULT_BUDGET,))
-INDEX_MIN_ELEMENTS = 40  # _nf_terms' smallest basis for the divisor index
+# _nf_terms' smallest basis for the divisor index. Measured as the seconds
+# inside _nf_terms per pass (2-core x86): with scans of up to 104 elements the
+# index cut them by 40% from a cutoff of 20 to 40 and by 15% from 60; on
+# script, whose ~1200 bases average ~10 elements, cutoffs of 30 or 40 cost
+# nothing, 20 cost 8% and 10 cost 50%, where building the index costs more
+# than the short scans it replaces.
+INDEX_MIN_ELEMENTS = 40
 
 
 class _Reducers(list):
@@ -210,7 +161,8 @@ class Ideal:
     What an ideal owns, each computed at most once: its reduced basis, kept on
     its preimage (which over S is the ideal itself, so one basis serves both);
     over S/(f) its preimage, an Ideal of S made on first use; and the powers
-    idealops.ideal_power builds of it (_powers, from I itself up).
+    idealops.ideal_power builds of it (_powers, from I itself up). Nothing is
+    cached across ideals.
     """
 
     __slots__ = ("ring", "gens", "_basis", "_preimage", "_powers")
@@ -434,6 +386,11 @@ def _buchberger(ring, gens, front=0, known=()):
     if not polys:
         free = [g for g in gens if not any(unpack(g._packed[0][0])[:front])]
         return _minimal_monomials(ring, free)
+    # F4 takes two or more generators not monomials: on perfbench seed 0 (2-core
+    # x86, Python 3.11) determinantal's 30 bases of I^n of 2x2 minors took
+    # 0.09-0.12 s in F4 and 0.45-0.55 s in the pair loop, while F4's fixed cost
+    # per degree loses where xy - z^2 is the only one (script's 58 such bases:
+    # 0.011 s in F4, 0.004 s in the pair loop)
     homogeneous = not known and polys > 1 and all(g.is_homogeneous() for g in gens)
     basis = _f4(ring, gens) if homogeneous else _pair_loop(ring, gens, known)
     if front:
@@ -766,15 +723,6 @@ def _spoly_terms(ring, fi, fj, lcm):
     """Packed term stream of the S-polynomial of two monic reducer triples."""
     ui, uj, p = lcm - fi[0], lcm - fj[0], ring.p
     return [(m + ui, c) for m, c in fi[2]] + [(m + uj, p - c) for m, c in fj[2]]
-
-
-def _monic(ring, terms):
-    lc = terms[0][1]
-    if lc == 1:
-        return terms
-    p = ring.p
-    inv = pow(lc, p - 2, p)
-    return tuple((m, (c * inv) % p) for m, c in terms)
 
 
 def _reduce_basis(ring, basis):

@@ -5,24 +5,12 @@ linear-algebra membership oracle.
 Each operation is defined once for ideals of S and of S/(f): sums, products,
 powers, bracket powers and scalings act on the generators and keep the ring,
 so the relations ride along in the preimage; intersections, colons and
-saturations work on preimages in S, which contain the relations.
-Intersections use the auxiliary-variable construction (eliminate t from
-t*I + (1-t)*J); colons divide the intersection with a principal ideal exactly
-(groebner.poly_divide_exact); saturation by g eliminates t from I + (1 - t*g)
-(the Rabinowitsch trick), one Groebner basis, over a grevlex ring started from
-I's reduced basis, and recovers the stabilization exponent, the smallest s
-with g^s * sat inside I, by carrying normal forms modulo I as diagnostic data.
-Each elimination is one groebner.elimination_basis, which reduces only the
-part it keeps, on a block ring that Polynomial.in_ring moves polynomials to
-and from by variable name.
-
-When every generator an operation works on is a monomial, the kernel computes
-it on packed monomials, with the same result: products and powers by adding
-exponents, intersections by minimal pairwise lcms (the result keeps them as
-its basis), and so colons by a monomial g, whose exact division of the
-intersection by g gives the minimal m/gcd(m, g) times lc(g)^-1.
-Intersections and colons look at preimages, which over S/(f) hold f. Only the
-membership oracle, the independent check, works on exponent tuples (mono_mul).
+saturations work on preimages in S, which contain the relations. Each
+elimination is one groebner.elimination_basis, on a block ring that
+Polynomial.in_ring moves polynomials to and from by variable name. When every
+generator an operation works on is a monomial, the kernel computes it on
+packed monomials, with the same result. Only the membership oracle, the
+independent check, works on exponent tuples (mono_mul).
 """
 
 from __future__ import annotations

@@ -215,7 +215,7 @@ class Polynomial:
     monomial alone. The kernel makes its results through _from_packed.
     """
 
-    __slots__ = ("ring", "_packed", "_h")
+    __slots__ = ("ring", "_packed")
 
     def __init__(self, ring, terms=()):
         n, pack = ring.nvars, ring._packing.pack
@@ -231,13 +231,12 @@ class Polynomial:
             acc[m] = acc.get(m, 0) + c
         self.ring = ring
         self._packed = _canonical(ring.p, acc)
-        self._h = None
 
     @classmethod
     def _from_packed(cls, ring, packed):
         """The polynomial of canonical packed terms, taken as they are."""
         self = object.__new__(cls)
-        self.ring, self._packed, self._h = ring, packed, None
+        self.ring, self._packed = ring, packed
         return self
 
     @property
@@ -428,14 +427,8 @@ class Polynomial:
         return Polynomial(self.ring, out)
 
     def monic(self):
-        if not self._packed:
-            return self
-        lc = self._packed[0][1]
-        if lc == 1:
-            return self
-        p = self.ring.p
-        inv = pow(lc, p - 2, p)
-        return self._scaled(c * inv % p for _, c in self._packed)
+        terms = _monic(self.ring, self._packed)
+        return self if terms is self._packed else Polynomial._from_packed(self.ring, terms)
 
     def without_last_power(self):
         """self divided by the largest power of the last variable that divides
@@ -457,9 +450,7 @@ class Polynomial:
         )
 
     def __hash__(self):
-        if self._h is None:
-            self._h = hash((self.ring, self._packed))
-        return self._h
+        return hash((self.ring, self._packed))
 
     def __str__(self):
         return format_poly(self)
@@ -478,6 +469,16 @@ def _ring_map(source, target):
     lost = sum(EXPONENT_LIMIT * (u & packing._mask)
                for u, v in zip(packing.units, source.variables) if v not in index)
     return units, lost
+
+
+def _monic(ring, terms):
+    """Packed terms divided by their leading coefficient; terms themselves
+    when there are none or it is 1."""
+    if not terms or terms[0][1] == 1:
+        return terms
+    p = ring.p
+    inv = pow(terms[0][1], p - 2, p)
+    return tuple([(m, c * inv % p) for m, c in terms])
 
 
 def _canonical(p, acc):

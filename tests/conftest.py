@@ -18,7 +18,7 @@ from froblab import (
 )
 from froblab.errors import BudgetExceeded
 from froblab.parsing import _TOKEN
-from froblab.rings import EXPONENT_LIMIT
+from froblab.rings import EXPONENT_LIMIT, _monic
 
 
 def mono_div(a, b):
@@ -310,15 +310,15 @@ def reduced_pair_loop_reference(ring, gens):
         pairs.add(terms[0][0], len(terms) == 1)
 
     for g in gens:
-        h = groebner._nf_terms(ring, groebner._monic(ring, g._packed), basis)
+        h = groebner._nf_terms(ring, _monic(ring, g._packed), basis)
         if h:
-            add(groebner._monic(ring, h))
+            add(_monic(ring, h))
     while pairs.queue:
         _, lcm, i, j = pairs.pop()
         spoly = groebner._spoly_terms(ring, basis[i], basis[j], lcm)
         h = groebner._nf_terms(ring, spoly, basis)
         if h:
-            add(groebner._monic(ring, h))
+            add(_monic(ring, h))
     guards = ring._packing.guards
     kept = [b for i, b in enumerate(basis) if not any(
         j != i and not (b[0] - o[0]) & guards and (o[0] != b[0] or j < i)

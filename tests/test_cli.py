@@ -281,6 +281,22 @@ check fpure I n=5{cap}
         assert code == 0 and report["verdict"] == "holds"
         assert params.items() <= report["params"].items()
 
+    @pytest.mark.parametrize("floor", [4, 5])
+    def test_fpt_floor_at_least_h_times_n_skips(self, tmp_path, floor):
+        # h = 2 and n = 2 leave no positive symbolic exponent
+        code, out = self.run_script_text(
+            tmp_path, BATTERY_HEAD + f"check fpt I n=2 floor={floor}\n", as_json=True)
+        report = json.loads(out)
+        assert code == 0 and report["verdict"] == "skipped"
+        assert report["params"]["symbolic_exponent"] == 4 - floor
+        assert report["reason"] == "floor at least h*n makes the symbolic exponent non-positive"
+
+    def test_jacobian_sfr_without_mu_exits_2(self, tmp_path):
+        script = SCRIPT_OK.replace(" mu=2", "").replace(
+            "check jacobian-fpure Q n=2", "assert-sfr Q\ncheck jacobian-sfr Q")
+        assert self.run_script_text(tmp_path, script) == (
+            2, "error at line 10: the Jacobian variant needs max_local_gens in the prime data\n")
+
     def test_check_functions_are_looked_up_per_statement(self, tmp_path, monkeypatch):
         # perfbench's tracer counts checks by patching the module's names
         import froblab.cli
@@ -358,6 +374,8 @@ DSL_ERRORS = [
     ("check fpure I n=2 expect=maybe", "expect is holds or fails, not 'maybe'"),
     ("check fpt I n=2 cap=4", "check fpt takes no argument 'cap=4'"),
     ("check symbolic-ie I floor=1", "check symbolic-ie takes no argument 'floor=1'"),
+    ("check sfr I", "registry must assert R/Q strongly F-regular for this check"),
+    ("check symbolic-ie I", "this check needs max_local_gens in the prime data"),
     ("example generic-determinantal d=2", "persistent degenerate draws"),
     ("example xy-zk q=3 junk n=1", "example xy-zk takes no argument 'q=3'"),
     ("example xy-zk n=1 junk", "example xy-zk takes no argument 'junk'"),
@@ -636,6 +654,11 @@ class TestErrorExits:
         # 0 is a search depth, not "use the default"
         assert main(argv + ["--emax", "0"]) == 2
         assert capsys.readouterr().err == "error: e_max must be >= 1\n"
+
+    def test_fpure_without_hypersurface_exits_2(self, capsys):
+        assert main(["fpure", "--ring", "F5[x,y,z]", "--ideal", "x"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: fpure needs --hypersurface (use fedder in a regular ring)\n")
 
     def test_emax_zero_in_script_names_line(self, tmp_path):
         path = tmp_path / "script.flb"

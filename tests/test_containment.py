@@ -29,6 +29,7 @@ from froblab.containment import (
     generic_determinantal_setup,
     xy_zk_setup,
 )
+from froblab.errors import BudgetExceeded
 from froblab.symbolic import (
     PrimeData,
     jacobian_ideal,
@@ -136,6 +137,22 @@ class TestSfrContainment:
         assert checks["witness_in_lhs"] is True
         assert checks["witness_not_in_rhs"] is True
         assert checks["oracle_confirms_non_membership"] is True
+
+    def test_oracle_past_its_size_cap_is_skipped(self, monkeypatch):
+        # the recheck's oracle raises past the cap; the report records the
+        # skip, and its verdict, witness and other checks stay as they were
+        (want,) = run_example("generic-determinantal", {"d": 3, "j": "2"}, seed=1)
+        monkeypatch.setattr("froblab.idealops.ORACLE_SIZE_CAP", 10)
+        (got,) = run_example("generic-determinantal", {"d": 3, "j": "2"}, seed=1)
+        got, want = got.to_dict(), want.to_dict()
+        skipped = got["diagnostics"].pop("witness_recheck")
+        assert skipped["oracle_confirms_non_membership"] == "skipped(size cap)"
+        assert want["diagnostics"].pop("witness_recheck") == dict(
+            skipped, oracle_confirms_non_membership=True)
+        assert got == want and got["verdict"] == "fails"
+        ring = make_ring(5, ["x", "y"])
+        with pytest.raises(BudgetExceeded, match=r"^oracle system 4x3 exceeds the size cap 10$"):
+            brute_membership_oracle(parse_poly(ring, "x"), Ideal(ring, parse_gens(ring, "y")), 1)
 
     def test_trivial_n1(self):
         ring, I, pd, _ = generic_determinantal_setup(101, 2, 6, seed=3)

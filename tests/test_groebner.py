@@ -287,6 +287,17 @@ class TestMonomialFrontier:
                 assert nu_e(I, e) == last_escaping_monomial_reference(
                     S, factors, [pack((0, 0))], 5) == 0
 
+    @pytest.mark.parametrize("p,nvars,factors,e,nu", [
+        (7, 2, [(5, 0), (3, 3), (2, 4)], 1, 2),
+        (5, 3, [(0, 1, 3), (1, 4, 0), (2, 0, 4)], 1, 2),
+        (7, 3, [(2, 0, 4), (5, 2, 1), (1, 4, 5), (4, 1, 3)], 2, 16),
+    ])
+    def test_branch_past_the_first_child(self, p, nvars, factors, e, nu):
+        # the optimum needs a second value of some c_j after the first child
+        # of its node: trying only c_j = floor(x_j) down and floor(x_j) + 1 up,
+        # one child each, finds nu_e - 1 on each of these
+        assert self.both(make_ring(p, ["x", "y", "z"][:nvars]), factors, e) == nu
+
     def test_wide_fields(self):
         # x^(2^20) with q = 5^9: (q-1) // 2^20 = 1 copy of it, and q - 1 of yz
         ring = make_ring(5, ["x", "y", "z"])
