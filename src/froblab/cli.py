@@ -357,7 +357,7 @@ def cmd_fpure(args, out):
     if session.hyper is None:
         raise ParseError("fpure needs --hypersurface (use fedder in a regular ring)")
     Q = session.make_ideal(args.ideal)
-    verdict = is_fpure_quotient(session.hyper, Q, e=args.e, finite_pd=args.finite_pd)
+    verdict = is_fpure_quotient(Q, e=args.e, finite_pd=args.finite_pd)
     return _emit_verdict(out, verdict, args.json)
 
 

@@ -278,7 +278,7 @@ def check_symbolic_into_Ie(
     diag = {}
     lhs = symbolic_power(Q, sym_exp, pd, diag=diag)
     base = symbolic_power(Q, n, pd, diag=diag)
-    rhs = hypersurface_Ie(Q.ring, base, e)
+    rhs = hypersurface_Ie(base, e)
     ok, wit = ideal_subset(lhs, rhs)
     return _finish(tag, params, ok, wit, lhs, rhs, expected, diag, t0)
 
@@ -290,45 +290,26 @@ def check_symbolic_into_Ie(
 
 def squarefree_antichains(nvars: int):
     """Canonical representatives (up to variable permutation) of the nonzero
-    proper squarefree monomial ideals on at most nvars variables.
+    proper squarefree monomial ideals on at most nvars variables, sorted by
+    number of generators, then generators.
 
-    Each ideal is a tuple of generator bitmasks forming an antichain.
+    Each ideal is a tuple of generator bitmasks forming an antichain; its
+    representative is the least of its images, as sorted tuples, under the
+    variable permutations, each read off that permutation's table of masks.
     """
-    masks = list(range(1, 1 << nvars))
-    perms = list(itertools.permutations(range(nvars)))
-
-    def apply(perm, mask):
-        out = 0
-        for i in range(nvars):
-            if mask >> i & 1:
-                out |= 1 << perm[i]
-        return out
-
-    antichains = []
+    tables = [[sum(1 << perm[i] for i in range(nvars) if m >> i & 1) for m in range(1 << nvars)]
+              for perm in itertools.permutations(range(nvars))]
+    classes = set()
 
     def extend(chosen, rest):
-        antichains.append(tuple(chosen))
         for idx, m in enumerate(rest):
-            ok = all(
-                not (m & c == m or m & c == c) for c in chosen
-            )  # incomparable to everything chosen
-            if ok:
-                extend(chosen + [m], rest[idx + 1 :])
+            if all(m & c not in (m, c) for c in chosen):  # incomparable to everything chosen
+                grown = chosen + (m,)
+                classes.add(min(tuple(sorted(relabel[c] for c in grown)) for relabel in tables))
+                extend(grown, rest[idx + 1:])
 
-    extend([], masks)
-    seen = set()
-    reps = []
-    for ac in antichains:
-        if not ac:
-            continue
-        canon = min(
-            tuple(sorted(apply(perm, m) for m in ac)) for perm in perms
-        )
-        if canon not in seen:
-            seen.add(canon)
-            reps.append(canon)
-    reps.sort(key=lambda ac: (len(ac), ac))
-    return reps
+    extend((), range(1, 1 << nvars))
+    return sorted(classes, key=lambda ac: (len(ac), ac))
 
 
 def ideal_from_masks(ring, masks) -> Ideal:
@@ -558,6 +539,8 @@ def run_example(example_id: str, params=None, seed: int = 0):
     defaults, runner = REGISTRY[example_id]
     merged = dict(defaults)
     merged.update(params or {})
+    if unknown := sorted(merged.keys() - defaults.keys()):
+        raise ValueError(f"example {example_id} takes no parameter {unknown[0]!r}")
     values = []
     for key, default in defaults.items():
         try:

@@ -18,10 +18,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, mul
 
-from .errors import BudgetExceeded, RingMismatch
+from .errors import BudgetExceeded
 from .groebner import Ideal, _scopes, ideal_member, ideal_subset, last_escaping_power
 from .idealops import bracket_power, ideal_colon, maximal_ideal, scale_ideal
-from .quotient import HypersurfaceRing
 from .rings import Polynomial
 
 
@@ -70,12 +69,11 @@ def fedder_is_fpure(I: Ideal, e: int = 1) -> CriterionVerdict:
     case this is an if-and-only-if, so refuted really means not F-pure. It is
     is_fpure_quotient over S, where finite projective dimension is automatic.
     """
-    ring = I.ring
     if I.is_zero():
         raise ValueError("ideal must be nonzero")
     if not I.is_proper():
         raise ValueError("ideal must be proper")
-    verdict = is_fpure_quotient(ring, I, e, finite_pd=True)
+    verdict = is_fpure_quotient(I, e, finite_pd=True)
     if verdict.confirmed:
         return CriterionVerdict("confirmed", e, witness=verdict.witness, condition="fedder")
     return CriterionVerdict(
@@ -83,16 +81,15 @@ def fedder_is_fpure(I: Ideal, e: int = 1) -> CriterionVerdict:
     )
 
 
-def hypersurface_Ie(R, J: Ideal, e: int) -> Ideal:
-    """The non-splitting ideal I_e(J) of R = S/(f) via the trace generator.
+def hypersurface_Ie(J: Ideal, e: int) -> Ideal:
+    """The non-splitting ideal I_e(J) of J's ring R = S/(f), by the trace generator.
 
     Preimage: ((J_S^[q] + (f^q)) : f^(q-1)) with q = p^e. The f^q term stays
     explicit even when redundant. The containment J^[q] <= I_e(J) is a theorem;
     it is re-checked here and a failure signals an internal bug. Over S itself
     (no relation) I_e(J) is J^[q].
     """
-    if J.ring != R:
-        raise RingMismatch("ideal from a different ring")
+    R = J.ring
     if e < 1:
         raise ValueError("I_e needs e >= 1")
     if not R.relations:
@@ -115,14 +112,14 @@ def Ie_maximal(ring, e: int) -> Ideal:
     """I_e of the irrelevant maximal ideal: m^[q] in a regular ring,
     the trace colon in a hypersurface ring, which the ring keeps per e."""
     if not ring.relations:
-        return hypersurface_Ie(ring, maximal_ideal(ring), e)
+        return hypersurface_Ie(maximal_ideal(ring), e)
     if e not in ring._Ie_maximal:
-        ring._Ie_maximal[e] = hypersurface_Ie(ring, maximal_ideal(ring), e)
+        ring._Ie_maximal[e] = hypersurface_Ie(maximal_ideal(ring), e)
     return ring._Ie_maximal[e]
 
 
-def is_fpure_quotient(R, Q: Ideal, e: int = 1, finite_pd: bool = False) -> CriterionVerdict:
-    """Fedder-type criterion for F-purity of R/Q in a hypersurface ring.
+def is_fpure_quotient(Q: Ideal, e: int = 1, finite_pd: bool = False) -> CriterionVerdict:
+    """Fedder-type criterion for F-purity of R/Q, R = Q.ring a hypersurface ring.
 
     Evaluates both sufficient conditions at the given e:
       (1) (Q^[p^e] : Q) not inside I_e(m)
@@ -133,17 +130,15 @@ def is_fpure_quotient(R, Q: Ideal, e: int = 1, finite_pd: bool = False) -> Crite
     converse direction of the criterion); otherwise the verdict is
     inconclusive.
     """
-    if Q.ring != R:
-        raise RingMismatch("ideal from a different ring")
     if not Q.is_proper():
         raise ValueError("Q must be proper")
-    Ie_m = Ie_maximal(R, e)
+    Ie_m = Ie_maximal(Q.ring, e)
 
     colon1 = ideal_colon(bracket_power(Q, e), Q)
     in1, wit1 = ideal_subset(colon1, Ie_m)
     in2, wit2 = in1, wit1
-    if R.relations:
-        colon2 = ideal_colon(hypersurface_Ie(R, Q, e), Q)
+    if Q.ring.relations:
+        colon2 = ideal_colon(hypersurface_Ie(Q, e), Q)
         in2, wit2 = ideal_subset(colon2, Ie_m)
 
     notes = {"condition1_holds": not in1, "condition2_holds": not in2}
@@ -200,7 +195,7 @@ def sfr_witness_search(
             # Q^[q] and (2) is (1)
             if ring.relations:
                 if e not in colon2:
-                    colon2[e] = ideal_colon(hypersurface_Ie(ring, Q, e), Q)
+                    colon2[e] = ideal_colon(hypersurface_Ie(Q, e), Q)
                 inside, wit = ideal_subset(scale_ideal(c, colon2[e]), Ie_m[e])
                 if not inside:
                     found = (e, wit, "2")
@@ -344,10 +339,10 @@ def fpt_lower_bound(I: Ideal, e_max: int | None = None) -> FptEstimate:
     return FptEstimate(values, best, int(best))
 
 
-def recheck_splitting_witness(R: HypersurfaceRing, Q: Ideal, e: int, r: Polynomial) -> bool:
+def recheck_splitting_witness(Q: Ideal, e: int, r: Polynomial) -> bool:
     """Certificate check for a condition-(2) F-purity witness:
     r*Q inside I_e(Q) and r outside I_e(m)."""
-    IeQ = hypersurface_Ie(R, Q, e)
-    Ie_m = Ie_maximal(R, e)
+    IeQ = hypersurface_Ie(Q, e)
+    Ie_m = Ie_maximal(Q.ring, e)
     ok, _ = ideal_subset(scale_ideal(r, Q), IeQ)
     return ok and not ideal_member(r, Ie_m)

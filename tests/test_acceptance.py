@@ -69,7 +69,7 @@ class TestCriterion2HypersurfaceFpurity:
     def test_cone_is_fpure(self, p, k):
         t0 = time.perf_counter()
         R, _, _ = xy_zk_setup(p, k)
-        verdict = is_fpure_quotient(R, q_ideal(R, []), e=1)
+        verdict = is_fpure_quotient(q_ideal(R, []), e=1)
         assert verdict.status == "confirmed"
         assert verdict.notes["condition2_holds"], "condition (2) must fire"
         report(2, f"F_{p}[x,y,z]/(xy - z^{k}) is F-pure via condition (2)", t0, 30)
@@ -221,11 +221,11 @@ class TestCriterion7PropertySuites:
         for p, k in ((5, 2), (5, 3), (7, 2), (7, 3)):
             R, Q, _ = xy_zk_setup(p, k)
             for e in (1, 2):
-                ok, _ = ideal_subset(bracket_power(Q, e), hypersurface_Ie(R, Q, e))
+                ok, _ = ideal_subset(bracket_power(Q, e), hypersurface_Ie(Q, e))
                 assert ok
                 instances += 1
             m = q_ideal(R, parse_gens(R.ambient, "x, y, z"))
-            ok, _ = ideal_subset(bracket_power(m, 1), hypersurface_Ie(R, m, 1))
+            ok, _ = ideal_subset(bracket_power(m, 1), hypersurface_Ie(m, 1))
             assert ok
             instances += 1
 

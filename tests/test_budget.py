@@ -76,7 +76,7 @@ def fedder(R, Q, pd):
 # (fedder, which needs a regular ring, runs on x^3 + y^3 + z^3 in F_7[x,y,z])
 CALLS = {
     "fedder": fedder,
-    "fpure": lambda R, Q, pd: is_fpure_quotient(R, Q),
+    "fpure": lambda R, Q, pd: is_fpure_quotient(Q),
     "sfr": lambda R, Q, pd: sfr_witness_search(Q, parse_gens(R.ambient, "y"), 1),
     # not generated by monomials: nu_e's integer program makes no kernel run
     "nu_e": lambda R, Q, pd: nu_e(q_ideal(R, parse_gens(R.ambient, "x + y^2, z")), 1),
@@ -180,7 +180,7 @@ def test_cone_trace_colon_selects_the_recorded_pairs(gens, selected, selections)
     # I_2 of F_7[x,y,z]/(xy - z^2), q = 49: the trace colon of nu_e on the cone
     ring = make_ring(7, ["x", "y", "z"])
     R = HypersurfaceRing(ring, parse_poly(ring, "x*y - z^2"), reduced=True)
-    hypersurface_Ie(R, q_ideal(R, parse_gens(ring, gens)), 2)
+    hypersurface_Ie(q_ideal(R, parse_gens(ring, gens)), 2)
     assert selections() == selected
 
 

@@ -118,6 +118,20 @@ class TestSubcommands:
         assert code == 0 and json.loads(out)["generators"] == ["x^2*y^2"]
         assert invoke(argv) == (code, out)
 
+    def test_symbolic_with_a_separator_over_a_ring_with_t(self):
+        # the saturation's auxiliary variable takes another name than t
+        def run(name):
+            code, out = invoke([
+                "symbolic", "--ring", f"F5[{name},x,y]", "--hypersurface", f"{name}*x - y^2",
+                "--ideal", f"{name}, y", "--n", "2", "--primes", f"{name}, y",
+                "--separator", "x", "--json",
+            ])
+            return code, json.loads(out)
+
+        code, payload = run("t")
+        assert (code, payload["generators"]) == (0, ["t", "y^2"])
+        assert run("s") == (0, {**payload, "generators": ["s", "y^2"]})
+
     def test_containment_failure_witness(self):
         code, out = invoke([
             "containment", "--ring", "F5[x,y]", "--lhs", "x", "--rhs", "x^2",

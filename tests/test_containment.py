@@ -1,5 +1,6 @@
 """Containment-lab checks, the example registry, and report determinism."""
 
+import itertools
 import json
 import random
 
@@ -330,6 +331,10 @@ class TestRegistry:
         assert "jacobian-ideal-form" in tags
         assert "jacobian-fpure-sharp-containment" in tags
 
+    def test_unknown_parameter_named(self):
+        with pytest.raises(ValueError, match="xy-zk takes no parameter 'pp'"):
+            run_example("xy-zk", {"n": 1, "pp": 7})
+
     def test_xy_zk_rejects_bad_characteristic(self):
         with pytest.raises(ValueError, match="divide"):
             run_example("xy-zk", {"p": 3, "k": 3})
@@ -360,12 +365,19 @@ class TestRegistry:
 
 class TestSweepSupport:
     def test_antichain_census(self):
-        reps = squarefree_antichains(4)
-        # 28 classes of nonzero squarefree monomial ideals on <= 4 variables
-        # up to symmetry (Dedekind 168 minus the empty antichain and {emptyset},
-        # collapsed under S4: 30 - 2)
-        assert len(reps) == 28
-        assert all(reps.count(ac) == 1 for ac in reps)
+        # classes of nonzero proper squarefree monomial ideals on <= n variables
+        # up to symmetry: for n = 4, Dedekind's 168 antichains minus the empty
+        # one and {emptyset}, collapsed under S4, are 30 - 2
+        for nvars, count in ((1, 1), (2, 3), (3, 8), (4, 28)):
+            reps = squarefree_antichains(nvars)
+            assert len(set(reps)) == len(reps) == count
+            assert reps == sorted(reps, key=lambda ac: (len(ac), ac))
+            for ac in reps:
+                assert all(a & b not in (a, b) for a, b in itertools.combinations(ac, 2))
+                images = [tuple(sorted(sum(1 << perm[i] for i in range(nvars) if m >> i & 1)
+                                       for m in ac))
+                          for perm in itertools.permutations(range(nvars))]
+                assert ac == min(images)
 
     def test_masks_to_ideal(self, F2xyz):
         r4 = make_ring(2, ["x1", "x2", "x3", "x4"])

@@ -81,14 +81,14 @@ class TestHypersurfaceIe:
     def test_unit_input(self):
         ring = make_ring(5, ["x", "y", "z"])
         R = HypersurfaceRing(ring, parse_poly(ring, "x*y - z^2"))
-        Ie = hypersurface_Ie(R, Ideal.unit(R), 1)
+        Ie = hypersurface_Ie(Ideal.unit(R), 1)
         assert not Ie.is_proper()
 
     def test_bracket_always_inside(self):
         for p, k in [(5, 2), (5, 3), (7, 2)]:
             R, Q, _ = xy_zk_setup(p, k)
             for e in (1, 2):
-                Ie = hypersurface_Ie(R, Q, e)
+                Ie = hypersurface_Ie(Q, e)
                 ok, _ = ideal_subset(bracket_power(Q, e), Ie)
                 assert ok
 
@@ -104,7 +104,7 @@ class TestHypersurfaceIe:
             for gens in ("x, y", "x*y, x*z, y*z", "x*y, z"):
                 Q = q_ideal(R, parse_gens(ring, gens))
                 for e in (1, 2):
-                    Ie = hypersurface_Ie(R, Q, e)
+                    Ie = hypersurface_Ie(Q, e)
                     expected = Ideal(
                         ring,
                         [g.frobenius(e) for g in Q.gens] + [w],
@@ -116,32 +116,32 @@ class TestFpureQuotient:
     @pytest.mark.parametrize("p,k", [(5, 2), (5, 3), (7, 2), (7, 3)])
     def test_ambient_hypersurface_fpure(self, p, k):
         R, _, _ = xy_zk_setup(p, k)
-        v = is_fpure_quotient(R, q_ideal(R, []))
+        v = is_fpure_quotient(q_ideal(R, []))
         assert v.status == "confirmed"
         assert v.notes["condition2_holds"]
 
     def test_regular_quotient_confirmed(self):
         R, Q, _ = xy_zk_setup(5, 2)
-        v = is_fpure_quotient(R, Q)
+        v = is_fpure_quotient(Q)
         assert v.status == "confirmed" and v.condition == "2"
 
     def test_maximal_ideal_quotient_confirmed(self):
         R, _, _ = xy_zk_setup(5, 2)
         m = q_ideal(R, parse_gens(R.ambient, "x, y, z"))
-        assert is_fpure_quotient(R, m).status == "confirmed"
+        assert is_fpure_quotient(m).status == "confirmed"
 
     def test_unit_rejected(self):
         R, _, _ = xy_zk_setup(5, 2)
         with pytest.raises(ValueError, match="proper"):
-            is_fpure_quotient(R, Ideal.unit(R))
+            is_fpure_quotient(Ideal.unit(R))
 
     def test_refuted_needs_finite_pd(self):
         ring = make_ring(5, ["x", "y", "z"])
         f = parse_poly(ring, "x^3+y^3+z^3")
         R = HypersurfaceRing(ring, f)
         zero = q_ideal(R, [])
-        assert is_fpure_quotient(R, zero).status == "inconclusive"
-        assert is_fpure_quotient(R, zero, finite_pd=True).status == "refuted"
+        assert is_fpure_quotient(zero).status == "inconclusive"
+        assert is_fpure_quotient(zero, finite_pd=True).status == "refuted"
 
     def test_condition1_implies_condition2(self):
         # Q^[q] <= I_e(Q), so (Q^[q] : Q) <= (I_e(Q) : Q): a colon that escapes
@@ -156,7 +156,7 @@ class TestFpureQuotient:
         seen = set()
         for ring, ideal in cases:
             for e in (1, 2):
-                notes = is_fpure_quotient(ring, ideal, e).notes
+                notes = is_fpure_quotient(ideal, e).notes
                 seen.add((notes["condition1_holds"], notes["condition2_holds"]))
                 if not ring.relations:
                     assert notes["condition1_holds"] == notes["condition2_holds"]
@@ -165,9 +165,9 @@ class TestFpureQuotient:
 
     def test_splitting_witness_is_recheckable(self):
         R, Q, _ = xy_zk_setup(5, 2)
-        v = is_fpure_quotient(R, Q)
+        v = is_fpure_quotient(Q)
         assert v.condition == "2"
-        assert recheck_splitting_witness(R, Q, 1, v.witness)
+        assert recheck_splitting_witness(Q, 1, v.witness)
 
 
 class TestSfrSearch:

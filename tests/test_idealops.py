@@ -32,7 +32,7 @@ from froblab import (
     saturate,
 )
 from froblab import idealops
-from froblab.idealops import _consistent_mod_p, monomials_up_to
+from froblab.idealops import _consistent_mod_p, monomials_up_to, scale_ideal
 from froblab.rings import EXPONENT_LIMIT
 from conftest import (
     assert_minimal_ascending,
@@ -329,6 +329,24 @@ class TestSaturate:
         assert ideal_equal(sat, Ideal(F5xyz, [Polynomial.variable(F5xyz, "x")]))
 
 
+class TestAuxiliaryVariableName:
+    """A ring with a variable named t: the constructions' auxiliary variable
+    takes another name, so every result is the one over s in t's place."""
+
+    @pytest.mark.parametrize("order", ["grevlex", "lex"])
+    def test_results_match_the_ring_without_t(self, order):
+        def run(name):
+            ring = make_ring(5, [name, "x", "y"], order=order)
+            I, J = (Ideal(ring, parse_gens(ring, g.replace("t", name)))
+                    for g in ("t*x + y^2, x*y - t", "t + x, y^2"))
+            g = parse_poly(ring, "x + t".replace("t", name))
+            sat, s = saturate(I, g)
+            results = (ideal_intersect(I, J), ideal_colon(I, g), ideal_colon(I, J), sat)
+            return [[h.terms for h in K.gens] for K in results], s
+
+        assert run("t") == run("s")
+
+
 class TestEliminate:
     def test_intersection_construction(self):
         r = make_ring(5, ["t", "x", "y"])
@@ -400,6 +418,40 @@ class TestBruteOracle:
         I = Ideal(F2xyz, parse_gens(F2xyz, "x*y, x*z, y*z"))
         xyz = parse_poly(F2xyz, "x*y*z")
         assert not brute_membership_oracle(xyz, ideal_power(I, 2), 3)
+
+
+_F5, _F7 = make_ring(5, ["x", "y"]), make_ring(7, ["x", "y"])
+_X, _X7, _ZERO = Polynomial.variable(_F5, "x"), Polynomial.variable(_F7, "x"), Polynomial.zero(_F5)
+_I, _I7 = Ideal(_F5, [_X]), Ideal(_F7, [_X7])
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: ideal_sum(_I, _I7), RingMismatch, "ideals from different rings"),
+    (lambda: ideal_product(_I, _I7), RingMismatch, "ideals from different rings"),
+    (lambda: ideal_intersect(_I, _I7), RingMismatch, "ideals from different rings"),
+    (lambda: scale_ideal(_X7, _I), RingMismatch, "polynomial from a different ring"),
+    (lambda: saturate(_I, _I7), RingMismatch, "ideals from different rings"),
+    (lambda: saturate(_I, _X7), RingMismatch, "polynomial from a different ring"),
+    (lambda: ideal_power(_I, -1), ValueError, "n >= 0"),
+    (lambda: bracket_power(_I, 0), ValueError, "e >= 1"),
+    (lambda: ideal_colon(_I, _ZERO), ValueError, "colon by the zero polynomial"),
+    (lambda: saturate(_I, Ideal(_F5)), ValueError, "saturation by the zero ideal"),
+    (lambda: saturate(_I, _ZERO), ValueError, "saturation by the zero polynomial"),
+    (lambda: PolyMatrix(_F5, [[_X, _X], [_X]]), ValueError, "unequal length"),
+    (lambda: PolyMatrix(_F5, [[_X7]]), RingMismatch, "matrix entry from a different ring"),
+    (lambda: minors(PolyMatrix(_F5, [[_X]]), 2), ValueError, "minor size outside"),
+    (lambda: brute_membership_oracle(_X7, _I, 1), RingMismatch, "polynomial from a different ring"),
+], ids=["sum", "product", "intersect", "scale", "saturate-ideal", "saturate-poly", "power",
+        "bracket", "colon-zero", "saturate-zero-ideal", "saturate-zero", "matrix-rows",
+        "matrix-ring", "minor-size", "oracle-ring"])
+def test_input_checks(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_zero_ideal_meets_to_zero_and_holds_no_nonzero_polynomial():
+    assert ideal_intersect(_I, Ideal(_F5)).is_zero() and ideal_intersect(Ideal(_F5), _I).is_zero()
+    assert not brute_membership_oracle(_X, Ideal(_F5), 3)
 
 
 def sparse(rows):
