@@ -101,9 +101,8 @@ def _recheck_witness(witness, lhs, rhs):
     return checks
 
 
-def _fact(tag, params, holds, t0, witness=None, expected="holds", **diag):
-    """Report on one fact, timed from t0; witness is a Polynomial."""
-    diag["elapsed_seconds"] = round(time.perf_counter() - t0, 3)
+def _fact(tag, params, holds, witness=None, expected="holds", **diag):
+    """Report on one fact; witness is a Polynomial."""
     return ContainmentReport(
         tag,
         params,
@@ -115,9 +114,11 @@ def _fact(tag, params, holds, t0, witness=None, expected="holds", **diag):
 
 
 def _finish(tag, params, ok, wit, lhs, rhs, expected, diag, t0):
-    """The report on lhs ⊆ rhs; the recheck of a witness is not timed."""
-    rep = _fact(tag, params, ok, t0, wit, expected, **diag, lhs_gens=len(lhs.gens),
+    """The report on lhs ⊆ rhs, timed from t0; the recheck of a witness is
+    not timed."""
+    rep = _fact(tag, params, ok, wit, expected, **diag, lhs_gens=len(lhs.gens),
                 rhs_gens=len(rhs.gens), rhs_gb=len(rhs.groebner_basis()))
+    rep.diagnostics["elapsed_seconds"] = round(time.perf_counter() - t0, 3)
     if not ok:
         rep.diagnostics["witness_recheck"] = _recheck_witness(wit, lhs, rhs)
     return rep
@@ -377,85 +378,57 @@ def _run_xy_zk(seed, p, k, n_values):
     of the power-series example. p must not divide k."""
     R, Q, pd = xy_zk_setup(p, k)
     x, y, z = (Polynomial.variable(R.ambient, v) for v in "xyz")
-    reports = []
-
     J = jacobian_ideal(R)
-    J_expected = q_ideal(R, [x, y, z ** (k - 1)])
-    t0 = time.perf_counter()
-    ok = ideal_equal(J, J_expected)
-    reports.append(_fact("jacobian-ideal-form", {"p": p, "k": k}, ok, t0))
+    yield _fact("jacobian-ideal-form", {"p": p, "k": k},
+                ideal_equal(J, q_ideal(R, [x, y, z ** (k - 1)])))
 
     for n in n_values:
         base_params = {"p": p, "k": k, "n": n}
         diag = {}
-        t0 = time.perf_counter()
         sym_kn = symbolic_power(Q, k * n, pd, diag=diag)
-        ok = ideal_equal(sym_kn, q_ideal(R, [x**n]))
-        reports.append(_fact(
-            "symbolic-power-principal-form",
-            dict(base_params, symbolic_exponent=k * n), ok, t0, **diag,
-        ))
+        yield _fact("symbolic-power-principal-form", dict(base_params, symbolic_exponent=k * n),
+                    ideal_equal(sym_kn, q_ideal(R, [x**n])), **diag)
 
         Q_kn = ideal_power(Q, k * n)
         for r in range(k):
             wit = x ** (n + r)
-            t0 = time.perf_counter()
             sym = sym_kn if r == 0 else symbolic_power(Q, k * n + r, pd)
-            reports.append(_fact(
-                "symbolic-ladder-membership",
-                dict(base_params, r=r, symbolic_exponent=k * n + r),
-                ideal_member(wit, sym), t0, wit,
-            ))
+            yield _fact("symbolic-ladder-membership",
+                        dict(base_params, r=r, symbolic_exponent=k * n + r),
+                        ideal_member(wit, sym), wit)
             # as displayed, the exclusion targets Q^(kn); at the corner
             # n = 1, r = k-1 that is provably false (x^k generates into
             # Q^k), so there the registry expects the failure and asserts
             # the strict exclusion from Q^(kn+r), which the example's
             # symbolic-vs-ordinary deduction actually uses.
             corner = n == 1 and r == k - 1
-            t0 = time.perf_counter()
             outside = not ideal_member(wit, Q_kn)
             note = {"note": "displayed exclusion is index-sloppy at this corner; "
                     "see the strict variant"} if corner else {}
-            reports.append(_fact(
-                "symbolic-ladder-noncontainment",
-                dict(base_params, r=r, ordinary_exponent=k * n),
-                outside, t0, wit, expected="fails" if corner else "holds", **note,
-            ))
+            yield _fact("symbolic-ladder-noncontainment",
+                        dict(base_params, r=r, ordinary_exponent=k * n),
+                        outside, wit, expected="fails" if corner else "holds", **note)
             if r:
-                t0 = time.perf_counter()
-                outside_strict = not ideal_member(wit, ideal_power(Q, k * n + r))
-                reports.append(_fact(
-                    "symbolic-ladder-noncontainment-strict",
-                    dict(base_params, r=r, ordinary_exponent=k * n + r),
-                    outside_strict, t0, wit,
-                ))
+                yield _fact("symbolic-ladder-noncontainment-strict",
+                            dict(base_params, r=r, ordinary_exponent=k * n + r),
+                            not ideal_member(wit, ideal_power(Q, k * n + r)), wit)
 
-        t0 = time.perf_counter()
-        lhs = jacobian_power_product(J, (k - 1) * n, sym_kn)
-        ok, wit = ideal_subset(lhs, Q_kn)
-        reports.append(_fact(
-            "jacobian-fpure-sharp-containment",
-            dict(base_params, jacobian_exponent=(k - 1) * n, ordinary_exponent=k * n),
-            ok, t0, wit,
-        ))
+        ok, wit = ideal_subset(jacobian_power_product(J, (k - 1) * n, sym_kn), Q_kn)
+        yield _fact("jacobian-fpure-sharp-containment",
+                    dict(base_params, jacobian_exponent=(k - 1) * n, ordinary_exponent=k * n),
+                    ok, wit)
 
         w_exp = (k - 1) * n - 1
         if w_exp >= 1:
             wit = (z**w_exp) * (x**n)
-            t0 = time.perf_counter()
-            reports.append(_fact(
-                "jacobian-sharpness-witness",
-                dict(base_params, witness_z_exponent=w_exp, ordinary_exponent=k * n),
-                not ideal_member(wit, Q_kn), t0, wit,
-                note="the displayed non-containment statement is "
-                "paper-ambiguous; only the witness-level fact is encoded",
-            ))
+            yield _fact("jacobian-sharpness-witness",
+                        dict(base_params, witness_z_exponent=w_exp, ordinary_exponent=k * n),
+                        not ideal_member(wit, Q_kn), wit,
+                        note="the displayed non-containment statement is "
+                        "paper-ambiguous; only the witness-level fact is encoded")
         else:
-            reports.append(_skipped(
-                "jacobian-sharpness-witness", dict(base_params, ordinary_exponent=k * n),
-                "witness exponent (k-1)n-1 vanishes at this grid point",
-            ))
-    return reports
+            yield _skipped("jacobian-sharpness-witness", dict(base_params, ordinary_exponent=k * n),
+                           "witness exponent (k-1)n-1 vanishes at this grid point")
 
 
 def random_linear_forms_matrix(ring, rows, cols, rng):
@@ -513,17 +486,15 @@ def _run_generic_determinantal(seed, p, size, d, j_values):
     witness at d = size+1."""
     ring, I, pd, attempts = generic_determinantal_setup(p, size, d, seed)
     expected = "holds" if d > size + 1 else "fails"
-    reports = []
     for j in j_values:
         rep = check_sfr_containment(I, pd, j, expected=expected, require_assertions=(d > size + 1))
         rep.params.update({"p": p, "d": d, "size": size, "seed": seed, "j": j})
         rep.diagnostics["draw_attempts"] = attempts
-        reports.append(rep)
-    return reports
+        yield rep
 
 
 # id -> (defaults, runner): runner(seed, *values) takes each value checked
-# and converted, in the order of the defaults
+# and converted, in the order of the defaults, and yields its reports
 REGISTRY = {
     "xy-zk": ({"p": 5, "k": 2, "n": "1..2"}, _run_xy_zk),
     "generic-determinantal": ({"p": 101, "size": 2, "d": 6, "j": "2,3"},
@@ -533,7 +504,8 @@ REGISTRY = {
 
 def run_example(example_id: str, params=None, seed: int = 0):
     """Evaluate every expectation of a registered example; reports in
-    canonical order."""
+    canonical order, each one not skipped timed from the one before it
+    unless a check timed itself."""
     if example_id not in REGISTRY:
         raise ValueError(f"unknown example id {example_id!r}")
     defaults, runner = REGISTRY[example_id]
@@ -552,4 +524,11 @@ def run_example(example_id: str, params=None, seed: int = 0):
                              f"not {merged[key]!r}") from None
         except ExponentOverflow as exc:
             raise ExponentOverflow(f"example {example_id}: {key} {exc}") from None
-    return runner(seed, *values)
+    reports, start = [], time.perf_counter()
+    for rep in runner(seed, *values):
+        now = time.perf_counter()
+        if rep.verdict != "skipped":
+            rep.diagnostics.setdefault("elapsed_seconds", round(now - start, 3))
+        reports.append(rep)
+        start = now
+    return reports

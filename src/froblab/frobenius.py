@@ -165,6 +165,8 @@ def sfr_witness_search(
     """
     if not c_list:
         raise ValueError("no test elements supplied")
+    if not all(c_list):
+        raise ValueError("the test element 0 lies in every prime")
     ring = Q.ring
     e_max = default_e_max(ring.ambient.p) if e_max is None else e_max
     if e_max < 1:

@@ -19,7 +19,6 @@ verified here. Two constructions, picked by the input:
 from __future__ import annotations
 
 import functools
-import logging
 from dataclasses import dataclass, field
 
 from .errors import RingMismatch
@@ -28,8 +27,6 @@ from .groebner import _intersect_variable_powers, _minimal_monomials  # the kern
 from .idealops import ideal_intersect, ideal_power, ideal_product, saturate
 from .quotient import HypersurfaceRing
 from .rings import Polynomial
-
-log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -247,10 +244,9 @@ def jacobian_ideal(R: HypersurfaceRing) -> Ideal:
     partials = [R.f.derivative(v) for v in R.ambient.variables]
     nonzero = [g for g in partials if g]
     if not nonzero:
-        log.warning(
-            "all partial derivatives of %s vanish; the hypersurface is non-reduced",
-            R.f,
-        )
+        import logging  # only this warning needs it, so a plain import loads none
+        logging.getLogger(__name__).warning(
+            "all partial derivatives of %s vanish; the hypersurface is non-reduced", R.f)
     return Ideal(R, nonzero)
 
 

@@ -669,6 +669,11 @@ class TestErrorExits:
         assert main(argv + ["--emax", "0"]) == 2
         assert capsys.readouterr().err == "error: e_max must be >= 1\n"
 
+    def test_sfr_zero_test_element_exits_2(self, capsys):
+        # a usage error, not an inconclusive search (exit 1)
+        assert main(["sfr", "--ring", "F5[x,y]", "--ideal", "x", "--c", "0"]) == 2
+        assert capsys.readouterr() == ("", "error: the test element 0 lies in every prime\n")
+
     def test_fpure_without_hypersurface_exits_2(self, capsys):
         assert main(["fpure", "--ring", "F5[x,y,z]", "--ideal", "x"]) == 2
         assert capsys.readouterr() == (
@@ -810,6 +815,17 @@ class TestConsoleEntry:
         )
         assert proc.returncode == 0
         assert "selftest: 0 failure(s)" in proc.stdout
+
+    def test_import_loads_no_logging(self):
+        # the one warning that logs imports logging where it fires
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, froblab, froblab.cli; print(sorted({'logging'} & set(sys.modules)))"],
+            capture_output=True,
+            text=True,
+            env=CHILD_ENV,
+        )
+        assert proc.returncode == 0 and proc.stdout == "[]\n", proc.stderr
 
 
 class TestHelp:

@@ -407,6 +407,22 @@ class TestReportSerialization:
         payload = json.loads(rep.to_json(include_timings=True))
         assert "elapsed_seconds" in payload["diagnostics"]
 
+    @pytest.mark.parametrize("example_id, params", [
+        ("xy-zk", {"p": 7, "k": 3, "n": "1..2"}),
+        ("xy-zk", {"p": 5, "k": 2, "n": "1..2"}),  # n = 1 skips the sharpness witness
+        ("generic-determinantal", {"d": 3, "j": "2"}),
+    ])
+    def test_timings_on_every_report_not_skipped(self, example_id, params):
+        # run_example times a registry fact from the report before it; a
+        # check keeps its own stamp
+        for rep in run_example(example_id, params):
+            timed = json.loads(rep.to_json(include_timings=True))["diagnostics"]
+            if rep.verdict == "skipped":
+                assert "elapsed_seconds" not in timed
+            else:
+                assert timed["elapsed_seconds"] >= 0
+            assert "elapsed_seconds" not in json.loads(rep.to_json())["diagnostics"]
+
     def test_cross_theorem_coherence(self):
         # an sfr equality verdict at h=2 forces the fpure containment at the same Q
         ring, I, pd, _ = generic_determinantal_setup(101, 2, 6, seed=5)

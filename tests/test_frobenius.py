@@ -188,6 +188,13 @@ class TestSfrSearch:
         with pytest.raises(ValueError, match="no test elements"):
             sfr_witness_search(Ideal(r, [Polynomial.variable(r, "x")]), [], 1)
 
+    def test_zero_test_element_rejected(self):
+        # 0 lies in every prime, so no e can satisfy the Glassbrenner condition
+        r = make_ring(5, ["x", "y"])
+        one = Polynomial.one(r)
+        with pytest.raises(ValueError, match="test element 0 lies in every prime"):
+            sfr_witness_search(Ideal(r, [Polynomial.variable(r, "x")]), [one, one - one], 3)
+
     def test_c_inside_listed_prime_rejected(self):
         r = make_ring(5, ["x", "y"])
         x = Polynomial.variable(r, "x")
