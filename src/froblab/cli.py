@@ -94,7 +94,7 @@ def _verdict_report(verdict, as_json):
     if as_json:
         payload = {
             "status": verdict.status,
-            "e_used": list(verdict.e_used) if isinstance(verdict.e_used, tuple) else verdict.e_used,
+            "e_used": verdict.e_used,
             "condition": verdict.condition,
             "witness": format_poly(verdict.witness) if verdict.witness is not None else None,
             "notes": verdict.notes,

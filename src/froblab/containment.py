@@ -268,6 +268,8 @@ def check_symbolic_into_Ie(
     t0 = time.perf_counter()
     if pd.max_local_gens is None:
         raise ValueError("this check needs max_local_gens in the prime data")
+    if e < 1:
+        raise ValueError("I_e needs e >= 1")
     h = pd.max_local_gens
     q = Q.ring.ambient.p**e
     sym_exp = q * (h + n - 1) - h + 1
@@ -327,7 +329,8 @@ def ideal_from_masks(ring, masks) -> Ideal:
 
 def _as_int_list(value):
     """The ints of a grid parameter: an int, "a,b,..." or the range "a..b",
-    kept lazy; a value past the checked exponent range raises ExponentOverflow."""
+    kept lazy; a value past the checked exponent range raises ExponentOverflow,
+    and no value at all, as in "3..2", a ValueError."""
     if isinstance(value, int):
         values = ends = [value]
     elif isinstance(value, str) and ".." in value:
@@ -338,6 +341,8 @@ def _as_int_list(value):
     for v in ends:
         if abs(v) > EXPONENT_LIMIT:
             raise ExponentOverflow(f"value {v} beyond {EXPONENT_LIMIT}")
+    if not values:
+        raise ValueError("no values")
     return values
 
 

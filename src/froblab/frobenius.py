@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from operator import add, mul
 
 from .errors import BudgetExceeded
@@ -111,11 +112,23 @@ def hypersurface_Ie(J: Ideal, e: int) -> Ideal:
 def Ie_maximal(ring, e: int) -> Ideal:
     """I_e of the irrelevant maximal ideal: m^[q] in a regular ring,
     the trace colon in a hypersurface ring, which the ring keeps per e."""
-    if not ring.relations:
-        return hypersurface_Ie(maximal_ideal(ring), e)
-    if e not in ring._Ie_maximal:
-        ring._Ie_maximal[e] = hypersurface_Ie(maximal_ideal(ring), e)
-    return ring._Ie_maximal[e]
+    cache = ring._Ie_maximal if ring.relations else {}
+    if e not in cache:
+        cache[e] = hypersurface_Ie(maximal_ideal(ring), e)
+    return cache[e]
+
+
+def _criterion_colon(Q: Ideal, e: int, condition: str) -> Ideal:
+    """The colon of criterion condition "1", (Q^[q] : Q), or "2", (I_e(Q) : Q)."""
+    return ideal_colon(bracket_power(Q, e) if condition == "1" else hypersurface_Ie(Q, e), Q)
+
+
+def _checked_e_max(p: int, e_max: int | None) -> int:
+    """e_max, default_e_max(p) when None; at least 1."""
+    e_max = default_e_max(p) if e_max is None else e_max
+    if e_max < 1:
+        raise ValueError("e_max must be >= 1")
+    return e_max
 
 
 def is_fpure_quotient(Q: Ideal, e: int = 1, finite_pd: bool = False) -> CriterionVerdict:
@@ -133,14 +146,9 @@ def is_fpure_quotient(Q: Ideal, e: int = 1, finite_pd: bool = False) -> Criterio
     if not Q.is_proper():
         raise ValueError("Q must be proper")
     Ie_m = Ie_maximal(Q.ring, e)
-
-    colon1 = ideal_colon(bracket_power(Q, e), Q)
-    in1, wit1 = ideal_subset(colon1, Ie_m)
-    in2, wit2 = in1, wit1
+    in1, wit1 = in2, wit2 = ideal_subset(_criterion_colon(Q, e, "1"), Ie_m)
     if Q.ring.relations:
-        colon2 = ideal_colon(hypersurface_Ie(Q, e), Q)
-        in2, wit2 = ideal_subset(colon2, Ie_m)
-
+        in2, wit2 = ideal_subset(_criterion_colon(Q, e, "2"), Ie_m)
     notes = {"condition1_holds": not in1, "condition2_holds": not in2}
     if not in2:
         return CriterionVerdict("confirmed", e, witness=wit2, condition="2", notes=notes)
@@ -160,17 +168,16 @@ def sfr_witness_search(
 
     All supplied c succeeding is supporting evidence for strong F-regularity
     at the tested elements; exhausting e_max is inconclusive, never a
-    refutation. I_e(m) and the two colons are computed once per e, when an
-    element first reaches that e. e_max None searches up to default_e_max(p).
+    refutation. I_e(m) and each condition's colon are computed once per e,
+    when an element first reaches them. e_max None searches up to
+    default_e_max(p).
     """
     if not c_list:
         raise ValueError("no test elements supplied")
     if not all(c_list):
         raise ValueError("the test element 0 lies in every prime")
     ring = Q.ring
-    e_max = default_e_max(ring.ambient.p) if e_max is None else e_max
-    if e_max < 1:
-        raise ValueError("e_max must be >= 1")
+    e_max = _checked_e_max(ring.ambient.p, e_max)
     if minimal_primes:
         for c in c_list:
             for P in minimal_primes:
@@ -178,41 +185,22 @@ def sfr_witness_search(
                     raise ValueError(
                         f"test element {c} lies in a listed minimal prime"
                     )
-    Ie_m, colon1, colon2 = {}, {}, {}
-    per_c = []
-    all_ok = True
-    witness = None
+    conditions = ("1", "2") if ring.relations else ("1",)  # over S, (2) is (1)
+    memo, per_c, witness = {}, [], None  # e: I_e(m); (e, condition): its colon
     for c in c_list:
-        found = None
-        for e in range(1, e_max + 1):
-            if e not in Ie_m:
-                Ie_m[e] = Ie_maximal(ring, e)
-                colon1[e] = ideal_colon(bracket_power(Q, e), Q)
-            # condition (1): c (Q^[q] : Q) escapes I_e(m)
-            inside, wit = ideal_subset(scale_ideal(c, colon1[e]), Ie_m[e])
+        per_c.append({"c": str(c), "e": None})
+        for e, cond in product(range(1, e_max + 1), conditions):  # c*colon escapes I_e(m)?
+            if e not in memo:
+                memo[e] = Ie_maximal(ring, e)
+            if (e, cond) not in memo:
+                memo[e, cond] = _criterion_colon(Q, e, cond)
+            inside, wit = ideal_subset(scale_ideal(c, memo[e, cond]), memo[e])
             if not inside:
-                found = (e, wit, "1")
+                per_c[-1].update(e=e, witness=str(wit), condition=cond)
+                witness = witness or wit  # the first element's, when all succeed
                 break
-            # condition (2): c (I_e(Q) : Q) escapes I_e(m); over S, I_e(Q) is
-            # Q^[q] and (2) is (1)
-            if ring.relations:
-                if e not in colon2:
-                    colon2[e] = ideal_colon(hypersurface_Ie(Q, e), Q)
-                inside, wit = ideal_subset(scale_ideal(c, colon2[e]), Ie_m[e])
-                if not inside:
-                    found = (e, wit, "2")
-                    break
-        if found:
-            per_c.append(
-                {"c": str(c), "e": found[0], "witness": str(found[1]), "condition": found[2]}
-            )
-            if witness is None:
-                witness = found[1]
-        else:
-            per_c.append({"c": str(c), "e": None})
-            all_ok = False
     notes = {"per_c": per_c}
-    if all_ok:
+    if all(entry["e"] for entry in per_c):
         return CriterionVerdict(
             "confirmed", (1, e_max), witness=witness, condition="glassbrenner", notes=notes
         )
@@ -227,6 +215,8 @@ def nu_e(I: Ideal, e: int) -> int:
     against I_e(m), capped by the pigeonhole bound m^(n(q-1)+1) <= m^[q]."""
     if I.is_zero():
         raise ValueError("I must be nonzero")
+    if e < 1:
+        raise ValueError("I_e needs e >= 1")
     # m's preimage, (variables) + (relations), holds g exactly when g has no
     # constant term or some relation has one; canonical terms end with it
     def has_constant(g):
@@ -333,9 +323,7 @@ def fpt_lower_bound(I: Ideal, e_max: int | None = None) -> FptEstimate:
     """nu_e for e = 1..e_max and the induced floor of max nu_e / p^e; e_max
     None is default_e_max(p)."""
     p = I.ring.ambient.p
-    e_max = default_e_max(p) if e_max is None else e_max
-    if e_max < 1:
-        raise ValueError("e_max must be >= 1")
+    e_max = _checked_e_max(p, e_max)
     values = [(e, nu_e(I, e)) for e in range(1, e_max + 1)]
     best = max(Fraction(nu, p**e) for e, nu in values)
     return FptEstimate(values, best, int(best))

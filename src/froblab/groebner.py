@@ -492,7 +492,7 @@ def _pair_loop(ring, gens, known=()):
     the minimal monomials of gens, which then leave gens. Only the elements
     added after it pass the Gebauer-Moller update."""
     if known:
-        seed = [(g._packed[0][0], 1, g._packed[1:]) for g in known]
+        seed = _as_reducers(ring, known)
     else:
         seed = _minimal_monomials(ring, [g for g in gens if len(g._packed) == 1])[1]
         gens = [g for g in gens if len(g._packed) > 1]
@@ -702,7 +702,7 @@ def _carry(ring, steps, meet):
             else:
                 kept.append(m)
     reduced = sorted((ring._packing.pack(lex.unpack(m)), 1, ()) for m in kept)
-    return tuple(Polynomial._from_packed(ring, ((m, 1),)) for m, _, _ in reduced), reduced
+    return _basis_polys(ring, reduced), reduced
 
 
 def _monomial_product(ring, A, B):

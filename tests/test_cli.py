@@ -472,6 +472,9 @@ def test_symbolic_heights_option_is_a_usage_error(capsys):
     # a range is not built before it runs, and its ends stay in the exponent range
     ("xy-zk", "n=1..2147483648", "n value 2147483648 beyond 2147483647"),
     ("xy-zk", "n=-99999999999999999999..1", "n value -99999999999999999999 beyond 2147483647"),
+    # an empty range names no value to run
+    ("generic-determinantal", "j=3..2", "j must be integers as a,b,... or a..b, not '3..2'"),
+    ("xy-zk", "n=3..1", "n must be integers as a,b,... or a..b, not '3..1'"),
 ])
 def test_bad_example_parameter_names_its_key(example, param, message, capsys):
     assert main(["example", example, "--param", param]) == 2

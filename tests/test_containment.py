@@ -335,6 +335,15 @@ class TestRegistry:
         with pytest.raises(ValueError, match="xy-zk takes no parameter 'pp'"):
             run_example("xy-zk", {"n": 1, "pp": 7})
 
+    @pytest.mark.parametrize("example_id,key,value", [
+        ("xy-zk", "n", "3..1"), ("generic-determinantal", "j", "3..2"),
+        ("generic-determinantal", "j", []),
+    ])
+    def test_empty_grid_is_refused(self, example_id, key, value):
+        # no value to run, so nothing runs, rather than no fact or only some
+        with pytest.raises(ValueError, match=f"{example_id}: {key} must be integers"):
+            run_example(example_id, {key: value})
+
     def test_xy_zk_rejects_bad_characteristic(self):
         with pytest.raises(ValueError, match="divide"):
             run_example("xy-zk", {"p": 3, "k": 3})

@@ -1,6 +1,7 @@
 """Frobenius criteria: Fedder, hypersurface I_e, Glassbrenner search, nu_e,
 and the F-pure-threshold lower bounds."""
 
+import collections
 import itertools
 import json
 import random
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import froblab.frobenius
 from froblab import (
     HypersurfaceRing,
     Ideal,
@@ -208,6 +210,29 @@ class TestSfrSearch:
         R, Q, _ = xy_zk_setup(5, 2)
         v = sfr_witness_search(Q, [Polynomial.one(R.ambient)], 2)
         assert v.status == "confirmed"
+
+    def test_each_colon_built_once_per_e(self, monkeypatch):
+        # 1 and y are found at e = 1 by condition (2), x + z exhausts e = 1..2.
+        # Per e: I_e(m) once; I_e of m and of Q; the two trace colons and the
+        # two criterion colons. An ideal_colon counts toward the e last seen.
+        R, Q, _ = xy_zk_setup(5, 2)
+        calls, last_e = [], [None]
+
+        def spy(name, real):
+            def call(*args):
+                if name != "ideal_colon":
+                    last_e[0] = args[1]
+                calls.append((name, last_e[0]))
+                return real(*args)
+            monkeypatch.setattr(f"froblab.frobenius.{name}", call)
+
+        for name in ("Ie_maximal", "hypersurface_Ie", "ideal_colon"):
+            spy(name, getattr(froblab.frobenius, name))
+        c_list = [parse_poly(R.ambient, c) for c in ("1", "y", "x + z")]
+        v = sfr_witness_search(Q, c_list, 2)
+        assert [c["e"] for c in v.notes["per_c"]] == [1, 1, None]
+        per_e = {"Ie_maximal": 1, "hypersurface_Ie": 2, "ideal_colon": 4}
+        assert collections.Counter(calls) == {(n, e): k for n, k in per_e.items() for e in (1, 2)}
 
 
 class TestNuAndFpt:

@@ -36,6 +36,12 @@ CASES = {
     "sfr_regular": ["sfr", "--ring", "F5[x,y]", "--ideal", "x", "--c", "1", "--emax", "3",
                     "--json"],
     "sfr_cone": ["sfr", *CONE, "--ideal", "x, z", "--c", "1", "--emax", "2", "--json"],
+    # several test elements: 1 and y found by condition (2), x + z exhausts e = 1..2
+    "sfr_cone_several": ["sfr", *CONE, "--ideal", "x, z", "--c", "1", "--c", "y",
+                         "--c", "x + z", "--emax", "2", "--json"],
+    # c = 1 found by condition (1) after the first element exhausted e = 1..2
+    "sfr_regular_several": ["sfr", "--ring", "F7[x,y,z]", "--ideal", "x*y, y*z, x*z",
+                            "--c", "x + y + z", "--c", "1", "--json"],
     "symbolic": ["symbolic", "--ring", "F2[x,y,z]", "--ideal", "x*y, x*z, y*z", "--n", "2",
                  "--json"],
     "containment_regular": ["containment", "--ring", "F5[x,y]", "--lhs", "x", "--rhs", "x^2",

@@ -13,6 +13,7 @@ from froblab import (
     RingDescriptor,
     RingMismatch,
     check_fpt_containment,
+    check_symbolic_into_Ie,
     fedder_is_fpure,
     hypersurface_Ie,
     ideal_equal,
@@ -21,6 +22,7 @@ from froblab import (
     jacobian_ideal,
     jacobian_power_product,
     make_ring,
+    nu_e,
     parse_gens,
     parse_poly,
     poly_divide_exact,
@@ -37,6 +39,11 @@ ZERO = Polynomial.zero(R5)
 def _fpt_without_radical():
     I = Ideal(R5, [X])
     return check_fpt_containment(I, PrimeData(primes=(I,)), 1)
+
+
+def _symbolic_into_Ie(e):
+    _, Q, pd = xy_zk_setup(5, 2)
+    return check_symbolic_into_Ie(Q, pd, 1, e=e)
 
 
 def _negative_jacobian_power():
@@ -72,6 +79,12 @@ def _negative_jacobian_power():
     (_negative_jacobian_power, ValueError, "jacobian power needs a >= 0"),
     (lambda: fedder_is_fpure(Ideal(R5, [ZERO])), ValueError, "ideal must be nonzero"),
     (lambda: hypersurface_Ie(Ideal(R5, [X]), 0), ValueError, "I_e needs e >= 1"),
+    # a monomial ideal takes no I_e, so nu_e checks e before it picks a path
+    (lambda: nu_e(Ideal(R5, [X]), 0), ValueError, "I_e needs e >= 1"),
+    (lambda: nu_e(Ideal(R5, [X]), -1), ValueError, "I_e needs e >= 1"),
+    # before q = p^e and the two symbolic powers
+    (lambda: _symbolic_into_Ie(0), ValueError, "I_e needs e >= 1"),
+    (lambda: _symbolic_into_Ie(-1), ValueError, "I_e needs e >= 1"),
     (_fpt_without_radical, ValueError, "the fpt containments need an asserted-radical ideal"),
 ], ids=[
     "modulus-too-large", "no-variables", "unknown-order", "block-without-blocks",
@@ -79,7 +92,8 @@ def _negative_jacobian_power():
     "negative-power", "frobenius-e0", "divide-ring-mismatch", "divide-by-zero",
     "member-ring-mismatch", "subset-ring-mismatch", "equal-ring-mismatch",
     "hypersurface-ring-mismatch", "separator-count", "separator-misses-embedded",
-    "negative-jacobian-power", "fedder-zero-ideal", "Ie-e0", "fpt-not-radical",
+    "negative-jacobian-power", "fedder-zero-ideal", "Ie-e0", "nu-e0", "nu-negative-e",
+    "symbolic-ie-e0", "symbolic-ie-negative-e", "fpt-not-radical",
 ])
 def test_rejects(call, exc, message):
     with pytest.raises(exc, match=message):
