@@ -45,6 +45,11 @@ class GroebnerBudget:
     max_pairs: int = 100_000
     max_poly_terms: int = 500_000
 
+    def __post_init__(self):
+        for name in ("max_pairs", "max_poly_terms"):
+            if (cap := getattr(self, name)) < 1:
+                raise ValueError(f"{name} must be at least 1, not {cap}")
+
     def __enter__(self):
         _scopes.set(_scopes.get() + (self,))
         return self
@@ -243,10 +248,38 @@ def _nf_terms(ring, terms, basis):
     basis entries need not be a Groebner basis; the result is then just *a*
     remainder along a deterministic reduction path. Raises ExponentOverflow when a term, given
     or produced, has an exponent past EXPONENT_LIMIT.
+
+    A single term against a scanned basis stays a single term while each
+    reducer that fires has at most one tail term, so it is chased in a plain
+    loop, with no dict and no heap, until it is irreducible, zero, or meets a
+    longer tail; the loop below then takes it on. Both take the same divisor
+    and coefficients, and a chain never has more than one working term.
     """
     p = ring.p
     packing = ring._packing
     guards = packing.guards
+    indexed = len(basis) >= INDEX_MIN_ELEMENTS and isinstance(basis, _Reducers)
+    if len(terms) == 1 and not indexed:
+        ((m, c),) = terms
+        if m & guards:
+            packing.check(m)
+        c %= p
+        while c:
+            for lm, lc_inv, tail in basis:
+                q = m - lm
+                if not q & guards:
+                    break
+            else:
+                return ((m, c),)
+            if len(tail) > 1:
+                break
+            if not tail:
+                return ()
+            ((m2, c2),) = tail
+            m, c = m2 + q, (p - c * lc_inv % p) * c2 % p
+            if m & guards:
+                packing.check(m)
+        terms = ((m, c),)
     work = {}
     get = work.get
     for m, c in terms:
@@ -262,7 +295,6 @@ def _nf_terms(ring, terms, basis):
     push, pop = heapq.heappush, heapq.heappop
     out = []
     cap = _scopes.get()[-1].max_poly_terms
-    indexed = len(basis) >= INDEX_MIN_ELEMENTS and isinstance(basis, _Reducers)
     if indexed:
         exps, masks = basis.divisor_index(packing)
         unpack, mask, nbytes = packing._struct.unpack, packing._mask, packing._nbytes
@@ -434,7 +466,9 @@ class _Pairs:
     packing of its exponents, on which _Packing.lcm takes lcm(i, k): for each
     active i, and for B_k the two of a queued pair whose lcm lm_k divides. M
     and F sort the new lcms in lex order, not the ring's; a divisor comes
-    first in every monomial order, so the same ones are kept. A coprime pair
+    first in every monomial order, so the same ones are kept. Each is tried
+    against the lcms kept before it in a plain loop, no call per witness
+    (Gebauer-Moller, J. Symbolic Comput. 6, 1988). A coprime pair
     never ties: lcm(i, k) = lm_i * lm_k = lcm(j, k) forces lm_i | lm_j, and
     the active leading monomials divide none of each other. So coprimality is
     tested only for the survivors. A pair entering the queue gets its heap
@@ -469,12 +503,14 @@ class _Pairs:
                  or (q[1] & mask) in (lcm(fields[q[2]], x), lcm(fields[q[3]], x))]
         witnesses = []
         for f, i in sorted((lcms[i], i) for i in active):
-            if any(not (f - w) & guards for w in witnesses):
-                continue
-            witnesses.append(f)
-            if f != fields[i] + x and not (monomial and self.monomial[i]):
-                e = packing.unpack(f)
-                queue.append((sum(e), packing.pack(e), i, k))
+            for w in witnesses:
+                if not (f - w) & guards:
+                    break
+            else:
+                witnesses.append(f)
+                if f != fields[i] + x and not (monomial and self.monomial[i]):
+                    e = packing.unpack(f)
+                    queue.append((sum(e), packing.pack(e), i, k))
         heapq.heapify(queue)
         self.queue = queue
         self.active = [i for i in active if (fields[i] - x) & guards] + [k]
@@ -766,14 +802,17 @@ def ideal_subset(I: Ideal, J: Ideal):
     bases they are equal, and nothing is reduced. The relations lie in both
     preimages, so only I's gens are tested, and J's basis is computed only
     when I has some: against a reduced basis of monomials in one
-    divisibility pass, else one by one with ideal_member."""
+    divisibility pass, else by the normal form of each generator in turn
+    against J's packed reducers, fetched once, up to the first nonzero one
+    (against the empty basis of the zero ideal, the first)."""
     if I.ring != J.ring:
         raise RingMismatch("ideals from different rings")
-    if I._gb is not None and I._gb == J._gb:
+    if I._gb is not None and I._gb == J._gb or not I.gens:
         return True, None
-    lms = I.gens and J.preimage.gens and J.groebner_basis()._monomial_lms()
+    G = J.groebner_basis()
+    lms, ring, reducers = G._monomial_lms(), J.ring.ambient, G._packed_reducers()
     bad = _first_outside(I.gens, lms) if lms else next(
-        (g for g in I.gens if not ideal_member(g, J)), None)
+        (g for g in I.gens if _nf_terms(ring, g._packed, reducers)), None)
     return bad is None, bad
 
 

@@ -36,9 +36,9 @@ class HypersurfaceRing:
         self._Ie_maximal = {}
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, HypersurfaceRing)
-            and self.ambient == other.ambient
+            and self.ambient is other.ambient
             and self.f == other.f
         )
 

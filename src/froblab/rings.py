@@ -128,7 +128,9 @@ class RingDescriptor:
 
     order is one of "lex", "grevlex" (default) or "block"; block orders take a
     partition of the variable list (left blocks dominate, grevlex inside each),
-    which is what elimination uses.
+    which is what elimination uses. There is one instance per ring: the
+    arguments are checked on every call, then looked up in a table that
+    never evicts, so rings compare and hash by identity.
     """
 
     __slots__ = ("p", "variables", "order", "blocks", "_index", "_packing")
@@ -136,12 +138,15 @@ class RingDescriptor:
     # As the ring of an Ideal, S is its own ambient and has no relations
     # (quotient.HypersurfaceRing is S with the relation f).
     relations = ()
+    _instances = {}  # (p, variables, order, blocks) -> the ring
 
     @property
     def ambient(self):
         return self
 
-    def __init__(self, p, variables, order="grevlex", blocks=None):
+    def __new__(cls, p, variables, order="grevlex", blocks=None):
+        if not isinstance(p, int):  # 2.0 == 2 would share F_2's entry in the table
+            raise TypeError(f"modulus must be an int, not {p!r}")
         if not is_prime(p):
             raise ValueError(f"modulus not prime: {p}")
         if p > EXPONENT_LIMIT:
@@ -162,14 +167,19 @@ class RingDescriptor:
                 raise ValueError("blocks must partition the variable list in order")
         elif blocks is not None:
             raise ValueError("blocks only make sense with the block order")
-        self.p = p
-        self.variables = variables
-        self.order = order
-        self.blocks = blocks
-        self._index = {v: i for i, v in enumerate(variables)}
-        self._packing = _packing_for(
-            len(variables), order, tuple(map(len, blocks)) if blocks else None
-        )
+        key = (p, variables, order, blocks)
+        self = cls._instances.get(key)
+        if self is None:
+            self = cls._instances[key] = super().__new__(cls)
+            self.p = p
+            self.variables = variables
+            self.order = order
+            self.blocks = blocks
+            self._index = {v: i for i, v in enumerate(variables)}
+            self._packing = _packing_for(
+                len(variables), order, tuple(map(len, blocks)) if blocks else None
+            )
+        return self
 
     @property
     def nvars(self):
@@ -180,18 +190,6 @@ class RingDescriptor:
             return self._index[name]
         except KeyError:
             raise ValueError(f"unknown variable {name}") from None
-
-    def __eq__(self, other):
-        return self is other or (
-            isinstance(other, RingDescriptor)
-            and self.p == other.p
-            and self.variables == other.variables
-            and self.order == other.order
-            and self.blocks == other.blocks
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.variables, self.order, self.blocks))
 
     def __repr__(self):
         tag = "" if self.order == "grevlex" else f":{self.order}"

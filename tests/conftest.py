@@ -16,7 +16,7 @@ from froblab import (
     make_ring,
     parse_poly,
 )
-from froblab.errors import BudgetExceeded
+from froblab.errors import BudgetExceeded, ExponentOverflow
 from froblab.parsing import _TOKEN
 from froblab.rings import EXPONENT_LIMIT, _monic
 
@@ -214,6 +214,39 @@ def last_escaping_monomial_reference(ring, factors, targets, cap):
         if not level:
             return r - 1
     return None
+
+
+def nf_reference(ring, terms, basis):
+    """Reference for groebner._nf_terms: the same reduction path on exponent
+    tuples in a plain dict. The largest term (by order_key) goes first; the
+    first entry of basis, (lm, lc_inv, tail) packed, whose leading monomial
+    divides it clears it. An exponent past EXPONENT_LIMIT, given or produced,
+    raises ExponentOverflow. Packed terms in, packed terms out."""
+    p, unpack, pack = ring.p, ring._packing.unpack, ring._packing.pack
+    basis = [(unpack(lm), lc_inv, [(unpack(m), c) for m, c in tail]) for lm, lc_inv, tail in basis]
+    work, out = {}, []
+
+    def add(m, c):
+        if max(m) > EXPONENT_LIMIT:
+            raise ExponentOverflow("reference")
+        work[m] = (work.get(m, 0) + c) % p
+        if not work[m]:
+            del work[m]
+
+    for m, c in terms:
+        add(unpack(m), c)
+    while work:
+        m = max(work, key=lambda e: order_key(ring, e))
+        c = work.pop(m)
+        for lm, lc_inv, tail in basis:
+            q = mono_div(m, lm)
+            if q is not None:
+                for m2, c2 in tail:
+                    add(tuple(map(sum, zip(m2, q))), -c * lc_inv * c2)
+                break
+        else:
+            out.append((pack(m), c))
+    return tuple(out)
 
 
 def tokens_reference(text):

@@ -243,3 +243,24 @@ def test_nu_e_caps_f_to_the_q_minus_1():
         with pytest.raises(BudgetExceeded, match=r"f\^\(q-1\) would exceed 100 terms"):
             nu_e(Q, 3)  # 25 * 5
     assert nu_e(Q, 3) == 124
+
+
+@pytest.mark.parametrize("caps", [{"max_pairs": 0}, {"max_pairs": -1}, {"max_poly_terms": 0},
+                                  {"max_poly_terms": -7}, {"max_pairs": 0, "max_poly_terms": 0}])
+def test_caps_below_one_are_refused(caps):
+    # such a budget could never let a computation finish
+    with pytest.raises(ValueError, match=r"must be at least 1, not -?\d"):
+        GroebnerBudget(**caps)
+
+
+def test_a_one_term_chain_fits_the_least_budget():
+    """A single term reduced by reducers of one tail term stays one working
+    term, so the least budget, one term, lets it finish, while a reducer with
+    a longer tail passes it."""
+    ring = make_ring(5, ["x", "y", "z"])
+    G = Ideal(ring, parse_gens(ring, "x - y, y - z^2")).groebner_basis()
+    f = parse_poly(ring, "x^3*y")
+    with GroebnerBudget(max_pairs=1, max_poly_terms=1):
+        assert normal_form(f, G) == parse_poly(ring, "y^4")  # G = (x - y, z^2 - y)
+        with pytest.raises(BudgetExceeded, match="1 working terms"):
+            normal_form(f, [parse_poly(ring, "x - y - z")])

@@ -25,6 +25,9 @@ CASES = {
     # the inhomogeneous ladder: Q^(kn+r) for k = 3 saturates by the Rabinowitsch trick
     "example_xy_zk_k3": ["example", "xy-zk", "--param", "p=7", "--param", "k=3",
                          "--param", "n=1..2", "--json"],
+    # long one-term reduction chains through xy - z^5, past the benchmark's k <= 4, n <= 3
+    "example_xy_zk_k5": ["example", "xy-zk", "--param", "p=7", "--param", "k=5",
+                         "--param", "n=1..4", "--json"],
     "example_generic_determinantal": ["example", "generic-determinantal", "--param", "d=6",
                                       "--seed", "42", "--json"],
     # the failing branch: the witness and every witness_recheck flag

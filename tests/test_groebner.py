@@ -38,6 +38,7 @@ from conftest import (
     last_escaping_monomial_reference,
     mono_div,
     mono_lcm,
+    nf_reference,
     order_key,
     random_homogeneous,
     random_ideal,
@@ -45,6 +46,7 @@ from conftest import (
     random_monomial_ideal,
     random_poly,
     reduced_pair_loop_reference,
+    rings,
 )
 
 
@@ -694,6 +696,67 @@ class TestDivisorIndex:
                 normal_form(xy, [x_first, xy + parse_poly(ring, "w")])
 
 
+class TestOneTermPath:
+    """A single term reduced against a scanned basis is chased without the
+    dict and heap while every reducer that fires has at most one tail term.
+    Its remainder, and every other normal form, must be the plain reference
+    reduction's, against bases whose tails have 0, 1 and 2 or more terms,
+    scanned (fewer than INDEX_MIN_ELEMENTS) or indexed."""
+
+    RINGS = [("lex", None), ("grevlex", None), ("block", (("x", "y"), ("z", "w")))]
+
+    @staticmethod
+    def poly(ring, rng, nterms):
+        """A polynomial of exactly nterms distinct monomials of degree <= 3."""
+        monos = set()
+        while len(monos) < nterms:
+            monos.add(tuple(rng.randrange(3) if rng.random() < 0.5 else 0 for _ in ring.variables))
+        return Polynomial(ring, [(m, rng.randrange(1, ring.p)) for m in monos])
+
+    @pytest.mark.parametrize("order,blocks", RINGS)
+    @pytest.mark.parametrize("size", [3, 12, groebner.INDEX_MIN_ELEMENTS + 5])
+    def test_agrees_with_the_reference(self, order, blocks, size):
+        rng = random.Random(f"one term {order} {size}")
+        chased = zero = handed_on = 0
+        for trial in range(40):
+            ring = make_ring([2, 3, 5, 7][trial % 4], ["x", "y", "z", "w"], order, blocks)
+            # mostly binomials, so that chains run long, then monomials and longer tails
+            tails = [rng.choice([0, 1, 1, 1, 2, 3]) for _ in range(size)]
+            reducers = groebner._as_reducers(ring, [self.poly(ring, rng, 1 + t) for t in tails])
+            for _ in range(10):
+                f = self.poly(ring, rng, 1 if rng.random() < 0.8 else 2)
+                coeff = rng.randrange(1, 3 * ring.p)  # _frontier_depth passes unreduced products
+                terms = [(m, c * coeff) for m, c in f._packed]
+                got = groebner._nf_terms(ring, terms, reducers)
+                assert got == nf_reference(ring, terms, reducers), (f, reducers)
+                assert got == groebner._nf_terms(ring, terms, list(reducers))  # the scan
+                if len(terms) == 1:
+                    chased += 1
+                    zero += not got
+                    first = next((tail for lm, _, tail in reducers
+                                  if not (terms[0][0] - lm) & ring._packing.guards), ())
+                    handed_on += len(first) > 1
+        assert chased >= 250 and zero >= 10 and handed_on >= 10, (chased, zero, handed_on)
+
+    @pytest.mark.parametrize("order,blocks", RINGS)
+    def test_exponent_overflow(self, order, blocks):
+        # x*y^N against x - y leaves y^(N+1), past the limit: on the one-term
+        # path, handed on by a longer tail, and through the divisor index
+        N = EXPONENT_LIMIT
+        ring = make_ring(5, ["x", "y", "z", "w"], order, blocks)
+        x, y, w = (Polynomial.variable(ring, v) for v in "xyw")
+        f = Polynomial.monomial(ring, (1, N, 0, 0), 3)
+        for reducers in ([x - y], [x - y - w], [x - y] * groebner.INDEX_MIN_ELEMENTS):
+            packed = groebner._as_reducers(ring, reducers)
+            with pytest.raises(ExponentOverflow):
+                nf_reference(ring, f._packed, packed)
+            with pytest.raises(ExponentOverflow):
+                groebner._nf_terms(ring, f._packed, packed)
+        # a given term past the limit raises before any reduction
+        with pytest.raises(ExponentOverflow):
+            groebner._nf_terms(ring, [(ring._packing.units[1] << 31, 1)], [])
+
+
 class TestPairs:
     """_Pairs runs the Gebauer-Moller update on exponent fields. Replayed
     through it and the tuple reference, a sequence of leading monomials with
@@ -841,6 +904,25 @@ class TestBatchedSubset:
             R = HypersurfaceRing(S, parse_poly(S, f"x*y - z^{k}"))
             outside += not self.check(Ideal(R, random_homogeneous(S, rng)), rng)
         assert 5 <= outside <= 25
+
+    @pytest.mark.parametrize("p", [2, 5, 7])
+    def test_random_ideals_against_the_membership_loop(self, p):
+        # random I and J over S and S/(f), each the zero ideal one time in
+        # five; J's basis is seldom all monomials, so most take the normal forms
+        rng = random.Random(f"subset loop {p}")
+        outside = inside = 0
+        for R in rings(p):
+            S = R.ambient
+            for trial in range(25):
+                I, J = (Ideal(R) if rng.random() < 0.2 else Ideal(R, random_ideal(
+                    S, rng, max_gens=4, max_terms=3).gens) for _ in range(2))
+                if rng.random() < 0.3:  # members of J beside others
+                    I = Ideal(R, [g * random_poly(S, rng, nonzero=True) for g in J.gens] + list(I.gens))
+                verdict = ideal_subset(I, J)
+                assert verdict == self.reference(I, J), (I, J)
+                outside += not verdict[0]
+                inside += verdict[0] and bool(I.gens)
+        assert outside >= 20 and inside >= 10, (outside, inside)
 
     def test_budget_and_overflow(self):
         ring = make_ring(5, ["x", "y", "z"])

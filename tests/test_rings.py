@@ -1,7 +1,7 @@
 """Ring-core: exact arithmetic, Frobenius powers, derivatives, text round trips,
 the packed storage of polynomials, degrees read off it, ring changes
 (Polynomial.in_ring) against exponent-tuple references, and the checks of the
-constructor."""
+constructor, which returns one object per ring."""
 
 import random
 
@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import froblab.idealops as idealops
 from froblab import (
     ExponentOverflow,
     HypersurfaceRing,
@@ -52,6 +53,71 @@ class TestMakeRing:
     def test_block_order_partition_enforced(self):
         with pytest.raises(ValueError):
             make_ring(5, ["x", "y"], order="block", blocks=[["x"], ["x", "y"]])
+
+
+class TestOneRingObject:
+    """RingDescriptor returns one object per ring, so rings compare by
+    identity; the arguments are still checked on every call."""
+
+    def test_equal_arguments_give_the_same_object(self):
+        assert make_ring(5, "xyz") is make_ring(5, ["x", "y", "z"]) is make_ring(5, ("x", "y", "z"))
+        block = make_ring(7, "xyz", "block", [["x"], ["y", "z"]])
+        assert block is make_ring(7, ("x", "y", "z"), "block", (("x",), ("y", "z")))
+        assert len({make_ring(5, "xyz"), make_ring(5, "xyz", "lex"), make_ring(7, "xyz")}) == 3
+
+    def test_the_auxiliary_rings_are_made_once(self):
+        ring = make_ring(5, "xyz")
+        (t_ring, t), (again, t2) = idealops._t_ring(ring), idealops._t_ring(ring)
+        assert t_ring is again and t == t2 and t_ring.variables == ("t", "x", "y", "z")
+        assert idealops._extended_ring(ring, ["u", "v"]) is idealops._extended_ring(ring, ("u", "v"))
+
+    INVALID = [
+        ((4, "xy"), "modulus not prime: 4"),
+        ((2147483659, "xy"), "modulus too large: 2147483659"),
+        ((5, ""), "ring needs at least one variable"),
+        ((5, "xyx"), "duplicate variable name"),
+        ((5, "xy", "deglex"), "unknown monomial order: deglex"),
+        ((5, "xy", "block"), "block order needs a block partition"),
+        ((5, "xy", "block", [["y"], ["x"]]), "blocks must partition the variable list in order"),
+        ((5, "xy", "grevlex", [["x"], ["y"]]), "blocks only make sense with the block order"),
+        ((5, "xy", "lex", [["x", "y"]]), "blocks only make sense with the block order"),
+    ]
+
+    @pytest.mark.parametrize("args,message", INVALID, ids=[m for _, m in INVALID])
+    def test_invalid_arguments_raise_after_a_valid_ring(self, args, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make_ring(*args)
+        # the valid rings next to each bad argument are in the table now
+        for order, blocks in (("grevlex", None), ("lex", None), ("block", [["x"], ["y"]])):
+            make_ring(5, "xy", order, blocks)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make_ring(*args)
+
+    def test_a_float_modulus_raises_beside_its_ring(self):
+        # 2.0 == 2 and hash(2.0) == hash(2): a float p would take F_2's entry
+        for p in (5, 2):
+            make_ring(p, "xy")
+            with pytest.raises(TypeError, match="modulus must be an int"):
+                make_ring(float(p), "xy")
+        assert type(make_ring(2, "xy").p) is int
+
+    def test_rings_of_another_p_or_order_mismatch(self):
+        for other in (make_ring(7, "xyz"), make_ring(5, "xyz", "lex")):
+            x, y = (Polynomial.variable(ring, "x") for ring in (make_ring(5, "xyz"), other))
+            with pytest.raises(RingMismatch):
+                x + y
+            with pytest.raises(RingMismatch):
+                Ideal(other, [x])
+            assert x != y
+
+    def test_hypersurface_rings_are_equal_by_f(self):
+        S = make_ring(5, "xyz")
+        R = HypersurfaceRing(S, parse_poly(S, "x*y - z^2"))
+        same = HypersurfaceRing(make_ring(5, "xyz"), parse_poly(S, "x*y - z^2"))
+        assert R == R and R == same and hash(R) == hash(same) and R is not same
+        assert R != HypersurfaceRing(S, parse_poly(S, "x*y - z^3"))
+        lex = make_ring(5, "xyz", "lex")
+        assert R != HypersurfaceRing(lex, parse_poly(lex, "x*y - z^2")) and R != S
 
 
 class TestParse:
