@@ -5,8 +5,8 @@ F-pure-threshold lower bounds.
 Every function takes ideals of S or of S/(f) alike. I_e(Q) is
 ((Q^[q] + (f^q)) : f^(q-1)), which is Q^[q] when there is no relation f; the
 code branches on the ring's relations only where the mathematics differs.
-nu_e of a monomial ideal skips that colon: it is an integer program over the
-terms of f^(q-1).
+The criteria, like nu_e's integer program, compute no trace colon for I_e(m):
+h is outside it iff h*f^(q-1) keeps a term outside m^[q] (Fedder).
 The criteria are one-directional without finite projective dimension, so
 verdicts are three-valued (confirmed / refuted / inconclusive) and always
 carry their certifying data.
@@ -19,10 +19,10 @@ from fractions import Fraction
 from itertools import product
 from operator import add, mul
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, ExponentOverflow
 from .groebner import Ideal, _scopes, ideal_member, ideal_subset, last_escaping_power
 from .idealops import bracket_power, ideal_colon, maximal_ideal, scale_ideal
-from .rings import Polynomial
+from .rings import EXPONENT_LIMIT, Polynomial
 
 
 @dataclass
@@ -53,7 +53,7 @@ def default_e_max(p: int) -> int:
     """Largest e searched by default, chosen so that q = p^e stays small.
 
     The cost grows with q: nu_e's frontier scan runs up to n(q-1)+1 levels against
-    a colon by f^(q-1); its integer program is solved once per term of f^(q-1).
+    a colon by f^(q-1); its integer program and the criteria run over f^(q-1)'s terms.
     The values fix which nu_e enter reported fpt floors, so they stay as they are.
     """
     if p <= 5:
@@ -123,6 +123,31 @@ def _criterion_colon(Q: Ideal, e: int, condition: str) -> Ideal:
     return ideal_colon(bracket_power(Q, e) if condition == "1" else hypersurface_Ie(Q, e), Q)
 
 
+def _fedder_terms(ring, e: int) -> list:
+    """(t, c) for the terms of g = f^(q-1) (1 over S) with all t_i < q = p^e; none when
+    f has a constant term, as m is then the unit ideal. For f in m, I_e(m) = (m^[q] : g)
+    (Fedder). g = prod over i < e of (f^(p-1))^(p^i), as the Frobenius fixes F_p."""
+    if e < 1:
+        raise ValueError("I_e needs e >= 1")
+    S, relations, q = ring.ambient, ring.relations, ring.ambient.p**e
+    if relations and relations[0].degree() * (q - 1) > EXPONENT_LIMIT:  # before any bracket power
+        raise ExponentOverflow("power degree beyond checked exponent range")
+    if relations and not any(relations[0].terms[-1][0]):
+        return []
+    g = h = relations[0] ** (S.p - 1) if relations else Polynomial.one(S)
+    for i in range(1, e):  # g has about q terms; each product's count is budgeted
+        if len(g.terms) * len(h.terms) > (cap := _scopes.get()[-1].max_poly_terms):
+            raise BudgetExceeded(f"f^(q-1) would exceed {cap} terms; raise the budget to proceed")
+        g = g * h.frobenius(i)
+    return [(t, c) for t, c in g.terms if max(t) < q]
+
+
+def _first_escaping(gens, terms, q: int):
+    """The first h in gens outside I_e(m), or None: h*g, terms being g's, is nonzero below q."""
+    return next((h for h in gens if Polynomial(h.ring, [(u, a * b) for s, a in h.terms
+                 for t, b in terms if max(u := tuple(map(add, s, t))) < q])), None)
+
+
 def _checked_e_max(p: int, e_max: int | None) -> int:
     """e_max, default_e_max(p) when None; at least 1."""
     e_max = default_e_max(p) if e_max is None else e_max
@@ -138,19 +163,19 @@ def is_fpure_quotient(Q: Ideal, e: int = 1, finite_pd: bool = False) -> Criterio
       (1) (Q^[p^e] : Q) not inside I_e(m)
       (2) (I_e(Q) : Q) not inside I_e(m)
     Either confirms. Q^[q] <= I_e(Q), so (1) implies (2), and the verdict
-    names (2) with its witness; over S, I_e(Q) = Q^[q], so (2) is (1). Both
-    land in the notes. Refuted needs the caller-asserted finite-pd flag (the
-    converse direction of the criterion); otherwise the verdict is
-    inconclusive.
+    names (2) with its first generator outside I_e(m), found by Fedder's
+    product with f^(q-1); over S, I_e(Q) = Q^[q], so (2) is (1). Both land in
+    the notes. Refuted needs the caller-asserted finite-pd flag (the converse
+    direction of the criterion); otherwise the verdict is inconclusive.
     """
     if not Q.is_proper():
         raise ValueError("Q must be proper")
-    Ie_m = Ie_maximal(Q.ring, e)
-    in1, wit1 = in2, wit2 = ideal_subset(_criterion_colon(Q, e, "1"), Ie_m)
+    g, q = _fedder_terms(Q.ring, e), Q.ring.ambient.p**e
+    wit1 = wit2 = _first_escaping(_criterion_colon(Q, e, "1").gens, g, q)
     if Q.ring.relations:
-        in2, wit2 = ideal_subset(_criterion_colon(Q, e, "2"), Ie_m)
-    notes = {"condition1_holds": not in1, "condition2_holds": not in2}
-    if not in2:
+        wit2 = _first_escaping(_criterion_colon(Q, e, "2").gens, g, q)
+    notes = {"condition1_holds": wit1 is not None, "condition2_holds": wit2 is not None}
+    if wit2 is not None:
         return CriterionVerdict("confirmed", e, witness=wit2, condition="2", notes=notes)
     if finite_pd:
         notes["reason"] = "both conditions fail and finite pd is asserted"
@@ -168,9 +193,9 @@ def sfr_witness_search(
 
     All supplied c succeeding is supporting evidence for strong F-regularity
     at the tested elements; exhausting e_max is inconclusive, never a
-    refutation. I_e(m) and each condition's colon are computed once per e,
-    when an element first reaches them. e_max None searches up to
-    default_e_max(p).
+    refutation. f^(q-1)'s terms below q, which decide whether c*h is outside
+    I_e(m), and each condition's colon are computed once per e, when an element
+    first reaches them. e_max None searches up to default_e_max(p).
     """
     if not c_list:
         raise ValueError("no test elements supplied")
@@ -186,16 +211,16 @@ def sfr_witness_search(
                         f"test element {c} lies in a listed minimal prime"
                     )
     conditions = ("1", "2") if ring.relations else ("1",)  # over S, (2) is (1)
-    memo, per_c, witness = {}, [], None  # e: I_e(m); (e, condition): its colon
+    memo, per_c, witness = {}, [], None  # e: _fedder_terms; (e, condition): its colon
     for c in c_list:
         per_c.append({"c": str(c), "e": None})
         for e, cond in product(range(1, e_max + 1), conditions):  # c*colon escapes I_e(m)?
             if e not in memo:
-                memo[e] = Ie_maximal(ring, e)
+                memo[e] = _fedder_terms(ring, e)
             if (e, cond) not in memo:
                 memo[e, cond] = _criterion_colon(Q, e, cond)
-            inside, wit = ideal_subset(scale_ideal(c, memo[e, cond]), memo[e])
-            if not inside:
+            wit = _first_escaping(scale_ideal(c, memo[e, cond]).gens, memo[e], ring.ambient.p**e)
+            if wit is not None:
                 per_c[-1].update(e=e, witness=str(wit), condition=cond)
                 witness = witness or wit  # the first element's, when all succeed
                 break
@@ -241,24 +266,15 @@ def nu_e(I: Ideal, e: int) -> int:
 
 def _nu_monomial(I: Ideal, e: int) -> int:
     """nu_e of I = (x^a_1, ..., x^a_k), no relation with a constant term: the
-    max, over the terms x^t of g = f^(q-1) (1 over S) with all t_i < q, of the
+    max, over the terms x^t of g = f^(q-1) below q (_fedder_terms), of the
     integer program max{sum c : sum c_j a_j <= b = (q-1)*1 - t, c in N^k}, else
-    0 (Mustata-Takagi-Watanabe): f^q is in m^[q], so I_e(m) = (m^[q] : g), and
-    a product h of generators cancels no term of g, so h*g escapes m^[q] iff
-    some h + t < q. Solved by branch and bound; re-checked in integers: the
-    witness times g keeps a term outside m^[q], and a root dual point y with
-    floor(y.b) = nu_e is feasible: y >= 0 and y.a_j >= 1."""
-    S, relations, q = I.ring.ambient, I.ring.relations, I.ring.ambient.p**e
+    0 (Mustata-Takagi-Watanabe): a product h of generators cancels no term of
+    g, so h*g escapes m^[q] iff some h + t < q. Solved by branch and bound;
+    re-checked in integers: the witness times g keeps a term outside m^[q],
+    and a root dual point y with floor(y.b) = nu_e is feasible: y >= 0, y.a_j >= 1."""
+    q = I.ring.ambient.p**e
     A = sorted({g.lead_monomial() for g in I.gens})
-    # g = prod over i < e of (f^(p-1))^(p^i), as the Frobenius fixes F_p; it has
-    # about q terms, so each partial product counts against max_poly_terms
-    h = relations[0] ** (S.p - 1) if relations else Polynomial.one(S)
-    g, cap = h, _scopes.get()[-1].max_poly_terms
-    for i in range(1, e):
-        if len(g.terms) * len(h.terms) > cap:  # bounds the next product's terms
-            raise BudgetExceeded(f"f^(q-1) would exceed {cap} terms; raise the budget to proceed")
-        g = g * h.frobenius(i)
-    terms = [t for t, _ in g.terms if max(t) < q]
+    terms = [t for t, _ in _fedder_terms(I.ring, e)]
     if not terms:
         return 0
     duals, top = [[] for _ in A], [-1, None, None]  # value, c, b

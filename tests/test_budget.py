@@ -245,6 +245,23 @@ def test_nu_e_caps_f_to_the_q_minus_1():
     assert nu_e(Q, 3) == 124
 
 
+def test_criteria_cap_f_to_the_q_minus_1():
+    """The criteria test a colon generator h against I_e(m) by h*f^(q-1), so
+    they build f^(q-1) under the same cap: at e = 3 on the cone it stops them
+    before any colon of that e, where e = 1..2 fit."""
+    R, Q, _ = xy_zk_setup(5, 2)
+    c = parse_gens(R.ambient, "x + z")  # exhausts e = 1..2
+    cap = r"f\^\(q-1\) would exceed 100 terms"
+    with GroebnerBudget(max_poly_terms=100):
+        assert is_fpure_quotient(Q, 2).status == "confirmed"
+        assert sfr_witness_search(Q, c, 2).status == "inconclusive"
+        with pytest.raises(BudgetExceeded, match=cap):
+            is_fpure_quotient(Q, 3)
+        with pytest.raises(BudgetExceeded, match=cap):
+            sfr_witness_search(Q, c, 3)
+    assert is_fpure_quotient(Q, 3).status == "confirmed"
+
+
 @pytest.mark.parametrize("caps", [{"max_pairs": 0}, {"max_pairs": -1}, {"max_poly_terms": 0},
                                   {"max_poly_terms": -7}, {"max_pairs": 0, "max_poly_terms": 0}])
 def test_caps_below_one_are_refused(caps):

@@ -213,26 +213,93 @@ class TestSfrSearch:
 
     def test_each_colon_built_once_per_e(self, monkeypatch):
         # 1 and y are found at e = 1 by condition (2), x + z exhausts e = 1..2.
-        # Per e: I_e(m) once; I_e of m and of Q; the two trace colons and the
-        # two criterion colons. An ideal_colon counts toward the e last seen.
+        # Per e: f^(q-1)'s terms once, condition (2)'s I_e(Q) once, and each
+        # criterion colon once per condition; I_e(m) is not built at all.
         R, Q, _ = xy_zk_setup(5, 2)
-        calls, last_e = [], [None]
+        calls = []
 
         def spy(name, real):
-            def call(*args):
-                if name != "ideal_colon":
-                    last_e[0] = args[1]
-                calls.append((name, last_e[0]))
-                return real(*args)
+            def call(first, *rest):
+                calls.append((name, first is (R if name == "_fedder_terms" else Q), *rest))
+                return real(first, *rest)
             monkeypatch.setattr(f"froblab.frobenius.{name}", call)
 
-        for name in ("Ie_maximal", "hypersurface_Ie", "ideal_colon"):
+        for name in ("_fedder_terms", "hypersurface_Ie", "_criterion_colon", "Ie_maximal"):
             spy(name, getattr(froblab.frobenius, name))
         c_list = [parse_poly(R.ambient, c) for c in ("1", "y", "x + z")]
         v = sfr_witness_search(Q, c_list, 2)
         assert [c["e"] for c in v.notes["per_c"]] == [1, 1, None]
-        per_e = {"Ie_maximal": 1, "hypersurface_Ie": 2, "ideal_colon": 4}
-        assert collections.Counter(calls) == {(n, e): k for n, k in per_e.items() for e in (1, 2)}
+        assert collections.Counter(calls) == {
+            key: 1 for e in (1, 2) for key in (("_fedder_terms", True, e), ("hypersurface_Ie", True, e),
+                                               ("_criterion_colon", True, e, "1"),
+                                               ("_criterion_colon", True, e, "2"))}
+
+
+class TestFedderProduct:
+    """is_fpure_quotient and sfr_witness_search decide "outside I_e(m)" by
+    Fedder's product: h is outside iff h*f^(q-1) keeps a term below q. The
+    trace colon I_e(m) with ideal_subset is the reference: the same first
+    generator outside it, and the same notes from is_fpure_quotient."""
+
+    @staticmethod
+    def random_gens(rng, R, e):
+        """Polynomials of S around m^[q]: sums of multiples of I_e(m)'s
+        generators, whose products with f^(q-1) cancel below q; in half the
+        calls, some of them plus a term with exponents below 1, 2, q or 2q."""
+        S, q = R.ambient, R.ambient.p**e
+        Ie = Ie_maximal(R, e).gens
+
+        def monomial(bound):
+            return Polynomial(S, [(tuple(rng.randrange(bound) for _ in range(S.nvars)),
+                                   rng.randrange(1, S.p))])
+
+        gens = [sum((monomial(2) * rng.choice(Ie) for _ in range(rng.randrange(1, 4))),
+                    Polynomial.zero(S)) for _ in range(rng.randrange(1, 6))]
+        if rng.random() < 0.5:
+            for i in rng.sample(range(len(gens)), rng.randrange(1, len(gens) + 1)):
+                gens[i] = gens[i] + monomial(rng.choice((1, 2, q, 2 * q)))
+        return gens
+
+    CASES = [(p, e, "x*y - z^2") for p, e in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3),
+                                              (5, 1), (5, 2), (7, 1))] + [
+        (3, 2, "x^2 + y^2 + z^2 + x*y"), (2, 2, "x^2*y + y*z^2 + x^3"),
+        (3, 2, "x^3 + y^3 + z^3 + x*y*z"),
+        (5, 2, "x^3 + y^3 + z^3"), (7, 2, "x^3 + y^3 + z^3"),
+        (5, 2, None), (3, 3, None), (5, 1, "x*y - z^2 + 1"), (3, 2, "x^2 + y^2 + z - 1")]
+
+    @staticmethod
+    def ring(p, f):
+        S = make_ring(p, ["x", "y", "z"])
+        return HypersurfaceRing(S, parse_poly(S, f)) if f else S
+
+    @pytest.mark.parametrize("p,e,f", CASES)
+    def test_first_escaping_matches_the_trace_colon(self, p, e, f):
+        R, rng = self.ring(p, f), random.Random(f"{p} {e} {f}")
+        terms, Ie_m = froblab.frobenius._fedder_terms(R, e), Ie_maximal(R, e)
+        outcomes = set()
+        for _ in range(12):
+            I = Ideal(R, self.random_gens(rng, R, e))
+            _, witness = ideal_subset(I, Ie_m)
+            assert froblab.frobenius._first_escaping(I.gens, terms, p**e) == witness
+            outcomes.add(witness is None)
+        # no h escapes a unit I_e(m): f with a constant term makes m the unit
+        # ideal, and a ring that is not F-pure at e has g inside m^[q]
+        assert outcomes == ({True} if Ie_m.gens == (Polynomial.one(R.ambient),) else {True, False})
+
+    @pytest.mark.parametrize("p,e,f", [(p, e, f) for p, e, f in CASES if p**e <= 9 or f is None])
+    def test_fpure_notes_match_the_trace_colon(self, p, e, f):
+        R, rng = self.ring(p, f), random.Random(f"{p} {e} {f} notes")
+        Ie_m = Ie_maximal(R, e)
+        for _ in range(3):
+            Q = Ideal(R, random_ideal_in_max(R.ambient, rng, max_gens=2, max_deg=2).gens)
+            if not Q.is_proper():
+                continue
+            inside = [ideal_subset(froblab.frobenius._criterion_colon(Q, e, c), Ie_m)
+                      for c in ("1", "2")]
+            v = is_fpure_quotient(Q, e)
+            assert v.notes["condition1_holds"] == (not inside[0][0])
+            assert v.notes["condition2_holds"] == (not inside[1][0])
+            assert v.witness == inside[1][1]
 
 
 class TestNuAndFpt:
