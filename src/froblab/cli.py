@@ -220,10 +220,7 @@ def _run_check(session, rest):
     kwargs = {"n": 2}
     if use_jacobian:
         kwargs["use_jacobian"] = True
-    for part in parts[1:]:
-        key, eq, value = part.partition("=")
-        if not eq or key not in keys:
-            raise ParseError(f"check {tag} takes no argument {part!r}")
+    for key, value in _key_values(parts[1:], keys, f"check {tag}"):
         if key == "expect":
             if value not in ("holds", "fails"):
                 raise ParseError(f"expect is holds or fails, not {value!r}")
@@ -300,18 +297,20 @@ def execute_statement(session: Session, line: str):
         raise ParseError(f"unknown statement {head!r}")
 
 
-def _example_params(ex_id, words, extra=()):
-    """key=value words as a dict; a word without '=', or a key the example
-    (or extra) does not take, is an error naming it. The id is checked by
-    run_example."""
-    keys = (*REGISTRY[ex_id][0], *extra) if ex_id in REGISTRY else None
-    params = {}
+def _key_values(words, keys, what):
+    """(key, value) for each key=value word, in order; a word without '=', or a key
+    not in keys (any key when keys is None), is an error naming what and the word."""
     for word in words:
         key, eq, value = word.partition("=")
         if keys is not None and (not eq or key not in keys):
-            raise ParseError(f"example {ex_id} takes no argument {word!r}")
-        params[key] = value
-    return params
+            raise ParseError(f"{what} takes no argument {word!r}")
+        yield key, value
+
+
+def _example_params(ex_id, words, extra=()):
+    """dict(_key_values) over the example's keys and extra; run_example checks the id."""
+    keys = (*REGISTRY[ex_id][0], *extra) if ex_id in REGISTRY else None
+    return dict(_key_values(words, keys, f"example {ex_id}"))
 
 
 def run_script(path, out=sys.stdout, as_json=False, include_timings=False):

@@ -85,22 +85,15 @@ def fedder_is_fpure(I: Ideal, e: int = 1) -> CriterionVerdict:
 def hypersurface_Ie(J: Ideal, e: int) -> Ideal:
     """The non-splitting ideal I_e(J) of J's ring R = S/(f), by the trace generator.
 
-    Preimage: ((J_S^[q] + (f^q)) : f^(q-1)) with q = p^e. The f^q term stays
-    explicit even when redundant. The containment J^[q] <= I_e(J) is a theorem;
-    it is re-checked here and a failure signals an internal bug. Over S itself
-    (no relation) I_e(J) is J^[q].
+    Preimage: ((J_S^[q] + (f^q)) : f^(q-1)), q = p^e, f^(q-1) by _f_power; over S (no
+    relation) J^[q]. The f^q term stays explicit even when redundant. J^[q] <= I_e(J) is
+    a theorem; it is re-checked here and a failure signals an internal bug.
     """
-    R = J.ring
-    if e < 1:
-        raise ValueError("I_e needs e >= 1")
+    R, g, bracket = J.ring, _f_power(J.ring, e), bracket_power(J, e)
     if not R.relations:
-        return bracket_power(J, e)
-    (f,) = R.relations
-    q = R.ambient.p**e
-    f_qm1 = f ** (q - 1)
-    bracket = bracket_power(J, e)
-    base = Ideal(R.ambient, bracket.gens + (f.frobenius(e),))
-    result = Ideal(R, ideal_colon(base, f_qm1).gens)
+        return bracket
+    base = Ideal(R.ambient, bracket.gens + (R.relations[0].frobenius(e),))
+    result = Ideal(R, ideal_colon(base, g).gens)
     ok, bad = ideal_subset(bracket, result)
     if not ok:
         raise ArithmeticError(
@@ -123,23 +116,33 @@ def _criterion_colon(Q: Ideal, e: int, condition: str) -> Ideal:
     return ideal_colon(bracket_power(Q, e) if condition == "1" else hypersurface_Ie(Q, e), Q)
 
 
-def _fedder_terms(ring, e: int) -> list:
-    """(t, c) for the terms of g = f^(q-1) (1 over S) with all t_i < q = p^e; none when
-    f has a constant term, as m is then the unit ideal. For f in m, I_e(m) = (m^[q] : g)
-    (Fedder). g = prod over i < e of (f^(p-1))^(p^i), as the Frobenius fixes F_p."""
+def _f_power(ring, e: int) -> Polynomial:
+    """g = f^(q-1), q = p^e, of ring = S/(f), as prod over i < e of (f^(p-1))^(p^i) (the
+    Frobenius fixes F_p) under max_poly_terms; 1 over S, with no product. deg g is checked
+    first, with no p^e built past e = 31: f is no constant, and p^32 - 1 > EXPONENT_LIMIT."""
     if e < 1:
         raise ValueError("I_e needs e >= 1")
-    S, relations, q = ring.ambient, ring.relations, ring.ambient.p**e
-    if relations and relations[0].degree() * (q - 1) > EXPONENT_LIMIT:  # before any bracket power
+    if not ring.relations:
+        return Polynomial.one(ring.ambient)
+    (f,), p = ring.relations, ring.ambient.p
+    if f.degree() * (p ** min(e, 32) - 1) > EXPONENT_LIMIT:
         raise ExponentOverflow("power degree beyond checked exponent range")
-    if relations and not any(relations[0].terms[-1][0]):
-        return []
-    g = h = relations[0] ** (S.p - 1) if relations else Polynomial.one(S)
+    g = h = f ** (p - 1)
     for i in range(1, e):  # g has about q terms; each product's count is budgeted
         if len(g.terms) * len(h.terms) > (cap := _scopes.get()[-1].max_poly_terms):
             raise BudgetExceeded(f"f^(q-1) would exceed {cap} terms; raise the budget to proceed")
         g = g * h.frobenius(i)
-    return [(t, c) for t, c in g.terms if max(t) < q]
+    return g
+
+
+def _fedder_terms(ring, e: int) -> list:
+    """g = _f_power(ring, e)'s terms (t, c) with all t_i < q = p^e, none when f has a constant
+    term (m is then the unit ideal); over S, g = 1, and q is not built. I_e(m) = (m^[q] : g)."""
+    g, relations = _f_power(ring, e), ring.relations
+    if relations and not any(relations[0].terms[-1][0]):
+        return []
+    q = ring.ambient.p**e if relations else None
+    return [(t, c) for t, c in g.terms if q is None or max(t) < q]
 
 
 def _first_escaping(gens, terms, q: int):
@@ -170,8 +173,9 @@ def is_fpure_quotient(Q: Ideal, e: int = 1, finite_pd: bool = False) -> Criterio
     """
     if not Q.is_proper():
         raise ValueError("Q must be proper")
-    g, q = _fedder_terms(Q.ring, e), Q.ring.ambient.p**e
-    wit1 = wit2 = _first_escaping(_criterion_colon(Q, e, "1").gens, g, q)
+    g, colon = _fedder_terms(Q.ring, e), _criterion_colon(Q, e, "1")
+    q = Q.ring.ambient.p**e  # past the exponent range, g or the colon has raised
+    wit1 = wit2 = _first_escaping(colon.gens, g, q)
     if Q.ring.relations:
         wit2 = _first_escaping(_criterion_colon(Q, e, "2").gens, g, q)
     notes = {"condition1_holds": wit1 is not None, "condition2_holds": wit2 is not None}
@@ -257,8 +261,8 @@ def nu_e(I: Ideal, e: int) -> int:
         return _nu_monomial(I, e)
     if m_proper and any(map(has_constant, I.gens)):
         raise ValueError("I must be contained in the ideal of all variables")
-    cap = ambient.nvars * (ambient.p**e - 1) + 2
-    nu = last_escaping_power(I.gens, Ie_maximal(I.ring, e), cap)
+    Ie_m = Ie_maximal(I.ring, e)  # past the exponent range, it raises before p^e is built
+    nu = last_escaping_power(I.gens, Ie_m, ambient.nvars * (ambient.p**e - 1) + 2)
     if nu is None:
         raise ArithmeticError("nu_e scan escaped its pigeonhole bound (internal bug)")
     return nu
@@ -272,9 +276,8 @@ def _nu_monomial(I: Ideal, e: int) -> int:
     g, so h*g escapes m^[q] iff some h + t < q. Solved by branch and bound;
     re-checked in integers: the witness times g keeps a term outside m^[q],
     and a root dual point y with floor(y.b) = nu_e is feasible: y >= 0, y.a_j >= 1."""
-    q = I.ring.ambient.p**e
     A = sorted({g.lead_monomial() for g in I.gens})
-    terms = [t for t, _ in _fedder_terms(I.ring, e)]
+    terms, q = [t for t, _ in _fedder_terms(I.ring, e)], I.ring.ambient.p**e
     if not terms:
         return 0
     duals, top = [[] for _ in A], [-1, None, None]  # value, c, b
@@ -348,7 +351,5 @@ def fpt_lower_bound(I: Ideal, e_max: int | None = None) -> FptEstimate:
 def recheck_splitting_witness(Q: Ideal, e: int, r: Polynomial) -> bool:
     """Certificate check for a condition-(2) F-purity witness:
     r*Q inside I_e(Q) and r outside I_e(m)."""
-    IeQ = hypersurface_Ie(Q, e)
-    Ie_m = Ie_maximal(Q.ring, e)
-    ok, _ = ideal_subset(scale_ideal(r, Q), IeQ)
-    return ok and not ideal_member(r, Ie_m)
+    ok, _ = ideal_subset(scale_ideal(r, Q), hypersurface_Ie(Q, e))
+    return ok and not ideal_member(r, Ie_maximal(Q.ring, e))

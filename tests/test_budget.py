@@ -22,6 +22,7 @@ from froblab import (
     hypersurface_Ie,
     is_fpure_quotient,
     make_ring,
+    maximal_ideal,
     normal_form,
     nu_e,
     parse_gens,
@@ -260,6 +261,15 @@ def test_criteria_cap_f_to_the_q_minus_1():
         with pytest.raises(BudgetExceeded, match=cap):
             sfr_witness_search(Q, c, 3)
     assert is_fpure_quotient(Q, 3).status == "confirmed"
+
+
+def test_every_I_e_caps_f_to_the_q_minus_1():
+    """hypersurface_Ie takes f^(q-1) from the one budgeted builder: on the cone at e = 3,
+    I_e(m) stops at that product, before its colon's normal forms."""
+    R, _, _ = xy_zk_setup(5, 2)
+    with GroebnerBudget(max_poly_terms=100):
+        with pytest.raises(BudgetExceeded, match=r"f\^\(q-1\) would exceed 100 terms"):
+            hypersurface_Ie(maximal_ideal(R), 3)
 
 
 @pytest.mark.parametrize("caps", [{"max_pairs": 0}, {"max_pairs": -1}, {"max_poly_terms": 0},

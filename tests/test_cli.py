@@ -610,6 +610,20 @@ class TestErrorExits:
         assert proc.stderr == "error: I^2147483648 has an exponent beyond 2147483647\n"
 
     @pytest.mark.parametrize("argv,message", [
+        (["fedder", "--ring", "F5[x,y,z]", "--ideal", "x*y"], "Frobenius power"),
+        (["fpure", "--ring", "F5[x,y,z]", "--hypersurface", "x*y - z^2", "--ideal", "x, z"],
+         "power degree"),
+    ], ids=["fedder", "fpure"])
+    def test_huge_e_exits_2_at_once(self, argv, message, capsys):
+        # past e = 31 the range check needs no p^e, which has 23 million bits here
+        start = time.perf_counter()
+        assert main(argv + ["--e", "10000000"]) == 2
+        assert time.perf_counter() - start < 10
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message} beyond checked exponent range\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv,message", [
         # (z) does not contain x*y: the input is at fault, not the program
         (["--ideal", "x*y, y*z", "--n", "3", "--primes", "x,y;z"],
          "error: listed prime (z) misses x*y\n"),

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import froblab.frobenius
 from froblab import (
+    ExponentOverflow,
     HypersurfaceRing,
     Ideal,
     Ie_maximal,
@@ -39,7 +40,7 @@ from froblab.frobenius import recheck_splitting_witness
 from froblab.groebner import last_escaping_power
 from froblab.containment import xy_zk_setup
 
-from conftest import random_ideal_in_max, random_monomial_ideal
+from conftest import random_ideal_in_max, random_monomial_ideal, random_poly
 
 
 class TestFedderClassical:
@@ -300,6 +301,60 @@ class TestFedderProduct:
             assert v.notes["condition1_holds"] == (not inside[0][0])
             assert v.notes["condition2_holds"] == (not inside[1][0])
             assert v.witness == inside[1][1]
+
+
+class TestFPower:
+    """_f_power is the one builder of g = f^(q-1): every I_e, the criteria and nu_e's
+    integer program read it. Its range check comes before p^e is built past e = 31."""
+
+    @pytest.mark.parametrize("p,e", [(p, e) for p in (2, 3, 5, 7) for e in (1, 2, 3)])
+    def test_is_f_to_the_q_minus_1(self, p, e):
+        S, q = make_ring(p, ["x", "y", "z"]), p**e
+        rng = random.Random(f"f_power {p} {e}")
+        fs = []
+        while len(fs) < 6:
+            # up to q^2 terms in f^(q-1) for a trinomial, q for a binomial
+            f = random_poly(S, rng, max_deg=2, max_terms=3 if q <= 27 else 1)
+            if not f.is_constant():
+                fs.append(f + rng.randrange(1, p) if len(fs) % 2 else f)  # a constant term
+        for f in fs:
+            assert froblab.frobenius._f_power(HypersurfaceRing(S, f), e) == f ** (q - 1)
+
+    def test_one_over_S_with_no_product(self, monkeypatch):
+        # 5^(10^7) has 23 million bits: over S, neither g nor its terms below q build it
+        S = make_ring(5, ["x", "y"])
+
+        def product(*_):
+            raise AssertionError("a polynomial product over S")
+
+        monkeypatch.setattr(Polynomial, "__mul__", product)
+        assert froblab.frobenius._f_power(S, 10**7) == Polynomial.one(S)
+        assert froblab.frobenius._fedder_terms(S, 10**7) == [((0, 0), 1)]
+
+    def test_degree_bound(self):
+        # deg f * (q - 1) = 2^31 - 1 at e = 31 is EXPONENT_LIMIT itself
+        S = make_ring(2, ["x", "y"])
+        x = Polynomial.variable(S, "x")
+        R = HypersurfaceRing(S, x)
+        assert froblab.frobenius._f_power(R, 31) == x ** (2**31 - 1)
+        for e in (32, 10**7):
+            with pytest.raises(ExponentOverflow, match="^power degree beyond"):
+                froblab.frobenius._f_power(R, e)
+
+    def test_huge_e_raises_before_p_to_the_e(self):
+        # over S/(f) f^(q-1)'s degree fails first, over S the bracket power's
+        R, Q, _ = xy_zk_setup(5, 2)
+        S = R.ambient
+        cases = [(lambda: is_fpure_quotient(Q, 10**7), "power degree"),
+                 (lambda: nu_e(Q, 10**7), "power degree"),
+                 (lambda: nu_e(Ideal(R, parse_gens(S, "x + y*z, z^2")), 10**7), "power degree"),
+                 (lambda: hypersurface_Ie(Q, 10**7), "power degree"),
+                 (lambda: fedder_is_fpure(Ideal(S, parse_gens(S, "x*y")), 10**7), "Frobenius power"),
+                 (lambda: nu_e(Ideal(S, parse_gens(S, "x + y*z, z^2")), 10**7), "Frobenius power"),
+                 (lambda: hypersurface_Ie(maximal_ideal(S), 10**7), "Frobenius power")]
+        for call, message in cases:
+            with pytest.raises(ExponentOverflow, match=f"^{message} beyond"):
+                call()
 
 
 class TestNuAndFpt:

@@ -243,6 +243,15 @@ class TestFrobenius:
         assert f.frobenius(1) == f**5
         assert f.frobenius(1) == parse_poly(F5xyz, "x^5*y^5 - z^15")
 
+    def test_huge_e_is_decided_before_p_to_the_e(self, F5xyz):
+        # 5^(10^7) has 23 million bits; a constant is its own Frobenius power
+        c, x = Polynomial.constant(F5xyz, 3), Polynomial.variable(F5xyz, "x")
+        assert c.frobenius(10**7) == c and not Polynomial.zero(F5xyz).frobenius(10**7)
+        assert x.frobenius(13) == x ** (5**13)
+        for e in (14, 32, 10**7):
+            with pytest.raises(ExponentOverflow, match="^Frobenius power beyond"):
+                x.frobenius(e)
+
     def test_is_ring_map_and_pow_oracle(self):
         # frobenius agrees with the generic power oracle and respects + and *
         for p, e in ((2, 2), (3, 1), (5, 1)):
