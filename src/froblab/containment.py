@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import sys
 import time
 from dataclasses import dataclass, field
 
@@ -270,12 +271,19 @@ def check_symbolic_into_Ie(
         raise ValueError("this check needs max_local_gens in the prime data")
     if e < 1:
         raise ValueError("I_e needs e >= 1")
-    h = pd.max_local_gens
-    q = Q.ring.ambient.p**e
-    sym_exp = q * (h + n - 1) - h + 1
+    h, p = pd.max_local_gens, Q.ring.ambient.p
     tag = "symbolic-into-ie"
+    # q = p^e >= 2^e, so an e past q_cap's bit length skips with no p^e built. A skipped
+    # report gives q and the exponent as text when either has more digits than str gives
+    # an int by default; past 10/3 bits a digit 2^e has more, and p^e is not built.
+    skip = q_cap is not None and (e > q_cap.bit_length() or p**e > q_cap)
+    digits = sys.int_info.default_max_str_digits
+    q = None if skip and 3 * e > 10 * digits else p**e
+    sym_exp = q and q * (h + n - 1) - h + 1
+    if skip and (q is None or max(q, abs(sym_exp)) >= 10**digits):
+        q, sym_exp = f"{p}^{e}", f"{h + n - 1}*{p}^{e}-{h - 1}"
     params = {"n": n, "e": e, "q": q, "h": h, "symbolic_exponent": sym_exp}
-    if q_cap is not None and q > q_cap:
+    if skip:
         return _skipped(tag, params, f"q = {q} exceeds {_cap_text(q_cap, DEFAULT_Q_CAP)}",
                         expected)
     diag = {}

@@ -116,10 +116,11 @@ def _criterion_colon(Q: Ideal, e: int, condition: str) -> Ideal:
     return ideal_colon(bracket_power(Q, e) if condition == "1" else hypersurface_Ie(Q, e), Q)
 
 
-def _f_power(ring, e: int) -> Polynomial:
+def _f_power(ring, e: int, build: bool = True) -> Polynomial | None:
     """g = f^(q-1), q = p^e, of ring = S/(f), as prod over i < e of (f^(p-1))^(p^i) (the
     Frobenius fixes F_p) under max_poly_terms; 1 over S, with no product. deg g is checked
-    first, with no p^e built past e = 31: f is no constant, and p^32 - 1 > EXPONENT_LIMIT."""
+    first, with no p^e built past e = 31: f is no constant, and p^32 - 1 > EXPONENT_LIMIT.
+    With build False over S/(f), the checks alone, and None."""
     if e < 1:
         raise ValueError("I_e needs e >= 1")
     if not ring.relations:
@@ -127,6 +128,8 @@ def _f_power(ring, e: int) -> Polynomial:
     (f,), p = ring.relations, ring.ambient.p
     if f.degree() * (p ** min(e, 32) - 1) > EXPONENT_LIMIT:
         raise ExponentOverflow("power degree beyond checked exponent range")
+    if not build:
+        return None
     g = h = f ** (p - 1)
     for i in range(1, e):  # g has about q terms; each product's count is budgeted
         if len(g.terms) * len(h.terms) > (cap := _scopes.get()[-1].max_poly_terms):
@@ -137,10 +140,13 @@ def _f_power(ring, e: int) -> Polynomial:
 
 def _fedder_terms(ring, e: int) -> list:
     """g = _f_power(ring, e)'s terms (t, c) with all t_i < q = p^e, none when f has a constant
-    term (m is then the unit ideal); over S, g = 1, and q is not built. I_e(m) = (m^[q] : g)."""
-    g, relations = _f_power(ring, e), ring.relations
+    term (m is then the unit ideal, and g is not built); over S, g = 1, and q is not built.
+    I_e(m) = (m^[q] : g)."""
+    relations = ring.relations
     if relations and not any(relations[0].terms[-1][0]):
+        _f_power(ring, e, build=False)  # its checks alone
         return []
+    g = _f_power(ring, e)
     q = ring.ambient.p**e if relations else None
     return [(t, c) for t, c in g.terms if q is None or max(t) < q]
 
@@ -173,11 +179,13 @@ def is_fpure_quotient(Q: Ideal, e: int = 1, finite_pd: bool = False) -> Criterio
     """
     if not Q.is_proper():
         raise ValueError("Q must be proper")
-    g, colon = _fedder_terms(Q.ring, e), _criterion_colon(Q, e, "1")
-    q = Q.ring.ambient.p**e  # past the exponent range, g or the colon has raised
-    wit1 = wit2 = _first_escaping(colon.gens, g, q)
-    if Q.ring.relations:
-        wit2 = _first_escaping(_criterion_colon(Q, e, "2").gens, g, q)
+    g, wit1, wit2 = _fedder_terms(Q.ring, e), None, None
+    if g:  # else I_e(m) is the unit ideal, and no colon is built
+        colon = _criterion_colon(Q, e, "1")
+        q = Q.ring.ambient.p**e  # past the exponent range, g or the colon has raised
+        wit1 = wit2 = _first_escaping(colon.gens, g, q)
+        if Q.ring.relations:
+            wit2 = _first_escaping(_criterion_colon(Q, e, "2").gens, g, q)
     notes = {"condition1_holds": wit1 is not None, "condition2_holds": wit2 is not None}
     if wit2 is not None:
         return CriterionVerdict("confirmed", e, witness=wit2, condition="2", notes=notes)
@@ -221,6 +229,8 @@ def sfr_witness_search(
         for e, cond in product(range(1, e_max + 1), conditions):  # c*colon escapes I_e(m)?
             if e not in memo:
                 memo[e] = _fedder_terms(ring, e)
+            if not memo[e]:  # no term: no c*h escapes I_e(m), the unit ideal
+                continue
             if (e, cond) not in memo:
                 memo[e, cond] = _criterion_colon(Q, e, cond)
             wit = _first_escaping(scale_ideal(c, memo[e, cond]).gens, memo[e], ring.ambient.p**e)

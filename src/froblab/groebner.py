@@ -473,6 +473,14 @@ class _Pairs:
     the active leading monomials divide none of each other. So coprimality is
     tested only for the survivors. A pair entering the queue gets its heap
     key by one unpack and one pack.
+
+    A monomial k skips the sort. It queues no pair with a monomial i, so it
+    takes lcm(i, k) for the non-monomial active i alone, coprime ones
+    dropped first. The sorted loop keeps exactly the (i, k) whose lcm is
+    minimal among the new lcms, of equal ones the least i; and lcm(j, k)
+    divides lcm(i, k) iff lm_j does. So (i, k) stays unless another active j
+    has lm_j | lcm(i, k) and j < i or lcm(j, k) != lcm(i, k): the same
+    survivors, with lcm(j, k) taken only for such a j > i.
     """
 
     __slots__ = ("packing", "budget", "lms", "fields", "monomial", "active", "queue", "selected")
@@ -498,19 +506,30 @@ class _Pairs:
         packing, fields, active = self.packing, self.fields, self.active
         guards, mask, lcm = packing.guards, packing._mask, packing.lcm
         k, x = len(fields), lm & mask
-        lcms = {i: lcm(fields[i], x) for i in active}
         queue = [q for q in self.queue if (q[1] - lm) & guards
                  or (q[1] & mask) in (lcm(fields[q[2]], x), lcm(fields[q[3]], x))]
-        witnesses = []
-        for f, i in sorted((lcms[i], i) for i in active):
-            for w in witnesses:
-                if not (f - w) & guards:
-                    break
-            else:
-                witnesses.append(f)
-                if f != fields[i] + x and not (monomial and self.monomial[i]):
+        if monomial:  # no pair of two monomials: only a non-monomial i needs lcm(i, k)
+            for i in active:
+                if self.monomial[i] or (f := lcm(fields[i], x)) == fields[i] + x:
+                    continue
+                for j in active:
+                    if not (f - fields[j]) & guards and j != i and (
+                            j < i or lcm(fields[j], x) != f):
+                        break
+                else:
                     e = packing.unpack(f)
                     queue.append((sum(e), packing.pack(e), i, k))
+        else:
+            witnesses = []
+            for f, i in sorted([(lcm(fields[i], x), i) for i in active]):
+                for w in witnesses:
+                    if not (f - w) & guards:
+                        break
+                else:
+                    witnesses.append(f)
+                    if f != fields[i] + x:
+                        e = packing.unpack(f)
+                        queue.append((sum(e), packing.pack(e), i, k))
         heapq.heapify(queue)
         self.queue = queue
         self.active = [i for i in active if (fields[i] - x) & guards] + [k]
@@ -530,7 +549,8 @@ def _pair_loop(ring, gens, known=()):
     if known:
         seed = _as_reducers(ring, known)
     else:
-        seed = _minimal_monomials(ring, [g for g in gens if len(g._packed) == 1])[1]
+        lms = [g._packed[0][0] for g in gens if len(g._packed) == 1]
+        seed = [(m, 1, ()) for m in _minimal(ring._packing.guards, lms)]
         gens = [g for g in gens if len(g._packed) > 1]
     basis = _Reducers(seed)  # all monic: lc_inv = 1
     pairs = _Pairs(ring._packing)
@@ -697,7 +717,12 @@ def _minimal_monomials(ring, *factors):
     of the monomial ideals that the factors, lists of monomials, generate; of
     one factor, its minimal monomials, monic. The intersection is generated
     by the lcms of one monomial from each factor (Miller-Sturmfels,
-    Combinatorial Commutative Algebra, ch. 1), met one factor at a time."""
+    Combinatorial Commutative Algebra, ch. 1), met one factor at a time. One
+    factor is pruned on the ring's packed leading monomials as they are."""
+    if len(factors) == 1:
+        reduced = [(m, 1, ()) for m in _minimal(ring._packing.guards,
+                                                [g._packed[0][0] for g in factors[0]])]
+        return _basis_polys(ring, reduced), reduced
     mask = ring._packing._mask
     factors = [[g._packed[0][0] & mask for g in monos] for monos in factors]
     return _carry(ring, factors, lambda lex, kept, ms: [lex.lcm(a, b) for a in kept for b in ms])
@@ -724,21 +749,27 @@ def _carry(ring, steps, meet):
     """The reduced basis of the monomial ideal reached from the unit ideal
     by meet(lex, kept, step) per step, which lists generators of the next
     ideal from the kept minimal monomials, on the exponent fields (m & mask:
-    the lex packing); only the result is packed in the ring's order. A divisor
-    comes first in ascending lex order, as in every monomial order, and tends
-    to sit close below, so the kept ones are tried from the latest back."""
+    the lex packing); only the result is packed in the ring's order."""
     lex = _packing_for(ring.nvars, "lex", None)
     kept = [0]  # the unit ideal
     for step in steps:
-        packed, kept = sorted(set(meet(lex, kept, step))), []
-        for m in packed:
-            for k in reversed(kept):
-                if not (m - k) & lex.guards:
-                    break
-            else:
-                kept.append(m)
+        kept = _minimal(lex.guards, meet(lex, kept, step))
     reduced = sorted((ring._packing.pack(lex.unpack(m)), 1, ()) for m in kept)
     return _basis_polys(ring, reduced), reduced
+
+
+def _minimal(guards, monomials):
+    """The packed monomials no other of them divides, once each, ascending. A
+    divisor comes first in every monomial order, and tends to sit close
+    below, so the kept ones are tried from the latest back."""
+    kept = []
+    for m in sorted(set(monomials)):
+        for k in reversed(kept):
+            if not (m - k) & guards:
+                break
+        else:
+            kept.append(m)
+    return kept
 
 
 def _monomial_product(ring, A, B):
@@ -766,7 +797,7 @@ def _reduce_basis(ring, basis):
     each other's, as _pair_loop returns it. The whole basis serves: the terms
     met reducing g's tail are below lm(g), so lm(g) divides none of them."""
     basis = _Reducers(basis)
-    return sorted((lm, 1, _nf_terms(ring, tail, basis)) for lm, _, tail in basis)
+    return sorted((lm, 1, tail and _nf_terms(ring, tail, basis)) for lm, _, tail in basis)
 
 
 def _basis_polys(ring, reduced):

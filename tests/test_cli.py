@@ -623,6 +623,17 @@ class TestErrorExits:
         assert captured.err == f"error: {message} beyond checked exponent range\n"
         assert captured.out == ""
 
+    def test_sfr_on_the_circle_exits_2_at_once(self, capsys):
+        # f has a constant term, so no e decides and no colon is built; the
+        # search runs into the exponent range at e = 13, as fpure --e 13 does
+        start = time.perf_counter()
+        assert main(["sfr", "--ring", "F5[x,y]", "--hypersurface", "x^2 + y^2 - 1",
+                     "--ideal", "x, y - 1", "--c", "y", "--emax", "40"]) == 2
+        assert time.perf_counter() - start < 10
+        captured = capsys.readouterr()
+        assert captured.err == "error: power degree beyond checked exponent range\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("argv,message", [
         # (z) does not contain x*y: the input is at fault, not the program
         (["--ideal", "x*y, y*z", "--n", "3", "--primes", "x,y;z"],

@@ -2,7 +2,9 @@
 
 import itertools
 import json
+import math
 import random
+import time
 
 import pytest
 
@@ -229,6 +231,39 @@ class TestSymbolicIntoIe:
         R, Q, pd = xy_zk_setup(7, 2)
         rep = check_symbolic_into_Ie(Q, pd, n=1, e=2)  # q = 49 > 25
         assert rep.verdict == "skipped"
+
+    def test_a_huge_e_skips_with_q_as_text(self):
+        # 5^7000 has 4893 digits, past what str gives of an int by default
+        R, Q, pd = xy_zk_setup(5, 2)
+        rep = check_symbolic_into_Ie(Q, pd, n=2, e=7000)
+        assert rep.verdict == "skipped" and rep.reason == "q = 5^7000 exceeds the default cap 25"
+        assert rep.params == {"n": 2, "e": 7000, "q": "5^7000", "h": 2,
+                              "symbolic_exponent": "3*5^7000-1"}
+        json.loads(rep.to_json())
+        start = time.perf_counter()  # 5^(10^7) alone would take seconds
+        rep = check_symbolic_into_Ie(Q, pd, n=1, e=10**7)
+        assert time.perf_counter() - start < 1
+        assert rep.params["q"] == "5^10000000" and rep.params["symbolic_exponent"] == "2*5^10000000-1"
+
+    @pytest.mark.parametrize("p", [2, 5, 7])
+    def test_skipped_q_is_an_int_wherever_it_prints(self, p):
+        # around the last e whose q and exponent have at most 4300 digits (the
+        # default int str limit), under the default cap and one of 10^4000,
+        # which q passes: an int where an int prints, else text
+        r = make_ring(p, ["x", "y"])
+        Q = Ideal(r, parse_gens(r, "x, y"))
+        pd = PrimeData(primes=(Q,), separators=(Polynomial.one(r),), heights=(2,),
+                       max_local_gens=2, asserted_radical=True, asserted_finite_pd=True)
+        near = round(4300 / math.log10(p))
+        kinds = set()
+        for cap, e in itertools.product((25, 10**4000), range(near - 3, near + 3)):
+            rep = check_symbolic_into_Ie(Q, pd, n=2, e=e, q_cap=cap)
+            q, sym = p**e, 3 * p**e - 1
+            printable = sym < 10**4300
+            want = (q, sym) if printable else (f"{p}^{e}", f"3*{p}^{e}-1")
+            assert rep.verdict == "skipped" and (rep.params["q"], rep.params["symbolic_exponent"]) == want
+            kinds.add(printable)
+        assert kinds == {True, False}
 
 
 class TestOneBuchbergerRunPerInput:

@@ -236,6 +236,29 @@ class TestSfrSearch:
                                                ("_criterion_colon", True, e, "2"))}
 
 
+    def test_no_colon_where_f_has_a_constant_term(self, monkeypatch):
+        # on the circle x^2 + y^2 - 1, m is the unit ideal: no term of
+        # f^(q-1) decides, and neither criterion builds a colon; e = 13 is
+        # past the exponent range, as fpure says
+        S = make_ring(5, ["x", "y"])
+        R = HypersurfaceRing(S, parse_poly(S, "x^2 + y^2 - 1"))
+        Q = Ideal(R, parse_gens(S, "x, y - 1"))
+
+        def colon(*_):
+            raise AssertionError("a criterion colon built")
+
+        monkeypatch.setattr(froblab.frobenius, "_criterion_colon", colon)
+        v = sfr_witness_search(Q, [parse_poly(S, "y")], 12)
+        assert v.status == "inconclusive" and v.notes["per_c"] == [{"c": "y", "e": None}]
+        v = is_fpure_quotient(Q, 4)
+        assert v.status == "inconclusive" and v.witness is None
+        assert not v.notes["condition1_holds"] and not v.notes["condition2_holds"]
+        for call in (lambda: sfr_witness_search(Q, [parse_poly(S, "y")], 40),
+                     lambda: is_fpure_quotient(Q, 13)):
+            with pytest.raises(ExponentOverflow, match="^power degree beyond"):
+                call()
+
+
 class TestFedderProduct:
     """is_fpure_quotient and sfr_witness_search decide "outside I_e(m)" by
     Fedder's product: h is outside iff h*f^(q-1) keeps a term below q. The

@@ -471,6 +471,26 @@ class TestMonomialBases:
             assert G.elements == reference.elements, gens
             assert G._reducers == reference._reducers, gens
 
+    @pytest.mark.parametrize("order,blocks", RINGS)
+    def test_one_factor_equals_the_lex_carry(self, order, blocks):
+        # one factor is pruned on the ring's packed ints; the reference is
+        # _carry's prune of the lcms with the unit ideal, on the lex fields
+        rng = random.Random(f"one factor {order}")
+        duplicated = 0
+        for trial in range(40):
+            ring = make_ring([2, 3, 5, 7][trial % 4], ["x", "y", "z", "w"], order, blocks)
+            gens = self.random_monomials(ring, rng)
+            gens += rng.sample(gens, rng.randrange(len(gens) + 1))
+            if rng.random() < 0.2:
+                gens.append(Polynomial.monomial(ring, rng.sample([EXPONENT_LIMIT, 1, 0, 0], 4)))
+            duplicated += len(set(gens)) < len(gens)
+            mask = ring._packing._mask
+            want = groebner._carry(ring, [[g._packed[0][0] & mask for g in gens]],
+                                   lambda lex, kept, ms: [lex.lcm(a, b) for a in kept for b in ms])
+            assert groebner._minimal_monomials(ring, gens) == want, gens
+        assert duplicated >= 20
+        assert groebner._minimal_monomials(ring, []) == ((), [])
+
     @pytest.mark.parametrize("order", ["lex", "grevlex"])
     def test_equals_sympy(self, order):
         rng = random.Random(f"monomial sympy {order}")
@@ -789,6 +809,60 @@ class TestPairs:
                 popped += 1
             assert not ours.queue and ours.active == ref.active
         assert popped >= 100  # the criteria leave pairs to select
+
+    @pytest.mark.parametrize("nvars", [2, 3, 4])
+    @pytest.mark.parametrize("order", ["lex", "grevlex", "block"])
+    def test_monomial_heavy_replay(self, order, nvars):
+        # most adds are monomials, which skip the sorted witness loop; small
+        # exponents give many equal and nested lcms, a few are near the limit
+        rng = random.Random(f"monomial pairs {order} {nvars}")
+        names = list("xyzw"[:nvars])
+        blocks = (names[: nvars // 2], names[nvars // 2:]) if order == "block" else None
+        ring = make_ring(3, names, order, blocks)
+        huge = (EXPONENT_LIMIT, EXPONENT_LIMIT - 1, EXPONENT_LIMIT // 2)
+        queued = tied = nested = 0
+        for _ in range(60):
+            ours, ref = (cls(ring._packing) for cls in (groebner._Pairs, PairsReference))
+            for _ in range(rng.randrange(3, 30)):
+                e = [rng.choice(huge) if rng.random() < 0.05 else rng.randrange(3) for _ in names]
+                lm, monomial = ring._packing.pack(e), rng.random() < 0.8
+                if monomial:  # how the lcms of the pairs it may queue meet the others'
+                    lcms = {i: tuple(map(max, ref.exps[i], e)) for i in ref.active}
+                    for i in (i for i in ref.active if not ref.monomial[i]):
+                        others = [lcms[j] for j in ref.active if j != i]
+                        tied += lcms[i] in others
+                        nested += any(o != lcms[i] and all(map(int.__le__, o, lcms[i]))
+                                      for o in others)
+                before = len(ref.queue)
+                ours.add(lm, monomial)
+                ref.add(lm, monomial)
+                queued += monomial and len(ref.queue) > before
+                assert sorted(ours.queue) == sorted(ref.queue) and ours.active == ref.active
+                for _ in range(min(rng.randrange(3), len(ref.queue))):
+                    assert ours.pop() == ref.pop()
+            while ref.queue:
+                assert ours.pop() == ref.pop()
+        assert queued >= 20 and tied >= 20 and nested >= 20, (queued, tied, nested)
+
+    def test_a_monomial_takes_no_lcm_with_a_monomial(self, monkeypatch):
+        # seeded x*y and x*z^2 (not monomials), z^3 and w^3 (monomials), then
+        # the monomial y^2: lcm(x*z^2, y^2) = x*y^2*z^2 is a multiple of
+        # x*y, whose pair comes first, so (0, 4) alone is queued, and no lcm
+        # is taken with a monomial; the sorted loop takes one with each
+        ring = make_ring(5, ["x", "y", "z", "w"])
+        pack, calls = ring._packing.pack, []
+        lcm = type(ring._packing).lcm
+        monkeypatch.setattr(type(ring._packing), "lcm",
+                            lambda self, a, b: calls.append(a) or lcm(self, a, b))
+        pairs = groebner._Pairs(ring._packing)
+        seed = [(1, 1, 0, 0), (1, 0, 2, 0), (0, 0, 3, 0), (0, 0, 0, 3)]
+        pairs.seed([pack(e) for e in seed], [False, False, True, True])
+        monomials = {pairs.fields[2], pairs.fields[3]}
+        pairs.add(pack((0, 2, 0, 0)), True)
+        assert [q[2:] for q in pairs.queue] == [(0, 4)]
+        assert calls and not monomials.intersection(calls)
+        pairs.add(pack((0, 0, 1, 1)), False)
+        assert monomials <= set(calls)
 
 
 class TestSeededPairLoop:

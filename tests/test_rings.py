@@ -404,6 +404,30 @@ class TestPackedStorage:
         with pytest.raises(ExponentOverflow):
             parse_poly(ring, f"x*y^{d} + z").frobenius(1)
 
+    def test_a_one_term_factor_shifts_the_other(self, ring):
+        # a monomial times f shifts and scales f's packed terms; the reference
+        # is the product of the exponent tuples, collected in a dict and sorted
+        rng = random.Random(f"one term {ring.order}")
+        one_term = 0
+        for _ in range(40):
+            f = random_poly(ring, rng, nonzero=True)
+            m = Polynomial.monomial(ring, [rng.randrange(4) for _ in range(4)],
+                                    rng.randrange(1, ring.p))
+            want = Polynomial(ring, [(mono_mul(a, b), c * d) for a, c in m.terms for b, d in f.terms])
+            assert m * f == want and f * m == want, (m, f)
+            one_term += len(f.terms) > 1 and m.lead_coeff() != 1
+        assert one_term >= 20
+        # the degree bound holds on this path too: at the limit, and one past it
+        N = EXPONENT_LIMIT
+        x, y, z, w = (Polynomial.variable(ring, v) for v in "xyzw")
+        top = Polynomial.monomial(ring, (N - 1, 0, 0, 0), 3)
+        assert top * (x + 2 * w) == Polynomial(ring, [((N, 0, 0, 0), 3), ((N - 1, 0, 0, 1), 6)])
+        for f in (x * y + 1, y * y, z + w * w):
+            with pytest.raises(ExponentOverflow, match="^product degree"):
+                top * f
+            with pytest.raises(ExponentOverflow, match="^product degree"):
+                f * top
+
     def test_without_last_power(self, ring):
         rng = random.Random(f"last power {ring.order}")
         w = Polynomial.variable(ring, "w")
