@@ -261,6 +261,13 @@ def check_fpt_containment(
                                      expected, diag, t0)
 
 
+def _int_str_digits() -> int:
+    """The most digits str gives of an int: the limit in force (Python 3.10.7 on), or its
+    default of 4300 where none is (before 3.10.7, or the limit set to 0)."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    return (get and get()) or 4300
+
+
 def check_symbolic_into_Ie(
     Q, pd: PrimeData, n: int, e: int = 1, q_cap: int | None = DEFAULT_Q_CAP, expected: str = "holds"
 ) -> ContainmentReport:
@@ -275,9 +282,9 @@ def check_symbolic_into_Ie(
     tag = "symbolic-into-ie"
     # q = p^e >= 2^e, so an e past q_cap's bit length skips with no p^e built. A skipped
     # report gives q and the exponent as text when either has more digits than str gives
-    # an int by default; past 10/3 bits a digit 2^e has more, and p^e is not built.
+    # an int; past 10/3 bits a digit 2^e has more, and p^e is not built.
     skip = q_cap is not None and (e > q_cap.bit_length() or p**e > q_cap)
-    digits = sys.int_info.default_max_str_digits
+    digits = _int_str_digits() if skip else 0
     q = None if skip and 3 * e > 10 * digits else p**e
     sym_exp = q and q * (h + n - 1) - h + 1
     if skip and (q is None or max(q, abs(sym_exp)) >= 10**digits):

@@ -116,20 +116,25 @@ def _criterion_colon(Q: Ideal, e: int, condition: str) -> Ideal:
     return ideal_colon(bracket_power(Q, e) if condition == "1" else hypersurface_Ie(Q, e), Q)
 
 
-def _f_power(ring, e: int, build: bool = True) -> Polynomial | None:
-    """g = f^(q-1), q = p^e, of ring = S/(f), as prod over i < e of (f^(p-1))^(p^i) (the
-    Frobenius fixes F_p) under max_poly_terms; 1 over S, with no product. deg g is checked
-    first, with no p^e built past e = 31: f is no constant, and p^32 - 1 > EXPONENT_LIMIT.
-    With build False over S/(f), the checks alone, and None."""
+def _check_f_power(ring, e: int) -> None:
+    """Raise unless f^(q-1), q = p^e, of ring = S/(f) or S is in range: e >= 1, and deg f^(q-1)
+    checked with no p^e built past e = 31: f is no constant, and p^32 - 1 > EXPONENT_LIMIT."""
     if e < 1:
         raise ValueError("I_e needs e >= 1")
+    if ring.relations:
+        (f,), p = ring.relations, ring.ambient.p
+        if f.degree() * (p ** min(e, 32) - 1) > EXPONENT_LIMIT:
+            raise ExponentOverflow("power degree beyond checked exponent range")
+
+
+def _f_power(ring, e: int) -> Polynomial:
+    """g = f^(q-1), q = p^e, of ring = S/(f), as prod over i < e of (f^(p-1))^(p^i) (the
+    Frobenius fixes F_p) under max_poly_terms, once _check_f_power passes; 1 over S, with no
+    product."""
+    _check_f_power(ring, e)
     if not ring.relations:
         return Polynomial.one(ring.ambient)
     (f,), p = ring.relations, ring.ambient.p
-    if f.degree() * (p ** min(e, 32) - 1) > EXPONENT_LIMIT:
-        raise ExponentOverflow("power degree beyond checked exponent range")
-    if not build:
-        return None
     g = h = f ** (p - 1)
     for i in range(1, e):  # g has about q terms; each product's count is budgeted
         if len(g.terms) * len(h.terms) > (cap := _scopes.get()[-1].max_poly_terms):
@@ -144,7 +149,7 @@ def _fedder_terms(ring, e: int) -> list:
     I_e(m) = (m^[q] : g)."""
     relations = ring.relations
     if relations and not any(relations[0].terms[-1][0]):
-        _f_power(ring, e, build=False)  # its checks alone
+        _check_f_power(ring, e)
         return []
     g = _f_power(ring, e)
     q = ring.ambient.p**e if relations else None

@@ -463,24 +463,21 @@ class _Pairs:
       budget in force when the run began.
 
     The update runs on ints: fields keeps lm & mask per element, the lex
-    packing of its exponents, on which _Packing.lcm takes lcm(i, k): for each
-    active i, and for B_k the two of a queued pair whose lcm lm_k divides. M
-    and F sort the new lcms in lex order, not the ring's; a divisor comes
-    first in every monomial order, so the same ones are kept. Each is tried
-    against the lcms kept before it in a plain loop, no call per witness
-    (Gebauer-Moller, J. Symbolic Comput. 6, 1988). A coprime pair
-    never ties: lcm(i, k) = lm_i * lm_k = lcm(j, k) forces lm_i | lm_j, and
-    the active leading monomials divide none of each other. So coprimality is
-    tested only for the survivors. A pair entering the queue gets its heap
-    key by one unpack and one pack.
-
-    A monomial k skips the sort. It queues no pair with a monomial i, so it
-    takes lcm(i, k) for the non-monomial active i alone, coprime ones
-    dropped first. The sorted loop keeps exactly the (i, k) whose lcm is
-    minimal among the new lcms, of equal ones the least i; and lcm(j, k)
-    divides lcm(i, k) iff lm_j does. So (i, k) stays unless another active j
-    has lm_j | lcm(i, k) and j < i or lcm(j, k) != lcm(i, k): the same
-    survivors, with lcm(j, k) taken only for such a j > i.
+    packing of its exponents, on which _Packing.lcm takes lcm(i, k) and the
+    guard bits test divisibility (Gebauer-Moller, J. Symbolic Comput. 6,
+    1988). M and F need no sort of the new lcms: lcm(j, k) divides lcm(i, k)
+    iff lm_j does, so (i, k) stays unless another active j has lm_j |
+    lcm(i, k) with j < i or lcm(j, k) != lcm(i, k), and lcm(j, k) is taken
+    only for such a j > i. That is the set a sort by (lcm, i) keeps when it
+    tries each lcm against the kept ones before it, since a divisor sorts
+    first in every monomial order. A new pair whose survival cannot matter,
+    coprime or two monomials, is dropped before the scan and still serves as
+    a j. So a monomial k takes lcm(i, k) for the non-monomial active i
+    alone. The scan is quadratic in the active elements where that sort is
+    not; replaying one pass's non-monomial adds, it took 0.90 ms to a sort
+    loop's 0.87 on determinantal (105 adds) and 6.6 to 6.2 on script (264),
+    about 0.5% of either pass. A pair entering the queue gets its heap key
+    by one unpack and one pack.
     """
 
     __slots__ = ("packing", "budget", "lms", "fields", "monomial", "active", "queue", "selected")
@@ -508,28 +505,15 @@ class _Pairs:
         k, x = len(fields), lm & mask
         queue = [q for q in self.queue if (q[1] - lm) & guards
                  or (q[1] & mask) in (lcm(fields[q[2]], x), lcm(fields[q[3]], x))]
-        if monomial:  # no pair of two monomials: only a non-monomial i needs lcm(i, k)
-            for i in active:
-                if self.monomial[i] or (f := lcm(fields[i], x)) == fields[i] + x:
-                    continue
-                for j in active:
-                    if not (f - fields[j]) & guards and j != i and (
-                            j < i or lcm(fields[j], x) != f):
-                        break
-                else:
-                    e = packing.unpack(f)
-                    queue.append((sum(e), packing.pack(e), i, k))
-        else:
-            witnesses = []
-            for f, i in sorted([(lcm(fields[i], x), i) for i in active]):
-                for w in witnesses:
-                    if not (f - w) & guards:
-                        break
-                else:
-                    witnesses.append(f)
-                    if f != fields[i] + x:
-                        e = packing.unpack(f)
-                        queue.append((sum(e), packing.pack(e), i, k))
+        for i in active:  # no pair of two monomials; the product criterion first
+            if (monomial and self.monomial[i]) or (f := lcm(fields[i], x)) == fields[i] + x:
+                continue
+            for j in active:
+                if not (f - fields[j]) & guards and j != i and (j < i or lcm(fields[j], x) != f):
+                    break
+            else:
+                e = packing.unpack(f)
+                queue.append((sum(e), packing.pack(e), i, k))
         heapq.heapify(queue)
         self.queue = queue
         self.active = [i for i in active if (fields[i] - x) & guards] + [k]
@@ -717,12 +701,7 @@ def _minimal_monomials(ring, *factors):
     of the monomial ideals that the factors, lists of monomials, generate; of
     one factor, its minimal monomials, monic. The intersection is generated
     by the lcms of one monomial from each factor (Miller-Sturmfels,
-    Combinatorial Commutative Algebra, ch. 1), met one factor at a time. One
-    factor is pruned on the ring's packed leading monomials as they are."""
-    if len(factors) == 1:
-        reduced = [(m, 1, ()) for m in _minimal(ring._packing.guards,
-                                                [g._packed[0][0] for g in factors[0]])]
-        return _basis_polys(ring, reduced), reduced
+    Combinatorial Commutative Algebra, ch. 1), met one factor at a time."""
     mask = ring._packing._mask
     factors = [[g._packed[0][0] & mask for g in monos] for monos in factors]
     return _carry(ring, factors, lambda lex, kept, ms: [lex.lcm(a, b) for a in kept for b in ms])

@@ -119,10 +119,8 @@ def _extended_ring(ring, front_vars):
     return RingDescriptor(ring.p, front + ring.variables, "block", (front, ring.variables))
 
 
-@functools.lru_cache(maxsize=64)
 def _t_ring(ring):
-    """[t | ring] under the block order, t a variable name ring lacks, and t;
-    kept per ring, as rings._ring_map is."""
+    """[t | ring] under the block order, t a variable name ring lacks, and t."""
     name = "t"
     while name in ring.variables:
         name += "_"

@@ -374,9 +374,6 @@ class Polynomial:
         small, big = self._packed, other._packed
         if len(small) > len(big):
             small, big = big, small
-        if len(small) == 1:  # a monomial times: the same order, coefficients units mod p
-            ((m1, c1),) = small  # built in the tuple, with no list beside it (peak RSS)
-            return Polynomial._from_packed(self.ring, tuple((m + m1, c * c1 % p) for m, c in big))
         acc = {}
         get = acc.get
         for m1, c1 in small:

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import sys
 import time
 
 import pytest
@@ -244,6 +245,21 @@ class TestSymbolicIntoIe:
         rep = check_symbolic_into_Ie(Q, pd, n=1, e=10**7)
         assert time.perf_counter() - start < 1
         assert rep.params["q"] == "5^10000000" and rep.params["symbolic_exponent"] == "2*5^10000000-1"
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int str limit")
+    def test_the_int_str_limit_in_force_decides_the_text_form(self):
+        # under a lower limit than the default, a q that str could print by
+        # default goes as text, and the report prints
+        R, Q, pd = xy_zk_setup(5, 2)
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)  # 5^1000 has 699 digits
+        try:
+            rep = check_symbolic_into_Ie(Q, pd, n=2, e=1000)
+            assert rep.params["q"] == "5^1000" and rep.params["symbolic_exponent"] == "3*5^1000-1"
+            assert "q = 5^1000 exceeds" in str(rep.reason) and json.loads(rep.to_json())
+            assert check_symbolic_into_Ie(Q, pd, n=2, e=900).params["q"] == 5**900
+        finally:
+            sys.set_int_max_str_digits(old)
 
     @pytest.mark.parametrize("p", [2, 5, 7])
     def test_skipped_q_is_an_int_wherever_it_prints(self, p):

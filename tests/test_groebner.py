@@ -472,9 +472,10 @@ class TestMonomialBases:
             assert G._reducers == reference._reducers, gens
 
     @pytest.mark.parametrize("order,blocks", RINGS)
-    def test_one_factor_equals_the_lex_carry(self, order, blocks):
-        # one factor is pruned on the ring's packed ints; the reference is
-        # _carry's prune of the lcms with the unit ideal, on the lex fields
+    def test_the_ring_packed_prune_equals_the_lex_carry(self, order, blocks):
+        # _pair_loop's seed prunes the ring's packed leading monomials as they
+        # are; the reference is _carry's prune of the lcms with the unit ideal,
+        # on the lex fields
         rng = random.Random(f"one factor {order}")
         duplicated = 0
         for trial in range(40):
@@ -487,9 +488,10 @@ class TestMonomialBases:
             mask = ring._packing._mask
             want = groebner._carry(ring, [[g._packed[0][0] & mask for g in gens]],
                                    lambda lex, kept, ms: [lex.lcm(a, b) for a in kept for b in ms])
-            assert groebner._minimal_monomials(ring, gens) == want, gens
+            kept = groebner._minimal(ring._packing.guards, [g._packed[0][0] for g in gens])
+            assert [(m, 1, ()) for m in kept] == want[1], gens
         assert duplicated >= 20
-        assert groebner._minimal_monomials(ring, []) == ((), [])
+        assert groebner._minimal(ring._packing.guards, []) == []
 
     @pytest.mark.parametrize("order", ["lex", "grevlex"])
     def test_equals_sympy(self, order):

@@ -405,8 +405,8 @@ class TestPackedStorage:
             parse_poly(ring, f"x*y^{d} + z").frobenius(1)
 
     def test_a_one_term_factor_shifts_the_other(self, ring):
-        # a monomial times f shifts and scales f's packed terms; the reference
-        # is the product of the exponent tuples, collected in a dict and sorted
+        # a monomial times f shifts and scales f's terms; the reference is the
+        # product of the exponent tuples, collected in a dict and sorted
         rng = random.Random(f"one term {ring.order}")
         one_term = 0
         for _ in range(40):
