@@ -13,11 +13,10 @@ from __future__ import annotations
 import itertools
 import json
 import random
-import sys
 import time
 from dataclasses import dataclass, field
 
-from .errors import BudgetExceeded, ExponentOverflow
+from .errors import BudgetExceeded, ExponentOverflow, _int_str_digits
 from .groebner import Ideal, ideal_equal, ideal_member, ideal_subset
 from .idealops import PolyMatrix, brute_membership_oracle, ideal_power, minors, saturate
 from .frobenius import fpt_lower_bound, hypersurface_Ie
@@ -259,13 +258,6 @@ def check_fpt_containment(
         return _skipped(tag, params, reason, expected)
     return _symbolic_inside_ordinary(tag, params, I, pd, sym_exp, n, n if use_jacobian else None,
                                      expected, diag, t0)
-
-
-def _int_str_digits() -> int:
-    """The most digits str gives of an int: the limit in force (Python 3.10.7 on), or its
-    default of 4300 where none is (before 3.10.7, or the limit set to 0)."""
-    get = getattr(sys, "get_int_max_str_digits", None)
-    return (get and get()) or 4300
 
 
 def check_symbolic_into_Ie(

@@ -1,4 +1,6 @@
-"""Shared exception types."""
+"""Shared exception types, and the digit limit their messages keep to."""
+
+import sys
 
 
 class RingMismatch(ValueError):
@@ -20,3 +22,10 @@ class ParseError(ValueError):
     def __init__(self, message, line=None, col=None):
         super().__init__(message if line is None else f"{message} (line {line}, column {col})")
         self.message, self.line, self.col = message, line, col
+
+
+def _int_str_digits() -> int:
+    """The most digits str gives of an int: the limit in force (Python 3.10.7 on), or its
+    default of 4300 where none is (before 3.10.7, or the limit set to 0)."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    return (get and get()) or 4300

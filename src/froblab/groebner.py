@@ -166,8 +166,8 @@ class Ideal:
     What an ideal owns, each computed at most once: its reduced basis, kept on
     its preimage (which over S is the ideal itself, so one basis serves both);
     over S/(f) its preimage, an Ideal of S made on first use; and the powers
-    idealops.ideal_power builds of it (_powers, from I itself up). Nothing is
-    cached across ideals.
+    idealops.ideal_power builds of it (_powers: the Ideals asked for, and the
+    levels they are made from). Nothing is cached across ideals.
     """
 
     __slots__ = ("ring", "gens", "_basis", "_preimage", "_powers")
@@ -751,18 +751,43 @@ def _minimal(guards, monomials):
     return kept
 
 
+def _monomial_colon(ring, I, J):
+    """Reduced basis, as (polynomials, packed reducers), of (I : J) for the
+    ideals of the lists of monomials I and J: the intersection of the (I : g),
+    g in J, each generated by the lcm(a, g)/g, a in I, met one g at a time."""
+    mask = ring._packing._mask
+    fields = [a._packed[0][0] & mask for a in I]
+    return _carry(ring, [g._packed[0][0] & mask for g in J], lambda lex, kept, g: [
+        lex.lcm(k, u) for u in [lex.lcm(a, g) - g for a in fields] for k in kept])
+
+
 def _monomial_product(ring, A, B):
     """The products a*b, a in A and b in B, of monomials: exact duplicates
     dropped, ascending by (monomial, coefficient); None unless A and B are all
     monomials. An exponent past EXPONENT_LIMIT raises ExponentOverflow."""
     if any(len(g._packed) != 1 for g in (*A, *B)):
         return None
+    terms = _term_products(ring, [g._packed[0] for g in A], [g._packed[0] for g in B])
+    return [Polynomial._from_packed(ring, (t,)) for t in terms]
+
+
+def _monomial_power(ring, gens, levels, n):
+    """The generators of I^n, n >= 2, for monomial gens: the products of
+    I^(n-1)'s with gens, as _monomial_product lists them. levels holds the
+    packed terms of I^2, I^3, ... as far as built, and gains those up to I^n."""
+    base = [g._packed[0] for g in gens]
+    while len(levels) < n - 1:
+        levels.append(_term_products(ring, levels[-1] if levels else base, base))
+    return [Polynomial._from_packed(ring, (t,)) for t in levels[n - 2]]
+
+
+def _term_products(ring, A, B):
+    """The distinct products of the packed terms in A and B, ascending; an
+    exponent past EXPONENT_LIMIT, a guard bit in any, raises ExponentOverflow."""
     p, packing = ring.p, ring._packing
-    products = sorted({(ma + mb, ca * cb % p) for ((ma, ca),) in (g._packed for g in A)
-                       for ((mb, cb),) in (g._packed for g in B)})
-    for m, _ in products:
-        packing.check(m)
-    return [Polynomial._from_packed(ring, (t,)) for t in products]
+    products = sorted({(ma + mb, ca * cb % p) for ma, ca in A for mb, cb in B})
+    packing.check(reduce(or_, (m for m, _ in products), 0))
+    return products
 
 
 def _spoly_terms(ring, fi, fj, lcm):
@@ -800,10 +825,8 @@ def ideal_member(f: Polynomial, I: Ideal) -> bool:
     if not I.preimage.gens:
         return False
     G = I.groebner_basis()
-    lms = G._monomial_lms()
-    if lms is not False:
-        return _first_outside((f,), lms) is None
-    return not normal_form(f, G)
+    return (_first_outside((f,), G) is None if G._monomial_lms() is not False
+            else not normal_form(f, G))
 
 
 def ideal_subset(I: Ideal, J: Ideal):
@@ -820,18 +843,29 @@ def ideal_subset(I: Ideal, J: Ideal):
     if I._gb is not None and I._gb == J._gb or not I.gens:
         return True, None
     G = J.groebner_basis()
-    lms, ring, reducers = G._monomial_lms(), J.ring.ambient, G._packed_reducers()
-    bad = _first_outside(I.gens, lms) if lms else next(
+    ring, reducers = J.ring.ambient, G._packed_reducers()
+    bad = _first_outside(I.gens, G) if G._monomial_lms() else next(
         (g for g in I.gens if _nf_terms(ring, g._packed, reducers)), None)
     return bad is None, bad
 
 
-def _first_outside(polys, lms):
-    """The first of polys outside the ideal of the packed monomials lms, one
-    with a term that none of them divides; None when there is none."""
-    guards = polys[0].ring._packing.guards
+def _first_outside(polys, G):
+    """The first of polys outside the ideal of G, a reduced basis of
+    monomials: one with a term none of them divides; None when there is none.
+    From INDEX_MIN_ELEMENTS monomials up, the divisor index of G's reducers,
+    built once per basis, finds the divisors of a term, below them a scan."""
+    lms, packing = G._monomial_lms(), G.ring._packing
+    guards = packing.guards
+    if indexed := len(lms) >= INDEX_MIN_ELEMENTS:
+        exps, masks = G._packed_reducers().divisor_index(packing)
+        unpack, mask, nbytes = packing._struct.unpack, packing._mask, packing._nbytes
     for f in polys:
         for m, _ in f._packed:
+            if indexed:
+                if not reduce(and_, map(getitem, masks, map(
+                        bisect_right, exps, unpack((m & mask).to_bytes(nbytes, "big"))))):
+                    return f
+                continue
             for lm in lms:
                 if not (m - lm) & guards:
                     break

@@ -18,11 +18,13 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .errors import BudgetExceeded, ExponentOverflow, RingMismatch
+from .errors import BudgetExceeded, ExponentOverflow, RingMismatch, _int_str_digits
 from .groebner import (
     GroebnerBasis,
     Ideal,
     _minimal_monomials,
+    _monomial_colon,
+    _monomial_power,
     _monomial_product,
     absorbing_exponent,
     elimination_basis,
@@ -61,13 +63,15 @@ def ideal_product(I: Ideal, J: Ideal) -> Ideal:
 def ideal_power(I: Ideal, n: int) -> Ideal:
     """n-fold product; I^0 is the unit ideal by convention and I^1 is I.
 
-    I keeps the powers built of it, so a later call returns the same object,
-    with any basis computed for it. I^n is generated by the products g^α over
-    the multisets α of n generators, each made once, as g^(α - e_i) * g_i for
-    the largest index i in α; the distinct ones are listed as ideal_product
-    lists I^(n-1) * I. Monomial ideals take that product itself. I^n holds
-    each g^n: n times g's largest exponent (its degree, as products check,
-    unless I is monomial) past EXPONENT_LIMIT raises ExponentOverflow at once.
+    I keeps the powers asked of it, so a later call returns the same object,
+    with any basis computed for it, and the levels below them, none with an
+    Ideal unless asked for. I^n is generated by the products g^α over the
+    multisets α of n generators, each made once, as g^(α - e_i) * g_i for the
+    largest index i in α; the distinct ones are listed as ideal_product lists
+    I^(n-1) * I. Monomial ideals take that product itself, on packed terms.
+    I^n holds each g^n: n times g's largest exponent (its degree, as products
+    check, unless I is monomial) past EXPONENT_LIMIT raises ExponentOverflow
+    at once.
     """
     if n < 0:
         raise ValueError("ideal power needs n >= 0")
@@ -78,20 +82,22 @@ def ideal_power(I: Ideal, n: int) -> Ideal:
     monomial = all(g.is_monomial() for g in I.gens)
     top = max((max(g.lead_monomial()) if monomial else g.degree() for g in I.gens), default=0)
     if n * top > EXPONENT_LIMIT:
-        raise ExponentOverflow(f"I^{n} has an exponent beyond {EXPONENT_LIMIT}")
-    if I._powers is None:
-        I._powers = []
-    powers = I._powers  # (I^k, {multiset of indices into I.gens: its product}) from k = 2
-    ring, gens = I.ring.ambient, I.gens
-    while len(powers) < n - 1:
-        last, products = powers[-1] if powers else (I, {(i,): g for i, g in enumerate(gens)})
-        power = _monomial_product(ring, last.gens, gens)
-        if power is None:
-            products = {a + (i,): f * gens[i]
-                        for a, f in products.items() for i in range(a[-1], len(gens))}
-            power = sorted_canonical(_dedup(products.values()))
-        powers.append((Ideal(I.ring, power), products))
-    return powers[n - 2][0]
+        shown = n if n < 10 ** _int_str_digits() else "n"
+        raise ExponentOverflow(f"I^{shown} has an exponent beyond {EXPONENT_LIMIT}")
+    # I^k by k once asked; per k from 2, I^k's packed terms or {multiset of gens indices: product}
+    made, levels = I._powers = I._powers or ({}, [])
+    if n not in made:
+        ring, gens = I.ring.ambient, I.gens
+        if monomial:
+            power = _monomial_power(ring, gens, levels, n)
+        else:
+            while len(levels) < n - 1:
+                products = levels[-1] if levels else {(i,): g for i, g in enumerate(gens)}
+                levels.append({a + (i,): f * gens[i]
+                               for a, f in products.items() for i in range(a[-1], len(gens))})
+            power = sorted_canonical(_dedup(levels[n - 2].values()))
+        made[n] = Ideal(I.ring, power)
+    return made[n]
 
 
 def bracket_power(I: Ideal, e: int) -> Ideal:
@@ -184,13 +190,17 @@ def _colon_single(I: Ideal, g: Polynomial) -> Ideal:
 
 def ideal_colon(I: Ideal, J) -> Ideal:
     """(I : J); J may be an Ideal or a single Polynomial. (I : 0) is the unit
-    ideal."""
+    ideal; by an Ideal, the intersection of the (I : g), g in J."""
     if isinstance(J, Polynomial):
         return _colon_single(I, J)
     if I.ring != J.ring:
         raise RingMismatch("ideals from different rings")
     if not J.gens:
         return Ideal.unit(I.ring)
+    ring, A = I.ring.ambient, I.preimage.gens
+    if len(J.gens) > 1 and all(g.is_monomial() for g in A + J.gens):
+        polys, reduced = _monomial_colon(ring, A, J.gens)
+        return Ideal(I.ring, polys).with_gb(GroebnerBasis(ring, polys, reduced))
     return functools.reduce(ideal_intersect, (_colon_single(I, g) for g in J.gens))
 
 

@@ -609,6 +609,18 @@ class TestErrorExits:
         assert proc.returncode == 2
         assert proc.stderr == "error: I^2147483648 has an exponent beyond 2147483647\n"
 
+    def test_ideal_power_overflow_past_the_int_str_limit(self, tmp_path):
+        # q = 2^14280 is under a cap of 4300 digits, and the symbolic exponent
+        # n of I^n has 4301, more than str gives an int: the message says n
+        path = tmp_path / "huge.flb"
+        path.write_text("ring F2[x,y,z]\nideal I = x*y, x*z, y*z\n"
+                        "primes I = (x, y); (x, z); (y, z) mu=2\nassert-fpure I\nassert-sfr I\n"
+                        f"check symbolic-ie I n=100 e=14280 cap=1{'0' * 4299}\n")
+        proc = subprocess.run(RUN + ["run", str(path)], capture_output=True, text=True,
+                              env=CHILD_ENV, timeout=20)
+        assert proc.returncode == 2
+        assert proc.stdout == "error at line 6: I^n has an exponent beyond 2147483647\n"
+
     @pytest.mark.parametrize("argv,message", [
         (["fedder", "--ring", "F5[x,y,z]", "--ideal", "x*y"], "Frobenius power"),
         (["fpure", "--ring", "F5[x,y,z]", "--hypersurface", "x*y - z^2", "--ideal", "x, z"],

@@ -5,6 +5,7 @@ only that part; colons and saturations of monomial ideals against their
 combinatorial answer; and the packed monomial paths of products,
 intersections, colons and membership against the references they replace."""
 
+import functools
 import itertools
 import random
 
@@ -16,6 +17,7 @@ from froblab import (
     Ideal,
     Polynomial,
     RingDescriptor,
+    bracket_power,
     eliminate,
     ideal_colon,
     ideal_equal,
@@ -309,6 +311,47 @@ class TestMonomialPaths:
         S = self.ring(order, blocks, 1)
         I = Ideal(S, parse_gens(S, "1, x*y, x*y*z"))
         assert ideal_colon(I, parse_poly(S, "2*x*y")).gens == (Polynomial.constant(S, 2),)
+
+    def test_colon_by_an_ideal(self, order, blocks):
+        # the kernel's one pass against the route it replaced: each (I : g) by
+        # the t-elimination with exact division, then their intersections.
+        # J of one generator keeps that route, its quotients scaled by 1/lc(g)
+        rng = random.Random(f"monomial colon by an ideal {order}")
+        seen = {"unit": 0, "inside": 0, "principal": 0, "many": 0}
+        for trial in range(40):
+            S = self.ring(order, blocks, trial)
+            I = Ideal(S, random_monomials(S, rng))
+            gens = random_monomials(S, rng)
+            if trial % 5 == 0:
+                gens.append(Polynomial.constant(S, rng.randrange(1, S.p)))
+            if trial % 5 == 1:
+                gens = [g * rng.choice(gens) for g in I.gens]
+            if trial % 5 == 2:  # a constant alone keeps I's generators, not the reference's
+                gens = [next((g for g in gens if not g.is_constant()), Polynomial.variable(S, "x"))]
+            J = Ideal(S, gens)
+            want = colon_reference(I, J.gens[0])
+            for g in J.gens[1:]:
+                want = intersect_reference(S, want, colon_reference(I, g))
+            got = ideal_colon(I, J)
+            assert list(got.gens) == want, (I, J)
+            assert got.groebner_basis() == Ideal(S, want).groebner_basis(), (I, J)
+            seen["unit"] += any(g.is_constant() for g in J.gens) and len(J.gens) > 1
+            seen["inside"] += ideal_subset(J, I)[0] and len(J.gens) > 1
+            seen["principal"] += len(J.gens) == 1
+            seen["many"] += len(J.gens) > 2
+        assert min(seen.values()) >= 3, seen
+
+    def test_fedder_colon_past_2_16(self, order, blocks):
+        # (I^[q] : I) with q = 5^7, Fedder's colon, whose exponents pass 2^16,
+        # against the intersections of the single colons it replaced
+        rng = random.Random(f"monomial Fedder colon {order}")
+        S = make_ring(5, ["x", "y", "z", "w"], order, blocks)
+        for _ in range(5):
+            I = random_monomial_ideal(S, rng)
+            J = bracket_power(I, 7)
+            pieces = [Ideal(S, colon_reference(J, g)) for g in I.gens]
+            want = functools.reduce(ideal_intersect, pieces) if len(pieces) > 1 else pieces[0]
+            assert ideal_colon(J, I).gens == want.gens, I
 
     def test_membership(self, order, blocks):
         rng = random.Random(f"monomial membership {order}")

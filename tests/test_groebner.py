@@ -1091,6 +1091,85 @@ class TestMonomialSubset:
         assert ideal_subset(Ideal(S), Ideal(S)) == (True, None)
 
 
+class TestIndexedFirstOutside:
+    """_first_outside takes the divisor index of a monomial basis from
+    INDEX_MIN_ELEMENTS leading monomials up, and scans below. The first
+    polynomial outside must be the plain scan's on both sides of the cutoff,
+    with either path forced on the same basis, and with exponents past 2^16
+    and at EXPONENT_LIMIT."""
+
+    DEGREE_6 = [e for e in itertools.product(range(7), repeat=4) if sum(e) == 6]  # 84
+
+    @staticmethod
+    def scan(polys, lms, guards):
+        """The first of polys with a term that none of lms divides."""
+        return next((f for f in polys if any(all((m - lm) & guards for lm in lms)
+                                             for m, _ in f._packed)), None)
+
+    def probe(self, ring, rng, lms_exps, scale):
+        """A polynomial of one to three terms, most of them multiples of a
+        basis monomial, the others anywhere below the basis degree or at the
+        exponent limit."""
+        f = Polynomial.zero(ring)
+        for _ in range(rng.randrange(1, 4)):
+            if rng.random() < 0.85:
+                e = [a + (rng.randrange(3) if a < EXPONENT_LIMIT else 0) for a in rng.choice(lms_exps)]
+            elif rng.random() < 0.8:
+                e = [rng.randrange(6 * scale) for _ in range(4)]
+            else:
+                e = rng.sample([EXPONENT_LIMIT, rng.randrange(3), 0, 0], 4)
+            f = f + Polynomial.monomial(ring, e, rng.randrange(1, ring.p))
+        return f
+
+    @pytest.mark.parametrize("order,blocks", TestMonomialBases.RINGS)
+    def test_agrees_with_the_scan(self, order, blocks, monkeypatch):
+        rng = random.Random(f"indexed first outside {order}")
+        cutoff = groebner.INDEX_MIN_ELEMENTS
+        sizes, outside, inside = set(), 0, 0
+        for trial in range(60):
+            ring = make_ring([2, 3, 5, 7][trial % 4], ["x", "y", "z", "w"], order, blocks)
+            scale = [1, 5**7][trial % 2]  # 5^7 > 2^16
+            k = rng.choice([5, cutoff - 2, cutoff - 1, cutoff, cutoff + 1, 84])
+            gens = [Polynomial.monomial(ring, [a * scale for a in e], rng.randrange(1, ring.p))
+                    for e in rng.sample(self.DEGREE_6, k)]
+            if trial % 3 == 0:
+                gens.append(Polynomial.monomial(ring, rng.sample([EXPONENT_LIMIT, 0, 0, 0], 4)))
+            G = Ideal(ring, gens).groebner_basis()
+            lms = G._monomial_lms()
+            sizes.add(len(lms) >= cutoff)
+            lms_exps = [ring._packing.unpack(m) for m in lms]
+            polys = [f for f in (self.probe(ring, rng, lms_exps, scale) for _ in range(6)) if f]
+            want = self.scan(polys, lms, ring._packing.guards)
+            outside += want is not None
+            inside += want is None
+            assert groebner._first_outside(polys, G) is want, (gens, polys)
+            for forced in (0, 10**9):
+                monkeypatch.setattr(groebner, "INDEX_MIN_ELEMENTS", forced)
+                assert groebner._first_outside(polys, G) is want, (forced, gens, polys)
+            monkeypatch.setattr(groebner, "INDEX_MIN_ELEMENTS", cutoff)
+        assert sizes == {False, True} and outside >= 15 and inside >= 10
+
+    def test_the_index_is_built_once_per_basis(self, monkeypatch):
+        # membership tests against one basis of 84 monomials: the index of its
+        # reducers is built by the first and read by every later one
+        builds = []
+        divisor_index = groebner._Reducers.divisor_index
+
+        def spy(self, packing):
+            builds.append(self._masks is None or self._indexed < len(self))
+            return divisor_index(self, packing)
+
+        monkeypatch.setattr(groebner._Reducers, "divisor_index", spy)
+        ring = make_ring(5, ["x", "y", "z", "w"])
+        J = Ideal(ring, [Polynomial.monomial(ring, e) for e in self.DEGREE_6])
+        rng = random.Random("index built once")
+        probes = [Polynomial.monomial(ring, [rng.randrange(5) for _ in range(4)]) for _ in range(30)]
+        verdicts = [ideal_member(f, J) for f in probes]
+        assert verdicts == [sum(f.lead_monomial()) >= 6 for f in probes]
+        assert ideal_subset(Ideal(ring, probes), J)[0] == all(verdicts)
+        assert len(builds) >= 31 and builds.count(True) == 1
+
+
 class TestVariablePowerIntersection:
     """The intersection of powers of primes generated by variables, by degree
     completion, must be the basis of the minimal lcms of each kept monomial
@@ -1183,6 +1262,31 @@ class TestOwnedObjects:
         assert ideal_power(I, 0).groebner_basis().is_unit()
         G = cube.groebner_basis()
         assert ideal_power(I, 3).groebner_basis() is G
+
+    def test_monomial_levels_get_no_ideal_until_asked(self, F5xyz, monkeypatch):
+        # I^7 builds the packed levels I^2..I^7 but makes the Ideal of I^7
+        # alone; I^3 then takes its level as built, and stays one object
+        from froblab import idealops
+
+        made = []
+        monkeypatch.setattr(idealops, "Ideal", lambda ring, gens=(): made.append(gens) or Ideal(ring, gens))
+        I = Ideal(F5xyz, parse_gens(F5xyz, "x*y, 2*y*z, x^3"))
+        seventh = ideal_power(I, 7)
+        assert len(made) == 1 and len(I._powers[1]) == 6
+        cube = ideal_power(I, 3)
+        assert ideal_power(I, 3) is cube and ideal_power(I, 7) is seventh
+        assert len(made) == 2 and len(I._powers[1]) == 6
+
+    @pytest.mark.parametrize("order,blocks", TestMonomialBases.RINGS)
+    def test_monomial_levels_equal_the_product_chain(self, order, blocks):
+        from conftest import power_reference
+
+        rng = random.Random(f"lazy monomial levels {order}")
+        for trial in range(30):
+            ring = make_ring([2, 3, 5, 7][trial % 4], ["x", "y", "z", "w"], order, blocks)
+            I = Ideal(ring, TestMonomialBases.random_monomials(ring, rng))
+            for n in rng.sample(range(1, 7), 4):
+                assert ideal_power(I, n).gens == power_reference(I, n).gens, (I, n)
 
 
 def reference_divide_exact(f, g):

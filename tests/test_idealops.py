@@ -94,23 +94,47 @@ class TestSumProductPower:
     def test_overflow_is_raised_before_any_product(self, ambient, monkeypatch):
         # g^n is a generator of I^n: n times an exponent of a monomial
         # generator, or a degree of another, past EXPONENT_LIMIT raises at
-        # once; at the limit itself the products start
+        # once; at the limit itself the products start. The first product of
+        # a monomial power is the kernel's, of any other a polynomial product.
         class ProductBuilt(Exception):
             pass
 
+        fired = []
+
         def product(*args):
+            fired.append(args)
             raise ProductBuilt
 
-        monkeypatch.setattr(idealops, "_monomial_product", product)
         S = make_ring(5, ["x", "y", "z"])
         ring = S if ambient == "S" else HypersurfaceRing(S, parse_poly(S, "x*y - z^2"))
-        for gens, n in [("x*y, y*z", 2**31), ("x^2, y", 2**30), ("x + y^2, z", 2**30)]:
-            with pytest.raises(ExponentOverflow, match=f"I\\^{n} has an exponent beyond"):
-                ideal_power(Ideal(ring, parse_gens(S, gens)), n)
+        over = [("x*y, y*z", 2**31), ("x^2, y", 2**30), ("x + y^2, z", 2**30)]
         at_limit = [("x*y, y*z", EXPONENT_LIMIT), ("x^2, y", 2**30 - 1), ("x + y^2", 2**30 - 1)]
+        over, at_limit = ([(parse_gens(S, gens), n) for gens, n in cases] for cases in (over, at_limit))
+        monkeypatch.setattr(idealops, "_monomial_power", product)
+        monkeypatch.setattr(Polynomial, "__mul__", product)
+        for gens, n in over:
+            with pytest.raises(ExponentOverflow, match=f"I\\^{n} has an exponent beyond"):
+                ideal_power(Ideal(ring, gens), n)
+        assert not fired
         for gens, n in at_limit:
             with pytest.raises(ProductBuilt):
-                ideal_power(Ideal(ring, parse_gens(S, gens)), n)
+                ideal_power(Ideal(ring, gens), n)
+            assert fired, (gens, n)
+            fired.clear()
+
+
+    def test_overflow_message_past_the_int_str_limit(self, monkeypatch):
+        # n is printed while str gives it, else named: a limit of 640 digits
+        # (the least Python allows) moves the line, as a huge n crosses the default
+        S = make_ring(2, ["x", "y", "z"])
+        I = Ideal(S, parse_gens(S, "x*y, y*z"))
+        for n, shown in [(10**4299, str(10**4299)), (10**4400, "n")]:
+            with pytest.raises(ExponentOverflow, match=f"^I\\^{shown} has an exponent beyond"):
+                ideal_power(I, n)
+        monkeypatch.setattr(idealops, "_int_str_digits", lambda: 640)
+        for n, shown in [(10**639, str(10**639)), (10**640, "n")]:
+            with pytest.raises(ExponentOverflow, match=f"^I\\^{shown} has an exponent beyond"):
+                ideal_power(I, n)
 
 
 class TestBracketPower:
