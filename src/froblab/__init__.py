@@ -8,23 +8,10 @@ registry.
 """
 
 from .errors import BudgetExceeded, ExponentOverflow, ParseError, RingMismatch
-from .rings import (
-    Polynomial,
-    RingDescriptor,
-    format_poly,
-    make_ring,
-)
+from .rings import Polynomial, RingDescriptor, format_poly, make_ring
 from .parsing import parse_gens, parse_poly, parse_ring
-from .groebner import (
-    GroebnerBasis,
-    GroebnerBudget,
-    Ideal,
-    ideal_equal,
-    ideal_member,
-    ideal_subset,
-    normal_form,
-    poly_divide_exact,
-)
+from .groebner import (GroebnerBasis, GroebnerBudget, Ideal, ideal_equal, ideal_member,
+                       ideal_subset, normal_form, poly_divide_exact)
 from .idealops import (
     PolyMatrix,
     bracket_power,

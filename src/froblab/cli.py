@@ -32,12 +32,7 @@ from .groebner import GroebnerBudget, Ideal, ideal_subset
 from .parsing import parse_gens, parse_poly, parse_ring, split_top_level
 from .quotient import HypersurfaceRing
 from .rings import format_poly
-from .symbolic import (
-    PrimeData,
-    is_squarefree_monomial,
-    primedata_for_squarefree,
-    symbolic_power,
-)
+from .symbolic import PrimeData, is_squarefree_monomial, primedata_for_squarefree, symbolic_power
 
 EXIT_OK = 0
 EXIT_EXPECTATION = 1

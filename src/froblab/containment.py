@@ -22,13 +22,7 @@ from .idealops import PolyMatrix, brute_membership_oracle, ideal_power, minors, 
 from .frobenius import fpt_lower_bound, hypersurface_Ie
 from .quotient import HypersurfaceRing, q_ideal
 from .rings import EXPONENT_LIMIT, Polynomial, format_poly, make_ring
-from .symbolic import (
-    PrimeData,
-    big_height,
-    jacobian_ideal,
-    jacobian_power_product,
-    symbolic_power,
-)
+from .symbolic import PrimeData, big_height, jacobian_ideal, jacobian_power_product, symbolic_power
 
 DEFAULT_EXPONENT_CAP = 7
 DEFAULT_Q_CAP = 25
@@ -103,14 +97,9 @@ def _recheck_witness(witness, lhs, rhs):
 
 def _fact(tag, params, holds, witness=None, expected="holds", **diag):
     """Report on one fact; witness is a Polynomial."""
-    return ContainmentReport(
-        tag,
-        params,
-        "holds" if holds else "fails",
-        witness=None if witness is None else format_poly(witness),
-        expected=expected,
-        diagnostics=diag,
-    )
+    return ContainmentReport(tag, params, "holds" if holds else "fails",
+                             None if witness is None else format_poly(witness),
+                             expected=expected, diagnostics=diag)
 
 
 def _finish(tag, params, ok, wit, lhs, rhs, expected, diag, t0):
@@ -274,10 +263,13 @@ def check_symbolic_into_Ie(
     tag = "symbolic-into-ie"
     # q = p^e >= 2^e, so an e past q_cap's bit length skips with no p^e built. A skipped
     # report gives q and the exponent as text when either has more digits than str gives
-    # an int; past 10/3 bits a digit 2^e has more, and p^e is not built.
+    # an int; past 10/3 bits a digit 2^e has more, and p^e is not built. Unskipped, such
+    # a q puts the symbolic exponent past EXPONENT_LIMIT, so I^n's overflow comes first.
     skip = q_cap is not None and (e > q_cap.bit_length() or p**e > q_cap)
-    digits = _int_str_digits() if skip else 0
-    q = None if skip and 3 * e > 10 * digits else p**e
+    digits = _int_str_digits()
+    if (huge := 3 * e > 10 * digits) and not skip:
+        raise ExponentOverflow(f"I^n has an exponent beyond {EXPONENT_LIMIT}")
+    q = None if huge else p**e
     sym_exp = q and q * (h + n - 1) - h + 1
     if skip and (q is None or max(q, abs(sym_exp)) >= 10**digits):
         q, sym_exp = f"{p}^{e}", f"{h + n - 1}*{p}^{e}-{h - 1}"

@@ -19,6 +19,7 @@ bit.
 from __future__ import annotations
 
 import heapq
+import threading
 from bisect import bisect_left, bisect_right
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -61,6 +62,7 @@ class GroebnerBudget:
 DEFAULT_BUDGET = GroebnerBudget()
 # the budgets of the enclosing with scopes, innermost (the one in force) last
 _scopes = ContextVar("groebner_budgets", default=(DEFAULT_BUDGET,))
+_local = threading.local()  # per thread: tables, packing -> its F4 _Monomials
 # _nf_terms' smallest basis for the divisor index. Measured as the seconds
 # inside _nf_terms per pass (2-core x86): with scans of up to 104 elements the
 # index cut them by 40% from a cutoff of 20 to 40 and by 15% from 60; on
@@ -474,10 +476,9 @@ class _Pairs:
     coprime or two monomials, is dropped before the scan and still serves as
     a j. So a monomial k takes lcm(i, k) for the non-monomial active i
     alone. The scan is quadratic in the active elements where that sort is
-    not; replaying one pass's non-monomial adds, it took 0.90 ms to a sort
-    loop's 0.87 on determinantal (105 adds) and 6.6 to 6.2 on script (264),
-    about 0.5% of either pass. A pair entering the queue gets its heap key
-    by one unpack and one pack.
+    not: on the cone's fpt --emax 4, whose I_e(m) makes 1580 adds against
+    hundreds of active elements, add took 10.6 of 37.1 s under cProfile. A
+    pair entering the queue gets its heap key by one unpack and one pack.
     """
 
     __slots__ = ("packing", "budget", "lms", "fields", "monomial", "active", "queue", "selected")
@@ -556,6 +557,44 @@ def _pair_loop(ring, gens, known=()):
     return [basis[i] for i in pairs.active]
 
 
+class _Monomials:
+    """F4's monomial table of one packing (msolve's hashed monomials,
+    Berthomieu-Eder-Safey El Din, ISSAC 2021): ids maps a packed monomial to
+    its id, from 1, packed maps it back, and times[v][id] is the id of that
+    monomial times x_v, 0 until first asked. A monomial is checked against
+    EXPONENT_LIMIT once, as it enters. _f4 keeps one per packing and thread
+    across runs, and starts a new one in place of one past max_poly_terms."""
+
+    __slots__ = ("packing", "ids", "packed", "times")
+
+    def __init__(self, packing):
+        self.packing, self.ids, self.packed = packing, {}, [None]  # id 0: no monomial
+        self.times = [[0] for _ in packing.units]
+
+    def id(self, m):
+        """The id of the packed monomial m, entered if new."""
+        if (i := self.ids.get(m)) is None:
+            self.packing.check(m)
+            i = self.ids[m] = len(self.packed)
+            self.packed.append(m)
+            for t in self.times:
+                t.append(0)
+        return i
+
+    def multiple(self, shift, ids):
+        """The ids of the monomials of ids times the packed monomial shift."""
+        for v, e in enumerate(self.packing.unpack(shift)):
+            t = self.times[v]
+            for _ in range(e):
+                ids = [t[i] or self.times_x(v, i) for i in ids]
+        return ids
+
+    def times_x(self, v, i):
+        """The id of monomial i times x_v, entered and recorded on first use."""
+        self.times[v][i] = j = self.id(self.packed[i] + self.packing.units[v])
+        return j
+
+
 def _f4(ring, gens):
     """Faugere's F4 (J. Pure Appl. Algebra 139, 1999) for homogeneous
     generators, one degree d at a time, lowest first.
@@ -568,12 +607,20 @@ def _f4(ring, gens):
     monomial a basis leading monomial divides is a reducer column, the pivot
     columns are cleared, and a leading monomial of degree d divides no
     monomial of lower degree. So the elements collected are the reduced basis.
+    Elements hold _Monomials ids; the basis returned is packed.
     """
+    tables = vars(_local).setdefault("tables", {})  # this thread's, by packing
+    table = tables.get(ring._packing)
+    if table is None or len(table.ids) > _scopes.get()[-1].max_poly_terms:
+        table = tables[ring._packing] = _Monomials(ring._packing)
+    packed, get = table.packed, table.ids.get
     todo = {}  # degree -> generators of that degree not yet used, as elements
     for g in gens:
-        todo.setdefault(sum(g.lead_monomial()), []).append(tuple(zip(*g._packed)))
+        ms, cs = zip(*g._packed)
+        ids = [get(m) or table.id(m) for m in ms]
+        todo.setdefault(sum(g.lead_monomial()), []).append((ids, cs))
     pairs = _Pairs(ring._packing)
-    lms, elements = pairs.lms, []  # per element: packed monomials, coefficients
+    lms, elements = pairs.lms, []  # per element: monomial ids, coefficients
     while pairs.queue or todo:
         d = min([*todo, *(q[0] for q in pairs.queue[:1])])
         reducer = {}  # covered monomial -> (shift, element)
@@ -584,15 +631,16 @@ def _f4(ring, gens):
                 row = (lcm - lms[k], elements[k])
                 if reducer.setdefault(lcm, row) != row and row not in rows:
                     rows.append(row)
-        for ms, cs in _sweep(ring, lms, elements, rows, reducer):
-            elements.append((ms, cs))
-            pairs.add(ms[0], len(ms) == 1)
-    return sorted((ms[0], 1, tuple(zip(ms[1:], cs[1:]))) for ms, cs in elements)
+        for ids, cs in _sweep(ring, table, lms, elements, rows, reducer):
+            elements.append((ids, cs))
+            pairs.add(packed[ids[0]], len(ids) == 1)
+    return sorted((packed[ids[0]], 1, tuple(zip(map(packed.__getitem__, ids[1:]), cs[1:])))
+                  for ids, cs in elements)
 
 
-def _sweep(ring, lms, elements, rows, reducer):
+def _sweep(ring, table, lms, elements, rows, reducer):
     """F4's symbolic preprocessing and elimination for one degree: yields the
-    new basis elements, (packed monomials, coefficients), monic, descending.
+    new basis elements, (monomial ids, coefficients), monic, descending.
 
     lms and elements are the basis so far; rows are (shift, element); reducer
     maps a monomial to the multiple (shift, element) that clears it. Each
@@ -604,50 +652,46 @@ def _sweep(ring, lms, elements, rows, reducer):
     ExponentOverflow past EXPONENT_LIMIT, BudgetExceeded past max_poly_terms
     columns.
     """
-    guards = ring._packing.guards
-    column, pending = {}, list(reducer)  # monomial -> its column, as met
+    guards, packed, multiple = ring._packing.guards, table.packed, table.multiple
+    seen, pending = set(), list(reducer)  # the ids met; the reducers not yet met
     cap = _scopes.get()[-1].max_poly_terms
 
-    def columns(shift, element):
-        ms = [m + shift for m in element[0]]
-        out = list(map(column.get, ms))
-        if None in out:
-            for pos, m in enumerate(ms):
-                if out[pos] is not None:
-                    continue
-                if m & guards:
-                    ring._packing.check(m)
-                out[pos] = column[m] = len(column)
-                if len(column) > cap:
-                    raise BudgetExceeded(
-                        f"F4 matrix exceeded {cap} columns; raise the budget to proceed")
+    def meet(shift, element):
+        ids = multiple(shift, element[0])
+        new = set(ids)
+        new -= seen
+        if new:
+            seen.update(new)
+            if len(seen) > cap:
+                raise BudgetExceeded(
+                    f"F4 matrix exceeded {cap} columns; raise the budget to proceed")
+            for m in map(packed.__getitem__, new):
                 if m not in reducer:
                     for k, lm in enumerate(lms):
                         if not (m - lm) & guards:
                             reducer[m] = (m - lm, elements[k])
                             pending.append(m)
                             break
-        return out, element[1]
+        return ids, element[1]
 
-    rows = [columns(*row) for row in rows]
-    pivots = []  # the reducers, each leading at its first column
+    rows = [meet(*row) for row in rows]
+    pivots = []  # the reducers, each leading at its first monomial
     while pending:
-        pivots.append(columns(*reducer[pending.pop()]))
-    words = ((len(column) + 1) * ring.p ** 2).bit_length() // 32 + 1
-    ascending = sorted(column)
-    slot = [0] * len(column)  # column -> its first word
-    for i, m in enumerate(ascending):
-        slot[column[m]] = i * words
-    layout = Struct(f"<{words * len(column)}Q")
+        pivots.append(meet(*reducer[pending.pop()]))
+    n = len(seen)
+    words = ((n + 1) * ring.p ** 2).bit_length() // 32 + 1
+    ascending = sorted(seen, key=packed.__getitem__)
+    slot = dict(zip(ascending, range(0, n * words, words)))  # id -> its column's first word
+    layout = Struct(f"<{words * n}Q")
 
-    def pack(cols, cs):
-        row = [0] * len(slot) * words
-        for i, c in zip(map(slot.__getitem__, cols), cs):
+    def pack(ids, cs):
+        row = [0] * n * words
+        for i, c in zip(map(slot.__getitem__, ids), cs):
             row[i] = c
         return int.from_bytes(layout.pack(*row), "little")
 
-    pivots = {slot[cols[0]] // words: pack(cols, cs) for cols, cs in pivots}
-    for x in _eliminate(ring.p, 64 * words, len(column), pivots, [pack(*r) for r in rows]):
+    pivots = {slot[ids[0]] // words: pack(ids, cs) for ids, cs in pivots}
+    for x in _eliminate(ring.p, 64 * words, n, pivots, [pack(*r) for r in rows]):
         values = layout.unpack(x.to_bytes(layout.size, "little"))[::words]
         yield list(compress(ascending, values))[::-1], list(compress(values, values))[::-1]
 

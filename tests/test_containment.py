@@ -33,7 +33,7 @@ from froblab.containment import (
     generic_determinantal_setup,
     xy_zk_setup,
 )
-from froblab.errors import BudgetExceeded
+from froblab.errors import BudgetExceeded, ExponentOverflow
 from froblab.symbolic import (
     PrimeData,
     jacobian_ideal,
@@ -280,6 +280,18 @@ class TestSymbolicIntoIe:
             assert rep.verdict == "skipped" and (rep.params["q"], rep.params["symbolic_exponent"]) == want
             kinds.add(printable)
         assert kinds == {True, False}
+
+    def test_uncapped_huge_e_overflows_before_p_to_the_e(self):
+        # with no cap, an e whose 2^e has more digits than str gives an int
+        # raises I^n's overflow from e alone: 5^(10^7) took 3 s to build
+        R, Q, pd = xy_zk_setup(5, 2)
+        start = time.perf_counter()
+        with pytest.raises(ExponentOverflow, match=r"^I\^n has an exponent beyond 2147483647$"):
+            check_symbolic_into_Ie(Q, pd, n=2, e=10**7, q_cap=None)
+        assert time.perf_counter() - start < 0.5
+        # at e = 40 the symbolic exponent 2*5^40 - 1 prints
+        with pytest.raises(ExponentOverflow, match=rf"^I\^{2 * 5**40 - 1} has an exponent"):
+            check_symbolic_into_Ie(Q, pd, n=1, e=40, q_cap=None)
 
 
 class TestOneBuchbergerRunPerInput:

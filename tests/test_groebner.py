@@ -3,6 +3,9 @@ cross-checked against the linear-algebra membership oracle."""
 
 import itertools
 import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
@@ -610,6 +613,94 @@ class TestF4:
         for engine in (groebner._f4, groebner._pair_loop):
             with pytest.raises(ExponentOverflow):
                 engine(ring, gens)
+
+    # F4 keeps its monomial ids in one table per packing and thread, across
+    # runs; the tests below start from an empty one
+
+    @staticmethod
+    def table(ring):
+        """This thread's F4 monomial table of ring's packing, checked: every
+        id maps back to its monomial, and each product recorded is the
+        monomial times that variable."""
+        table = vars(groebner._local)["tables"][ring._packing]
+        assert table.packed[0] is None and len(table.packed) == len(table.ids) + 1
+        assert all(table.ids[m] == i for i, m in enumerate(table.packed) if i)
+        for t, unit in zip(table.times, ring._packing.units):
+            assert len(t) == len(table.packed)
+            assert all(table.packed[j] == table.packed[i] + unit for i, j in enumerate(t) if j)
+        return table
+
+    @pytest.mark.parametrize("order,blocks", TestMonomialBases.RINGS)
+    def test_a_filled_table_gives_the_reference_bases(self, order, blocks, monkeypatch):
+        monkeypatch.setattr(groebner, "_local", threading.local())
+        rng = random.Random(f"f4 table {order}")
+        ring = make_ring(101, ["x", "y", "z", "w"], order, blocks)
+        first, sizes = None, []
+        for _ in range(12):  # the first run fills the table, the others reuse it
+            gens = random_homogeneous(ring, rng)
+            assert groebner._f4(ring, gens) == reduced_pair_loop_reference(ring, gens), gens
+            first = first or self.table(ring)
+            assert self.table(ring) is first
+            sizes.append(len(first.ids))
+        assert 0 < sizes[0] < sizes[-1]
+
+    def test_an_overflow_enters_nothing_cold_or_warm(self, monkeypatch):
+        # the pair's multiple y * (x*y^N) leaves the exponent range: the
+        # first run meets it in an empty table, the second in a filled one
+        monkeypatch.setattr(groebner, "_local", threading.local())
+        N = EXPONENT_LIMIT
+        ring = make_ring(5, ["x", "y"])
+        gens = [Polynomial(ring, [((N, 1), 1), ((1, N), 1)]),
+                Polynomial(ring, [((N - 1, 2), 1), ((2, N - 1), 1)])]
+        messages, sizes = [], []
+        for _ in range(2):
+            with pytest.raises(ExponentOverflow) as raised:
+                groebner._f4(ring, gens)
+            messages.append(str(raised.value))
+            table = self.table(ring)
+            assert not any(m & ring._packing.guards for m in table.packed[1:])
+            sizes.append(len(table.ids))
+        with pytest.raises(ExponentOverflow) as raised:
+            groebner._pair_loop(ring, gens)
+        assert messages == [str(raised.value)] * 2
+        assert sizes[0] == sizes[1] > 0
+
+    def test_a_table_past_the_bound_is_dropped(self, monkeypatch):
+        monkeypatch.setattr(groebner, "_local", threading.local())
+        ring, gens = self.triangle(random.Random("f4 bound"))
+        want = groebner._f4(ring, gens)
+        full = self.table(ring)
+        with GroebnerBudget(max_poly_terms=len(full.ids)):
+            assert groebner._f4(ring, gens) == want
+        assert self.table(ring) is full  # at the bound it stays
+        with GroebnerBudget(max_poly_terms=len(full.ids) - 1):
+            assert groebner._f4(ring, gens) == want
+        assert self.table(ring) is not full
+        assert len(self.table(ring).ids) == len(full.ids)
+
+    def test_threads_keep_their_own_tables(self):
+        # four threads at once, switching often, each on its own table
+        rng = random.Random("f4 threads")
+        ring = make_ring(101, ["x", "y", "z", "w"])
+        cases = [random_homogeneous(ring, rng) for _ in range(8)]
+        want = [groebner._f4(ring, gens) for gens in cases]
+        mine = self.table(ring)
+        start = threading.Barrier(4, timeout=30)
+
+        def run():
+            start.wait()
+            return [groebner._f4(ring, gens) for gens in cases], self.table(ring)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                results = [f.result(timeout=60) for f in [pool.submit(run) for _ in range(4)]]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(got == want for got, _ in results)
+        assert len({id(table) for _, table in results} | {id(mine)}) == 5
+        assert self.table(ring) is mine
 
 
 class TestDivisorIndex:
