@@ -658,9 +658,8 @@ def _sweep(ring, table, lms, elements, rows, reducer):
 
     def meet(shift, element):
         ids = multiple(shift, element[0])
-        new = set(ids)
-        new -= seen
-        if new:
+        if not seen.issuperset(ids):
+            new = set(ids) - seen
             seen.update(new)
             if len(seen) > cap:
                 raise BudgetExceeded(
