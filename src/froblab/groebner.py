@@ -557,33 +557,33 @@ def _pair_loop(ring, gens, known=()):
     return [basis[i] for i in pairs.active]
 
 
-class _Monomials:
+class _Monomials(dict):
     """F4's monomial table of one packing (msolve's hashed monomials,
-    Berthomieu-Eder-Safey El Din, ISSAC 2021): ids maps a packed monomial to
-    its id, from 1, packed maps it back, and times[v][id] is the id of that
-    monomial times x_v, 0 until first asked. A monomial is checked against
-    EXPONENT_LIMIT once, as it enters. _f4 keeps one per packing and thread
-    across runs, and starts a new one in place of one past max_poly_terms."""
+    Berthomieu-Eder-Safey El Din, ISSAC 2021): packed monomial -> id, from 1,
+    entered on first lookup after its range check; packed maps an id back,
+    and times[v][id] is the id of that monomial times x_v, 0 until asked."""
 
-    __slots__ = ("packing", "ids", "packed", "times")
+    __slots__ = ("packing", "packed", "times")
 
     def __init__(self, packing):
-        self.packing, self.ids, self.packed = packing, {}, [None]  # id 0: no monomial
-        self.times = [[0] for _ in packing.units]
+        self.packing, self.packed, self.times = packing, [None], [[0] for _ in packing.units]
 
-    def id(self, m):
-        """The id of the packed monomial m, entered if new."""
-        if (i := self.ids.get(m)) is None:
-            self.packing.check(m)
-            i = self.ids[m] = len(self.packed)
-            self.packed.append(m)
-            for t in self.times:
-                t.append(0)
+    def __missing__(self, m):
+        self.packing.check(m)
+        self[m] = i = len(self.packed)
+        self.packed.append(m)
+        for t in self.times:
+            t.append(0)
         return i
 
     def multiple(self, shift, ids):
-        """The ids of the monomials of ids times the packed monomial shift."""
-        for v, e in enumerate(self.packing.unpack(shift)):
+        """The ids of the monomials of ids times the packed monomial shift: for
+        a shift of degree 2 or less, by the times tables, one variable at a
+        time; past that one lookup per term, so no partial product enters."""
+        exps, packed = self.packing.unpack(shift), self.packed
+        if sum(exps) > 2:
+            return [self[packed[i] + shift] for i in ids]
+        for v, e in enumerate(exps):
             t = self.times[v]
             for _ in range(e):
                 ids = [t[i] or self.times_x(v, i) for i in ids]
@@ -591,7 +591,7 @@ class _Monomials:
 
     def times_x(self, v, i):
         """The id of monomial i times x_v, entered and recorded on first use."""
-        self.times[v][i] = j = self.id(self.packed[i] + self.packing.units[v])
+        self.times[v][i] = j = self[self.packed[i] + self.packing.units[v]]
         return j
 
 
@@ -607,24 +607,26 @@ def _f4(ring, gens):
     monomial a basis leading monomial divides is a reducer column, the pivot
     columns are cleared, and a leading monomial of degree d divides no
     monomial of lower degree. So the elements collected are the reduced basis.
-    Elements hold _Monomials ids; the basis returned is packed.
+    Elements hold ids of a _Monomials table, kept per packing and thread
+    across runs; the basis returned is packed. Before each degree, when the
+    thread's tables hold more than max_poly_terms monomials together, all
+    are dropped and the basis is renumbered in a new one.
     """
     tables = vars(_local).setdefault("tables", {})  # this thread's, by packing
-    table = tables.get(ring._packing)
-    if table is None or len(table.ids) > _scopes.get()[-1].max_poly_terms:
-        table = tables[ring._packing] = _Monomials(ring._packing)
-    packed, get = table.packed, table.ids.get
-    todo = {}  # degree -> generators of that degree not yet used, as elements
+    table = tables.setdefault(ring._packing, _Monomials(ring._packing))
+    todo = {}  # degree -> generators of that degree not yet used, packed
     for g in gens:
-        ms, cs = zip(*g._packed)
-        ids = [get(m) or table.id(m) for m in ms]
-        todo.setdefault(sum(g.lead_monomial()), []).append((ids, cs))
+        todo.setdefault(sum(g.lead_monomial()), []).append(tuple(zip(*g._packed)))
     pairs = _Pairs(ring._packing)
     lms, elements = pairs.lms, []  # per element: monomial ids, coefficients
     while pairs.queue or todo:
+        if sum(map(len, tables.values())) > _scopes.get()[-1].max_poly_terms:
+            tables.clear()
+            old, table = table.packed, tables.setdefault(ring._packing, _Monomials(ring._packing))
+            elements = [([table[old[i]] for i in ids], cs) for ids, cs in elements]
         d = min([*todo, *(q[0] for q in pairs.queue[:1])])
         reducer = {}  # covered monomial -> (shift, element)
-        rows = [(0, g) for g in todo.pop(d, ())]  # then the other (shift, element)
+        rows = [(0, (list(map(table.__getitem__, ms)), cs)) for ms, cs in todo.pop(d, ())]
         while pairs.queue and pairs.queue[0][0] == d:
             _, lcm, i, j = pairs.pop()
             for k in (i, j):
@@ -633,7 +635,8 @@ def _f4(ring, gens):
                     rows.append(row)
         for ids, cs in _sweep(ring, table, lms, elements, rows, reducer):
             elements.append((ids, cs))
-            pairs.add(packed[ids[0]], len(ids) == 1)
+            pairs.add(table.packed[ids[0]], len(ids) == 1)
+    packed = table.packed
     return sorted((packed[ids[0]], 1, tuple(zip(map(packed.__getitem__, ids[1:]), cs[1:])))
                   for ids, cs in elements)
 

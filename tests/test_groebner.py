@@ -5,6 +5,7 @@ import itertools
 import random
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -623,8 +624,8 @@ class TestF4:
         id maps back to its monomial, and each product recorded is the
         monomial times that variable."""
         table = vars(groebner._local)["tables"][ring._packing]
-        assert table.packed[0] is None and len(table.packed) == len(table.ids) + 1
-        assert all(table.ids[m] == i for i, m in enumerate(table.packed) if i)
+        assert table.packed[0] is None and len(table.packed) == len(table) + 1
+        assert all(table[m] == i for i, m in enumerate(table.packed) if i)
         for t, unit in zip(table.times, ring._packing.units):
             assert len(t) == len(table.packed)
             assert all(table.packed[j] == table.packed[i] + unit for i, j in enumerate(t) if j)
@@ -641,7 +642,7 @@ class TestF4:
             assert groebner._f4(ring, gens) == reduced_pair_loop_reference(ring, gens), gens
             first = first or self.table(ring)
             assert self.table(ring) is first
-            sizes.append(len(first.ids))
+            sizes.append(len(first))
         assert 0 < sizes[0] < sizes[-1]
 
     def test_an_overflow_enters_nothing_cold_or_warm(self, monkeypatch):
@@ -659,7 +660,7 @@ class TestF4:
             messages.append(str(raised.value))
             table = self.table(ring)
             assert not any(m & ring._packing.guards for m in table.packed[1:])
-            sizes.append(len(table.ids))
+            sizes.append(len(table))
         with pytest.raises(ExponentOverflow) as raised:
             groebner._pair_loop(ring, gens)
         assert messages == [str(raised.value)] * 2
@@ -670,13 +671,63 @@ class TestF4:
         ring, gens = self.triangle(random.Random("f4 bound"))
         want = groebner._f4(ring, gens)
         full = self.table(ring)
-        with GroebnerBudget(max_poly_terms=len(full.ids)):
+        with GroebnerBudget(max_poly_terms=len(full)):
             assert groebner._f4(ring, gens) == want
         assert self.table(ring) is full  # at the bound it stays
-        with GroebnerBudget(max_poly_terms=len(full.ids) - 1):
+        with GroebnerBudget(max_poly_terms=len(full) - 1):
             assert groebner._f4(ring, gens) == want
         assert self.table(ring) is not full
-        assert len(self.table(ring).ids) == len(full.ids)
+
+    def test_a_run_renumbers_its_basis_past_the_bound(self, monkeypatch):
+        # from an empty table, a bound below the monomials a run enters but
+        # not below any degree's columns drops the table during the run
+        rng = random.Random("f4 renumber")
+        ring = make_ring(101, ["x", "y", "z", "w"])
+        renumbered = 0
+        for _ in range(6):
+            gens = random_homogeneous(ring, rng)
+            want = reduced_pair_loop_reference(ring, gens)
+            monkeypatch.setattr(groebner, "_local", threading.local())
+            assert groebner._f4(ring, gens) == want
+            full = len(self.table(ring))
+            for cap in range(full - 1, 0, -1):
+                monkeypatch.setattr(groebner, "_local", threading.local())
+                try:
+                    with GroebnerBudget(max_poly_terms=cap):
+                        assert groebner._f4(ring, gens) == want
+                except BudgetExceeded:
+                    break
+                renumbered += len(self.table(ring)) < full
+        assert renumbered >= 6
+
+    def test_tables_of_other_rings_count_toward_the_bound(self, monkeypatch):
+        monkeypatch.setattr(groebner, "_local", threading.local())
+        rng = random.Random("f4 two rings")
+        cases = [(ring, random_homogeneous(ring, rng)) for ring in (
+            make_ring(101, ["x", "y", "z"]), make_ring(101, ["x", "y", "z", "w"]))]
+        tables = vars(groebner._local).setdefault("tables", {})
+        sizes = [groebner._f4(ring, gens) and len(self.table(ring)) for ring, gens in cases]
+        for (ring, gens), size in zip(cases, sizes):
+            for other, other_gens in cases:  # both tables full
+                groebner._f4(other, other_gens)
+            assert len(tables) == 2
+            # a bound of this run's own monomials drops the other ring's table
+            with GroebnerBudget(max_poly_terms=size):
+                assert groebner._f4(ring, gens) == reduced_pair_loop_reference(ring, gens)
+            assert list(tables) == [ring._packing] and len(self.table(ring)) == size
+
+    def test_a_large_shift_enters_no_partial_products(self, monkeypatch):
+        # the pair's lcm x^K*y^(K+1) gives the shifts y^K and x^K; stepping
+        # them one variable at a time would enter about 4K monomials
+        monkeypatch.setattr(groebner, "_local", threading.local())
+        K = 10**6
+        ring = make_ring(5, ["x", "y", "z"])
+        gens = [Polynomial(ring, [((K, 1, 0), 1), ((0, 0, K + 1), 4)]),
+                Polynomial(ring, [((0, K + 1, 0), 1), ((0, 0, K + 1), 4)])]
+        start = time.perf_counter()
+        assert groebner._f4(ring, gens) == reduced_pair_loop_reference(ring, gens)
+        assert time.perf_counter() - start < 5
+        assert len(self.table(ring)) < 50
 
     def test_threads_keep_their_own_tables(self):
         # four threads at once, switching often, each on its own table
