@@ -3,10 +3,11 @@ ideals I_e, Glassbrenner-type witness searches, and the nu_e /
 F-pure-threshold lower bounds.
 
 Every function takes ideals of S or of S/(f) alike. I_e(Q) is
-((Q^[q] + (f^q)) : f^(q-1)), which is Q^[q] when there is no relation f; the
-code branches on the ring's relations only where the mathematics differs.
-The criteria, like nu_e's integer program, compute no trace colon for I_e(m):
-h is outside it iff h*f^(q-1) keeps a term outside m^[q] (Fedder).
+((Q^[q] + (f^q)) : f^(q-1)), which is Q^[q] when there is no relation f, built
+as e colons by f^(p-1); the code branches on the ring's relations only where the
+mathematics differs. f^(q-1) itself is built only for Fedder's product: the
+criteria, like nu_e's integer program, compute no I_e(m), since h is outside it
+iff h*f^(q-1) keeps a term outside m^[q] (Fedder).
 The criteria are one-directional without finite projective dimension, so
 verdicts are three-valued (confirmed / refuted / inconclusive) and always
 carry their certifying data.
@@ -53,7 +54,7 @@ def default_e_max(p: int) -> int:
     """Largest e searched by default, chosen so that q = p^e stays small.
 
     The cost grows with q: nu_e's frontier scan runs up to n(q-1)+1 levels against
-    a colon by f^(q-1); its integer program and the criteria run over f^(q-1)'s terms.
+    I_e(m), e colons by f^(p-1); its integer program and the criteria run over f^(q-1)'s terms.
     The values fix which nu_e enter reported fpt floors, so they stay as they are.
     """
     if p <= 5:
@@ -83,17 +84,21 @@ def fedder_is_fpure(I: Ideal, e: int = 1) -> CriterionVerdict:
 
 
 def hypersurface_Ie(J: Ideal, e: int) -> Ideal:
-    """The non-splitting ideal I_e(J) of J's ring R = S/(f), by the trace generator.
+    """The non-splitting ideal I_e(J) of J's ring R = S/(f), by Frobenius recursion.
 
-    Preimage: ((J_S^[q] + (f^q)) : f^(q-1)), q = p^e, f^(q-1) by _f_power; over S (no
-    relation) J^[q]. The f^q term stays explicit even when redundant. J^[q] <= I_e(J) is
-    a theorem; it is re-checked here and a failure signals an internal bug.
+    Preimage: Fedder's ((J_S^[q] + (f^q)) : f^(q-1)), q = p^e, with no f^(q-1) built: S is
+    regular, so Frobenius is flat (Kunz) and I_e = (I_{e-1}^[p] : f^(p-1)), I_0 = J_S + (f),
+    e colons each on the p-th powers of the last one's generators. Over S (no relation) J^[q].
+    J^[q] <= I_e(J) is a theorem; it is re-checked here and a failure signals an internal bug.
     """
-    R, g, bracket = J.ring, _f_power(J.ring, e), bracket_power(J, e)
+    _check_f_power(J.ring, e)
+    R, bracket = J.ring, bracket_power(J, e)
     if not R.relations:
         return bracket
-    base = Ideal(R.ambient, bracket.gens + (R.relations[0].frobenius(e),))
-    result = Ideal(R, ideal_colon(base, g).gens)
+    step, g = J.preimage, R.relations[0] ** (R.ambient.p - 1)
+    for _ in range(e):
+        step = ideal_colon(bracket_power(step, 1), g)
+    result = Ideal(R, step.gens)
     ok, bad = ideal_subset(bracket, result)
     if not ok:
         raise ArithmeticError(
@@ -127,33 +132,24 @@ def _check_f_power(ring, e: int) -> None:
             raise ExponentOverflow("power degree beyond checked exponent range")
 
 
-def _f_power(ring, e: int) -> Polynomial:
-    """g = f^(q-1), q = p^e, of ring = S/(f), as prod over i < e of (f^(p-1))^(p^i) (the
-    Frobenius fixes F_p) under max_poly_terms, once _check_f_power passes; 1 over S, with no
-    product."""
+def _fedder_terms(ring, e: int) -> list:
+    """Fedder's product g = f^(q-1), q = p^e, of ring = S/(f): its terms (t, c) with all t_i < q,
+    g built as prod over i < e of (f^(p-1))^(p^i) (the Frobenius fixes F_p) under max_poly_terms
+    once _check_f_power passes; none when f has a constant term (m is then the unit ideal, and g
+    is not built); over S, g = 1, with no product and no q built. I_e(m) = (m^[q] : g)."""
     _check_f_power(ring, e)
     if not ring.relations:
-        return Polynomial.one(ring.ambient)
+        return list(Polynomial.one(ring).terms)
     (f,), p = ring.relations, ring.ambient.p
+    if not any(f.terms[-1][0]):
+        return []
     g = h = f ** (p - 1)
     for i in range(1, e):  # g has about q terms; each product's count is budgeted
         if len(g.terms) * len(h.terms) > (cap := _scopes.get()[-1].max_poly_terms):
             raise BudgetExceeded(f"f^(q-1) would exceed {cap} terms; raise the budget to proceed")
         g = g * h.frobenius(i)
-    return g
-
-
-def _fedder_terms(ring, e: int) -> list:
-    """g = _f_power(ring, e)'s terms (t, c) with all t_i < q = p^e, none when f has a constant
-    term (m is then the unit ideal, and g is not built); over S, g = 1, and q is not built.
-    I_e(m) = (m^[q] : g)."""
-    relations = ring.relations
-    if relations and not any(relations[0].terms[-1][0]):
-        _check_f_power(ring, e)
-        return []
-    g = _f_power(ring, e)
-    q = ring.ambient.p**e if relations else None
-    return [(t, c) for t, c in g.terms if q is None or max(t) < q]
+    q = p**e
+    return [(t, c) for t, c in g.terms if max(t) < q]
 
 
 def _first_escaping(gens, terms, q: int):
@@ -364,7 +360,9 @@ def fpt_lower_bound(I: Ideal, e_max: int | None = None) -> FptEstimate:
 
 
 def recheck_splitting_witness(Q: Ideal, e: int, r: Polynomial) -> bool:
-    """Certificate check for a condition-(2) F-purity witness:
-    r*Q inside I_e(Q) and r outside I_e(m)."""
-    ok, _ = ideal_subset(scale_ideal(r, Q), hypersurface_Ie(Q, e))
+    """Certificate check for a condition-(2) F-purity witness: r*Q inside I_e(Q) and r
+    outside I_e(m). I_e(Q) is Fedder's trace colon, built here and not by the recursion."""
+    (f,), S = Q.ring.relations, Q.ring.ambient
+    Ie = ideal_colon(Ideal(S, bracket_power(Q, e).gens + (f.frobenius(e),)), f ** (S.p**e - 1))
+    ok, _ = ideal_subset(scale_ideal(r, Q), Ideal(Q.ring, Ie.gens))
     return ok and not ideal_member(r, Ie_maximal(Q.ring, e))

@@ -193,6 +193,14 @@ def power_reference(I, n):
     return power
 
 
+def trace_colon_reference(J, e):
+    """Reference for frobenius.hypersurface_Ie over S/(f): Fedder's trace colon
+    ((J_S^[q] + (f^q)) : f^(q-1)), q = p^e, as one colon by f^(q-1) in S."""
+    (f,), S = J.ring.relations, J.ring.ambient
+    base = Ideal(S, [g.frobenius(e) for g in J.gens] + [f.frobenius(e)])
+    return Ideal(J.ring, ideal_colon(base, f ** (S.p**e - 1)).gens)
+
+
 def last_escaping_monomial_reference(ring, factors, targets, cap):
     """Largest r < cap with (factors)^r not inside the ideal of targets, else
     None: the reference for nu_e of monomial ideals (targets m^[q]), on the

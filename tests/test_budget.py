@@ -14,12 +14,14 @@ from froblab import (
     GroebnerBudget,
     HypersurfaceRing,
     Ideal,
+    bracket_power,
     check_fpt_containment,
     check_fpure_containment,
     check_sfr_containment,
     check_symbolic_into_Ie,
     fedder_is_fpure,
     hypersurface_Ie,
+    ideal_subset,
     is_fpure_quotient,
     make_ring,
     maximal_ideal,
@@ -35,6 +37,8 @@ from froblab import (
 from froblab.cli import run_script
 from froblab.containment import xy_zk_setup
 from froblab.groebner import DEFAULT_BUDGET
+
+from conftest import trace_colon_reference
 
 SCOPED = GroebnerBudget(max_pairs=50, max_poly_terms=400_000)
 
@@ -178,10 +182,12 @@ def selections(monkeypatch):
 
 @pytest.mark.parametrize("gens,selected", [("x, y, z", [252, 49]), ("x, z", [127, 25])])
 def test_cone_trace_colon_selects_the_recorded_pairs(gens, selected, selections):
-    # I_2 of F_7[x,y,z]/(xy - z^2), q = 49: the trace colon of nu_e on the cone
+    # I_2 of F_7[x,y,z]/(xy - z^2), q = 49, as the direct trace colon by f^(q-1) (the
+    # recursion of hypersurface_Ie selects others), then Q^[q] inside it on its basis
     ring = make_ring(7, ["x", "y", "z"])
     R = HypersurfaceRing(ring, parse_poly(ring, "x*y - z^2"), reduced=True)
-    hypersurface_Ie(q_ideal(R, parse_gens(ring, gens)), 2)
+    Q = q_ideal(R, parse_gens(ring, gens))
+    assert ideal_subset(bracket_power(Q, 2), trace_colon_reference(Q, 2))[0]
     assert selections() == selected
 
 
@@ -263,13 +269,15 @@ def test_criteria_cap_f_to_the_q_minus_1():
     assert is_fpure_quotient(Q, 3).status == "confirmed"
 
 
-def test_every_I_e_caps_f_to_the_q_minus_1():
-    """hypersurface_Ie takes f^(q-1) from the one budgeted builder: on the cone at e = 3,
-    I_e(m) stops at that product, before its colon's normal forms."""
+def test_every_I_e_stops_at_the_pair_cap():
+    """hypersurface_Ie builds no f^(q-1), so max_poly_terms caps no product of it there;
+    max_pairs bounds the Groebner runs of its colons: on the cone at e = 3, I_e(m) stops at
+    20 S-pairs, and finishes unscoped."""
     R, _, _ = xy_zk_setup(5, 2)
-    with GroebnerBudget(max_poly_terms=100):
-        with pytest.raises(BudgetExceeded, match=r"f\^\(q-1\) would exceed 100 terms"):
+    with GroebnerBudget(max_pairs=20):
+        with pytest.raises(BudgetExceeded, match="Buchberger exceeded 20 S-pairs"):
             hypersurface_Ie(maximal_ideal(R), 3)
+    assert hypersurface_Ie(maximal_ideal(R), 3).is_proper()
 
 
 @pytest.mark.parametrize("caps", [{"max_pairs": 0}, {"max_pairs": -1}, {"max_poly_terms": 0},

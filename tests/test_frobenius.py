@@ -40,7 +40,8 @@ from froblab.frobenius import recheck_splitting_witness
 from froblab.groebner import last_escaping_power
 from froblab.containment import xy_zk_setup
 
-from conftest import random_ideal_in_max, random_monomial_ideal, random_poly
+from conftest import (random_ideal_in_max, random_monomial_ideal, random_poly,
+                      trace_colon_reference)
 
 
 class TestFedderClassical:
@@ -113,6 +114,42 @@ class TestHypersurfaceIe:
                         [g.frobenius(e) for g in Q.gens] + [w],
                     )
                     assert ideal_equal(Ie.preimage, expected)
+
+    # the reference's colon by f^(q-1) takes 1.2-61 s on these (ring, ideal) at p = 7, e = 2
+    SLOW = {("x^3 + y^3 + z^3", "x + y, z"), ("x^2 + y^3 + z^5 + x*y*z", "x, y, z"),
+            ("x^2 + y^3 + z^5 + x*y*z", "x + y, z"), ("x*y + z^2 + x^3", "x, y, z")}
+
+    @pytest.mark.parametrize("f", ["x*y - z^2", "x^3 + y^3 + z^3", "x^2 + y^3 + z^5 + x*y*z",
+                                   "x*y + z^2 + x^3"])
+    @pytest.mark.parametrize("p,e_max", [(2, 4), (3, 3), (5, 2), (7, 2)])
+    def test_recursion_is_the_trace_colon(self, f, p, e_max):
+        # the maximal ideal, a non-maximal Q, the unit ideal and a J whose gens list f
+        S = make_ring(p, ["x", "y", "z"])
+        R = HypersurfaceRing(S, parse_poly(S, f))
+        for gens, e in itertools.product(("x, y, z", "x + y, z", "1", f"x, {f}"),
+                                         range(1, e_max + 1)):
+            if (p, e) == (7, 2) and (f, gens) in self.SLOW:
+                continue
+            J = Ideal(R, parse_gens(S, gens))
+            reference = trace_colon_reference(J, e)
+            assert ideal_equal(hypersurface_Ie(J, e).preimage, reference.preimage), (gens, e)
+
+    def test_builds_no_f_to_the_q_minus_1(self, monkeypatch):
+        # each of the e colons is by f^(p-1); no product or power is f^(q-1)
+        R, Q, _ = xy_zk_setup(5, 2)
+        target, built = R.relations[0] ** (5**3 - 1), []
+
+        def spy(real):
+            def call(a, b):
+                built.append(real(a, b))
+                return built[-1]
+            return call
+
+        for name in ("__mul__", "__pow__"):
+            monkeypatch.setattr(Polynomial, name, spy(getattr(Polynomial, name)))
+        for J in (Q, maximal_ideal(R)):
+            assert hypersurface_Ie(J, 3).is_proper()
+        assert built and target not in built
 
 
 class TestFpureQuotient:
@@ -327,8 +364,9 @@ class TestFedderProduct:
 
 
 class TestFPower:
-    """_f_power is the one builder of g = f^(q-1): every I_e, the criteria and nu_e's
-    integer program read it. Its range check comes before p^e is built past e = 31."""
+    """_fedder_terms is the one builder of g = f^(q-1): the criteria and nu_e's integer
+    program read its terms below q; no I_e builds g. Its range check comes before p^e is
+    built past e = 31."""
 
     @pytest.mark.parametrize("p,e", [(p, e) for p in (2, 3, 5, 7) for e in (1, 2, 3)])
     def test_is_f_to_the_q_minus_1(self, p, e):
@@ -341,7 +379,10 @@ class TestFPower:
             if not f.is_constant():
                 fs.append(f + rng.randrange(1, p) if len(fs) % 2 else f)  # a constant term
         for f in fs:
-            assert froblab.frobenius._f_power(HypersurfaceRing(S, f), e) == f ** (q - 1)
+            # with a constant term, m is the unit ideal, and no term decides
+            below = [(t, c) for t, c in (f ** (q - 1)).terms if max(t) < q]
+            expected = [] if f.terms[-1][0] == (0, 0, 0) else below
+            assert froblab.frobenius._fedder_terms(HypersurfaceRing(S, f), e) == expected
 
     def test_one_over_S_with_no_product(self, monkeypatch):
         # 5^(10^7) has 23 million bits: over S, neither g nor its terms below q build it
@@ -351,7 +392,6 @@ class TestFPower:
             raise AssertionError("a polynomial product over S")
 
         monkeypatch.setattr(Polynomial, "__mul__", product)
-        assert froblab.frobenius._f_power(S, 10**7) == Polynomial.one(S)
         assert froblab.frobenius._fedder_terms(S, 10**7) == [((0, 0), 1)]
 
     def test_degree_bound(self):
@@ -359,10 +399,10 @@ class TestFPower:
         S = make_ring(2, ["x", "y"])
         x = Polynomial.variable(S, "x")
         R = HypersurfaceRing(S, x)
-        assert froblab.frobenius._f_power(R, 31) == x ** (2**31 - 1)
+        assert froblab.frobenius._fedder_terms(R, 31) == [((2**31 - 1, 0), 1)]
         for e in (32, 10**7):
             with pytest.raises(ExponentOverflow, match="^power degree beyond"):
-                froblab.frobenius._f_power(R, e)
+                froblab.frobenius._fedder_terms(R, e)
 
     def test_huge_e_raises_before_p_to_the_e(self):
         # over S/(f) f^(q-1)'s degree fails first, over S the bracket power's
