@@ -466,19 +466,16 @@ class _Pairs:
 
     The update runs on ints: fields keeps lm & mask per element, the lex
     packing of its exponents, on which _Packing.lcm takes lcm(i, k) and the
-    guard bits test divisibility (Gebauer-Moller, J. Symbolic Comput. 6,
-    1988). M and F need no sort of the new lcms: lcm(j, k) divides lcm(i, k)
-    iff lm_j does, so (i, k) stays unless another active j has lm_j |
-    lcm(i, k) with j < i or lcm(j, k) != lcm(i, k), and lcm(j, k) is taken
-    only for such a j > i. That is the set a sort by (lcm, i) keeps when it
-    tries each lcm against the kept ones before it, since a divisor sorts
-    first in every monomial order. A new pair whose survival cannot matter,
-    coprime or two monomials, is dropped before the scan and still serves as
-    a j. So a monomial k takes lcm(i, k) for the non-monomial active i
-    alone. The scan is quadratic in the active elements where that sort is
-    not: on the cone's fpt --emax 4, whose I_e(m) makes 1580 adds against
-    hundreds of active elements, add took 10.6 of 37.1 s under cProfile. A
-    pair entering the queue gets its heap key by one unpack and one pack.
+    guard bits test divisibility. M and F sort the new (lcm, i) on those ints,
+    lex and not the ring's order, and keep each lcm that no lcm kept before it
+    divides: a divisor sorts first in every monomial order, so the kept ones
+    are the minimal lcms, of equal ones the least i (Gebauer-Moller, J.
+    Symbolic Comput. 6, 1988). An add takes one lcm per active element and
+    tries each against the kept ones. On the F5 cone's I_4(m), 1424 adds
+    against 573 active elements and 3.6 kept lcms on average, add took 1.2 of
+    1.5 s. On the script workload's 1213 adds against 8 active elements, a
+    scan that skips the pairs of two monomials takes about 30% less. A pair
+    entering the queue gets its heap key by one unpack and one pack.
     """
 
     __slots__ = ("packing", "budget", "lms", "fields", "monomial", "active", "queue", "selected")
@@ -506,15 +503,16 @@ class _Pairs:
         k, x = len(fields), lm & mask
         queue = [q for q in self.queue if (q[1] - lm) & guards
                  or (q[1] & mask) in (lcm(fields[q[2]], x), lcm(fields[q[3]], x))]
-        for i in active:  # no pair of two monomials; the product criterion first
-            if (monomial and self.monomial[i]) or (f := lcm(fields[i], x)) == fields[i] + x:
-                continue
-            for j in active:
-                if not (f - fields[j]) & guards and j != i and (j < i or lcm(fields[j], x) != f):
+        witnesses = []
+        for f, i in sorted([(lcm(fields[i], x), i) for i in active]):
+            for w in witnesses:
+                if not (f - w) & guards:
                     break
             else:
-                e = packing.unpack(f)
-                queue.append((sum(e), packing.pack(e), i, k))
+                witnesses.append(f)
+                if f != fields[i] + x and not (monomial and self.monomial[i]):
+                    e = packing.unpack(f)
+                    queue.append((sum(e), packing.pack(e), i, k))
         heapq.heapify(queue)
         self.queue = queue
         self.active = [i for i in active if (fields[i] - x) & guards] + [k]

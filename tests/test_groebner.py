@@ -957,7 +957,7 @@ class TestPairs:
     @pytest.mark.parametrize("nvars", [2, 3, 4])
     @pytest.mark.parametrize("order", ["lex", "grevlex", "block"])
     def test_monomial_heavy_replay(self, order, nvars):
-        # most adds are monomials, which skip the sorted witness loop; small
+        # most adds are monomials, which queue no pair with a monomial; small
         # exponents give many equal and nested lcms, a few are near the limit
         rng = random.Random(f"monomial pairs {order} {nvars}")
         names = list("xyzw"[:nvars])
@@ -988,25 +988,67 @@ class TestPairs:
                 assert ours.pop() == ref.pop()
         assert queued >= 20 and tied >= 20 and nested >= 20, (queued, tied, nested)
 
-    def test_a_monomial_takes_no_lcm_with_a_monomial(self, monkeypatch):
+    def test_a_monomial_queues_no_pair_with_a_monomial(self):
         # seeded x*y and x*z^2 (not monomials), z^3 and w^3 (monomials), then
         # the monomial y^2: lcm(x*z^2, y^2) = x*y^2*z^2 is a multiple of
-        # x*y, whose pair comes first, so (0, 4) alone is queued, and no lcm
-        # is taken with a monomial; the sorted loop takes one with each
+        # x*y^2, whose pair comes first, and y^2 makes no pair with z^3 or
+        # w^3, so (0, 4) alone is queued
         ring = make_ring(5, ["x", "y", "z", "w"])
-        pack, calls = ring._packing.pack, []
-        lcm = type(ring._packing).lcm
-        monkeypatch.setattr(type(ring._packing), "lcm",
-                            lambda self, a, b: calls.append(a) or lcm(self, a, b))
+        pack = ring._packing.pack
         pairs = groebner._Pairs(ring._packing)
         seed = [(1, 1, 0, 0), (1, 0, 2, 0), (0, 0, 3, 0), (0, 0, 0, 3)]
         pairs.seed([pack(e) for e in seed], [False, False, True, True])
-        monomials = {pairs.fields[2], pairs.fields[3]}
         pairs.add(pack((0, 2, 0, 0)), True)
         assert [q[2:] for q in pairs.queue] == [(0, 4)]
-        assert calls and not monomials.intersection(calls)
-        pairs.add(pack((0, 0, 1, 1)), False)
-        assert monomials <= set(calls)
+        # the pair of the monomials x*z and x*y is not queued, yet its lcm
+        # x*y*z still removes (y*z^2, x*y), whose lcm is a multiple of it
+        pairs = groebner._Pairs(ring._packing)
+        pairs.seed([pack((1, 0, 1, 0)), pack((0, 1, 2, 0))], [True, False])
+        pairs.add(pack((1, 1, 0, 0)), True)
+        assert pairs.queue == []
+
+    def test_lockstep_with_the_reference_at_cli_scale(self, monkeypatch):
+        # the replays above stop at 30 adds; I_3(m) of the F5 cone makes
+        # hundreds, against up to 256 active elements, with many equal and
+        # nested lcms
+        sizes = []
+
+        class Lockstep(groebner._Pairs):
+            """Every seed, add and pop mirrored into PairsReference, and the
+            queue, the active list and the popped pair compared after each."""
+
+            def __init__(self, packing):
+                super().__init__(packing)
+                self.ref = PairsReference(packing)
+
+            def check(self):
+                assert sorted(self.queue) == sorted(self.ref.queue)
+                assert self.active == self.ref.active
+
+            def seed(self, lms, monomial):
+                super().seed(lms, monomial)
+                ref = self.ref  # a seed is all active, with no pair queued
+                ref.lms, ref.monomial, ref.active = list(lms), list(monomial), list(self.active)
+                ref.exps = [self.packing.unpack(lm) for lm in lms]
+                self.check()
+
+            def add(self, lm, monomial):
+                super().add(lm, monomial)
+                self.ref.add(lm, monomial)
+                self.check()
+                sizes.append(len(self.active))
+
+            def pop(self):
+                popped = super().pop()
+                assert popped == self.ref.pop()
+                self.check()
+                return popped
+
+        monkeypatch.setattr(groebner, "_Pairs", Lockstep)
+        S = make_ring(5, ["x", "y", "z"])
+        Ie = Ie_maximal(HypersurfaceRing(S, parse_poly(S, "x*y - z^2")), 3)
+        assert len(Ie.gens) > 100
+        assert len(sizes) >= 250 and max(sizes) >= 200, (len(sizes), max(sizes))
 
 
 class TestSeededPairLoop:
