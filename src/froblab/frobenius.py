@@ -358,11 +358,3 @@ def fpt_lower_bound(I: Ideal, e_max: int | None = None) -> FptEstimate:
     best = max(Fraction(nu, p**e) for e, nu in values)
     return FptEstimate(values, best, int(best))
 
-
-def recheck_splitting_witness(Q: Ideal, e: int, r: Polynomial) -> bool:
-    """Certificate check for a condition-(2) F-purity witness: r*Q inside I_e(Q) and r
-    outside I_e(m). I_e(Q) is Fedder's trace colon, built here and not by the recursion."""
-    (f,), S = Q.ring.relations, Q.ring.ambient
-    Ie = ideal_colon(Ideal(S, bracket_power(Q, e).gens + (f.frobenius(e),)), f ** (S.p**e - 1))
-    ok, _ = ideal_subset(scale_ideal(r, Q), Ideal(Q.ring, Ie.gens))
-    return ok and not ideal_member(r, Ie_maximal(Q.ring, e))

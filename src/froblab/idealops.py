@@ -208,24 +208,33 @@ MAX_SATURATION_STEPS = 256
 
 
 def saturate(I: Ideal, by):
-    """(I : by^∞) with the stabilization exponent.
+    """(sat, s): sat = (I : by^∞) from _saturation, and s the first index with
+    (I : by^(s+1)) equal to (I : by^s), the smallest s with by^s * sat inside
+    I, by the frontier scan groebner.absorbing_exponent on the normal forms of
+    sat's generators modulo I. An s reaching MAX_SATURATION_STEPS raises
+    BudgetExceeded."""
+    sat = _saturation(I, by)
+    if sat._gb is not None and sat._gb is I._gb:
+        return sat, 0  # sat carries I's own basis: nothing was divided out
+    factors = by.gens if isinstance(by, Ideal) else (by,)
+    s = absorbing_exponent(sat.gens, factors, I, MAX_SATURATION_STEPS - 1)
+    if s is None:
+        raise BudgetExceeded("saturation did not stabilize within the step cap")
+    return sat, s
 
-    Returns (ideal, s) where s is the first index with (I : by^(s+1)) equal to
-    (I : by^s), which is the smallest s with by^s * sat inside I. by is a
-    polynomial or an ideal; by an ideal (g1, ..., gk), the saturation is the
+
+def _saturation(I: Ideal, by):
+    """(I : by^∞), by a polynomial or an ideal; by an ideal (g1, ..., gk), the
     intersection of the saturations by each gi.
 
     By a polynomial g the saturation is the t-free part of one reduced basis
     of I's preimage plus (1 - t*g) under the [t | rest] block order (the
     Rabinowitsch trick, Cox-Little-O'Shea, Ideals, Varieties, and Algorithms,
     §4.4). Over a grevlex ring the elimination starts from I's reduced basis,
-    which it computes once for s too, and the t-free part is the saturation's
-    reduced basis, attached to it. The classical grevlex case (homogeneous
-    preimage, saturation by the trailing variable) skips the elimination:
-    each reduced-basis element of I is divided by its trailing-variable power.
-    s is recovered by the frontier scan groebner.absorbing_exponent on the
-    normal forms of sat's generators modulo I; when s would reach
-    MAX_SATURATION_STEPS it raises BudgetExceeded.
+    and the t-free part is the saturation's reduced basis, attached to it.
+    The classical grevlex case (homogeneous preimage, saturation by the
+    trailing variable) skips the elimination: each reduced-basis element of I
+    is divided by its trailing-variable power.
     """
     if isinstance(by, Ideal):
         if I.ring != by.ring:
@@ -240,18 +249,12 @@ def saturate(I: Ideal, by):
             raise RingMismatch("polynomial from a different ring")
         factors = (by,)
     ring = I.ring.ambient
-    sat = functools.reduce(ideal_intersect, (
+    return functools.reduce(ideal_intersect, (
         _saturate_grevlex_last(I)
         if _is_last_variable(ring, g) and all(h.is_homogeneous() for h in I.preimage.gens)
         else _saturate_rabinowitsch(I, g)
         for g in factors
     ))
-    if sat._gb is not None and sat._gb is I._gb:
-        return sat, 0  # sat carries I's own basis: nothing was divided out
-    s = absorbing_exponent(sat.gens, factors, I, MAX_SATURATION_STEPS - 1)
-    if s is None:
-        raise BudgetExceeded("saturation did not stabilize within the step cap")
-    return sat, s
 
 
 def _saturate_rabinowitsch(I: Ideal, g: Polynomial):

@@ -311,13 +311,17 @@ class Polynomial:
 
     def in_ring(self, ring):
         """This polynomial in ring, a polynomial ring over the same p, by
-        variable name: one unpack per term, dotted with ring's units. Raises
+        variable name: by _ring_map's field shift, in order, when it has one;
+        else one unpack per term, dotted with ring's units, and a sort. Raises
         RingMismatch for another p, ValueError for a variable ring lacks."""
         if ring.p != self.ring.p:
             raise RingMismatch(f"ring mismatch: {self.ring} vs {ring}")
-        units, lost = _ring_map(self.ring, ring)
+        units, lost, low, a, b = _ring_map(self.ring, ring)
         if lost and any(m & lost for m, _ in self._packed):
             raise ValueError(f"{self} has a variable that {ring!r} lacks")
+        if low:
+            return Polynomial._from_packed(ring, tuple([(m & low | m >> a << b, c)
+                                                        for m, c in self._packed]))
         unpack = self.ring._packing.unpack
         terms = [(sum(map(mul, unpack(m), units)), c) for m, c in self._packed]
         return Polynomial._from_packed(ring, tuple(sorted(terms, reverse=True)))
@@ -327,12 +331,6 @@ class Polynomial:
     def _check(self, other):
         if self.ring != other.ring:
             raise RingMismatch(f"ring mismatch: {self.ring} vs {other.ring}")
-
-    def _scaled(self, coeffs):
-        """The polynomial of the same monomials with the coefficients coeffs."""
-        return Polynomial._from_packed(
-            self.ring, tuple([(m, c) for (m, _), c in zip(self._packed, coeffs)])
-        )
 
     def __add__(self, other):
         if isinstance(other, int):
@@ -347,7 +345,7 @@ class Polynomial:
 
     def __neg__(self):
         p = self.ring.p
-        return self._scaled(p - c for _, c in self._packed)
+        return Polynomial._from_packed(self.ring, tuple([(m, p - c) for m, c in self._packed]))
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -361,9 +359,8 @@ class Polynomial:
         p = self.ring.p
         if isinstance(other, int):
             c = other % p
-            if not c:
-                return Polynomial.zero(self.ring)
-            return self._scaled(c0 * c % p for _, c0 in self._packed)
+            terms = [(m, c0 * c % p) for m, c0 in self._packed] if c else []
+            return Polynomial._from_packed(self.ring, tuple(terms))
         self._check(other)
         if not self._packed or not other._packed:
             return Polynomial.zero(self.ring)
@@ -374,6 +371,9 @@ class Polynomial:
         small, big = self._packed, other._packed
         if len(small) > len(big):
             small, big = big, small
+        if len(small) == 1:  # a term shift keeps the order, and p is prime: no product is 0
+            ((m1, c1),) = small
+            return Polynomial._from_packed(self.ring, tuple([(m1 + m, c1 * c % p) for m, c in big]))
         acc = {}
         get = acc.get
         for m1, c1 in small:
@@ -387,15 +387,12 @@ class Polynomial:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a non-negative integer")
-        if n == 0:
-            return Polynomial.one(self.ring)
-        if self._packed and self.degree() * n > EXPONENT_LIMIT:
+        if self.degree() * n > EXPONENT_LIMIT:
             raise ExponentOverflow("power degree beyond checked exponent range")
-        result = None
-        base = self
+        result, base = Polynomial.one(self.ring), self  # 1 * base is a term shift
         while n:
             if n & 1:
-                result = base if result is None else result * base
+                result = result * base
             n >>= 1
             if n:
                 base = base * base
@@ -460,13 +457,19 @@ class Polynomial:
 @functools.lru_cache(maxsize=64)
 def _ring_map(source, target):
     """Polynomial.in_ring's map: per variable of source, the packed unit of
-    target's variable of that name, 0 if there is none; and the mask of the
-    exponent fields of the variables target lacks."""
+    target's variable of that name, 0 if there is none; the mask of the
+    exponent fields of the variables target lacks; and low, a, b, low 0 unless
+    each kept unit u is u & low | u >> a << b (exponent fields in place, form
+    fields moved from above a bits to above b): a field shift, additive and in
+    order, as both ways between a grevlex ring and idealops._extended_ring."""
     index, packing = target._index, source._packing
     units = tuple(target._packing.units[index[v]] if v in index else 0 for v in source.variables)
     lost = sum(EXPONENT_LIMIT * (u & packing._mask)
                for u, v in zip(packing.units, source.variables) if v not in index)
-    return units, lost
+    a, b = _FIELD_BITS * source.nvars, _FIELD_BITS * target.nvars
+    low = (1 << min(a, b)) - 1
+    moved = all(t == u & low | u >> a << b for u, t in zip(packing.units, units) if t)
+    return units, lost, low if moved else 0, a, b
 
 
 def _monic(ring, terms):

@@ -47,8 +47,10 @@ def _checks():
     yield "((x^2, xy) : x) = (x, y)", lambda: ideal_equal(
         ideal_colon(Ideal(r, [x**2, x * y]), x), I_xy
     )
-    yield "((x^2) : x^inf) = (1) at exponent 2", lambda: _sat_check(r, x)
-    yield "((xy, xz) : y^inf) = (x) at exponent 1", lambda: _sat_check2(r, x, y, z)
+    yield "((x^2) : x^inf) = (1) at exponent 2", lambda: _saturates(
+        Ideal(r, [x**2]), x, Ideal.unit(r), 2)
+    yield "((xy, xz) : y^inf) = (x) at exponent 1", lambda: _saturates(
+        Ideal(r, [x * y, x * z]), y, Ideal(r, [x]), 1)
     R = HypersurfaceRing(r, x * y - z**2)
     yield "nu_1((x, y)) = 8 over F_5 (integer program)", lambda: nu_e(I_xy, 1) == 8
     yield "nu_1((xy + z^2, xz, yz)) = 6 over F_5 (frontier scan)", lambda: nu_e(
@@ -59,14 +61,9 @@ def _checks():
         q_ideal(R, [x, y, z]), 1) == last_escaping_power((x, y, z), Ie_maximal(R, 1), 14) == 4
 
 
-def _sat_check(r, x):
-    sat, s = saturate(Ideal(r, [x**2]), x)
-    return sat.groebner_basis().is_unit() and s == 2
-
-
-def _sat_check2(r, x, y, z):
-    sat, s = saturate(Ideal(r, [x * y, x * z]), y)
-    return ideal_equal(sat, Ideal(r, [x])) and s == 1
+def _saturates(I, by, sat, s):
+    got, steps = saturate(I, by)
+    return ideal_equal(got, sat) and steps == s
 
 
 def _raises(fn):

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from .errors import RingMismatch
 from .groebner import GroebnerBasis, Ideal, ideal_member, ideal_subset
 from .groebner import _intersect_variable_powers, _minimal_monomials  # the kernel's monomial paths
-from .idealops import ideal_intersect, ideal_power, ideal_product, saturate
+from .idealops import _saturation, ideal_intersect, ideal_power, ideal_product, saturate
 from .quotient import HypersurfaceRing
 from .rings import Polynomial
 
@@ -203,16 +203,15 @@ def symbolic_power(I: Ideal, n: int, pd: PrimeData, diag=None):
 
 
 def _symbolic_by_separators(power, pd: PrimeData, diag=None) -> Ideal:
-    """The saturations of power by each separator of pd, intersected."""
+    """The saturations of power by each separator of pd, intersected; their
+    stabilization exponents are computed only to be put in diag."""
     pd.validate_separators()
-
-    def saturated(s):
-        sat, steps = saturate(power, s)
-        if diag is not None:
-            diag.setdefault("saturation_exponents", []).append(steps)
-        return sat
-
-    return functools.reduce(ideal_intersect, map(saturated, pd.separators))
+    if diag is None:
+        sats = [_saturation(power, s) for s in pd.separators]
+    else:
+        sats, steps = zip(*[saturate(power, s) for s in pd.separators])
+        diag.setdefault("saturation_exponents", []).extend(steps)
+    return functools.reduce(ideal_intersect, sats)
 
 
 def _symbolic_monomial(I: Ideal, n: int, pd: PrimeData):

@@ -5,14 +5,18 @@ import random
 import pytest
 
 import froblab.idealops as idealops
+from froblab.idealops import scale_ideal
 from froblab import groebner
 from froblab import (
     HypersurfaceRing,
     Ideal,
+    Ie_maximal,
     Polynomial,
     ideal_colon,
     ideal_equal,
+    ideal_member,
     ideal_product,
+    ideal_subset,
     make_ring,
     parse_poly,
 )
@@ -199,6 +203,13 @@ def trace_colon_reference(J, e):
     (f,), S = J.ring.relations, J.ring.ambient
     base = Ideal(S, [g.frobenius(e) for g in J.gens] + [f.frobenius(e)])
     return Ideal(J.ring, ideal_colon(base, f ** (S.p**e - 1)).gens)
+
+
+def recheck_splitting_witness(Q, e, r):
+    """Certificate check for a condition-(2) F-purity witness: r*Q inside I_e(Q) and r
+    outside I_e(m). I_e(Q) is Fedder's trace colon, built here and not by the recursion."""
+    ok, _ = ideal_subset(scale_ideal(r, Q), trace_colon_reference(Q, e))
+    return ok and not ideal_member(r, Ie_maximal(Q.ring, e))
 
 
 def last_escaping_monomial_reference(ring, factors, targets, cap):

@@ -36,12 +36,11 @@ from froblab import (
     q_ideal,
     sfr_witness_search,
 )
-from froblab.frobenius import recheck_splitting_witness
 from froblab.groebner import last_escaping_power
 from froblab.containment import xy_zk_setup
 
 from conftest import (random_ideal_in_max, random_monomial_ideal, random_poly,
-                      trace_colon_reference)
+                      recheck_splitting_witness, trace_colon_reference)
 
 
 class TestFedderClassical:

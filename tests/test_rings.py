@@ -1,15 +1,18 @@
-"""Ring-core: exact arithmetic, Frobenius powers, derivatives, text round trips,
-the packed storage of polynomials, degrees read off it, ring changes
-(Polynomial.in_ring) against exponent-tuple references, and the checks of the
-constructor, which returns one object per ring."""
+"""Ring-core: exact arithmetic, one-term products against the dict product,
+Frobenius powers, derivatives, text round trips, the packed storage of
+polynomials, degrees read off it, ring changes (Polynomial.in_ring) against
+exponent-tuple references and its field shift against its unpack path, and the
+checks of the constructor, which returns one object per ring."""
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import froblab.idealops as idealops
+import froblab.rings as rings
 from froblab import (
     ExponentOverflow,
     HypersurfaceRing,
@@ -537,6 +540,119 @@ class TestInRing:
         for g in (Polynomial.variable(S, "x"), Polynomial.one(S), Polynomial.zero(S)):
             with pytest.raises(RingMismatch):
                 g.in_ring(other)
+
+
+@st.composite
+def grevlex_polys_and_fronts(draw):
+    """A grevlex ring of 1-6 variables, a polynomial of it with exponents up to
+    EXPONENT_LIMIT, and 1 or 2 names to put in front of its variables."""
+    nvars = draw(st.integers(1, 6))
+    S = make_ring(7, [f"x{i}" for i in range(nvars)])
+    term = st.tuples(st.tuples(*[exponents] * nvars), st.integers(1, 6))
+    return S, Polynomial(S, draw(st.lists(term, max_size=6))), ["t", "u"][:draw(st.integers(1, 2))]
+
+
+def unpack_path(g, ring):
+    """g.in_ring(ring) with the field shift withheld: one unpack per term and
+    a sort."""
+    def no_shift(source, target):
+        units, lost, _, a, b = ring_map(source, target)
+        return units, lost, 0, a, b
+
+    ring_map = rings._ring_map
+    with mock.patch.object(rings, "_ring_map", no_shift):
+        return g.in_ring(ring)
+
+
+class TestFieldShift:
+    @settings(max_examples=150, deadline=None)
+    @given(grevlex_polys_and_fronts())
+    def test_the_shift_gives_the_unpack_paths_terms_in_its_order(self, case):
+        S, g, front = case
+        E = idealops._extended_ring(S, front)
+        assert rings._ring_map(S, E)[2] and rings._ring_map(E, S)[2]
+        lifted = g.in_ring(E)
+        assert lifted._packed == unpack_path(g, E)._packed
+        assert lifted == lift_reference(g, E, len(front))
+        back = lifted.in_ring(S)
+        assert back._packed == unpack_path(lifted, S)._packed == g._packed
+        with pytest.raises(ValueError, match="lacks"):
+            (Polynomial.variable(E, front[-1]) + lifted).in_ring(S)
+
+    def test_other_packings_take_the_unpack_path(self):
+        S = make_ring(7, ["x", "y", "z"])
+        L = make_ring(7, ["x", "y", "z"], "lex")
+        B = make_ring(7, ["x", "y", "z"], "block", (("x",), ("y", "z")))
+        rng = random.Random("other packings")
+        pairs = [(L, idealops._extended_ring(L, ["t"])), (B, idealops._extended_ring(B, ["t"])),
+                 (B, S), (S, B), (L, S), (S, L)]
+        pairs += [(b, a) for a, b in pairs[:2]]
+        for source, target in pairs:
+            assert rings._ring_map(source, target)[2] == 0, (source, target)
+            names = set(source.variables) - set(target.variables)
+            for _ in range(10):
+                g = random_poly(source, rng)
+                g = Polynomial(source, [(m, c) for m, c in g.terms
+                                        if not any(m[source.index(v)] for v in names)])
+                want = Polynomial(target, [(tuple(m[source.index(v)] if v in source.variables
+                                                  else 0 for v in target.variables), c)
+                                           for m, c in g.terms])
+                assert g.in_ring(target) == want, (g, target)
+
+    def test_the_check_is_on_the_packings_not_on_t_rings(self):
+        # a lex ring into a lex ring with a variable in front keeps every
+        # exponent field in place and has no form fields: a shift too
+        L = make_ring(7, ["x", "y"], "lex")
+        T = make_ring(7, ["t", "x", "y"], "lex")
+        assert rings._ring_map(L, T)[2] and rings._ring_map(T, L)[2]
+        g = parse_poly(L, "x^3*y + 2*y^5 + x + 3")
+        assert g.in_ring(T) == lift_reference(g, T, 1) and g.in_ring(T).in_ring(L) == g
+
+
+one_term = st.tuples(st.tuples(*[st.integers(0, 4)] * 3), st.integers(1, 4))
+
+
+class TestOneTermProducts:
+    @settings(max_examples=100, deadline=None)
+    @given(small_polys(), one_term, st.integers(-12, 12))
+    def test_a_one_term_factor_is_the_dict_product(self, f, term, k):
+        ring = f.ring
+        m = Polynomial(ring, [term])
+        want = Polynomial(ring, [(mono_mul(term[0], e), term[1] * c) for e, c in f.terms])
+        assert (m * f)._packed == (f * m)._packed == want._packed
+        scaled = Polynomial(ring, [(e, k * c) for e, c in f.terms])
+        assert k * f == f * k == scaled == Polynomial.constant(ring, k) * f
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, EXPONENT_LIMIT - 1), st.integers(-1, 1))
+    def test_the_degree_bound_is_the_dict_products(self, a, slack):
+        ring = make_ring(5, ["x", "y", "z"])
+        b = EXPONENT_LIMIT - a + slack
+        x, z = Polynomial.monomial(ring, (a, 0, 0), 3), Polynomial.variable(ring, "z")
+        f = Polynomial(ring, [((0, b, 0), 1), ((0, 0, 1), 2)])
+        for factor in (x, x + z):  # one term, then two of the same degree
+            if slack > 0:
+                with pytest.raises(ExponentOverflow, match="^product degree"):
+                    factor * f
+            else:
+                want = Polynomial(ring, [(mono_mul(e, d), c * c2)
+                                         for e, c in factor.terms for d, c2 in f.terms])
+                assert factor * f == want
+
+    def test_an_int_scales_past_the_degree_bound(self, F5xyz):
+        # an int factor moves no exponent, so it takes no degree check
+        top = (EXPONENT_LIMIT, EXPONENT_LIMIT, 0)
+        f = Polynomial(F5xyz, [(top, 1), ((0, 0, 1), 2)])
+        assert 3 * f == Polynomial(F5xyz, [(top, 3), ((0, 0, 1), 6)]) and not f * 5
+
+    def test_powers_start_from_one(self, F5xyz):
+        x, zero = Polynomial.variable(F5xyz, "x"), Polynomial.zero(F5xyz)
+        assert x**0 == zero**0 == Polynomial.one(F5xyz) and not zero**3
+        assert (2 * x) ** 3 == Polynomial.monomial(F5xyz, (3, 0, 0), 8)
+        assert (x + 1) ** 2 == x * x + 2 * x + 1
+        assert x ** EXPONENT_LIMIT == Polynomial.monomial(F5xyz, (EXPONENT_LIMIT, 0, 0))
+        with pytest.raises(ExponentOverflow, match="^power degree"):
+            (x + 1) ** (EXPONENT_LIMIT + 1)
 
 
 class TestConstructorChecks:

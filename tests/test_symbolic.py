@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import froblab.idealops as idealops
 from froblab import (
     HypersurfaceRing,
     Ideal,
@@ -289,6 +290,29 @@ class TestExample61Ladder:
                 # strict exclusion from the same-index ordinary power
                 if k * n + r >= 2:
                     assert not ideal_member(x ** (n + r), ideal_power(Q, k * n + r))
+
+
+class TestSaturationExponentOnlyWhenReported:
+    @pytest.mark.parametrize("p,k,n", [(5, 2, 6), (7, 4, 9)])
+    def test_no_diag_scans_for_no_exponent(self, p, k, n, monkeypatch):
+        # the exponent of each saturation is a frontier scan; symbolic_power
+        # runs it only for a diag that reports it
+        calls = []
+        real = idealops.absorbing_exponent
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(idealops, "absorbing_exponent", spy)
+        R, Q, pd = xy_zk_setup(p, k)
+        quiet = symbolic_power(Q, n, pd)
+        assert calls == []
+        diag = {}
+        told = symbolic_power(Ideal(R, Q.gens), n, pd, diag=diag)
+        assert len(calls) == len(pd.separators) == len(diag["saturation_exponents"]) == 1
+        assert diag["saturation_exponents"][0] > 0
+        assert quiet.gens == told.gens and ideal_equal(quiet, told)
 
 
 class TestJacobian:
